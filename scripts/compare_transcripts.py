@@ -1,0 +1,115 @@
+"""Compare the seeded transcripts of two source trees, byte for byte.
+
+    python scripts/compare_transcripts.py OTHER_SRC
+
+The runs are those of acceptance criterion 1: every price and report
+vector of the five kinds in the q=23 group, with the same seeds and coins.
+The grid runs once with this checkout's `src/` on the path and once with
+OTHER_SRC (for example the `src/` of a `git archive` of another commit).
+For each kind and mechanism case it prints how many transcripts are
+identical and how many differ; cases are named from the mechanism
+definitions, not from the package.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from collections import Counter
+from itertools import product
+
+HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def grid():
+    """(label, case, spec arguments, values, coin, mask) as criterion 1 runs them."""
+    for s, v in product(range(8), repeat=2):
+        yield f"c1/ex1/{s}/{v}", "trade" if s <= v else "none", ("ex1", 8, (s,)), [v], None, None
+    for s, v1, v2 in product(range(4), repeat=3):
+        top, second = max(v1, v2), min(v1, v2)
+        case = "above" if s > top else "between" if s > second else "below"
+        yield f"c1/m/{s}/{v1}/{v2}", case, ("ex1multi", 4, (s,), 2), [v1, v2], None, None
+    for s1, s2, v1, v2 in product(range(8), repeat=4):
+        gains = [v1 - s1 if v1 >= s1 else None, v2 - s2 if v2 >= s2 else None]
+        if gains == [None, None]:
+            case = "none"
+        elif gains[1] is None or (gains[0] is not None and gains[0] >= gains[1]):
+            case = "item0"
+        else:
+            case = "item1"
+        yield f"c1/ex2/{s1}{s2}{v1}{v2}", case, ("ex2", 8, (s1, s2)), [v1, v2], None, None
+    for s1 in range(8):
+        for s2 in range(s1, 8):
+            for v in range(8):
+                case = "nothing" if 2 * s1 > v else "lottery" if 2 * s2 > v else "full"
+                x, y = (v ^ s1) & 1, (v ^ s2) & 1
+                yield f"c1/ex3/{s1}{s2}{v}", case, ("ex3", 8, (s1, s2)), [v], x, y
+    for s, v in product(range(4), repeat=2):
+        if v < s:
+            yield f"c1/ex4/{s}/{v}", "none", ("ex4", 4, (s,)), [v], None, None
+        else:
+            for x, y in product(range(4), repeat=2):
+                yield f"c1/ex4/{s}{v}{x}{y}", "coin", ("ex4", 4, (s,)), [v], x, y
+
+
+def emit() -> None:
+    """Print one line per run: label, kind/case, digest of the transcript text."""
+    import random
+
+    from zkmech.codec import transcript_dumps
+    from zkmech.group import derive_generators, params_from_modulus
+    from zkmech.protocols import MechanismSpec, run_local
+
+    ref = derive_generators(params_from_modulus(23), b"acceptance reference string")
+    for label, case, spec_args, values, coin, mask in grid():
+        spec = MechanismSpec(*spec_args[:3], n_buyers=spec_args[3] if len(spec_args) > 3 else 1)
+        _, tr = run_local(
+            ref,
+            spec,
+            values,
+            random.Random(f"{label}/seller"),
+            random.Random(f"{label}/buyer"),
+            coin_value=coin,
+            mask_value=mask,
+        )
+        digest = hashlib.sha256(transcript_dumps(tr).encode()).hexdigest()
+        print(f"{label}\t{spec.kind}/{case}\t{digest}")
+
+
+def run_tree(src: str) -> dict[str, tuple[str, str]]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--emit"],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    rows = (line.split("\t") for line in out.splitlines())
+    return {label: (case, digest) for label, case, digest in rows}
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--emit"]:
+        emit()
+        return 0
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    ours, theirs = run_tree(HERE_SRC), run_tree(argv[0])
+    if ours.keys() != theirs.keys():
+        print("the two trees ran different grids", file=sys.stderr)
+        return 1
+    same, changed = Counter(), Counter()
+    for label, (case, digest) in ours.items():
+        (same if digest == theirs[label][1] else changed)[case] += 1
+    for case in sorted(same.keys() | changed.keys()):
+        print(f"{case:16} identical {same[case]:5}  changed {changed[case]:5}")
+    print(f"{'total':16} identical {sum(same.values()):5}  changed {sum(changed.values()):5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -76,32 +76,30 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
-def _spec_from_args(args) -> tuple[MechanismSpec, list[int]]:
+def _values_from_args(args) -> list[int]:
+    """The buyer's values: --values for ex2 and ex1multi, --value otherwise."""
+    kind = args.example
+    if kind in ("ex2", "ex1multi"):
+        if not args.values:
+            raise ZkmechError(f"{kind} needs --values v1,v2,...")
+        return [int(x) for x in args.values.split(",")]
+    if args.value is None:
+        raise ZkmechError(f"{kind} needs --value")
+    return [args.value]
+
+
+def _spec_from_args(args) -> MechanismSpec:
+    """The seller's mechanism; ex1multi takes its bidder count from --values."""
     kind = args.example
     bound = _check_bound(args.bound)
-    if kind in ("ex1", "ex4"):
-        if args.price is None or args.value is None:
-            raise ZkmechError(f"{kind} needs --price and --value")
-        return MechanismSpec(kind, bound, (args.price,)), [args.value]
-    if kind == "ex1multi":
-        if args.price is None or not args.values:
-            raise ZkmechError("ex1multi needs --price and --values v1,v2,...")
-        bids = [int(x) for x in args.values.split(",")]
-        return MechanismSpec(kind, bound, (args.price,), n_buyers=len(bids)), bids
     if kind in ("ex2", "ex3"):
         if args.s1 is None or args.s2 is None:
             raise ZkmechError(f"{kind} needs --s1 and --s2")
-        spec = MechanismSpec(kind, bound, (args.s1, args.s2))
-        if kind == "ex2":
-            if not args.values:
-                raise ZkmechError("ex2 needs --values v1,v2")
-            values = [int(x) for x in args.values.split(",")]
-        else:
-            if args.value is None:
-                raise ZkmechError("ex3 needs --value")
-            values = [args.value]
-        return spec, values
-    raise ZkmechError(f"unknown example {kind!r}")
+        return MechanismSpec(kind, bound, (args.s1, args.s2))
+    if args.price is None:
+        raise ZkmechError(f"{kind} needs --price")
+    n_buyers = len(_values_from_args(args)) if kind == "ex1multi" else 1
+    return MechanismSpec(kind, bound, (args.price,), n_buyers=n_buyers)
 
 
 # -- socket framing ---------------------------------------------------------------
@@ -164,7 +162,7 @@ def _print_outcome(outcome: Outcome, stream) -> None:
 def _cmd_demo(args) -> int:
     params, crs = _resolve_group(args)
     ref = derive_generators(params, crs)
-    spec, values = _spec_from_args(args)
+    spec, values = _spec_from_args(args), _values_from_args(args)
     outcome, transcript = run_local(
         ref,
         spec,
@@ -185,14 +183,9 @@ def _cmd_demo(args) -> int:
 def _cmd_seller(args) -> int:
     if args.example == "ex1multi":
         raise ZkmechError("networked sessions support single-buyer examples only")
+    spec = _spec_from_args(args)
     params, crs = _resolve_group(args)
     ref = derive_generators(params, crs)
-    kind = args.example
-    bound = _check_bound(args.bound)
-    if kind in ("ex2", "ex3"):
-        spec = MechanismSpec(kind, bound, (args.s1, args.s2))
-    else:
-        spec = MechanismSpec(kind, bound, (args.price,))
     seller = SellerSession(ref, spec, _role_rng(args.seed, "seller"))
     host, port = _parse_endpoint(args.listen)
     ordered: list[Message] = []
@@ -217,7 +210,7 @@ def _cmd_seller(args) -> int:
                 closing = seller.receive_mask(mask)
                 ordered.extend(closing)
                 _send_messages(conn, closing)
-    transcript = Transcript(kind=kind, bound=bound, seed=crs, messages=ordered)
+    transcript = Transcript(kind=spec.kind, bound=spec.bound, seed=crs, messages=ordered)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(transcript_dumps(transcript))
@@ -228,10 +221,14 @@ def _cmd_seller(args) -> int:
 def _cmd_buyer(args) -> int:
     if args.example == "ex1multi":
         raise ZkmechError("networked sessions support single-buyer examples only")
-    params, crs = _resolve_group(args)
-    ref = derive_generators(params, crs)
     kind = args.example
     bound = _check_bound(args.bound)
+    params, crs = _resolve_group(args)
+    ref = derive_generators(params, crs)
+    rng = _role_rng(args.seed, "buyer")
+    buyer = None
+    if not args.interactive:
+        buyer = BuyerSession(ref, kind, bound, _values_from_args(args), rng)
     host, port = _parse_endpoint(args.connect)
     ordered: list[Message] = []
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
@@ -241,14 +238,9 @@ def _cmd_buyer(args) -> int:
         ordered.extend(commit_msgs)
         # The value is requested only now, after the commitment is already
         # fixed on the wire.
-        if args.interactive:
+        if buyer is None:
             raw = input("value: " if kind != "ex2" else "values (v1,v2): ")
-            values = [int(x) for x in raw.split(",")]
-        elif kind == "ex2":
-            values = [int(x) for x in args.values.split(",")]
-        else:
-            values = [args.value]
-        buyer = BuyerSession(ref, kind, bound, values, _role_rng(args.seed, "buyer"))
+            buyer = BuyerSession(ref, kind, bound, [int(x) for x in raw.split(",")], rng)
         reports = buyer.receive_commit(commit_msgs)
         ordered.extend(reports)
         _send_messages(sock, reports)

@@ -9,7 +9,6 @@ must never re-encode to something valid.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .errors import CodecError
@@ -88,10 +87,6 @@ class Reader:
         if self.off != len(self.buf):
             raise CodecError("trailing bytes", offset=self.off)
 
-    @property
-    def remaining(self) -> int:
-        return len(self.buf) - self.off
-
 
 # -- framing ---------------------------------------------------------------
 
@@ -132,15 +127,6 @@ def seed_frame(seed: bytes) -> bytes:
     return Message(TAG_SEED, seed).frame()
 
 
-def fs_context(seed: bytes, frames: list[bytes], statement: bytes) -> bytes:
-    """Concatenate: seed frame, every prior frame in order, the statement.
-
-    Identical histories give identical contexts; any differing frame gives
-    a differing context (and hence a differing derived challenge).
-    """
-    return seed_frame(seed) + b"".join(frames) + statement
-
-
 # -- transcripts -------------------------------------------------------------
 
 
@@ -157,9 +143,6 @@ class Transcript:
     bound: int  # the public price bound H
     seed: bytes
     messages: list[Message] = field(default_factory=list)
-
-    def frames(self) -> list[bytes]:
-        return [m.frame() for m in self.messages]
 
     def tags(self) -> list[int]:
         return [m.tag for m in self.messages]
@@ -208,17 +191,3 @@ def transcript_loads(text: str) -> Transcript:
     if seed is None:
         raise CodecError("missing seed frame", line=2)
     return Transcript(kind=kind, bound=bound, seed=seed, messages=messages)
-
-
-def transcript_write(path: str, t: Transcript) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(transcript_dumps(t))
-
-
-def transcript_read(path: str) -> Transcript:
-    with open(path, "r", encoding="ascii") as fh:
-        return transcript_loads(fh.read())
-
-
-def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()

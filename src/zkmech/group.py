@@ -100,9 +100,6 @@ class GroupParams:
         """True iff 1 <= x <= q-1 and x^p = 1 (mod q)."""
         return 1 <= x <= self.q - 1 and pow(x, self.p, self.q) == 1
 
-    def in_range(self, x: int) -> bool:
-        return 1 <= x <= self.q - 1
-
     def require_member(self, x: int) -> int:
         if not self.is_member(x):
             raise NonMemberError(f"{x} is not in the order-{self.p} subgroup mod {self.q}")

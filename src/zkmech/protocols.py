@@ -2,11 +2,20 @@
 
 Each protocol runs as an ordered message exchange: commitments (plus an
 incentive certificate where needed), type reports, evidence (reveals,
-proofs, coin messages), and a final announced outcome.  The buyer aborts
-the session on the first failed check; `verify_transcript` replays every
-check a buyer would perform from the message log alone, so any third
-party holding the group parameters and the transcript can re-verify a
-run and recompute its outcome.
+proofs, coin messages), and a final announced outcome.
+
+Each kind is written once, as a case rule: case -> evidence (reveals,
+lower- and upper-bound proofs, an announced sum, a coin flip, a
+comparison) -> outcome.  The seller picks its case with the mechanism's
+selection function and proves that case's evidence.  The verifier reads
+the claimed case from the first evidence message and checks exactly that
+evidence; it never calls a selection function.
+
+One verifier, a generator fed one message at a time, checks a run.  The
+buyer feeds it each message once, as it is sent or received, and aborts
+on the first bad one; `verify_transcript` feeds the same verifier a whole
+log, so any third party holding the group parameters and the transcript
+re-verifies a run and recomputes its outcome.
 
 Supported kinds:
 
@@ -14,7 +23,9 @@ Supported kinds:
 - ``ex1multi``  second-price auction with a hidden reserve
 - ``ex2``       two items, unit-demand buyer, two hidden prices
 - ``ex3``       two-part pricing with a zero-knowledge incentive
-                certificate and a public half-probability lottery
+                certificate and a public half-probability lottery; a full
+                sale carries an upper-bound proof s2 <= floor(v/2) and the
+                announced total s1 + s2
 - ``ex4``       hidden price charged in expectation: pay H with
                 probability s/H via a verifiable coin flip
 """
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codec import (
     Message,
@@ -60,6 +72,7 @@ from .errors import (
     ICViolation,
     NonMemberError,
     ParameterError,
+    RefuseToProve,
     VerificationFailed,
 )
 from .gadgets import (
@@ -93,10 +106,11 @@ from .sigma import encode_proof, read_proof
 KINDS = ("ex1", "ex1multi", "ex2", "ex3", "ex4")
 
 # Claim bytes inside evaluation-proof messages.
-CLAIM_GE0 = 0x00  # first (or only) committed price >= recomputed public bound
-CLAIM_GE1 = 0x01  # second committed price >= recomputed public bound
-CLAIM_LE0 = 0x02  # committed price <= recomputed public bound
+CLAIM_GE0 = 0x00  # first (or only) committed price >= public bound
+CLAIM_GE1 = 0x01  # second committed price >= public bound
+CLAIM_LE0 = 0x02  # first (or only) committed price <= public bound
 CLAIM_SUM = 0x03  # announced total of the two committed prices
+CLAIM_LE1 = 0x04  # second committed price <= public bound
 
 
 def width_of(bound: int) -> int:
@@ -159,6 +173,23 @@ def _fail(phase: str, detail: str, index: int | None = None):
     raise VerificationFailed(phase, detail, index=index)
 
 
+def _decode(payload: bytes, phase: str, what: str, read):
+    """`read` applied to the whole payload; malformed bytes fail `phase`."""
+    try:
+        r = Reader(payload)
+        out = read(r)
+        r.finish()
+    except CodecError as exc:
+        _fail(phase, f"malformed {what}: {exc}")
+    return out
+
+
+def _require_members(ref: RefString, com: IntCommitment, phase: str, what: str) -> None:
+    for i, bit in enumerate(com.bits, start=1):
+        if not ref.params.is_member(bit.value):
+            _fail(phase, f"{what} outside the subgroup", index=i)
+
+
 def _commit_payload(coms: list[IntCommitment]) -> bytes:
     return encode_u8(len(coms)) + b"".join(encode_int_commitment(c) for c in coms)
 
@@ -166,20 +197,16 @@ def _commit_payload(coms: list[IntCommitment]) -> bytes:
 def _parse_commit(
     ref: RefString, payload: bytes, phase: str, count: int, width: int
 ) -> list[IntCommitment]:
-    try:
-        r = Reader(payload)
+    def read(r):
         if r.u8() != count:
             _fail(phase, "unexpected commitment count")
-        coms = [read_int_commitment(r, ref.params.q) for _ in range(count)]
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed commitment message: {exc}")
+        return [read_int_commitment(r, ref.params.q) for _ in range(count)]
+
+    coms = _decode(payload, phase, "commitment message", read)
     for com in coms:
         if com.width != width:
             _fail(phase, f"commitment width {com.width} != {width}")
-        for i, bit in enumerate(com.bits, start=1):
-            if not ref.params.is_member(bit.value):
-                _fail(phase, "commitment outside the subgroup", index=i)
+        _require_members(ref, com, phase, "commitment")
     return coms
 
 
@@ -190,18 +217,15 @@ def _report_payload(index: int, values: list[int]) -> bytes:
 def _parse_report(
     payload: bytes, phase: str, bound: int, index: int, count: int
 ) -> list[int]:
-    try:
-        r = Reader(payload)
+    def read(r):
         got_index = r.u16()
-        got_count = r.u8()
-        values = [r.uint() for _ in range(got_count)]
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed report: {exc}")
+        return got_index, [r.uint() for _ in range(r.u8())]
+
+    got_index, values = _decode(payload, phase, "report", read)
     if got_index != index:
         _fail(phase, f"report index {got_index}, expected {index}")
-    if got_count != count:
-        _fail(phase, f"report carries {got_count} values, expected {count}")
+    if len(values) != count:
+        _fail(phase, f"report carries {len(values)} values, expected {count}")
     for v in values:
         if not 0 <= v < bound:
             _fail(phase, f"reported value {v} outside {{0,...,{bound - 1}}}")
@@ -215,16 +239,13 @@ def _reveal_payload(label: int, ops: list[BitOpening]) -> bytes:
 def _parse_reveal(
     ref: RefString, payload: bytes, phase: str, width: int
 ) -> tuple[int, list[BitOpening]]:
-    try:
-        r = Reader(payload)
+    def read(r):
         label = r.u8()
-        count = r.u8()
-        ops = [read_opening(r, ref.params.p) for _ in range(count)]
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed reveal: {exc}")
-    if count != width:
-        _fail(phase, f"reveal carries {count} openings, expected {width}")
+        return label, [read_opening(r, ref.params.p) for _ in range(r.u8())]
+
+    label, ops = _decode(payload, phase, "reveal", read)
+    if len(ops) != width:
+        _fail(phase, f"reveal carries {len(ops)} openings, expected {width}")
     return label, ops
 
 
@@ -238,46 +259,34 @@ def _sum_body(total: int, carry: IntCommitment, bundle: ProofBundle) -> bytes:
 
 def _coin_pair_payload(pairs: list[ComplementPair], proofs: list[list]) -> bytes:
     out = [encode_u8(len(pairs))]
-    for pair in pairs:
-        out.append(encode_uint(pair.r_com.value))
-        out.append(encode_uint(pair.rp_com.value))
-    for pr in proofs:
-        for proof in pr:
-            body = encode_proof(proof)
-            out.append(len(body).to_bytes(4, "big"))
-            out.append(body)
+    out += [encode_uint(c.value) for pair in pairs for c in (pair.r_com, pair.rp_com)]
+    bodies = [encode_proof(proof) for pr in proofs for proof in pr]
+    out += [len(body).to_bytes(4, "big") + body for body in bodies]
     return b"".join(out)
 
 
 def _parse_coin_pairs(
     ref: RefString, payload: bytes, phase: str, count: int
 ) -> tuple[list[ComplementPair], list[list]]:
-    try:
-        r = Reader(payload)
+    def read(r):
         got = r.u8()
         if got != count:
             _fail(phase, f"coin message carries {got} pairs, expected {count}")
-        pairs = []
-        for _ in range(count):
-            a = r.uint()
-            b = r.uint()
-            pairs.append(ComplementPair(BitCommitment(a), BitCommitment(b)))
-        proofs = []
-        for _ in range(count):
-            pr = []
-            for _ in range(2):
-                length = int.from_bytes(r.take(4), "big")
-                sub = Reader(r.take(length))
-                pr.append(read_proof(sub, ref.params, (1, 1)))
-                sub.finish()
-            proofs.append(pr)
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed coin message: {exc}")
+        pairs = [
+            ComplementPair(BitCommitment(r.uint()), BitCommitment(r.uint())) for _ in range(count)
+        ]
+        return pairs, [[read_sized(r) for _ in range(2)] for _ in range(count)]
+
+    def read_sized(r):
+        sub = Reader(r.take(int.from_bytes(r.take(4), "big")))
+        proof = read_proof(sub, ref.params, (1, 1))
+        sub.finish()
+        return proof
+
+    pairs, proofs = _decode(payload, phase, "coin message", read)
     for i, pair in enumerate(pairs):
-        for value in (pair.r_com.value, pair.rp_com.value):
-            if not ref.params.is_member(value):
-                _fail(phase, "coin commitment outside the subgroup", index=i)
+        if not all(ref.params.is_member(c.value) for c in (pair.r_com, pair.rp_com)):
+            _fail(phase, "coin commitment outside the subgroup", index=i)
     return pairs, proofs
 
 
@@ -286,15 +295,9 @@ def _mask_payload(bits: list[int]) -> bytes:
 
 
 def _parse_mask(payload: bytes, phase: str, count: int) -> list[int]:
-    try:
-        r = Reader(payload)
-        got = r.u8()
-        bits = list(r.take(got))
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed coin mask: {exc}")
-    if got != count:
-        _fail(phase, f"mask carries {got} bits, expected {count}")
+    bits = _decode(payload, phase, "coin mask", lambda r: list(r.take(r.u8())))
+    if len(bits) != count:
+        _fail(phase, f"mask carries {len(bits)} bits, expected {count}")
     if any(b not in (0, 1) for b in bits):
         _fail(phase, "mask bits must be 0 or 1")
     return bits
@@ -308,15 +311,12 @@ def encode_outcome(o: Outcome) -> bytes:
     if o.lottery is None:
         out.append(encode_u8(0))
     else:
-        out.append(encode_u8(1))
-        out.append(encode_u8(len(o.lottery)))
-        out.append(bytes(o.lottery))
+        out.append(encode_u8(1) + encode_u8(len(o.lottery)) + bytes(o.lottery))
     return b"".join(out)
 
 
 def _parse_outcome(payload: bytes, phase: str) -> Outcome:
-    try:
-        r = Reader(payload)
+    def read(r):
         trade = r.u8()
         has_item = r.u8()
         item = r.u16()
@@ -324,42 +324,43 @@ def _parse_outcome(payload: bytes, phase: str) -> Outcome:
         has_lottery = r.u8()
         lottery = None
         if has_lottery == 1:
-            n = r.u8()
-            lottery = tuple(r.take(n))
+            lottery = tuple(r.take(r.u8()))
         elif has_lottery != 0:
             raise CodecError("bad lottery flag")
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed outcome: {exc}")
+        return trade, has_item, item, payment, lottery
+
+    trade, has_item, item, payment, lottery = _decode(payload, phase, "outcome", read)
     if trade not in (0, 1) or has_item not in (0, 1):
         _fail(phase, "bad outcome flags")
     if has_item == 0 and item != 0:
         _fail(phase, "non-canonical outcome encoding")
     if lottery is not None and any(b not in (0, 1) for b in lottery):
         _fail(phase, "lottery record bits must be 0 or 1")
-    return Outcome(
-        trade=bool(trade),
-        item=item if has_item else None,
-        payment=payment,
-        lottery=lottery,
-    )
+    return Outcome(bool(trade), item if has_item else None, payment, lottery)
 
 
-# -- mechanism case selection (shared by seller and verifier) -------------------
+# -- mechanism case selection (the seller's only) ------------------------------
 
 
-def second_price_case(prices: tuple[int, ...], bids: list[int]) -> tuple[str, int, int, int]:
-    """Returns (case, winner, top, second) for the hidden-reserve auction."""
-    s = prices[0]
+def posted_price_case(prices: tuple[int, ...], v: int) -> str:
+    """ex1 and ex4: the buyer trades exactly when the price is at most its value."""
+    return "trade" if prices[0] <= v else "none"
+
+
+def _ranking(bids: list[int]) -> tuple[int, int, int]:
+    """(winner, top bid, second bid), ties to the lowest index."""
     top = max(bids)
-    winner = bids.index(top)
-    rest = sorted(bids, reverse=True)
-    second = rest[1]
-    if s > top:
-        return "above", winner, top, second
-    if s > second:
-        return "between", winner, top, second
-    return "below", winner, top, second
+    return bids.index(top), top, sorted(bids, reverse=True)[1]
+
+
+def second_price_case(prices: tuple[int, ...], bids: list[int]) -> str:
+    """Where the hidden reserve falls against the top two bids."""
+    _, top, second = _ranking(bids)
+    if prices[0] > top:
+        return "above"
+    if prices[0] > second:
+        return "between"
+    return "below"
 
 
 def unit_demand_choice(prices: tuple[int, int], values: list[int]) -> int | None:
@@ -380,12 +381,157 @@ def two_part_case(prices: tuple[int, int], v: int) -> str:
     return "full"
 
 
+# -- case rules: case -> evidence -> outcome ------------------------------------
+
+
+class Evidence(NamedTuple):
+    """One step of proof that a case owes, carried by one message.
+
+    - ``reveal``: open price `item`, which must lie in [low, high];
+    - ``ge`` / ``le``: prove price `item` >= low / <= high;
+    - ``sum``: announce s1 + s2 and prove it against both commitments;
+    - ``coin``: commit `bits` hidden coin bits as complement pairs, which
+      the buyer's mask then selects;
+    - ``open``: open the selected one-bit coin;
+    - ``lt``: announce and prove whether the selected coin is below price
+      `item`.
+    """
+
+    form: str
+    item: int = 0
+    low: int = 0
+    high: int = 0
+    bits: int = 0
+
+
+# The first payload byte of an evidence message: a reveal's label (the item
+# it opens) or a proof's claim byte.  With the tag it names the evidence, so
+# the first evidence message of a run names the case the seller claims.
+_LEAD = {
+    ("reveal", 0): 0,
+    ("reveal", 1): 1,
+    ("ge", 0): CLAIM_GE0,
+    ("ge", 1): CLAIM_GE1,
+    ("le", 0): CLAIM_LE0,
+    ("le", 1): CLAIM_LE1,
+    ("sum", 0): CLAIM_SUM,
+}
+# form -> (the tag of its message, the phase that checks it)
+_WIRE = {
+    "reveal": (TAG_REVEAL, "reveal"),
+    "ge": (TAG_EVAL_PROOF, "evaluate"),
+    "le": (TAG_EVAL_PROOF, "evaluate"),
+    "sum": (TAG_EVAL_PROOF, "evaluate"),
+    "coin": (TAG_COIN_PAIR, "coin"),
+    "open": (TAG_VERDICT, "verdict"),
+    "lt": (TAG_VERDICT, "verdict"),
+}
+
+
+# Each rule is a generator: it yields the evidence the case owes, is sent
+# back the fact each piece establishes (a revealed price, the announced
+# total, the mask bits, the coin result), and returns the outcome.  The
+# seller and the verifier both run it, so each bound is written here once.
+
+_NO_TRADE = Outcome(trade=False, payment=0)
+
+
+def _ex1_rule(case: str, reports: list[int], bound: int):
+    (v,) = reports
+    if case == "trade":
+        s = yield Evidence("reveal", high=v)
+        return Outcome(trade=True, item=0, payment=s)
+    yield Evidence("ge", low=v + 1)
+    return _NO_TRADE
+
+
+def _ex1multi_rule(case: str, bids: list[int], bound: int):
+    winner, top, second = _ranking(bids)
+    if case == "above":
+        yield Evidence("ge", low=top + 1)
+        return _NO_TRADE
+    if case == "between":
+        s = yield Evidence("reveal", low=second + 1, high=top)
+        return Outcome(trade=True, item=winner, payment=s)
+    yield Evidence("le", high=second)
+    return Outcome(trade=True, item=winner, payment=second)
+
+
+def _ex2_rule(case: int | None, values: list[int], bound: int):
+    if case is None:
+        yield Evidence("ge", item=0, low=values[0] + 1)
+        yield Evidence("ge", item=1, low=values[1] + 1)
+        return _NO_TRADE
+    other = 1 - case
+    s = yield Evidence("reveal", item=case, high=values[case])
+    # The other item must not give a larger gain.  Ties go to item 0, so a
+    # sale of item 1 needs a strictly larger gain: that is the "+ case".
+    w = s - values[case] + values[other] + case
+    if w >= 1:  # every price meets a bound of 0 or less
+        yield Evidence("ge", item=other, low=w)
+    return Outcome(trade=True, item=case, payment=s)
+
+
+def _ex3_rule(case: str, reports: list[int], bound: int):
+    (v,) = reports
+    half = v // 2  # v/2 < s is integerized as s >= floor(v/2) + 1
+    if case == "nothing":
+        yield Evidence("ge", item=0, low=half + 1)
+        return _NO_TRADE
+    if case == "lottery":
+        s1 = yield Evidence("reveal", item=0, high=half)
+        yield Evidence("ge", item=1, low=half + 1)
+        (y,) = yield Evidence("coin", bits=1)
+        z = yield Evidence("open")
+        return Outcome(trade=z == 1, item=0 if z == 1 else None, payment=s1, lottery=(y, z))
+    # s1 <= s2 is certified at commit time, so s2 <= v/2 bounds both.
+    yield Evidence("le", item=1, high=half)
+    total = yield Evidence("sum")
+    return Outcome(trade=True, item=0, payment=total)
+
+
+def _ex4_rule(case: str, reports: list[int], bound: int):
+    (v,) = reports
+    if case == "none":
+        yield Evidence("ge", low=v + 1)
+        return _NO_TRADE
+    yield Evidence("le", high=v)
+    mask = yield Evidence("coin", bits=width_of(bound))
+    verdict = yield Evidence("lt")
+    return Outcome(trade=True, item=0, payment=bound if verdict else 0, lottery=(*mask, verdict))
+
+
+# kind -> (its cases, its rule)
+_RULES = {
+    "ex1": (("trade", "none"), _ex1_rule),
+    "ex1multi": (("above", "between", "below"), _ex1multi_rule),
+    "ex2": ((None, 0, 1), _ex2_rule),
+    "ex3": (("nothing", "lottery", "full"), _ex3_rule),
+    "ex4": (("trade", "none"), _ex4_rule),
+}
+
+
+class _Log:
+    """A run's Fiat-Shamir prefix: the seed frame and every frame so far."""
+
+    def __init__(self, seed: bytes):
+        self.prefix = seed_frame(seed)
+        self.count = 0
+
+    def add(self, msg: Message) -> bytes:
+        """Append `msg`; returns the prefix before it, which its proofs bind."""
+        before = self.prefix
+        self.prefix += msg.frame()
+        self.count += 1
+        return before
+
+
 # -- seller session --------------------------------------------------------------
 
 
 class SellerSession:
-    """The committing party.  Emits message batches and tracks the running
-    frame log so every proof binds the entire conversation so far."""
+    """The committing party.  Emits message batches and logs every frame,
+    so each proof binds the entire conversation so far."""
 
     def __init__(
         self,
@@ -398,27 +544,20 @@ class SellerSession:
         self.spec = spec
         self.rng = rng
         self.phase = "commit"
-        self.frames: list[bytes] = []
         self.outcome: Outcome | None = None
-        self.width = width_of(spec.bound)
         self._coin_value = coin_value  # test hook: scripted coin draw
+        self._log = _Log(ref.seed)
         self._coms: list[IntCommitment] = []
         self._ops: list[list[BitOpening]] = []
+        self._steps = None  # the claimed case's rule, once the reports are in
         self._pairs: list[ComplementPair] = []
         self._pair_ops: list[tuple[BitOpening, BitOpening]] = []
-
-    # frame bookkeeping
-
-    def _prefix(self) -> bytes:
-        return seed_frame(self.ref.seed) + b"".join(self.frames)
+        self._coin: tuple[IntCommitment, list[BitOpening]] | None = None  # masked coin
 
     def _emit(self, tag: int, payload: bytes) -> Message:
         msg = Message(tag, payload)
-        self.frames.append(msg.frame())
+        self._log.add(msg)
         return msg
-
-    def _absorb(self, msg: Message):
-        self.frames.append(msg.frame())
 
     @property
     def awaiting_mask(self) -> bool:
@@ -430,19 +569,14 @@ class SellerSession:
         if self.phase != "commit":
             raise VerificationFailed("commit", f"out-of-order call in phase {self.phase}")
         for price in self.spec.prices:
-            com, ops = commit_int(self.ref, price, self.width, self.rng)
+            com, ops = commit_int(self.ref, price, width_of(self.spec.bound), self.rng)
             self._coms.append(com)
             self._ops.append(ops)
         out = [self._emit(TAG_COMMIT, _commit_payload(self._coms))]
         if self.spec.kind == "ex3":
+            coms, ops = self._coms, self._ops
             bundle = prove_le_committed(
-                self.ref,
-                self._coms[0],
-                self._ops[0],
-                self._coms[1],
-                self._ops[1],
-                self._prefix(),
-                self.rng,
+                self.ref, coms[0], ops[0], coms[1], ops[1], self._log.prefix, self.rng
             )
             out.append(self._emit(TAG_COMMIT_PROOF, encode_bundle(bundle)))
         self.phase = "report"
@@ -460,9 +594,9 @@ class SellerSession:
             if msg.tag != TAG_TYPE_REPORT:
                 _fail("report", f"unexpected tag {msg.tag:#x}")
             values.extend(_parse_report(msg.payload, "report", self.spec.bound, i, per_msg))
-            self._absorb(msg)
-        builder = getattr(self, f"_evaluate_{self.spec.kind}")
-        return builder(values)
+            self._log.add(msg)
+        self._steps = _RULES[self.spec.kind][1](self._case(values), values, self.spec.bound)
+        return self._advance(None)
 
     def receive_mask(self, msg: Message) -> list[Message]:
         if self.phase != "mask":
@@ -470,185 +604,267 @@ class SellerSession:
         if msg.tag != TAG_COIN_MASK:
             _fail("mask", f"unexpected tag {msg.tag:#x}")
         mask = _parse_mask(msg.payload, "mask", len(self._pairs))
-        self._absorb(msg)
-        if self.spec.kind == "ex3":
-            return self._finish_ex3(mask[0])
-        return self._finish_ex4(mask)
+        self._log.add(msg)
+        self._coin = (coin_select(self._pairs, mask), coin_openings(self._pair_ops, mask))
+        return self._advance(mask)
 
-    def _final(self, outcome: Outcome) -> Message:
-        self.outcome = outcome
-        self.phase = "done"
-        return self._emit(TAG_OUTCOME, encode_outcome(outcome))
-
-    # per-kind evaluation
-
-    def _evaluate_ex1(self, values: list[int]) -> list[Message]:
-        s = self.spec.prices[0]
-        v = values[0]
-        out = []
-        if s <= v:
-            out.append(self._emit(TAG_REVEAL, _reveal_payload(0, self._ops[0])))
-            outcome = Outcome(trade=True, item=0, payment=s)
-        else:
-            bundle = prove_ge_public(
-                self.ref, self._coms[0], self._ops[0], v + 1, self._prefix(), self.rng
-            )
-            out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_GE0, encode_bundle(bundle))))
-            outcome = Outcome(trade=False, payment=0)
-        out.append(self._final(outcome))
-        return out
-
-    def _evaluate_ex1multi(self, bids: list[int]) -> list[Message]:
-        case, winner, top, second = second_price_case(self.spec.prices, bids)
-        out = []
-        if case == "above":
-            bundle = prove_ge_public(
-                self.ref, self._coms[0], self._ops[0], top + 1, self._prefix(), self.rng
-            )
-            out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_GE0, encode_bundle(bundle))))
-            outcome = Outcome(trade=False, payment=0)
-        elif case == "between":
-            out.append(self._emit(TAG_REVEAL, _reveal_payload(0, self._ops[0])))
-            outcome = Outcome(trade=True, item=winner, payment=self.spec.prices[0])
-        else:
-            bundle = prove_le_public(
-                self.ref, self._coms[0], self._ops[0], second, self._prefix(), self.rng
-            )
-            out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_LE0, encode_bundle(bundle))))
-            outcome = Outcome(trade=True, item=winner, payment=second)
-        out.append(self._final(outcome))
-        return out
-
-    def _evaluate_ex2(self, values: list[int]) -> list[Message]:
+    def _case(self, values: list[int]):
+        """The case the mechanism selects for these reports."""
         prices = self.spec.prices
-        chosen = unit_demand_choice(prices, values)
-        out = []
-        if chosen is None:
-            for i in (0, 1):
-                bundle = prove_ge_public(
-                    self.ref, self._coms[i], self._ops[i], values[i] + 1, self._prefix(), self.rng
-                )
-                claim = CLAIM_GE0 if i == 0 else CLAIM_GE1
-                out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(claim, encode_bundle(bundle))))
-            outcome = Outcome(trade=False, payment=0)
-        else:
-            other = 1 - chosen
-            out.append(self._emit(TAG_REVEAL, _reveal_payload(chosen, self._ops[chosen])))
-            bound = prices[chosen] - values[chosen] + values[other]
-            if bound >= 1:
-                bundle = prove_ge_public(
-                    self.ref, self._coms[other], self._ops[other], bound, self._prefix(), self.rng
-                )
-                claim = CLAIM_GE0 if other == 0 else CLAIM_GE1
-                out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(claim, encode_bundle(bundle))))
-            outcome = Outcome(trade=True, item=chosen, payment=prices[chosen])
-        out.append(self._final(outcome))
-        return out
+        if self.spec.kind == "ex1multi":
+            return second_price_case(prices, values)
+        if self.spec.kind == "ex2":
+            return unit_demand_choice(prices, values)
+        if self.spec.kind == "ex3":
+            return two_part_case(prices, values[0])
+        return posted_price_case(prices, values[0])
 
-    def _evaluate_ex3(self, values: list[int]) -> list[Message]:
-        v = values[0]
-        t = v // 2 + 1
-        case = two_part_case(self.spec.prices, v)
+    def _advance(self, fact) -> list[Message]:
+        """Prove the rule's evidence until it waits for the buyer's mask or
+        ends; `fact` answers the evidence proved last."""
         out = []
-        if case == "nothing":
-            bundle = prove_ge_public(
-                self.ref, self._coms[0], self._ops[0], t, self._prefix(), self.rng
-            )
-            out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_GE0, encode_bundle(bundle))))
-            out.append(self._final(Outcome(trade=False, payment=0)))
-            return out
-        if case == "lottery":
-            out.append(self._emit(TAG_REVEAL, _reveal_payload(0, self._ops[0])))
-            bundle = prove_ge_public(
-                self.ref, self._coms[1], self._ops[1], t, self._prefix(), self.rng
-            )
-            out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_GE1, encode_bundle(bundle))))
-            x = self._coin_value if self._coin_value is not None else self.rng.getrandbits(1)
-            pair, ops = complement_commit(self.ref, x, self.rng)
-            self._pairs = [pair]
-            self._pair_ops = [ops]
-            proofs = prove_complement(self.ref, pair, ops, self._prefix(), self.rng, 0)
-            out.append(self._emit(TAG_COIN_PAIR, _coin_pair_payload([pair], [proofs])))
-            self.phase = "mask"
-            return out
-        total, carry_com, bundle = prove_sum(
-            self.ref,
-            self._coms[0],
-            self._ops[0],
-            self._coms[1],
-            self._ops[1],
-            self._prefix(),
-            self.rng,
-        )
-        out.append(
-            self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_SUM, _sum_body(total, carry_com, bundle)))
-        )
-        out.append(self._final(Outcome(trade=True, item=0, payment=total)))
-        return out
+        while True:
+            try:
+                ev = self._steps.send(fact)
+            except StopIteration as stop:
+                self.outcome = stop.value
+                self.phase = "done"
+                out.append(self._emit(TAG_OUTCOME, encode_outcome(stop.value)))
+                return out
+            msg, fact = self._prove(ev)
+            out.append(msg)
+            if ev.form == "coin":
+                self.phase = "mask"
+                return out
 
-    def _finish_ex3(self, y: int) -> list[Message]:
-        opening = self._pair_ops[0][y]
-        z = opening.bit
-        out = [self._emit(TAG_VERDICT, encode_opening(opening))]
-        outcome = Outcome(
-            trade=z == 1,
-            item=0 if z == 1 else None,
-            payment=self.spec.prices[0],
-            lottery=(y, z),
-        )
-        out.append(self._final(outcome))
-        return out
-
-    def _evaluate_ex4(self, values: list[int]) -> list[Message]:
-        s = self.spec.prices[0]
-        v = values[0]
-        out = []
-        if v < s:
-            bundle = prove_ge_public(
-                self.ref, self._coms[0], self._ops[0], v + 1, self._prefix(), self.rng
+    def _prove(self, ev: Evidence) -> tuple[Message, object]:
+        """The message carrying `ev`, and the fact it establishes.  A claim
+        the hidden prices do not satisfy raises `RefuseToProve`."""
+        ref, rng, prefix = self.ref, self.rng, self._log.prefix
+        com, ops = self._coms[ev.item], self._ops[ev.item]
+        if ev.form == "reveal":
+            s = self.spec.prices[ev.item]
+            if not ev.low <= s <= ev.high:
+                raise RefuseToProve(f"price {s} outside [{ev.low}, {ev.high}]")
+            return self._emit(TAG_REVEAL, _reveal_payload(ev.item, ops)), s
+        if ev.form in ("ge", "le"):
+            w = ev.low if ev.form == "ge" else ev.high
+            if not 0 <= w < self.spec.bound:
+                raise RefuseToProve(f"no price meets the bound {w}")
+            prove = prove_ge_public if ev.form == "ge" else prove_le_public
+            bundle = prove(ref, com, ops, w, prefix, rng)
+            payload = _proof_payload(_LEAD[ev.form, ev.item], encode_bundle(bundle))
+            return self._emit(TAG_EVAL_PROOF, payload), None
+        if ev.form == "sum":
+            total, carry_com, bundle = prove_sum(
+                ref, self._coms[0], self._ops[0], self._coms[1], self._ops[1], prefix, rng
             )
-            out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_GE0, encode_bundle(bundle))))
-            out.append(self._final(Outcome(trade=False, payment=0)))
-            return out
-        bundle = prove_le_public(
-            self.ref, self._coms[0], self._ops[0], v, self._prefix(), self.rng
-        )
-        out.append(self._emit(TAG_EVAL_PROOF, _proof_payload(CLAIM_LE0, encode_bundle(bundle))))
-        x = self._coin_value if self._coin_value is not None else self.rng.randrange(self.spec.bound)
-        x_bits = int_bits(x, self.width)
-        self._pairs = []
-        self._pair_ops = []
+            payload = _proof_payload(CLAIM_SUM, _sum_body(total, carry_com, bundle))
+            return self._emit(TAG_EVAL_PROOF, payload), total
+        if ev.form == "coin":
+            return self._emit(TAG_COIN_PAIR, self._commit_coin(ev.bits, prefix)), None
+        z_com, z_ops = self._coin
+        if ev.form == "open":
+            return self._emit(TAG_VERDICT, encode_opening(z_ops[0])), z_ops[0].bit
+        verdict, borrow_com, bundle = prove_lt_committed(ref, z_com, z_ops, com, ops, prefix, rng)
+        payload = encode_u8(verdict) + encode_int_commitment(borrow_com) + encode_bundle(bundle)
+        return self._emit(TAG_VERDICT, payload), verdict
+
+    def _commit_coin(self, bits: int, prefix: bytes) -> bytes:
+        x = self._coin_value
+        if x is None and self.spec.kind == "ex3":
+            x = self.rng.getrandbits(1)
+        elif x is None:
+            x = self.rng.randrange(self.spec.bound)
         proofs = []
-        prefix = self._prefix()
-        for idx, bit in enumerate(x_bits):
+        for idx, bit in enumerate(int_bits(x, bits)):
             pair, ops = complement_commit(self.ref, bit, self.rng)
             self._pairs.append(pair)
             self._pair_ops.append(ops)
             proofs.append(prove_complement(self.ref, pair, ops, prefix, self.rng, idx))
-        out.append(self._emit(TAG_COIN_PAIR, _coin_pair_payload(self._pairs, proofs)))
-        self.phase = "mask"
-        return out
+        return _coin_pair_payload(self._pairs, proofs)
 
-    def _finish_ex4(self, mask: list[int]) -> list[Message]:
-        z_com = coin_select(self._pairs, mask)
-        z_ops = coin_openings(self._pair_ops, mask)
-        verdict, borrow_com, bundle = prove_lt_committed(
-            self.ref, z_com, z_ops, self._coms[0], self._ops[0], self._prefix(), self.rng
+
+# -- the verifier -------------------------------------------------------------------
+
+
+def _gate_shapes(width: int, lsb: tuple[int, ...], inner: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """A gate chain: the top-bit gate, then positions 1..width, LSB last."""
+    return [(1,)] + [inner] * (width - 1) + [lsb]
+
+
+def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
+    """Check that `msg` is there and carries `tag`; log it and return the
+    prefix its proofs bind."""
+    if msg is None:
+        _fail(phase, "transcript truncated")
+    if msg.tag != tag:
+        _fail(phase, f"expected tag {tag:#x}, found {msg.tag:#x}", index=log.count)
+    return log.add(msg)
+
+
+def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, coin):
+    """Check one evidence message against the claim `ev`; returns the fact
+    it establishes (for a coin, its pairs, which the mask then selects)."""
+    params = ref.params
+    width = coms[0].width
+    com = coms[ev.item]
+    phase = _WIRE[ev.form][1]
+    if ev.form == "reveal":
+        label, ops = _parse_reveal(ref, payload, phase, width)
+        if label != ev.item:
+            _fail(phase, f"unexpected reveal label {label}")
+        s = reveal_int(ref, com, ops)
+        if not ev.low <= s <= ev.high:
+            _fail(phase, f"revealed price {s} outside [{ev.low}, {ev.high}]")
+        return s
+    if ev.form in ("ge", "le"):
+        ge = ev.form == "ge"
+        w = ev.low if ge else ev.high
+        if w >= 1 << width:
+            _fail(phase, f"claim impossible: the bound {w} is above the maximal price")
+        positions, targets = (ge_positions, ge_targets) if ge else (le_positions, le_targets)
+        shapes = [(1,) * len(targets(w, width, i)) for i in positions(w, width)]
+        claim, bundle = _decode(
+            payload, phase, "proof message", lambda r: (r.u8(), read_bundle(r, params, shapes))
         )
-        payload = encode_u8(verdict) + encode_int_commitment(borrow_com) + encode_bundle(bundle)
-        out = [self._emit(TAG_VERDICT, payload)]
-        payment = self.spec.bound if verdict == 1 else 0
-        outcome = Outcome(trade=True, item=0, payment=payment, lottery=(*mask, verdict))
-        out.append(self._final(outcome))
-        return out
+        if claim != _LEAD[ev.form, ev.item]:
+            _fail(phase, f"unexpected claim byte {claim:#x}")
+        verify = verify_ge_public if ge else verify_le_public
+        if not verify(ref, com, w, bundle, prefix):
+            side = "lower" if ge else "upper"
+            _fail(phase, f"{side}-bound proof against {w} does not verify")
+        return None
+    if ev.form == "sum":
+        def read_sum(r):
+            shapes = _gate_shapes(width, (3, 3), (4, 4, 4, 4))
+            claim, total = r.u8(), r.uint()
+            return claim, total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
+
+        claim, total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum)
+        if claim != CLAIM_SUM:
+            _fail(phase, f"unexpected claim byte {claim:#x}")
+        _require_members(ref, carry_com, phase, "carry commitment")
+        if not verify_sum(ref, coms[0], coms[1], total, carry_com, bundle, prefix):
+            _fail(phase, "sum proof does not verify")
+        return total
+    if ev.form == "coin":
+        pairs, proofs = _parse_coin_pairs(ref, payload, phase, ev.bits)
+        for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
+            if not verify_complement(ref, pair, pr, prefix, idx):
+                _fail(phase, "complement proof does not verify", index=idx)
+        return pairs
+    if ev.form == "open":
+        opening = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))
+        if not verify_opening(ref, coin.bits[0], opening):
+            _fail(phase, "coin opening does not match the selected commitment")
+        return opening.bit
+    def read_lt(r):
+        shapes = _gate_shapes(width, (3, 3, 3, 3), (4,) * 8)
+        return r.u8(), read_int_commitment(r, params.q), read_bundle(r, params, shapes)
+
+    verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
+    if verdict not in (0, 1):
+        _fail(phase, f"bad verdict byte {verdict}")
+    _require_members(ref, borrow_com, phase, "borrow commitment")
+    if not verify_lt_committed(ref, coin, com, verdict, borrow_com, bundle, prefix):
+        _fail(phase, "comparison proof does not verify")
+    return verdict
+
+
+def verifier(ref: RefString, kind: str, bound: int):
+    """Every check of one run, as a generator fed one message at a time.
+
+    Prime it with `send(None)`, then send each message in order, and None
+    once the log ends.  It raises `VerificationFailed` at the first bad
+    message and returns the outcome (as `StopIteration.value`).  It keeps
+    the log each proof's Fiat-Shamir prefix is taken from.
+    """
+    width = width_of(bound)
+    cases, rule = _RULES[kind]
+    log = _Log(ref.seed)
+    msg = yield
+    _admit(log, msg, TAG_COMMIT, "commit")
+    coms = _parse_commit(ref, msg.payload, "commit", 2 if kind in ("ex2", "ex3") else 1, width)
+    if kind == "ex3":
+        msg = yield
+        prefix = _admit(log, msg, TAG_COMMIT_PROOF, "commit-proof")
+        shapes = [(1, 1) + (2,) * (i - 1) for i in range(1, width + 1)]
+        bundle = _decode(
+            msg.payload, "commit-proof", "certificate", lambda r: read_bundle(r, ref.params, shapes)
+        )
+        if not verify_le_committed(ref, coms[0], coms[1], bundle, prefix):
+            _fail("commit-proof", "incentive certificate does not verify")
+
+    msg = yield
+    _admit(log, msg, TAG_TYPE_REPORT, "report")
+    reports = _parse_report(msg.payload, "report", bound, 0, 2 if kind == "ex2" else 1)
+    msg = yield
+    while kind == "ex1multi" and msg is not None and msg.tag == TAG_TYPE_REPORT:
+        log.add(msg)
+        reports += _parse_report(msg.payload, "report", bound, len(reports), 1)
+        msg = yield
+    if kind == "ex1multi" and len(reports) < 2:
+        _fail("report", f"need at least two bids, got {len(reports)}")
+
+    # The first evidence message names the case the seller claims.
+    if msg is None:
+        _fail("evaluate", "transcript truncated")
+    claimed = (msg.tag, msg.payload[0]) if msg.payload else None
+    for case in cases:
+        steps = rule(case, reports, bound)
+        ev = next(steps)
+        if (_WIRE[ev.form][0], _LEAD[ev.form, ev.item]) == claimed:
+            break
+    else:
+        _fail("evaluate", f"no case opens with tag {msg.tag:#x}", index=log.count)
+
+    coin = None  # the coin commitment the buyer's mask selects
+    while True:
+        prefix = _admit(log, msg, *_WIRE[ev.form])
+        fact = _check(ref, ev, msg.payload, prefix, coms, coin)
+        if ev.form == "coin":
+            msg = yield
+            _admit(log, msg, TAG_COIN_MASK, "coin")
+            mask = _parse_mask(msg.payload, "coin", ev.bits)
+            coin = coin_select(fact, mask)
+            fact = mask
+        try:
+            ev = steps.send(fact)
+        except StopIteration as stop:
+            expected = stop.value
+            break
+        msg = yield
+
+    msg = yield
+    _admit(log, msg, TAG_OUTCOME, "outcome")
+    announced = _parse_outcome(msg.payload, "outcome")
+    if announced != expected:
+        _fail("outcome", f"announced {announced}, evidence implies {expected}")
+    if (yield) is not None:
+        _fail("outcome", "trailing messages after outcome", index=log.count)
+    return announced
+
+
+def _feed(check, msg: Message | None) -> Outcome | None:
+    """Send a verifier its next message; returns the outcome once the run
+    is complete.  Errors of the layers below count as a failed check."""
+    try:
+        check.send(msg)
+    except StopIteration as stop:
+        return stop.value
+    except (NonMemberError, ParameterError, CodecError) as exc:
+        raise VerificationFailed("replay", str(exc)) from exc
+    return None
 
 
 # -- buyer session ----------------------------------------------------------------
 
 
 class BuyerSession:
-    """The verifying party.  Produces reports and coin masks, aborts on the
-    first bad message, and replays the full transcript at the end."""
+    """The verifying party.  Produces reports and coin masks, and feeds each
+    message it receives or sends, once, to the run's verifier, so the
+    session aborts on the first bad message."""
 
     def __init__(
         self,
@@ -661,7 +877,6 @@ class BuyerSession:
     ):
         if kind not in KINDS:
             raise ParameterError(f"unknown kind {kind!r}")
-        self.ref = ref
         self.kind = kind
         self.bound = bound
         self.width = width_of(bound)
@@ -676,440 +891,64 @@ class BuyerSession:
         self.values = list(values)
         self.rng = rng
         self.mask_value = mask_value  # test hook: scripted mask draw
-        self.messages: list[Message] = []
         self.failed = False
-
-    def _absorb(self, msg: Message):
-        self.messages.append(msg)
-
-    def _prefix_before_last(self) -> bytes:
-        return seed_frame(self.ref.seed) + b"".join(m.frame() for m in self.messages[:-1])
+        self._check = verifier(ref, kind, bound)
+        _feed(self._check, None)
 
     def _guard(self):
         if self.failed:
             raise VerificationFailed("session", "session already aborted")
 
-    def receive_commit(self, msgs: list[Message]) -> list[Message]:
+    def _absorb(self, msgs: list[Message | None]) -> Outcome | None:
+        """Feed messages to the verifier; None ends the log."""
         self._guard()
+        outcome = None
         try:
-            expect = [TAG_COMMIT, TAG_COMMIT_PROOF] if self.kind == "ex3" else [TAG_COMMIT]
-            if [m.tag for m in msgs] != expect:
-                _fail("commit", f"unexpected message tags {[m.tag for m in msgs]}")
-            count = 2 if self.kind in ("ex2", "ex3") else 1
-            coms = _parse_commit(self.ref, msgs[0].payload, "commit", count, self.width)
-            self._absorb(msgs[0])
-            if self.kind == "ex3":
-                self._absorb(msgs[1])
-                prefix = self._prefix_before_last()
-                shapes = [
-                    (1, 1) + (2,) * (i - 1) for i in range(1, self.width + 1)
-                ]
-                try:
-                    r = Reader(msgs[1].payload)
-                    bundle = read_bundle(r, self.ref.params, shapes)
-                    r.finish()
-                except CodecError as exc:
-                    _fail("commit-proof", f"malformed certificate: {exc}")
-                if not verify_le_committed(self.ref, coms[0], coms[1], bundle, prefix):
-                    _fail("commit-proof", "incentive certificate does not verify")
-        except VerificationFailed:
-            self.failed = True
-            raise
-        out = []
-        if self.kind == "ex2":
-            out.append(Message(TAG_TYPE_REPORT, _report_payload(0, self.values)))
-        elif self.kind == "ex1multi":
-            for i, v in enumerate(self.values):
-                out.append(Message(TAG_TYPE_REPORT, _report_payload(i, [v])))
-        else:
-            out.append(Message(TAG_TYPE_REPORT, _report_payload(0, self.values)))
-        for msg in out:
-            self._absorb(msg)
-        return out
-
-    def receive_evidence(self, msgs: list[Message]) -> Message | None:
-        """Absorb an evidence batch; if it ends with a coin-pair message,
-        verify the complement proofs and answer with a fresh mask."""
-        self._guard()
-        for msg in msgs:
-            self._absorb(msg)
-        if msgs and msgs[-1].tag == TAG_COIN_PAIR:
-            count = 1 if self.kind == "ex3" else self.width
-            try:
-                pairs, proofs = _parse_coin_pairs(self.ref, msgs[-1].payload, "coin", count)
-                prefix = self._prefix_before_last()
-                for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
-                    if not verify_complement(self.ref, pair, pr, prefix, idx):
-                        _fail("coin", "complement proof does not verify", index=idx)
-            except VerificationFailed:
-                self.failed = True
-                raise
-            if self.kind == "ex3":
-                y = self.mask_value if self.mask_value is not None else self.rng.getrandbits(1)
-                mask = [y]
-            else:
-                y = (
-                    self.mask_value
-                    if self.mask_value is not None
-                    else self.rng.randrange(self.bound)
-                )
-                mask = int_bits(y, self.width)
-            msg = Message(TAG_COIN_MASK, _mask_payload(mask))
-            self._absorb(msg)
-            return msg
-        return None
-
-    def receive_final(self, msgs: list[Message]) -> Outcome:
-        """Absorb the closing batch and replay the whole conversation."""
-        self._guard()
-        for msg in msgs:
-            self._absorb(msg)
-        try:
-            outcome = replay(self.ref, self.kind, self.bound, self.messages)
+            for msg in msgs:
+                outcome = _feed(self._check, msg)
         except VerificationFailed:
             self.failed = True
             raise
         return outcome
 
+    def receive_commit(self, msgs: list[Message]) -> list[Message]:
+        self._absorb(msgs)
+        # ex1multi sends one report per bidder, the other kinds one in all.
+        groups = [[v] for v in self.values] if self.kind == "ex1multi" else [self.values]
+        out = [Message(TAG_TYPE_REPORT, _report_payload(i, g)) for i, g in enumerate(groups)]
+        self._absorb(out)
+        return out
+
+    def receive_evidence(self, msgs: list[Message]) -> Message | None:
+        """Absorb an evidence batch; if it ends with a coin-pair message,
+        answer with a fresh mask."""
+        self._absorb(msgs)
+        if not msgs or msgs[-1].tag != TAG_COIN_PAIR:
+            return None
+        y = self.mask_value
+        if y is None:
+            y = self.rng.getrandbits(1) if self.kind == "ex3" else self.rng.randrange(self.bound)
+        mask = int_bits(y, 1 if self.kind == "ex3" else self.width)
+        msg = Message(TAG_COIN_MASK, _mask_payload(mask))
+        self._absorb([msg])
+        return msg
+
+    def receive_final(self, msgs: list[Message]) -> Outcome:
+        """Absorb the closing batch, which completes the run."""
+        return self._absorb([*msgs, None])
+
 
 # -- transcript verification ---------------------------------------------------
 
 
-class _Walk:
-    """Message cursor that carries the frame log for Fiat-Shamir prefixes."""
-
-    def __init__(self, ref: RefString, messages: list[Message]):
-        self.ref = ref
-        self.messages = messages
-        self.idx = 0
-        self._frames: list[bytes] = []
-
-    def peek(self) -> int | None:
-        if self.idx < len(self.messages):
-            return self.messages[self.idx].tag
-        return None
-
-    def take(self, tag: int, phase: str) -> tuple[Message, bytes]:
-        if self.idx >= len(self.messages):
-            _fail(phase, "transcript truncated")
-        msg = self.messages[self.idx]
-        if msg.tag != tag:
-            _fail(phase, f"expected tag {tag:#x}, found {msg.tag:#x}", index=self.idx)
-        prefix = seed_frame(self.ref.seed) + b"".join(self._frames)
-        self._frames.append(msg.frame())
-        self.idx += 1
-        return msg, prefix
-
-    def finish(self, phase: str):
-        if self.idx != len(self.messages):
-            _fail(phase, "trailing messages after outcome", index=self.idx)
-
-
-def _ge_shapes(width: int, w: int) -> list[tuple[int, ...]]:
-    return [(1,) * len(ge_targets(w, width, i)) for i in ge_positions(w, width)]
-
-
-def _le_shapes(width: int, w: int) -> list[tuple[int, ...]]:
-    return [(1,) * len(le_targets(w, width, i)) for i in le_positions(w, width)]
-
-
-def _read_claim_bundle(
-    ref: RefString, msg: Message, phase: str, shapes: list[tuple[int, ...]]
-) -> tuple[int, ProofBundle]:
-    try:
-        r = Reader(msg.payload)
-        claim = r.u8()
-        bundle = read_bundle(r, ref.params, shapes)
-        r.finish()
-    except CodecError as exc:
-        _fail(phase, f"malformed proof message: {exc}")
-    return claim, bundle
-
-
-def _claim_of(msg: Message, phase: str) -> int:
-    if not msg.payload:
-        _fail(phase, "empty proof message")
-    return msg.payload[0]
-
-
-def _expect_ge(ref, walk, com, w, claim, phase) -> None:
-    msg, prefix = walk.take(TAG_EVAL_PROOF, phase)
-    got_claim, bundle = _read_claim_bundle(ref, msg, phase, _ge_shapes(com.width, w))
-    if got_claim != claim:
-        _fail(phase, f"unexpected claim byte {got_claim:#x}")
-    if not verify_ge_public(ref, com, w, bundle, prefix):
-        _fail(phase, f"lower-bound proof against {w} does not verify")
-
-
-def _expect_le(ref, walk, com, w, claim, phase) -> None:
-    msg, prefix = walk.take(TAG_EVAL_PROOF, phase)
-    got_claim, bundle = _read_claim_bundle(ref, msg, phase, _le_shapes(com.width, w))
-    if got_claim != claim:
-        _fail(phase, f"unexpected claim byte {got_claim:#x}")
-    if not verify_le_public(ref, com, w, bundle, prefix):
-        _fail(phase, f"upper-bound proof against {w} does not verify")
-
-
-def _take_reveal(ref, walk, com, phase) -> tuple[int, list[BitOpening]]:
-    msg, _ = walk.take(TAG_REVEAL, phase)
-    return _parse_reveal(ref, msg.payload, phase, com.width)
-
-
-def _finish_with_outcome(walk: _Walk, expected: Outcome) -> Outcome:
-    msg, _ = walk.take(TAG_OUTCOME, "outcome")
-    announced = _parse_outcome(msg.payload, "outcome")
-    if announced != expected:
-        _fail("outcome", f"announced {announced}, evidence implies {expected}")
-    walk.finish("outcome")
-    return announced
-
-
-def _verify_ex1(ref: RefString, bound: int, messages: list[Message]) -> Outcome:
-    width = width_of(bound)
-    walk = _Walk(ref, messages)
-    msg, _ = walk.take(TAG_COMMIT, "commit")
-    (com,) = _parse_commit(ref, msg.payload, "commit", 1, width)
-    msg, _ = walk.take(TAG_TYPE_REPORT, "report")
-    (v,) = _parse_report(msg.payload, "report", bound, 0, 1)
-    tag = walk.peek()
-    if tag == TAG_REVEAL:
-        label, ops = _take_reveal(ref, walk, com, "reveal")
-        if label != 0:
-            _fail("reveal", f"unexpected reveal label {label}")
-        s = reveal_int(ref, com, ops)
-        if s > v:
-            _fail("reveal", f"trade claimed but revealed price {s} exceeds report {v}")
-        expected = Outcome(trade=True, item=0, payment=s)
-    elif tag == TAG_EVAL_PROOF:
-        if v == bound - 1:
-            _fail("evaluate", "no-trade claim impossible against a maximal report")
-        _expect_ge(ref, walk, com, v + 1, CLAIM_GE0, "evaluate")
-        expected = Outcome(trade=False, payment=0)
-    else:
-        _fail("evaluate", f"unexpected tag {tag}")
-    return _finish_with_outcome(walk, expected)
-
-
-def _verify_ex1multi(ref: RefString, bound: int, messages: list[Message]) -> Outcome:
-    width = width_of(bound)
-    walk = _Walk(ref, messages)
-    msg, _ = walk.take(TAG_COMMIT, "commit")
-    (com,) = _parse_commit(ref, msg.payload, "commit", 1, width)
-    bids: list[int] = []
-    while walk.peek() == TAG_TYPE_REPORT:
-        msg, _ = walk.take(TAG_TYPE_REPORT, "report")
-        bids.extend(_parse_report(msg.payload, "report", bound, len(bids), 1))
-    if len(bids) < 2:
-        _fail("report", f"need at least two bids, got {len(bids)}")
-    top = max(bids)
-    winner = bids.index(top)
-    second = sorted(bids, reverse=True)[1]
-    tag = walk.peek()
-    if tag == TAG_REVEAL:
-        label, ops = _take_reveal(ref, walk, com, "reveal")
-        if label != 0:
-            _fail("reveal", f"unexpected reveal label {label}")
-        s = reveal_int(ref, com, ops)
-        if not second < s <= top:
-            _fail("reveal", f"revealed reserve {s} inconsistent with case bounds")
-        expected = Outcome(trade=True, item=winner, payment=s)
-    elif tag == TAG_EVAL_PROOF:
-        claim = _claim_of(messages[walk.idx], "evaluate")
-        if claim == CLAIM_GE0:
-            if top == bound - 1:
-                _fail("evaluate", "no-trade claim impossible against a maximal bid")
-            _expect_ge(ref, walk, com, top + 1, CLAIM_GE0, "evaluate")
-            expected = Outcome(trade=False, payment=0)
-        else:
-            _expect_le(ref, walk, com, second, CLAIM_LE0, "evaluate")
-            expected = Outcome(trade=True, item=winner, payment=second)
-    else:
-        _fail("evaluate", f"unexpected tag {tag}")
-    return _finish_with_outcome(walk, expected)
-
-
-def _verify_ex2(ref: RefString, bound: int, messages: list[Message]) -> Outcome:
-    width = width_of(bound)
-    walk = _Walk(ref, messages)
-    msg, _ = walk.take(TAG_COMMIT, "commit")
-    coms = _parse_commit(ref, msg.payload, "commit", 2, width)
-    msg, _ = walk.take(TAG_TYPE_REPORT, "report")
-    values = _parse_report(msg.payload, "report", bound, 0, 2)
-    tag = walk.peek()
-    if tag == TAG_EVAL_PROOF:
-        for i in (0, 1):
-            if values[i] == bound - 1:
-                _fail("evaluate", "no-trade claim impossible against a maximal value")
-            claim = CLAIM_GE0 if i == 0 else CLAIM_GE1
-            _expect_ge(ref, walk, coms[i], values[i] + 1, claim, "evaluate")
-        expected = Outcome(trade=False, payment=0)
-    elif tag == TAG_REVEAL:
-        msg, _ = walk.take(TAG_REVEAL, "reveal")
-        chosen, ops = _parse_reveal(ref, msg.payload, "reveal", width)
-        if chosen not in (0, 1):
-            _fail("reveal", f"bad item index {chosen}")
-        price = reveal_int(ref, coms[chosen], ops)
-        if values[chosen] < price:
-            _fail("reveal", "sold item is not affordable at its revealed price")
-        other = 1 - chosen
-        hidden_bound = price - values[chosen] + values[other]
-        if hidden_bound >= bound:
-            _fail("evaluate", "required lower bound exceeds the price domain")
-        if hidden_bound >= 1:
-            claim = CLAIM_GE0 if other == 0 else CLAIM_GE1
-            _expect_ge(ref, walk, coms[other], hidden_bound, claim, "evaluate")
-        expected = Outcome(trade=True, item=chosen, payment=price)
-    else:
-        _fail("evaluate", f"unexpected tag {tag}")
-    return _finish_with_outcome(walk, expected)
-
-
-def _verify_ex3(ref: RefString, bound: int, messages: list[Message]) -> Outcome:
-    width = width_of(bound)
-    walk = _Walk(ref, messages)
-    msg, _ = walk.take(TAG_COMMIT, "commit")
-    coms = _parse_commit(ref, msg.payload, "commit", 2, width)
-    msg, prefix = walk.take(TAG_COMMIT_PROOF, "commit-proof")
-    shapes = [(1, 1) + (2,) * (i - 1) for i in range(1, width + 1)]
-    try:
-        r = Reader(msg.payload)
-        ic_bundle = read_bundle(r, ref.params, shapes)
-        r.finish()
-    except CodecError as exc:
-        _fail("commit-proof", f"malformed certificate: {exc}")
-    if not verify_le_committed(ref, coms[0], coms[1], ic_bundle, prefix):
-        _fail("commit-proof", "incentive certificate does not verify")
-    msg, _ = walk.take(TAG_TYPE_REPORT, "report")
-    (v,) = _parse_report(msg.payload, "report", bound, 0, 1)
-    t = v // 2 + 1
-    tag = walk.peek()
-    if tag == TAG_EVAL_PROOF and _claim_of(messages[walk.idx], "evaluate") == CLAIM_GE0:
-        _expect_ge(ref, walk, coms[0], t, CLAIM_GE0, "evaluate")
-        expected = Outcome(trade=False, payment=0)
-        return _finish_with_outcome(walk, expected)
-    if tag == TAG_EVAL_PROOF and _claim_of(messages[walk.idx], "evaluate") == CLAIM_SUM:
-        msg, prefix = walk.take(TAG_EVAL_PROOF, "evaluate")
-        try:
-            r = Reader(msg.payload)
-            if r.u8() != CLAIM_SUM:
-                raise CodecError("claim byte changed mid-parse")
-            total = r.uint()
-            carry_com = read_int_commitment(r, ref.params.q)
-            gate_shapes: list[tuple[int, ...]] = [(1,)]
-            for i in range(1, width + 1):
-                gate_shapes.append((3, 3) if i == width else (4, 4, 4, 4))
-            bundle = read_bundle(r, ref.params, gate_shapes)
-            r.finish()
-        except CodecError as exc:
-            _fail("evaluate", f"malformed sum proof: {exc}")
-        for i, bit in enumerate(carry_com.bits, start=1):
-            if not ref.params.is_member(bit.value):
-                _fail("evaluate", "carry commitment outside the subgroup", index=i)
-        if not verify_sum(ref, coms[0], coms[1], total, carry_com, bundle, prefix):
-            _fail("evaluate", "sum proof does not verify")
-        expected = Outcome(trade=True, item=0, payment=total)
-        return _finish_with_outcome(walk, expected)
-    if tag == TAG_REVEAL:
-        label, ops = _take_reveal(ref, walk, coms[0], "reveal")
-        if label != 0:
-            _fail("reveal", f"unexpected reveal label {label}")
-        s1 = reveal_int(ref, coms[0], ops)
-        if s1 >= t:
-            _fail("reveal", "lottery case claimed but the base price clears the threshold")
-        _expect_ge(ref, walk, coms[1], t, CLAIM_GE1, "evaluate")
-        msg, prefix = walk.take(TAG_COIN_PAIR, "coin")
-        pairs, proofs = _parse_coin_pairs(ref, msg.payload, "coin", 1)
-        if not verify_complement(ref, pairs[0], proofs[0], prefix, 0):
-            _fail("coin", "complement proof does not verify")
-        msg, _ = walk.take(TAG_COIN_MASK, "coin")
-        (y,) = _parse_mask(msg.payload, "coin", 1)
-        msg, _ = walk.take(TAG_VERDICT, "verdict")
-        try:
-            r = Reader(msg.payload)
-            opening = read_opening(r, ref.params.p)
-            r.finish()
-        except CodecError as exc:
-            _fail("verdict", f"malformed coin opening: {exc}")
-        selected = pairs[0].r_com if y == 0 else pairs[0].rp_com
-        if not verify_opening(ref, selected, opening):
-            _fail("verdict", "coin opening does not match the selected commitment")
-        z = opening.bit
-        expected = Outcome(
-            trade=z == 1,
-            item=0 if z == 1 else None,
-            payment=s1,
-            lottery=(y, z),
-        )
-        return _finish_with_outcome(walk, expected)
-    _fail("evaluate", f"unexpected tag {tag}")
-
-
-def _verify_ex4(ref: RefString, bound: int, messages: list[Message]) -> Outcome:
-    width = width_of(bound)
-    walk = _Walk(ref, messages)
-    msg, _ = walk.take(TAG_COMMIT, "commit")
-    (com,) = _parse_commit(ref, msg.payload, "commit", 1, width)
-    msg, _ = walk.take(TAG_TYPE_REPORT, "report")
-    (v,) = _parse_report(msg.payload, "report", bound, 0, 1)
-    tag = walk.peek()
-    if tag != TAG_EVAL_PROOF:
-        _fail("evaluate", f"unexpected tag {tag}")
-    claim = _claim_of(messages[walk.idx], "evaluate")
-    if claim == CLAIM_GE0:
-        if v == bound - 1:
-            _fail("evaluate", "no-trade claim impossible against a maximal report")
-        _expect_ge(ref, walk, com, v + 1, CLAIM_GE0, "evaluate")
-        return _finish_with_outcome(walk, Outcome(trade=False, payment=0))
-    _expect_le(ref, walk, com, v, CLAIM_LE0, "evaluate")
-    msg, prefix = walk.take(TAG_COIN_PAIR, "coin")
-    pairs, proofs = _parse_coin_pairs(ref, msg.payload, "coin", width)
-    for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
-        if not verify_complement(ref, pair, pr, prefix, idx):
-            _fail("coin", "complement proof does not verify", index=idx)
-    msg, _ = walk.take(TAG_COIN_MASK, "coin")
-    mask = _parse_mask(msg.payload, "coin", width)
-    msg, prefix = walk.take(TAG_VERDICT, "verdict")
-    try:
-        r = Reader(msg.payload)
-        verdict = r.u8()
-        borrow_com = read_int_commitment(r, ref.params.q)
-        gate_shapes: list[tuple[int, ...]] = [(1,)]
-        for i in range(1, width + 1):
-            gate_shapes.append((3, 3, 3, 3) if i == width else (4,) * 8)
-        bundle = read_bundle(r, ref.params, gate_shapes)
-        r.finish()
-    except CodecError as exc:
-        _fail("verdict", f"malformed comparison proof: {exc}")
-    if verdict not in (0, 1):
-        _fail("verdict", f"bad verdict byte {verdict}")
-    for i, bit in enumerate(borrow_com.bits, start=1):
-        if not ref.params.is_member(bit.value):
-            _fail("verdict", "borrow commitment outside the subgroup", index=i)
-    z_com = coin_select(pairs, mask)
-    if not verify_lt_committed(ref, z_com, com, verdict, borrow_com, bundle, prefix):
-        _fail("verdict", "comparison proof does not verify")
-    payment = bound if verdict == 1 else 0
-    expected = Outcome(trade=True, item=0, payment=payment, lottery=(*mask, verdict))
-    return _finish_with_outcome(walk, expected)
-
-
-_VERIFIERS = {
-    "ex1": _verify_ex1,
-    "ex1multi": _verify_ex1multi,
-    "ex2": _verify_ex2,
-    "ex3": _verify_ex3,
-    "ex4": _verify_ex4,
-}
-
-
 def replay(ref: RefString, kind: str, bound: int, messages: list[Message]) -> Outcome:
-    """Re-run every buyer-side check over a complete message log."""
-    if kind not in _VERIFIERS:
+    """Run the verifier over a complete message log."""
+    if kind not in _RULES:
         _fail("params", f"unknown protocol kind {kind!r}")
-    try:
-        return _VERIFIERS[kind](ref, bound, messages)
-    except (NonMemberError, ParameterError, CodecError) as exc:
-        raise VerificationFailed("replay", str(exc)) from exc
+    check = verifier(ref, kind, bound)
+    for msg in (None, *messages, None):  # prime, the log, its end
+        outcome = _feed(check, msg)
+    return outcome
 
 
 def verify_transcript(ref: RefString, transcript: Transcript) -> Outcome:

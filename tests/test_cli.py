@@ -128,10 +128,17 @@ class TestAnalyze:
 
 
 class TestUsageErrors:
-    def test_missing_flags_exit_two(self, capsys):
+    def test_missing_flags_exit_two(self, capsys, monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("usage errors must be reported before any socket opens")
+
+        monkeypatch.setattr(cli.socket, "socket", no_socket)
         assert cli.run(["demo", "--example", "ex1", "--toy"]) == 2
         assert cli.run(["nonsense"]) == 2
         assert cli.run(["demo", "--example", "ex9"]) == 2
+        assert cli.run(["seller", "--example", "ex2", "--listen", ":0", "--toy"]) == 2
+        assert cli.run(["buyer", "--example", "ex2", "--connect", "127.0.0.1:9", "--toy"]) == 2
+        assert cli.run(["buyer", "--example", "ex1", "--value", "9", "--connect", ":9", "--toy"]) == 2
         capsys.readouterr()
 
     def test_multi_buyer_not_networked(self, capsys):

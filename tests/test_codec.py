@@ -13,8 +13,6 @@ from zkmech.codec import (
     decode_frame,
     decode_single_frame,
     encode_uint,
-    fs_context,
-    seed_frame,
     transcript_dumps,
     transcript_loads,
 )
@@ -92,21 +90,6 @@ class TestProofCodec:
             assert decode_proof(blob, q23, stmt.shape) == proof
             assert blob not in seen
             seen.add(blob)
-
-
-class TestFsContext:
-    def test_empty_history(self):
-        assert fs_context(b"seed", [], b"stmt") == seed_frame(b"seed") + b"stmt"
-
-    def test_reordering_changes_context(self):
-        f1 = Message(1, b"a").frame()
-        f2 = Message(2, b"b").frame()
-        assert fs_context(b"s", [f1, f2], b"") != fs_context(b"s", [f2, f1], b"")
-
-    def test_any_difference_changes_context(self):
-        f1 = Message(1, b"a").frame()
-        assert fs_context(b"s", [f1], b"x") != fs_context(b"s", [f1], b"y")
-        assert fs_context(b"s", [f1], b"x") != fs_context(b"t", [f1], b"x")
 
 
 class TestTranscriptFiles:

@@ -1,19 +1,28 @@
+import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from zkmech import gadgets, protocols
 from zkmech.codec import (
     Message,
+    TAG_COIN_MASK,
     TAG_COMMIT,
     TAG_EVAL_PROOF,
     TAG_OUTCOME,
+    TAG_REVEAL,
     TAG_TYPE_REPORT,
+    Transcript,
+    decode_single_frame,
+    seed_frame,
     transcript_dumps,
     transcript_loads,
 )
-from zkmech.errors import ICViolation, ParameterError, VerificationFailed
+from zkmech.errors import CodecError, ICViolation, ParameterError, RefuseToProve, VerificationFailed
+from zkmech.group import derive_generators
 from zkmech.protocols import (
     BuyerSession,
     MechanismSpec,
@@ -358,3 +367,217 @@ class TestSessionPhases:
             buyer.receive_commit(bad)
         with pytest.raises(VerificationFailed):
             buyer.receive_commit(msgs)
+
+
+class TestCaseRuleRegressions:
+    def test_ex2_item_one_sale_on_a_tie_needs_a_strict_bound(self, ref23, rng, monkeypatch):
+        # Reports (0, 1) on prices (0, 1) tie the two gains at 0, and ties
+        # go to item 0, so selling item 1 needs a proof that s0 >= 1.
+        spec = MechanismSpec("ex2", 8, (0, 1))
+        monkeypatch.setattr(protocols, "unit_demand_choice", lambda *args: 1)
+        with pytest.raises(RefuseToProve):
+            run(ref23, spec, [0, 1])
+        # The sale a seller without that proof would send is rejected.
+        seller = SellerSession(ref23, spec, rng)
+        messages = [
+            *seller.begin(),
+            Message(TAG_TYPE_REPORT, protocols._report_payload(0, [0, 1])),
+            Message(TAG_REVEAL, protocols._reveal_payload(1, seller._ops[1])),
+            Message(TAG_OUTCOME, protocols.encode_outcome(Outcome(trade=True, item=1, payment=1))),
+        ]
+        with pytest.raises(VerificationFailed) as err:
+            verify_transcript(ref23, Transcript("ex2", 8, ref23.seed, messages))
+        assert err.value.phase == "evaluate"
+
+    def test_ex3_full_case_needs_the_upper_bound(self, ref23, rng, monkeypatch):
+        # At report 5 the threshold floor(5/2) = 2 is below s1 = 6: the
+        # mechanism sells nothing, but a "full" claim would charge 13.
+        spec = MechanismSpec("ex3", 16, (6, 7))
+        monkeypatch.setattr(protocols, "two_part_case", lambda *args: "full")
+        with pytest.raises(RefuseToProve):
+            run(ref23, spec, [5])
+        # A full claim carrying only the sum proof is rejected.
+        seller = SellerSession(ref23, spec, rng)
+        messages = [*seller.begin(), Message(TAG_TYPE_REPORT, protocols._report_payload(0, [5]))]
+        prefix = seed_frame(ref23.seed) + b"".join(m.frame() for m in messages)
+        coms, ops = seller._coms, seller._ops
+        total, carry, bundle = gadgets.prove_sum(
+            ref23, coms[0], ops[0], coms[1], ops[1], prefix, rng
+        )
+        body = protocols._sum_body(total, carry, bundle)
+        messages.append(Message(TAG_EVAL_PROOF, protocols._proof_payload(protocols.CLAIM_SUM, body)))
+        messages.append(
+            Message(TAG_OUTCOME, protocols.encode_outcome(Outcome(trade=True, item=0, payment=13)))
+        )
+        with pytest.raises(VerificationFailed) as err:
+            verify_transcript(ref23, Transcript("ex3", 16, ref23.seed, messages))
+        assert err.value.phase == "evaluate"
+
+    def test_ex3_full_case_carries_the_upper_bound_proof(self, ref23):
+        _, tr = run(ref23, MechanismSpec("ex3", 8, (1, 2)), [7])
+        claims = [m.payload[0] for m in tr.messages if m.tag == TAG_EVAL_PROOF]
+        assert claims == [protocols.CLAIM_LE1, protocols.CLAIM_SUM]
+
+
+# The selection function each kind's seller calls, and every case it returns.
+SELECTORS = {
+    "ex1": ("posted_price_case", ("trade", "none")),
+    "ex1multi": ("second_price_case", ("above", "between", "below")),
+    "ex2": ("unit_demand_choice", (None, 0, 1)),
+    "ex3": ("two_part_case", ("nothing", "lottery", "full")),
+    "ex4": ("posted_price_case", ("trade", "none")),
+}
+
+
+def sweep_inputs(kind, bound=8):
+    """(spec, reports, coin, mask, the mechanism's outcome) for every price
+    vector and report vector at this bound; coins and masks are fixed per
+    input so the oracle knows the draw."""
+    grid = range(bound)
+    if kind == "ex1":
+        for s, v in product(grid, repeat=2):
+            yield MechanismSpec(kind, bound, (s,)), [v], None, None, oracle_ex1(s, v)
+    elif kind == "ex1multi":
+        for s, v1, v2 in product(grid, repeat=3):
+            spec = MechanismSpec(kind, bound, (s,), n_buyers=2)
+            yield spec, [v1, v2], None, None, oracle_ex1multi(s, [v1, v2])
+    elif kind == "ex2":
+        for s1, s2, v1, v2 in product(grid, repeat=4):
+            spec = MechanismSpec(kind, bound, (s1, s2))
+            yield spec, [v1, v2], None, None, oracle_ex2((s1, s2), [v1, v2])
+    elif kind == "ex3":
+        for s1, s2, v in product(grid, repeat=3):
+            if s1 > s2:
+                continue
+            x, y = (v ^ s1) & 1, (v ^ s2) & 1
+            out = oracle_ex3((s1, s2), v, coin_z=x ^ y)
+            if s1 <= Fraction(v, 2) < s2:  # the lottery records mask and coin
+                out = replace(out, lottery=(y, x ^ y))
+            yield MechanismSpec(kind, bound, (s1, s2)), [v], x, y, out
+    else:
+        width = bound.bit_length() - 1
+        for s, v in product(grid, repeat=2):
+            x, y = (3 * s + v) % bound, (s + 5 * v) % bound
+            out = oracle_ex4(s, v, bound, z=x ^ y)
+            if out.trade:  # the lottery records the mask bits and the verdict
+                mask_bits = tuple((y >> k) & 1 for k in reversed(range(width)))
+                out = replace(out, lottery=(*mask_bits, int(x ^ y < s)))
+            yield MechanismSpec(kind, bound, (s,)), [v], x, y, out
+
+
+@pytest.mark.parametrize("kind", sorted(SELECTORS))
+def test_deviation_sweep(ref23, monkeypatch, kind):
+    """Force the seller to claim each case on every input: a false claim
+    must be refused by the prover or rejected by the buyer, and the one
+    accepted claim must carry the mechanism's outcome."""
+    name, cases = SELECTORS[kind]
+    forced = [None]
+    monkeypatch.setattr(protocols, name, lambda *args: forced[0])
+    inputs = accepted = 0
+    for i, (spec, reports, coin, mask, expected) in enumerate(sweep_inputs(kind)):
+        inputs += 1
+        for case in cases:
+            forced[0] = case
+            try:
+                out, _ = run(ref23, spec, reports, seed=i, coin_value=coin, mask_value=mask)
+            except (RefuseToProve, VerificationFailed):
+                continue
+            assert out == expected, f"{spec} on {reports}: claim {case!r} gave {out}"
+            accepted += 1
+    assert accepted == inputs
+
+
+# Seeded honest runs of every kind and case: (spec, reports, coin, mask).
+DIFFERENTIAL_RUNS = [
+    (MechanismSpec("ex1", 8, (5,)), [6], None, None),
+    (MechanismSpec("ex1", 8, (5,)), [3], None, None),
+    (MechanismSpec("ex1multi", 8, (7,), n_buyers=2), [3, 2], None, None),
+    (MechanismSpec("ex1multi", 8, (5,), n_buyers=3), [7, 3, 1], None, None),
+    (MechanismSpec("ex1multi", 8, (2,), n_buyers=2), [7, 6], None, None),
+    (MechanismSpec("ex2", 8, (7, 7)), [0, 0], None, None),
+    (MechanismSpec("ex2", 8, (3, 6)), [5, 5], None, None),
+    (MechanismSpec("ex2", 8, (2, 1)), [4, 4], None, None),
+    (MechanismSpec("ex3", 8, (5, 6)), [3], None, None),
+    (MechanismSpec("ex3", 8, (2, 5)), [7], 1, 0),
+    (MechanismSpec("ex3", 8, (1, 2)), [7], None, None),
+    (MechanismSpec("ex4", 4, (3,)), [1], None, None),
+    (MechanismSpec("ex4", 4, (2,)), [3], 1, 2),
+]
+
+
+def live_buyer(ref, spec, values, mask, log, tags):
+    """A live buyer fed the seller's messages of `log`, laid out as `tags`
+    lays out an honest run.  Returns ("accept", outcome), ("reject",
+    phase), or None when the buyer would send other messages than the
+    log's own reports and mask."""
+    reports = [i for i, t in enumerate(tags) if t == TAG_TYPE_REPORT]
+    first, last = reports[0], reports[-1] + 1
+    buyer = BuyerSession(ref, spec.kind, spec.bound, values, random.Random(0), mask_value=mask)
+    try:
+        if buyer.receive_commit(log[:first]) != log[first:last]:
+            return None
+        if TAG_COIN_MASK not in tags:
+            return "accept", buyer.receive_final(log[last:])
+        m = tags.index(TAG_COIN_MASK)
+        if buyer.receive_evidence(log[last:m]) != log[m]:
+            return None
+        return "accept", buyer.receive_final(log[m + 1 :])
+    except VerificationFailed as exc:
+        return "reject", exc.phase
+
+
+def replay_verdict(ref, transcript):
+    try:
+        return "accept", verify_transcript(ref, transcript)
+    except VerificationFailed as exc:
+        return "reject", exc.phase
+
+
+def test_buyer_and_replay_agree(ref23, monkeypatch):
+    """The buyer checks a run through the verifier `replay` uses: it makes
+    the same number of proof checks on honest runs, and on single-bit
+    mutants it rejects exactly when replay does, in the same phase."""
+    calls = [0]
+    real_ni_verify = gadgets.ni_verify
+
+    def counted(*args):
+        calls[0] += 1
+        return real_ni_verify(*args)
+
+    monkeypatch.setattr(gadgets, "ni_verify", counted)
+    rng = random.Random("buyer-replay differential")
+    compared = rejected = 0
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        calls[0] = 0
+        _, tr = run(ref23, spec, values, seed=("diff", n), coin_value=coin, mask_value=mask)
+        buyer_calls, calls[0] = calls[0], 0
+        replay_verdict(ref23, tr)
+        assert buyer_calls == calls[0], f"{spec}: buyer {buyer_calls}, replay {calls[0]}"
+        tags = tr.tags()
+        assert live_buyer(ref23, spec, values, mask, tr.messages, tags) == replay_verdict(ref23, tr)
+        frames = [seed_frame(tr.seed)] + [m.frame() for m in tr.messages]
+        for _ in range(40):
+            idx = rng.randrange(len(frames))
+            blob = bytearray(frames[idx])
+            bit = rng.randrange(len(blob) * 8)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            try:
+                msg = decode_single_frame(bytes(blob))
+            except CodecError:
+                continue
+            mutant = copy.deepcopy(tr)
+            if idx == 0:
+                if msg.tag != 0x00:
+                    continue
+                mutant.seed = msg.payload
+            else:
+                mutant.messages[idx - 1] = msg
+            ref = ref23 if mutant.seed == ref23.seed else derive_generators(ref23.params, mutant.seed)
+            live = live_buyer(ref, spec, values, mask, mutant.messages, tags)
+            if live is None:  # a report or mask the buyer did not send
+                continue
+            expected = replay_verdict(ref, mutant)
+            assert live == expected, f"{spec}: frame {idx} bit {bit}"
+            compared += 1
+            rejected += expected[0] == "reject"
+    assert compared >= 300 and rejected >= 250
