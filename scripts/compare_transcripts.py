@@ -4,6 +4,8 @@
 
 The runs are those of acceptance criterion 1: every price and report
 vector of the five kinds in the q=23 group, with the same seeds and coins.
+The first three runs of each kind and case run again in a 384-bit group,
+where membership tests and powers of g and h take their large-group paths.
 The grid runs once with this checkout's `src/` on the path and once with
 OTHER_SRC (for example the `src/` of a `git archive` of another commit).
 For each kind and mechanism case it prints how many transcripts are
@@ -21,6 +23,13 @@ from collections import Counter
 from itertools import product
 
 HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+# The benchmark's 384-bit safe prime (perfbench/sessions.py, BENCH_Q384).
+Q384 = int(
+    "800000000000000000000000000000003de0f8454efdc61b6bdd877025aaf1a7"
+    "43f3324fe4739628062c71cd6648215f",
+    16,
+)
+WIDE_PER_CASE = 3
 
 
 def grid():
@@ -62,20 +71,27 @@ def emit() -> None:
     from zkmech.group import derive_generators, params_from_modulus
     from zkmech.protocols import MechanismSpec, run_local
 
-    ref = derive_generators(params_from_modulus(23), b"acceptance reference string")
+    seed = b"acceptance reference string"
+    toy, wide = (derive_generators(params_from_modulus(q), seed) for q in (23, Q384))
+    per_case = Counter()
     for label, case, spec_args, values, coin, mask in grid():
         spec = MechanismSpec(*spec_args[:3], n_buyers=spec_args[3] if len(spec_args) > 3 else 1)
-        _, tr = run_local(
-            ref,
-            spec,
-            values,
-            random.Random(f"{label}/seller"),
-            random.Random(f"{label}/buyer"),
-            coin_value=coin,
-            mask_value=mask,
-        )
-        digest = hashlib.sha256(transcript_dumps(tr).encode()).hexdigest()
-        print(f"{label}\t{spec.kind}/{case}\t{digest}")
+        per_case[spec.kind, case] += 1
+        runs = [(toy, label)]
+        if per_case[spec.kind, case] <= WIDE_PER_CASE:
+            runs.append((wide, f"q384/{label}"))
+        for ref, name in runs:
+            _, tr = run_local(
+                ref,
+                spec,
+                values,
+                random.Random(f"{name}/seller"),
+                random.Random(f"{name}/buyer"),
+                coin_value=coin,
+                mask_value=mask,
+            )
+            digest = hashlib.sha256(transcript_dumps(tr).encode()).hexdigest()
+            print(f"{name}\t{spec.kind}/{case}\t{digest}")
 
 
 def run_tree(src: str) -> dict[str, tuple[str, str]]:

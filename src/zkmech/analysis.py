@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gadgets import ge_positions, ge_statement, ge_targets
 from .group import GroupParams, RefString
-from .protocols import MechanismSpec, unit_demand_choice, width_of
+from .protocols import MechanismSpec, owed_evidence, unit_demand_choice, width_of
 from .sigma import (
     CdsStatement,
     CdsWitness,
@@ -494,6 +494,12 @@ def _hiding_worlds_ex1(
     return real, sim
 
 
+def ex2_lower_bounds(spec: MechanismSpec, values: list[int]) -> list[tuple[int, int]]:
+    """(item, bound) of each lower-bound proof an honest ex2 run carries,
+    taken from the ex2 case rule."""
+    return [(ev.item, ev.low) for ev in owed_evidence(spec, list(values)) if ev.form == "ge"]
+
+
 def _hiding_worlds_ex2(
     ref_pairs_real, ref_pairs_sim, params, spec, values, budget
 ) -> tuple[_WorldBuilder, _WorldBuilder]:
@@ -501,23 +507,11 @@ def _hiding_worlds_ex2(
     p = params.p
     prices = spec.prices
     chosen = unit_demand_choice(prices, list(values))
+    lower = ex2_lower_bounds(spec, values)
     real, sim = _WorldBuilder(), _WorldBuilder()
 
-    def bounds_for(claimed_prices):
-        """(item, bound, claimed bits) for each lower-bound proof required."""
-        out = []
-        if chosen is None:
-            for i in (0, 1):
-                out.append((i, values[i] + 1, int_bits(claimed_prices[i], width)))
-        else:
-            other = 1 - chosen
-            b = claimed_prices[chosen] - values[chosen] + values[other]
-            if b >= 1:
-                out.append((other, b, int_bits(claimed_prices[other], width)))
-        return out
-
     size = len(ref_pairs_real) * (p - 1) ** (2 * width)
-    for _, w, _bits in bounds_for(prices):
+    for _, w in lower:
         for i in ge_positions(w, width):
             size *= _proof_space_size((1,) * len(ge_targets(w, width, i)), 0, p)
     _check_budget(size, budget)
@@ -541,7 +535,7 @@ def _hiding_worlds_ex2(
                     chosen,
                     *(x for b, r in zip(all_bits[chosen], r_vecs[chosen]) for x in (b, r)),
                 )
-            for item, w, _bits in bounds_for(prices):
+            for item, w in lower:
                 for stmt, row, j in _ge_proof_plan(ref, com_vecs[item], w, all_bits[item]):
                     plans.append((stmt, CdsWitness(row=row, exps=(r_vecs[item][j - 1],))))
             _enumerate_proofs(base, plans, real)
@@ -551,14 +545,11 @@ def _hiding_worlds_ex2(
         ref = RefString(params=params, seed=b"e", g=g, h=h)
         # post-hoc consistent prices: the sold item's true price is public,
         # hidden items sit exactly at their proven bounds
-        if chosen is None:
-            claimed = [values[0] + 1, values[1] + 1]
-        else:
-            other = 1 - chosen
-            b = prices[chosen] - values[chosen] + values[other]
-            claimed = [0, 0]
+        claimed = [0, 0]
+        if chosen is not None:
             claimed[chosen] = prices[chosen]
-            claimed[other] = max(b, 0)
+        for item, w in lower:
+            claimed[item] = w
         claimed_bits = [int_bits(cp, width) for cp in claimed]
         for rp_all in product(range(1, p), repeat=2 * width):
             rp_vecs = [rp_all[:width], rp_all[width:]]
@@ -577,8 +568,8 @@ def _hiding_worlds_ex2(
                     chosen,
                     *(x for b, r in zip(claimed_bits[chosen], exps) for x in (b, r)),
                 )
-            for item, w, bits in bounds_for(claimed):
-                for stmt, row, j in _ge_proof_plan(ref, com_vecs[item], w, bits):
+            for item, w in lower:
+                for stmt, row, j in _ge_proof_plan(ref, com_vecs[item], w, claimed_bits[item]):
                     plans.append((stmt, CdsWitness(row=row, exps=(rp_vecs[item][j - 1],))))
             _enumerate_proofs(base, plans, sim)
     return real, sim

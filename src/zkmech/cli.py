@@ -19,7 +19,6 @@ import sys
 from . import analysis
 from .codec import (
     Message,
-    TAG_COIN_PAIR,
     TAG_COMMIT,
     TAG_COMMIT_PROOF,
     TAG_OUTCOME,
@@ -42,6 +41,7 @@ from .protocols import (
     MechanismSpec,
     Outcome,
     SellerSession,
+    max_frame_bytes,
     run_local,
     verify_transcript,
 )
@@ -103,26 +103,42 @@ def _spec_from_args(args) -> MechanismSpec:
 
 
 # -- socket framing ---------------------------------------------------------------
+#
+# A peer that stalls, sends an oversized frame, closes mid-frame or breaks
+# the connection fails the session with VerificationFailed (exit 1).
+
+# Seconds a connected peer may stay silent: the seller waits this long for
+# the report while an interactive buyer answers its prompt.
+PEER_TIMEOUT_S = 600.0
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
+    buf = bytearray()
     while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+        try:
+            chunk = sock.recv(min(n - len(buf), 1 << 16))
+        except OSError as exc:  # a timeout or a reset
+            raise VerificationFailed("peer", f"receive failed: {exc}") from exc
         if not chunk:
-            raise CodecError("connection closed mid-frame")
+            raise VerificationFailed("peer", "connection closed mid-frame")
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
-def _recv_message(sock: socket.socket) -> Message:
+def _recv_message(sock: socket.socket, cap: int) -> Message:
+    """One frame; a length header above `cap` fails before any payload is read."""
     header = _recv_exact(sock, 5)
     length = int.from_bytes(header[1:], "big")
+    if length > cap:
+        raise VerificationFailed("peer", f"frame of {length} bytes exceeds the {cap}-byte cap")
     return Message(header[0], _recv_exact(sock, length))
 
 
 def _send_messages(sock: socket.socket, msgs: list[Message]) -> None:
-    sock.sendall(b"".join(m.frame() for m in msgs))
+    try:
+        sock.sendall(b"".join(m.frame() for m in msgs))
+    except OSError as exc:
+        raise VerificationFailed("peer", f"send failed: {exc}") from exc
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
@@ -187,6 +203,7 @@ def _cmd_seller(args) -> int:
     params, crs = _resolve_group(args)
     ref = derive_generators(params, crs)
     seller = SellerSession(ref, spec, _role_rng(args.seed, "seller"))
+    cap = max_frame_bytes(spec.kind, spec.bound, params.bit_length)
     host, port = _parse_endpoint(args.listen)
     ordered: list[Message] = []
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
@@ -195,17 +212,18 @@ def _cmd_seller(args) -> int:
         srv.listen(1)
         print(f"listening on {host}:{srv.getsockname()[1]}", file=sys.stderr)
         conn, peer = srv.accept()
+        conn.settimeout(PEER_TIMEOUT_S)
         with conn:
             commit_msgs = seller.begin()
             ordered.extend(commit_msgs)
             _send_messages(conn, commit_msgs)
-            report = _recv_message(conn)
+            report = _recv_message(conn, cap)
             ordered.append(report)
             evidence = seller.receive_reports([report])
             ordered.extend(evidence)
             _send_messages(conn, evidence)
             if seller.awaiting_mask:
-                mask = _recv_message(conn)
+                mask = _recv_message(conn, cap)
                 ordered.append(mask)
                 closing = seller.receive_mask(mask)
                 ordered.extend(closing)
@@ -229,12 +247,14 @@ def _cmd_buyer(args) -> int:
     buyer = None
     if not args.interactive:
         buyer = BuyerSession(ref, kind, bound, _values_from_args(args), rng)
+    cap = max_frame_bytes(kind, bound, params.bit_length)
     host, port = _parse_endpoint(args.connect)
     ordered: list[Message] = []
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.settimeout(PEER_TIMEOUT_S)
         sock.connect((host, port))
         expect = [TAG_COMMIT, TAG_COMMIT_PROOF] if kind == "ex3" else [TAG_COMMIT]
-        commit_msgs = [_recv_message(sock) for _ in expect]
+        commit_msgs = [_recv_message(sock, cap) for _ in expect]
         ordered.extend(commit_msgs)
         # The value is requested only now, after the commitment is already
         # fixed on the wire.
@@ -244,27 +264,18 @@ def _cmd_buyer(args) -> int:
         reports = buyer.receive_commit(commit_msgs)
         ordered.extend(reports)
         _send_messages(sock, reports)
-        batch = []
+        # Each message is verified before the next is read, so the buyer
+        # reads no more evidence than the claimed case sends, then the outcome.
         while True:
-            msg = _recv_message(sock)
-            batch.append(msg)
-            if msg.tag in (TAG_COIN_PAIR, TAG_OUTCOME):
+            msg = _recv_message(sock, cap)
+            ordered.append(msg)
+            if msg.tag == TAG_OUTCOME:
+                outcome = buyer.receive_final([msg])
                 break
-        ordered.extend(batch)
-        if batch[-1].tag == TAG_COIN_PAIR:
-            mask = buyer.receive_evidence(batch)
-            ordered.append(mask)
-            _send_messages(sock, [mask])
-            batch = []
-            while True:
-                msg = _recv_message(sock)
-                batch.append(msg)
-                if msg.tag == TAG_OUTCOME:
-                    break
-            ordered.extend(batch)
-            outcome = buyer.receive_final(batch)
-        else:
-            outcome = buyer.receive_final(batch)
+            mask = buyer.receive_evidence([msg])
+            if mask is not None:
+                ordered.append(mask)
+                _send_messages(sock, [mask])
     transcript = Transcript(kind=kind, bound=bound, seed=crs, messages=ordered)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -4,12 +4,29 @@ All protocol algebra lives here: safe-prime generation, membership tests,
 modular group operations, exponent sampling, and the deterministic
 derivation of the two public generators (g, h) from a reference-string
 seed.
+
+Two kernels make the common operations cheap once q has FAST_BITS bits
+or more:
+
+- Membership.  The order-p subgroup is exactly the quadratic residues, so
+  x is a member iff 1 <= x <= q-1 and the Jacobi symbol (x/q) is 1 (binary
+  Jacobi, Cohen, GTM 138, Alg. 1.4.10).  Each value is tested once, where
+  it enters: a wire parser, or g and h when a `RefString` is built.
+- Fixed bases.  `pow_unchecked` raises the g or h of any `RefString` to a
+  power through a windowed table (Brickell-Gordon-McCurley-Wilson,
+  EUROCRYPT 1992).  A table is built on its first use and cached by
+  value, (q, base), in a small LRU, so a reference string derived again
+  from the same seed reuses it and one from another seed never does.
+
+Below FAST_BITS a single `pow` beats both, and the toy groups keep it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import (
@@ -49,6 +66,37 @@ RFC3526_MODP_2048 = int(
 )
 
 MILLER_RABIN_ROUNDS = 64  # error probability <= 4^-64 = 2^-128
+
+# From this many bits of q up, membership is a Jacobi symbol and g and h
+# are raised through tables.  Measured with Python 3.11.7 on a 2-core Xeon,
+# as are the figures below: at 28 bits `pow(x, p, q)` takes 1.7 us against
+# 2.2 us for the Jacobi symbol; at 32 bits, where q no longer fits one
+# 30-bit digit, 5.5 us against 2.6 us.
+FAST_BITS = 32
+# Window width of the fixed-base tables.  Measured at 384 bits: 58 us per
+# power against 300 us for `pow`, a 3.3 ms build and 4,096 entries; at
+# 2048 bits: 5.5 ms against 26 ms, a 0.34 s build and 21,888 entries
+# (about 6 MB).  5 bits saves 40% of the build and costs 12-18% per power;
+# 8 bits saves 20-25% per power and triples the build and the memory.
+TABLE_WINDOW = 6
+# Tables kept (two per reference string in use).  Each verifier of a log
+# whose seed was changed derives new generators, so the cache must evict.
+TABLE_SLOTS = 8
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1."""
+    a %= n
+    t = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):  # (2/n) = -1 iff n = 3, 5 (mod 8)
+            t = -t
+        if a & n & 3 == 3:  # quadratic reciprocity: both are 3 (mod 4)
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
@@ -97,8 +145,12 @@ class GroupParams:
     # -- membership ---------------------------------------------------
 
     def is_member(self, x: int) -> bool:
-        """True iff 1 <= x <= q-1 and x^p = 1 (mod q)."""
-        return 1 <= x <= self.q - 1 and pow(x, self.p, self.q) == 1
+        """True iff 1 <= x <= q-1 and x^p = 1 (mod q), that is, x is a square."""
+        if not 1 <= x <= self.q - 1:
+            return False
+        if self.bit_length < FAST_BITS:
+            return pow(x, self.p, self.q) == 1
+        return jacobi(x, self.q) == 1
 
     def require_member(self, x: int) -> int:
         if not self.is_member(x):
@@ -141,6 +193,10 @@ class GroupParams:
     # Internal fast path: skips the membership re-check.  Callers must have
     # validated the base at an object boundary first.
     def pow_unchecked(self, base: int, e: int) -> int:
+        if self.bit_length >= FAST_BITS:
+            rows = _fixed_table(self.q, base)
+            if rows is not None:
+                return _table_pow(rows, e % self.p, self.q)
         return pow(base, e % self.p, self.q)
 
 
@@ -156,6 +212,75 @@ class RefString:
     def __post_init__(self):
         if self.g == 1 or self.h == 1 or self.g == self.h:
             raise ParameterError("generators must be distinct and != 1")
+        for base in (self.g, self.h):
+            self.params.require_member(base)
+            if self.params.bit_length >= FAST_BITS:
+                _note_fixed_base(self.params.q, base)
+
+
+# -- fixed-base tables ------------------------------------------------------------
+#
+# (q, base) -> rows, where row i holds base^(d * 2^(TABLE_WINDOW * i)) for
+# every digit d; None until the base is first raised to a power.
+
+_TABLES: OrderedDict[tuple[int, int], list[list[int]] | None] = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+def _note_fixed_base(q: int, base: int) -> None:
+    key = (q, base)
+    with _TABLES_LOCK:
+        if key in _TABLES:
+            _TABLES.move_to_end(key)
+            return
+        _TABLES[key] = None
+        if len(_TABLES) > TABLE_SLOTS:
+            _TABLES.popitem(last=False)
+
+
+def _fixed_table(q: int, base: int) -> list[list[int]] | None:
+    """The table of a noted fixed base, built now if this is its first
+    use; None for any other base."""
+    key = (q, base)
+    with _TABLES_LOCK:
+        if key not in _TABLES:
+            return None
+        _TABLES.move_to_end(key)
+        rows = _TABLES[key]
+    if rows is None:
+        rows = _build_table(q, base)
+        with _TABLES_LOCK:
+            if key in _TABLES:
+                _TABLES[key] = rows
+    return rows
+
+
+def _build_table(q: int, base: int) -> list[list[int]]:
+    size = 1 << TABLE_WINDOW
+    rows = []
+    for _ in range(-(-((q - 1) // 2).bit_length() // TABLE_WINDOW)):
+        row = [1] * size
+        acc = 1
+        for d in range(1, size):
+            acc = acc * base % q
+            row[d] = acc
+        rows.append(row)
+        base = acc * base % q  # base^(2^TABLE_WINDOW): the next row's unit
+    return rows
+
+
+def _table_pow(rows: list[list[int]], e: int, q: int) -> int:
+    """base^e mod q for 0 <= e < p: one product per window digit of e."""
+    mask = (1 << TABLE_WINDOW) - 1
+    acc = 1
+    for row in rows:
+        if not e:
+            break
+        d = e & mask
+        if d:
+            acc = acc * row[d] % q
+        e >>= TABLE_WINDOW
+    return acc
 
 
 def gen_params(

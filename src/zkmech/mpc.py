@@ -113,7 +113,7 @@ def verify_indicator(ref: RefString, ic: IndicatorCommitment) -> bool:
     if not ic.coms:
         return False
     for com in ic.coms:
-        if not ref.params.is_member(com.value):
+        if com.value == 1 or not ref.params.is_member(com.value):  # no bit commits to 1
             return False
     stmt = one_hot_statement(ref, list(ic.coms))
     return ni_verify(stmt, ic.proof, _context(ref, stmt))

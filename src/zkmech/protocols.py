@@ -511,6 +511,37 @@ _RULES = {
 }
 
 
+def _selected_rule(spec: MechanismSpec, values: list[int]):
+    """The rule of the case the mechanism selects for these reports."""
+    prices = spec.prices
+    if spec.kind == "ex1multi":
+        case = second_price_case(prices, values)
+    elif spec.kind == "ex2":
+        case = unit_demand_choice(prices, values)
+    elif spec.kind == "ex3":
+        case = two_part_case(prices, values[0])
+    else:
+        case = posted_price_case(prices, values[0])
+    return _RULES[spec.kind][1](case, values, spec.bound)
+
+
+def owed_evidence(spec: MechanismSpec, values: list[int]) -> list[Evidence]:
+    """The evidence an honest seller of `spec` sends for these reports, up
+    to its coin flip if the case has one: the selected case's rule, fed the
+    prices it reveals."""
+    steps = _selected_rule(spec, values)
+    out, fact = [], None
+    while True:
+        try:
+            ev = steps.send(fact)
+        except StopIteration:
+            return out
+        out.append(ev)
+        if ev.form == "coin":  # what follows depends on the buyer's mask
+            return out
+        fact = spec.prices[ev.item] if ev.form == "reveal" else None
+
+
 class _Log:
     """A run's Fiat-Shamir prefix: the seed frame and every frame so far."""
 
@@ -595,7 +626,7 @@ class SellerSession:
                 _fail("report", f"unexpected tag {msg.tag:#x}")
             values.extend(_parse_report(msg.payload, "report", self.spec.bound, i, per_msg))
             self._log.add(msg)
-        self._steps = _RULES[self.spec.kind][1](self._case(values), values, self.spec.bound)
+        self._steps = _selected_rule(self.spec, values)
         return self._advance(None)
 
     def receive_mask(self, msg: Message) -> list[Message]:
@@ -607,17 +638,6 @@ class SellerSession:
         self._log.add(msg)
         self._coin = (coin_select(self._pairs, mask), coin_openings(self._pair_ops, mask))
         return self._advance(mask)
-
-    def _case(self, values: list[int]):
-        """The case the mechanism selects for these reports."""
-        prices = self.spec.prices
-        if self.spec.kind == "ex1multi":
-            return second_price_case(prices, values)
-        if self.spec.kind == "ex2":
-            return unit_demand_choice(prices, values)
-        if self.spec.kind == "ex3":
-            return two_part_case(prices, values[0])
-        return posted_price_case(prices, values[0])
 
     def _advance(self, fact) -> list[Message]:
         """Prove the rule's evidence until it waits for the buyer's mask or
@@ -693,6 +713,53 @@ def _gate_shapes(width: int, lsb: tuple[int, ...], inner: tuple[int, ...]) -> li
     return [(1,)] + [inner] * (width - 1) + [lsb]
 
 
+# Statement shapes of the bundles whose shape depends only on the width.
+def _certificate_shapes(width: int) -> list[tuple[int, ...]]:
+    return [(1, 1) + (2,) * (i - 1) for i in range(1, width + 1)]
+
+
+def _sum_shapes(width: int) -> list[tuple[int, ...]]:
+    return _gate_shapes(width, (3, 3), (4, 4, 4, 4))
+
+
+def _lt_shapes(width: int) -> list[tuple[int, ...]]:
+    return _gate_shapes(width, (3, 3, 3, 3), (4,) * 8)
+
+
+def _proof_bytes(shape: tuple[int, ...], e: int) -> int:
+    """The longest encoding of a proof of this shape, with integers of up to
+    `e` encoded bytes: shape, alphas, challenge, betas, gammas, digest."""
+    rows, cells = len(shape), sum(shape)
+    return 2 + 2 * rows + (2 * cells + 1 + rows) * e + 32
+
+
+def _bundle_bytes(shapes: list[tuple[int, ...]], e: int) -> int:
+    return 2 + sum(6 + _proof_bytes(shape, e) for shape in shapes)
+
+
+def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
+    """The longest payload of any message an honest `kind` run at this H in
+    a group of `q_bits` bits sends, with every integer at its longest.
+    Commitments, reports, reveals, masks, openings and outcomes are all
+    shorter than a bound proof with i rows at position i, which no bound
+    proof exceeds."""
+    w = width_of(bound)
+    e = 4 + (max(q_bits, w + 1) + 7) // 8  # an element, an exponent, or s1 + s2
+
+    def coin(bits: int) -> int:
+        return 1 + bits * (2 * e + 2 * (4 + _proof_bytes((1, 1), e)))
+
+    sizes = [1 + _bundle_bytes([(1,) * i for i in range(1, w + 1)], e)]
+    if kind == "ex3":
+        sizes.append(_bundle_bytes(_certificate_shapes(w), e))
+        sizes.append(2 + e + w * e + _bundle_bytes(_sum_shapes(w), e))
+        sizes.append(coin(1))
+    if kind == "ex4":
+        sizes.append(coin(w))
+        sizes.append(2 + w * e + _bundle_bytes(_lt_shapes(w), e))
+    return max(sizes)
+
+
 def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
     """Check that `msg` is there and carries `tag`; log it and return the
     prefix its proofs bind."""
@@ -737,7 +804,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         return None
     if ev.form == "sum":
         def read_sum(r):
-            shapes = _gate_shapes(width, (3, 3), (4, 4, 4, 4))
+            shapes = _sum_shapes(width)
             claim, total = r.u8(), r.uint()
             return claim, total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
@@ -760,7 +827,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
             _fail(phase, "coin opening does not match the selected commitment")
         return opening.bit
     def read_lt(r):
-        shapes = _gate_shapes(width, (3, 3, 3, 3), (4,) * 8)
+        shapes = _lt_shapes(width)
         return r.u8(), read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
     verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
@@ -789,7 +856,7 @@ def verifier(ref: RefString, kind: str, bound: int):
     if kind == "ex3":
         msg = yield
         prefix = _admit(log, msg, TAG_COMMIT_PROOF, "commit-proof")
-        shapes = [(1, 1) + (2,) * (i - 1) for i in range(1, width + 1)]
+        shapes = _certificate_shapes(width)
         bundle = _decode(
             msg.payload, "commit-proof", "certificate", lambda r: read_bundle(r, ref.params, shapes)
         )

@@ -31,7 +31,14 @@ from .group import GroupParams
 
 @dataclass(frozen=True)
 class CdsStatement:
-    """Rows of (base, target) pairs; the prover knows one full row."""
+    """Rows of (base, target) pairs; the prover knows one full row.
+
+    Callers must pass subgroup members: membership is not checked here.
+    Every element from the wire is checked once where it enters (the
+    commitment, carry, borrow and coin parsers, and the mpc indicator and
+    response checks), and g and h when their `RefString` is built; every
+    base and target is one of those or a power of one.
+    """
 
     params: GroupParams
     rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -45,8 +52,6 @@ class CdsStatement:
             for base, target in row:
                 if base == 1 or target == 1:
                     raise ParameterError("bases and targets must differ from the identity")
-                self.params.require_member(base)
-                self.params.require_member(target)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -4,6 +4,14 @@ import pytest
 
 from zkmech.group import derive_generators, params_from_modulus
 
+# A 384-bit safe prime (the benchmark's BENCH_Q384): large enough for the
+# Jacobi membership test and the fixed-base tables, small enough to be quick.
+Q384 = int(
+    "800000000000000000000000000000003de0f8454efdc61b6bdd877025aaf1a7"
+    "43f3324fe4739628062c71cd6648215f",
+    16,
+)
+
 
 @pytest.fixture(scope="session")
 def q7():
@@ -13,6 +21,16 @@ def q7():
 @pytest.fixture(scope="session")
 def q23():
     return params_from_modulus(23)
+
+
+@pytest.fixture(scope="session")
+def q384():
+    return params_from_modulus(Q384)
+
+
+@pytest.fixture(scope="session")
+def ref384(q384):
+    return derive_generators(q384, b"test reference string")
 
 
 @pytest.fixture(scope="session")

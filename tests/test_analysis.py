@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from zkmech.analysis import (
     TruncatedGeometric,
     check_dsic_ir,
     commitment_attack_driver,
+    ex2_lower_bounds,
     ex3_ic_lemma_check,
     expected_utility,
     geometric_noise,
@@ -29,8 +31,9 @@ from zkmech.errors import (
     EnumerationBudget,
     ParameterError,
 )
+from zkmech.codec import TAG_EVAL_PROOF, Reader
 from zkmech.group import RefString, params_from_modulus
-from zkmech.protocols import MechanismSpec
+from zkmech.protocols import CLAIM_GE0, CLAIM_GE1, MechanismSpec, run_local
 
 
 def independent_incentive_scan(m: FiniteMechanism):
@@ -197,11 +200,41 @@ class TestGroves:
             )
 
 
+def bundle_positions(r: Reader) -> list[int]:
+    positions = []
+    for _ in range(r.u16()):
+        positions.append(r.u16())
+        r.take(int.from_bytes(r.take(4), "big"))
+    return positions
+
+
 class TestHidingEquality:
     @pytest.mark.parametrize("config", SHIPPED_HIDING_CONFIGS, ids=lambda c: f"{c[0]}-{c[2].prices}-{c[3]}")
     def test_shipped_configurations_are_exactly_hiding(self, config):
         kind, q, spec, reports = config
         assert transcript_distribution_equality(kind, params_from_modulus(q), spec, reports)
+
+    def test_ex2_item_one_sale_with_a_tie_bound_is_hiding(self):
+        # Reports (0, 0) on prices (1, 0) sell item 1; the tie rule makes
+        # the seller prove s0 >= 1, which the planned worlds must include.
+        spec = MechanismSpec("ex2", 2, (1, 0))
+        assert ex2_lower_bounds(spec, [0, 0]) == [(0, 1)]
+        assert transcript_distribution_equality("ex2", params_from_modulus(7), spec, [0, 0])
+
+    @pytest.mark.parametrize("bound", [2, 4])
+    def test_ex2_planned_proofs_are_the_ones_the_seller_sends(self, ref23, bound):
+        width = bound.bit_length() - 1
+        for s0, s1, v0, v1 in product(range(bound), repeat=4):
+            spec = MechanismSpec("ex2", bound, (s0, s1))
+            _, transcript = run_local(ref23, spec, [v0, v1], random.Random(1), random.Random(2))
+            sent = []
+            for msg in transcript.messages:
+                if msg.tag == TAG_EVAL_PROOF:
+                    item = {CLAIM_GE0: 0, CLAIM_GE1: 1}[msg.payload[0]]
+                    # one proof per 1-bit of the bound, at its position (MSB is 1)
+                    positions = bundle_positions(Reader(msg.payload, 1))
+                    sent.append((item, sum(1 << (width - i) for i in positions)))
+            assert ex2_lower_bounds(spec, [v0, v1]) == sent, (s0, s1, v0, v1)
 
     def test_budget_guard(self):
         kind, q, spec, reports = SHIPPED_HIDING_CONFIGS[0]

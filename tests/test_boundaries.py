@@ -1,0 +1,106 @@
+"""Each group element that arrives from a peer is checked for subgroup
+membership once, where it enters.  Replacing one with its negation q - x,
+which is never a member because q = 3 (mod 4), must end in
+`VerificationFailed` at that boundary: never another exception, never an
+accept."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from zkmech.codec import (
+    TAG_COIN_PAIR,
+    TAG_COMMIT,
+    TAG_EVAL_PROOF,
+    TAG_VERDICT,
+    Reader,
+    encode_uint,
+)
+from zkmech.errors import VerificationFailed
+from zkmech.mpc import (
+    decode_indicator,
+    decode_response,
+    encode_indicator,
+    encode_response,
+    mpc_buyer_respond,
+    mpc_seller_commit,
+    mpc_seller_finalize,
+)
+from zkmech.protocols import CLAIM_SUM, MechanismSpec, run_local, verify_transcript
+
+GROUPS = ["ref23", "ref384"]
+
+
+def negate_uint(payload: bytes, offset: int, q: int) -> bytes:
+    """The payload with the integer encoded at `offset` replaced by q - x."""
+    r = Reader(payload, offset)
+    x = r.uint()
+    assert 2 <= x <= q - 2
+    return payload[:offset] + encode_uint(q - x) + payload[r.off :]
+
+
+def sum_carry_offset(payload: bytes) -> int:
+    r = Reader(payload, 1)  # claim byte, then the announced total
+    r.uint()
+    return r.off + 1  # past the carry commitment's width byte
+
+
+# boundary -> (kind, prices, reports, which message, offset of its first element)
+SITES = {
+    "commitment": ("ex1", (5,), [3], lambda m: m.tag == TAG_COMMIT, lambda p: 2),
+    "carry": (
+        "ex3",
+        (1, 2),
+        [5],
+        lambda m: m.tag == TAG_EVAL_PROOF and m.payload[0] == CLAIM_SUM,
+        sum_carry_offset,
+    ),
+    "borrow": ("ex4", (3,), [5], lambda m: m.tag == TAG_VERDICT, lambda p: 2),
+    "coin pair": ("ex4", (3,), [5], lambda m: m.tag == TAG_COIN_PAIR, lambda p: 1),
+}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_protocol_boundary_rejects_a_non_member(request, group, site):
+    ref = request.getfixturevalue(group)
+    kind, prices, reports, pick, offset = SITES[site]
+    _, transcript = run_local(
+        ref, MechanismSpec(kind, 8, prices), reports, random.Random(1), random.Random(2)
+    )
+    assert verify_transcript(ref, transcript)
+    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
+    msg = transcript.messages[i]
+    bad = replace(msg, payload=negate_uint(msg.payload, offset(msg.payload), ref.params.q))
+    messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
+    with pytest.raises(VerificationFailed, match="outside the subgroup"):
+        verify_transcript(ref, replace(transcript, messages=messages))
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("substitute", ["non-member", "identity"])
+def test_mpc_indicator_rejects_a_bad_element(request, group, substitute):
+    ref = request.getfixturevalue(group)
+    q = ref.params.q
+    ic, _ = mpc_seller_commit(ref, 2, 4, random.Random(1))
+    value = q - ic.coms[0].value if substitute == "non-member" else 1
+    coms = (replace(ic.coms[0], value=value),) + ic.coms[1:]
+    seen = decode_indicator(ref, encode_indicator(replace(ic, coms=coms)))
+    with pytest.raises(VerificationFailed):
+        mpc_buyer_respond(ref, seen, 3, random.Random(2))
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("field", ["ks", "zs"])
+def test_mpc_response_rejects_a_non_member(request, group, field):
+    ref = request.getfixturevalue(group)
+    q = ref.params.q
+    price = 2
+    ic, secrets = mpc_seller_commit(ref, price, 4, random.Random(1))
+    resp, _ = mpc_buyer_respond(ref, ic, 3, random.Random(2))
+    values = list(getattr(resp, field))
+    values[price] = q - values[price]
+    seen = decode_response(encode_response(replace(resp, **{field: tuple(values)})))
+    with pytest.raises(VerificationFailed, match="outside the subgroup"):
+        mpc_seller_finalize(ref, secrets, seen)

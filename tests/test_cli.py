@@ -1,9 +1,13 @@
+import random
 import socket
 import threading
 import time
+from itertools import product
 
 from zkmech import cli
-from zkmech.group import load_params_file
+from zkmech.codec import TAG_COMMIT, Message
+from zkmech.group import derive_generators, load_params_file, params_from_modulus
+from zkmech.protocols import MechanismSpec, SellerSession, max_frame_bytes, run_local
 
 
 def _free_port() -> int:
@@ -223,3 +227,148 @@ class TestNetworked:
         assert rc == 0 and result["rc"] == 0
         out = capsys.readouterr().out
         assert "trade=false" in out
+
+
+def criterion_one_runs():
+    """(spec, values, coin, mask) for every run of acceptance criterion 1."""
+    for s, v in product(range(8), repeat=2):
+        yield MechanismSpec("ex1", 8, (s,)), [v], None, None
+    for s, v1, v2 in product(range(4), repeat=3):
+        yield MechanismSpec("ex1multi", 4, (s,), n_buyers=2), [v1, v2], None, None
+    for s1, s2, v1, v2 in product(range(8), repeat=4):
+        yield MechanismSpec("ex2", 8, (s1, s2)), [v1, v2], None, None
+    for s1, s2, v in product(range(8), repeat=3):
+        if s1 <= s2:
+            yield MechanismSpec("ex3", 8, (s1, s2)), [v], (v ^ s1) & 1, (v ^ s2) & 1
+    for s, v, x, y in product(range(4), repeat=4):
+        yield MechanismSpec("ex4", 4, (s,)), [v], x, y
+
+
+def largest_frames(ref, runs) -> dict:
+    largest: dict = {}
+    for spec, values, coin, mask in runs:
+        _, tr = run_local(
+            ref, spec, values, random.Random(1), random.Random(2), coin_value=coin, mask_value=mask
+        )
+        key = (spec.kind, spec.bound)
+        largest[key] = max([largest.get(key, 0)] + [len(m.payload) for m in tr.messages])
+    return largest
+
+
+TOY_REF = derive_generators(params_from_modulus(23), cli.DEFAULT_CRS_SEED)
+
+
+def _recv_frame(sock) -> Message:
+    header = b""
+    while len(header) < 5:
+        header += sock.recv(5 - len(header))
+    length = int.from_bytes(header[1:], "big")
+    payload = b""
+    while len(payload) < length:
+        payload += sock.recv(length - len(payload))
+    return Message(header[0], payload)
+
+
+def _fake_peer(script):
+    """A listening socket whose first connection `script` serves on a thread."""
+    srv = socket.socket()
+    srv.settimeout(20)
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    result = {}
+
+    def serve():
+        conn, _ = srv.accept()
+        conn.settimeout(20)
+        with conn, srv:
+            try:
+                script(conn, result)
+            except OSError as exc:  # the buyer hung up, as it should
+                result["closed"] = type(exc).__name__
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return srv.getsockname()[1], thread, result
+
+
+def _honest_start(conn):
+    """Play an honest ex1 seller up to its evidence; returns that evidence."""
+    seller = SellerSession(TOY_REF, MechanismSpec("ex1", 8, (5,)), random.Random(1))
+    conn.sendall(b"".join(m.frame() for m in seller.begin()))
+    return seller.receive_reports([_recv_frame(conn)])
+
+
+def huge_header(conn, result):
+    conn.sendall(bytes([TAG_COMMIT]) + (2**32 - 1).to_bytes(4, "big"))
+    result["tail"] = conn.recv(1)  # b"" once the buyer hangs up
+
+
+def endless_evidence(conn, result):
+    first = _honest_start(conn)[0]
+    result["sent"] = 0
+    while result["sent"] < 100_000:
+        conn.sendall(first.frame())
+        result["sent"] += 1
+
+
+def closes_mid_frame(conn, result):
+    conn.sendall(bytes([TAG_COMMIT]) + (100).to_bytes(4, "big") + bytes(10))
+
+
+class TestMisbehavingPeers:
+    BUYER = ["buyer", "--example", "ex1", "--H", "8", "--value", "3", "--toy", "--seed", "05"]
+
+    def run_buyer(self, script, capsys):
+        port, thread, result = _fake_peer(script)
+        rc = cli.run(self.BUYER + ["--connect", f"127.0.0.1:{port}"])
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and "Traceback" not in err
+        return rc, err, result
+
+    def test_four_gib_length_header_is_refused_unread(self, capsys):
+        rc, err, result = self.run_buyer(huge_header, capsys)
+        assert rc == 1 and "exceeds the" in err and result["tail"] == b""
+
+    def test_endless_non_final_frames(self, capsys):
+        rc, err, result = self.run_buyer(endless_evidence, capsys)
+        # The repeated proof is read once, where the outcome is due, and fails.
+        assert rc == 1 and "[outcome]" in err
+        assert result["sent"] < 100_000 and "closed" in result
+
+    def test_peer_closes_mid_frame(self, capsys):
+        rc, err, _ = self.run_buyer(closes_mid_frame, capsys)
+        assert rc == 1 and "closed mid-frame" in err
+
+    def test_seller_refuses_an_oversized_report(self, capsys):
+        port = _free_port()
+        thread, result = _run_seller_in_thread(
+            ["seller", "--example", "ex1", "--price", "5", "--listen", f"127.0.0.1:{port}", "--toy"]
+        )
+        for _ in range(200):
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=20)
+                break
+            except OSError:
+                time.sleep(0.05)
+        with sock:
+            _recv_frame(sock)
+            sock.sendall(bytes([TAG_COMMIT]) + (2**32 - 1).to_bytes(4, "big"))
+            thread.join(timeout=20)
+        assert result["rc"] == 1
+        err = capsys.readouterr().err
+        assert "exceeds the" in err and "Traceback" not in err
+
+    def test_honest_frames_fit_the_cap(self, ref384):
+        for (kind, bound), size in largest_frames(TOY_REF, criterion_one_runs()).items():
+            assert size <= max_frame_bytes(kind, bound, 5), (kind, bound, size)
+        wide = [
+            (MechanismSpec("ex3", 16, (2, 3)), [9], 1, 0),
+            (MechanismSpec("ex3", 16, (2, 9)), [9], 1, 0),
+            (MechanismSpec("ex4", 16, (9,)), [12], 5, 11),
+            (MechanismSpec("ex2", 16, (5, 9)), [2, 3], None, None),
+            (MechanismSpec("ex1", 16, (13,)), [2], None, None),
+        ]
+        for (kind, bound), size in largest_frames(ref384, wide).items():
+            assert size <= max_frame_bytes(kind, bound, 384), (kind, bound, size)

@@ -1,9 +1,13 @@
 import math
 import random
+import sys
+import threading
+from collections import OrderedDict
 from itertools import product
 
 import pytest
 
+from zkmech import group
 from zkmech.errors import NonMemberError, ParameterError, PrimeSearchError
 from zkmech.group import (
     GroupParams,
@@ -191,3 +195,139 @@ class TestParamsFile:
         path.write_text("q=23\nseed=00\n")
         with pytest.raises(ParameterError):
             load_params_file(str(path))
+
+
+def euler_member(params, x):
+    """The reference membership test: 1 <= x <= q-1 and x^p = 1."""
+    return 1 <= x <= params.q - 1 and pow(x, params.p, params.q) == 1
+
+
+def members_and_negations(params, n, rng):
+    """n random squares and their negations q - x, which are never squares
+    because q = 3 (mod 4)."""
+    squares = [pow(rng.randrange(2, params.q - 1), 2, params.q) for _ in range(n)]
+    return squares + [params.q - x for x in squares]
+
+
+class TestJacobiMembership:
+    @pytest.mark.parametrize("cutover", [0, 10**6])
+    def test_every_value_of_the_toy_groups(self, q7, q23, monkeypatch, cutover):
+        monkeypatch.setattr(group, "FAST_BITS", cutover)
+        for params in (q7, q23):
+            for x in range(params.q + 1):
+                assert params.is_member(x) == euler_member(params, x), (params.q, x)
+
+    def test_symbol_against_euler_criterion(self, q23):
+        for x in range(1, 23):
+            want = 1 if pow(x, 11, 23) == 1 else -1
+            assert group.jacobi(x, 23) == want
+        assert group.jacobi(0, 23) == 0 and group.jacobi(23, 23) == 0
+        assert group.jacobi(3, 9) == 0  # shares a factor with a composite modulus
+
+    @pytest.mark.parametrize("cutover", [0, 10**6])
+    def test_random_384_bit_inputs(self, q384, monkeypatch, cutover):
+        rng = random.Random(384)
+        xs = members_and_negations(q384, 500, rng) + [rng.randrange(q384.q + 1) for _ in range(1000)]
+        want = [euler_member(q384, x) for x in xs]
+        assert want.count(True) >= 500
+        monkeypatch.setattr(group, "FAST_BITS", cutover)
+        assert [q384.is_member(x) for x in xs] == want
+
+    def test_random_2048_bit_inputs(self, monkeypatch):
+        params = params_from_modulus(RFC3526_MODP_2048)
+        rng = random.Random(2048)
+        xs = members_and_negations(params, 100, rng)
+        want = [euler_member(params, x) for x in xs]
+        assert want == [True] * 100 + [False] * 100
+        assert [params.is_member(x) for x in xs] == want
+        # Forced to `pow`, the test is the reference itself; a few suffice.
+        monkeypatch.setattr(group, "FAST_BITS", 10**6)
+        assert [params.is_member(x) for x in xs[95:105]] == want[95:105]
+
+    def test_cutover_picks_the_kernel(self, q23, q384):
+        assert q23.bit_length < group.FAST_BITS <= q384.bit_length
+
+
+class TestFixedBaseTables:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(group, "_TABLES", OrderedDict())
+
+    def exponents(self, params, n, rng):
+        p = params.p
+        return [0, 1, p - 1, p, -1, 2 * p + 3, -(p + 5)] + [rng.randrange(-p, 2 * p) for _ in range(n)]
+
+    def check(self, ref, es):
+        params = ref.params
+        for base in (ref.g, ref.h):
+            for e in es:
+                assert params.pow_unchecked(base, e) == pow(base, e % params.p, params.q), e
+            assert group._TABLES[params.q, base] is not None  # the table did the work
+
+    def test_384_bits(self, q384):
+        ref = derive_generators(q384, b"tables 384")
+        assert all(group._TABLES[q384.q, b] is None for b in (ref.g, ref.h))  # lazy
+        self.check(ref, self.exponents(q384, 200, random.Random(1)))
+
+    def test_2048_bits(self):
+        ref = derive_generators(params_from_modulus(RFC3526_MODP_2048), b"tables 2048")
+        self.check(ref, self.exponents(ref.params, 8, random.Random(2)))
+
+    def test_other_bases_and_toy_groups_skip_tables(self, q23, q384):
+        ref = derive_generators(q384, b"tables 384")
+        other = q384.pow(ref.g, 12345)
+        assert q384.pow_unchecked(other, 77) == pow(other, 77, q384.q)
+        derive_generators(q23, b"toy")
+        assert set(group._TABLES) == {(q384.q, ref.g), (q384.q, ref.h)}
+
+    def test_two_seeds_in_one_group_through_evictions(self, q384, monkeypatch):
+        """The seed-flip case: a second reference string in the same group
+        must never be served the first one's tables, whatever was evicted."""
+        monkeypatch.setattr(group, "TABLE_SLOTS", 2)
+        rng = random.Random(3)
+        a = derive_generators(q384, b"seed a")
+        b = derive_generators(q384, b"seed b")  # evicts a's g and h
+        assert set(group._TABLES) == {(q384.q, b.g), (q384.q, b.h)}
+        es = self.exponents(q384, 5, rng)
+        for ref in (b, a, b):
+            for base in (ref.g, ref.h):
+                for e in es:
+                    assert q384.pow_unchecked(base, e) == pow(base, e % q384.p, q384.q)
+        for _ in range(3):
+            for seed in (b"seed a", b"seed b"):
+                self.check(derive_generators(q384, seed), es)  # evicts the other seed's tables
+                assert len(group._TABLES) == 2
+
+    def test_threads_sharing_the_cache(self, monkeypatch):
+        """More threads than cores derive reference strings and raise their
+        generators while the cache evicts under them; every power must still
+        equal `pow` and no thread may fail."""
+        monkeypatch.setattr(group, "TABLE_SLOTS", 3)
+        params = gen_params(64, start=64)
+        errors, done = [], []
+
+        def work(k):
+            try:
+                rng = random.Random(k)
+                for i in range(400):
+                    ref = derive_generators(params, bytes([k, i % 3]))
+                    for base in (ref.g, ref.h):
+                        e = rng.randrange(params.p)
+                        assert params.pow_unchecked(base, e) == pow(base, e, params.q)
+                done.append(k)
+            except Exception as exc:  # reported below, with the thread's number
+                errors.append((k, exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and sorted(done) == list(range(6))
+        assert len(group._TABLES) <= 3
