@@ -63,8 +63,9 @@ def grid():
                 yield f"c1/ex4/{s}{v}{x}{y}", "coin", ("ex4", 4, (s,)), [v], x, y
 
 
-def emit() -> None:
-    """Print one line per run: label, kind/case, digest of the transcript text."""
+def emit_lines():
+    """One line per run, as `--emit` prints it: label, kind/case and the
+    digest of the transcript text, tab-separated."""
     import random
 
     from zkmech.codec import transcript_dumps
@@ -91,7 +92,12 @@ def emit() -> None:
                 mask_value=mask,
             )
             digest = hashlib.sha256(transcript_dumps(tr).encode()).hexdigest()
-            print(f"{name}\t{spec.kind}/{case}\t{digest}")
+            yield f"{name}\t{spec.kind}/{case}\t{digest}"
+
+
+def emit() -> None:
+    for line in emit_lines():
+        print(line)
 
 
 def run_tree(src: str) -> dict[str, tuple[str, str]]:

@@ -18,14 +18,23 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .commitments import BitOpening, binding_break_to_dlog, commit_bit, int_bits, verify_opening
+from .commitments import (
+    BitCommitment,
+    BitOpening,
+    IntCommitment,
+    binding_break_to_dlog,
+    commit_bit,
+    commit_int,
+    int_bits,
+    verify_opening,
+)
 from .errors import (
     DegenerateValuation,
     EnumerationBudget,
     ParameterError,
     ShapeMismatch,
 )
-from .gadgets import ge_positions, ge_statement, ge_targets
+from .gadgets import bound_plan, plan_shapes, plan_statement, plan_witness
 from .group import GroupParams, RefString
 from .protocols import MechanismSpec, owed_evidence, unit_demand_choice, width_of
 from .sigma import (
@@ -36,8 +45,8 @@ from .sigma import (
     _build_first,
     _build_response,
     cds_extract,
+    cds_prove_first,
     cds_verify,
-    check_witness,
 )
 
 # -- brute-force incentive checking -------------------------------------------
@@ -398,18 +407,16 @@ def _proof_tuples(stmt: CdsStatement, wit: CdsWitness):
                 )
 
 
-def _ge_proof_plan(ref: RefString, com_values: list[int], w: int, claimed_bits: list[int]):
-    """Statements and witness rows for a lower-bound proof, using the same
-    first-satisfying-target row selection as the live prover."""
-    width = len(com_values)
-    plan = []
-    for i in ge_positions(w, width):
-        targets = ge_targets(w, width, i)
-        rows = tuple(((ref.h, com_values[j - 1]),) for j in targets)
-        stmt = CdsStatement(params=ref.params, rows=rows)
-        row = next(k for k, j in enumerate(targets) if claimed_bits[j - 1] == 1)
-        plan.append((stmt, row, targets[row]))
-    return plan
+def _ge_proofs(ref: RefString, com_values: list[int], w: int, bits: list[int], h_logs):
+    """(statement, witness) of each proof of price >= w, as the live prover
+    makes them: the witness is the first target whose claimed bit is 1, with
+    that commitment's log base h.  Keyed by position."""
+    coms = ([BitCommitment(c) for c in com_values],)
+    ops = ([BitOpening(b, r) for b, r in zip(bits, h_logs)],)
+    return {
+        i: (plan_statement(ref, coms, rows), plan_witness(rows, ops))
+        for _, i, rows in bound_plan(w, len(com_values), greater=True)
+    }
 
 
 class _WorldBuilder:
@@ -449,9 +456,8 @@ def _hiding_worlds_ex1(
     s_bits = int_bits(s, width)
     size = len(ref_pairs_real) * (p - 1) ** width
     if not trade:
-        w = v + 1
-        for i in ge_positions(w, width):
-            size *= _proof_space_size((1,) * len(ge_targets(w, width, i)), 0, p)
+        for shape in plan_shapes(bound_plan(v + 1, width, greater=True)):
+            size *= _proof_space_size(shape, 0, p)
     _check_budget(size, budget)
     for g, h in ref_pairs_real:
         ref = RefString(params=params, seed=b"e", g=g, h=h)
@@ -463,12 +469,7 @@ def _hiding_worlds_ex1(
                 real.add(base)
             else:
                 base += ("no-trade",)
-                plan = _ge_proof_plan(ref, coms, v + 1, s_bits)
-                plans = [
-                    (stmt, CdsWitness(row=row, exps=(r_vec[j - 1],)))
-                    for stmt, row, j in plan
-                ]
-                _enumerate_proofs(base, plans, real)
+                _enumerate_proofs(base, _ge_proofs(ref, coms, v + 1, s_bits, r_vec).values(), real)
 
     # simulated world: equivocal commitments, price chosen after the outcome
     for g, rho in ref_pairs_sim:
@@ -485,12 +486,7 @@ def _hiding_worlds_ex1(
             else:
                 base += ("no-trade",)
                 claimed = int_bits(v + 1, width)  # any price above v is consistent
-                plan = _ge_proof_plan(ref, coms, v + 1, claimed)
-                plans = [
-                    (stmt, CdsWitness(row=row, exps=(rp_vec[j - 1],)))
-                    for stmt, row, j in plan
-                ]
-                _enumerate_proofs(base, plans, sim)
+                _enumerate_proofs(base, _ge_proofs(ref, coms, v + 1, claimed, rp_vec).values(), sim)
     return real, sim
 
 
@@ -512,8 +508,8 @@ def _hiding_worlds_ex2(
 
     size = len(ref_pairs_real) * (p - 1) ** (2 * width)
     for _, w in lower:
-        for i in ge_positions(w, width):
-            size *= _proof_space_size((1,) * len(ge_targets(w, width, i)), 0, p)
+        for shape in plan_shapes(bound_plan(w, width, greater=True)):
+            size *= _proof_space_size(shape, 0, p)
     _check_budget(size, budget)
 
     for g, h in ref_pairs_real:
@@ -536,8 +532,7 @@ def _hiding_worlds_ex2(
                     *(x for b, r in zip(all_bits[chosen], r_vecs[chosen]) for x in (b, r)),
                 )
             for item, w in lower:
-                for stmt, row, j in _ge_proof_plan(ref, com_vecs[item], w, all_bits[item]):
-                    plans.append((stmt, CdsWitness(row=row, exps=(r_vecs[item][j - 1],))))
+                plans += _ge_proofs(ref, com_vecs[item], w, all_bits[item], r_vecs[item]).values()
             _enumerate_proofs(base, plans, real)
 
     for g, rho in ref_pairs_sim:
@@ -569,8 +564,8 @@ def _hiding_worlds_ex2(
                     *(x for b, r in zip(claimed_bits[chosen], exps) for x in (b, r)),
                 )
             for item, w in lower:
-                for stmt, row, j in _ge_proof_plan(ref, com_vecs[item], w, claimed_bits[item]):
-                    plans.append((stmt, CdsWitness(row=row, exps=(rp_vecs[item][j - 1],))))
+                proofs = _ge_proofs(ref, com_vecs[item], w, claimed_bits[item], rp_vecs[item])
+                plans += proofs.values()
             _enumerate_proofs(base, plans, sim)
     return real, sim
 
@@ -642,23 +637,14 @@ class ReplayableProver:
     """
 
     def __init__(self, stmt: CdsStatement, wit: CdsWitness, rng: random.Random):
-        if not check_witness(stmt, wit):
-            raise ParameterError("witness does not satisfy its row")
-        self.stmt = stmt
-        self.wit = wit
-        p = stmt.params.p
-        self.nonces = tuple(rng.randrange(1, p + 1) for _ in stmt.rows[wit.row])
-        self.sims = {
-            i: (rng.randrange(p), tuple(rng.randrange(p) for _ in row))
-            for i, row in enumerate(stmt.rows)
-            if i != wit.row
-        }
+        self._first, self._state = cds_prove_first(stmt, wit, rng)
 
     def first(self) -> SigmaFirst:
-        return _build_first(self.stmt, self.wit, self.nonces, self.sims)
+        return self._first
 
     def respond(self, beta: int) -> SigmaResponse:
-        return _build_response(self.stmt, self.wit, self.nonces, self.sims, beta)
+        s = self._state
+        return _build_response(s.stmt, s.wit, s.nonces, s.sims, beta)
 
 
 def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | None:
@@ -688,10 +674,8 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
             for index, op in enumerate(action.openings, start=1):
                 note(index, op)
         elif isinstance(action, ClaimAction):
-            w = action.bound
-            for i in ge_positions(w, width):
-                targets = ge_targets(w, width, i)
-                stmt = ge_statement(ref, com, w, i)
+            for _, i, rows in bound_plan(action.bound, width, greater=True):
+                stmt = plan_statement(ref, (com.bits,), rows)
                 prover = action.prover_for(i)
                 first = prover.first()
                 accepting = []
@@ -707,7 +691,8 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
                         break
                 if len(accepting) == 2:
                     wit = cds_extract(stmt, first, accepting[0], accepting[1])
-                    note(targets[wit.row], BitOpening(bit=1, r=wit.exps[0]))
+                    ((_, (_, index)),) = rows[wit.row]
+                    note(index, BitOpening(bit=1, r=wit.exps[0]))
         else:
             raise ParameterError(f"unknown adversary action {action!r}")
     for index in zero_open:
@@ -717,6 +702,13 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
 
 
 # Built-in adversaries for the driver ------------------------------------------
+
+
+def _ge_claim(ref: RefString, com, w: int, openings: list[BitOpening], rng) -> ClaimAction:
+    """Claim price >= w with the live prover's statements and witness rows."""
+    bits, logs = [op.bit for op in openings], [op.r for op in openings]
+    proofs = _ge_proofs(ref, [c.value for c in com.bits], w, bits, logs)
+    return ClaimAction(bound=w, prover_for=lambda i: ReplayableProver(*proofs[i], rng))
 
 
 class HonestSellerStrategy:
@@ -729,8 +721,6 @@ class HonestSellerStrategy:
         self.openings: list[BitOpening] | None = None
 
     def commit(self, ref: RefString):
-        from .commitments import commit_int
-
         com, ops = commit_int(ref, self.price, width_of(self.bound), self.rng)
         self.openings = ops
         self.com = com
@@ -739,18 +729,7 @@ class HonestSellerStrategy:
     def evaluate(self, ref: RefString, v: int):
         if self.price <= v:
             return RevealAction(openings=list(self.openings))
-        w = v + 1
-        width = width_of(self.bound)
-        bits = [op.bit for op in self.openings]
-
-        def prover_for(i: int) -> ReplayableProver:
-            targets = ge_targets(w, width, i)
-            row = next(k for k, j in enumerate(targets) if bits[j - 1] == 1)
-            stmt = ge_statement(ref, self.com, w, i)
-            wit = CdsWitness(row=row, exps=(self.openings[targets[row] - 1].r,))
-            return ReplayableProver(stmt, wit, self.rng)
-
-        return ClaimAction(bound=w, prover_for=prover_for)
+        return _ge_claim(ref, self.com, v + 1, self.openings, self.rng)
 
 
 class EquivocatorStrategy:
@@ -770,8 +749,6 @@ class EquivocatorStrategy:
         self.exps: list[int] | None = None
 
     def commit(self, ref: RefString):
-        from .commitments import BitCommitment, IntCommitment
-
         width = width_of(self.bound)
         params = ref.params
         if params.pow(ref.g, self.rho) != ref.h:
@@ -788,15 +765,9 @@ class EquivocatorStrategy:
     def evaluate(self, ref: RefString, v: int):
         width = width_of(self.bound)
         if v < self.claim_below:
-            w = v + 1
-
-            def prover_for(i: int) -> ReplayableProver:
-                stmt = ge_statement(ref, self.com, w, i)
-                # log base h of every commitment is known; use the first target
-                wit = CdsWitness(row=0, exps=(self.exps[ge_targets(w, width, i)[0] - 1],))
-                return ReplayableProver(stmt, wit, self.rng)
-
-            return ClaimAction(bound=w, prover_for=prover_for)
+            # log base h of every commitment is known, so every bit claims 1
+            ops = [BitOpening(bit=1, r=r) for r in self.exps]
+            return _ge_claim(ref, self.com, v + 1, ops, self.rng)
         price = self.reveal_plan(v)
         bits = int_bits(price, width)
         return RevealAction(

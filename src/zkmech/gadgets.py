@@ -3,8 +3,18 @@
 Each relation compiles to one or more matrix statements for the sigma
 engine: inequalities against public bounds, inequalities between two
 committed values, bit gates with explicit truth tables, the addition
-circuit with committed carries, complement pairs, verifiable coin flips,
-and the strict comparison circuit with committed borrows.
+circuit with committed carries, complement pairs for coin flips, and the
+strict comparison circuit with committed borrows.
+
+Every gadget is written once, as a plan built from public data only: a
+list of (label, position, rows) entries, one per proof.  A row is a tuple
+of cells (bit, (k, i)): the cell's base is g when `bit` is 0 and h when it
+is 1, and its target is bit i of the k-th commitment the gadget covers.
+The prover knows every cell of some row, the one whose bit commitments all
+open to the cells' bits; its witness is the first such row.  One builder
+turns an entry into a statement, one prover proves a whole plan and one
+verifier checks one, and the bundle reader takes its shapes from the same
+plan.
 
 Bit positions are 1-based with position 1 the most significant bit,
 matching the package-wide integer convention.  Provers refuse (raise
@@ -15,7 +25,9 @@ paths can never emit an unsound message.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 from .codec import Reader, encode_u8, encode_u16
 from .commitments import (
@@ -48,10 +60,78 @@ _LBL_GATE = 0x13
 _LBL_COMPLEMENT = 0x14
 
 ProofBundle = list[tuple[int, NiProof]]
+Cell = tuple[int, tuple[int, int]]
+Rows = tuple[tuple[Cell, ...], ...]
+Plan = list[tuple[int, int, Rows]]  # (label, position, rows) per proof
 
 
 def _ctx(prefix: bytes, stmt: CdsStatement, label: int, position: int) -> bytes:
     return prefix + encode_statement(stmt) + encode_u8(label) + encode_u16(position)
+
+
+# -- one statement builder, one prover, one verifier ---------------------------
+
+
+def plan_statement(
+    ref: RefString, coms: Sequence[Sequence[BitCommitment]], rows: Rows
+) -> CdsStatement:
+    """The statement of one plan entry over the covered commitments' bits."""
+    bases = (ref.g, ref.h)
+    # List comprehensions: generators here cost a few percent of a q=23 run.
+    cells = [tuple([(bases[bit], coms[k][i - 1].value) for bit, (k, i) in row]) for row in rows]
+    return CdsStatement(params=ref.params, rows=tuple(cells))
+
+
+def plan_shapes(plan: Plan) -> list[tuple[int, ...]]:
+    """The statement shape of each proof of `plan`."""
+    return [tuple(len(row) for row in rows) for _, _, rows in plan]
+
+
+def plan_witness(rows: Rows, ops: Sequence[Sequence[BitOpening]]) -> CdsWitness | None:
+    """The first row whose cells' openings carry the cells' bits, with those
+    openings' exponents; None if no row is satisfied.  `ops` opens the
+    covered commitments bit for bit."""
+    for n, cells in enumerate(rows):
+        if all(ops[k][i - 1].bit == bit for bit, (k, i) in cells):
+            return CdsWitness(row=n, exps=tuple(ops[k][i - 1].r for _, (k, i) in cells))
+    return None
+
+
+def _prove_plan(
+    ref: RefString,
+    plan: Plan,
+    coms: Sequence[Sequence[BitCommitment]],
+    ops: Sequence[Sequence[BitOpening]],
+    ctx_prefix: bytes,
+    rng: random.Random,
+) -> ProofBundle:
+    """Prove every entry of `plan`; refuses at the first one without a witness."""
+    bundle: ProofBundle = []
+    for label, position, rows in plan:
+        wit = plan_witness(rows, ops)
+        if wit is None:
+            raise RefuseToProve(f"no witness at position {position}")
+        stmt = plan_statement(ref, coms, rows)
+        bundle.append((position, ni_prove(stmt, wit, _ctx(ctx_prefix, stmt, label, position), rng)))
+    return bundle
+
+
+def _verify_plan(
+    ref: RefString,
+    plan: Plan,
+    coms: Sequence[Sequence[BitCommitment]],
+    bundle: ProofBundle,
+    ctx_prefix: bytes,
+) -> bool:
+    """The bundle carries the plan's positions in order, and each proof
+    verifies against its entry's statement and context."""
+    if [pos for pos, _ in bundle] != [pos for _, pos, _ in plan]:
+        return False
+    for (label, position, rows), (_, proof) in zip(plan, bundle):
+        stmt = plan_statement(ref, coms, rows)
+        if not ni_verify(stmt, proof, _ctx(ctx_prefix, stmt, label, position)):
+            return False
+    return True
 
 
 # -- inequalities against a public bound --------------------------------------
@@ -79,90 +159,48 @@ def le_targets(w: int, width: int, i: int) -> list[int]:
     return [j for j in range(1, i + 1) if j == i or w_bits[j - 1] == 1]
 
 
-def ge_statement(ref: RefString, com: IntCommitment, w: int, i: int) -> CdsStatement:
-    rows = tuple(((ref.h, com.bits[j - 1].value),) for j in ge_targets(w, com.width, i))
-    return CdsStatement(params=ref.params, rows=rows)
-
-
-def le_statement(ref: RefString, com: IntCommitment, w: int, i: int) -> CdsStatement:
-    rows = tuple(((ref.g, com.bits[j - 1].value),) for j in le_targets(w, com.width, i))
-    return CdsStatement(params=ref.params, rows=rows)
-
-
-def _one_sided_prove(
-    ref: RefString,
-    com: IntCommitment,
-    openings: list[BitOpening],
-    w: int,
-    ctx_prefix: bytes,
-    rng: random.Random,
-    *,
-    greater: bool,
-) -> ProofBundle:
-    value = bits_value([op.bit for op in openings])
-    if greater and value < w:
-        raise RefuseToProve(f"committed value {value} < bound {w}")
-    if not greater and value > w:
-        raise RefuseToProve(f"committed value {value} > bound {w}")
-    positions = ge_positions(w, com.width) if greater else le_positions(w, com.width)
-    want_bit = 1 if greater else 0
-    label = _LBL_GE if greater else _LBL_LE
-    bundle: ProofBundle = []
-    for i in positions:
-        targets = ge_targets(w, com.width, i) if greater else le_targets(w, com.width, i)
-        row = next((k for k, j in enumerate(targets) if openings[j - 1].bit == want_bit), None)
-        if row is None:  # unreachable when the bound check above passed
-            raise RefuseToProve(f"no witness at position {i}")
-        stmt = (ge_statement if greater else le_statement)(ref, com, w, i)
-        wit = CdsWitness(row=row, exps=(openings[targets[row] - 1].r,))
-        bundle.append((i, ni_prove(stmt, wit, _ctx(ctx_prefix, stmt, label, i), rng)))
-    return bundle
-
-
-def _one_sided_verify(
-    ref: RefString,
-    com: IntCommitment,
-    w: int,
-    bundle: ProofBundle,
-    ctx_prefix: bytes,
-    *,
-    greater: bool,
-) -> bool:
-    positions = ge_positions(w, com.width) if greater else le_positions(w, com.width)
-    if [pos for pos, _ in bundle] != positions:
-        return False
-    label = _LBL_GE if greater else _LBL_LE
-    for i, proof in bundle:
-        stmt = (ge_statement if greater else le_statement)(ref, com, w, i)
-        if not ni_verify(stmt, proof, _ctx(ctx_prefix, stmt, label, i)):
-            return False
-    return True
+def bound_plan(w: int, width: int, *, greater: bool) -> Plan:
+    """The ge (`greater`) or le proofs of one committed value against w."""
+    if greater:
+        label, bit, positions, targets = _LBL_GE, 1, ge_positions, ge_targets
+    else:
+        label, bit, positions, targets = _LBL_LE, 0, le_positions, le_targets
+    return [
+        (label, i, tuple(((bit, (0, j)),) for j in targets(w, width, i)))
+        for i in positions(w, width)
+    ]
 
 
 def prove_ge_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     """Prove the committed value is >= the public bound w."""
-    if not 0 <= w < (1 << com.width):
-        raise ParameterError(f"bound {w} out of range for width {com.width}")
-    return _one_sided_prove(ref, com, openings, w, ctx_prefix, rng, greater=True)
+    plan = bound_plan(w, com.width, greater=True)  # a ParameterError out of range
+    value = bits_value([op.bit for op in openings])
+    if value < w:
+        raise RefuseToProve(f"committed value {value} < bound {w}")
+    return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
 
 
 def verify_ge_public(ref, com, w, bundle, ctx_prefix) -> bool:
     if not 0 <= w < (1 << com.width):
         return False
-    return _one_sided_verify(ref, com, w, bundle, ctx_prefix, greater=True)
+    plan = bound_plan(w, com.width, greater=True)
+    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix)
 
 
 def prove_le_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     """Prove the committed value is <= the public bound w."""
-    if not 0 <= w < (1 << com.width):
-        raise ParameterError(f"bound {w} out of range for width {com.width}")
-    return _one_sided_prove(ref, com, openings, w, ctx_prefix, rng, greater=False)
+    plan = bound_plan(w, com.width, greater=False)  # a ParameterError out of range
+    value = bits_value([op.bit for op in openings])
+    if value > w:
+        raise RefuseToProve(f"committed value {value} > bound {w}")
+    return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
 
 
 def verify_le_public(ref, com, w, bundle, ctx_prefix) -> bool:
     if not 0 <= w < (1 << com.width):
         return False
-    return _one_sided_verify(ref, com, w, bundle, ctx_prefix, greater=False)
+    plan = bound_plan(w, com.width, greater=False)
+    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix)
 
 
 # -- committed <= committed ----------------------------------------------------
@@ -172,13 +210,17 @@ def verify_le_public(ref, com, w, bundle, ctx_prefix) -> bool:
 # cells, each j-option is a two-cell AND row.
 
 
-def le_committed_statement(
-    ref: RefString, com_a: IntCommitment, com_b: IntCommitment, i: int
-) -> CdsStatement:
-    rows = [((ref.g, com_a.bits[i - 1].value),), ((ref.h, com_b.bits[i - 1].value),)]
-    for j in range(1, i):
-        rows.append(((ref.g, com_a.bits[j - 1].value), (ref.h, com_b.bits[j - 1].value)))
-    return CdsStatement(params=ref.params, rows=tuple(rows))
+def le_committed_plan(width: int) -> Plan:
+    """Proofs over (a, b), one per bit position."""
+    return [
+        (
+            _LBL_LE_COMMITTED,
+            i,
+            (((0, (0, i)),), ((1, (1, i)),))
+            + tuple(((0, (0, j)), (1, (1, j))) for j in range(1, i)),
+        )
+        for i in range(1, width + 1)
+    ]
 
 
 def prove_le_committed(ref, com_a, ops_a, com_b, ops_b, ctx_prefix, rng) -> ProofBundle:
@@ -189,32 +231,15 @@ def prove_le_committed(ref, com_a, ops_a, com_b, ops_b, ctx_prefix, rng) -> Proo
     b = bits_value([op.bit for op in ops_b])
     if a > b:
         raise RefuseToProve(f"{a} > {b}: no witness exists")
-    bundle: ProofBundle = []
-    for i in range(1, com_a.width + 1):
-        if ops_a[i - 1].bit == 0:
-            wit = CdsWitness(row=0, exps=(ops_a[i - 1].r,))
-        elif ops_b[i - 1].bit == 1:
-            wit = CdsWitness(row=1, exps=(ops_b[i - 1].r,))
-        else:
-            j = next(
-                k for k in range(1, i) if ops_a[k - 1].bit == 0 and ops_b[k - 1].bit == 1
-            )
-            wit = CdsWitness(row=1 + j, exps=(ops_a[j - 1].r, ops_b[j - 1].r))
-        stmt = le_committed_statement(ref, com_a, com_b, i)
-        bundle.append((i, ni_prove(stmt, wit, _ctx(ctx_prefix, stmt, _LBL_LE_COMMITTED, i), rng)))
-    return bundle
+    plan = le_committed_plan(com_a.width)
+    return _prove_plan(ref, plan, (com_a.bits, com_b.bits), (ops_a, ops_b), ctx_prefix, rng)
 
 
 def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix) -> bool:
     if com_a.width != com_b.width:
         return False
-    if [pos for pos, _ in bundle] != list(range(1, com_a.width + 1)):
-        return False
-    for i, proof in bundle:
-        stmt = le_committed_statement(ref, com_a, com_b, i)
-        if not ni_verify(stmt, proof, _ctx(ctx_prefix, stmt, _LBL_LE_COMMITTED, i)):
-            return False
-    return True
+    plan = le_committed_plan(com_a.width)
+    return _verify_plan(ref, plan, (com_a.bits, com_b.bits), bundle, ctx_prefix)
 
 
 # -- generic truth-table gates --------------------------------------------------
@@ -234,18 +259,16 @@ class GateSpec:
             if len(row) != self.arity or any(b not in (0, 1) for b in row):
                 raise ParameterError(f"bad assignment {row}")
 
-    def rows(self) -> list[tuple[int, ...]]:
-        return sorted(self.allowed)
+
+def _gate_rows(spec: GateSpec, refs: list[tuple[int, int]]) -> Rows:
+    """One row per allowed assignment, in sorted order; argument n of the
+    gate is the bit at refs[n]."""
+    return tuple(tuple(zip(assignment, refs)) for assignment in sorted(spec.allowed))
 
 
-def gate_statement(ref: RefString, coms: list[BitCommitment], spec: GateSpec) -> CdsStatement:
-    if len(coms) != spec.arity:
-        raise ParameterError("commitment count must equal gate arity")
-    rows = tuple(
-        tuple((ref.g if b == 0 else ref.h, c.value) for b, c in zip(assignment, coms))
-        for assignment in spec.rows()
-    )
-    return CdsStatement(params=ref.params, rows=rows)
+def gate_plan(spec: GateSpec, position: int) -> Plan:
+    """One proof over `spec.arity` single-bit commitments."""
+    return [(_LBL_GATE, position, _gate_rows(spec, [(k, 1) for k in range(spec.arity)]))]
 
 
 def prove_gate(
@@ -258,13 +281,14 @@ def prove_gate(
     position: int = 0,
 ) -> NiProof:
     """One matrix proof that the committed bits form an allowed assignment."""
+    if len(coms) != spec.arity:
+        raise ParameterError("commitment count must equal gate arity")
     assignment = tuple(op.bit for op in openings)
-    table = spec.rows()
     if assignment not in spec.allowed:
         raise RefuseToProve(f"assignment {assignment} not allowed by gate")
-    wit = CdsWitness(row=table.index(assignment), exps=tuple(op.r for op in openings))
-    stmt = gate_statement(ref, coms, spec)
-    return ni_prove(stmt, wit, _ctx(ctx_prefix, stmt, _LBL_GATE, position), rng)
+    covered, ops = [(c,) for c in coms], [(op,) for op in openings]
+    ((_, proof),) = _prove_plan(ref, gate_plan(spec, position), covered, ops, ctx_prefix, rng)
+    return proof
 
 
 def verify_gate(
@@ -275,16 +299,32 @@ def verify_gate(
     ctx_prefix: bytes,
     position: int = 0,
 ) -> bool:
-    stmt = gate_statement(ref, coms, spec)
-    return ni_verify(stmt, proof, _ctx(ctx_prefix, stmt, _LBL_GATE, position))
+    if len(coms) != spec.arity:
+        raise ParameterError("commitment count must equal gate arity")
+    covered = [(c,) for c in coms]
+    return _verify_plan(ref, gate_plan(spec, position), covered, [(position, proof)], ctx_prefix)
 
 
-# -- addition with committed carries --------------------------------------------
+# -- gate chains: addition with committed carries, comparison with borrows ------
 #
-# The carry out of position i is the majority of (a_i, b_i, carry-in),
-# with the carry into the least significant position fixed at zero.  The
+# Both circuits cover (x, y, chain), where chain holds the carries or
+# borrows: chain_i is the one out of position i, and the one into the least
+# significant position is fixed at zero.  Position 0 certifies the chain's
+# top bit with a one-cell statement; position i gates (x_i, y_i, chain_i,
+# chain_{i+1}), a ternary gate without chain_{i+1} at the LSB.
+
+
+def _chain_plan(top_bit: int, gates: list[GateSpec]) -> Plan:
+    plan = [(_LBL_GATE, 0, (((top_bit, (2, 1)),),))]
+    for i, gate in enumerate(gates, start=1):
+        refs = [(0, i), (1, i), (2, i), (2, i + 1)][: gate.arity]
+        plan.append((_LBL_GATE, i, _gate_rows(gate, refs)))
+    return plan
+
+
+# The carry out of position i is the majority of (a_i, b_i, carry-in).  The
 # announced sum has width+1 bits; its top bit equals the outgoing carry of
-# position 1 and is certified by a single-bit gate.
+# position 1.
 
 
 def _carry_bits(a_bits: list[int], b_bits: list[int]) -> list[int]:
@@ -297,6 +337,7 @@ def _carry_bits(a_bits: list[int], b_bits: list[int]) -> list[int]:
     return carries[:width]
 
 
+@cache
 def _adder_gate(sum_bit: int, lsb: bool) -> GateSpec:
     """Quadruples (a, b, carry_out, carry_in) consistent with the announced
     sum bit; at the LSB the carry-in is fixed to zero and the gate is ternary."""
@@ -311,9 +352,12 @@ def _adder_gate(sum_bit: int, lsb: bool) -> GateSpec:
     return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
 
 
-def _bit_value_gate(bit: int) -> GateSpec:
-    """Degenerate arity-1 gate: 'this committed bit equals `bit`'."""
-    return GateSpec(arity=1, allowed=frozenset({(bit,)}))
+def sum_plan(total: int, width: int) -> Plan:
+    """Gate proofs of the announced (width+1)-bit total over (s1, s2, carries).
+    Every total gives the same statement shapes."""
+    total_bits = int_bits(total, width + 1)
+    gates = [_adder_gate(b, i == width) for i, b in enumerate(total_bits[1:], start=1)]
+    return _chain_plan(total_bits[0], gates)
 
 
 def prove_sum(
@@ -332,29 +376,13 @@ def prove_sum(
     """
     if com1.width != com2.width:
         raise ParameterError("widths must match")
-    width = com1.width
     a_bits = [op.bit for op in ops1]
     b_bits = [op.bit for op in ops2]
     total = bits_value(a_bits) + bits_value(b_bits)
     carries = _carry_bits(a_bits, b_bits)
-    carry_com, carry_ops = commit_int(ref, bits_value(carries), width, rng)
-    total_bits = int_bits(total, width + 1)
-    bundle: ProofBundle = []
-    # Position 0 certifies that the announced top bit equals the carry out
-    # of position 1.
-    top_gate = _bit_value_gate(total_bits[0])
-    bundle.append(
-        (0, prove_gate(ref, [carry_com.bits[0]], [carry_ops[0]], top_gate, ctx_prefix, rng, 0))
-    )
-    for i in range(1, width + 1):
-        lsb = i == width
-        gate = _adder_gate(total_bits[i], lsb)
-        coms = [com1.bits[i - 1], com2.bits[i - 1], carry_com.bits[i - 1]]
-        ops = [ops1[i - 1], ops2[i - 1], carry_ops[i - 1]]
-        if not lsb:
-            coms.append(carry_com.bits[i])
-            ops.append(carry_ops[i])
-        bundle.append((i, prove_gate(ref, coms, ops, gate, ctx_prefix, rng, i)))
+    carry_com, carry_ops = commit_int(ref, bits_value(carries), com1.width, rng)
+    coms, ops = (com1.bits, com2.bits, carry_com.bits), (ops1, ops2, carry_ops)
+    bundle = _prove_plan(ref, sum_plan(total, com1.width), coms, ops, ctx_prefix, rng)
     return total, carry_com, bundle
 
 
@@ -371,27 +399,86 @@ def verify_sum(
     every per-position proof."""
     if com1.width != com2.width or carry_com.width != com1.width:
         return False
-    width = com1.width
-    if not 0 <= total < (1 << (width + 1)):
+    if not 0 <= total < (1 << (com1.width + 1)):
         return False
-    if [pos for pos, _ in bundle] != list(range(width + 1)):
-        return False
-    total_bits = int_bits(total, width + 1)
-    proofs = dict(bundle)
-    if not verify_gate(ref, [carry_com.bits[0]], _bit_value_gate(total_bits[0]), proofs[0], ctx_prefix, 0):
-        return False
-    for i in range(1, width + 1):
-        lsb = i == width
-        gate = _adder_gate(total_bits[i], lsb)
-        coms = [com1.bits[i - 1], com2.bits[i - 1], carry_com.bits[i - 1]]
-        if not lsb:
-            coms.append(carry_com.bits[i])
-        if not verify_gate(ref, coms, gate, proofs[i], ctx_prefix, i):
-            return False
-    return True
+    coms = (com1.bits, com2.bits, carry_com.bits)
+    return _verify_plan(ref, sum_plan(total, com1.width), coms, bundle, ctx_prefix)
 
 
-# -- complement pairs and coin flips ---------------------------------------------
+# z < s is decided by the borrow chain of z - s: the borrow out of position i
+# is the majority of (NOT z_i, s_i, borrow-in).  Only the final borrow (the
+# verdict) is announced; difference bits are never committed or revealed.
+
+
+def _borrow_bits(z_bits: list[int], s_bits: list[int]) -> list[int]:
+    """The borrows of z - s are the carries of (NOT z) + s."""
+    return _carry_bits([1 - z for z in z_bits], s_bits)
+
+
+@cache
+def _subtractor_gate(lsb: bool) -> GateSpec:
+    """All (z, s, borrow_out, borrow_in) rows of the standard subtractor:
+    eight rows, or four ternary rows at the LSB where borrow-in is zero."""
+    rows = []
+    for z in (0, 1):
+        for s in (0, 1):
+            for bin_ in ((0,) if lsb else (0, 1)):
+                bout = 1 if (1 - z) + s + bin_ >= 2 else 0
+                rows.append((z, s, bout) if lsb else (z, s, bout, bin_))
+    return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
+
+
+def lt_plan(verdict: int, width: int) -> Plan:
+    """Gate proofs of the verdict bit of z < s over (z, s, borrows).  Either
+    verdict gives the same statement shapes."""
+    return _chain_plan(verdict, [_subtractor_gate(i == width) for i in range(1, width + 1)])
+
+
+def prove_lt_committed(
+    ref: RefString,
+    com_z: IntCommitment,
+    ops_z: list[BitOpening],
+    com_s: IntCommitment,
+    ops_s: list[BitOpening],
+    ctx_prefix: bytes,
+    rng: random.Random,
+) -> tuple[int, IntCommitment, ProofBundle]:
+    """Announce and prove the verdict bit of z < s.
+
+    Returns (verdict, borrow commitments, proofs); verdict is 1 iff z < s.
+    """
+    if com_z.width != com_s.width:
+        raise ParameterError("widths must match")
+    z_bits = [op.bit for op in ops_z]
+    s_bits = [op.bit for op in ops_s]
+    borrows = _borrow_bits(z_bits, s_bits)
+    verdict = borrows[0]
+    if (bits_value(z_bits) < bits_value(s_bits)) != bool(verdict):
+        raise RefuseToProve("verdict inconsistent with openings")
+    borrow_com, borrow_ops = commit_int(ref, bits_value(borrows), com_z.width, rng)
+    coms, ops = (com_z.bits, com_s.bits, borrow_com.bits), (ops_z, ops_s, borrow_ops)
+    bundle = _prove_plan(ref, lt_plan(verdict, com_z.width), coms, ops, ctx_prefix, rng)
+    return verdict, borrow_com, bundle
+
+
+def verify_lt_committed(
+    ref: RefString,
+    com_z: IntCommitment,
+    com_s: IntCommitment,
+    verdict: int,
+    borrow_com: IntCommitment,
+    bundle: ProofBundle,
+    ctx_prefix: bytes,
+) -> bool:
+    if verdict not in (0, 1):
+        return False
+    if com_z.width != com_s.width or borrow_com.width != com_z.width:
+        return False
+    coms = (com_z.bits, com_s.bits, borrow_com.bits)
+    return _verify_plan(ref, lt_plan(verdict, com_z.width), coms, bundle, ctx_prefix)
+
+
+# -- complement pairs and coin selection -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -417,11 +504,12 @@ def complement_commit(
     return ComplementPair(r_com=r_com, rp_com=rp_com), (op, opp)
 
 
-def _complement_statements(ref: RefString, pair: ComplementPair) -> list[CdsStatement]:
-    targets = [pair.r_com.value, pair.rp_com.value]
+def complement_plan(position: int) -> Plan:
+    """Over (R, R'): log base g of one element is known, and log base h of
+    one element is known."""
     return [
-        CdsStatement(params=ref.params, rows=tuple(((ref.g, t),) for t in targets)),
-        CdsStatement(params=ref.params, rows=tuple(((ref.h, t),) for t in targets)),
+        (_LBL_COMPLEMENT, 2 * position + bit, (((bit, (0, 1)),), ((bit, (1, 1)),)))
+        for bit in (0, 1)
     ]
 
 
@@ -433,23 +521,15 @@ def prove_complement(
     rng: random.Random,
     position: int = 0,
 ) -> list[NiProof]:
-    """Two disjunction proofs: log base g of one element is known, and log
-    base h of one element is known.  Under dlog hardness this certifies a
-    complement pair without revealing which element commits which bit."""
+    """Two disjunction proofs, base g and base h.  Under dlog hardness this
+    certifies a complement pair without revealing which element commits
+    which bit."""
     op, opp = openings
     if op.bit == opp.bit:
         raise RefuseToProve("not a complement pair: equal bits")
-    stmts = _complement_statements(ref, pair)
-    proofs = []
-    for base_bit, stmt in enumerate(stmts):
-        # The base-g proof's witness is the commitment to 0, the base-h
-        # proof's the commitment to 1.
-        row = 0 if op.bit == base_bit else 1
-        exp = op.r if op.bit == base_bit else opp.r
-        wit = CdsWitness(row=row, exps=(exp,))
-        ctx = _ctx(ctx_prefix, stmt, _LBL_COMPLEMENT, 2 * position + base_bit)
-        proofs.append(ni_prove(stmt, wit, ctx, rng))
-    return proofs
+    coms = ((pair.r_com,), (pair.rp_com,))
+    bundle = _prove_plan(ref, complement_plan(position), coms, ((op,), (opp,)), ctx_prefix, rng)
+    return [proof for _, proof in bundle]
 
 
 def verify_complement(
@@ -461,20 +541,9 @@ def verify_complement(
 ) -> bool:
     if len(proofs) != 2 or pair.r_com.value == pair.rp_com.value:
         return False
-    for base_bit, (stmt, proof) in enumerate(zip(_complement_statements(ref, pair), proofs)):
-        ctx = _ctx(ctx_prefix, stmt, _LBL_COMPLEMENT, 2 * position + base_bit)
-        if not ni_verify(stmt, proof, ctx):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class CommittedCoin:
-    """A public commitment to x XOR y, assembled from the mask bits y."""
-
-    pairs: tuple[ComplementPair, ...]
-    mask: tuple[int, ...]
-    z_com: IntCommitment
+    plan = complement_plan(position)
+    bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, proofs)]
+    return _verify_plan(ref, plan, ((pair.r_com,), (pair.rp_com,)), bundle, ctx_prefix)
 
 
 def coin_select(pairs: list[ComplementPair], mask: list[int]) -> IntCommitment:
@@ -486,132 +555,11 @@ def coin_select(pairs: list[ComplementPair], mask: list[int]) -> IntCommitment:
     return IntCommitment(width=len(pairs), bits=bits)
 
 
-def coin_flip(
-    ref: RefString,
-    pairs: list[ComplementPair],
-    proofs: list[list[NiProof]],
-    mask: list[int],
-    ctx_prefix: bytes,
-) -> CommittedCoin:
-    """Verify the complement proofs, then select the masked commitment."""
-    if len(proofs) != len(pairs):
-        raise ParameterError("one proof pair per complement pair required")
-    for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
-        if not verify_complement(ref, pair, pr, ctx_prefix, idx):
-            raise RefuseToProve(f"complement proof {idx} does not verify")
-    return CommittedCoin(pairs=tuple(pairs), mask=tuple(mask), z_com=coin_select(pairs, mask))
-
-
 def coin_openings(
     pair_openings: list[tuple[BitOpening, BitOpening]], mask: list[int]
 ) -> list[BitOpening]:
     """The holder's openings for the selected (masked) commitments."""
     return [ops[y] for ops, y in zip(pair_openings, mask)]
-
-
-# -- strict comparison of two committed values -----------------------------------
-#
-# z < s is decided by the borrow chain of z - s: the borrow out of
-# position i is the majority of (NOT z_i, s_i, borrow-in), zero borrow
-# into the least significant position.  Only the final borrow (the
-# verdict) is announced; difference bits are never committed or revealed.
-
-
-def _borrow_bits(z_bits: list[int], s_bits: list[int]) -> list[int]:
-    width = len(z_bits)
-    borrows = [0] * width
-    bin_ = 0
-    for i in range(width, 0, -1):
-        bout = 1 if (1 - z_bits[i - 1]) + s_bits[i - 1] + bin_ >= 2 else 0
-        borrows[i - 1] = bout
-        bin_ = bout
-    return borrows
-
-
-def _subtractor_gate(lsb: bool) -> GateSpec:
-    """All (z, s, borrow_out, borrow_in) rows of the standard subtractor:
-    eight rows, or four ternary rows at the LSB where borrow-in is zero."""
-    rows = []
-    for z in (0, 1):
-        for s in (0, 1):
-            for bin_ in ((0,) if lsb else (0, 1)):
-                bout = 1 if (1 - z) + s + bin_ >= 2 else 0
-                rows.append((z, s, bout) if lsb else (z, s, bout, bin_))
-    return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
-
-
-def prove_lt_committed(
-    ref: RefString,
-    com_z: IntCommitment,
-    ops_z: list[BitOpening],
-    com_s: IntCommitment,
-    ops_s: list[BitOpening],
-    ctx_prefix: bytes,
-    rng: random.Random,
-) -> tuple[int, IntCommitment, ProofBundle]:
-    """Announce and prove the verdict bit of z < s.
-
-    Returns (verdict, borrow commitments, proofs); verdict is 1 iff z < s.
-    """
-    if com_z.width != com_s.width:
-        raise ParameterError("widths must match")
-    width = com_z.width
-    z_bits = [op.bit for op in ops_z]
-    s_bits = [op.bit for op in ops_s]
-    borrows = _borrow_bits(z_bits, s_bits)
-    verdict = borrows[0]
-    if (bits_value(z_bits) < bits_value(s_bits)) != bool(verdict):
-        raise RefuseToProve("verdict inconsistent with openings")
-    borrow_com, borrow_ops = commit_int(ref, bits_value(borrows), width, rng)
-    bundle: ProofBundle = []
-    bundle.append(
-        (
-            0,
-            prove_gate(
-                ref, [borrow_com.bits[0]], [borrow_ops[0]], _bit_value_gate(verdict), ctx_prefix, rng, 0
-            ),
-        )
-    )
-    for i in range(1, width + 1):
-        lsb = i == width
-        gate = _subtractor_gate(lsb)
-        coms = [com_z.bits[i - 1], com_s.bits[i - 1], borrow_com.bits[i - 1]]
-        ops = [ops_z[i - 1], ops_s[i - 1], borrow_ops[i - 1]]
-        if not lsb:
-            coms.append(borrow_com.bits[i])
-            ops.append(borrow_ops[i])
-        bundle.append((i, prove_gate(ref, coms, ops, gate, ctx_prefix, rng, i)))
-    return verdict, borrow_com, bundle
-
-
-def verify_lt_committed(
-    ref: RefString,
-    com_z: IntCommitment,
-    com_s: IntCommitment,
-    verdict: int,
-    borrow_com: IntCommitment,
-    bundle: ProofBundle,
-    ctx_prefix: bytes,
-) -> bool:
-    if verdict not in (0, 1):
-        return False
-    if com_z.width != com_s.width or borrow_com.width != com_z.width:
-        return False
-    width = com_z.width
-    if [pos for pos, _ in bundle] != list(range(width + 1)):
-        return False
-    proofs = dict(bundle)
-    if not verify_gate(ref, [borrow_com.bits[0]], _bit_value_gate(verdict), proofs[0], ctx_prefix, 0):
-        return False
-    for i in range(1, width + 1):
-        lsb = i == width
-        gate = _subtractor_gate(lsb)
-        coms = [com_z.bits[i - 1], com_s.bits[i - 1], borrow_com.bits[i - 1]]
-        if not lsb:
-            coms.append(borrow_com.bits[i])
-        if not verify_gate(ref, coms, gate, proofs[i], ctx_prefix, i):
-            return False
-    return True
 
 
 # -- bundle wire encoding ----------------------------------------------------------

@@ -28,6 +28,7 @@ from .codec import (
 )
 from .commitments import BitCommitment, BitOpening, commit_bit, encode_opening, read_opening, verify_opening
 from .errors import CodecError, ParameterError, VerificationFailed
+from .gadgets import plan_statement
 from .group import RefString
 from .protocols import Outcome
 from .sigma import (
@@ -78,14 +79,9 @@ def one_hot_statement(ref: RefString, coms: list[BitCommitment]) -> CdsStatement
     The base-h clause pins exactly one set slot, so a price that never
     sells is not expressible.
     """
-    rows = []
-    for t in range(len(coms)):
-        rows.append(
-            tuple(
-                (ref.h if i == t else ref.g, c.value) for i, c in enumerate(coms)
-            )
-        )
-    return CdsStatement(params=ref.params, rows=tuple(rows))
+    n = len(coms)
+    rows = tuple(tuple((int(i == t), (i, 1)) for i in range(n)) for t in range(n))
+    return plan_statement(ref, [(c,) for c in coms], rows)
 
 
 def _context(ref: RefString, stmt: CdsStatement) -> bytes:

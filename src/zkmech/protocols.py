@@ -78,14 +78,14 @@ from .errors import (
 from .gadgets import (
     ComplementPair,
     ProofBundle,
+    bound_plan,
     coin_openings,
     coin_select,
     complement_commit,
     encode_bundle,
-    ge_positions,
-    ge_targets,
-    le_positions,
-    le_targets,
+    le_committed_plan,
+    lt_plan,
+    plan_shapes,
     prove_complement,
     prove_ge_public,
     prove_le_committed,
@@ -93,6 +93,7 @@ from .gadgets import (
     prove_lt_committed,
     prove_sum,
     read_bundle,
+    sum_plan,
     verify_complement,
     verify_ge_public,
     verify_le_committed,
@@ -708,24 +709,6 @@ class SellerSession:
 # -- the verifier -------------------------------------------------------------------
 
 
-def _gate_shapes(width: int, lsb: tuple[int, ...], inner: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """A gate chain: the top-bit gate, then positions 1..width, LSB last."""
-    return [(1,)] + [inner] * (width - 1) + [lsb]
-
-
-# Statement shapes of the bundles whose shape depends only on the width.
-def _certificate_shapes(width: int) -> list[tuple[int, ...]]:
-    return [(1, 1) + (2,) * (i - 1) for i in range(1, width + 1)]
-
-
-def _sum_shapes(width: int) -> list[tuple[int, ...]]:
-    return _gate_shapes(width, (3, 3), (4, 4, 4, 4))
-
-
-def _lt_shapes(width: int) -> list[tuple[int, ...]]:
-    return _gate_shapes(width, (3, 3, 3, 3), (4,) * 8)
-
-
 def _proof_bytes(shape: tuple[int, ...], e: int) -> int:
     """The longest encoding of a proof of this shape, with integers of up to
     `e` encoded bytes: shape, alphas, challenge, betas, gammas, digest."""
@@ -751,12 +734,12 @@ def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
 
     sizes = [1 + _bundle_bytes([(1,) * i for i in range(1, w + 1)], e)]
     if kind == "ex3":
-        sizes.append(_bundle_bytes(_certificate_shapes(w), e))
-        sizes.append(2 + e + w * e + _bundle_bytes(_sum_shapes(w), e))
+        sizes.append(_bundle_bytes(plan_shapes(le_committed_plan(w)), e))
+        sizes.append(2 + e + w * e + _bundle_bytes(plan_shapes(sum_plan(0, w)), e))
         sizes.append(coin(1))
     if kind == "ex4":
         sizes.append(coin(w))
-        sizes.append(2 + w * e + _bundle_bytes(_lt_shapes(w), e))
+        sizes.append(2 + w * e + _bundle_bytes(plan_shapes(lt_plan(0, w)), e))
     return max(sizes)
 
 
@@ -790,8 +773,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         w = ev.low if ge else ev.high
         if w >= 1 << width:
             _fail(phase, f"claim impossible: the bound {w} is above the maximal price")
-        positions, targets = (ge_positions, ge_targets) if ge else (le_positions, le_targets)
-        shapes = [(1,) * len(targets(w, width, i)) for i in positions(w, width)]
+        shapes = plan_shapes(bound_plan(w, width, greater=ge))
         claim, bundle = _decode(
             payload, phase, "proof message", lambda r: (r.u8(), read_bundle(r, params, shapes))
         )
@@ -804,7 +786,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         return None
     if ev.form == "sum":
         def read_sum(r):
-            shapes = _sum_shapes(width)
+            shapes = plan_shapes(sum_plan(0, width))  # the same for every total
             claim, total = r.u8(), r.uint()
             return claim, total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
@@ -827,7 +809,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
             _fail(phase, "coin opening does not match the selected commitment")
         return opening.bit
     def read_lt(r):
-        shapes = _lt_shapes(width)
+        shapes = plan_shapes(lt_plan(0, width))  # the same for either verdict
         return r.u8(), read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
     verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
@@ -856,7 +838,7 @@ def verifier(ref: RefString, kind: str, bound: int):
     if kind == "ex3":
         msg = yield
         prefix = _admit(log, msg, TAG_COMMIT_PROOF, "commit-proof")
-        shapes = _certificate_shapes(width)
+        shapes = plan_shapes(le_committed_plan(width))
         bundle = _decode(
             msg.payload, "commit-proof", "certificate", lambda r: read_bundle(r, ref.params, shapes)
         )

@@ -280,18 +280,18 @@ def fiat_shamir_challenge(params: GroupParams, context: bytes) -> int:
     Interprets 2*bit_length(p) hash bits as an integer, reduces mod p, and
     maps 0 to p; the double-width read keeps the bias below 2^-bit_length(p).
     The counter only advances on an all-zero hash read, which never happens
-    in practice.
+    in practice.  Block k of counter c is sha256(context || c || k), each a
+    copy of one pass over the context.
     """
     nbits = 2 * params.p.bit_length()
     nbytes = (nbits + 7) // 8
+    absorbed = hashlib.sha256(context)
     for counter in range(1000):
         out = bytearray()
-        block = 0
-        while len(out) < nbytes:
-            out += hashlib.sha256(
-                context + counter.to_bytes(4, "big") + block.to_bytes(4, "big")
-            ).digest()
-            block += 1
+        for block in range(-(-nbytes // 32)):
+            h = absorbed.copy()
+            h.update(counter.to_bytes(4, "big") + block.to_bytes(4, "big"))
+            out += h.digest()
         t = int.from_bytes(out[:nbytes], "big") >> (8 * nbytes - nbits)
         if t == 0:
             continue

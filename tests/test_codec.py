@@ -156,3 +156,22 @@ class TestDeterminism:
         ref = derive_generators(q23, t.seed)
         outcome = verify_transcript(ref, t)
         assert outcome == Outcome(trade=False, item=None, payment=0, lottery=None)
+
+    def test_seeded_grid_transcripts_are_pinned(self):
+        # every seeded run of scripts/compare_transcripts.py (criterion 1's
+        # grid at q=23, plus three runs per kind and case at 384 bits),
+        # hashed as `--emit` prints it; a refactor must not move one byte
+        import hashlib
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_transcripts.py"
+        spec = importlib.util.spec_from_file_location("compare_transcripts", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        text = "".join(line + "\n" for line in script.emit_lines())
+        assert len(text.splitlines()) == 4717
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "d6eb6c117190312075b8ab74ee65e5e2e89cbf5fac031e3de13c1ab901224a3c"
+        )

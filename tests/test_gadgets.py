@@ -10,15 +10,15 @@ from zkmech.gadgets import (
     _borrow_bits,
     _carry_bits,
     _subtractor_gate,
-    coin_flip,
+    bound_plan,
     coin_openings,
     coin_select,
     complement_commit,
     ge_positions,
-    ge_statement,
     ge_targets,
     le_positions,
     le_targets,
+    plan_statement,
     prove_complement,
     prove_gate,
     prove_ge_public,
@@ -136,7 +136,8 @@ class TestPublicBounds:
         # commits to one challenge; over the whole challenge space exactly
         # one verifies, i.e. per-challenge success is exactly 1/p
         com, ops = commit_int(ref23, 2, 3, rng)  # 2 < 4: no witness for >= 4
-        stmt = ge_statement(ref23, com, 4, 1)
+        ((_, _, rows),) = bound_plan(4, 3, greater=True)  # one proof, at position 1
+        stmt = plan_statement(ref23, (com.bits,), rows)
         planted = 7
         first, resp = cds_simulate(stmt, planted, rng)
         hits = [
@@ -311,9 +312,12 @@ class TestCoinFlip:
                     pairs.append(pair)
                     pair_ops.append(ops)
                     proofs.append(prove_complement(ref23, pair, ops, CTX, rng, idx))
-                coin = coin_flip(ref23, pairs, proofs, y_bits, CTX)
+                # the verifier's path: check every pair, then select by the mask
+                for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
+                    assert verify_complement(ref23, pair, pr, CTX, idx)
+                z_com = coin_select(pairs, y_bits)
                 z_ops = coin_openings(pair_ops, y_bits)
-                assert reveal_int(ref23, coin.z_com, z_ops) == x ^ y
+                assert reveal_int(ref23, z_com, z_ops) == x ^ y
 
     def test_mask_makes_the_coin_uniform(self):
         # for any fixed adversarial x and uniform mask (and vice versa),
@@ -330,11 +334,21 @@ class TestCoinFlip:
                 assert dist == Counter(range(space))
 
     def test_unverified_pairs_rejected(self, ref23, rng):
+        # the verifier checks a coin message's complement proofs before the
+        # mask selects from its pairs: proofs made for other pairs fail there
+        from zkmech.errors import VerificationFailed
+        from zkmech.protocols import Evidence, _check, _coin_pair_payload
+
         pair, ops = complement_commit(ref23, 1, rng)
         other, other_ops = complement_commit(ref23, 1, rng)
         proofs = [prove_complement(ref23, other, other_ops, CTX, rng, 0)]
-        with pytest.raises(RefuseToProve):
-            coin_flip(ref23, [pair], proofs, [0], CTX)
+        price, _ = commit_int(ref23, 0, 1, rng)
+        coin = Evidence("coin", bits=1)
+        with pytest.raises(VerificationFailed) as exc:
+            _check(ref23, coin, _coin_pair_payload([pair], proofs), CTX, [price], None)
+        assert exc.value.phase == "coin"
+        payload = _coin_pair_payload([other], proofs)
+        assert _check(ref23, coin, payload, CTX, [price], None) == [other]
 
 
 class TestStrictComparison:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 
 from zkmech.errors import ExtractionError, ParameterError, ShapeMismatch, StateConsumed
+from zkmech.group import RFC3526_MODP_2048, params_from_modulus
 from zkmech.sigma import (
     CdsStatement,
     CdsWitness,
@@ -306,6 +308,35 @@ class TestFiatShamir:
         bound = 5 * math.sqrt(n * (1 / q23.p) * (1 - 1 / q23.p))
         for c in range(1, q23.p + 1):
             assert abs(counts[c] - expect) < bound
+
+    @staticmethod
+    def rehash_per_block(params, context):
+        """The plain derivation: hash the whole context again for every block."""
+        nbits = 2 * params.p.bit_length()
+        nbytes = (nbits + 7) // 8
+        for counter in range(1000):
+            out = bytearray()
+            block = 0
+            while len(out) < nbytes:
+                out += hashlib.sha256(
+                    context + counter.to_bytes(4, "big") + block.to_bytes(4, "big")
+                ).digest()
+                block += 1
+            t = int.from_bytes(out[:nbytes], "big") >> (8 * nbytes - nbits)
+            if t == 0:
+                continue
+            c = t % params.p
+            return params.p if c == 0 else c
+
+    def test_one_pass_equals_rehash_per_block(self, q23, q384):
+        params_2048 = params_from_modulus(RFC3526_MODP_2048)
+        rng = random.Random("fiat-shamir differential")
+        for params, n in ((q23, 300), (q384, 300), (params_2048, 100)):
+            for _ in range(n):
+                context = rng.randbytes(rng.choice((0, 1, 31, 32, 33, 64, rng.randrange(2000))))
+                assert fiat_shamir_challenge(params, context) == self.rehash_per_block(
+                    params, context
+                )
 
 
 def toy_statements(params):
