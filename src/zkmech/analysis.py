@@ -6,6 +6,11 @@ geometric noise and its privacy ratio report, weighted-welfare transfer
 inversion, exact real-versus-simulated transcript distribution
 comparison for the hiding claim, and a rewinding extraction driver that
 turns inconsistent seller strategies into discrete logarithms.
+
+The hiding check covers ex1, ex1multi and ex2, whose runs are
+commitments, reveals and bound proofs.  It takes the evidence of each run
+from the case rules (`owed_evidence`) and builds the real and the
+simulated world with one loop.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,9 +41,9 @@ from .errors import (
     ParameterError,
     ShapeMismatch,
 )
-from .gadgets import bound_plan, plan_shapes, plan_statement, plan_witness
+from .gadgets import Plan, bound_plan, plan_shapes, plan_statement, plan_witness
 from .group import GroupParams, RefString
-from .protocols import MechanismSpec, owed_evidence, unit_demand_choice, width_of
+from .protocols import MechanismSpec, owed_evidence, width_of
 from .sigma import (
     CdsStatement,
     CdsWitness,
@@ -376,13 +383,6 @@ def _subgroup_elements(params: GroupParams) -> list[int]:
     return sorted({pow(x, 2, params.q) for x in range(1, params.q)})
 
 
-def _proof_space_size(shape: tuple[int, ...], wit_row: int, p: int) -> int:
-    size = p  # the challenge
-    for i, w in enumerate(shape):
-        size *= p**w if i == wit_row else p ** (1 + w)
-    return size
-
-
 def _proof_tuples(stmt: CdsStatement, wit: CdsWitness):
     """Every interactive transcript an honest prover can produce: all
     nonce vectors, all simulated rows, all challenges."""
@@ -390,7 +390,8 @@ def _proof_tuples(stmt: CdsStatement, wit: CdsWitness):
     rows = stmt.rows
     other_rows = [i for i in range(len(rows)) if i != wit.row]
     nonce_space = product(range(1, p + 1), repeat=len(rows[wit.row]))
-    sim_spaces = [product(range(p), repeat=1 + len(rows[i])) for i in other_rows]
+    # Lists, not iterators: every nonce vector walks the whole space again.
+    sim_spaces = [list(product(range(p), repeat=1 + len(rows[i]))) for i in other_rows]
     for nonces in nonce_space:
         for sim_combo in product(*sim_spaces):
             sims = {
@@ -407,167 +408,81 @@ def _proof_tuples(stmt: CdsStatement, wit: CdsWitness):
                 )
 
 
-def _ge_proofs(ref: RefString, com_values: list[int], w: int, bits: list[int], h_logs):
-    """(statement, witness) of each proof of price >= w, as the live prover
-    makes them: the witness is the first target whose claimed bit is 1, with
-    that commitment's log base h.  Keyed by position."""
-    coms = ([BitCommitment(c) for c in com_values],)
-    ops = ([BitOpening(b, r) for b, r in zip(bits, h_logs)],)
+def _plan_proofs(
+    ref: RefString, plan: Plan, coms: Sequence[BitCommitment], ops: Sequence[BitOpening]
+) -> dict[int, tuple[CdsStatement, CdsWitness]]:
+    """(statement, witness) of each proof of `plan` over one committed value,
+    as the live prover makes them, keyed by position."""
     return {
-        i: (plan_statement(ref, coms, rows), plan_witness(rows, ops))
-        for _, i, rows in bound_plan(w, len(com_values), greater=True)
+        i: (plan_statement(ref, (coms,), rows), plan_witness(rows, (ops,)))
+        for _, i, rows in plan
     }
 
 
-class _WorldBuilder:
-    """Accumulates the distribution of one world's full transcripts."""
+def _hiding_worlds(
+    ref_pairs_real, ref_pairs_sim, params, spec, reports, budget
+) -> tuple[Counter, Counter]:
+    """The real and the simulated transcript multisets of one run.
 
-    def __init__(self):
-        self.counter: dict[tuple, int] = {}
+    Both are read off the evidence the case rule owes: each reveal opens a
+    sold item, each ge/le entry is a bound plan over one item's commitment.
+    The worlds differ in two inputs only.  The real world commits to the
+    true prices and opens every bit as drawn.  The simulated world plants
+    h = g^rho, commits to the sold item's true price and to each hidden item
+    at its proven bound, and opens a bit-0 cell of h^r as rho*r.
+    """
+    width = width_of(spec.bound)
+    p = params.p
+    evidence = owed_evidence(spec, list(reports))
+    plans = [
+        None if ev.form == "reveal"
+        else bound_plan(ev.low if ev.form == "ge" else ev.high, width, greater=ev.form == "ge")
+        for ev in evidence
+    ]
+    claimed = [0] * len(spec.prices)
+    for ev in evidence:
+        claimed[ev.item] = {"reveal": spec.prices[ev.item], "ge": ev.low, "le": ev.high}[ev.form]
 
-    def add(self, transcript: tuple, weight: int = 1):
-        self.counter[transcript] = self.counter.get(transcript, 0) + weight
-
-
-def _enumerate_proofs(base: tuple, plans: list[tuple[CdsStatement, CdsWitness]], sink: _WorldBuilder):
-    if not plans:
-        sink.add(base)
-        return
-    spaces = [list(_proof_tuples(stmt, wit)) for stmt, wit in plans]
-    for combo in product(*spaces):
-        sink.add(base + tuple(x for t in combo for x in t))
-
-
-def _check_budget(size: int, budget: int):
+    n_exps = width * len(spec.prices)
+    size = len(ref_pairs_real) * (p - 1) ** n_exps
+    for plan in plans:
+        # a proof's challenge, its witness row's nonces, and each other
+        # row's simulated challenge and responses: p^(rows + cells)
+        for shape in plan_shapes(plan or []):
+            size *= p ** (len(shape) + sum(shape))
     if size > budget:
         raise EnumerationBudget(f"enumeration of {size} transcripts exceeds budget {budget}")
 
+    def world(prices, refs) -> Counter:
+        counter = Counter()
+        bits = [b for s in prices for b in int_bits(s, width)]
+        for g, h, trap in refs:
+            ref = RefString(params=params, seed=b"e", g=g, h=h)
+            for exps in product(range(1, p), repeat=n_exps):
+                # bit 0 commits as g^(trap*r): g^r for real, h^r when simulated
+                flat = [BitOpening(b, r if b else trap * r % p) for b, r in zip(bits, exps)]
+                ops = [flat[k : k + width] for k in range(0, n_exps, width)]
+                coms = [[commit_bit(ref, op.bit, op.r) for op in item] for item in ops]
+                parts = []
+                for ev, plan in zip(evidence, plans):
+                    if plan is None:
+                        opened = (x for op in ops[ev.item] for x in (op.bit, op.r))
+                        parts.append([("reveal", ev.item, *opened)])
+                    else:
+                        proofs = _plan_proofs(ref, plan, coms[ev.item], ops[ev.item])
+                        parts += [list(_proof_tuples(*proof)) for proof in proofs.values()]
+                head = (g, h, *(c.value for item in coms for c in item), *reports)
+                counter.update(head + sum(combo, ()) for combo in product(*parts))
+        return counter
 
-def _hiding_worlds_ex1(
-    ref_pairs_real, ref_pairs_sim, params, spec, v, budget
-) -> tuple[_WorldBuilder, _WorldBuilder]:
-    width = width_of(spec.bound)
-    p = params.p
-    s = spec.prices[0]
-    trade = s <= v
-    real, sim = _WorldBuilder(), _WorldBuilder()
-
-    # real world: honest commitments to s
-    s_bits = int_bits(s, width)
-    size = len(ref_pairs_real) * (p - 1) ** width
-    if not trade:
-        for shape in plan_shapes(bound_plan(v + 1, width, greater=True)):
-            size *= _proof_space_size(shape, 0, p)
-    _check_budget(size, budget)
-    for g, h in ref_pairs_real:
-        ref = RefString(params=params, seed=b"e", g=g, h=h)
-        for r_vec in product(range(1, p), repeat=width):
-            coms = [commit_bit(ref, b, r).value for b, r in zip(s_bits, r_vec)]
-            base = (g, h, *coms, v)
-            if trade:
-                base += ("reveal", *(x for b, r in zip(s_bits, r_vec) for x in (b, r)))
-                real.add(base)
-            else:
-                base += ("no-trade",)
-                _enumerate_proofs(base, _ge_proofs(ref, coms, v + 1, s_bits, r_vec).values(), real)
-
-    # simulated world: equivocal commitments, price chosen after the outcome
-    for g, rho in ref_pairs_sim:
-        h = pow(g, rho, params.q)
-        ref = RefString(params=params, seed=b"e", g=g, h=h)
-        for rp_vec in product(range(1, p), repeat=width):
-            coms = [params.pow_unchecked(h, rp) for rp in rp_vec]
-            base = (g, h, *coms, v)
-            if trade:
-                # open to the true price: bit 1 opens as-is, bit 0 via rho
-                exps = [rp if b == 1 else rho * rp % p for b, rp in zip(s_bits, rp_vec)]
-                base += ("reveal", *(x for b, r in zip(s_bits, exps) for x in (b, r)))
-                sim.add(base)
-            else:
-                base += ("no-trade",)
-                claimed = int_bits(v + 1, width)  # any price above v is consistent
-                _enumerate_proofs(base, _ge_proofs(ref, coms, v + 1, claimed, rp_vec).values(), sim)
+    real = world(spec.prices, [(g, h, 1) for g, h in ref_pairs_real])
+    sim = world(claimed, [(g, pow(g, rho, params.q), rho) for g, rho in ref_pairs_sim])
     return real, sim
 
 
-def ex2_lower_bounds(spec: MechanismSpec, values: list[int]) -> list[tuple[int, int]]:
-    """(item, bound) of each lower-bound proof an honest ex2 run carries,
-    taken from the ex2 case rule."""
-    return [(ev.item, ev.low) for ev in owed_evidence(spec, list(values)) if ev.form == "ge"]
-
-
-def _hiding_worlds_ex2(
-    ref_pairs_real, ref_pairs_sim, params, spec, values, budget
-) -> tuple[_WorldBuilder, _WorldBuilder]:
-    width = width_of(spec.bound)
-    p = params.p
-    prices = spec.prices
-    chosen = unit_demand_choice(prices, list(values))
-    lower = ex2_lower_bounds(spec, values)
-    real, sim = _WorldBuilder(), _WorldBuilder()
-
-    size = len(ref_pairs_real) * (p - 1) ** (2 * width)
-    for _, w in lower:
-        for shape in plan_shapes(bound_plan(w, width, greater=True)):
-            size *= _proof_space_size(shape, 0, p)
-    _check_budget(size, budget)
-
-    for g, h in ref_pairs_real:
-        ref = RefString(params=params, seed=b"e", g=g, h=h)
-        all_bits = [int_bits(prices[0], width), int_bits(prices[1], width)]
-        for r_all in product(range(1, p), repeat=2 * width):
-            r_vecs = [r_all[:width], r_all[width:]]
-            com_vecs = [
-                [commit_bit(ref, b, r).value for b, r in zip(bits, rv)]
-                for bits, rv in zip(all_bits, r_vecs)
-            ]
-            base = (g, h, *com_vecs[0], *com_vecs[1], *values)
-            plans = []
-            if chosen is None:
-                base += ("no-trade",)
-            else:
-                base += (
-                    "sold",
-                    chosen,
-                    *(x for b, r in zip(all_bits[chosen], r_vecs[chosen]) for x in (b, r)),
-                )
-            for item, w in lower:
-                plans += _ge_proofs(ref, com_vecs[item], w, all_bits[item], r_vecs[item]).values()
-            _enumerate_proofs(base, plans, real)
-
-    for g, rho in ref_pairs_sim:
-        h = pow(g, rho, params.q)
-        ref = RefString(params=params, seed=b"e", g=g, h=h)
-        # post-hoc consistent prices: the sold item's true price is public,
-        # hidden items sit exactly at their proven bounds
-        claimed = [0, 0]
-        if chosen is not None:
-            claimed[chosen] = prices[chosen]
-        for item, w in lower:
-            claimed[item] = w
-        claimed_bits = [int_bits(cp, width) for cp in claimed]
-        for rp_all in product(range(1, p), repeat=2 * width):
-            rp_vecs = [rp_all[:width], rp_all[width:]]
-            com_vecs = [[params.pow_unchecked(h, rp) for rp in rv] for rv in rp_vecs]
-            base = (g, h, *com_vecs[0], *com_vecs[1], *values)
-            plans = []
-            if chosen is None:
-                base += ("no-trade",)
-            else:
-                exps = [
-                    rp if b == 1 else rho * rp % p
-                    for b, rp in zip(claimed_bits[chosen], rp_vecs[chosen])
-                ]
-                base += (
-                    "sold",
-                    chosen,
-                    *(x for b, r in zip(claimed_bits[chosen], exps) for x in (b, r)),
-                )
-            for item, w in lower:
-                proofs = _ge_proofs(ref, com_vecs[item], w, claimed_bits[item], rp_vecs[item])
-                plans += proofs.values()
-            _enumerate_proofs(base, plans, sim)
-    return real, sim
+# The kinds whose whole run is commitments, reveals and bound proofs: ex3
+# also certifies s1 <= s2 at commit time, and ex3 and ex4 flip coins.
+_HIDING_KINDS = ("ex1", "ex1multi", "ex2")
 
 
 def transcript_distribution_equality(
@@ -582,23 +497,17 @@ def transcript_distribution_equality(
     The real world enumerates all generator pairs, commitment randomness,
     prover nonces, and challenges; the simulated world plants h = g^rho,
     commits equivocally, and picks a consistent mechanism only after the
-    outcome is known.  Equality is exact or the claim fails.
+    outcome is known.  Equality is exact or the claim fails.  Covers the
+    kinds whose whole run is commitments, reveals and bound proofs.
     """
+    if kind != spec.kind or kind not in _HIDING_KINDS:
+        raise ParameterError(f"distribution comparison not implemented for {kind!r}")
     members = _subgroup_elements(params)
     nonid = [x for x in members if x != 1]
     ref_pairs_real = [(g, h) for g in nonid for h in nonid if g != h]
     ref_pairs_sim = [(g, rho) for g in nonid for rho in range(2, params.p)]
-    if kind == "ex1":
-        real, sim = _hiding_worlds_ex1(
-            ref_pairs_real, ref_pairs_sim, params, spec, reports[0], budget
-        )
-    elif kind == "ex2":
-        real, sim = _hiding_worlds_ex2(
-            ref_pairs_real, ref_pairs_sim, params, spec, list(reports), budget
-        )
-    else:
-        raise ParameterError(f"distribution comparison not implemented for {kind!r}")
-    return real.counter == sim.counter
+    real, sim = _hiding_worlds(ref_pairs_real, ref_pairs_sim, params, spec, reports, budget)
+    return real == sim
 
 
 # Configurations exercised by the acceptance suite: one revealing run, two
@@ -706,8 +615,7 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
 
 def _ge_claim(ref: RefString, com, w: int, openings: list[BitOpening], rng) -> ClaimAction:
     """Claim price >= w with the live prover's statements and witness rows."""
-    bits, logs = [op.bit for op in openings], [op.r for op in openings]
-    proofs = _ge_proofs(ref, [c.value for c in com.bits], w, bits, logs)
+    proofs = _plan_proofs(ref, bound_plan(w, com.width, greater=True), com.bits, openings)
     return ClaimAction(bound=w, prover_for=lambda i: ReplayableProver(*proofs[i], rng))
 
 

@@ -164,11 +164,6 @@ class GroupParams:
         self.require_member(base)
         return pow(base, e % self.p, self.q)
 
-    def mul(self, a: int, b: int) -> int:
-        self.require_member(a)
-        self.require_member(b)
-        return a * b % self.q
-
     def exp_inv(self, e: int) -> int:
         """Inverse of e modulo p.  Errors when e = 0 (mod p)."""
         if e % self.p == 0:
@@ -184,11 +179,6 @@ class GroupParams:
         commitment into the identity, which opens as both bits.
         """
         return rng.randrange(1, self.p)
-
-    def elem_sample(self, rng: random.Random) -> int:
-        """Uniform element of the subgroup excluding the identity."""
-        # 4 = 2^2 is a square != 1 for every q >= 7, hence a generator.
-        return pow(4, self.exp_sample(rng), self.q)
 
     # Internal fast path: skips the membership re-check.  Callers must have
     # validated the base at an object boundary first.

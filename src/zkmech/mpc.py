@@ -106,7 +106,7 @@ def mpc_seller_commit(
 
 
 def verify_indicator(ref: RefString, ic: IndicatorCommitment) -> bool:
-    if not ic.coms:
+    if not 1 <= len(ic.coms) <= MAX_PRICE_SLOTS:  # the statement has H^2 cells
         return False
     for com in ic.coms:
         if com.value == 1 or not ref.params.is_member(com.value):  # no bit commits to 1

@@ -55,13 +55,13 @@ from .codec import (
     seed_frame,
 )
 from .commitments import (
-    BitCommitment,
     BitOpening,
     IntCommitment,
     commit_int,
     encode_int_commitment,
     encode_opening,
     int_bits,
+    read_bit_commitment,
     read_int_commitment,
     read_opening,
     reveal_int,
@@ -273,8 +273,10 @@ def _parse_coin_pairs(
         got = r.u8()
         if got != count:
             _fail(phase, f"coin message carries {got} pairs, expected {count}")
+        q = ref.params.q
         pairs = [
-            ComplementPair(BitCommitment(r.uint()), BitCommitment(r.uint())) for _ in range(count)
+            ComplementPair(read_bit_commitment(r, q), read_bit_commitment(r, q))
+            for _ in range(count)
         ]
         return pairs, [[read_sized(r) for _ in range(2)] for _ in range(count)]
 

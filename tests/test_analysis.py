@@ -14,7 +14,6 @@ from zkmech.analysis import (
     TruncatedGeometric,
     check_dsic_ir,
     commitment_attack_driver,
-    ex2_lower_bounds,
     ex3_ic_lemma_check,
     expected_utility,
     geometric_noise,
@@ -33,7 +32,7 @@ from zkmech.errors import (
 )
 from zkmech.codec import TAG_EVAL_PROOF, Reader
 from zkmech.group import RefString, params_from_modulus
-from zkmech.protocols import CLAIM_GE0, CLAIM_GE1, MechanismSpec, run_local
+from zkmech.protocols import CLAIM_GE0, CLAIM_GE1, MechanismSpec, owed_evidence, run_local
 
 
 def independent_incentive_scan(m: FiniteMechanism):
@@ -208,6 +207,20 @@ def bundle_positions(r: Reader) -> list[int]:
     return positions
 
 
+def lower_bounds(spec: MechanismSpec, values: list[int]) -> list[tuple[int, int]]:
+    """(item, bound) of each lower-bound proof the case rule owes."""
+    return [(ev.item, ev.low) for ev in owed_evidence(spec, values) if ev.form == "ge"]
+
+
+def hiding_refs(params):
+    from zkmech.analysis import _subgroup_elements
+
+    nonid = [x for x in _subgroup_elements(params) if x != 1]
+    pairs = [(g, h) for g in nonid for h in nonid if g != h]
+    sims = [(g, rho) for g in nonid for rho in range(2, params.p)]
+    return pairs, sims
+
+
 class TestHidingEquality:
     @pytest.mark.parametrize("config", SHIPPED_HIDING_CONFIGS, ids=lambda c: f"{c[0]}-{c[2].prices}-{c[3]}")
     def test_shipped_configurations_are_exactly_hiding(self, config):
@@ -218,7 +231,7 @@ class TestHidingEquality:
         # Reports (0, 0) on prices (1, 0) sell item 1; the tie rule makes
         # the seller prove s0 >= 1, which the planned worlds must include.
         spec = MechanismSpec("ex2", 2, (1, 0))
-        assert ex2_lower_bounds(spec, [0, 0]) == [(0, 1)]
+        assert lower_bounds(spec, [0, 0]) == [(0, 1)]
         assert transcript_distribution_equality("ex2", params_from_modulus(7), spec, [0, 0])
 
     @pytest.mark.parametrize("bound", [2, 4])
@@ -234,7 +247,7 @@ class TestHidingEquality:
                     # one proof per 1-bit of the bound, at its position (MSB is 1)
                     positions = bundle_positions(Reader(msg.payload, 1))
                     sent.append((item, sum(1 << (width - i) for i in positions)))
-            assert ex2_lower_bounds(spec, [v0, v1]) == sent, (s0, s1, v0, v1)
+            assert lower_bounds(spec, [v0, v1]) == sent, (s0, s1, v0, v1)
 
     def test_budget_guard(self):
         kind, q, spec, reports = SHIPPED_HIDING_CONFIGS[0]
@@ -247,17 +260,56 @@ class TestHidingEquality:
         # negative control: the transcript tuples are sensitive -- the
         # revealing and the hidden-price branches produce disjoint
         # distributions, so a simulator for the wrong branch would fail
-        from zkmech.analysis import _hiding_worlds_ex1, _subgroup_elements
+        from zkmech.analysis import _hiding_worlds
 
         params = params_from_modulus(7)
-        nonid = [x for x in _subgroup_elements(params) if x != 1]
-        pairs = [(g, h) for g in nonid for h in nonid if g != h]
-        sims = [(g, rho) for g in nonid for rho in range(2, params.p)]
+        pairs, sims = hiding_refs(params)
         spec = MechanismSpec("ex1", 2, (1,))
-        real_hidden, _ = _hiding_worlds_ex1(pairs, sims, params, spec, 0, 10**6)
-        real_reveal, _ = _hiding_worlds_ex1(pairs, sims, params, spec, 1, 10**6)
-        assert real_hidden.counter
-        assert not set(real_hidden.counter) & set(real_reveal.counter)
+        real_hidden, _ = _hiding_worlds(pairs, sims, params, spec, [0], 10**6)
+        real_reveal, _ = _hiding_worlds(pairs, sims, params, spec, [1], 10**6)
+        assert real_hidden
+        assert not set(real_hidden) & set(real_reveal)
+
+    def test_real_world_enumerates_the_whole_budgeted_space(self):
+        # ex1 price 2, report 0 at H=4: one ge proof with two one-cell rows,
+        # so every real-row nonce must be paired with every simulated row
+        from zkmech.analysis import _hiding_worlds
+
+        params = params_from_modulus(7)
+        pairs, sims = hiding_refs(params)
+        spec = MechanismSpec("ex1", 4, (2,))
+        real, sim = _hiding_worlds(pairs, sims, params, spec, [0], 648)
+        assert sum(real.values()) == sum(sim.values()) == 648
+        with pytest.raises(EnumerationBudget):
+            _hiding_worlds(pairs, sims, params, spec, [0], 647)
+
+    @pytest.mark.parametrize("kind,bound,n_buyers", [("ex1", 4, 1), ("ex1multi", 4, 2), ("ex2", 2, 1)])
+    def test_every_small_configuration_is_hiding(self, kind, bound, n_buyers):
+        params = params_from_modulus(7)
+        n_prices = 2 if kind == "ex2" else 1
+        n_reports = 2 if kind == "ex2" else n_buyers
+        for prices in product(range(bound), repeat=n_prices):
+            spec = MechanismSpec(kind, bound, prices, n_buyers=n_buyers)
+            for reports in product(range(bound), repeat=n_reports):
+                assert transcript_distribution_equality(kind, params, spec, list(reports)), (
+                    prices,
+                    reports,
+                )
+
+    @pytest.mark.parametrize("prices,reports", [((3, 0), [0, 0]), ((0, 3), [0, 1])])
+    def test_ex2_width_two_bounds_are_hiding(self, prices, reports):
+        # the ge proofs here have two-row statements whose real and
+        # simulated witness rows differ
+        spec = MechanismSpec("ex2", 4, prices)
+        assert transcript_distribution_equality("ex2", params_from_modulus(7), spec, reports)
+
+    def test_unsupported_kinds_are_refused(self):
+        params = params_from_modulus(7)
+        with pytest.raises(ParameterError):
+            transcript_distribution_equality("ex2", params, MechanismSpec("ex1", 2, (1,)), [0])
+        for spec in (MechanismSpec("ex3", 2, (0, 1)), MechanismSpec("ex4", 2, (1,))):
+            with pytest.raises(ParameterError):
+                transcript_distribution_equality(spec.kind, params, spec, [0])
 
 
 class TestAttackDriver:

@@ -79,6 +79,25 @@ def test_protocol_boundary_rejects_a_non_member(request, group, site):
 
 
 @pytest.mark.parametrize("group", GROUPS)
+def test_coin_pair_rejects_the_identity_as_malformed(request, group):
+    ref = request.getfixturevalue(group)
+    kind, prices, reports, pick, offset = SITES["coin pair"]
+    _, transcript = run_local(
+        ref, MechanismSpec(kind, 8, prices), reports, random.Random(1), random.Random(2)
+    )
+    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
+    msg = transcript.messages[i]
+    at = offset(msg.payload)
+    rest = Reader(msg.payload, at)
+    rest.uint()
+    bad = replace(msg, payload=msg.payload[:at] + encode_uint(1) + msg.payload[rest.off :])
+    messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
+    with pytest.raises(VerificationFailed, match="malformed") as exc:
+        verify_transcript(ref, replace(transcript, messages=messages))
+    assert exc.value.phase == "coin"
+
+
+@pytest.mark.parametrize("group", GROUPS)
 @pytest.mark.parametrize("substitute", ["non-member", "identity"])
 def test_mpc_indicator_rejects_a_bad_element(request, group, substitute):
     ref = request.getfixturevalue(group)

@@ -3,7 +3,6 @@ import random
 import sys
 import threading
 from collections import OrderedDict
-from itertools import product
 
 import pytest
 
@@ -99,14 +98,11 @@ class TestMembership:
 class TestOperations:
     def test_examples(self, q7):
         assert q7.pow(2, 3) == 1
-        assert q7.mul(2, 4) == 1
         assert q7.exp_inv(2) == 2  # 2*2 = 4 = 1 (mod 3)
 
     def test_exhaustive_toy_group_laws(self, q7, q23):
         for params in (q7, q23):
             members = subgroup(params)
-            for a, b in product(members, repeat=2):
-                assert params.mul(a, b) in members
             for a in members:
                 assert params.pow(a, params.p) == 1
                 for e in range(0, 2 * params.p + 2):
@@ -115,8 +111,6 @@ class TestOperations:
     def test_non_member_operand_raises(self, q7):
         with pytest.raises(NonMemberError):
             q7.pow(3, 2)
-        with pytest.raises(NonMemberError):
-            q7.mul(2, 5)
 
     def test_zero_exponent_inverse_raises(self, q7):
         with pytest.raises(ParameterError):
@@ -136,12 +130,6 @@ class TestOperations:
         bound = 5 * math.sqrt(n * (1 / (q23.p - 1)) * (1 - 1 / (q23.p - 1)))
         for c in counts:
             assert abs(c - expect) < bound
-
-    def test_elem_sample_never_identity(self, q23, rng):
-        members = set(subgroup(q23)) - {1}
-        seen = {q23.elem_sample(rng) for _ in range(500)}
-        assert seen <= members
-        assert len(seen) == len(members)
 
 
 class TestDeriveGenerators:

@@ -6,6 +6,7 @@ import pytest
 from zkmech.commitments import BitOpening, commit_bit, verify_opening
 from zkmech.errors import ParameterError, VerificationFailed
 from zkmech.mpc import (
+    MAX_PRICE_SLOTS,
     IndicatorCommitment,
     decode_final,
     decode_indicator,
@@ -53,6 +54,15 @@ class TestIndicatorCommitment:
     def test_slot_bound_enforced(self, ref23, rng):
         with pytest.raises(ParameterError):
             mpc_seller_commit(ref23, 0, 128, rng)
+
+    def test_buyer_refuses_more_slots_than_the_bound(self, ref23, rng):
+        # the statement has H^2 cells, so the buyer caps H before building it
+        ic, _ = mpc_seller_commit(ref23, 3, MAX_PRICE_SLOTS, rng)
+        assert verify_indicator(ref23, ic)
+        wide, _ = mpc_seller_commit(ref23, 3, 65, rng, max_slots=65)
+        assert not verify_indicator(ref23, wide)
+        with pytest.raises(VerificationFailed):
+            mpc_buyer_respond(ref23, wide, 3, rng)
 
     def test_bad_proof_aborts_buyer(self, ref23, rng):
         ic, _ = mpc_seller_commit(ref23, 1, 4, rng)
