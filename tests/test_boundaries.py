@@ -32,12 +32,11 @@ from zkmech.protocols import CLAIM_SUM, MechanismSpec, run_local, verify_transcr
 GROUPS = ["ref23", "ref384"]
 
 
-def negate_uint(payload: bytes, offset: int, q: int) -> bytes:
-    """The payload with the integer encoded at `offset` replaced by q - x."""
+def substitute_uint(payload: bytes, offset: int, new) -> bytes:
+    """The payload with the integer x encoded at `offset` replaced by new(x)."""
     r = Reader(payload, offset)
     x = r.uint()
-    assert 2 <= x <= q - 2
-    return payload[:offset] + encode_uint(q - x) + payload[r.off :]
+    return payload[:offset] + encode_uint(new(x)) + payload[r.off :]
 
 
 def sum_carry_offset(payload: bytes) -> int:
@@ -61,10 +60,9 @@ SITES = {
 }
 
 
-@pytest.mark.parametrize("group", GROUPS)
-@pytest.mark.parametrize("site", sorted(SITES))
-def test_protocol_boundary_rejects_a_non_member(request, group, site):
-    ref = request.getfixturevalue(group)
+def tampered_run(ref, site: str, new):
+    """An honest, verified run of `site`'s kind whose first element at that
+    site is replaced by new(x)."""
     kind, prices, reports, pick, offset = SITES[site]
     _, transcript = run_local(
         ref, MechanismSpec(kind, 8, prices), reports, random.Random(1), random.Random(2)
@@ -72,28 +70,30 @@ def test_protocol_boundary_rejects_a_non_member(request, group, site):
     assert verify_transcript(ref, transcript)
     i = next(i for i, m in enumerate(transcript.messages) if pick(m))
     msg = transcript.messages[i]
-    bad = replace(msg, payload=negate_uint(msg.payload, offset(msg.payload), ref.params.q))
+    bad = replace(msg, payload=substitute_uint(msg.payload, offset(msg.payload), new))
     messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
+    return replace(transcript, messages=messages)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_protocol_boundary_rejects_a_non_member(request, group, site):
+    ref = request.getfixturevalue(group)
+    q = ref.params.q
+
+    def negate(x):
+        assert 2 <= x <= q - 2
+        return q - x
+
     with pytest.raises(VerificationFailed, match="outside the subgroup"):
-        verify_transcript(ref, replace(transcript, messages=messages))
+        verify_transcript(ref, tampered_run(ref, site, negate))
 
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_coin_pair_rejects_the_identity_as_malformed(request, group):
     ref = request.getfixturevalue(group)
-    kind, prices, reports, pick, offset = SITES["coin pair"]
-    _, transcript = run_local(
-        ref, MechanismSpec(kind, 8, prices), reports, random.Random(1), random.Random(2)
-    )
-    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
-    msg = transcript.messages[i]
-    at = offset(msg.payload)
-    rest = Reader(msg.payload, at)
-    rest.uint()
-    bad = replace(msg, payload=msg.payload[:at] + encode_uint(1) + msg.payload[rest.off :])
-    messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
     with pytest.raises(VerificationFailed, match="malformed") as exc:
-        verify_transcript(ref, replace(transcript, messages=messages))
+        verify_transcript(ref, tampered_run(ref, "coin pair", lambda x: 1))
     assert exc.value.phase == "coin"
 
 
