@@ -15,6 +15,7 @@ import hashlib
 import random
 import socket
 import sys
+from itertools import count
 
 from . import analysis
 from .codec import (
@@ -22,9 +23,11 @@ from .codec import (
     TAG_COMMIT,
     TAG_COMMIT_PROOF,
     TAG_OUTCOME,
+    TAG_SEED,
     Transcript,
+    frame_line,
     transcript_dumps,
-    transcript_loads,
+    transcript_header,
 )
 from .errors import CodecError, VerificationFailed, ZkmechError
 from .group import (
@@ -37,13 +40,15 @@ from .group import (
     save_params_file,
 )
 from .protocols import (
+    KINDS,
     BuyerSession,
     MechanismSpec,
     Outcome,
     SellerSession,
     max_frame_bytes,
+    max_messages,
+    replay,
     run_local,
-    verify_transcript,
 )
 
 TOY_Q = 23  # default desk-scale group
@@ -110,6 +115,7 @@ def _spec_from_args(args) -> MechanismSpec:
 # Seconds a connected peer may stay silent: the seller waits this long for
 # the report while an interactive buyer answers its prompt.
 PEER_TIMEOUT_S = 600.0
+FRAME_HEADER = 5  # a frame's tag byte and four length bytes
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -127,7 +133,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def _recv_message(sock: socket.socket, cap: int) -> Message:
     """One frame; a length header above `cap` fails before any payload is read."""
-    header = _recv_exact(sock, 5)
+    header = _recv_exact(sock, FRAME_HEADER)
     length = int.from_bytes(header[1:], "big")
     if length > cap:
         raise VerificationFailed("peer", f"frame of {length} bytes exceeds the {cap}-byte cap")
@@ -284,13 +290,60 @@ def _cmd_buyer(args) -> int:
     return 0
 
 
+# A transcript's first line: "zkmech/1", a kind and "H=" with at most 2^16.
+HEADER_CAP = 64
+
+
+def _read_transcript(fh, q_bits: int):
+    """(kind, bound, seed, messages) of the transcript file `fh`, opened in
+    binary mode.  Lines are read one at a time, each capped at the kind's
+    longest frame in hex, and at most the header, the seed line and the
+    kind's longest run; `messages` reads them as the verifier asks, so a
+    file stops being read at its first bad message."""
+    header = fh.readline(HEADER_CAP + 1)
+    if len(header) > HEADER_CAP:
+        raise CodecError(f"header longer than {HEADER_CAP} bytes", line=1)
+    kind, bound = transcript_header(_ascii(header, 1).rstrip("\r\n"))
+    if kind not in KINDS:
+        raise CodecError(f"unknown protocol kind {kind!r}", line=1)
+    if not 2 <= bound <= MAX_BOUND:
+        raise CodecError(f"H={bound} outside 2..{MAX_BOUND}", line=1)
+    cap = 2 * (FRAME_HEADER + max_frame_bytes(kind, bound, q_bits)) + 2  # hex, CR LF
+    most = 2 + max_messages(kind)  # the header, the seed and the messages
+
+    def frames():
+        for lineno in count(2):
+            line = fh.readline(cap + 1)
+            if not line:
+                return
+            if lineno > most:
+                raise CodecError(f"more than {most} lines for {kind}", line=lineno)
+            if len(line) > cap:
+                raise CodecError(f"line longer than {cap} bytes", line=lineno)
+            msg = frame_line(_ascii(line, lineno), lineno)
+            if msg is not None:
+                yield lineno, msg
+
+    lines = frames()
+    lineno, seed = next(lines, (2, None))
+    if seed is None or seed.tag != TAG_SEED:
+        raise CodecError("the first frame must carry the seed", line=lineno)
+    return kind, bound, seed.payload, (msg for _, msg in lines)
+
+
+def _ascii(line: bytes, lineno: int) -> str:
+    try:
+        return line.decode("ascii")
+    except UnicodeDecodeError:
+        raise CodecError("non-ASCII bytes", line=lineno) from None
+
+
 def _cmd_verify(args) -> int:
     params, _ = _resolve_group(args)
     try:
-        with open(args.transcript, "r", encoding="ascii") as fh:
-            transcript = transcript_loads(fh.read())
-        ref = derive_generators(params, transcript.seed)
-        outcome = verify_transcript(ref, transcript)
+        with open(args.transcript, "rb") as fh:
+            kind, bound, seed, messages = _read_transcript(fh, params.bit_length)
+            outcome = replay(derive_generators(params, seed), kind, bound, messages)
     except (CodecError, VerificationFailed, ZkmechError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

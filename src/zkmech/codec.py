@@ -156,32 +156,43 @@ def transcript_dumps(t: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def transcript_header(line: str) -> tuple[str, int]:
+    """The kind and the bound H named by a transcript's first line."""
+    header = line.split(" ")
+    if len(header) != 3 or header[0] != TRANSCRIPT_MAGIC or not header[2].startswith("H="):
+        raise CodecError(f"bad header {line!r}", line=1)
+    try:
+        return header[1], int(header[2][2:])
+    except ValueError:
+        raise CodecError("bad H= field", line=1) from None
+
+
+def frame_line(line: str, lineno: int) -> Message | None:
+    """The frame one line of a transcript carries in hex; None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        raw = bytes.fromhex(line)
+    except ValueError:
+        raise CodecError("invalid hex", line=lineno) from None
+    try:
+        return decode_single_frame(raw)
+    except CodecError as exc:
+        raise CodecError(f"bad frame: {exc}", line=lineno) from None
+
+
 def transcript_loads(text: str) -> Transcript:
     lines = text.splitlines()
     if not lines:
         raise CodecError("empty transcript", line=1)
-    header = lines[0].split(" ")
-    if len(header) != 3 or header[0] != TRANSCRIPT_MAGIC or not header[2].startswith("H="):
-        raise CodecError(f"bad header {lines[0]!r}", line=1)
-    kind = header[1]
-    try:
-        bound = int(header[2][2:])
-    except ValueError:
-        raise CodecError("bad H= field", line=1) from None
+    kind, bound = transcript_header(lines[0])
     messages: list[Message] = []
     seed = None
     for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
+        msg = frame_line(line, lineno)
+        if msg is None:
             continue
-        try:
-            raw = bytes.fromhex(line)
-        except ValueError:
-            raise CodecError("invalid hex", line=lineno) from None
-        try:
-            msg = decode_single_frame(raw)
-        except CodecError as exc:
-            raise CodecError(f"bad frame: {exc}", line=lineno) from None
         if seed is None:
             if msg.tag != TAG_SEED:
                 raise CodecError("first frame must carry the seed", line=lineno)

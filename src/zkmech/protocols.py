@@ -33,7 +33,9 @@ Supported kinds:
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .codec import (
@@ -745,6 +747,22 @@ def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
     return max(sizes)
 
 
+# The evidence messages of each kind's longest case, its coin mask included:
+# ex2 proves both items above the reports, ex3's lottery sends a reveal, a
+# bound proof, the coin, the mask and the opened coin, and ex4's sale a
+# bound proof, the coin, the mask and the comparison.
+_LONGEST_EVIDENCE = {"ex1": 1, "ex1multi": 1, "ex2": 2, "ex3": 5, "ex4": 4}
+
+
+def max_messages(kind: str) -> int:
+    """The most messages one run of `kind` carries: the commitment (and
+    ex3's certificate), the reports (ex1multi sends one per bidder, and a
+    report's u16 index allows 65,536), the longest case's evidence and the
+    outcome."""
+    reports = 1 << 16 if kind == "ex1multi" else 1
+    return 1 + (kind == "ex3") + reports + _LONGEST_EVIDENCE[kind] + 1
+
+
 def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
     """Check that `msg` is there and carries `tag`; log it and return the
     prefix its proofs bind."""
@@ -788,8 +806,10 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         return None
     if ev.form == "sum":
         def read_sum(r):
-            shapes = plan_shapes(sum_plan(0, width))  # the same for every total
             claim, total = r.u8(), r.uint()
+            if not 0 <= total < 1 << (width + 1):
+                _fail(phase, f"announced total {total} out of range")
+            shapes = plan_shapes(sum_plan(total, width))
             return claim, total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
         claim, total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum)
@@ -811,12 +831,13 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
             _fail(phase, "coin opening does not match the selected commitment")
         return opening.bit
     def read_lt(r):
-        shapes = plan_shapes(lt_plan(0, width))  # the same for either verdict
-        return r.u8(), read_int_commitment(r, params.q), read_bundle(r, params, shapes)
+        verdict = r.u8()
+        if verdict not in (0, 1):
+            _fail(phase, f"bad verdict byte {verdict}")
+        shapes = plan_shapes(lt_plan(verdict, width))
+        return verdict, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
     verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
-    if verdict not in (0, 1):
-        _fail(phase, f"bad verdict byte {verdict}")
     _require_members(ref, borrow_com, phase, "borrow commitment")
     if not verify_lt_committed(ref, coin, com, verdict, borrow_com, bundle, prefix):
         _fail(phase, "comparison proof does not verify")
@@ -992,12 +1013,13 @@ class BuyerSession:
 # -- transcript verification ---------------------------------------------------
 
 
-def replay(ref: RefString, kind: str, bound: int, messages: list[Message]) -> Outcome:
-    """Run the verifier over a complete message log."""
+def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -> Outcome:
+    """Run the verifier over a complete message log, taking one message at
+    a time, so a log read lazily stops being read at its first bad message."""
     if kind not in _RULES:
         _fail("params", f"unknown protocol kind {kind!r}")
     check = verifier(ref, kind, bound)
-    for msg in (None, *messages, None):  # prime, the log, its end
+    for msg in chain((None,), messages, (None,)):  # prime, the log, its end
         outcome = _feed(check, msg)
     return outcome
 

@@ -10,12 +10,25 @@ is kx1, and the general matrix covers gate proofs.
 Row widths may differ because each row is simulated and verified
 independently; soundness and witness indistinguishability are per-row
 arguments and do not care about the other rows' widths.
+
+Verification.  `cds_verify` is the reference: it checks each cell's
+equation base^gamma = alpha * target^beta_i on its own, two powers per
+cell.  `ni_verify_all`, which every proof bundle goes through, checks a
+list of proofs.  Once p has BATCH_BITS bits or more it tests all their
+cells as one small-exponent batch (Bellare-Garay-Rabin): one hashed
+128-bit weight per cell, table powers of the bases on one side, and one
+`GroupParams.multi_pow` over the alphas and the distinct targets on the
+other, after a Jacobi-symbol membership test of every alpha.  A weight only
+matters mod p, so in a toy group a false cell would pass the batch about
+one time in p (one in 11 at q = 23); there every cell is checked on its
+own, as `cds_verify` does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .codec import Reader, encode_u16, encode_uint
@@ -27,6 +40,12 @@ from .errors import (
     StateConsumed,
 )
 from .group import GroupParams
+
+# From this many bits of p up, `ni_verify_all` checks the cell equations of
+# its proofs as one batch with WEIGHT_BITS-bit weights.
+BATCH_BITS = 256
+WEIGHT_BITS = 128
+_BATCH_TAG = b"zkmech/batch-weights"
 
 
 @dataclass(frozen=True)
@@ -188,7 +207,10 @@ def cds_respond(state: ProverState, beta: int) -> SigmaResponse:
     return _build_response(state.stmt, state.wit, state.nonces, state.sims, beta)
 
 
-def cds_verify(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResponse) -> bool:
+def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResponse) -> bool:
+    """The checks that come before the cell equations: shape (raises
+    ShapeMismatch), challenge range (raises ParameterError), the range of
+    every alpha, beta and gamma, and the betas summing to the challenge."""
     params = stmt.params
     shape = stmt.shape
     if tuple(len(r) for r in first.alphas) != shape or tuple(
@@ -204,8 +226,15 @@ def cds_verify(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResp
         return False
     if any(not 1 <= a <= q - 1 for row in first.alphas for a in row):
         return False
-    if sum(resp.betas) % p != beta % p:
+    return sum(resp.betas) % p == beta % p
+
+
+def cds_verify(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResponse) -> bool:
+    """The reference verifier: every cell's equation base^gamma = alpha *
+    target^beta_i, one cell at a time."""
+    if not _well_formed(stmt, first, beta, resp):
         return False
+    params, q = stmt.params, stmt.params.q
     for row, alpha_row, beta_i, gamma_row in zip(stmt.rows, first.alphas, resp.betas, resp.gammas):
         for (base, target), alpha, gamma in zip(row, alpha_row, gamma_row):
             if params.pow_unchecked(base, gamma) != alpha * params.pow_unchecked(target, beta_i) % q:
@@ -313,16 +342,95 @@ def ni_prove(stmt: CdsStatement, wit: CdsWitness, context: bytes, rng: random.Ra
 
 
 def ni_verify(stmt: CdsStatement, proof: NiProof, context: bytes) -> bool:
-    """Recompute the challenge from the context; a context mismatch is just
-    a verification failure, never an oracle."""
-    if hashlib.sha256(context).digest() != proof.context_digest:
+    """One proof, through `ni_verify_all`."""
+    return ni_verify_all([(stmt, proof, context)])
+
+
+def ni_verify_all(items: Sequence[tuple[CdsStatement, NiProof, bytes]]) -> bool:
+    """True iff every (statement, proof, context) verifies; the statements
+    must share one group.
+
+    Each proof's challenge is recomputed from its context, so a context
+    mismatch is just a verification failure, never an oracle.  Then, in
+    order, each proof's shape, ranges and challenge sum are checked.  In a
+    group whose p has BATCH_BITS bits or more, the cell equations of all
+    the proofs are checked at once (`_batch_holds`); below it, one cell at
+    a time through `cds_verify`.
+    """
+    if not items:
+        return True
+    params = items[0][0].params
+    batch = params.p.bit_length() >= BATCH_BITS
+    encoded = []  # each proof's bytes, which the batch weights are drawn from
+    for stmt, proof, context in items:
+        if stmt.params != params:
+            raise ParameterError("a batch of proofs must share one group")
+        if hashlib.sha256(context).digest() != proof.context_digest:
+            return False
+        first = encode_first(proof.first)
+        if fiat_shamir_challenge(params, context + first) != proof.challenge:
+            return False
+        check = _well_formed if batch else cds_verify
+        try:
+            if not check(stmt, proof.first, proof.challenge, proof.response):
+                return False
+        except (ShapeMismatch, ParameterError):
+            return False
+        if batch:
+            encoded.append(first + _encode_response(proof))
+    return not batch or _batch_holds(params, items, b"".join(encoded))
+
+
+def _batch_weights(proof_bytes: bytes, count: int) -> list[int]:
+    """`count` WEIGHT_BITS-bit weights, SHA-256 in counter mode over a
+    digest of the domain tag and every proof's bytes."""
+    seed = hashlib.sha256(_BATCH_TAG + proof_bytes).digest()
+    size = WEIGHT_BITS // 8
+    stream = b"".join(
+        hashlib.sha256(seed + block.to_bytes(4, "big")).digest()
+        for block in range(-(-count * size // 32))
+    )
+    return [int.from_bytes(stream[k : k + size], "big") for k in range(0, count * size, size)]
+
+
+def _batch_holds(params: GroupParams, items, proof_bytes: bytes) -> bool:
+    """Every cell equation base^gamma = alpha * target^beta_i of every
+    proof, as one small-exponent test (Bellare-Garay-Rabin, EUROCRYPT 1998):
+    with a weight w per cell,
+
+        prod over bases of base^(sum w gamma)
+            == prod of alpha^w * prod over targets of target^(sum w beta_i).
+
+    A false cell slips through with probability about 2^-WEIGHT_BITS, since
+    the weights come from a hash of the proofs, which carry each context
+    digest and so bind the statements.  The test is only sound in the
+    order-p group, so every alpha is checked for membership first: alpha
+    and q - alpha differ by the factor -1, which an even weight hides.
+    Bases and targets are members by the statement's contract, so their
+    exponents are reduced mod p.
+    """
+    q, p = params.q, params.p
+    alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
+    if not all(params.is_member(a) for a in alphas):
         return False
-    if fiat_shamir_challenge(stmt.params, context + encode_first(proof.first)) != proof.challenge:
-        return False
-    try:
-        return cds_verify(stmt, proof.first, proof.challenge, proof.response)
-    except (ShapeMismatch, ParameterError):
-        return False
+    weights = _batch_weights(proof_bytes, len(alphas))
+    left: dict[int, int] = {}  # base -> sum of w * gamma
+    right: dict[int, int] = {}  # target -> sum of w * beta_i
+    n = 0
+    for stmt, proof, _ in items:
+        resp = proof.response
+        for row, beta_i, gamma_row in zip(stmt.rows, resp.betas, resp.gammas):
+            for (base, target), gamma in zip(row, gamma_row):
+                w = weights[n]
+                n += 1
+                left[base] = left.get(base, 0) + w * gamma
+                right[target] = right.get(target, 0) + w * beta_i
+    lhs = 1
+    for base, e in left.items():
+        lhs = lhs * params.pow_unchecked(base, e) % q
+    pairs = list(zip(alphas, weights))
+    pairs += [(target, e % p) for target, e in right.items()]
+    return lhs == params.multi_pow(pairs)
 
 
 # -- convenience statement builders ------------------------------------------
@@ -367,7 +475,12 @@ def encode_first(first: SigmaFirst) -> bytes:
 
 
 def encode_proof(proof: NiProof) -> bytes:
-    out = [encode_first(proof.first), encode_uint(proof.challenge)]
+    return encode_first(proof.first) + _encode_response(proof)
+
+
+def _encode_response(proof: NiProof) -> bytes:
+    """The bytes of `proof` after its first message."""
+    out = [encode_uint(proof.challenge)]
     out.extend(encode_uint(b) for b in proof.response.betas)
     out.extend(encode_uint(g) for row in proof.response.gammas for g in row)
     out.append(proof.context_digest)

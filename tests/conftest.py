@@ -1,8 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
+from zkmech.errors import ParameterError, ShapeMismatch
 from zkmech.group import derive_generators, params_from_modulus
+from zkmech.sigma import cds_verify, encode_first, fiat_shamir_challenge
 
 # A 384-bit safe prime (the benchmark's BENCH_Q384): large enough for the
 # Jacobi membership test and the fixed-base tables, small enough to be quick.
@@ -46,3 +49,24 @@ def ref23(q23):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def _per_cell_verdict(items):
+    for stmt, proof, context in items:
+        if hashlib.sha256(context).digest() != proof.context_digest:
+            return False
+        if fiat_shamir_challenge(stmt.params, context + encode_first(proof.first)) != proof.challenge:
+            return False
+        try:
+            if not cds_verify(stmt, proof.first, proof.challenge, proof.response):
+                return False
+        except (ShapeMismatch, ParameterError):
+            return False
+    return True
+
+
+@pytest.fixture
+def per_cell_verdict():
+    """The reference for `sigma.ni_verify_all`: each proof's context digest
+    and challenge, then `cds_verify` one cell at a time."""
+    return _per_cell_verdict

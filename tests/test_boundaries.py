@@ -60,10 +60,11 @@ SITES = {
 }
 
 
-def tampered_run(ref, site: str, new):
+def tampered_run(ref, site: str, new, offset=None):
     """An honest, verified run of `site`'s kind whose first element at that
-    site is replaced by new(x)."""
-    kind, prices, reports, pick, offset = SITES[site]
+    site, or the integer at `offset` of its message, is replaced by new(x)."""
+    kind, prices, reports, pick, site_offset = SITES[site]
+    offset = offset or site_offset
     _, transcript = run_local(
         ref, MechanismSpec(kind, 8, prices), reports, random.Random(1), random.Random(2)
     )
@@ -95,6 +96,14 @@ def test_coin_pair_rejects_the_identity_as_malformed(request, group):
     with pytest.raises(VerificationFailed, match="malformed") as exc:
         verify_transcript(ref, tampered_run(ref, "coin pair", lambda x: 1))
     assert exc.value.phase == "coin"
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_sum_total_out_of_range_fails_before_the_bundle_is_read(request, group):
+    ref = request.getfixturevalue(group)
+    with pytest.raises(VerificationFailed, match="announced total 16 out of range") as exc:
+        verify_transcript(ref, tampered_run(ref, "carry", lambda x: 16, offset=lambda p: 1))
+    assert exc.value.phase == "evaluate"
 
 
 @pytest.mark.parametrize("group", GROUPS)

@@ -5,9 +5,9 @@ import time
 from itertools import product
 
 from zkmech import cli
-from zkmech.codec import TAG_COMMIT, Message
+from zkmech.codec import TAG_COMMIT, TAG_TYPE_REPORT, Message, encode_uint
 from zkmech.group import derive_generators, load_params_file, params_from_modulus
-from zkmech.protocols import MechanismSpec, SellerSession, max_frame_bytes, run_local
+from zkmech.protocols import MechanismSpec, SellerSession, max_frame_bytes, max_messages, run_local
 
 
 def _free_port() -> int:
@@ -372,3 +372,93 @@ class TestMisbehavingPeers:
         ]
         for (kind, bound), size in largest_frames(ref384, wide).items():
             assert size <= max_frame_bytes(kind, bound, 384), (kind, bound, size)
+
+
+class TestCappedVerify:
+    """`zkmech verify` reads a capped line at a time: an oversized file
+    fails after a bounded read, with exit code 1 and no traceback."""
+
+    def verify(self, path, capsys):
+        t0 = time.monotonic()
+        rc = cli.run(["verify", str(path), "--toy"])
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err, elapsed
+
+    def honest(self, tmp_path, capsys):
+        out = tmp_path / "run.transcript"
+        demo = [
+            "demo", "--example", "ex3", "--s1", "2", "--s2", "5", "--H", "8",
+            "--value", "7", "--toy", "--seed", "cc", "--out", str(out),
+        ]
+        assert cli.run(demo) == 0
+        capsys.readouterr()
+        return out.read_bytes()
+
+    def test_sparse_multi_gigabyte_files(self, tmp_path, capsys):
+        lines = self.honest(tmp_path, capsys).splitlines(keepends=True)
+        for name, head in (("empty-header", b""), ("long-line", b"".join(lines[:2]))):
+            path = tmp_path / name
+            with open(path, "wb") as fh:
+                fh.write(head)
+                fh.truncate(3 << 30)  # a sparse 3 GiB of zero bytes
+            rc, err, elapsed = self.verify(path, capsys)
+            assert rc == 1 and "verification failed" in err and "longer than" in err, name
+            assert elapsed < 10, name
+
+    def test_one_surplus_line(self, tmp_path, capsys):
+        lines = self.honest(tmp_path, capsys).splitlines(keepends=True)
+        assert len(lines) == 2 + max_messages("ex3")  # the lottery is ex3's longest case
+        path = tmp_path / "surplus.transcript"
+        path.write_bytes(b"".join(lines) + lines[-1])
+        rc, err, _ = self.verify(path, capsys)
+        assert rc == 1 and f"more than {len(lines)} lines" in err
+        path.write_bytes(b"".join(lines))
+        assert self.verify(path, capsys)[0] == 0
+
+    def test_reading_stops_at_the_first_bad_message(self, tmp_path, capsys):
+        """The lines go to the verifier one at a time, so the line after a
+        bad report, which would not decode, is never read."""
+        lines = self.honest(tmp_path, capsys).splitlines(keepends=True)
+        assert lines[4].startswith(b"03")  # the report
+        report = Message(TAG_TYPE_REPORT, (7).to_bytes(2, "big") + bytes([1]) + encode_uint(3))
+        path = tmp_path / "stops.transcript"
+        path.write_bytes(b"".join(lines[:4]) + report.frame().hex().encode() + b"\n" + b"\xff" * 100)
+        rc, err, _ = self.verify(path, capsys)
+        assert rc == 1 and "report index 7, expected 0" in err
+
+    def test_header_names_a_known_kind_and_bound(self, tmp_path, capsys):
+        lines = self.honest(tmp_path, capsys).splitlines(keepends=True)
+        for header in (b"zkmech/1 ex9 H=8\n", b"zkmech/1 ex3 H=131072\n", b"zkmech/1 ex3 H=6\n"):
+            path = tmp_path / "header.transcript"
+            path.write_bytes(header + b"".join(lines[1:]))
+            rc, err, _ = self.verify(path, capsys)
+            assert rc == 1 and "verification failed" in err, header
+        path.write_bytes(b"".join(lines[:3]) + "é".encode() + b"".join(lines[3:]))
+        rc, err, _ = self.verify(path, capsys)
+        assert rc == 1 and "non-ASCII" in err
+
+    def test_longest_runs_meet_the_line_cap(self, ref384):
+        runs = [
+            (MechanismSpec("ex1", 8, (5,)), [6], None, None),
+            (MechanismSpec("ex1", 8, (5,)), [3], None, None),
+            (MechanismSpec("ex1multi", 8, (5,), n_buyers=3), [7, 3, 1], None, None),
+            (MechanismSpec("ex2", 8, (7, 7)), [0, 0], None, None),
+            (MechanismSpec("ex2", 8, (3, 6)), [5, 5], None, None),
+            (MechanismSpec("ex3", 8, (5, 6)), [3], None, None),
+            (MechanismSpec("ex3", 8, (2, 5)), [7], 1, 0),
+            (MechanismSpec("ex3", 8, (1, 2)), [7], None, None),
+            (MechanismSpec("ex4", 4, (3,)), [1], None, None),
+            (MechanismSpec("ex4", 4, (2,)), [3], 1, 2),
+        ]
+        longest: dict = {}
+        for spec, values, coin, mask in runs:
+            _, tr = run_local(
+                TOY_REF, spec, values, random.Random(1), random.Random(2), coin_value=coin, mask_value=mask
+            )
+            surplus_reports = len(values) - (1 << 16) if spec.kind == "ex1multi" else 0
+            count = len(tr.messages) - surplus_reports
+            longest[spec.kind] = max(longest.get(spec.kind, 0), count)
+        assert longest == {kind: max_messages(kind) for kind in longest}
+        assert len(longest) == 5

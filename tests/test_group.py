@@ -236,6 +236,60 @@ class TestJacobiMembership:
         assert q23.bit_length < group.FAST_BITS <= q384.bit_length
 
 
+def product_of_pows(params, pairs):
+    out = 1
+    for base, e in pairs:
+        out = out * pow(base, e, params.q) % params.q
+    return out
+
+
+class TestMultiPow:
+    """`multi_pow` against a product of `pow`, exponents unreduced."""
+
+    @pytest.fixture(params=["384", "2048"])
+    def params(self, request, q384):
+        return q384 if request.param == "384" else params_from_modulus(RFC3526_MODP_2048)
+
+    def test_empty_list_is_one(self, params):
+        assert params.multi_pow([]) == 1
+        assert params.multi_pow(iter([])) == 1
+
+    def test_zero_exponents(self, params):
+        rng = random.Random("zero exponents")
+        bases = [rng.randrange(2, params.q) for _ in range(3)]
+        assert params.multi_pow([(b, 0) for b in bases]) == 1
+        pairs = [(bases[0], 0), (bases[1], rng.getrandbits(128)), (bases[2], 0)]
+        assert params.multi_pow(pairs) == product_of_pows(params, pairs)
+
+    def test_exponents_at_and_above_p(self, params):
+        rng = random.Random("large exponents")
+        p, q = params.p, params.q
+        for e in (p, p + 1, 2 * p, q, q + 1, 2 * q + 5, rng.randrange(q, q << 130)):
+            pairs = [(rng.randrange(2, q), e), (rng.randrange(2, q), rng.getrandbits(128))]
+            assert params.multi_pow(pairs) == product_of_pows(params, pairs), e
+
+    def test_single_pair(self, params):
+        rng = random.Random("single pair")
+        for e in (1, 2, 3, 255, 256, rng.getrandbits(128), rng.randrange(params.p)):
+            base = rng.randrange(2, params.q)
+            assert params.multi_pow([(base, e)]) == pow(base, e, params.q), e
+
+    def test_mixed_exponent_sizes(self, params):
+        rng = random.Random("mixed sizes")
+        for _ in range(3 if params.bit_length > 1000 else 12):
+            n = rng.randrange(1, 40)
+            pairs = [
+                (rng.randrange(params.q), rng.getrandbits(rng.choice((1, 7, 128, params.bit_length))))
+                for _ in range(n)
+            ]
+            pairs.append((pairs[0][0], rng.randrange(params.p)))  # a repeated base
+            assert params.multi_pow(pairs) == product_of_pows(params, pairs)
+
+    def test_negative_exponent_raises(self, q384):
+        with pytest.raises(ParameterError):
+            q384.multi_pow([(4, 3), (4, -1)])
+
+
 class TestFixedBaseTables:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):

@@ -1,12 +1,13 @@
 import copy
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from zkmech import gadgets, protocols
+from zkmech import gadgets, protocols, sigma
 from zkmech.codec import (
     Message,
     TAG_COIN_MASK,
@@ -22,7 +23,8 @@ from zkmech.codec import (
     transcript_loads,
 )
 from zkmech.errors import CodecError, ICViolation, ParameterError, RefuseToProve, VerificationFailed
-from zkmech.group import derive_generators
+from zkmech.group import GroupParams, derive_generators
+from zkmech.mpc import run_mpc_local
 from zkmech.protocols import (
     BuyerSession,
     MechanismSpec,
@@ -537,14 +539,14 @@ def test_buyer_and_replay_agree(ref23, monkeypatch):
     """The buyer checks a run through the verifier `replay` uses: it makes
     the same number of proof checks on honest runs, and on single-bit
     mutants it rejects exactly when replay does, in the same phase."""
-    calls = [0]
-    real_ni_verify = gadgets.ni_verify
+    calls = [0]  # proofs checked
+    real_ni_verify_all = gadgets.ni_verify_all
 
-    def counted(*args):
-        calls[0] += 1
-        return real_ni_verify(*args)
+    def counted(items):
+        calls[0] += len(items)
+        return real_ni_verify_all(items)
 
-    monkeypatch.setattr(gadgets, "ni_verify", counted)
+    monkeypatch.setattr(gadgets, "ni_verify_all", counted)
     rng = random.Random("buyer-replay differential")
     compared = rejected = 0
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
@@ -581,3 +583,142 @@ def test_buyer_and_replay_agree(ref23, monkeypatch):
             compared += 1
             rejected += expected[0] == "reject"
     assert compared >= 300 and rejected >= 250
+
+
+# -- the batched verifier in whole runs --------------------------------------------
+
+
+@pytest.fixture
+def batch_vs_cells(monkeypatch, per_cell_verdict):
+    """Route every proof batch through `ni_verify_all` and the per-cell
+    reference, which must agree; returns the tally of verdicts."""
+    tally = Counter()
+    real = sigma.ni_verify_all
+
+    def both(items):
+        verdict = real(items)
+        assert verdict == per_cell_verdict(items)
+        tally[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(gadgets, "ni_verify_all", both)
+    monkeypatch.setattr(sigma, "ni_verify_all", both)  # mpc, through ni_verify
+    return tally
+
+
+def test_batch_agrees_with_cells_on_honest_runs(ref384, batch_vs_cells):
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        out, tr = run(ref384, spec, values, seed=("batch", n), coin_value=coin, mask_value=mask)
+        assert verify_transcript(ref384, tr) == out
+    run_mpc_local(ref384, 3, 5, 8, random.Random("mpc/s"), random.Random("mpc/b"))
+    assert batch_vs_cells[True] >= 40 and batch_vs_cells[False] == 0
+
+
+def test_batch_agrees_with_cells_on_forced_claims(ref384, batch_vs_cells, monkeypatch):
+    """A sample of the deviation sweep's inputs, every claim forced."""
+    rng = random.Random("batch sweep")
+    for kind, (name, cases) in sorted(SELECTORS.items()):
+        forced = [None]
+        monkeypatch.setattr(protocols, name, lambda *args: forced[0])
+        inputs = list(sweep_inputs(kind))
+        for i in sorted(rng.sample(range(len(inputs)), 10)):
+            spec, reports, coin, mask, expected = inputs[i]
+            for case in cases:
+                forced[0] = case
+                try:
+                    out, _ = run(ref384, spec, reports, seed=i, coin_value=coin, mask_value=mask)
+                except (RefuseToProve, VerificationFailed):
+                    continue
+                assert out == expected
+    assert batch_vs_cells[True] >= 50
+
+
+def test_batch_agrees_with_cells_on_single_bit_mutants(ref384, batch_vs_cells):
+    """Criterion 12's victims and mutation, at 384 bits."""
+    victims = [
+        run(ref384, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1")[1],
+        run(ref384, MechanismSpec("ex3", 8, (2, 5)), [7], "c12/ex3a", coin_value=1, mask_value=0)[1],
+        run(ref384, MechanismSpec("ex3", 8, (1, 2)), [7], "c12/ex3b")[1],
+    ]
+    batch_vs_cells.clear()
+    rng = random.Random("criterion-12")
+    accepted = 0
+    for i in range(150):
+        tr = victims[i % len(victims)]
+        frames = [seed_frame(tr.seed)] + [m.frame() for m in tr.messages]
+        idx = rng.randrange(len(frames))
+        blob = bytearray(frames[idx])
+        bit = rng.randrange(len(blob) * 8)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            msg = decode_single_frame(bytes(blob))
+        except CodecError:
+            continue
+        mutant = copy.deepcopy(tr)
+        if idx == 0:
+            if msg.tag != 0x00:
+                continue
+            mutant.seed = msg.payload
+        else:
+            mutant.messages[idx - 1] = msg
+        ref = ref384 if mutant.seed == ref384.seed else derive_generators(ref384.params, mutant.seed)
+        accepted += replay_verdict(ref, mutant)[0] == "accept"
+    assert accepted == 0
+    assert batch_vs_cells[False] >= 20
+
+
+def test_multi_pow_runs_once_per_bundle_above_the_batch_size(ref23, ref384, monkeypatch):
+    calls = Counter()
+    real_multi_pow, real_verify_all = GroupParams.multi_pow, gadgets.ni_verify_all
+
+    def multi_pow(self, pairs):
+        calls["multi_pow"] += 1
+        return real_multi_pow(self, pairs)
+
+    def verify_all(items):
+        calls["bundles"] += bool(items)
+        return real_verify_all(items)
+
+    monkeypatch.setattr(GroupParams, "multi_pow", multi_pow)
+    monkeypatch.setattr(gadgets, "ni_verify_all", verify_all)
+    for ref in (ref23, ref384):
+        calls.clear()
+        for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+            run(ref, spec, values, seed=("count", n), coin_value=coin, mask_value=mask)
+        assert calls["bundles"] >= 15
+        assert calls["multi_pow"] == (0 if ref is ref23 else calls["bundles"])
+
+
+PLAN_BUILDERS = (
+    gadgets.bound_plan,
+    gadgets.le_committed_plan,
+    gadgets.sum_plan,
+    gadgets.lt_plan,
+    gadgets.complement_plan,
+)
+
+
+def test_each_verified_bundle_builds_its_plan_once(ref23, monkeypatch):
+    """The bundle reader and the verifier share one plan: replaying a run
+    from cold caches builds one plan per bundle it verifies."""
+    bundles = [0]
+    real_verify_plan = gadgets._verify_plan
+
+    def counted(*args):
+        bundles[0] += 1
+        return real_verify_plan(*args)
+
+    monkeypatch.setattr(gadgets, "_verify_plan", counted)
+    # One run per case, no two of its bundles with the same plan.
+    runs = [r for r in DIFFERENTIAL_RUNS if r[1] != [0, 0]]
+    verified = 0
+    for n, (spec, values, coin, mask) in enumerate(runs):
+        _, tr = run(ref23, spec, values, seed=("plans", n), coin_value=coin, mask_value=mask)
+        for builder in PLAN_BUILDERS:
+            builder.cache_clear()
+        bundles[0] = 0
+        verify_transcript(ref23, tr)
+        builds = sum(builder.cache_info().misses for builder in PLAN_BUILDERS)
+        assert builds == bundles[0], spec
+        verified += bundles[0]
+    assert verified >= 10

@@ -3,13 +3,20 @@ import random
 from collections import Counter
 from itertools import product
 
+from dataclasses import replace
+
 import pytest
 
+from zkmech.commitments import commit_int
 from zkmech.errors import ExtractionError, ParameterError, ShapeMismatch, StateConsumed
-from zkmech.group import RFC3526_MODP_2048, params_from_modulus
+from zkmech.gadgets import bound_plan, plan_statement, plan_witness
+from zkmech.group import RFC3526_MODP_2048, GroupParams, params_from_modulus
 from zkmech.sigma import (
+    BATCH_BITS,
     CdsStatement,
     CdsWitness,
+    NiProof,
+    SigmaFirst,
     _build_first,
     _build_response,
     and_statement,
@@ -20,10 +27,12 @@ from zkmech.sigma import (
     cds_verify,
     check_witness,
     decode_proof,
+    encode_first,
     encode_proof,
     fiat_shamir_challenge,
     ni_prove,
     ni_verify,
+    ni_verify_all,
     or_statement,
     schnorr_statement,
 )
@@ -399,3 +408,115 @@ class TestShims:
     def test_identity_rejected(self, q7):
         with pytest.raises(ParameterError):
             or_statement(q7, 2, [1])
+
+
+# -- the batched verifier against the per-cell reference ------------------------
+
+
+def prove_with_first(stmt, wit, context, rng, edit_alphas):
+    """An honest proof whose first message `edit_alphas` rewrites before the
+    challenge is drawn, so the challenge and digest checks still pass."""
+    first, state = cds_prove_first(stmt, wit, rng)
+    first = SigmaFirst(alphas=edit_alphas(first.alphas))
+    challenge = fiat_shamir_challenge(stmt.params, context + encode_first(first))
+    return NiProof(first, challenge, cds_respond(state, challenge), hashlib.sha256(context).digest())
+
+
+def replace_at(rows, r, c, value):
+    return tuple(
+        tuple(value if (i, j) == (r, c) else x for j, x in enumerate(row)) for i, row in enumerate(rows)
+    )
+
+
+class TestBatchVerification:
+    """Bundles crafted against the batch equation, at 384 bits: the batch
+    and the per-cell reference must agree on each."""
+
+    # ge 3 over 4 bits at value 15: positions 3 and 4, with rows over bits
+    # {1, 2, 3} and {1, 2, 4}, so cell (h, bit 1) sits in both proofs.
+    @pytest.fixture
+    def bundle(self, ref384, rng):
+        com, ops = commit_int(ref384, 15, 4, rng)
+        plan = bound_plan(3, 4, greater=True)
+        return [
+            (plan_statement(ref384, (com.bits,), rows), plan_witness(rows, (ops,)), b"ctx %d" % pos)
+            for _, pos, rows in plan
+        ]
+
+    def items(self, bundle, rng, edits=None):
+        edits = edits or {}
+        return [
+            (stmt, prove_with_first(stmt, wit, ctx, rng, edits.get(n, lambda a: a)), ctx)
+            for n, (stmt, wit, ctx) in enumerate(bundle)
+        ]
+
+    def test_batch_is_on_at_384_bits_only(self, q23, q384):
+        assert q23.p.bit_length() < BATCH_BITS <= q384.p.bit_length()
+
+    def test_honest_bundle_verifies(self, bundle, rng, per_cell_verdict):
+        items = self.items(bundle, rng)
+        assert ni_verify_all(items) and per_cell_verdict(items)
+        assert ni_verify_all([])
+
+    def test_negated_alpha_in_one_cell(self, bundle, rng, q384, per_cell_verdict):
+        negate = lambda a: replace_at(a, 1, 0, q384.q - a[1][0])  # noqa: E731
+        items = self.items(bundle, rng, {0: negate})
+        assert not per_cell_verdict(items)
+        assert not ni_verify_all(items)
+
+    def test_two_negated_alphas_in_one_bundle(self, bundle, rng, q384, per_cell_verdict):
+        negate = lambda a: replace_at(a, 0, 0, q384.q - a[0][0])  # noqa: E731
+        items = self.items(bundle, rng, {0: negate, 1: negate})
+        assert not per_cell_verdict(items)
+        assert not ni_verify_all(items)
+
+    def test_the_membership_test_is_what_stops_negated_alphas(self, bundle, rng, q384, monkeypatch):
+        """Without it, a pair of negated alphas passes whenever their two
+        weights have the same parity: about every other context."""
+        negate = lambda a: replace_at(a, 0, 0, q384.q - a[0][0])  # noqa: E731
+        monkeypatch.setattr(GroupParams, "is_member", lambda self, x: True)
+        verdicts = []
+        for k in range(16):
+            renamed = [(stmt, wit, ctx + b" %d" % k) for stmt, wit, ctx in bundle]
+            verdicts.append(ni_verify_all(self.items(renamed, rng, {0: negate, 1: negate})))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_gammas_moved_between_cells_of_one_base_and_target(self, bundle, rng, q384, per_cell_verdict):
+        items = self.items(bundle, rng)
+        ((stmt0, proof0, ctx0), (stmt1, proof1, ctx1)) = items
+        assert stmt0.rows[0] == stmt1.rows[0]  # (h, bit 1) in both proofs
+        p = q384.p
+
+        def shifted(proof, delta):
+            gammas = replace_at(proof.response.gammas, 0, 0, (proof.response.gammas[0][0] + delta) % p)
+            return replace(proof, response=replace(proof.response, gammas=gammas))
+
+        items = [(stmt0, shifted(proof0, 1), ctx0), (stmt1, shifted(proof1, -1), ctx1)]
+        assert not per_cell_verdict(items)
+        assert not ni_verify_all(items)
+
+    def test_betas_moved_between_rows(self, bundle, rng, q384, per_cell_verdict):
+        items = self.items(bundle, rng)
+        stmt, proof, ctx = items[1]
+        b = list(proof.response.betas)
+        b[0], b[2] = (b[0] + 1) % q384.p, (b[2] - 1) % q384.p
+        moved = replace(proof, response=replace(proof.response, betas=tuple(b)))
+        assert sum(b) % q384.p == proof.challenge % q384.p
+        items[1] = (stmt, moved, ctx)
+        assert not per_cell_verdict(items)
+        assert not ni_verify_all(items)
+
+    def test_every_failure_before_the_batch_returns_false(self, bundle, rng):
+        items = self.items(bundle, rng)
+        stmt, proof, ctx = items[0]
+        assert not ni_verify_all([items[1], (stmt, proof, ctx + b"!")])
+        assert not ni_verify_all([(stmt, replace(proof, challenge=proof.challenge + 1), ctx)])
+        short = replace(proof, first=SigmaFirst(alphas=proof.first.alphas[:-1]))
+        assert not ni_verify_all([(stmt, short, ctx)])  # a shape mismatch
+
+    def test_one_group_per_batch(self, bundle, rng, q23):
+        (stmt, proof, ctx), _ = self.items(bundle, rng)
+        toy = schnorr_statement(q23, 2, 4)
+        toy_proof = ni_prove(toy, CdsWitness(0, (2,)), b"toy", rng)
+        with pytest.raises(ParameterError):
+            ni_verify_all([(stmt, proof, ctx), (toy, toy_proof, b"toy")])
