@@ -43,6 +43,13 @@ def encode_uint(n: int) -> bytes:
     return len(mag).to_bytes(4, "big") + mag
 
 
+def describe_uint(n: int) -> str:
+    """A wire integer as an error message shows it: its digits, or its bit
+    length when it is too long for `str` (Python refuses integers of more
+    than 4,300 digits, and a hostile frame can carry one)."""
+    return str(n) if n.bit_length() <= 8192 else f"a {n.bit_length()}-bit integer"
+
+
 def encode_u8(n: int) -> bytes:
     if not 0 <= n <= 0xFF:
         raise CodecError(f"u8 out of range: {n}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codec import Reader, encode_u8, encode_uint
+from .codec import Reader, describe_uint, encode_u8, encode_uint
 from .errors import CodecError, ParameterError, VerificationFailed
 from .group import RefString
 
@@ -112,7 +112,7 @@ def encode_bit_commitment(com: BitCommitment) -> bytes:
 def read_bit_commitment(r: Reader, q: int) -> BitCommitment:
     value = r.uint()
     if not 2 <= value <= q - 1:
-        raise CodecError(f"commitment {value} out of range", offset=r.off)
+        raise CodecError(f"commitment {describe_uint(value)} out of range", offset=r.off)
     return BitCommitment(value)
 
 

@@ -14,7 +14,9 @@ The prover knows every cell of some row, the one whose bit commitments all
 open to the cells' bits; its witness is the first such row.  One builder
 turns an entry into a statement, one prover proves a whole plan and one
 verifier checks one, all its proofs in one `ni_verify_all` batch, and the
-bundle reader takes its shapes from the same (cached) plan.
+bundle reader takes its shapes from the same (cached) plan.  The prover
+holds the opening of every covered bit, so it hands `ni_prove` the openings
+of the simulated rows' targets and raises only g and h.
 
 Bit positions are 1-based with position 1 the most significant bit,
 matching the package-wide integer convention.  Provers refuse (raise
@@ -112,13 +114,20 @@ def _prove_plan(
     rng: random.Random,
 ) -> ProofBundle:
     """Prove every entry of `plan`; refuses at the first one without a witness."""
+    bases = (ref.g, ref.h)
+    hint = {  # every covered bit's commitment, opened as (g or h, r)
+        com.value: (bases[op.bit], op.r)
+        for com_bits, com_ops in zip(coms, ops)
+        for com, op in zip(com_bits, com_ops)
+    }
     bundle: ProofBundle = []
     for label, position, rows in plan:
         wit = plan_witness(rows, ops)
         if wit is None:
             raise RefuseToProve(f"no witness at position {position}")
         stmt = plan_statement(ref, coms, rows)
-        bundle.append((position, ni_prove(stmt, wit, _ctx(ctx_prefix, stmt, label, position), rng)))
+        ctx = _ctx(ctx_prefix, stmt, label, position)
+        bundle.append((position, ni_prove(stmt, wit, ctx, rng, hint)))
     return bundle
 
 
@@ -515,11 +524,17 @@ def complement_commit(
 
 
 @_plan_cache
-def complement_plan(position: int) -> Plan:
+def complement_plan(position: int, count: int = 1) -> Plan:
     """Over (R, R'): log base g of one element is known, and log base h of
-    one element is known."""
+    one element is known.  With `count` pairs, over (R_0, R'_0, R_1, ...),
+    pair n proved at `position` + n."""
     return tuple(
-        (_LBL_COMPLEMENT, 2 * position + bit, (((bit, (0, 1)),), ((bit, (1, 1)),)))
+        (
+            _LBL_COMPLEMENT,
+            2 * (position + n) + bit,
+            (((bit, (2 * n, 1)),), ((bit, (2 * n + 1, 1)),)),
+        )
+        for n in range(count)
         for bit in (0, 1)
     )
 
@@ -545,16 +560,21 @@ def prove_complement(
 
 def verify_complement(
     ref: RefString,
-    pair: ComplementPair,
-    proofs: list[NiProof],
+    pairs: Sequence[ComplementPair],
+    proofs: Sequence[Sequence[NiProof]],
     ctx_prefix: bytes,
     position: int = 0,
 ) -> bool:
-    if len(proofs) != 2 or pair.r_com.value == pair.rp_com.value:
+    """Pair n's two proofs, made at `position` + n, for every pair: one
+    plan, so one batch."""
+    if len(pairs) != len(proofs) or any(len(pr) != 2 for pr in proofs):
         return False
-    plan = complement_plan(position)
-    bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, proofs)]
-    return _verify_plan(ref, plan, ((pair.r_com,), (pair.rp_com,)), bundle, ctx_prefix)
+    if any(pair.r_com.value == pair.rp_com.value for pair in pairs):
+        return False
+    plan = complement_plan(position, len(pairs))
+    bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, [p for pr in proofs for p in pr])]
+    coms = [(c,) for pair in pairs for c in (pair.r_com, pair.rp_com)]
+    return _verify_plan(ref, plan, coms, bundle, ctx_prefix)
 
 
 def coin_select(pairs: list[ComplementPair], mask: list[int]) -> IntCommitment:

@@ -101,7 +101,10 @@ def mpc_seller_commit(
     )
     stmt = one_hot_statement(ref, list(coms))
     wit = CdsWitness(row=price, exps=exps)
-    proof = ni_prove(stmt, wit, _context(ref, stmt), rng)
+    # Every target is a slot the seller opened: h^r at the price, g^r elsewhere.
+    bases = (ref.g, ref.h)
+    hint = {com.value: (bases[i == price], r) for i, (com, r) in enumerate(zip(coms, exps))}
+    proof = ni_prove(stmt, wit, _context(ref, stmt), rng, hint)
     return IndicatorCommitment(coms=coms, proof=proof), SellerSecrets(price=price, exps=exps)
 
 

@@ -51,6 +51,7 @@ from .codec import (
     TAG_TYPE_REPORT,
     TAG_VERDICT,
     Transcript,
+    describe_uint,
     encode_u8,
     encode_u16,
     encode_uint,
@@ -231,7 +232,7 @@ def _parse_report(
         _fail(phase, f"report carries {len(values)} values, expected {count}")
     for v in values:
         if not 0 <= v < bound:
-            _fail(phase, f"reported value {v} outside {{0,...,{bound - 1}}}")
+            _fail(phase, f"reported value {describe_uint(v)} outside {{0,...,{bound - 1}}}")
     return values
 
 
@@ -341,6 +342,8 @@ def _parse_outcome(payload: bytes, phase: str) -> Outcome:
         _fail(phase, "non-canonical outcome encoding")
     if lottery is not None and any(b not in (0, 1) for b in lottery):
         _fail(phase, "lottery record bits must be 0 or 1")
+    if payment.bit_length() > 64:  # no mechanism pays that much; keeps it printable
+        _fail(phase, f"payment of {payment.bit_length()} bits out of range")
     return Outcome(bool(trade), item if has_item else None, payment, lottery)
 
 
@@ -808,7 +811,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         def read_sum(r):
             claim, total = r.u8(), r.uint()
             if not 0 <= total < 1 << (width + 1):
-                _fail(phase, f"announced total {total} out of range")
+                _fail(phase, f"announced total {describe_uint(total)} out of range")
             shapes = plan_shapes(sum_plan(total, width))
             return claim, total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
@@ -821,9 +824,14 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         return total
     if ev.form == "coin":
         pairs, proofs = _parse_coin_pairs(ref, payload, phase, ev.bits)
-        for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
-            if not verify_complement(ref, pair, pr, prefix, idx):
-                _fail(phase, "complement proof does not verify", index=idx)
+        if not verify_complement(ref, pairs, proofs, prefix):
+            # One batch for the message; pair by pair only to name the first failure.
+            bad = (
+                idx
+                for idx, (pair, pr) in enumerate(zip(pairs, proofs))
+                if not verify_complement(ref, [pair], [pr], prefix, idx)
+            )
+            _fail(phase, "complement proof does not verify", index=next(bad, None))
         return pairs
     if ev.form == "open":
         opening = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))

@@ -22,13 +22,23 @@ other, after a Jacobi-symbol membership test of every alpha.  A weight only
 matters mod p, so in a toy group a false cell would pass the batch about
 one time in p (one in 11 at q = 23); there every cell is checked on its
 own, as `cds_verify` does.
+
+Proving.  Every row but the real one is simulated: it draws a beta_i and
+its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
+Schoenmakers), a variable-base power per cell.  A prover that made the
+targets itself can pass their openings as a hint: target -> (B, r) with
+target = B^r and B a fixed base (g or h), covering every simulated cell's
+target.  Then alpha = base^(gamma - beta_i * r) when B is the cell's base,
+one table power, and base^gamma * B^(-beta_i * r) otherwise, two.  That is
+the same group element, so the proof's bytes, and the rng draws behind
+them, do not change; only how a simulated alpha is computed does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .codec import Reader, encode_u16, encode_uint
@@ -131,9 +141,31 @@ def check_witness(stmt: CdsStatement, wit: CdsWitness) -> bool:
     )
 
 
-def _sim_alpha(params: GroupParams, base: int, target: int, beta_i: int, gamma: int) -> int:
-    """alpha = base^gamma / target^beta_i, so the cell equation holds."""
-    return params.pow_unchecked(base, gamma) * params.pow_unchecked(target, -beta_i) % params.q
+# A target's opening (B, r), target = B^r; a prover's hint maps targets to them.
+Opening = tuple[int, int]
+Openings = Mapping[int, Opening]
+
+
+def _sim_alpha(
+    params: GroupParams,
+    base: int,
+    target: int,
+    beta_i: int,
+    gamma: int,
+    opening: Opening | None = None,
+) -> int:
+    """alpha = base^gamma / target^beta_i, so the cell equation holds.
+
+    With the target's opening (B, r), target^beta_i is B^(r * beta_i): a
+    power of the cell's own base folds into one power, base^(gamma - beta_i
+    * r), and any other B is raised on its own.  The element is the same;
+    only B being a fixed base (with a table) makes it cheaper.  Without an
+    opening the target is its own: (target, 1).
+    """
+    t_base, r = opening or (target, 1)
+    if t_base == base:
+        return params.pow_unchecked(base, gamma - beta_i * r)
+    return params.pow_unchecked(base, gamma) * params.pow_unchecked(t_base, -beta_i * r) % params.q
 
 
 def _build_first(
@@ -141,7 +173,10 @@ def _build_first(
     wit: CdsWitness,
     nonces: tuple[int, ...],
     sims: dict[int, tuple[int, tuple[int, ...]]],
+    openings: Openings | None = None,
 ) -> SigmaFirst:
+    # A simulated cell's opening: None without a hint, a KeyError if the hint lacks it.
+    opening = {}.get if openings is None else openings.__getitem__
     alphas = []
     for i, row in enumerate(stmt.rows):
         if i == wit.row:
@@ -150,12 +185,15 @@ def _build_first(
             )
         else:
             beta_i, gammas = sims[i]
-            alphas.append(
-                tuple(
-                    _sim_alpha(stmt.params, base, target, beta_i, g)
-                    for (base, target), g in zip(row, gammas)
+            try:
+                alphas.append(
+                    tuple(
+                        _sim_alpha(stmt.params, base, target, beta_i, g, opening(target))
+                        for (base, target), g in zip(row, gammas)
+                    )
                 )
-            )
+            except KeyError:
+                raise ParameterError(f"the openings lack a target of row {i}") from None
     return SigmaFirst(alphas=tuple(alphas))
 
 
@@ -182,9 +220,21 @@ def _build_response(
 
 
 def cds_prove_first(
-    stmt: CdsStatement, wit: CdsWitness, rng: random.Random
+    stmt: CdsStatement,
+    wit: CdsWitness,
+    rng: random.Random,
+    openings: Openings | None = None,
 ) -> tuple[SigmaFirst, ProverState]:
-    """Real-row alphas use fresh nonces; every other row is simulated."""
+    """Real-row alphas use fresh nonces; every other row is simulated.
+
+    `openings`, if given, maps the target of every simulated cell to its
+    opening (see `_sim_alpha`), so those alphas need only powers of the
+    openings' bases.  The alphas, and the nonces, betas and gammas drawn
+    from `rng` in the same order, are those of a run without it.  A hint
+    lacking a simulated cell's target raises `ParameterError`; the openings
+    themselves are trusted, and a wrong one makes a proof that does not
+    verify.
+    """
     if not check_witness(stmt, wit):
         raise ParameterError("witness does not satisfy its statement row")
     p = stmt.params.p
@@ -194,7 +244,7 @@ def cds_prove_first(
         for i, row in enumerate(stmt.rows)
         if i != wit.row
     }
-    first = _build_first(stmt, wit, nonces, sims)
+    first = _build_first(stmt, wit, nonces, sims, openings)
     return first, ProverState(stmt=stmt, wit=wit, nonces=nonces, sims=sims)
 
 
@@ -329,8 +379,16 @@ def fiat_shamir_challenge(params: GroupParams, context: bytes) -> int:
     raise ParameterError("challenge derivation failed")  # pragma: no cover
 
 
-def ni_prove(stmt: CdsStatement, wit: CdsWitness, context: bytes, rng: random.Random) -> NiProof:
-    first, state = cds_prove_first(stmt, wit, rng)
+def ni_prove(
+    stmt: CdsStatement,
+    wit: CdsWitness,
+    context: bytes,
+    rng: random.Random,
+    openings: Openings | None = None,
+) -> NiProof:
+    """`openings`: the simulated cells' targets opened, as for
+    `cds_prove_first`; the proof is the same with or without them."""
+    first, state = cds_prove_first(stmt, wit, rng, openings)
     challenge = fiat_shamir_challenge(stmt.params, context + encode_first(first))
     response = cds_respond(state, challenge)
     return NiProof(

@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps package functions by name
 (`perfbench/tracer.py`).  This runs it, as a traced benchmark run does, over
-one seeded session per toy-q23 case and one wide-h65536 session, so that a
-renamed or removed hook fails here rather than in the benchmark."""
+one seeded session per toy-q23 case, one wide-h65536 session and one
+gates-h16 mpc trade, so that a renamed or removed hook fails here rather
+than in the benchmark.  The seller raises only g and h, so the mpc trade is
+the session whose buyer (z_i = C_i^rho_i) and seller (k_s^r_s) make the
+variable-base powers that `group.pow_var` counts."""
 
 import importlib
 from pathlib import Path
@@ -26,6 +29,8 @@ def sessions_to_trace(sessions):
     for index, label in enumerate(toy.cases):
         yield toy, index, label
     yield sessions.WORKLOADS["wide-h65536"], 0, "ex1/none"
+    gates = sessions.WORKLOADS["gates-h16"]
+    yield gates, gates.cases.index("mpc/trade"), "mpc/trade"
 
 
 def hooks():

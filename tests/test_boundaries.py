@@ -13,6 +13,8 @@ from zkmech.codec import (
     TAG_COIN_PAIR,
     TAG_COMMIT,
     TAG_EVAL_PROOF,
+    TAG_OUTCOME,
+    TAG_TYPE_REPORT,
     TAG_VERDICT,
     Reader,
     encode_uint,
@@ -132,3 +134,31 @@ def test_mpc_response_rejects_a_non_member(request, group, field):
     seen = decode_response(encode_response(replace(resp, **{field: tuple(values)})))
     with pytest.raises(VerificationFailed, match="outside the subgroup"):
         mpc_seller_finalize(ref, secrets, seen)
+
+
+# A wire integer of more than 4,300 digits cannot go through `str`; every
+# message that names one must still end in `VerificationFailed`.
+HUGE = 1 << 20_000
+
+# boundary -> (which message, offset of the integer in its payload)
+LONG_INTEGER_SITES = {
+    "commitment": (lambda m: m.tag == TAG_COMMIT, 2),
+    "report": (lambda m: m.tag == TAG_TYPE_REPORT, 3),  # past the u16 index and u8 count
+    "announced total": (SITES["carry"][3], 1),  # past the claim byte
+    "outcome payment": (lambda m: m.tag == TAG_OUTCOME, 4),  # past the flags and u16 item
+}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("site", sorted(LONG_INTEGER_SITES))
+def test_an_integer_too_long_to_print_is_a_clean_reject(request, group, site):
+    ref = request.getfixturevalue(group)
+    pick, offset = LONG_INTEGER_SITES[site]
+    spec = MechanismSpec("ex3", 8, (1, 2))  # a full sale: its sum proof announces a total
+    _, transcript = run_local(ref, spec, [5], random.Random(1), random.Random(2))
+    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
+    msg = transcript.messages[i]
+    bad = replace(msg, payload=substitute_uint(msg.payload, offset, lambda x: HUGE))
+    messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
+    with pytest.raises(VerificationFailed):
+        verify_transcript(ref, replace(transcript, messages=messages))

@@ -254,7 +254,7 @@ class TestComplementPairs:
         for bit in (0, 1):
             pair, ops = complement_commit(ref23, bit, rng)
             proofs = prove_complement(ref23, pair, ops, CTX, rng)
-            assert verify_complement(ref23, pair, proofs, CTX)
+            assert verify_complement(ref23, [pair], [proofs], CTX)
 
     def test_equal_bits_refuse(self, ref23, rng):
         pair, ops = complement_commit(ref23, 0, rng)
@@ -272,7 +272,7 @@ class TestComplementPairs:
         pair, ops = complement_commit(ref23, 0, rng)
         proofs = prove_complement(ref23, pair, ops, CTX, rng)
         other, _ = complement_commit(ref23, 0, rng)
-        assert not verify_complement(ref23, other, proofs, CTX)
+        assert not verify_complement(ref23, [other], [proofs], CTX)
 
 
 class TestCoinFlip:
@@ -312,9 +312,9 @@ class TestCoinFlip:
                     pairs.append(pair)
                     pair_ops.append(ops)
                     proofs.append(prove_complement(ref23, pair, ops, CTX, rng, idx))
-                # the verifier's path: check every pair, then select by the mask
-                for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
-                    assert verify_complement(ref23, pair, pr, CTX, idx)
+                # the verifier's path: check every pair in one batch, then
+                # select by the mask
+                assert verify_complement(ref23, pairs, proofs, CTX)
                 z_com = coin_select(pairs, y_bits)
                 z_ops = coin_openings(pair_ops, y_bits)
                 assert reveal_int(ref23, z_com, z_ops) == x ^ y
@@ -349,6 +349,37 @@ class TestCoinFlip:
         assert exc.value.phase == "coin"
         payload = _coin_pair_payload([other], proofs)
         assert _check(ref23, coin, payload, CTX, [price], None) == [other]
+
+    @pytest.mark.parametrize("group", ["ref23", "ref384"])
+    @pytest.mark.parametrize("fault", ["proofs of another pair", "a gamma off by one"])
+    def test_bad_pair_is_named_after_the_batch(self, group, fault, request, rng):
+        # all the pairs of a coin message are one batch; a failed batch is
+        # checked pair by pair, so the reject still names the first bad pair
+        from dataclasses import replace
+
+        from zkmech.errors import VerificationFailed
+        from zkmech.protocols import Evidence, _check, _coin_pair_payload
+
+        ref = request.getfixturevalue(group)
+        pairs, proofs = [], []
+        for idx in range(4):
+            pair, ops = complement_commit(ref, idx % 2, rng)
+            pairs.append(pair)
+            proofs.append(prove_complement(ref, pair, ops, CTX, rng, idx))
+        price, _ = commit_int(ref, 0, 4, rng)
+        coin = Evidence("coin", bits=4)
+        assert _check(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None) == pairs
+        if fault == "proofs of another pair":
+            other, other_ops = complement_commit(ref, 0, rng)
+            proofs[2] = prove_complement(ref, other, other_ops, CTX, rng, 2)
+        else:  # passes the challenge and range checks, fails a cell equation
+            proof = proofs[2][1]
+            gammas = ((proof.response.gammas[0][0] + 1) % ref.params.p,), proof.response.gammas[1]
+            proofs[2][1] = replace(proof, response=replace(proof.response, gammas=gammas))
+        with pytest.raises(VerificationFailed) as exc:
+            _check(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None)
+        assert (exc.value.phase, exc.value.index) == ("coin", 2)
+        assert exc.value.detail == "complement proof does not verify"
 
 
 class TestStrictComparison:

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from zkmech import gadgets, protocols, sigma
+from zkmech import gadgets, mpc, protocols, sigma
 from zkmech.codec import (
     Message,
     TAG_COIN_MASK,
@@ -611,6 +611,7 @@ def test_batch_agrees_with_cells_on_honest_runs(ref384, batch_vs_cells):
         out, tr = run(ref384, spec, values, seed=("batch", n), coin_value=coin, mask_value=mask)
         assert verify_transcript(ref384, tr) == out
     run_mpc_local(ref384, 3, 5, 8, random.Random("mpc/s"), random.Random("mpc/b"))
+    run_mpc_local(ref384, 6, 2, 8, random.Random("mpc/s2"), random.Random("mpc/b2"))
     assert batch_vs_cells[True] >= 40 and batch_vs_cells[False] == 0
 
 
@@ -687,6 +688,49 @@ def test_multi_pow_runs_once_per_bundle_above_the_batch_size(ref23, ref384, monk
             run(ref, spec, values, seed=("count", n), coin_value=coin, mask_value=mask)
         assert calls["bundles"] >= 15
         assert calls["multi_pow"] == (0 if ref is ref23 else calls["bundles"])
+
+
+def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
+    """Every target a seller simulates a cell against is a commitment it
+    opened itself, so at 384 bits its powers are all of g and h, bar mpc's
+    one k_s^r_s at the price slot."""
+    role, calls, other = [None], Counter(), Counter()
+    real_pow = GroupParams.pow_unchecked
+
+    def pow_unchecked(self, base, e):
+        if role[0]:
+            calls[role[0]] += 1
+            other[role[0]] += base not in (ref384.g, ref384.h)
+        return real_pow(self, base, e)
+
+    def as_role(name, fn):
+        def step(*args, **kwargs):
+            role[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                role[0] = None
+
+        return step
+
+    monkeypatch.setattr(GroupParams, "pow_unchecked", pow_unchecked)
+    for step in ("begin", "receive_reports", "receive_mask"):
+        monkeypatch.setattr(SellerSession, step, as_role("seller", getattr(SellerSession, step)))
+    monkeypatch.setattr(mpc, "mpc_seller_commit", as_role("commit", mpc.mpc_seller_commit))
+    monkeypatch.setattr(mpc, "mpc_seller_finalize", as_role("finalize", mpc.mpc_seller_finalize))
+    ex3_cases = set()
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        run(ref384, spec, values, seed=("seller powers", n), coin_value=coin, mask_value=mask)
+        if spec.kind == "ex3":
+            ex3_cases.add(protocols.two_part_case(spec.prices, values[0]))
+    assert {spec.kind for spec, *_ in DIFFERENTIAL_RUNS} == set(protocols.KINDS)
+    assert ex3_cases == {"nothing", "lottery", "full"}
+    assert calls["seller"] >= 300 and other["seller"] == 0
+    for price, value in ((3, 5), (6, 2)):  # a trade and a no-trade
+        calls.clear(), other.clear()
+        run_mpc_local(ref384, price, value, 8, random.Random("mpc/s"), random.Random("mpc/b"))
+        assert calls["commit"] > 0 and other["commit"] == 0
+        assert other["finalize"] == 1
 
 
 PLAN_BUILDERS = (

@@ -10,7 +10,7 @@ import pytest
 from zkmech.commitments import commit_int
 from zkmech.errors import ExtractionError, ParameterError, ShapeMismatch, StateConsumed
 from zkmech.gadgets import bound_plan, plan_statement, plan_witness
-from zkmech.group import RFC3526_MODP_2048, GroupParams, params_from_modulus
+from zkmech.group import RFC3526_MODP_2048, GroupParams, derive_generators, params_from_modulus
 from zkmech.sigma import (
     BATCH_BITS,
     CdsStatement,
@@ -19,6 +19,7 @@ from zkmech.sigma import (
     SigmaFirst,
     _build_first,
     _build_response,
+    _sim_alpha,
     and_statement,
     cds_extract,
     cds_prove_first,
@@ -520,3 +521,88 @@ class TestBatchVerification:
         toy_proof = ni_prove(toy, CdsWitness(0, (2,)), b"toy", rng)
         with pytest.raises(ParameterError):
             ni_verify_all([(stmt, proof, ctx), (toy, toy_proof, b"toy")])
+
+
+# -- the prover's hint: simulated cells from the targets' openings ---------------
+
+
+@pytest.fixture(scope="module")
+def ref2048():
+    return derive_generators(params_from_modulus(RFC3526_MODP_2048), b"hinted prover")
+
+
+def hinted_statement(ref, rng, shape, real=0):
+    """A statement over g and h whose every target is a power g^r or h^r:
+    rows of the given widths, cell bases and target bases drawn at random,
+    except that row `real` has the witness (its targets are powers of their
+    cells' bases).  Returns the statement, the hint (target -> (B, r); in a
+    toy group two cells may share a target, opened either way) and the
+    witness."""
+    bases = (ref.g, ref.h)
+    rows, openings, exps = [], {}, []
+    for n, width in enumerate(shape):
+        cells = []
+        for _ in range(width):
+            base = rng.choice(bases)
+            t_base = base if n == real else rng.choice(bases)
+            r = ref.params.exp_sample(rng)
+            target = ref.params.pow_unchecked(t_base, r)
+            cells.append((base, target))
+            openings[target] = (t_base, r)
+            if n == real:
+                exps.append(r)
+        rows.append(tuple(cells))
+    return CdsStatement(params=ref.params, rows=tuple(rows)), openings, CdsWitness(real, tuple(exps))
+
+
+class TestHintedSimulation:
+    """A simulated cell's alpha from the target's opening equals the generic
+    `_sim_alpha`, and a hinted proof equals the unhinted one byte for byte,
+    with the same draws from the rng."""
+
+    @pytest.fixture(params=["ref23", "ref384", "ref2048"])
+    def ref(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_alpha_matches_the_generic_path(self, ref, rng):
+        params, p = ref.params, ref.params.p
+        seen = Counter()
+        for n in range(40):
+            base, t_base = (ref.g, ref.h)[n % 2], (ref.g, ref.h)[n // 2 % 2]
+            r = params.exp_sample(rng)
+            target = params.pow_unchecked(t_base, r)
+            beta = 0 if n % 5 == 0 else rng.randrange(p)
+            gamma = rng.randrange(p)
+            hinted = _sim_alpha(params, base, target, beta, gamma, (t_base, r))
+            assert hinted == _sim_alpha(params, base, target, beta, gamma), (n, beta, r)
+            seen["same base" if base == t_base else "cross base"] += 1
+            seen["beta 0"] += beta == 0
+            seen["beta r >= p"] += beta * r >= p
+            seen["gamma < beta r"] += gamma < beta * r
+        assert min(seen.values()) >= 5, seen
+
+    def test_hinted_proof_is_the_unhinted_one(self, ref):
+        rng = random.Random("hinted proofs")
+        shapes = [(1, 1), (2, 2, 2), (1, 3, 2)] if ref.params.bit_length < 2048 else [(2, 1, 2)]
+        for shape in shapes:
+            for real in range(len(shape)):
+                stmt, openings, wit = hinted_statement(ref, rng, shape, real)
+                seed = rng.getrandbits(64)
+                plain, hinted = random.Random(seed), random.Random(seed)
+                proof = ni_prove(stmt, wit, b"ctx", plain)
+                assert ni_prove(stmt, wit, b"ctx", hinted, openings) == proof
+                assert hinted.getstate() == plain.getstate()
+                assert ni_verify(stmt, proof, b"ctx")
+
+    def test_hint_lacking_a_simulated_target_raises(self, ref384, rng):
+        stmt, openings, wit = hinted_statement(ref384, rng, (1, 2, 2))
+        ((_, real_target),) = stmt.rows[0]
+        del openings[real_target]  # the real row is proved, not simulated
+        ni_prove(stmt, wit, b"ctx", rng, openings)
+        for row in (1, 2):
+            for _, target in stmt.rows[row]:
+                partial = {t: op for t, op in openings.items() if t != target}
+                with pytest.raises(ParameterError):
+                    cds_prove_first(stmt, wit, rng, partial)
+                with pytest.raises(ParameterError):
+                    ni_prove(stmt, wit, b"ctx", rng, partial)
