@@ -23,10 +23,9 @@ from .codec import (
     TAG_COMMIT,
     TAG_COMMIT_PROOF,
     TAG_OUTCOME,
-    TAG_SEED,
     Transcript,
-    frame_line,
     transcript_dumps,
+    transcript_frames,
     transcript_header,
 )
 from .errors import CodecError, VerificationFailed, ZkmechError
@@ -311,7 +310,7 @@ def _read_transcript(fh, q_bits: int):
     cap = 2 * (FRAME_HEADER + max_frame_bytes(kind, bound, q_bits)) + 2  # hex, CR LF
     most = 2 + max_messages(kind)  # the header, the seed and the messages
 
-    def frames():
+    def lines():
         for lineno in count(2):
             line = fh.readline(cap + 1)
             if not line:
@@ -320,15 +319,9 @@ def _read_transcript(fh, q_bits: int):
                 raise CodecError(f"more than {most} lines for {kind}", line=lineno)
             if len(line) > cap:
                 raise CodecError(f"line longer than {cap} bytes", line=lineno)
-            msg = frame_line(_ascii(line, lineno), lineno)
-            if msg is not None:
-                yield lineno, msg
+            yield lineno, _ascii(line, lineno)
 
-    lines = frames()
-    lineno, seed = next(lines, (2, None))
-    if seed is None or seed.tag != TAG_SEED:
-        raise CodecError("the first frame must carry the seed", line=lineno)
-    return kind, bound, seed.payload, (msg for _, msg in lines)
+    return kind, bound, *transcript_frames(lines())
 
 
 def _ascii(line: bytes, lineno: int) -> str:

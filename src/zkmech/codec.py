@@ -4,11 +4,17 @@ Every protocol object has exactly one byte representation (minimal-length
 big-endian integers, fixed-width counts), and decoding is strict: any
 non-canonical form, wrong range, or trailing byte is a `CodecError`.
 Strictness is load-bearing for tamper detection -- a mutated transcript
-must never re-encode to something valid.
+must never re-encode to something valid.  A message is read in place: a
+length-prefixed part (an integer, a proof) is a `Reader` over the same
+buffer, so a `CodecError` offset counts from the start of the message
+payload.  The outcome message is the one exception to parsing: the
+verifier computes the outcome the evidence implies, and the frame must be
+exactly its canonical encoding.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import CodecError
@@ -63,14 +69,15 @@ def encode_u16(n: int) -> bytes:
 
 
 class Reader:
-    """Cursor over immutable bytes with strict, offset-reporting reads."""
+    """Cursor over immutable bytes up to `end`, with strict, offset-reporting reads."""
 
-    def __init__(self, buf: bytes, offset: int = 0):
+    def __init__(self, buf: bytes, offset: int = 0, end: int | None = None):
         self.buf = buf
         self.off = offset
+        self.end = len(buf) if end is None else end
 
     def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
+        if self.off + n > self.end:
             raise CodecError("truncated input", offset=self.off)
         out = self.buf[self.off : self.off + n]
         self.off += n
@@ -82,16 +89,29 @@ class Reader:
     def u16(self) -> int:
         return int.from_bytes(self.take(2), "big")
 
+    def _sized(self) -> tuple[int, int]:
+        """(start, end) of the bytes behind a 4-byte length; moves past them."""
+        start = self.off + 4
+        if start > self.end:
+            raise CodecError("truncated input", offset=self.off)
+        end = start + int.from_bytes(self.buf[self.off : start], "big")
+        if end > self.end:
+            raise CodecError("truncated input", offset=start)
+        self.off = end
+        return start, end
+
+    def span(self) -> Reader:
+        """The bytes behind a 4-byte length as a reader over the same buffer; moves past them."""
+        return Reader(self.buf, *self._sized())
+
     def uint(self) -> int:
-        length = int.from_bytes(self.take(4), "big")
-        start = self.off
-        mag = self.take(length)
-        if length and mag[0] == 0:
+        start, end = self._sized()
+        if start < end and self.buf[start] == 0:
             raise CodecError("non-minimal integer encoding", offset=start)
-        return int.from_bytes(mag, "big")
+        return int.from_bytes(self.buf[start:end], "big")
 
     def finish(self) -> None:
-        if self.off != len(self.buf):
+        if self.off != self.end:
             raise CodecError("trailing bytes", offset=self.off)
 
 
@@ -115,9 +135,8 @@ def decode_frame(buf: bytes, offset: int = 0) -> tuple[Message, int]:
     """Decode one frame starting at `offset`; returns (message, next offset)."""
     r = Reader(buf, offset)
     tag = r.u8()
-    length = int.from_bytes(r.take(4), "big")
-    payload = r.take(length)
-    return Message(tag, payload), r.off
+    start, end = r._sized()
+    return Message(tag, buf[start:end]), end
 
 
 def decode_single_frame(buf: bytes) -> Message:
@@ -189,23 +208,21 @@ def frame_line(line: str, lineno: int) -> Message | None:
         raise CodecError(f"bad frame: {exc}", line=lineno) from None
 
 
+def transcript_frames(lines: Iterable[tuple[int, str]]) -> tuple[bytes, Iterator[Message]]:
+    """The seed and the messages of a transcript's numbered lines after its
+    header.  The messages are decoded as they are read, so a reader that
+    stops at a bad message reads no further."""
+    frames = ((n, msg) for n, line in lines if (msg := frame_line(line, n)) is not None)
+    lineno, seed = next(frames, (2, None))
+    if seed is None or seed.tag != TAG_SEED:
+        raise CodecError("the first frame must carry the seed", line=lineno)
+    return seed.payload, (msg for _, msg in frames)
+
+
 def transcript_loads(text: str) -> Transcript:
     lines = text.splitlines()
     if not lines:
         raise CodecError("empty transcript", line=1)
     kind, bound = transcript_header(lines[0])
-    messages: list[Message] = []
-    seed = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        msg = frame_line(line, lineno)
-        if msg is None:
-            continue
-        if seed is None:
-            if msg.tag != TAG_SEED:
-                raise CodecError("first frame must carry the seed", line=lineno)
-            seed = msg.payload
-        else:
-            messages.append(msg)
-    if seed is None:
-        raise CodecError("missing seed frame", line=2)
-    return Transcript(kind=kind, bound=bound, seed=seed, messages=messages)
+    seed, messages = transcript_frames(enumerate(lines[1:], start=2))
+    return Transcript(kind=kind, bound=bound, seed=seed, messages=list(messages))

@@ -47,11 +47,12 @@ from .sigma import (
     CdsStatement,
     CdsWitness,
     NiProof,
-    encode_proof,
+    encode_sized_proof,
     encode_statement,
     ni_prove,
     ni_verify_all,
-    read_proof,
+    read_sized_proof,
+    sized_proof_bytes,
 )
 
 # Per-proof context labels: gadget kind + 1-based position.
@@ -599,11 +600,14 @@ def coin_openings(
 def encode_bundle(bundle: ProofBundle) -> bytes:
     out = [encode_u16(len(bundle))]
     for pos, proof in bundle:
-        body = encode_proof(proof)
-        out.append(encode_u16(pos))
-        out.append(len(body).to_bytes(4, "big"))
-        out.append(body)
+        out.append(encode_u16(pos) + encode_sized_proof(proof))
     return b"".join(out)
+
+
+def bundle_bytes(shapes: list[tuple[int, ...]], e: int) -> int:
+    """The longest `encode_bundle` of proofs of these shapes, with integers
+    of up to `e` encoded bytes."""
+    return 2 + sum(2 + sized_proof_bytes(shape, e) for shape in shapes)
 
 
 def read_bundle(r: Reader, params, shapes: list[tuple[int, ...]]) -> ProofBundle:
@@ -611,12 +615,4 @@ def read_bundle(r: Reader, params, shapes: list[tuple[int, ...]]) -> ProofBundle
     count = r.u16()
     if count != len(shapes):
         raise CodecError(f"bundle count {count} != expected {len(shapes)}", offset=r.off)
-    bundle: ProofBundle = []
-    for shape in shapes:
-        pos = r.u16()
-        length = int.from_bytes(r.take(4), "big")
-        sub = Reader(r.take(length))
-        proof = read_proof(sub, params, shape)
-        sub.finish()
-        bundle.append((pos, proof))
-    return bundle
+    return [(r.u16(), read_sized_proof(r, params, shape)) for shape in shapes]

@@ -35,11 +35,11 @@ from .sigma import (
     CdsStatement,
     CdsWitness,
     NiProof,
-    decode_proof,
     encode_proof,
     encode_statement,
     ni_prove,
     ni_verify,
+    read_proof,
 )
 
 MAX_PRICE_SLOTS = 64  # the one-hot statement has H rows of width H
@@ -89,10 +89,10 @@ def _context(ref: RefString, stmt: CdsStatement) -> bytes:
 
 
 def mpc_seller_commit(
-    ref: RefString, price: int, bound: int, rng: random.Random, max_slots: int = MAX_PRICE_SLOTS
+    ref: RefString, price: int, bound: int, rng: random.Random
 ) -> tuple[IndicatorCommitment, SellerSecrets]:
-    if bound > max_slots:
-        raise ParameterError(f"H={bound} exceeds the slot bound {max_slots}")
+    if bound > MAX_PRICE_SLOTS:
+        raise ParameterError(f"H={bound} exceeds the slot bound {MAX_PRICE_SLOTS}")
     if not 0 <= price < bound:
         raise ParameterError(f"price {price} outside {{0,...,{bound - 1}}}")
     exps = tuple(ref.params.exp_sample(rng) for _ in range(bound))
@@ -194,9 +194,8 @@ def decode_indicator(ref: RefString, payload: bytes) -> IndicatorCommitment:
     r = Reader(payload)
     count = r.u8()
     coms = tuple(BitCommitment(r.uint()) for _ in range(count))
-    shape = (count,) * count
-    rest = r.buf[r.off :]
-    proof = decode_proof(rest, ref.params, shape)
+    proof = read_proof(r, ref.params, (count,) * count)
+    r.finish()
     return IndicatorCommitment(coms=coms, proof=proof)
 
 
@@ -225,15 +224,11 @@ def encode_final(traded: bool, slot: int | None, opening: BitOpening | None) -> 
 def decode_final(payload: bytes, p: int) -> tuple[bool, int | None, BitOpening | None]:
     r = Reader(payload)
     flag = r.u8()
-    if flag == 0:
-        r.finish()
-        return False, None, None
-    if flag != 1:
-        raise CodecError("bad trade flag")
-    slot = r.u8()
-    opening = read_opening(r, p)
+    if flag not in (0, 1):
+        raise CodecError("bad trade flag", offset=0)
+    final = (True, r.u8(), read_opening(r, p)) if flag else (False, None, None)
     r.finish()
-    return True, slot, opening
+    return final
 
 
 def run_mpc_local(

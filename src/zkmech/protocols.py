@@ -82,6 +82,7 @@ from .gadgets import (
     ComplementPair,
     ProofBundle,
     bound_plan,
+    bundle_bytes,
     coin_openings,
     coin_select,
     complement_commit,
@@ -105,7 +106,7 @@ from .gadgets import (
     verify_sum,
 )
 from .group import RefString
-from .sigma import encode_proof, read_proof
+from .sigma import encode_sized_proof, read_sized_proof, sized_proof_bytes
 
 KINDS = ("ex1", "ex1multi", "ex2", "ex3", "ex4")
 
@@ -264,8 +265,7 @@ def _sum_body(total: int, carry: IntCommitment, bundle: ProofBundle) -> bytes:
 def _coin_pair_payload(pairs: list[ComplementPair], proofs: list[list]) -> bytes:
     out = [encode_u8(len(pairs))]
     out += [encode_uint(c.value) for pair in pairs for c in (pair.r_com, pair.rp_com)]
-    bodies = [encode_proof(proof) for pr in proofs for proof in pr]
-    out += [len(body).to_bytes(4, "big") + body for body in bodies]
+    out += [encode_sized_proof(proof) for pr in proofs for proof in pr]
     return b"".join(out)
 
 
@@ -281,13 +281,9 @@ def _parse_coin_pairs(
             ComplementPair(read_bit_commitment(r, q), read_bit_commitment(r, q))
             for _ in range(count)
         ]
-        return pairs, [[read_sized(r) for _ in range(2)] for _ in range(count)]
-
-    def read_sized(r):
-        sub = Reader(r.take(int.from_bytes(r.take(4), "big")))
-        proof = read_proof(sub, ref.params, (1, 1))
-        sub.finish()
-        return proof
+        return pairs, [
+            [read_sized_proof(r, ref.params, (1, 1)) for _ in range(2)] for _ in range(count)
+        ]
 
     pairs, proofs = _decode(payload, phase, "coin message", read)
     for i, pair in enumerate(pairs):
@@ -319,32 +315,6 @@ def encode_outcome(o: Outcome) -> bytes:
     else:
         out.append(encode_u8(1) + encode_u8(len(o.lottery)) + bytes(o.lottery))
     return b"".join(out)
-
-
-def _parse_outcome(payload: bytes, phase: str) -> Outcome:
-    def read(r):
-        trade = r.u8()
-        has_item = r.u8()
-        item = r.u16()
-        payment = r.uint()
-        has_lottery = r.u8()
-        lottery = None
-        if has_lottery == 1:
-            lottery = tuple(r.take(r.u8()))
-        elif has_lottery != 0:
-            raise CodecError("bad lottery flag")
-        return trade, has_item, item, payment, lottery
-
-    trade, has_item, item, payment, lottery = _decode(payload, phase, "outcome", read)
-    if trade not in (0, 1) or has_item not in (0, 1):
-        _fail(phase, "bad outcome flags")
-    if has_item == 0 and item != 0:
-        _fail(phase, "non-canonical outcome encoding")
-    if lottery is not None and any(b not in (0, 1) for b in lottery):
-        _fail(phase, "lottery record bits must be 0 or 1")
-    if payment.bit_length() > 64:  # no mechanism pays that much; keeps it printable
-        _fail(phase, f"payment of {payment.bit_length()} bits out of range")
-    return Outcome(bool(trade), item if has_item else None, payment, lottery)
 
 
 # -- mechanism case selection (the seller's only) ------------------------------
@@ -716,17 +686,6 @@ class SellerSession:
 # -- the verifier -------------------------------------------------------------------
 
 
-def _proof_bytes(shape: tuple[int, ...], e: int) -> int:
-    """The longest encoding of a proof of this shape, with integers of up to
-    `e` encoded bytes: shape, alphas, challenge, betas, gammas, digest."""
-    rows, cells = len(shape), sum(shape)
-    return 2 + 2 * rows + (2 * cells + 1 + rows) * e + 32
-
-
-def _bundle_bytes(shapes: list[tuple[int, ...]], e: int) -> int:
-    return 2 + sum(6 + _proof_bytes(shape, e) for shape in shapes)
-
-
 def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
     """The longest payload of any message an honest `kind` run at this H in
     a group of `q_bits` bits sends, with every integer at its longest.
@@ -737,16 +696,16 @@ def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
     e = 4 + (max(q_bits, w + 1) + 7) // 8  # an element, an exponent, or s1 + s2
 
     def coin(bits: int) -> int:
-        return 1 + bits * (2 * e + 2 * (4 + _proof_bytes((1, 1), e)))
+        return 1 + bits * (2 * e + 2 * sized_proof_bytes((1, 1), e))
 
-    sizes = [1 + _bundle_bytes([(1,) * i for i in range(1, w + 1)], e)]
+    sizes = [1 + bundle_bytes([(1,) * i for i in range(1, w + 1)], e)]
     if kind == "ex3":
-        sizes.append(_bundle_bytes(plan_shapes(le_committed_plan(w)), e))
-        sizes.append(2 + e + w * e + _bundle_bytes(plan_shapes(sum_plan(0, w)), e))
+        sizes.append(bundle_bytes(plan_shapes(le_committed_plan(w)), e))
+        sizes.append(2 + e + w * e + bundle_bytes(plan_shapes(sum_plan(0, w)), e))
         sizes.append(coin(1))
     if kind == "ex4":
         sizes.append(coin(w))
-        sizes.append(2 + w * e + _bundle_bytes(plan_shapes(lt_plan(0, w)), e))
+        sizes.append(2 + w * e + bundle_bytes(plan_shapes(lt_plan(0, w)), e))
     return max(sizes)
 
 
@@ -918,12 +877,11 @@ def verifier(ref: RefString, kind: str, bound: int):
 
     msg = yield
     _admit(log, msg, TAG_OUTCOME, "outcome")
-    announced = _parse_outcome(msg.payload, "outcome")
-    if announced != expected:
-        _fail("outcome", f"announced {announced}, evidence implies {expected}")
+    if msg.payload != encode_outcome(expected):  # the encoding is canonical
+        _fail("outcome", f"the announced outcome is not {expected}, which the evidence implies")
     if (yield) is not None:
         _fail("outcome", "trailing messages after outcome", index=log.count)
-    return announced
+    return expected
 
 
 def _feed(check, msg: Message | None) -> Outcome | None:

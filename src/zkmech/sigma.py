@@ -536,6 +536,20 @@ def encode_proof(proof: NiProof) -> bytes:
     return encode_first(proof.first) + _encode_response(proof)
 
 
+def encode_sized_proof(proof: NiProof) -> bytes:
+    """A proof behind its 4-byte length, as bundles and coin messages carry it."""
+    body = encode_proof(proof)
+    return len(body).to_bytes(4, "big") + body
+
+
+def sized_proof_bytes(shape: tuple[int, ...], e: int) -> int:
+    """The longest `encode_sized_proof` of this shape, with integers of up
+    to `e` encoded bytes: length, shape, alphas, challenge, betas, gammas,
+    digest."""
+    rows, cells = len(shape), sum(shape)
+    return 4 + 2 + 2 * rows + (2 * cells + 1 + rows) * e + 32
+
+
 def _encode_response(proof: NiProof) -> bytes:
     """The bytes of `proof` after its first message."""
     out = [encode_uint(proof.challenge)]
@@ -579,6 +593,14 @@ def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProo
         response=SigmaResponse(betas=betas, gammas=tuple(gammas)),
         context_digest=digest,
     )
+
+
+def read_sized_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProof:
+    """Strict decode of an `encode_sized_proof`, in place."""
+    span = r.span()
+    proof = read_proof(span, params, shape)
+    span.finish()
+    return proof
 
 
 def decode_proof(buf: bytes, params: GroupParams, shape: tuple[int, ...]) -> NiProof:

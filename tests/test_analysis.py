@@ -203,7 +203,7 @@ def bundle_positions(r: Reader) -> list[int]:
     positions = []
     for _ in range(r.u16()):
         positions.append(r.u16())
-        r.take(int.from_bytes(r.take(4), "big"))
+        r.span()
     return positions
 
 

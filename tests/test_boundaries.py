@@ -5,6 +5,7 @@ which is never a member because q = 3 (mod 4), must end in
 accept."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from zkmech.codec import (
     Reader,
     encode_uint,
 )
-from zkmech.errors import VerificationFailed
+from zkmech.errors import CodecError, VerificationFailed
 from zkmech.mpc import (
     decode_indicator,
     decode_response,
@@ -162,3 +163,84 @@ def test_an_integer_too_long_to_print_is_a_clean_reject(request, group, site):
     messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
     with pytest.raises(VerificationFailed):
         verify_transcript(ref, replace(transcript, messages=messages))
+
+
+# An out-of-range integer inside a proof is named at an offset that counts
+# from the start of the message payload: at or past the bad integer and
+# inside the proof that carries it.
+
+
+def proof_fields(r: Reader) -> dict[str, int]:
+    """Where the first alpha and the first gamma of the proof `r` spans begin."""
+    k = r.u16()
+    cells = sum(r.u16() for _ in range(k))
+    at = {"alpha": r.off}
+    for _ in range(cells + 1 + k):  # the alphas, the challenge, the betas
+        r.uint()
+    at["gamma"] = r.off
+    return at
+
+
+def coin_proofs(payload: bytes) -> list[Reader]:
+    r = Reader(payload)
+    pairs = r.u8()
+    for _ in range(2 * pairs):
+        r.uint()
+    return [r.span() for _ in range(2 * pairs)]
+
+
+def bundle_proofs(payload: bytes) -> list[Reader]:
+    r = Reader(payload, 1)  # past the claim byte
+    spans = []
+    for _ in range(r.u16()):
+        r.u16()
+        spans.append(r.span())
+    return spans
+
+
+def all_ones(x: int) -> int:
+    """x's encoded length, every bit set: above q and p when x is as long."""
+    assert x > 0
+    return (1 << 8 * ((x.bit_length() + 7) // 8)) - 1
+
+
+# site -> (kind, prices, reports, which message, its proofs, which proof, field)
+PROOF_SITES = {
+    "coin gamma": ("ex4", (3,), [5], lambda m: m.tag == TAG_COIN_PAIR, coin_proofs, 2, "gamma"),
+    "ex1 no-trade alpha": (
+        "ex1", (6,), [2], lambda m: m.tag == TAG_EVAL_PROOF, bundle_proofs, 1, "alpha"
+    ),
+}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("site", sorted(PROOF_SITES))
+def test_a_bad_proof_integer_is_named_at_its_payload_offset(request, group, site):
+    ref = request.getfixturevalue(group)
+    kind, prices, reports, pick, proofs, which, field = PROOF_SITES[site]
+    spec = MechanismSpec(kind, 8, prices)
+    _, transcript = run_local(ref, spec, reports, random.Random(1), random.Random(2))
+    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
+    msg = transcript.messages[i]
+    span = proofs(msg.payload)[which]
+    at = proof_fields(Reader(msg.payload, span.off, span.end))[field]
+    bad = replace(msg, payload=substitute_uint(msg.payload, at, all_ones))
+    messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
+    with pytest.raises(VerificationFailed, match=f"{field} out of range") as exc:
+        verify_transcript(ref, replace(transcript, messages=messages))
+    offset = int(re.search(r"\(offset (\d+)\)", exc.value.detail).group(1))
+    assert at <= offset < span.end
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_a_bad_indicator_alpha_is_named_at_its_payload_offset(request, group):
+    ref = request.getfixturevalue(group)
+    payload = encode_indicator(mpc_seller_commit(ref, 2, 4, random.Random(1))[0])
+    r = Reader(payload)
+    for _ in range(r.u8()):
+        r.uint()
+    start = r.off  # the proof runs from here to the end of the payload
+    at = proof_fields(Reader(payload, start))["alpha"]
+    with pytest.raises(CodecError, match="alpha out of range") as exc:
+        decode_indicator(ref, substitute_uint(payload, at, all_ones))
+    assert at <= exc.value.offset < len(payload)

@@ -1,3 +1,4 @@
+import io
 import random
 import socket
 import threading
@@ -5,7 +6,15 @@ import time
 from itertools import product
 
 from zkmech import cli
-from zkmech.codec import TAG_COMMIT, TAG_TYPE_REPORT, Message, encode_uint
+from zkmech.codec import (
+    TAG_COMMIT,
+    TAG_TYPE_REPORT,
+    Message,
+    encode_uint,
+    transcript_dumps,
+    transcript_loads,
+)
+from zkmech.errors import CodecError
 from zkmech.group import derive_generators, load_params_file, params_from_modulus
 from zkmech.protocols import MechanismSpec, SellerSession, max_frame_bytes, max_messages, run_local
 
@@ -462,3 +471,71 @@ class TestCappedVerify:
             longest[spec.kind] = max(longest.get(spec.kind, 0), count)
         assert longest == {kind: max_messages(kind) for kind in longest}
         assert len(longest) == 5
+
+
+class TestOneFrameReader:
+    """`transcript_loads` and `zkmech verify` read the frames after the
+    header with one codec function: on every file they give the same kind,
+    bound, seed and messages, or the same error at the same line."""
+
+    RUNS = [
+        (MechanismSpec("ex1", 8, (5,)), [3], None, None),
+        (MechanismSpec("ex1multi", 8, (5,), n_buyers=3), [7, 3, 1], None, None),
+        (MechanismSpec("ex2", 8, (3, 6)), [5, 5], None, None),
+        (MechanismSpec("ex3", 8, (2, 5)), [7], 1, 0),
+        (MechanismSpec("ex4", 4, (2,)), [3], 1, 2),
+    ]
+
+    @staticmethod
+    def both(text: str) -> list:
+        """What each reader makes of `text`: (kind, bound, seed, messages),
+        or the CodecError's message and line."""
+        def cli_read():
+            fh = io.BytesIO(text.encode())
+            kind, bound, seed, messages = cli._read_transcript(fh, TOY_REF.params.bit_length)
+            return kind, bound, seed, list(messages)
+
+        def loads():
+            t = transcript_loads(text)
+            return t.kind, t.bound, t.seed, t.messages
+
+        out = []
+        for read in (loads, cli_read):
+            try:
+                out.append(read())
+            except CodecError as exc:
+                out.append((str(exc), exc.line))
+        return out
+
+    def honest_texts(self):
+        for seed, (spec, values, coin, mask) in enumerate(self.RUNS):
+            rngs = random.Random(seed), random.Random(seed + 100)
+            _, tr = run_local(TOY_REF, spec, values, *rngs, coin_value=coin, mask_value=mask)
+            yield tr, transcript_dumps(tr)
+
+    def test_honest_transcripts(self):
+        for tr, text in self.honest_texts():
+            loaded, read = self.both(text)
+            assert loaded == read == (tr.kind, tr.bound, tr.seed, tr.messages)
+
+    def test_the_same_errors(self):
+        _, text = next(self.honest_texts())
+        header, seed, *frames = text.splitlines(keepends=True)
+        cases = {
+            # (two frames fewer, so the file stays within verify's line cap)
+            "blank lines before the seed": [header, "\n", " \n", seed, *frames[:-2]],
+            "blank lines before a non-seed frame": [header, "\n", "\n", *frames],
+            "a non-seed first frame": [header, *frames],
+            "no frames": [header],
+            "only blank lines": [header, "\n", "\n"],
+        }
+        for name, lines in cases.items():
+            loaded, read = self.both("".join(lines))
+            assert loaded == read, name
+        assert self.both("".join(cases["blank lines before the seed"]))[0][2] == TOY_REF.seed
+        assert self.both("".join(cases["blank lines before a non-seed frame"]))[0] == (
+            "the first frame must carry the seed (line 4)",
+            4,
+        )
+        assert self.both("".join(cases["a non-seed first frame"]))[0][1] == 2
+        assert self.both("".join(cases["no frames"]))[0][1] == 2

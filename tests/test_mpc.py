@@ -1,10 +1,15 @@
+import hashlib
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
+from zkmech import mpc
+from zkmech.codec import transcript_dumps
 from zkmech.commitments import BitOpening, commit_bit, verify_opening
 from zkmech.errors import ParameterError, VerificationFailed
+from zkmech.group import derive_generators
 from zkmech.mpc import (
     MAX_PRICE_SLOTS,
     IndicatorCommitment,
@@ -55,11 +60,13 @@ class TestIndicatorCommitment:
         with pytest.raises(ParameterError):
             mpc_seller_commit(ref23, 0, 128, rng)
 
-    def test_buyer_refuses_more_slots_than_the_bound(self, ref23, rng):
+    def test_buyer_refuses_more_slots_than_the_bound(self, ref23, rng, monkeypatch):
         # the statement has H^2 cells, so the buyer caps H before building it
         ic, _ = mpc_seller_commit(ref23, 3, MAX_PRICE_SLOTS, rng)
         assert verify_indicator(ref23, ic)
-        wide, _ = mpc_seller_commit(ref23, 3, 65, rng, max_slots=65)
+        with monkeypatch.context() as patch:  # a seller that ignores the bound
+            patch.setattr(mpc, "MAX_PRICE_SLOTS", 65)
+            wide, _ = mpc_seller_commit(ref23, 3, 65, rng)
         assert not verify_indicator(ref23, wide)
         with pytest.raises(VerificationFailed):
             mpc_buyer_respond(ref23, wide, 3, rng)
@@ -177,3 +184,20 @@ class TestWireFraming:
         assert decode_final(encode_final(False, None, None), ref23.params.p) == (False, None, None)
         op = BitOpening(bit=1, r=5)
         assert decode_final(encode_final(True, 3, op), ref23.params.p) == (True, 3, op)
+
+    def test_seeded_transcripts_are_pinned(self, q23, q384):
+        # every (H, price, value) at H = 2, 4, 8 in the q=23 group and then
+        # the 384-bit one; a refactor must not move one byte, and each
+        # indicator must decode to what was sent
+        digest = hashlib.sha256()
+        for params in (q23, q384):
+            ref = derive_generators(params, b"mpc digest")
+            for bound in (2, 4, 8):
+                for s, v in product(range(bound), repeat=2):
+                    seller = random.Random(f"s{bound}{s}{v}")
+                    buyer = random.Random(f"b{bound}{s}{v}")
+                    _, _, tr = run_mpc_local(ref, s, v, bound, seller, buyer)
+                    digest.update(transcript_dumps(tr).encode())
+                    payload = tr.messages[0].payload
+                    assert encode_indicator(decode_indicator(ref, payload)) == payload
+        assert digest.hexdigest() == "aa7fc7e31f33ecdbbdc42201fa84cc5738907d8138ed02680438a556db77b535"

@@ -310,6 +310,28 @@ class TestTranscriptVerification:
             verify_transcript(ref23, tr)
         assert err.value.phase == "outcome"
 
+    def test_only_the_canonical_outcome_bytes_pass(self, ref23):
+        # a trade with item and payment, a lottery record, and a no-trade
+        runs = [
+            (MechanismSpec("ex1", 8, (3,)), [5], {}),
+            (MechanismSpec("ex3", 8, (2, 5)), [7], {"coin_value": 1, "mask_value": 0}),
+            (MechanismSpec("ex4", 8, (5,)), [3], {}),
+        ]
+        for spec, values, kw in runs:
+            _, tr = run(ref23, spec, values, **kw)
+            good = tr.messages[-1].payload
+            bad = [good[:-1], good + b"\x00", b"\x00" * len(good)]
+            bad += [
+                bytes(b ^ (1 << bit) if i == k else b for i, b in enumerate(good))
+                for k in range(len(good))
+                for bit in range(8)
+            ]
+            for payload in set(bad) - {good}:  # a no-trade encodes to zero bytes
+                tr.messages[-1] = Message(TAG_OUTCOME, payload)
+                with pytest.raises(VerificationFailed) as err:
+                    verify_transcript(ref23, tr)
+                assert err.value.phase == "outcome", payload.hex()
+
     def test_unknown_kind_rejected(self, ref23):
         _, tr = run(ref23, MechanismSpec("ex1", 8, (5,)), [3])
         tr.kind = "nonsense"
