@@ -10,7 +10,8 @@ The grid runs once with this checkout's `src/` on the path and once with
 OTHER_SRC (for example the `src/` of a `git archive` of another commit).
 For each kind and mechanism case it prints how many transcripts are
 identical and how many differ; cases are named from the mechanism
-definitions, not from the package.
+definitions, not from the package.  It exits 1 when any transcript
+differs, so it can gate a change that must keep every byte.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def main(argv: list[str]) -> int:
     for case in sorted(same.keys() | changed.keys()):
         print(f"{case:16} identical {same[case]:5}  changed {changed[case]:5}")
     print(f"{'total':16} identical {sum(same.values()):5}  changed {sum(changed.values()):5}")
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -296,9 +296,10 @@ HEADER_CAP = 64
 def _read_transcript(fh, q_bits: int):
     """(kind, bound, seed, messages) of the transcript file `fh`, opened in
     binary mode.  Lines are read one at a time, each capped at the kind's
-    longest frame in hex, and at most the header, the seed line and the
-    kind's longest run; `messages` reads them as the verifier asks, so a
-    file stops being read at its first bad message."""
+    longest frame in hex.  Frame lines are capped at the header, the seed
+    line and the kind's longest run, and blank lines, counted apart, at as
+    many; `messages` reads them as the verifier asks, so a file stops being
+    read at its first bad message."""
     header = fh.readline(HEADER_CAP + 1)
     if len(header) > HEADER_CAP:
         raise CodecError(f"header longer than {HEADER_CAP} bytes", line=1)
@@ -311,15 +312,19 @@ def _read_transcript(fh, q_bits: int):
     most = 2 + max_messages(kind)  # the header, the seed and the messages
 
     def lines():
+        seen = {"lines": 1, "blank lines": 0}  # the header is a frame line
         for lineno in count(2):
             line = fh.readline(cap + 1)
             if not line:
                 return
-            if lineno > most:
-                raise CodecError(f"more than {most} lines for {kind}", line=lineno)
             if len(line) > cap:
                 raise CodecError(f"line longer than {cap} bytes", line=lineno)
-            yield lineno, _ascii(line, lineno)
+            text = _ascii(line, lineno)
+            what = "lines" if text.strip() else "blank lines"
+            seen[what] += 1
+            if seen[what] > most:
+                raise CodecError(f"more than {most} {what} for {kind}", line=lineno)
+            yield lineno, text
 
     return kind, bound, *transcript_frames(lines())
 

@@ -2,9 +2,9 @@
 
 Each relation compiles to one or more matrix statements for the sigma
 engine: inequalities against public bounds, inequalities between two
-committed values, bit gates with explicit truth tables, the addition
-circuit with committed carries, complement pairs for coin flips, and the
-strict comparison circuit with committed borrows.
+committed values, complement pairs for coin flips, and two chains of bit
+gates with explicit truth tables: the addition circuit with committed
+carries and the strict comparison circuit with committed borrows.
 
 Every gadget is written once, as a plan built from public data only: a
 tuple of (label, position, rows) entries, one per proof.  A row is a tuple
@@ -19,9 +19,11 @@ holds the opening of every covered bit, so it hands `ni_prove` the openings
 of the simulated rows' targets and raises only g and h.
 
 Bit positions are 1-based with position 1 the most significant bit,
-matching the package-wide integer convention.  Provers refuse (raise
-`RefuseToProve`) whenever the claimed relation has no witness; honest code
-paths can never emit an unsound message.
+matching the package-wide integer convention.  The plan is the only
+statement of each relation: provers refuse (raise `RefuseToProve`) only
+through the plan's witness search, at the first proof none of whose rows
+the openings satisfy, so honest code paths can never emit an unsound
+message.
 """
 
 from __future__ import annotations
@@ -157,43 +159,25 @@ def _verify_plan(
 # over the 0-positions of w.
 
 
-def ge_positions(w: int, width: int) -> list[int]:
-    return [i for i, b in enumerate(int_bits(w, width), start=1) if b == 1]
-
-
-def le_positions(w: int, width: int) -> list[int]:
-    return [i for i, b in enumerate(int_bits(w, width), start=1) if b == 0]
-
-
-def ge_targets(w: int, width: int, i: int) -> list[int]:
-    w_bits = int_bits(w, width)
-    return [j for j in range(1, i + 1) if j == i or w_bits[j - 1] == 0]
-
-
-def le_targets(w: int, width: int, i: int) -> list[int]:
-    w_bits = int_bits(w, width)
-    return [j for j in range(1, i + 1) if j == i or w_bits[j - 1] == 1]
-
-
 @_plan_cache
 def bound_plan(w: int, width: int, *, greater: bool) -> Plan:
     """The ge (`greater`) or le proofs of one committed value against w."""
-    if greater:
-        label, bit, positions, targets = _LBL_GE, 1, ge_positions, ge_targets
-    else:
-        label, bit, positions, targets = _LBL_LE, 0, le_positions, le_targets
+    label, bit = (_LBL_GE, 1) if greater else (_LBL_LE, 0)
+    w_bits = int_bits(w, width)  # a ParameterError out of range
     return tuple(
-        (label, i, tuple(((bit, (0, j)),) for j in targets(w, width, i)))
-        for i in positions(w, width)
+        (
+            label,
+            i,
+            tuple(((bit, (0, j)),) for j in range(1, i + 1) if j == i or w_bits[j - 1] != bit),
+        )
+        for i in range(1, width + 1)
+        if w_bits[i - 1] == bit
     )
 
 
 def prove_ge_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     """Prove the committed value is >= the public bound w."""
-    plan = bound_plan(w, com.width, greater=True)  # a ParameterError out of range
-    value = bits_value([op.bit for op in openings])
-    if value < w:
-        raise RefuseToProve(f"committed value {value} < bound {w}")
+    plan = bound_plan(w, com.width, greater=True)
     return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
 
 
@@ -206,10 +190,7 @@ def verify_ge_public(ref, com, w, bundle, ctx_prefix) -> bool:
 
 def prove_le_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     """Prove the committed value is <= the public bound w."""
-    plan = bound_plan(w, com.width, greater=False)  # a ParameterError out of range
-    value = bits_value([op.bit for op in openings])
-    if value > w:
-        raise RefuseToProve(f"committed value {value} > bound {w}")
+    plan = bound_plan(w, com.width, greater=False)
     return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
 
 
@@ -245,10 +226,6 @@ def prove_le_committed(ref, com_a, ops_a, com_b, ops_b, ctx_prefix, rng) -> Proo
     """Prove committed a <= committed b, one matrix proof per bit position."""
     if com_a.width != com_b.width:
         raise ParameterError("widths must match")
-    a = bits_value([op.bit for op in ops_a])
-    b = bits_value([op.bit for op in ops_b])
-    if a > b:
-        raise RefuseToProve(f"{a} > {b}: no witness exists")
     plan = le_committed_plan(com_a.width)
     return _prove_plan(ref, plan, (com_a.bits, com_b.bits), (ops_a, ops_b), ctx_prefix, rng)
 
@@ -260,7 +237,7 @@ def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix) -> bool:
     return _verify_plan(ref, plan, (com_a.bits, com_b.bits), bundle, ctx_prefix)
 
 
-# -- generic truth-table gates --------------------------------------------------
+# -- truth-table gates ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -282,45 +259,6 @@ def _gate_rows(spec: GateSpec, refs: list[tuple[int, int]]) -> Rows:
     """One row per allowed assignment, in sorted order; argument n of the
     gate is the bit at refs[n]."""
     return tuple(tuple(zip(assignment, refs)) for assignment in sorted(spec.allowed))
-
-
-def gate_plan(spec: GateSpec, position: int) -> Plan:
-    """One proof over `spec.arity` single-bit commitments."""
-    return ((_LBL_GATE, position, _gate_rows(spec, [(k, 1) for k in range(spec.arity)])),)
-
-
-def prove_gate(
-    ref: RefString,
-    coms: list[BitCommitment],
-    openings: list[BitOpening],
-    spec: GateSpec,
-    ctx_prefix: bytes,
-    rng: random.Random,
-    position: int = 0,
-) -> NiProof:
-    """One matrix proof that the committed bits form an allowed assignment."""
-    if len(coms) != spec.arity:
-        raise ParameterError("commitment count must equal gate arity")
-    assignment = tuple(op.bit for op in openings)
-    if assignment not in spec.allowed:
-        raise RefuseToProve(f"assignment {assignment} not allowed by gate")
-    covered, ops = [(c,) for c in coms], [(op,) for op in openings]
-    ((_, proof),) = _prove_plan(ref, gate_plan(spec, position), covered, ops, ctx_prefix, rng)
-    return proof
-
-
-def verify_gate(
-    ref: RefString,
-    coms: list[BitCommitment],
-    spec: GateSpec,
-    proof: NiProof,
-    ctx_prefix: bytes,
-    position: int = 0,
-) -> bool:
-    if len(coms) != spec.arity:
-        raise ParameterError("commitment count must equal gate arity")
-    covered = [(c,) for c in coms]
-    return _verify_plan(ref, gate_plan(spec, position), covered, [(position, proof)], ctx_prefix)
 
 
 # -- gate chains: addition with committed carries, comparison with borrows ------
@@ -473,8 +411,6 @@ def prove_lt_committed(
     s_bits = [op.bit for op in ops_s]
     borrows = _borrow_bits(z_bits, s_bits)
     verdict = borrows[0]
-    if (bits_value(z_bits) < bits_value(s_bits)) != bool(verdict):
-        raise RefuseToProve("verdict inconsistent with openings")
     borrow_com, borrow_ops = commit_int(ref, bits_value(borrows), com_z.width, rng)
     coms, ops = (com_z.bits, com_s.bits, borrow_com.bits), (ops_z, ops_s, borrow_ops)
     bundle = _prove_plan(ref, lt_plan(verdict, com_z.width), coms, ops, ctx_prefix, rng)
@@ -551,11 +487,8 @@ def prove_complement(
     """Two disjunction proofs, base g and base h.  Under dlog hardness this
     certifies a complement pair without revealing which element commits
     which bit."""
-    op, opp = openings
-    if op.bit == opp.bit:
-        raise RefuseToProve("not a complement pair: equal bits")
-    coms = ((pair.r_com,), (pair.rp_com,))
-    bundle = _prove_plan(ref, complement_plan(position), coms, ((op,), (opp,)), ctx_prefix, rng)
+    coms, ops = ((pair.r_com,), (pair.rp_com,)), tuple((op,) for op in openings)
+    bundle = _prove_plan(ref, complement_plan(position), coms, ops, ctx_prefix, rng)
     return [proof for _, proof in bundle]
 
 

@@ -521,18 +521,22 @@ def owed_evidence(spec: MechanismSpec, values: list[int]) -> list[Evidence]:
 
 
 class _Log:
-    """A run's Fiat-Shamir prefix: the seed frame and every frame so far."""
+    """A run's Fiat-Shamir prefix: the seed frame and every frame so far,
+    joined only when a proof binds it, so logging a frame costs its length."""
 
     def __init__(self, seed: bytes):
-        self.prefix = seed_frame(seed)
-        self.count = 0
+        self._frames = [seed_frame(seed)]
 
-    def add(self, msg: Message) -> bytes:
-        """Append `msg`; returns the prefix before it, which its proofs bind."""
-        before = self.prefix
-        self.prefix += msg.frame()
-        self.count += 1
-        return before
+    @property
+    def count(self) -> int:
+        return len(self._frames) - 1
+
+    @property
+    def prefix(self) -> bytes:
+        return b"".join(self._frames)
+
+    def add(self, msg: Message) -> None:
+        self._frames.append(msg.frame())
 
 
 # -- seller session --------------------------------------------------------------
@@ -732,7 +736,9 @@ def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
         _fail(phase, "transcript truncated")
     if msg.tag != tag:
         _fail(phase, f"expected tag {tag:#x}, found {msg.tag:#x}", index=log.count)
-    return log.add(msg)
+    prefix = log.prefix
+    log.add(msg)
+    return prefix
 
 
 def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, coin):

@@ -57,3 +57,8 @@ def test_traced_sessions_match_untraced(bench):
     spans = set(tracer.names)
     wanted = ("group.member", "group.pow_fixed", "group.pow_var", "sigma.statement", "protocols.replay")
     assert spans.issuperset(wanted), spans
+    # A gadget wrapper is named when it is wrapped, so read the spans
+    # recorded: every traced prover and verifier is still called.
+    recorded = {tracer.names[i] for i in tracer.name}
+    gadgets = {f"gadgets.{family}.{side}" for family in tracer_mod.GADGETS for side in ("prove", "verify")}
+    assert gadgets <= recorded, gadgets - recorded

@@ -5,6 +5,8 @@ import threading
 import time
 from itertools import product
 
+import pytest
+
 from zkmech import cli
 from zkmech.codec import (
     TAG_COMMIT,
@@ -16,7 +18,14 @@ from zkmech.codec import (
 )
 from zkmech.errors import CodecError
 from zkmech.group import derive_generators, load_params_file, params_from_modulus
-from zkmech.protocols import MechanismSpec, SellerSession, max_frame_bytes, max_messages, run_local
+from zkmech.protocols import (
+    MechanismSpec,
+    SellerSession,
+    max_frame_bytes,
+    max_messages,
+    run_local,
+    verify_transcript,
+)
 
 
 def _free_port() -> int:
@@ -522,8 +531,7 @@ class TestOneFrameReader:
         _, text = next(self.honest_texts())
         header, seed, *frames = text.splitlines(keepends=True)
         cases = {
-            # (two frames fewer, so the file stays within verify's line cap)
-            "blank lines before the seed": [header, "\n", " \n", seed, *frames[:-2]],
+            "blank lines before the seed": [header, "\n", " \n", seed, *frames],
             "blank lines before a non-seed frame": [header, "\n", "\n", *frames],
             "a non-seed first frame": [header, *frames],
             "no frames": [header],
@@ -539,3 +547,26 @@ class TestOneFrameReader:
         )
         assert self.both("".join(cases["a non-seed first frame"]))[0][1] == 2
         assert self.both("".join(cases["no frames"]))[0][1] == 2
+
+    def test_blank_lines_do_not_count_against_the_frame_cap(self, tmp_path, capsys):
+        """A full run of each kind with blank lines before the seed and
+        between its frames verifies as `transcript_loads` reads it."""
+        for tr, text in self.honest_texts():
+            header, *frames = text.splitlines(keepends=True)
+            path = tmp_path / "blanks.transcript"
+            path.write_text(header + "\n \n" + "\n".join(frames))
+            expected = io.StringIO()
+            cli._print_outcome(verify_transcript(TOY_REF, transcript_loads(path.read_text())), expected)
+            capsys.readouterr()
+            assert cli.run(["verify", str(path), "--toy"]) == 0, tr.kind
+            assert capsys.readouterr().out == expected.getvalue()
+
+    def test_a_file_of_blank_lines_stops_at_the_cap(self):
+        _, text = next(self.honest_texts())
+        header, seed, *_ = text.splitlines(keepends=True)
+        most = 2 + max_messages("ex1")  # the cap on frame lines, and on blank lines
+        fh = io.BytesIO((header + seed + "\n" * (most + 1)).encode())
+        _, _, _, messages = cli._read_transcript(fh, TOY_REF.params.bit_length)
+        with pytest.raises(CodecError, match=f"more than {most} blank lines") as exc:
+            list(messages)
+        assert exc.value.line == 3 + most

@@ -5,29 +5,27 @@ import pytest
 from zkmech.commitments import BitOpening, commit_int
 from zkmech.errors import ParameterError, RefuseToProve
 from zkmech.gadgets import (
+    _LBL_GATE,
     GateSpec,
     _adder_gate,
     _borrow_bits,
     _carry_bits,
+    _gate_rows,
+    _prove_plan,
     _subtractor_gate,
+    _verify_plan,
     bound_plan,
     coin_openings,
     coin_select,
     complement_commit,
-    ge_positions,
-    ge_targets,
-    le_positions,
-    le_targets,
     plan_statement,
     prove_complement,
-    prove_gate,
     prove_ge_public,
     prove_le_committed,
     prove_le_public,
     prove_lt_committed,
     prove_sum,
     verify_complement,
-    verify_gate,
     verify_ge_public,
     verify_le_committed,
     verify_le_public,
@@ -39,19 +37,15 @@ from zkmech.sigma import cds_simulate, cds_verify
 CTX = b"gadget tests"
 
 
-def has_ge_witness(s_bits, w, width):
-    """Characterization oracle, straight from the bit definition."""
-    for i in ge_positions(w, width):
-        if not any(s_bits[j - 1] == 1 for j in ge_targets(w, width, i)):
-            return False
-    return True
+def has_witness(s_bits, plan):
+    """Characterization oracle, read from a bound plan: every proof has a
+    one-cell row whose bit the value has at the cell's position."""
+    return all(any(s_bits[j - 1] == bit for ((bit, (_, j)),) in rows) for _, _, rows in plan)
 
 
-def has_le_witness(s_bits, w, width):
-    for i in le_positions(w, width):
-        if not any(s_bits[j - 1] == 0 for j in le_targets(w, width, i)):
-            return False
-    return True
+def targets(plan):
+    """Each proof's position, with the (bit, position) of its rows' cells."""
+    return [(i, [(bit, j) for ((bit, (_, j)),) in rows]) for _, i, rows in plan]
 
 
 def bits(value, width):
@@ -65,43 +59,45 @@ class TestCharacterization:
         for width in range(1, 5):
             for s in range(1 << width):
                 for w in range(1 << width):
-                    assert has_ge_witness(bits(s, width), w, width) == (s >= w)
-                    assert has_le_witness(bits(s, width), w, width) == (s <= w)
+                    ge, le = (bound_plan(w, width, greater=g) for g in (True, False))
+                    assert has_witness(bits(s, width), ge) == (s >= w)
+                    assert has_witness(bits(s, width), le) == (s <= w)
 
     def test_worked_target_sets(self):
         # s=5 (101) vs w=4 (100): single proof at the leading bit
-        assert ge_positions(4, 3) == [1]
-        assert ge_targets(4, 3, 1) == [1]
+        assert targets(bound_plan(4, 3, greater=True)) == [(1, [(1, 1)])]
         # w=7 (111): three singleton proofs
-        assert ge_positions(7, 3) == [1, 2, 3]
-        assert [ge_targets(7, 3, i) for i in (1, 2, 3)] == [[1], [2], [3]]
+        assert targets(bound_plan(7, 3, greater=True)) == [(i, [(1, i)]) for i in (1, 2, 3)]
         # le: s=3 (011) vs w=5 (101): position 2 collects indices 1 and 2
-        assert le_positions(5, 3) == [2]
-        assert le_targets(5, 3, 2) == [1, 2]
+        assert targets(bound_plan(5, 3, greater=False)) == [(2, [(0, 1), (0, 2)])]
 
 
 class TestPublicBounds:
     def test_ge_exhaustive_width3(self, ref23, rng):
-        for s in range(8):
-            com, ops = commit_int(ref23, s, 3, rng)
-            for w in range(8):
-                if s >= w:
-                    bundle = prove_ge_public(ref23, com, ops, w, CTX, rng)
-                    assert verify_ge_public(ref23, com, w, bundle, CTX)
-                else:
-                    with pytest.raises(RefuseToProve):
-                        prove_ge_public(ref23, com, ops, w, CTX, rng)
+        # every pair at widths 1 to 4: the prover refuses exactly when s < w
+        for width in range(1, 5):
+            for s in range(1 << width):
+                com, ops = commit_int(ref23, s, width, rng)
+                for w in range(1 << width):
+                    if s >= w:
+                        bundle = prove_ge_public(ref23, com, ops, w, CTX, rng)
+                        assert verify_ge_public(ref23, com, w, bundle, CTX)
+                    else:
+                        with pytest.raises(RefuseToProve):
+                            prove_ge_public(ref23, com, ops, w, CTX, rng)
 
     def test_le_exhaustive_width3(self, ref23, rng):
-        for s in range(8):
-            com, ops = commit_int(ref23, s, 3, rng)
-            for w in range(8):
-                if s <= w:
-                    bundle = prove_le_public(ref23, com, ops, w, CTX, rng)
-                    assert verify_le_public(ref23, com, w, bundle, CTX)
-                else:
-                    with pytest.raises(RefuseToProve):
-                        prove_le_public(ref23, com, ops, w, CTX, rng)
+        # every pair at widths 1 to 4: the prover refuses exactly when s > w
+        for width in range(1, 5):
+            for s in range(1 << width):
+                com, ops = commit_int(ref23, s, width, rng)
+                for w in range(1 << width):
+                    if s <= w:
+                        bundle = prove_le_public(ref23, com, ops, w, CTX, rng)
+                        assert verify_le_public(ref23, com, w, bundle, CTX)
+                    else:
+                        with pytest.raises(RefuseToProve):
+                            prove_le_public(ref23, com, ops, w, CTX, rng)
 
     def test_vacuous_bounds_give_empty_bundles(self, ref23, rng):
         com, ops = commit_int(ref23, 5, 3, rng)
@@ -150,16 +146,18 @@ class TestPublicBounds:
 
 class TestCommittedComparison:
     def test_exhaustive_width3(self, ref23, rng):
-        for a in range(8):
-            com_a, ops_a = commit_int(ref23, a, 3, rng)
-            for b in range(8):
-                com_b, ops_b = commit_int(ref23, b, 3, rng)
-                if a <= b:
-                    bundle = prove_le_committed(ref23, com_a, ops_a, com_b, ops_b, CTX, rng)
-                    assert verify_le_committed(ref23, com_a, com_b, bundle, CTX)
-                else:
-                    with pytest.raises(RefuseToProve):
-                        prove_le_committed(ref23, com_a, ops_a, com_b, ops_b, CTX, rng)
+        # every pair at widths 1 to 3: the prover refuses exactly when a > b
+        for width in range(1, 4):
+            for a in range(1 << width):
+                com_a, ops_a = commit_int(ref23, a, width, rng)
+                for b in range(1 << width):
+                    com_b, ops_b = commit_int(ref23, b, width, rng)
+                    if a <= b:
+                        bundle = prove_le_committed(ref23, com_a, ops_a, com_b, ops_b, CTX, rng)
+                        assert verify_le_committed(ref23, com_a, com_b, bundle, CTX)
+                    else:
+                        with pytest.raises(RefuseToProve):
+                            prove_le_committed(ref23, com_a, ops_a, com_b, ops_b, CTX, rng)
 
     def test_equal_values_use_reflexivity(self, ref23, rng):
         com_a, ops_a = commit_int(ref23, 5, 3, rng)
@@ -174,15 +172,21 @@ class TestCommittedComparison:
         assert not verify_le_committed(ref23, com_b, com_a, bundle, CTX)
 
 
+def single_gate(spec):
+    """A one-entry plan: one gate proof over `spec.arity` single-bit
+    commitments, as the gate chains build each of theirs."""
+    return ((_LBL_GATE, 0, _gate_rows(spec, [(k, 1) for k in range(spec.arity)])),)
+
+
 class TestGates:
     def test_degenerate_bit_gate_is_a_zero_proof(self, ref23, rng):
-        gate = GateSpec(arity=1, allowed=frozenset({(0,)}))
+        plan = single_gate(GateSpec(arity=1, allowed=frozenset({(0,)})))
         com, ops = commit_int(ref23, 0, 1, rng)
-        proof = prove_gate(ref23, list(com.bits), ops, gate, CTX, rng)
-        assert verify_gate(ref23, list(com.bits), gate, proof, CTX)
+        bundle = _prove_plan(ref23, plan, [com.bits], [ops], CTX, rng)
+        assert _verify_plan(ref23, plan, [com.bits], bundle, CTX)
         com1, ops1 = commit_int(ref23, 1, 1, rng)
         with pytest.raises(RefuseToProve):
-            prove_gate(ref23, list(com1.bits), ops1, gate, CTX, rng)
+            _prove_plan(ref23, plan, [com1.bits], [ops1], CTX, rng)
 
     def test_xor_gate_truth_table(self, ref23, rng):
         xor = GateSpec(
@@ -193,14 +197,14 @@ class TestGates:
             coms, ops = [], []
             for bit in assignment:
                 c, o = commit_int(ref23, bit, 1, rng)
-                coms.append(c.bits[0])
-                ops.append(o[0])
+                coms.append(c.bits)
+                ops.append(o)
             if assignment in xor.allowed:
-                proof = prove_gate(ref23, coms, ops, xor, CTX, rng)
-                assert verify_gate(ref23, coms, xor, proof, CTX)
+                bundle = _prove_plan(ref23, single_gate(xor), coms, ops, CTX, rng)
+                assert _verify_plan(ref23, single_gate(xor), coms, bundle, CTX)
             else:
                 with pytest.raises(RefuseToProve):
-                    prove_gate(ref23, coms, ops, xor, CTX, rng)
+                    _prove_plan(ref23, single_gate(xor), coms, ops, CTX, rng)
 
     def test_adder_gate_has_four_quadruplets(self):
         for sum_bit in (0, 1):
@@ -257,10 +261,12 @@ class TestComplementPairs:
             assert verify_complement(ref23, [pair], [proofs], CTX)
 
     def test_equal_bits_refuse(self, ref23, rng):
-        pair, ops = complement_commit(ref23, 0, rng)
-        bad = (ops[0], BitOpening(bit=ops[0].bit, r=ops[1].r))
-        with pytest.raises(RefuseToProve):
-            prove_complement(ref23, pair, bad, CTX, rng)
+        # openings claiming (0, 0) and (1, 1)
+        for bit in (0, 1):
+            pair, ops = complement_commit(ref23, bit, rng)
+            bad = (ops[0], BitOpening(bit=ops[0].bit, r=ops[1].r))
+            with pytest.raises(RefuseToProve):
+                prove_complement(ref23, pair, bad, CTX, rng)
 
     def test_pair_elements_always_distinct(self, ref7, rng):
         # resampling guarantees distinct elements even in the tiny group

@@ -788,3 +788,27 @@ def test_each_verified_bundle_builds_its_plan_once(ref23, monkeypatch):
         assert builds == bundles[0], spec
         verified += bundles[0]
     assert verified >= 10
+
+
+def test_a_long_log_replays_in_linear_time(ref23):
+    """The verifier's log keeps its frames and joins them only when a proof
+    binds the prefix, so an ex1multi commitment followed by 4x as many
+    reports takes about 4x as long to replay, not 16x.  The two lengths
+    alternate and each is timed in process time, so that load from other
+    processes weighs on both alike."""
+    import time
+
+    commit = SellerSession(ref23, MechanismSpec("ex1multi", 8, (5,), n_buyers=2), random.Random(0))
+    (commit_msg,) = commit.begin()
+    reports = [Message(TAG_TYPE_REPORT, protocols._report_payload(i, [3])) for i in range(1 << 16)]
+    logs = {n: [commit_msg] + reports[:n] for n in (1 << 14, 1 << 16)}
+    best = {}
+    for _ in range(3):
+        for n, msgs in logs.items():
+            t0 = time.process_time()
+            with pytest.raises(VerificationFailed) as err:
+                protocols.replay(ref23, "ex1multi", 8, msgs)
+            best[n] = min(best.get(n, float("inf")), time.process_time() - t0)
+            assert (err.value.phase, err.value.detail) == ("evaluate", "transcript truncated")
+    small, large = best[1 << 14], best[1 << 16]
+    assert large < 8 * small, (small, large)
