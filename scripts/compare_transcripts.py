@@ -6,6 +6,9 @@ The runs are those of acceptance criterion 1: every price and report
 vector of the five kinds in the q=23 group, with the same seeds and coins.
 The first three runs of each kind and case run again in a 384-bit group,
 where membership tests and powers of g and h take their large-group paths.
+Then come the two-party pricing runs (`run_mpc_local`): every price and
+value at H = 2, 4 and 8 in the q=23 group, and the first three of each H
+and trade/no-trade case again at 384 bits.
 The grid runs once with this checkout's `src/` on the path and once with
 OTHER_SRC (for example the `src/` of a `git archive` of another commit).
 For each kind and mechanism case it prints how many transcripts are
@@ -64,17 +67,34 @@ def grid():
                 yield f"c1/ex4/{s}{v}{x}{y}", "coin", ("ex4", 4, (s,)), [v], x, y
 
 
-def emit_lines():
-    """One line per run, as `--emit` prints it: label, kind/case and the
-    digest of the transcript text, tab-separated."""
-    import random
+def mpc_grid():
+    """(label, case, price, value, bound); a trade exactly when price <= value."""
+    for bound in (2, 4, 8):
+        for s, v in product(range(bound), repeat=2):
+            yield f"mpc/H{bound}/{s}/{v}", f"H{bound}/{'trade' if s <= v else 'none'}", s, v, bound
 
-    from zkmech.codec import transcript_dumps
+
+def _refs():
     from zkmech.group import derive_generators, params_from_modulus
-    from zkmech.protocols import MechanismSpec, run_local
 
     seed = b"acceptance reference string"
-    toy, wide = (derive_generators(params_from_modulus(q), seed) for q in (23, Q384))
+    return [derive_generators(params_from_modulus(q), seed) for q in (23, Q384)]
+
+
+def _digest(transcript) -> str:
+    from zkmech.codec import transcript_dumps
+
+    return hashlib.sha256(transcript_dumps(transcript).encode()).hexdigest()
+
+
+def emit_lines():
+    """One line per run of the five kinds, as `--emit` prints it: label,
+    kind/case and the digest of the transcript text, tab-separated."""
+    import random
+
+    from zkmech.protocols import MechanismSpec, run_local
+
+    toy, wide = _refs()
     per_case = Counter()
     for label, case, spec_args, values, coin, mask in grid():
         spec = MechanismSpec(*spec_args[:3], n_buyers=spec_args[3] if len(spec_args) > 3 else 1)
@@ -92,12 +112,32 @@ def emit_lines():
                 coin_value=coin,
                 mask_value=mask,
             )
-            digest = hashlib.sha256(transcript_dumps(tr).encode()).hexdigest()
-            yield f"{name}\t{spec.kind}/{case}\t{digest}"
+            yield f"{name}\t{spec.kind}/{case}\t{_digest(tr)}"
+
+
+def emit_mpc_lines():
+    """One line per two-party pricing run, in the form of `emit_lines`."""
+    import random
+
+    from zkmech.mpc import run_mpc_local
+
+    toy, wide = _refs()
+    per_case = Counter()
+    for label, case, price, value, bound in mpc_grid():
+        per_case[case] += 1
+        runs = [(toy, label)]
+        if per_case[case] <= WIDE_PER_CASE:
+            runs.append((wide, f"q384/{label}"))
+        for ref, name in runs:
+            rngs = random.Random(f"{name}/seller"), random.Random(f"{name}/buyer")
+            _, _, tr = run_mpc_local(ref, price, value, bound, *rngs)
+            yield f"{name}\tmpc/{case}\t{_digest(tr)}"
 
 
 def emit() -> None:
     for line in emit_lines():
+        print(line)
+    for line in emit_mpc_lines():
         print(line)
 
 

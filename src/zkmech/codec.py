@@ -7,13 +7,18 @@ Strictness is load-bearing for tamper detection -- a mutated transcript
 must never re-encode to something valid.  A message is read in place: a
 length-prefixed part (an integer, a proof) is a `Reader` over the same
 buffer, so a `CodecError` offset counts from the start of the message
-payload.  The outcome message is the one exception to parsing: the
+payload.  A run of integers (a field of a proof) is read by one loop,
+`Reader.uints`, with the checks and offsets of one `Reader.uint` per
+integer.  The outcome message is the one exception to parsing: the
 verifier computes the outcome the evidence implies, and the frame must be
-exactly its canonical encoding.
+exactly its canonical encoding.  The text form is strict too: H is
+canonical ASCII decimal, and a frame line is the lowercase hex
+`transcript_dumps` writes.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -110,6 +115,29 @@ class Reader:
             raise CodecError("non-minimal integer encoding", offset=start)
         return int.from_bytes(self.buf[start:end], "big")
 
+    def uints(self, n: int, lo: int, hi: int, what: str) -> list[int]:
+        """`n` integers in a row, each in [lo, hi]: the checks and offsets of
+        `uint` per integer, in one loop.  An integer out of range is a
+        "`what` out of range" named at its end."""
+        buf, off, end = self.buf, self.off, self.end
+        from_bytes = int.from_bytes
+        out = []
+        for _ in range(n):
+            start = off + 4
+            if start > end:
+                raise CodecError("truncated input", offset=off)
+            off = start + from_bytes(buf[off:start], "big")
+            if off > end:
+                raise CodecError("truncated input", offset=start)
+            if start < off and buf[start] == 0:
+                raise CodecError("non-minimal integer encoding", offset=start)
+            v = from_bytes(buf[start:off], "big")
+            if not lo <= v <= hi:
+                raise CodecError(f"{what} out of range", offset=off)
+            out.append(v)
+        self.off = off
+        return out
+
     def finish(self) -> None:
         if self.off != self.end:
             raise CodecError("trailing bytes", offset=self.off)
@@ -182,19 +210,29 @@ def transcript_dumps(t: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DECIMAL = re.compile("0|[1-9][0-9]*")  # ASCII digits only, unlike str.isdigit
+
+
 def transcript_header(line: str) -> tuple[str, int]:
-    """The kind and the bound H named by a transcript's first line."""
+    """The kind and the bound H named by a transcript's first line.  H is
+    canonical ASCII decimal, as `transcript_dumps` writes it: no sign,
+    separator or leading zero."""
     header = line.split(" ")
     if len(header) != 3 or header[0] != TRANSCRIPT_MAGIC or not header[2].startswith("H="):
         raise CodecError(f"bad header {line!r}", line=1)
+    digits = header[2][2:]
+    if not _DECIMAL.fullmatch(digits):
+        raise CodecError("bad H= field", line=1)
     try:
-        return header[1], int(header[2][2:])
-    except ValueError:
+        return header[1], int(digits)
+    except ValueError:  # more digits than `int` converts
         raise CodecError("bad H= field", line=1) from None
 
 
 def frame_line(line: str, lineno: int) -> Message | None:
-    """The frame one line of a transcript carries in hex; None for a blank line."""
+    """The frame one line of a transcript carries in hex; None for a blank
+    line.  The hex is lowercase, with no space inside the line, as
+    `transcript_dumps` writes it."""
     line = line.strip()
     if not line:
         return None
@@ -202,6 +240,8 @@ def frame_line(line: str, lineno: int) -> Message | None:
         raw = bytes.fromhex(line)
     except ValueError:
         raise CodecError("invalid hex", line=lineno) from None
+    if raw.hex() != line:
+        raise CodecError("non-canonical hex", line=lineno)
     try:
         return decode_single_frame(raw)
     except CodecError as exc:

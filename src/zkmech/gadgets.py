@@ -14,9 +14,11 @@ The prover knows every cell of some row, the one whose bit commitments all
 open to the cells' bits; its witness is the first such row.  One builder
 turns an entry into a statement, one prover proves a whole plan and one
 verifier checks one, all its proofs in one `ni_verify_all` batch, and the
-bundle reader takes its shapes from the same (cached) plan.  The prover
-holds the opening of every covered bit, so it hands `ni_prove` the openings
-of the simulated rows' targets and raises only g and h.
+bundle reader takes its shapes from the same (cached) plan.  The statement
+bytes each proof's context carries are joined from the encodings of g, h
+and the covered commitments, each element encoded once per bundle.  The
+prover holds the opening of every covered bit, so it hands `ni_prove` the
+openings of the simulated rows' targets and raises only g and h.
 
 Bit positions are 1-based with position 1 the most significant bit,
 matching the package-wide integer convention.  The plan is the only
@@ -33,7 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .codec import Reader, encode_u8, encode_u16
+from .codec import Reader, encode_u8, encode_u16, encode_uint
 from .commitments import (
     BitCommitment,
     BitOpening,
@@ -76,8 +78,21 @@ Plan = tuple[tuple[int, int, Rows], ...]  # (label, position, rows) per proof
 _plan_cache = lru_cache(maxsize=64)
 
 
-def _ctx(prefix: bytes, stmt: CdsStatement, label: int, position: int) -> bytes:
-    return prefix + encode_statement(stmt) + encode_u8(label) + encode_u16(position)
+def _ctx(
+    prefix: bytes, stmt: CdsStatement, encoded: dict[int, bytes], label: int, position: int
+) -> bytes:
+    return prefix + encode_statement(stmt, encoded) + encode_u8(label) + encode_u16(position)
+
+
+def element_encodings(
+    ref: RefString, coms: Sequence[Sequence[BitCommitment]]
+) -> dict[int, bytes]:
+    """`encode_uint` of g, h and every covered commitment, each distinct
+    element once: what `encode_statement` needs for any statement of a plan
+    over `coms`."""
+    values = {ref.g, ref.h}
+    values.update([com.value for com_bits in coms for com in com_bits])
+    return {v: encode_uint(v) for v in values}
 
 
 # -- one statement builder, one prover, one verifier ---------------------------
@@ -123,13 +138,14 @@ def _prove_plan(
         for com_bits, com_ops in zip(coms, ops)
         for com, op in zip(com_bits, com_ops)
     }
+    encoded = element_encodings(ref, coms)
     bundle: ProofBundle = []
     for label, position, rows in plan:
         wit = plan_witness(rows, ops)
         if wit is None:
             raise RefuseToProve(f"no witness at position {position}")
         stmt = plan_statement(ref, coms, rows)
-        ctx = _ctx(ctx_prefix, stmt, label, position)
+        ctx = _ctx(ctx_prefix, stmt, encoded, label, position)
         bundle.append((position, ni_prove(stmt, wit, ctx, rng, hint)))
     return bundle
 
@@ -145,10 +161,11 @@ def _verify_plan(
     verify against their entries' statements and contexts, as one batch."""
     if [pos for pos, _ in bundle] != [pos for _, pos, _ in plan]:
         return False
+    encoded = element_encodings(ref, coms)
     items = []
     for (label, position, rows), (_, proof) in zip(plan, bundle):
         stmt = plan_statement(ref, coms, rows)
-        items.append((stmt, proof, _ctx(ctx_prefix, stmt, label, position)))
+        items.append((stmt, proof, _ctx(ctx_prefix, stmt, encoded, label, position)))
     return ni_verify_all(items)
 
 

@@ -28,7 +28,7 @@ from .codec import (
 )
 from .commitments import BitCommitment, BitOpening, commit_bit, encode_opening, read_opening, verify_opening
 from .errors import CodecError, ParameterError, VerificationFailed
-from .gadgets import plan_statement
+from .gadgets import element_encodings, plan_statement
 from .group import RefString
 from .protocols import Outcome
 from .sigma import (
@@ -84,8 +84,10 @@ def one_hot_statement(ref: RefString, coms: list[BitCommitment]) -> CdsStatement
     return plan_statement(ref, [(c,) for c in coms], rows)
 
 
-def _context(ref: RefString, stmt: CdsStatement) -> bytes:
-    return seed_frame(ref.seed) + encode_statement(stmt) + _CTX_LABEL
+def _context(ref: RefString, coms: tuple[BitCommitment, ...], stmt: CdsStatement) -> bytes:
+    """The statement's H^2 cells are joined from H + 2 encoded elements."""
+    encoded = element_encodings(ref, [(c,) for c in coms])
+    return seed_frame(ref.seed) + encode_statement(stmt, encoded) + _CTX_LABEL
 
 
 def mpc_seller_commit(
@@ -104,7 +106,7 @@ def mpc_seller_commit(
     # Every target is a slot the seller opened: h^r at the price, g^r elsewhere.
     bases = (ref.g, ref.h)
     hint = {com.value: (bases[i == price], r) for i, (com, r) in enumerate(zip(coms, exps))}
-    proof = ni_prove(stmt, wit, _context(ref, stmt), rng, hint)
+    proof = ni_prove(stmt, wit, _context(ref, coms, stmt), rng, hint)
     return IndicatorCommitment(coms=coms, proof=proof), SellerSecrets(price=price, exps=exps)
 
 
@@ -115,7 +117,7 @@ def verify_indicator(ref: RefString, ic: IndicatorCommitment) -> bool:
         if com.value == 1 or not ref.params.is_member(com.value):  # no bit commits to 1
             return False
     stmt = one_hot_statement(ref, list(ic.coms))
-    return ni_verify(stmt, ic.proof, _context(ref, stmt))
+    return ni_verify(stmt, ic.proof, _context(ref, ic.coms, stmt))
 
 
 def mpc_buyer_respond(

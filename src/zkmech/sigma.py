@@ -32,6 +32,13 @@ target.  Then alpha = base^(gamma - beta_i * r) when B is the cell's base,
 one table power, and base^gamma * B^(-beta_i * r) otherwise, two.  That is
 the same group element, so the proof's bytes, and the rng draws behind
 them, do not change; only how a simulated alpha is computed does.
+
+Bytes.  A proof keeps the bytes `read_proof` read it from or `ni_prove`
+encoded it into: `ni_verify_all` hashes them for the challenge and the
+batch weights, and `encode_sized_proof` sends them, so no proof is encoded
+twice or re-encoded after decoding.  `read_proof` reads each field's
+integers as one `Reader.uints` run.  `encode_statement` joins element
+encodings its caller made once, however many cells share an element.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import hashlib
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .codec import Reader, encode_u16, encode_uint
 from .errors import (
@@ -84,7 +92,7 @@ class CdsStatement:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
+        return tuple(map(len, self.rows))
 
 
 @dataclass(frozen=True)
@@ -121,12 +129,19 @@ class ProverState:
 
 @dataclass(frozen=True)
 class NiProof:
-    """A Fiat-Shamir (non-interactive) proof bound to a byte context."""
+    """A Fiat-Shamir (non-interactive) proof bound to a byte context.
+
+    `_wire` holds the proof's bytes, its first message and the rest, as
+    `read_proof` read them or `ni_prove` encoded them, so a proof is never
+    encoded twice.  It is not an init field: `dataclasses.replace` makes a
+    proof without it, which is encoded from its fields when needed.
+    """
 
     first: SigmaFirst
     challenge: int
     response: SigmaResponse
     context_digest: bytes
+    _wire: tuple[bytes, bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def check_witness(stmt: CdsStatement, wit: CdsWitness) -> bool:
@@ -263,18 +278,22 @@ def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaRe
     every alpha, beta and gamma, and the betas summing to the challenge."""
     params = stmt.params
     shape = stmt.shape
-    if tuple(len(r) for r in first.alphas) != shape or tuple(
-        len(r) for r in resp.gammas
-    ) != shape or len(resp.betas) != len(shape):
+    if (
+        tuple(map(len, first.alphas)) != shape
+        or tuple(map(len, resp.gammas)) != shape
+        or len(resp.betas) != len(shape)
+    ):
         raise ShapeMismatch("proof components do not match statement shape")
     if not 1 <= beta <= params.p:
         raise ParameterError(f"challenge out of range: {beta}")
     p, q = params.p, params.q
-    if any(not 0 <= b < p for b in resp.betas):
+    # Rows are nonempty, as the statement's are, so min and max per row
+    # scan them in C.
+    if min(resp.betas) < 0 or max(resp.betas) >= p:
         return False
-    if any(not 0 <= g < p for row in resp.gammas for g in row):
+    if min(map(min, resp.gammas)) < 0 or max(map(max, resp.gammas)) >= p:
         return False
-    if any(not 1 <= a <= q - 1 for row in first.alphas for a in row):
+    if min(map(min, first.alphas)) < 1 or max(map(max, first.alphas)) >= q:
         return False
     return sum(resp.betas) % p == beta % p
 
@@ -389,14 +408,17 @@ def ni_prove(
     """`openings`: the simulated cells' targets opened, as for
     `cds_prove_first`; the proof is the same with or without them."""
     first, state = cds_prove_first(stmt, wit, rng, openings)
-    challenge = fiat_shamir_challenge(stmt.params, context + encode_first(first))
+    first_bytes = encode_first(first)
+    challenge = fiat_shamir_challenge(stmt.params, context + first_bytes)
     response = cds_respond(state, challenge)
-    return NiProof(
+    proof = NiProof(
         first=first,
         challenge=challenge,
         response=response,
         context_digest=hashlib.sha256(context).digest(),
     )
+    object.__setattr__(proof, "_wire", (first_bytes, _encode_response(proof)))
+    return proof
 
 
 def ni_verify(stmt: CdsStatement, proof: NiProof, context: bytes) -> bool:
@@ -413,7 +435,8 @@ def ni_verify_all(items: Sequence[tuple[CdsStatement, NiProof, bytes]]) -> bool:
     order, each proof's shape, ranges and challenge sum are checked.  In a
     group whose p has BATCH_BITS bits or more, the cell equations of all
     the proofs are checked at once (`_batch_holds`); below it, one cell at
-    a time through `cds_verify`.
+    a time through `cds_verify`.  The challenge and the batch weights hash
+    each proof's own bytes (`NiProof._wire`), not a fresh encoding.
     """
     if not items:
         return True
@@ -425,7 +448,7 @@ def ni_verify_all(items: Sequence[tuple[CdsStatement, NiProof, bytes]]) -> bool:
             raise ParameterError("a batch of proofs must share one group")
         if hashlib.sha256(context).digest() != proof.context_digest:
             return False
-        first = encode_first(proof.first)
+        first, rest = _wire_bytes(proof)
         if fiat_shamir_challenge(params, context + first) != proof.challenge:
             return False
         check = _well_formed if batch else cds_verify
@@ -435,7 +458,7 @@ def ni_verify_all(items: Sequence[tuple[CdsStatement, NiProof, bytes]]) -> bool:
         except (ShapeMismatch, ParameterError):
             return False
         if batch:
-            encoded.append(first + _encode_response(proof))
+            encoded += (first, rest)
     return not batch or _batch_holds(params, items, b"".join(encoded))
 
 
@@ -512,34 +535,40 @@ def and_statement(params: GroupParams, pairs: list[tuple[int, int]]) -> CdsState
 # -- wire encodings ------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)  # plans have few shapes; a hit costs a tuple hash
 def encode_shape(shape: tuple[int, ...]) -> bytes:
     return encode_u16(len(shape)) + b"".join(encode_u16(w) for w in shape)
 
 
-def encode_statement(stmt: CdsStatement) -> bytes:
-    out = [encode_shape(stmt.shape)]
-    for row in stmt.rows:
-        for base, target in row:
-            out.append(encode_uint(base))
-            out.append(encode_uint(target))
-    return b"".join(out)
+def encode_statement(stmt: CdsStatement, encoded: Mapping[int, bytes]) -> bytes:
+    """The shape, then each cell's base and target; `encoded` maps every
+    element of the statement to its `encode_uint`, so a caller encodes each
+    element once, however many cells share it."""
+    cells = [encoded[x] for row in stmt.rows for cell in row for x in cell]
+    return encode_shape(stmt.shape) + b"".join(cells)
 
 
 def encode_first(first: SigmaFirst) -> bytes:
-    shape = tuple(len(r) for r in first.alphas)
+    shape = tuple(map(len, first.alphas))
     return encode_shape(shape) + b"".join(
         encode_uint(a) for row in first.alphas for a in row
     )
 
 
+def _wire_bytes(proof: NiProof) -> tuple[bytes, bytes]:
+    """The proof's first message and the rest of its body: the bytes it was
+    read from or made with, else encoded from its fields."""
+    return proof._wire or (encode_first(proof.first), _encode_response(proof))
+
+
 def encode_proof(proof: NiProof) -> bytes:
-    return encode_first(proof.first) + _encode_response(proof)
+    return b"".join(_wire_bytes(proof))
 
 
 def encode_sized_proof(proof: NiProof) -> bytes:
     """A proof behind its 4-byte length, as bundles and coin messages carry it."""
-    body = encode_proof(proof)
-    return len(body).to_bytes(4, "big") + body
+    first, rest = _wire_bytes(proof)
+    return (len(first) + len(rest)).to_bytes(4, "big") + first + rest
 
 
 def sized_proof_bytes(shape: tuple[int, ...], e: int) -> int:
@@ -559,40 +588,37 @@ def _encode_response(proof: NiProof) -> bytes:
     return b"".join(out)
 
 
+def _rows(flat: list[int], widths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    rows, n = [], 0
+    for w in widths:
+        rows.append(tuple(flat[n : n + w]))
+        n += w
+    return tuple(rows)
+
+
 def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProof:
-    """Strict decode against an expected statement shape."""
-    k = r.u16()
-    if k != len(shape):
-        raise CodecError(f"proof row count {k} != expected {len(shape)}", offset=r.off)
-    widths = tuple(r.u16() for _ in range(k))
-    if widths != shape:
-        raise CodecError("proof row widths differ from statement", offset=r.off)
+    """Strict decode against an expected statement shape.  Each field's
+    integers are one `Reader.uints` run, so an integer out of range is named
+    at its own end; the proof keeps the bytes it was read from."""
+    begin = r.off
+    if r.take(2 + 2 * len(shape)) != encode_shape(shape):
+        raise CodecError("proof shape differs from statement", offset=begin)
     q, p = params.q, params.p
-    alphas = []
-    for w in widths:
-        row = tuple(r.uint() for _ in range(w))
-        if any(not 1 <= a <= q - 1 for a in row):
-            raise CodecError("alpha out of range", offset=r.off)
-        alphas.append(row)
-    challenge = r.uint()
-    if not 1 <= challenge <= p:
-        raise CodecError("challenge out of range", offset=r.off)
-    betas = tuple(r.uint() for _ in range(k))
-    if any(not 0 <= b < p for b in betas):
-        raise CodecError("per-row challenge out of range", offset=r.off)
-    gammas = []
-    for w in widths:
-        row = tuple(r.uint() for _ in range(w))
-        if any(not 0 <= g < p for g in row):
-            raise CodecError("gamma out of range", offset=r.off)
-        gammas.append(row)
+    cells = sum(shape)
+    alphas = r.uints(cells, 1, q - 1, "alpha")
+    mid = r.off
+    (challenge,) = r.uints(1, 1, p, "challenge")
+    betas = tuple(r.uints(len(shape), 0, p - 1, "per-row challenge"))
+    gammas = r.uints(cells, 0, p - 1, "gamma")
     digest = r.take(32)
-    return NiProof(
-        first=SigmaFirst(alphas=tuple(alphas)),
+    proof = NiProof(
+        first=SigmaFirst(alphas=_rows(alphas, shape)),
         challenge=challenge,
-        response=SigmaResponse(betas=betas, gammas=tuple(gammas)),
+        response=SigmaResponse(betas=betas, gammas=_rows(gammas, shape)),
         context_digest=digest,
     )
+    object.__setattr__(proof, "_wire", (r.buf[begin:mid], r.buf[mid : r.off]))
+    return proof
 
 
 def read_sized_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProof:

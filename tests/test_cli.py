@@ -482,6 +482,49 @@ class TestCappedVerify:
         assert len(longest) == 5
 
 
+class TestCanonicalText:
+    """`zkmech verify` accepts H only in canonical ASCII decimal and a frame
+    line only as the lowercase hex `zkmech demo` writes: any other spelling
+    of an honest run exits 1, naming the line."""
+
+    def honest(self, tmp_path, capsys) -> list[str]:
+        out = tmp_path / "run.transcript"
+        demo = [
+            "demo", "--example", "ex1", "--price", "5", "--H", "8",
+            "--value", "3", "--toy", "--seed", "aa", "--out", str(out),
+        ]
+        assert cli.run(demo) == 0
+        capsys.readouterr()
+        return out.read_text().splitlines(keepends=True)
+
+    def verify(self, tmp_path, capsys, lines) -> tuple[int, str]:
+        path = tmp_path / "spelled.transcript"
+        path.write_bytes("".join(lines).encode())
+        rc = cli.run(["verify", str(path), "--toy"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    def test_the_bound(self, tmp_path, capsys):
+        header, *frames = self.honest(tmp_path, capsys)
+        assert header == "zkmech/1 ex1 H=8\n"
+        assert self.verify(tmp_path, capsys, [header, *frames])[0] == 0
+        for field in ("08", "+8", "0_8", "00008", "\u0668"):
+            rc, err = self.verify(tmp_path, capsys, [f"zkmech/1 ex1 H={field}\n", *frames])
+            assert rc == 1 and "(line 1)" in err, field
+
+    def test_the_frame_lines(self, tmp_path, capsys):
+        lines = self.honest(tmp_path, capsys)
+        assert lines[2].startswith("01")  # the commitment
+        body = lines[2].rstrip("\n")
+        assert body != body.upper()
+        for spelled in (body.upper(), body[:2] + " " + body[2:], body[:-1] + body[-1].upper() + " 00"):
+            rc, err = self.verify(tmp_path, capsys, [*lines[:2], spelled + "\n", *lines[3:]])
+            assert rc == 1 and "(line 3)" in err, spelled
+        crlf = [line.replace("\n", "\r\n") for line in lines]
+        assert self.verify(tmp_path, capsys, crlf)[0] == 0
+
+
 class TestOneFrameReader:
     """`transcript_loads` and `zkmech verify` read the frames after the
     header with one codec function: on every file they give the same kind,

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -7,9 +8,10 @@ from itertools import product
 
 import pytest
 
-from zkmech import gadgets, mpc, protocols, sigma
+from zkmech import codec, gadgets, mpc, protocols, sigma
 from zkmech.codec import (
     Message,
+    Reader,
     TAG_COIN_MASK,
     TAG_COMMIT,
     TAG_EVAL_PROOF,
@@ -812,3 +814,126 @@ def test_a_long_log_replays_in_linear_time(ref23):
             assert (err.value.phase, err.value.detail) == ("evaluate", "transcript truncated")
     small, large = best[1 << 14], best[1 << 16]
     assert large < 8 * small, (small, large)
+
+
+# -- each proof byte read and encoded once -------------------------------------------
+
+
+def replayed_proofs(ref, tr, monkeypatch):
+    """Replay `tr`; returns each proof it reads, as (its sized bytes on the
+    wire, the statement, the proof, the context it was verified against)."""
+    read, verified = {}, {}
+    real_read, real_verify = sigma.read_sized_proof, gadgets.ni_verify_all
+
+    def reading(r, params, shape):
+        start = r.off
+        proof = real_read(r, params, shape)
+        read[id(proof)] = proof, bytes(r.buf[start : r.off])  # the proof kept, so ids stay unique
+        return proof
+
+    def verifying(items):
+        for item in items:
+            verified[id(item[1])] = item
+        return real_verify(items)
+
+    with monkeypatch.context() as m:
+        for module in (gadgets, protocols):
+            m.setattr(module, "read_sized_proof", reading)
+        m.setattr(gadgets, "ni_verify_all", verifying)
+        verify_transcript(ref, tr)
+    assert read.keys() == verified.keys()
+    return [(read[key][1], *verified[key]) for key in read]
+
+
+@pytest.mark.parametrize("group", ["ref23", "ref384"])
+def test_proofs_keep_their_wire_bytes(request, group, monkeypatch):
+    """Every proof of the differential runs encodes to the bytes it was read
+    from.  A proof changed with `dataclasses.replace` (an alpha, a gamma or
+    the challenge) carries none of them: it encodes to its new fields and
+    `ni_verify_all` rejects it."""
+    ref = request.getfixturevalue(group)
+    p, q = ref.params.p, ref.params.q
+    checked = 0
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        _, tr = run(ref, spec, values, seed=("wire bytes", n), coin_value=coin, mask_value=mask)
+        for blob, stmt, proof, ctx in replayed_proofs(ref, tr, monkeypatch):
+            again = sigma.read_sized_proof(Reader(blob), ref.params, stmt.shape)
+            assert again == proof and sigma.encode_sized_proof(again) == blob
+            assert sigma.encode_sized_proof(replace(proof)) == blob
+            assert sigma.ni_verify_all([(stmt, proof, ctx)])
+            (alpha, *others), *rows = proof.first.alphas
+            (gamma, *rest), *grows = proof.response.gammas
+            changed = [
+                replace(proof, first=sigma.SigmaFirst(((alpha % (q - 1) + 1, *others), *rows))),
+                replace(
+                    proof,
+                    response=replace(proof.response, gammas=(((gamma + 1) % p, *rest), *grows)),
+                ),
+                replace(proof, challenge=proof.challenge % p + 1),
+            ]
+            for bad in changed:
+                wire = sigma.encode_sized_proof(bad)
+                assert wire != blob
+                assert sigma.read_sized_proof(Reader(wire), ref.params, stmt.shape) == bad
+                assert not sigma.ni_verify_all([(stmt, bad, ctx)])
+            checked += 1
+    assert checked >= 30
+
+
+def test_a_replay_encodes_no_proof_and_each_element_once(ref23, monkeypatch):
+    """Replaying seeded ex4 coin, ex1multi and ex3 lottery runs calls
+    `encode_first` 0 times, and within each verified bundle encodes no
+    group element twice; the mpc indicator check encodes each of its H
+    slots, g and h once."""
+    bundles: list[list[int]] = []
+    current: list[list[int]] = []
+    first_calls = [0]
+    real_uint, real_first = codec.encode_uint, sigma.encode_first
+
+    def encode_uint(n):
+        if current:
+            current[-1].append(n)
+        return real_uint(n)
+
+    def encode_first(first):
+        first_calls[0] += 1
+        return real_first(first)
+
+    def bundle(real):
+        def wrapped(*args):
+            current.append([])
+            try:
+                return real(*args)
+            finally:
+                bundles.append(current.pop())
+
+        return wrapped
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("zkmech.") and getattr(module, "encode_uint", None) is real_uint:
+            monkeypatch.setattr(module, "encode_uint", encode_uint)
+    monkeypatch.setattr(sigma, "encode_first", encode_first)
+    monkeypatch.setattr(gadgets, "_verify_plan", bundle(gadgets._verify_plan))
+    cases = Counter()  # verified bundles per case
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        _, tr = run(ref23, spec, values, seed=("encodes", n), coin_value=coin, mask_value=mask)
+        case = spec.kind
+        if spec.kind == "ex3":
+            case += "/" + protocols.two_part_case(spec.prices, values[0])
+        elif spec.kind == "ex4":
+            case += "/coin" if TAG_COIN_MASK in tr.tags() else "/none"
+        if case not in ("ex4/coin", "ex1multi", "ex3/lottery"):
+            continue
+        first_calls[0], bundles[:] = 0, []
+        verify_transcript(ref23, tr)
+        assert first_calls[0] == 0, case
+        assert all(len(b) == len(set(b)) for b in bundles), (case, bundles)
+        assert all({ref23.g, ref23.h} <= set(b) for b in bundles), case
+        cases[case] += len(bundles)
+    assert cases.keys() == {"ex4/coin", "ex1multi", "ex3/lottery"} and min(cases.values()) >= 2, cases
+
+    monkeypatch.setattr(mpc, "verify_indicator", bundle(mpc.verify_indicator))
+    bundles[:] = []
+    run_mpc_local(ref23, 3, 5, 8, random.Random("mpc/s"), random.Random("mpc/b"))
+    (indicator,) = bundles
+    assert len(indicator) == len(set(indicator)) <= 8 + 2

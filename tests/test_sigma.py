@@ -396,6 +396,21 @@ class TestNonInteractive:
             again = decode_proof(encode_proof(proof), q23, stmt.shape)
             assert again == proof
 
+    @pytest.mark.parametrize("group", ["q23", "q384"])
+    def test_replace_carries_no_wire_bytes(self, request, group, rng):
+        """A proof made by `ni_prove` or read from bytes keeps those bytes,
+        and `dataclasses.replace` drops them: one proof's fields moved onto
+        another, made for the same statement and context, are that other
+        proof, and verify and encode as it does."""
+        params = request.getfixturevalue(group)
+        for stmt, wit in toy_statements(params):
+            made, other = (ni_prove(stmt, wit, b"ctx", rng) for _ in range(2))
+            read = decode_proof(encode_proof(made), params, stmt.shape)
+            for proof in (made, read):
+                moved = replace(proof, first=other.first, challenge=other.challenge, response=other.response)
+                assert moved == other and encode_proof(moved) == encode_proof(other)
+                assert ni_verify_all([(stmt, moved, b"ctx")])
+
 
 class TestShims:
     def test_or_is_rows_of_width_one(self, q7):
