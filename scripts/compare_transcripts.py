@@ -8,7 +8,10 @@ The first three runs of each kind and case run again in a 384-bit group,
 where membership tests and powers of g and h take their large-group paths.
 Then come the two-party pricing runs (`run_mpc_local`): every price and
 value at H = 2, 4 and 8 in the q=23 group, and the first three of each H
-and trade/no-trade case again at 384 bits.
+and trade/no-trade case again at 384 bits.  Last come the runs whose coin
+and mask the sessions draw from their own rngs, as a seeded `demo` does:
+every ex3 lottery input at H = 8 and every ex4 trade input at H = 2, 4
+and 8, at q=23 and, the first three of each case, at 384 bits.
 The grid runs once with this checkout's `src/` on the path and once with
 OTHER_SRC (for example the `src/` of a `git archive` of another commit).
 For each kind and mechanism case it prints how many transcripts are
@@ -67,6 +70,18 @@ def grid():
                 yield f"c1/ex4/{s}{v}{x}{y}", "coin", ("ex4", 4, (s,)), [v], x, y
 
 
+def draw_grid():
+    """(label, case, spec arguments, values) of the runs with drawn coins."""
+    for s1 in range(8):
+        for s2 in range(s1, 8):
+            for v in range(2 * s1, min(2 * s2, 8)):  # s1 <= v/2 < s2: the lottery
+                yield f"draw/ex3/{s1}{s2}{v}", "drawn", ("ex3", 8, (s1, s2)), [v]
+    for bound in (2, 4, 8):
+        for s in range(bound):
+            for v in range(s, bound):
+                yield f"draw/ex4/H{bound}/{s}/{v}", f"H{bound}/drawn", ("ex4", bound, (s,)), [v]
+
+
 def mpc_grid():
     """(label, case, price, value, bound); a trade exactly when price <= value."""
     for bound in (2, 4, 8):
@@ -115,6 +130,27 @@ def emit_lines():
             yield f"{name}\t{spec.kind}/{case}\t{_digest(tr)}"
 
 
+def emit_draw_lines():
+    """One line per run of `draw_grid`, in the form of `emit_lines`; the
+    seller draws its coin and the buyer its mask."""
+    import random
+
+    from zkmech.protocols import MechanismSpec, run_local
+
+    toy, wide = _refs()
+    per_case = Counter()
+    for label, case, spec_args, values in draw_grid():
+        spec = MechanismSpec(*spec_args)
+        per_case[spec.kind, case] += 1
+        runs = [(toy, label)]
+        if per_case[spec.kind, case] <= WIDE_PER_CASE:
+            runs.append((wide, f"q384/{label}"))
+        for ref, name in runs:
+            rngs = random.Random(f"{name}/seller"), random.Random(f"{name}/buyer")
+            _, tr = run_local(ref, spec, values, *rngs)
+            yield f"{name}\t{spec.kind}/{case}\t{_digest(tr)}"
+
+
 def emit_mpc_lines():
     """One line per two-party pricing run, in the form of `emit_lines`."""
     import random
@@ -138,6 +174,8 @@ def emit() -> None:
     for line in emit_lines():
         print(line)
     for line in emit_mpc_lines():
+        print(line)
+    for line in emit_draw_lines():
         print(line)
 
 

@@ -151,8 +151,8 @@ def two_part_mechanism(s1: int, s2: int, bound: int) -> FiniteMechanism:
 def ex3_ic_lemma_check(bound: int) -> bool:
     """True iff, over all price pairs, incentive violations vanish exactly
     when the base price is at most the top-up price."""
-    if bound > 32:
-        raise ParameterError("lemma scan is intended for H <= 32")
+    if not 1 <= bound <= 32:
+        raise ParameterError(f"lemma scan is intended for 1 <= H <= 32, got H={bound}")
     for s1 in range(bound):
         for s2 in range(bound):
             clean = not check_dsic_ir(two_part_mechanism(s1, s2, bound))
@@ -344,6 +344,8 @@ def groves_outcome(inst: GrovesInstance) -> tuple[int, tuple]:
 
 def random_groves_instance(n: int, n_outcomes: int, rng: random.Random) -> GrovesInstance:
     """A random rational instance with at least one positive valuation."""
+    if n < 2 or n_outcomes < 1:
+        raise ParameterError(f"need n >= 2 players and an outcome, got {n} and {n_outcomes}")
     raw = [rng.randrange(1, 100) for _ in range(n)]
     total = sum(raw)
     weights = tuple(Fraction(a, total) for a in raw)

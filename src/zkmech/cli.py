@@ -20,8 +20,6 @@ from itertools import count
 from . import analysis
 from .codec import (
     Message,
-    TAG_COMMIT,
-    TAG_COMMIT_PROOF,
     TAG_OUTCOME,
     Transcript,
     transcript_dumps,
@@ -72,18 +70,27 @@ def _resolve_group(args) -> tuple[GroupParams, bytes]:
 
 
 MAX_BOUND = 1 << 16
+# The noise report's widest window: its bin lists hold 2 * window + 1 entries.
+MAX_WINDOW = 1 << 16
 
 
-def _check_bound(bound: int) -> int:
-    if bound > MAX_BOUND:
-        raise ZkmechError(f"H must be at most {MAX_BOUND}")
-    return bound
+def _int_in(low: int, high: int | None = None):
+    """A flag's type: an integer of at least `low`, and at most `high`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            limit = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {limit}, got {value}")
+        return value
+
+    return integer
 
 
 def _values_from_args(args) -> list[int]:
     """The buyer's values: --values for ex2 and ex1multi, --value otherwise."""
     kind = args.example
-    if kind in ("ex2", "ex1multi"):
+    if KINDS[kind].per_report != 1:
         if not args.values:
             raise ZkmechError(f"{kind} needs --values v1,v2,...")
         return [int(x) for x in args.values.split(",")]
@@ -95,15 +102,14 @@ def _values_from_args(args) -> list[int]:
 def _spec_from_args(args) -> MechanismSpec:
     """The seller's mechanism; ex1multi takes its bidder count from --values."""
     kind = args.example
-    bound = _check_bound(args.bound)
-    if kind in ("ex2", "ex3"):
+    if KINDS[kind].prices == 2:
         if args.s1 is None or args.s2 is None:
             raise ZkmechError(f"{kind} needs --s1 and --s2")
-        return MechanismSpec(kind, bound, (args.s1, args.s2))
+        return MechanismSpec(kind, args.bound, (args.s1, args.s2))
     if args.price is None:
         raise ZkmechError(f"{kind} needs --price")
-    n_buyers = len(_values_from_args(args)) if kind == "ex1multi" else 1
-    return MechanismSpec(kind, bound, (args.price,), n_buyers=n_buyers)
+    n_buyers = 1 if KINDS[kind].per_report else len(_values_from_args(args))
+    return MechanismSpec(kind, args.bound, (args.price,), n_buyers=n_buyers)
 
 
 # -- socket framing ---------------------------------------------------------------
@@ -202,8 +208,6 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_seller(args) -> int:
-    if args.example == "ex1multi":
-        raise ZkmechError("networked sessions support single-buyer examples only")
     spec = _spec_from_args(args)
     params, crs = _resolve_group(args)
     ref = derive_generators(params, crs)
@@ -242,10 +246,7 @@ def _cmd_seller(args) -> int:
 
 
 def _cmd_buyer(args) -> int:
-    if args.example == "ex1multi":
-        raise ZkmechError("networked sessions support single-buyer examples only")
-    kind = args.example
-    bound = _check_bound(args.bound)
+    kind, bound = args.example, args.bound
     params, crs = _resolve_group(args)
     ref = derive_generators(params, crs)
     rng = _role_rng(args.seed, "buyer")
@@ -258,13 +259,13 @@ def _cmd_buyer(args) -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.settimeout(PEER_TIMEOUT_S)
         sock.connect((host, port))
-        expect = [TAG_COMMIT, TAG_COMMIT_PROOF] if kind == "ex3" else [TAG_COMMIT]
-        commit_msgs = [_recv_message(sock, cap) for _ in expect]
+        # The commitment, and its certificate where the kind has one.
+        commit_msgs = [_recv_message(sock, cap) for _ in range(1 + KINDS[kind].certified)]
         ordered.extend(commit_msgs)
         # The value is requested only now, after the commitment is already
         # fixed on the wire.
         if buyer is None:
-            raw = input("value: " if kind != "ex2" else "values (v1,v2): ")
+            raw = input("value: " if KINDS[kind].per_report == 1 else "values (v1,v2): ")
             buyer = BuyerSession(ref, kind, bound, [int(x) for x in raw.split(",")], rng)
         reports = buyer.receive_commit(commit_msgs)
         ordered.extend(reports)
@@ -396,9 +397,10 @@ def _add_group_flags(sp) -> None:
     sp.add_argument("--seed", help="hex seed for deterministic private randomness")
 
 
-def _add_spec_flags(sp) -> None:
-    sp.add_argument("--example", required=True, choices=["ex1", "ex1multi", "ex2", "ex3", "ex4"])
-    sp.add_argument("--H", dest="bound", type=int, default=8, help="price bound (power of two)")
+def _add_spec_flags(sp, kinds) -> None:
+    sp.add_argument("--example", required=True, choices=kinds)
+    bound = _int_in(2, MAX_BOUND)
+    sp.add_argument("--H", dest="bound", type=bound, default=8, help="price bound (power of two)")
     sp.add_argument("--price", type=int, help="hidden price (ex1, ex1multi, ex4)")
     sp.add_argument("--s1", type=int, help="first hidden price (ex2, ex3)")
     sp.add_argument("--s2", type=int, help="second hidden price (ex2, ex3)")
@@ -420,22 +422,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gen_params)
 
     sp = sub.add_parser("demo", help="run both roles in-process")
-    _add_spec_flags(sp)
+    _add_spec_flags(sp, list(KINDS))
     sp.add_argument("--value", type=int, help="buyer value (ex1, ex3, ex4)")
     sp.add_argument("--values", help="comma-separated values/bids (ex2, ex1multi)")
     sp.add_argument("--out", help="transcript file (default: stdout)")
     _add_group_flags(sp)
     sp.set_defaults(func=_cmd_demo)
 
+    # Networked sessions have one buyer: kinds with a report per bidder stay local.
+    networked = [name for name, kind in KINDS.items() if kind.per_report]
     sp = sub.add_parser("seller", help="serve one session over TCP")
-    _add_spec_flags(sp)
+    _add_spec_flags(sp, networked)
     sp.add_argument("--listen", required=True, help="host:port (empty host = loopback)")
     sp.add_argument("--out", help="transcript file")
     _add_group_flags(sp)
     sp.set_defaults(func=_cmd_seller)
 
     sp = sub.add_parser("buyer", help="join one session over TCP")
-    _add_spec_flags(sp)
+    _add_spec_flags(sp, networked)
     sp.add_argument("--value", type=int, help="buyer value")
     sp.add_argument("--values", help="comma-separated values (ex2)")
     sp.add_argument("--connect", required=True, help="host:port")
@@ -452,18 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="run an analysis report")
     asub = sp.add_subparsers(dest="what", required=True)
     a = asub.add_parser("ic-lemma")
-    a.add_argument("--H", dest="bound", type=int, default=8)
+    a.add_argument("--H", dest="bound", type=_int_in(1, 32), default=8)
     a = asub.add_parser("noise")
     a.add_argument("--alpha", type=float, default=None)
     a.add_argument("--eps", type=float, default=None)
-    a.add_argument("--ell", type=int, default=1)
-    a.add_argument("--window", type=int, default=50)
-    a.add_argument("--samples", type=int, default=100_000)
+    a.add_argument("--ell", type=_int_in(1), default=1)
+    a.add_argument("--window", type=_int_in(0, MAX_WINDOW), default=50)
+    a.add_argument("--samples", type=_int_in(0), default=100_000)
     a.add_argument("--seed")
     a = asub.add_parser("groves")
-    a.add_argument("--n", type=int, default=3)
-    a.add_argument("--outcomes", type=int, default=4)
-    a.add_argument("--trials", type=int, default=100)
+    a.add_argument("--n", type=_int_in(2), default=3)
+    a.add_argument("--outcomes", type=_int_in(1), default=4)
+    a.add_argument("--trials", type=_int_in(1), default=100)
     a.add_argument("--seed")
     sp.set_defaults(func=_cmd_analyze)
 

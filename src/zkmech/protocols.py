@@ -4,12 +4,16 @@ Each protocol runs as an ordered message exchange: commitments (plus an
 incentive certificate where needed), type reports, evidence (reveals,
 proofs, coin messages), and a final announced outcome.
 
-Each kind is written once, as a case rule: case -> evidence (reveals,
-lower- and upper-bound proofs, an announced sum, a coin flip, a
-comparison) -> outcome.  The seller picks its case with the mechanism's
-selection function and proves that case's evidence.  The verifier reads
-the claimed case from the first evidence message and checks exactly that
-evidence; it never calls a selection function.
+Each kind is one row of the kind table, `KINDS`: how many prices it
+commits, how many values a report carries, whether a certificate of
+s1 <= s2 comes with the commitment, its coin draw, the message count of
+its longest case, its cases, its selection function and its case rule.
+The rule holds the rest: case -> evidence (reveals, lower- and
+upper-bound proofs, an announced sum, a coin flip, a comparison) ->
+outcome.  The seller picks its case with the selection function and
+proves that case's evidence.  The verifier reads the claimed case from the
+first evidence message, whose tag and lead byte name it, and checks
+exactly that evidence; it never calls a selection function.
 
 One verifier, a generator fed one message at a time, checks a run.  The
 buyer feeds it each message once, as it is sent or received, and aborts
@@ -33,7 +37,7 @@ Supported kinds:
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -108,15 +112,6 @@ from .gadgets import (
 from .group import RefString
 from .sigma import encode_sized_proof, read_sized_proof, sized_proof_bytes
 
-KINDS = ("ex1", "ex1multi", "ex2", "ex3", "ex4")
-
-# Claim bytes inside evaluation-proof messages.
-CLAIM_GE0 = 0x00  # first (or only) committed price >= public bound
-CLAIM_GE1 = 0x01  # second committed price >= public bound
-CLAIM_LE0 = 0x02  # first (or only) committed price <= public bound
-CLAIM_SUM = 0x03  # announced total of the two committed prices
-CLAIM_LE1 = 0x04  # second committed price <= public bound
-
 
 def width_of(bound: int) -> int:
     """Bit width of prices in {0, ..., H-1}; H must be a power of two."""
@@ -137,19 +132,19 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown kind {self.kind!r}")
+        kind = KINDS[self.kind]
         width_of(self.bound)
-        expected = 2 if self.kind in ("ex2", "ex3") else 1
-        if len(self.prices) != expected:
-            raise ParameterError(f"{self.kind} takes {expected} price(s)")
+        if len(self.prices) != kind.prices:
+            raise ParameterError(f"{self.kind} takes {kind.prices} price(s)")
         for s in self.prices:
             if not 0 <= s < self.bound:
                 raise ParameterError(f"price {s} outside {{0,...,{self.bound - 1}}}")
-        if self.kind == "ex1multi":
+        if not kind.per_report:
             if self.n_buyers < 2:
-                raise ParameterError("ex1multi needs at least two buyers")
+                raise ParameterError(f"{self.kind} needs at least two buyers")
         elif self.n_buyers != 1:
             raise ParameterError(f"{self.kind} is a single-buyer protocol")
-        if self.kind == "ex3" and self.prices[0] > self.prices[1]:
+        if kind.certified and self.prices[0] > self.prices[1]:
             raise ICViolation(
                 f"two-part pricing is incentive compatible only when "
                 f"s1 <= s2; got {self.prices}"
@@ -178,10 +173,10 @@ def _fail(phase: str, detail: str, index: int | None = None):
     raise VerificationFailed(phase, detail, index=index)
 
 
-def _decode(payload: bytes, phase: str, what: str, read):
-    """`read` applied to the whole payload; malformed bytes fail `phase`."""
+def _decode(payload: bytes, phase: str, what: str, read, start: int = 0):
+    """`read` applied to the payload from `start` on; malformed bytes fail `phase`."""
     try:
-        r = Reader(payload)
+        r = Reader(payload, start)
         out = read(r)
         r.finish()
     except CodecError as exc:
@@ -237,25 +232,8 @@ def _parse_report(
     return values
 
 
-def _reveal_payload(label: int, ops: list[BitOpening]) -> bytes:
-    return encode_u8(label) + encode_u8(len(ops)) + b"".join(encode_opening(o) for o in ops)
-
-
-def _parse_reveal(
-    ref: RefString, payload: bytes, phase: str, width: int
-) -> tuple[int, list[BitOpening]]:
-    def read(r):
-        label = r.u8()
-        return label, [read_opening(r, ref.params.p) for _ in range(r.u8())]
-
-    label, ops = _decode(payload, phase, "reveal", read)
-    if len(ops) != width:
-        _fail(phase, f"reveal carries {len(ops)} openings, expected {width}")
-    return label, ops
-
-
-def _proof_payload(claim: int, body: bytes) -> bytes:
-    return encode_u8(claim) + body
+def _openings_body(ops: list[BitOpening]) -> bytes:
+    return encode_u8(len(ops)) + b"".join(encode_opening(o) for o in ops)
 
 
 def _sum_body(total: int, carry: IntCommitment, bundle: ProofBundle) -> bytes:
@@ -386,13 +364,13 @@ class Evidence(NamedTuple):
 # it opens) or a proof's claim byte.  With the tag it names the evidence, so
 # the first evidence message of a run names the case the seller claims.
 _LEAD = {
-    ("reveal", 0): 0,
-    ("reveal", 1): 1,
-    ("ge", 0): CLAIM_GE0,
-    ("ge", 1): CLAIM_GE1,
-    ("le", 0): CLAIM_LE0,
-    ("le", 1): CLAIM_LE1,
-    ("sum", 0): CLAIM_SUM,
+    ("reveal", 0): b"\x00",
+    ("reveal", 1): b"\x01",
+    ("ge", 0): b"\x00",  # first (or only) committed price >= public bound
+    ("ge", 1): b"\x01",  # second committed price >= public bound
+    ("le", 0): b"\x02",  # first (or only) committed price <= public bound
+    ("le", 1): b"\x04",  # second committed price <= public bound
+    ("sum", 0): b"\x03",  # announced total of the two committed prices
 }
 # form -> (the tag of its message, the phase that checks it)
 _WIRE = {
@@ -479,45 +457,67 @@ def _ex4_rule(case: str, reports: list[int], bound: int):
     return Outcome(trade=True, item=0, payment=bound if verdict else 0, lottery=(*mask, verdict))
 
 
-# kind -> (its cases, its rule)
-_RULES = {
-    "ex1": (("trade", "none"), _ex1_rule),
-    "ex1multi": (("above", "between", "below"), _ex1multi_rule),
-    "ex2": ((None, 0, 1), _ex2_rule),
-    "ex3": (("nothing", "lottery", "full"), _ex3_rule),
-    "ex4": (("trade", "none"), _ex4_rule),
+class Kind(NamedTuple):
+    """The facts that make up a kind; its rule holds the rest."""
+
+    prices: int  # how many prices it commits
+    per_report: int  # values one report carries; 0: one report per bidder, two or more
+    cases: tuple  # every case its selector returns
+    rule: Callable  # (case, reports, H) -> the case's evidence, then its outcome
+    select: Callable  # (prices, reports) -> the case; the seller's only
+    certified: bool = False  # its commitment comes with a certificate of s1 <= s2
+    draw: Callable | None = None  # (rng, H) -> the seller's coin, and the buyer's mask
+    longest: int = 1  # evidence messages of its longest case, a coin mask included
+
+
+# The selectors are looked up when called, so a test can patch them here.
+KINDS = {
+    "ex1": Kind(1, 1, ("trade", "none"), _ex1_rule, lambda p, r: posted_price_case(p, r[0])),
+    "ex1multi": Kind(
+        1, 0, ("above", "between", "below"), _ex1multi_rule, lambda p, r: second_price_case(p, r)
+    ),
+    "ex2": Kind(2, 2, (None, 0, 1), _ex2_rule, lambda p, r: unit_demand_choice(p, r), longest=2),
+    "ex3": Kind(
+        2, 1, ("nothing", "lottery", "full"), _ex3_rule, lambda p, r: two_part_case(p, r[0]),
+        certified=True, draw=lambda rng, bound: rng.getrandbits(1), longest=5,
+    ),
+    "ex4": Kind(
+        1, 1, ("trade", "none"), _ex4_rule, lambda p, r: posted_price_case(p, r[0]),
+        draw=lambda rng, bound: rng.randrange(bound), longest=4,
+    ),
 }
 
 
 def _selected_rule(spec: MechanismSpec, values: list[int]):
     """The rule of the case the mechanism selects for these reports."""
-    prices = spec.prices
-    if spec.kind == "ex1multi":
-        case = second_price_case(prices, values)
-    elif spec.kind == "ex2":
-        case = unit_demand_choice(prices, values)
-    elif spec.kind == "ex3":
-        case = two_part_case(prices, values[0])
-    else:
-        case = posted_price_case(prices, values[0])
-    return _RULES[spec.kind][1](case, values, spec.bound)
+    kind = KINDS[spec.kind]
+    return kind.rule(kind.select(spec.prices, values), values, spec.bound)
 
 
 def owed_evidence(spec: MechanismSpec, values: list[int]) -> list[Evidence]:
     """The evidence an honest seller of `spec` sends for these reports, up
     to its coin flip if the case has one: the selected case's rule, fed the
     prices it reveals."""
+    out = []
     steps = _selected_rule(spec, values)
-    out, fact = [], None
+    for ev in _walk(steps, lambda ev: spec.prices[ev.item] if ev.form == "reveal" else None):
+        out.append(ev)
+        if ev.form == "coin":  # what follows depends on the buyer's mask
+            break
+    return out
+
+
+def _walk(steps, answer):
+    """The evidence a rule's `steps` yield up to its outcome, each sent
+    back the fact answer(ev)."""
+    fact = None
     while True:
         try:
             ev = steps.send(fact)
         except StopIteration:
-            return out
-        out.append(ev)
-        if ev.form == "coin":  # what follows depends on the buyer's mask
-            return out
-        fact = spec.prices[ev.item] if ev.form == "reveal" else None
+            return
+        yield ev
+        fact = answer(ev)
 
 
 class _Log:
@@ -586,7 +586,7 @@ class SellerSession:
             self._coms.append(com)
             self._ops.append(ops)
         out = [self._emit(TAG_COMMIT, _commit_payload(self._coms))]
-        if self.spec.kind == "ex3":
+        if KINDS[self.spec.kind].certified:
             coms, ops = self._coms, self._ops
             bundle = prove_le_committed(
                 self.ref, coms[0], ops[0], coms[1], ops[1], self._log.prefix, self.rng
@@ -598,10 +598,10 @@ class SellerSession:
     def receive_reports(self, msgs: list[Message]) -> list[Message]:
         if self.phase != "report":
             raise VerificationFailed("report", f"out-of-order message in phase {self.phase}")
-        expected = self.spec.n_buyers if self.spec.kind == "ex1multi" else 1
-        per_msg = 2 if self.spec.kind == "ex2" else 1
+        expected = self.spec.n_buyers  # one report per bidder, or one in all
         if len(msgs) != expected:
             _fail("report", f"expected {expected} report message(s), got {len(msgs)}")
+        per_msg = KINDS[self.spec.kind].per_report or 1
         values: list[int] = []
         for i, msg in enumerate(msgs):
             if msg.tag != TAG_TYPE_REPORT:
@@ -633,51 +633,47 @@ class SellerSession:
                 self.phase = "done"
                 out.append(self._emit(TAG_OUTCOME, encode_outcome(stop.value)))
                 return out
-            msg, fact = self._prove(ev)
-            out.append(msg)
+            body, fact = self._prove(ev)
+            out.append(self._emit(_WIRE[ev.form][0], _LEAD.get((ev.form, ev.item), b"") + body))
             if ev.form == "coin":
                 self.phase = "mask"
                 return out
 
-    def _prove(self, ev: Evidence) -> tuple[Message, object]:
-        """The message carrying `ev`, and the fact it establishes.  A claim
-        the hidden prices do not satisfy raises `RefuseToProve`."""
+    def _prove(self, ev: Evidence) -> tuple[bytes, object]:
+        """The payload carrying `ev`, past its lead byte, and the fact it
+        establishes.  A claim the hidden prices do not satisfy raises
+        `RefuseToProve`."""
         ref, rng, prefix = self.ref, self.rng, self._log.prefix
         com, ops = self._coms[ev.item], self._ops[ev.item]
         if ev.form == "reveal":
             s = self.spec.prices[ev.item]
             if not ev.low <= s <= ev.high:
                 raise RefuseToProve(f"price {s} outside [{ev.low}, {ev.high}]")
-            return self._emit(TAG_REVEAL, _reveal_payload(ev.item, ops)), s
+            return _openings_body(ops), s
         if ev.form in ("ge", "le"):
             w = ev.low if ev.form == "ge" else ev.high
             if not 0 <= w < self.spec.bound:
                 raise RefuseToProve(f"no price meets the bound {w}")
             prove = prove_ge_public if ev.form == "ge" else prove_le_public
-            bundle = prove(ref, com, ops, w, prefix, rng)
-            payload = _proof_payload(_LEAD[ev.form, ev.item], encode_bundle(bundle))
-            return self._emit(TAG_EVAL_PROOF, payload), None
+            return encode_bundle(prove(ref, com, ops, w, prefix, rng)), None
         if ev.form == "sum":
             total, carry_com, bundle = prove_sum(
                 ref, self._coms[0], self._ops[0], self._coms[1], self._ops[1], prefix, rng
             )
-            payload = _proof_payload(CLAIM_SUM, _sum_body(total, carry_com, bundle))
-            return self._emit(TAG_EVAL_PROOF, payload), total
+            return _sum_body(total, carry_com, bundle), total
         if ev.form == "coin":
-            return self._emit(TAG_COIN_PAIR, self._commit_coin(ev.bits, prefix)), None
+            return self._commit_coin(ev.bits, prefix), None
         z_com, z_ops = self._coin
         if ev.form == "open":
-            return self._emit(TAG_VERDICT, encode_opening(z_ops[0])), z_ops[0].bit
+            return encode_opening(z_ops[0]), z_ops[0].bit
         verdict, borrow_com, bundle = prove_lt_committed(ref, z_com, z_ops, com, ops, prefix, rng)
         payload = encode_u8(verdict) + encode_int_commitment(borrow_com) + encode_bundle(bundle)
-        return self._emit(TAG_VERDICT, payload), verdict
+        return payload, verdict
 
     def _commit_coin(self, bits: int, prefix: bytes) -> bytes:
         x = self._coin_value
-        if x is None and self.spec.kind == "ex3":
-            x = self.rng.getrandbits(1)
-        elif x is None:
-            x = self.rng.randrange(self.spec.bound)
+        if x is None:
+            x = KINDS[self.spec.kind].draw(self.rng, self.spec.bound)
         proofs = []
         for idx, bit in enumerate(int_bits(x, bits)):
             pair, ops = complement_commit(self.ref, bit, self.rng)
@@ -695,38 +691,31 @@ def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
     a group of `q_bits` bits sends, with every integer at its longest.
     Commitments, reports, reveals, masks, openings and outcomes are all
     shorter than a bound proof with i rows at position i, which no bound
-    proof exceeds."""
-    w = width_of(bound)
+    proof exceeds.  Each case's rule, fed the lowest reports and zero
+    facts, names every other form a kind sends, with its coin's width."""
+    k, w = KINDS[kind], width_of(bound)
     e = 4 + (max(q_bits, w + 1) + 7) // 8  # an element, an exponent, or s1 + s2
-
-    def coin(bits: int) -> int:
-        return 1 + bits * (2 * e + 2 * sized_proof_bytes((1, 1), e))
-
+    pair = 2 * e + 2 * sized_proof_bytes((1, 1), e)  # one coin bit's pair and proofs
+    longest = {
+        "sum": 2 + e + w * e + bundle_bytes(plan_shapes(sum_plan(0, w)), e),
+        "lt": 2 + w * e + bundle_bytes(plan_shapes(lt_plan(0, w)), e),
+    }
     sizes = [1 + bundle_bytes([(1,) * i for i in range(1, w + 1)], e)]
-    if kind == "ex3":
+    if k.certified:
         sizes.append(bundle_bytes(plan_shapes(le_committed_plan(w)), e))
-        sizes.append(2 + e + w * e + bundle_bytes(plan_shapes(sum_plan(0, w)), e))
-        sizes.append(coin(1))
-    if kind == "ex4":
-        sizes.append(coin(w))
-        sizes.append(2 + w * e + bundle_bytes(plan_shapes(lt_plan(0, w)), e))
+    for case in k.cases:
+        steps = k.rule(case, [0] * (k.per_report or 2), bound)
+        for ev in _walk(steps, lambda ev: [0] * ev.bits if ev.form == "coin" else 0):
+            sizes.append(1 + ev.bits * pair if ev.form == "coin" else longest.get(ev.form, 0))
     return max(sizes)
 
 
-# The evidence messages of each kind's longest case, its coin mask included:
-# ex2 proves both items above the reports, ex3's lottery sends a reveal, a
-# bound proof, the coin, the mask and the opened coin, and ex4's sale a
-# bound proof, the coin, the mask and the comparison.
-_LONGEST_EVIDENCE = {"ex1": 1, "ex1multi": 1, "ex2": 2, "ex3": 5, "ex4": 4}
-
-
 def max_messages(kind: str) -> int:
-    """The most messages one run of `kind` carries: the commitment (and
-    ex3's certificate), the reports (ex1multi sends one per bidder, and a
-    report's u16 index allows 65,536), the longest case's evidence and the
-    outcome."""
-    reports = 1 << 16 if kind == "ex1multi" else 1
-    return 1 + (kind == "ex3") + reports + _LONGEST_EVIDENCE[kind] + 1
+    """The most messages one run of `kind` carries: the commitment (and its
+    certificate), the reports (one per bidder, and a report's u16 index
+    allows 65,536), the longest case's evidence and the outcome."""
+    k = KINDS[kind]
+    return 1 + k.certified + (1 if k.per_report else 1 << 16) + k.longest + 1
 
 
 def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
@@ -748,10 +737,17 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
     width = coms[0].width
     com = coms[ev.item]
     phase = _WIRE[ev.form][1]
+    lead = _LEAD.get((ev.form, ev.item), b"")
+    if not payload.startswith(lead):
+        _fail(phase, f"expected lead byte {lead.hex()}, found {payload[:1].hex() or 'none'}")
+    start = len(lead)  # the rest is read at its offsets in the payload
     if ev.form == "reveal":
-        label, ops = _parse_reveal(ref, payload, phase, width)
-        if label != ev.item:
-            _fail(phase, f"unexpected reveal label {label}")
+        def read_openings(r):
+            return [read_opening(r, params.p) for _ in range(r.u8())]
+
+        ops = _decode(payload, phase, "reveal", read_openings, start)
+        if len(ops) != width:
+            _fail(phase, f"reveal carries {len(ops)} openings, expected {width}")
         s = reveal_int(ref, com, ops)
         if not ev.low <= s <= ev.high:
             _fail(phase, f"revealed price {s} outside [{ev.low}, {ev.high}]")
@@ -762,11 +758,9 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         if w >= 1 << width:
             _fail(phase, f"claim impossible: the bound {w} is above the maximal price")
         shapes = plan_shapes(bound_plan(w, width, greater=ge))
-        claim, bundle = _decode(
-            payload, phase, "proof message", lambda r: (r.u8(), read_bundle(r, params, shapes))
+        bundle = _decode(
+            payload, phase, "proof message", lambda r: read_bundle(r, params, shapes), start
         )
-        if claim != _LEAD[ev.form, ev.item]:
-            _fail(phase, f"unexpected claim byte {claim:#x}")
         verify = verify_ge_public if ge else verify_le_public
         if not verify(ref, com, w, bundle, prefix):
             side = "lower" if ge else "upper"
@@ -774,15 +768,13 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         return None
     if ev.form == "sum":
         def read_sum(r):
-            claim, total = r.u8(), r.uint()
+            total = r.uint()
             if not 0 <= total < 1 << (width + 1):
                 _fail(phase, f"announced total {describe_uint(total)} out of range")
             shapes = plan_shapes(sum_plan(total, width))
-            return claim, total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
+            return total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
 
-        claim, total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum)
-        if claim != CLAIM_SUM:
-            _fail(phase, f"unexpected claim byte {claim:#x}")
+        total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum, start)
         _require_members(ref, carry_com, phase, "carry commitment")
         if not verify_sum(ref, coms[0], coms[1], total, carry_com, bundle, prefix):
             _fail(phase, "sum proof does not verify")
@@ -826,12 +818,12 @@ def verifier(ref: RefString, kind: str, bound: int):
     the log each proof's Fiat-Shamir prefix is taken from.
     """
     width = width_of(bound)
-    cases, rule = _RULES[kind]
+    k = KINDS[kind]
     log = _Log(ref.seed)
     msg = yield
     _admit(log, msg, TAG_COMMIT, "commit")
-    coms = _parse_commit(ref, msg.payload, "commit", 2 if kind in ("ex2", "ex3") else 1, width)
-    if kind == "ex3":
+    coms = _parse_commit(ref, msg.payload, "commit", k.prices, width)
+    if k.certified:
         msg = yield
         prefix = _admit(log, msg, TAG_COMMIT_PROOF, "commit-proof")
         shapes = plan_shapes(le_committed_plan(width))
@@ -843,21 +835,21 @@ def verifier(ref: RefString, kind: str, bound: int):
 
     msg = yield
     _admit(log, msg, TAG_TYPE_REPORT, "report")
-    reports = _parse_report(msg.payload, "report", bound, 0, 2 if kind == "ex2" else 1)
+    reports = _parse_report(msg.payload, "report", bound, 0, k.per_report or 1)
     msg = yield
-    while kind == "ex1multi" and msg is not None and msg.tag == TAG_TYPE_REPORT:
+    while not k.per_report and msg is not None and msg.tag == TAG_TYPE_REPORT:
         log.add(msg)
         reports += _parse_report(msg.payload, "report", bound, len(reports), 1)
         msg = yield
-    if kind == "ex1multi" and len(reports) < 2:
+    if not k.per_report and len(reports) < 2:
         _fail("report", f"need at least two bids, got {len(reports)}")
 
     # The first evidence message names the case the seller claims.
     if msg is None:
         _fail("evaluate", "transcript truncated")
-    claimed = (msg.tag, msg.payload[0]) if msg.payload else None
-    for case in cases:
-        steps = rule(case, reports, bound)
+    claimed = (msg.tag, msg.payload[:1])
+    for case in k.cases:
+        steps = k.rule(case, reports, bound)
         ev = next(steps)
         if (_WIRE[ev.form][0], _LEAD[ev.form, ev.item]) == claimed:
             break
@@ -921,12 +913,13 @@ class BuyerSession:
     ):
         if kind not in KINDS:
             raise ParameterError(f"unknown kind {kind!r}")
+        self._kind = KINDS[kind]
         self.kind = kind
         self.bound = bound
-        self.width = width_of(bound)
-        expected = 2 if kind == "ex2" else len(values) if kind == "ex1multi" else 1
-        if kind == "ex1multi" and len(values) < 2:
-            raise ParameterError("ex1multi needs at least two bids")
+        width_of(bound)  # H must be a power of two
+        if not self._kind.per_report and len(values) < 2:
+            raise ParameterError(f"{kind} needs at least two bids")
+        expected = self._kind.per_report or len(values)
         if len(values) != expected:
             raise ParameterError(f"{kind} takes {expected} reported value(s)")
         for v in values:
@@ -957,8 +950,8 @@ class BuyerSession:
 
     def receive_commit(self, msgs: list[Message]) -> list[Message]:
         self._absorb(msgs)
-        # ex1multi sends one report per bidder, the other kinds one in all.
-        groups = [[v] for v in self.values] if self.kind == "ex1multi" else [self.values]
+        # One report per bidder, or one in all.
+        groups = [self.values] if self._kind.per_report else [[v] for v in self.values]
         out = [Message(TAG_TYPE_REPORT, _report_payload(i, g)) for i, g in enumerate(groups)]
         self._absorb(out)
         return out
@@ -971,8 +964,8 @@ class BuyerSession:
             return None
         y = self.mask_value
         if y is None:
-            y = self.rng.getrandbits(1) if self.kind == "ex3" else self.rng.randrange(self.bound)
-        mask = int_bits(y, 1 if self.kind == "ex3" else self.width)
+            y = self._kind.draw(self.rng, self.bound)
+        mask = int_bits(y, msgs[-1].payload[0])  # the pair count, which the verifier checked
         msg = Message(TAG_COIN_MASK, _mask_payload(mask))
         self._absorb([msg])
         return msg
@@ -988,7 +981,7 @@ class BuyerSession:
 def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -> Outcome:
     """Run the verifier over a complete message log, taking one message at
     a time, so a log read lazily stops being read at its first bad message."""
-    if kind not in _RULES:
+    if kind not in KINDS:
         _fail("params", f"unknown protocol kind {kind!r}")
     check = verifier(ref, kind, bound)
     for msg in chain((None,), messages, (None,)):  # prime, the log, its end

@@ -32,7 +32,7 @@ from zkmech.errors import (
 )
 from zkmech.codec import TAG_EVAL_PROOF, Reader
 from zkmech.group import RefString, params_from_modulus
-from zkmech.protocols import CLAIM_GE0, CLAIM_GE1, MechanismSpec, owed_evidence, run_local
+from zkmech.protocols import _LEAD, MechanismSpec, owed_evidence, run_local
 
 
 def independent_incentive_scan(m: FiniteMechanism):
@@ -114,6 +114,12 @@ class TestIncentiveLemma:
         with pytest.raises(ParameterError):
             ex3_ic_lemma_check(64)
 
+    @pytest.mark.parametrize("bound", [0, -4])
+    def test_no_bound_below_one(self, bound):
+        # the scan over no price pairs used to report the lemma as holding
+        with pytest.raises(ParameterError):
+            ex3_ic_lemma_check(bound)
+
 
 class TestGeometricNoise:
     def test_center_mass_formula(self):
@@ -189,6 +195,12 @@ class TestGroves:
             outcome = groves_outcome(inst)
             assert groves_extract_weights(inst.valuations, outcome) == inst.weights
 
+    @pytest.mark.parametrize("n, outcomes", [(0, 4), (1, 4), (3, 0)])
+    def test_a_degenerate_instance_is_refused(self, n, outcomes):
+        # n = 0 or no outcome used to draw valuations forever
+        with pytest.raises(ParameterError):
+            random_groves_instance(n, outcomes, random.Random(1))
+
     def test_weight_validation(self):
         with pytest.raises(ParameterError):
             GrovesInstance(
@@ -243,7 +255,7 @@ class TestHidingEquality:
             sent = []
             for msg in transcript.messages:
                 if msg.tag == TAG_EVAL_PROOF:
-                    item = {CLAIM_GE0: 0, CLAIM_GE1: 1}[msg.payload[0]]
+                    item = {_LEAD["ge", 0]: 0, _LEAD["ge", 1]: 1}[msg.payload[:1]]
                     # one proof per 1-bit of the bound, at its position (MSB is 1)
                     positions = bundle_positions(Reader(msg.payload, 1))
                     sent.append((item, sum(1 << (width - i) for i in positions)))

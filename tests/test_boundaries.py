@@ -30,7 +30,7 @@ from zkmech.mpc import (
     mpc_seller_commit,
     mpc_seller_finalize,
 )
-from zkmech.protocols import CLAIM_SUM, MechanismSpec, run_local, verify_transcript
+from zkmech.protocols import _LEAD, MechanismSpec, run_local, verify_transcript
 
 GROUPS = ["ref23", "ref384"]
 
@@ -55,7 +55,7 @@ SITES = {
         "ex3",
         (1, 2),
         [5],
-        lambda m: m.tag == TAG_EVAL_PROOF and m.payload[0] == CLAIM_SUM,
+        lambda m: m.tag == TAG_EVAL_PROOF and m.payload[:1] == _LEAD["sum", 0],
         sum_carry_offset,
     ),
     "borrow": ("ex4", (3,), [5], lambda m: m.tag == TAG_VERDICT, lambda p: 2),

@@ -1,6 +1,9 @@
 import io
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
 from itertools import product
@@ -148,6 +151,28 @@ class TestAnalyze:
         assert rc == 0
         assert "exact_recovery=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["groves", "--n", "0"],
+            ["groves", "--outcomes", "0"],
+            ["groves", "--trials", "-3"],
+            ["ic-lemma", "--H", "0"],
+            ["ic-lemma", "--H", "-4"],
+            ["noise", "--samples", "-1"],
+            ["noise", "--window", str(1 << 40)],
+        ],
+    )
+    def test_a_bad_flag_is_a_usage_error(self, argv):
+        # a subprocess with a timeout, so that a call that hangs fails
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "zkmech.cli", "analyze", *argv],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 2, done.stdout
+        assert argv[1] in done.stderr and "Traceback" not in done.stderr
+
 
 class TestUsageErrors:
     def test_missing_flags_exit_two(self, capsys, monkeypatch):
@@ -191,39 +216,36 @@ def _run_buyer_with_retry(args, tries=80):
     return 2
 
 
+# kind -> (seller flags, buyer flags) of one networked session per
+# single-buyer kind; ex4's buyer sends its mask mid-session.
+NETWORKED = {
+    "ex1": (["--price", "5"], ["--value", "6"]),
+    "ex2": (["--s1", "3", "--s2", "6"], ["--values", "5,5"]),
+    "ex3": (["--s1", "2", "--s2", "5"], ["--value", "7"]),
+    "ex4": (["--price", "2"], ["--value", "5"]),
+}
+
+
 class TestNetworked:
     def test_tcp_transcript_identical_to_demo(self, tmp_path, capsys):
-        demo_out = tmp_path / "demo.transcript"
-        assert (
-            cli.run(
-                [
-                    "demo", "--example", "ex3", "--s1", "2", "--s2", "5", "--H", "8",
-                    "--value", "7", "--toy", "--seed", "ab12", "--out", str(demo_out),
-                ]
+        for kind, (prices, values) in NETWORKED.items():
+            common = ["--example", kind, "--H", "8", "--toy", "--seed", "ab12"]
+            demo_out = tmp_path / f"{kind}-demo.transcript"
+            assert cli.run(["demo", *common, *prices, *values, "--out", str(demo_out)]) == 0
+            address = f"127.0.0.1:{_free_port()}"
+            seller_out = tmp_path / f"{kind}-seller.transcript"
+            buyer_out = tmp_path / f"{kind}-buyer.transcript"
+            thread, result = _run_seller_in_thread(
+                ["seller", *common, *prices, "--listen", address, "--out", str(seller_out)]
             )
-            == 0
-        )
-        port = _free_port()
-        seller_out = tmp_path / "seller.transcript"
-        buyer_out = tmp_path / "buyer.transcript"
-        thread, result = _run_seller_in_thread(
-            [
-                "seller", "--example", "ex3", "--s1", "2", "--s2", "5", "--H", "8",
-                "--listen", f"127.0.0.1:{port}", "--toy", "--seed", "ab12",
-                "--out", str(seller_out),
-            ]
-        )
-        rc = _run_buyer_with_retry(
-            [
-                "buyer", "--example", "ex3", "--H", "8", "--value", "7",
-                "--connect", f"127.0.0.1:{port}", "--toy", "--seed", "ab12",
-                "--out", str(buyer_out),
-            ]
-        )
-        thread.join(timeout=20)
-        assert rc == 0 and result["rc"] == 0
-        demo_text = demo_out.read_text()
-        assert demo_text == seller_out.read_text() == buyer_out.read_text()
+            rc = _run_buyer_with_retry(
+                ["buyer", *common, *values, "--connect", address, "--out", str(buyer_out)]
+            )
+            thread.join(timeout=20)
+            assert not thread.is_alive(), kind
+            assert rc == 0 and result["rc"] == 0, kind
+            demo_text = demo_out.read_text()
+            assert demo_text == seller_out.read_text() == buyer_out.read_text(), kind
         capsys.readouterr()
 
     def test_interactive_buyer_prompts_after_commitment(self, tmp_path, capsys, monkeypatch):
@@ -245,6 +267,29 @@ class TestNetworked:
         assert rc == 0 and result["rc"] == 0
         out = capsys.readouterr().out
         assert "trade=false" in out
+
+    def test_interactive_ex2_buyer_answers_two_values(self, tmp_path, capsys, monkeypatch):
+        prices, _ = NETWORKED["ex2"]
+        common = ["--example", "ex2", "--H", "8", "--toy", "--seed", "5eed"]
+        demo_out = tmp_path / "demo.transcript"
+        assert cli.run(["demo", *common, *prices, "--values", "5,5", "--out", str(demo_out)]) == 0
+        address = f"127.0.0.1:{_free_port()}"
+        seller_out = tmp_path / "seller.transcript"
+        buyer_out = tmp_path / "buyer.transcript"
+        thread, result = _run_seller_in_thread(
+            ["seller", *common, *prices, "--listen", address, "--out", str(seller_out)]
+        )
+        prompts = []
+        monkeypatch.setattr("builtins.input", lambda prompt="": prompts.append(prompt) or "5,5")
+        rc = _run_buyer_with_retry(
+            ["buyer", *common, "--interactive", "--connect", address, "--out", str(buyer_out)]
+        )
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert rc == 0 and result["rc"] == 0
+        assert prompts == ["values (v1,v2): "]
+        assert demo_out.read_text() == seller_out.read_text() == buyer_out.read_text()
+        assert "item=0" in capsys.readouterr().out
 
 
 def criterion_one_runs():
@@ -390,6 +435,41 @@ class TestMisbehavingPeers:
         ]
         for (kind, bound), size in largest_frames(ref384, wide).items():
             assert size <= max_frame_bytes(kind, bound, 384), (kind, bound, size)
+
+
+# The caps as computed when they were pinned: kind -> group bits ->
+# max_frame_bytes at H = 2, 4, 16 and 2^16, and max_messages.  The kinds
+# without a coin or a certificate send a bound proof at the longest.
+PLAIN_CAPS = {
+    5: (65, 144, 353, 3883),
+    384: (253, 661, 1951, 22963),
+    2048: (1085, 2949, 9023, 111155),
+}
+PINNED_FRAME_CAPS = {
+    "ex1": PLAIN_CAPS,
+    "ex1multi": PLAIN_CAPS,
+    "ex2": PLAIN_CAPS,
+    "ex3": {
+        5: (195, 433, 909, 5930),
+        384: (1182, 3206, 7254, 37970),
+        2048: (5550, 15478, 35334, 186066),
+    },
+    "ex4": {
+        5: (264, 690, 1542, 8942),
+        384: (1862, 5766, 13574, 60422),
+        2048: (8934, 28230, 66822, 298374),
+    },
+}
+PINNED_MESSAGE_CAPS = {"ex1": 4, "ex1multi": 65539, "ex2": 5, "ex3": 9, "ex4": 7}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_FRAME_CAPS))
+def test_the_caps_are_pinned(kind):
+    # the memory bounds on hostile peers and files: neither may move
+    for q_bits, caps in PINNED_FRAME_CAPS[kind].items():
+        got = tuple(max_frame_bytes(kind, bound, q_bits) for bound in (2, 4, 16, 1 << 16))
+        assert got == caps, (kind, q_bits)
+    assert max_messages(kind) == PINNED_MESSAGE_CAPS[kind]
 
 
 class TestCappedVerify:

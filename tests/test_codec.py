@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -358,6 +361,15 @@ class TestTranscriptFiles:
         assert msg.tag == TAG_SEED and msg.payload == b"\x01"
 
 
+def compare_script():
+    """scripts/compare_transcripts.py, loaded as a module."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_transcripts.py"
+    spec = importlib.util.spec_from_file_location("compare_transcripts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestDeterminism:
     def test_same_seeds_give_identical_transcripts(self, ref23):
         from zkmech.protocols import MechanismSpec, run_local
@@ -373,8 +385,6 @@ class TestDeterminism:
 
     def test_golden_transcript_reverifies(self, q23):
         # a committed artifact: byte-stable encodings and hash derivations
-        import pathlib
-
         from zkmech.group import derive_generators
         from zkmech.protocols import Outcome, verify_transcript
 
@@ -388,17 +398,21 @@ class TestDeterminism:
         # every seeded run of scripts/compare_transcripts.py (criterion 1's
         # grid at q=23, plus three runs per kind and case at 384 bits),
         # hashed as `--emit` prints it; a refactor must not move one byte
-        import hashlib
-        import importlib.util
-        import pathlib
-
-        path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_transcripts.py"
-        spec = importlib.util.spec_from_file_location("compare_transcripts", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        text = "".join(line + "\n" for line in script.emit_lines())
+        text = "".join(line + "\n" for line in compare_script().emit_lines())
         assert len(text.splitlines()) == 4717
         assert (
             hashlib.sha256(text.encode()).hexdigest()
             == "d6eb6c117190312075b8ab74ee65e5e2e89cbf5fac031e3de13c1ab901224a3c"
+        )
+
+    def test_seeded_drawn_coin_transcripts_are_pinned(self):
+        # the runs of scripts/compare_transcripts.py whose coin and mask the
+        # sessions draw from their seeded rngs (every ex3 lottery input at
+        # H=8, every ex4 trade input at H=2, 4 and 8, and three per case at
+        # 384 bits): a refactor must not move a draw
+        text = "".join(line + "\n" for line in compare_script().emit_draw_lines())
+        assert len(text.splitlines()) == 161
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "e4e598e5271eff058508b7a629b6f0f3d0b3d923d3bae6ebf2c96bfd8c6f7cd4"
         )

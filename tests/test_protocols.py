@@ -351,19 +351,13 @@ class TestTranscriptVerification:
         from zkmech.codec import Transcript
         from zkmech.commitments import commit_int
         from zkmech.gadgets import encode_bundle
-        from zkmech.protocols import (
-            CLAIM_GE0,
-            _commit_payload,
-            _proof_payload,
-            _report_payload,
-            encode_outcome,
-        )
+        from zkmech.protocols import _LEAD, _commit_payload, _report_payload, encode_outcome
 
         com, _ = commit_int(ref23, 7, 3, random.Random(5))
         messages = [
             Message(TAG_COMMIT, _commit_payload([com])),
             Message(TAG_TYPE_REPORT, _report_payload(0, [7])),
-            Message(TAG_EVAL_PROOF, _proof_payload(CLAIM_GE0, encode_bundle([]))),
+            Message(TAG_EVAL_PROOF, _LEAD["ge", 0] + encode_bundle([])),
             Message(TAG_OUTCOME, encode_outcome(Outcome(trade=False, payment=0))),
         ]
         forged = Transcript(kind="ex1", bound=8, seed=ref23.seed, messages=messages)
@@ -408,7 +402,9 @@ class TestCaseRuleRegressions:
         messages = [
             *seller.begin(),
             Message(TAG_TYPE_REPORT, protocols._report_payload(0, [0, 1])),
-            Message(TAG_REVEAL, protocols._reveal_payload(1, seller._ops[1])),
+            Message(
+                TAG_REVEAL, protocols._LEAD["reveal", 1] + protocols._openings_body(seller._ops[1])
+            ),
             Message(TAG_OUTCOME, protocols.encode_outcome(Outcome(trade=True, item=1, payment=1))),
         ]
         with pytest.raises(VerificationFailed) as err:
@@ -431,7 +427,7 @@ class TestCaseRuleRegressions:
             ref23, coms[0], ops[0], coms[1], ops[1], prefix, rng
         )
         body = protocols._sum_body(total, carry, bundle)
-        messages.append(Message(TAG_EVAL_PROOF, protocols._proof_payload(protocols.CLAIM_SUM, body)))
+        messages.append(Message(TAG_EVAL_PROOF, protocols._LEAD["sum", 0] + body))
         messages.append(
             Message(TAG_OUTCOME, protocols.encode_outcome(Outcome(trade=True, item=0, payment=13)))
         )
@@ -441,8 +437,8 @@ class TestCaseRuleRegressions:
 
     def test_ex3_full_case_carries_the_upper_bound_proof(self, ref23):
         _, tr = run(ref23, MechanismSpec("ex3", 8, (1, 2)), [7])
-        claims = [m.payload[0] for m in tr.messages if m.tag == TAG_EVAL_PROOF]
-        assert claims == [protocols.CLAIM_LE1, protocols.CLAIM_SUM]
+        claims = [m.payload[:1] for m in tr.messages if m.tag == TAG_EVAL_PROOF]
+        assert claims == [protocols._LEAD["le", 1], protocols._LEAD["sum", 0]]
 
 
 # The selection function each kind's seller calls, and every case it returns.
@@ -529,6 +525,26 @@ DIFFERENTIAL_RUNS = [
     (MechanismSpec("ex4", 4, (3,)), [1], None, None),
     (MechanismSpec("ex4", 4, (2,)), [3], 1, 2),
 ]
+
+
+@pytest.mark.parametrize("spec, values, coin, mask", DIFFERENTIAL_RUNS)
+def test_a_wrong_lead_byte_is_rejected(ref23, spec, values, coin, mask):
+    # Every lead byte (a reveal's label, a proof's claim byte) is read in one
+    # place: after the first evidence message, which names the case, a wrong
+    # one fails there in the phase of its form.
+    _, tr = run(ref23, spec, values, coin_value=coin, mask_value=mask)
+    phases = {TAG_REVEAL: "reveal", TAG_EVAL_PROOF: "evaluate"}
+    leads = [i for i, m in enumerate(tr.messages) if m.tag in phases]
+    for i in leads:
+        msg = tr.messages[i]
+        for lead in set(range(6)) - {msg.payload[0]}:
+            bad = Message(msg.tag, bytes([lead]) + msg.payload[1:])
+            messages = [*tr.messages[:i], bad, *tr.messages[i + 1 :]]
+            with pytest.raises(VerificationFailed) as err:
+                verify_transcript(ref23, replace(tr, messages=messages))
+            if i != leads[0]:
+                assert err.value.phase == phases[msg.tag]
+                assert "lead byte" in err.value.detail
 
 
 def live_buyer(ref, spec, values, mask, log, tags):
