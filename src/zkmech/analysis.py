@@ -260,19 +260,21 @@ def noise_ratio_report(
     lo, hi = bounds
     alpha = 1.0 - epsilon
     dist = TruncatedGeometric(alpha, lo, hi)
-    target = ell * math.log(alpha)
+    log_alpha = math.log(alpha)
+    target = ell * log_alpha
     max_dev = 0.0
     max_mirror = 0.0
     interior = 0
     # Payment y under base price 0 has mass pmf(y); under price ell it has
-    # mass pmf(y - ell).  Normalizers cancel, so interior ratios are exact.
+    # mass pmf(y - ell).  Normalizers cancel, so each log ratio is a
+    # difference of log-masses, (|y| - |y - ell|) * log(alpha), finite even
+    # where alpha^|y| underflows to 0.0 in a wide window.
     for y in range(max(lo, lo + ell), hi + 1):
+        ratio = (abs(y) - abs(y - ell)) * log_alpha
         if y >= ell:
-            ratio = math.log(dist.pmf(y)) - math.log(dist.pmf(y - ell))
             max_dev = max(max_dev, abs(ratio - target))
             interior += 1
         elif y <= 0:
-            ratio = math.log(dist.pmf(y)) - math.log(dist.pmf(y - ell))
             max_mirror = max(max_mirror, abs(ratio + target))
     gap = sum(1 for y in range(max(lo + ell, 1), min(hi + 1, ell)))
     boundary = 2 * ell

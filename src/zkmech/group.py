@@ -10,22 +10,26 @@ or more:
 
 - Membership.  The order-p subgroup is exactly the quadratic residues, so
   x is a member iff 1 <= x <= q-1 and the Jacobi symbol (x/q) is 1 (binary
-  Jacobi, Cohen, GTM 138, Alg. 1.4.10).  Each value is tested once, where
-  it enters: a wire parser, or g and h when a `RefString` is built.
+  Jacobi, Cohen, GTM 138, Alg. 1.4.10, each step read off the low byte).
+  Each value is tested once, where it enters: a wire parser, or g and h
+  when a `RefString` is built.
 - Fixed bases.  `pow_unchecked` raises the g or h of any `RefString` to a
   power through a windowed table (Brickell-Gordon-McCurley-Wilson,
-  EUROCRYPT 1992).  A table is built on its first use and cached by
-  value, (q, base), in a small LRU, so a reference string derived again
-  from the same seed reuses it and one from another seed never does.
+  EUROCRYPT 1992).  A table is built on the base's tenth power, at 384
+  and at 2048 bits (`_build_after`), once the plain powers before it have
+  cost about one build, and cached by value, (q, base), in a small LRU, so
+  a reference string derived again from the same seed reuses it and one
+  from another seed never does.
 - Products of powers.  `multi_pow` computes a product of powers with one
   shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
   multiplying in an odd-power table entry per sliding window of its
-  exponent.  The batched proof verifier (`sigma.ni_verify_all`) raises
-  every alpha to a 128-bit weight and every distinct target to a full
-  exponent in one call.  On a 44-cell, 16-target bound proof bundle (2-core
-  Xeon, Python 3.11.7) that brings verification from 480 us to 235 us per
-  cell at 384 bits, of which the alpha's Jacobi symbol is 106 us, and from
-  36.7 ms to 4.1 ms per cell at 2048 bits.
+  exponent, the windows recoded from the right on the integer.  The
+  batched proof verifier (`sigma.ni_verify_all`) raises every alpha to a
+  128-bit weight and every distinct target to a full exponent in one call.
+  On a 44-cell, 16-target bound proof bundle (2-core Xeon, Python 3.11.7)
+  verification costs about 120 us per cell at 384 bits, of which the
+  alpha's Jacobi symbol is 42 us, and 3.3 ms per cell at 2048 bits, where
+  a Jacobi symbol is 0.3 ms.
 
 Below FAST_BITS a single `pow` beats the first two, and the toy groups keep
 it; `multi_pow` is exact in any group, and the verifier uses it from
@@ -81,9 +85,9 @@ MILLER_RABIN_ROUNDS = 64  # error probability <= 4^-64 = 2^-128
 
 # From this many bits of q up, membership is a Jacobi symbol and g and h
 # are raised through tables.  Measured with Python 3.11.7 on a 2-core Xeon,
-# as are the figures below: at 28 bits `pow(x, p, q)` takes 1.7 us against
-# 2.2 us for the Jacobi symbol; at 32 bits, where q no longer fits one
-# 30-bit digit, 5.5 us against 2.6 us.
+# as are the figures below: at 28 bits `pow(x, p, q)` takes 2.0 us against
+# 2.6 us for the Jacobi symbol; at 32 bits, where q no longer fits one
+# 30-bit digit, 6.2 us against 3.1 us.
 FAST_BITS = 32
 # Window width of the fixed-base tables.  Measured at 384 bits: 58 us per
 # power against 300 us for `pow`, a 3.3 ms build and 4,096 entries; at
@@ -96,19 +100,39 @@ TABLE_WINDOW = 6
 TABLE_SLOTS = 8
 
 
+# Trailing zero bits of each byte value; 8 for the zero byte.
+_ZEROS = [8] + [(i & -i).bit_length() - 1 for i in range(1, 256)]
+
+
 def jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1."""
+    """The Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1.
+
+    Each step reads a's low byte once: the table gives its trailing zeros,
+    and the shifted byte gives a mod 8, which is the next step's n mod 8.
+    Bit 1 of `flips` counts the sign changes mod 2.
+    """
     a %= n
-    t = 1
+    m = n & 255  # only bits 0-2 are read: n mod 8
+    flips = 0
     while a:
-        zeros = (a & -a).bit_length() - 1
-        a >>= zeros
-        if zeros & 1 and n & 7 in (3, 5):  # (2/n) = -1 iff n = 3, 5 (mod 8)
-            t = -t
-        if a & n & 3 == 3:  # quadratic reciprocity: both are 3 (mod 4)
-            t = -t
+        low = a & 255
+        if not low & 1:
+            if low:
+                zeros = _ZEROS[low]
+                a >>= zeros
+                low = low >> zeros if zeros < 6 else a & 255  # keep 3 valid bits
+            else:  # 1 input in 256
+                zeros = (a & -a).bit_length() - 1
+                a >>= zeros
+                low = a & 255
+            if zeros & 1:  # (2/n) = -1 iff n = 3, 5 (mod 8): bit 1 of n ^ (n >> 1)
+                flips ^= m ^ (m >> 1)
+        flips ^= low & m  # quadratic reciprocity: bit 1 set iff both are 3 (mod 4)
+        m = low
         a, n = n % a, a
-    return t if n == 1 else 0
+    if n != 1:
+        return 0
+    return -1 if flips & 2 else 1
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
@@ -210,25 +234,34 @@ class GroupParams:
         result equals the product of `pow(base, e, q)` for any base.
         """
         q = self.q
-        work = [(base, format(e, "b")) for base, e in pairs if e]
-        if any(digits[0] == "-" for _, digits in work):
+        work = [(base, e) for base, e in pairs if e]
+        if any(e < 0 for _, e in work):
             raise ParameterError("multi_pow exponents must be nonnegative")
-        top = max((len(digits) for _, digits in work), default=0)
+        top = max((e.bit_length() for _, e in work), default=0)
         slots: list[list[int]] = [[] for _ in range(top)]  # bit -> factors entering there
-        for base, digits in work:
-            n = len(digits)
-            w = _window(n)
+        for base, e in work:
+            w = _window(e.bit_length())
             odd = [base % q]  # base^1, base^3, ..., base^(2^w - 1)
             if w > 1:
                 square = odd[0] * odd[0] % q
                 for _ in range((1 << (w - 1)) - 1):
                     odd.append(odd[-1] * square % q)
-            i = 0  # index of the window's top bit, counted from the left
-            while i >= 0:
-                chunk = digits[i : i + w].rstrip("0")
-                end = i + len(chunk)
-                slots[n - end].append(odd[int(chunk, 2) >> 1])
-                i = digits.find("1", end)
+            mask = (1 << w) - 1
+            bit = 0  # e's bit 0 is bit `bit` of the original exponent
+            while e:  # windows from the right, each read off e's low byte
+                low = e & 255
+                zeros = _ZEROS[low]
+                if zeros > 8 - w:  # the window reaches past the low byte
+                    if not low:
+                        zeros = (e & -e).bit_length() - 1
+                    e >>= zeros
+                    bit += zeros
+                    low = e & 255
+                    zeros = 0
+                bit += zeros
+                slots[bit].append(odd[((low >> zeros) & mask) >> 1])
+                e >>= zeros + w
+                bit += w
         acc = 1
         squarings = 0  # owed to acc; a run of them is one `pow`
         for factors in reversed(slots):
@@ -262,9 +295,10 @@ class RefString:
 # -- fixed-base tables ------------------------------------------------------------
 #
 # (q, base) -> rows, where row i holds base^(d * 2^(TABLE_WINDOW * i)) for
-# every digit d; None until the base is first raised to a power.
+# every digit d; until the table is built, the number of powers of base
+# made without it.
 
-_TABLES: OrderedDict[tuple[int, int], list[list[int]] | None] = OrderedDict()
+_TABLES: OrderedDict[tuple[int, int], list[list[int]] | int] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 
 
@@ -274,32 +308,50 @@ def _note_fixed_base(q: int, base: int) -> None:
         if key in _TABLES:
             _TABLES.move_to_end(key)
             return
-        _TABLES[key] = None
+        _TABLES[key] = 0
         if len(_TABLES) > TABLE_SLOTS:
             _TABLES.popitem(last=False)
 
 
+def _table_rows(q: int) -> int:
+    return -(-((q - 1) // 2).bit_length() // TABLE_WINDOW)
+
+
+def _build_after(q: int) -> int:
+    """The power of a noted base that builds its table.  A build makes one
+    product per entry and a plain `pow` about one per bit of q, so the plain
+    powers before it cost about one build (10 at 384 and at 2048 bits),
+    and a base raised only a few times, as in a one-shot verify, never
+    pays for a table."""
+    return (_table_rows(q) << TABLE_WINDOW) // q.bit_length()
+
+
 def _fixed_table(q: int, base: int) -> list[list[int]] | None:
-    """The table of a noted fixed base, built now if this is its first
-    use; None for any other base."""
+    """The table of a noted fixed base, built now if this is its
+    `_build_after(q)`-th power; None for its earlier powers and for any
+    other base."""
     key = (q, base)
     with _TABLES_LOCK:
-        if key not in _TABLES:
+        rows = _TABLES.get(key)
+        if rows is None:
             return None
         _TABLES.move_to_end(key)
-        rows = _TABLES[key]
-    if rows is None:
-        rows = _build_table(q, base)
-        with _TABLES_LOCK:
-            if key in _TABLES:
-                _TABLES[key] = rows
+        if not isinstance(rows, int):
+            return rows
+        if rows + 1 < _build_after(q):
+            _TABLES[key] = rows + 1
+            return None
+    rows = _build_table(q, base)
+    with _TABLES_LOCK:
+        if key in _TABLES:
+            _TABLES[key] = rows
     return rows
 
 
 def _build_table(q: int, base: int) -> list[list[int]]:
     size = 1 << TABLE_WINDOW
     rows = []
-    for _ in range(-(-((q - 1) // 2).bit_length() // TABLE_WINDOW)):
+    for _ in range(_table_rows(q)):
         row = [1] * size
         acc = 1
         for d in range(1, size):

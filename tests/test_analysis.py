@@ -139,6 +139,34 @@ class TestGeometricNoise:
         assert report3.max_interior_dev < 1e-12
         assert report3.boundary_bins == 6
 
+    def test_log_masses_match_the_pmf_ratios(self):
+        """Every window up to 2,000 bins, where no mass underflows, against
+        the ratio of `pmf` logs that the report took before.  The deviations
+        are compared to 1e-9 of the log ratio ell * |log alpha| they are
+        measured from, a tolerance set from float64 before the comparison
+        was run."""
+
+        def pmf_log_devs(epsilon, ell, lo, hi):
+            dist = TruncatedGeometric(1.0 - epsilon, lo, hi)
+            target = ell * math.log(1.0 - epsilon)
+            dev = mirror = 0.0
+            for y in range(max(lo, lo + ell), hi + 1):
+                ratio = math.log(dist.pmf(y)) - math.log(dist.pmf(y - ell))
+                if y >= ell:
+                    dev = max(dev, abs(ratio - target))
+                elif y <= 0:
+                    mirror = max(mirror, abs(ratio + target))
+            return dev, mirror
+
+        for epsilon, ell, step in ((0.1, 1, 1), (0.3, 7, 29)):
+            tolerance = 1e-9 * ell * abs(math.log(1.0 - epsilon))
+            for window in range(0, 2001, step):
+                report = noise_ratio_report(epsilon, ell, 0, (-window, window), random.Random(0))
+                dev, mirror = pmf_log_devs(epsilon, ell, -window, window)
+                assert report.max_interior_dev == pytest.approx(dev, rel=1e-9, abs=tolerance), window
+                assert report.max_mirror_dev == pytest.approx(mirror, rel=1e-9, abs=tolerance), window
+                assert report.interior_bins == max(0, window - ell + 1)
+
     def test_sampler_tracks_pmf(self):
         rng = random.Random(99)
         alpha, lo, hi = 0.8, -20, 20

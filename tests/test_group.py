@@ -197,6 +197,22 @@ def members_and_negations(params, n, rng):
     return squares + [params.q - x for x in squares]
 
 
+def reference_jacobi(a, n):
+    """Binary Jacobi (Cohen, GTM 138, Alg. 1.4.10) with every test made on
+    the big integers themselves: the reference for `group.jacobi`."""
+    a %= n
+    t = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):  # (2/n) = -1 iff n = 3, 5 (mod 8)
+            t = -t
+        if a & n & 3 == 3:  # quadratic reciprocity: both are 3 (mod 4)
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 class TestJacobiMembership:
     @pytest.mark.parametrize("cutover", [0, 10**6])
     def test_every_value_of_the_toy_groups(self, q7, q23, monkeypatch, cutover):
@@ -234,6 +250,35 @@ class TestJacobiMembership:
 
     def test_cutover_picks_the_kernel(self, q23, q384):
         assert q23.bit_length < group.FAST_BITS <= q384.bit_length
+
+
+class TestJacobiSymbol:
+    """`group.jacobi` against `reference_jacobi`, on the inputs that reach
+    its rare branches: a zero low byte, n = 1, squares and other composites."""
+
+    def test_every_small_odd_modulus(self):
+        for n in range(1, 600, 2):
+            for a in range(-3 * n, 3 * n + 1):
+                assert group.jacobi(a, n) == reference_jacobi(a, n), (a, n)
+
+    @pytest.mark.parametrize("bits", [384, 2048])
+    def test_powers_of_two_times_odd_and_even(self, q384, bits):
+        rng = random.Random(f"jacobi {bits}")
+        q = q384.q if bits == 384 else RFC3526_MODP_2048
+        moduli = [q, rng.getrandbits(bits) | 1 | 1 << (bits - 1), pow(rng.getrandbits(bits // 2) | 1, 2)]
+        for n in moduli:
+            for k in range(41):
+                for m in (1, 3, rng.getrandbits(bits - 41) | 1, rng.getrandbits(bits - 41), rng.getrandbits(bits)):
+                    a = m << k
+                    assert group.jacobi(a, n) == reference_jacobi(a, n), (k, m, n)
+                    assert group.jacobi(-a, n) == reference_jacobi(-a, n), (k, m, n)
+
+    def test_multiples_of_the_modulus(self, q384):
+        rng = random.Random("multiples")
+        for n in [1, 3, 9, 15, 23, 255, 257, q384.q, RFC3526_MODP_2048, rng.getrandbits(384) | 1]:
+            for c in (-3, -1, 0, 1, 2, 5, 1 << 40):
+                assert group.jacobi(c * n, n) == (1 if n == 1 else 0), (c, n)
+                assert reference_jacobi(c * n, n) == group.jacobi(c * n, n)
 
 
 def product_of_pows(params, pairs):
@@ -290,6 +335,59 @@ class TestMultiPow:
             q384.multi_pow([(4, 3), (4, -1)])
 
 
+class TestMultiPowRecoding:
+    """The right-to-left window recoding of `multi_pow` at its edges, against
+    products of powers made without it.  Exactness does not depend on the size of q, so the
+    long sweeps run in the 384-bit group."""
+
+    def test_around_powers_of_two(self, q384):
+        q = q384.q
+        rng = random.Random("powers of two")
+        bases = [rng.randrange(2, q) for _ in range(3)]
+        inverse = pow(bases[0], -1, q)
+        powers = list(bases)  # each base raised to 2**k, squared once per step
+        for k in range(2 * q384.bit_length + 1):
+            pairs = [(bases[0], (1 << k) - 1), (bases[1], 1 << k), (bases[2], (1 << k) + 1)]
+            want = powers[0] * inverse * powers[1] * powers[2] * bases[2] % q
+            assert q384.multi_pow(pairs) == want, k
+            powers = [x * x % q for x in powers]
+
+    @pytest.mark.parametrize("bits", [128, 384, 1000, 2048])
+    def test_zero_runs_at_each_offset(self, q384, bits):
+        rng = random.Random(f"zero runs {bits}")
+        w = group._window(bits)
+        for offset in range(w):
+            for run in range(7, 21):
+                e = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                start = w * rng.randrange(1, (bits - 25) // w) + offset
+                e &= ~(((1 << run) - 1) << start)
+                pairs = [(rng.randrange(2, q384.q), e)]
+                assert q384.multi_pow(pairs) == product_of_pows(q384, pairs), (offset, run)
+
+    def test_each_window_width_threshold(self, q384):
+        rng = random.Random("thresholds")
+        thresholds = [b for b in range(2, 5000) if group._window(b) != group._window(b - 1)]
+        assert [group._window(b) for b in thresholds] == list(range(2, 9))
+        for t in thresholds:
+            for bits in (t - 1, t, t + 1):
+                for e in ((1 << bits) - 1, 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1)):
+                    pairs = [(rng.randrange(2, q384.q), e), (rng.randrange(2, q384.q), rng.getrandbits(128))]
+                    assert q384.multi_pow(pairs) == product_of_pows(q384, pairs), bits
+
+    @pytest.mark.parametrize("size", ["384", "2048"])
+    def test_repeated_unit_and_unreduced_bases(self, q384, size):
+        params = q384 if size == "384" else params_from_modulus(RFC3526_MODP_2048)
+        q = params.q
+        rng = random.Random(f"bases {size}")
+        b = rng.randrange(2, q)
+        for pairs in (
+            [(b, rng.getrandbits(128)), (b, rng.randrange(params.p)), (b, 1 << 200)],
+            [(1, rng.randrange(params.p)), (1, 1), (b, 5)],
+            [(q + 1, rng.getrandbits(128)), (q + b, rng.randrange(params.p)), (3 * q - 1, 3), (b, 2)],
+        ):
+            assert params.multi_pow(pairs) == product_of_pows(params, pairs), pairs
+
+
 class TestFixedBaseTables:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
@@ -304,16 +402,40 @@ class TestFixedBaseTables:
         for base in (ref.g, ref.h):
             for e in es:
                 assert params.pow_unchecked(base, e) == pow(base, e % params.p, params.q), e
-            assert group._TABLES[params.q, base] is not None  # the table did the work
+            assert isinstance(group._TABLES[params.q, base], list)  # the table did the work
 
     def test_384_bits(self, q384):
         ref = derive_generators(q384, b"tables 384")
-        assert all(group._TABLES[q384.q, b] is None for b in (ref.g, ref.h))  # lazy
+        assert all(group._TABLES[q384.q, b] == 0 for b in (ref.g, ref.h))  # lazy: no power made yet
         self.check(ref, self.exponents(q384, 200, random.Random(1)))
 
     def test_2048_bits(self):
         ref = derive_generators(params_from_modulus(RFC3526_MODP_2048), b"tables 2048")
         self.check(ref, self.exponents(ref.params, 8, random.Random(2)))
+
+    @pytest.mark.parametrize("size", ["384", "2048"])
+    def test_the_table_comes_with_the_kth_power(self, q384, size):
+        params = q384 if size == "384" else params_from_modulus(RFC3526_MODP_2048)
+        k = group._build_after(params.q)
+        assert k == 10
+        ref = derive_generators(params, b"kth power")
+        rng = random.Random(4)
+        for i in range(1, k + 3):
+            e = rng.randrange(params.p)
+            assert params.pow_unchecked(ref.g, e) == pow(ref.g, e, params.q), i
+            built = group._TABLES[params.q, ref.g]
+            assert isinstance(built, list) if i >= k else built == i, i
+        assert group._TABLES[params.q, ref.h] == 0
+
+    def test_a_one_shot_verify_builds_no_table(self, tmp_path):
+        from zkmech import cli
+
+        path = str(tmp_path / "c13.transcript")
+        demo = ["demo", "--example", "ex1", "--H", "65536", "--price", "40000", "--value", "1234"]
+        assert cli.run(demo + ["--seed", "0a", "--out", path]) == 0
+        group._TABLES.clear()  # as in a fresh process
+        assert cli.run(["verify", path]) == 0  # verified
+        assert group._TABLES and all(isinstance(v, int) for v in group._TABLES.values())
 
     def test_other_bases_and_toy_groups_skip_tables(self, q23, q384):
         ref = derive_generators(q384, b"tables 384")
