@@ -4,6 +4,8 @@ Subcommands: `gen-params` (safe-prime search / parameter files), `demo`
 (both roles in-process, transcript to stdout), `seller` / `buyer` (two
 processes over TCP with binary framing), `verify` (replay a transcript
 file), and `analyze` (incentive lemma, noise report, weight recovery).
+Over TCP, a role whose peer is silent or drips exits 1 once one message
+takes longer than `PEER_TIMEOUT_S` (600 s).
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
 """
@@ -15,13 +17,13 @@ import hashlib
 import random
 import socket
 import sys
+import time
 from itertools import count
 
 from . import analysis
 from .codec import (
     Message,
     TAG_OUTCOME,
-    Transcript,
     transcript_dumps,
     transcript_frames,
     transcript_header,
@@ -114,21 +116,26 @@ def _spec_from_args(args) -> MechanismSpec:
 
 # -- socket framing ---------------------------------------------------------------
 #
-# A peer that stalls, sends an oversized frame, closes mid-frame or breaks
-# the connection fails the session with VerificationFailed (exit 1).
+# A peer that stalls or drips, sends an oversized frame, closes mid-frame or
+# breaks the connection fails the session with VerificationFailed (exit 1).
 
-# Seconds a connected peer may stay silent: the seller waits this long for
-# the report while an interactive buyer answers its prompt.
+# Seconds that one whole message may take: each frame received, each batch
+# sent and the buyer's connect.  The seller waits this long for the report
+# while an interactive buyer answers its prompt.
 PEER_TIMEOUT_S = 600.0
 FRAME_HEADER = 5  # a frame's tag byte and four length bytes
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
     buf = bytearray()
     while len(buf) < n:
         try:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("timed out")
+            sock.settimeout(left)
             chunk = sock.recv(min(n - len(buf), 1 << 16))
-        except OSError as exc:  # a timeout or a reset
+        except OSError as exc:  # the deadline passed, or a reset
             raise VerificationFailed("peer", f"receive failed: {exc}") from exc
         if not chunk:
             raise VerificationFailed("peer", "connection closed mid-frame")
@@ -137,16 +144,19 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def _recv_message(sock: socket.socket, cap: int) -> Message:
-    """One frame; a length header above `cap` fails before any payload is read."""
-    header = _recv_exact(sock, FRAME_HEADER)
+    """One frame, read whole within `PEER_TIMEOUT_S`; a length header above
+    `cap` fails before any payload is read."""
+    deadline = time.monotonic() + PEER_TIMEOUT_S
+    header = _recv_exact(sock, FRAME_HEADER, deadline)
     length = int.from_bytes(header[1:], "big")
     if length > cap:
         raise VerificationFailed("peer", f"frame of {length} bytes exceeds the {cap}-byte cap")
-    return Message(header[0], _recv_exact(sock, length))
+    return Message(header[0], _recv_exact(sock, length, deadline))
 
 
 def _send_messages(sock: socket.socket, msgs: list[Message]) -> None:
     try:
+        sock.settimeout(PEER_TIMEOUT_S)  # a bound on the whole batch
         sock.sendall(b"".join(m.frame() for m in msgs))
     except OSError as exc:
         raise VerificationFailed("peer", f"send failed: {exc}") from exc
@@ -214,33 +224,18 @@ def _cmd_seller(args) -> int:
     seller = SellerSession(ref, spec, _role_rng(args.seed, "seller"))
     cap = max_frame_bytes(spec.kind, spec.bound, params.bit_length)
     host, port = _parse_endpoint(args.listen)
-    ordered: list[Message] = []
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((host, port))
         srv.listen(1)
         print(f"listening on {host}:{srv.getsockname()[1]}", file=sys.stderr)
         conn, peer = srv.accept()
-        conn.settimeout(PEER_TIMEOUT_S)
         with conn:
-            commit_msgs = seller.begin()
-            ordered.extend(commit_msgs)
-            _send_messages(conn, commit_msgs)
-            report = _recv_message(conn, cap)
-            ordered.append(report)
-            evidence = seller.receive_reports([report])
-            ordered.extend(evidence)
-            _send_messages(conn, evidence)
+            _send_messages(conn, seller.begin())
+            _send_messages(conn, seller.receive_reports([_recv_message(conn, cap)]))
             if seller.awaiting_mask:
-                mask = _recv_message(conn, cap)
-                ordered.append(mask)
-                closing = seller.receive_mask(mask)
-                ordered.extend(closing)
-                _send_messages(conn, closing)
-    transcript = Transcript(kind=spec.kind, bound=spec.bound, seed=crs, messages=ordered)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(transcript_dumps(transcript))
+                _send_messages(conn, seller.receive_mask(_recv_message(conn, cap)))
+    _save_log(args.out, seller.log, spec.kind, spec.bound)
     _print_outcome(seller.outcome, sys.stdout)
     return 0
 
@@ -255,39 +250,37 @@ def _cmd_buyer(args) -> int:
         buyer = BuyerSession(ref, kind, bound, _values_from_args(args), rng)
     cap = max_frame_bytes(kind, bound, params.bit_length)
     host, port = _parse_endpoint(args.connect)
-    ordered: list[Message] = []
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.settimeout(PEER_TIMEOUT_S)
         sock.connect((host, port))
         # The commitment, and its certificate where the kind has one.
         commit_msgs = [_recv_message(sock, cap) for _ in range(1 + KINDS[kind].certified)]
-        ordered.extend(commit_msgs)
         # The value is requested only now, after the commitment is already
         # fixed on the wire.
         if buyer is None:
             raw = input("value: " if KINDS[kind].per_report == 1 else "values (v1,v2): ")
             buyer = BuyerSession(ref, kind, bound, [int(x) for x in raw.split(",")], rng)
-        reports = buyer.receive_commit(commit_msgs)
-        ordered.extend(reports)
-        _send_messages(sock, reports)
+        _send_messages(sock, buyer.receive_commit(commit_msgs))
         # Each message is verified before the next is read, so the buyer
         # reads no more evidence than the claimed case sends, then the outcome.
         while True:
             msg = _recv_message(sock, cap)
-            ordered.append(msg)
             if msg.tag == TAG_OUTCOME:
                 outcome = buyer.receive_final([msg])
                 break
             mask = buyer.receive_evidence([msg])
             if mask is not None:
-                ordered.append(mask)
                 _send_messages(sock, [mask])
-    transcript = Transcript(kind=kind, bound=bound, seed=crs, messages=ordered)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(transcript_dumps(transcript))
+    _save_log(args.out, buyer.log, kind, bound)
     _print_outcome(outcome, sys.stdout)
     return 0
+
+
+def _save_log(path: str | None, log, kind: str, bound: int) -> None:
+    """Write a role's log as a transcript file, if one was asked for."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(transcript_dumps(log.transcript(kind, bound)))
 
 
 # A transcript's first line: "zkmech/1", a kind and "H=" with at most 2^16.

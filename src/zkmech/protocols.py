@@ -19,7 +19,8 @@ One verifier, a generator fed one message at a time, checks a run.  The
 buyer feeds it each message once, as it is sent or received, and aborts
 on the first bad one; `verify_transcript` feeds the same verifier a whole
 log, so any third party holding the group parameters and the transcript
-re-verifies a run and recomputes its outcome.
+re-verifies a run and recomputes its outcome.  Each session's log, the
+Fiat-Shamir prefix its proofs bind, is also the transcript it writes.
 
 Supported kinds:
 
@@ -521,29 +522,32 @@ def _walk(steps, answer):
 
 
 class _Log:
-    """A run's Fiat-Shamir prefix: the seed frame and every frame so far,
-    joined only when a proof binds it, so logging a frame costs its length."""
+    """A run's record: its messages, each next to its frame.  The seed frame
+    and every frame so far are the Fiat-Shamir prefix, joined only when a
+    proof binds it, so logging a message costs its frame's length."""
 
     def __init__(self, seed: bytes):
+        self.seed = seed
+        self.messages: list[Message] = []
         self._frames = [seed_frame(seed)]
-
-    @property
-    def count(self) -> int:
-        return len(self._frames) - 1
 
     @property
     def prefix(self) -> bytes:
         return b"".join(self._frames)
 
     def add(self, msg: Message) -> None:
+        self.messages.append(msg)
         self._frames.append(msg.frame())
+
+    def transcript(self, kind: str, bound: int) -> Transcript:
+        return Transcript(kind=kind, bound=bound, seed=self.seed, messages=list(self.messages))
 
 
 # -- seller session --------------------------------------------------------------
 
 
 class SellerSession:
-    """The committing party.  Emits message batches and logs every frame,
+    """The committing party.  Emits message batches and logs every message,
     so each proof binds the entire conversation so far."""
 
     def __init__(
@@ -559,7 +563,7 @@ class SellerSession:
         self.phase = "commit"
         self.outcome: Outcome | None = None
         self._coin_value = coin_value  # test hook: scripted coin draw
-        self._log = _Log(ref.seed)
+        self.log = _Log(ref.seed)
         self._coms: list[IntCommitment] = []
         self._ops: list[list[BitOpening]] = []
         self._steps = None  # the claimed case's rule, once the reports are in
@@ -569,7 +573,7 @@ class SellerSession:
 
     def _emit(self, tag: int, payload: bytes) -> Message:
         msg = Message(tag, payload)
-        self._log.add(msg)
+        self.log.add(msg)
         return msg
 
     @property
@@ -589,7 +593,7 @@ class SellerSession:
         if KINDS[self.spec.kind].certified:
             coms, ops = self._coms, self._ops
             bundle = prove_le_committed(
-                self.ref, coms[0], ops[0], coms[1], ops[1], self._log.prefix, self.rng
+                self.ref, coms[0], ops[0], coms[1], ops[1], self.log.prefix, self.rng
             )
             out.append(self._emit(TAG_COMMIT_PROOF, encode_bundle(bundle)))
         self.phase = "report"
@@ -607,7 +611,7 @@ class SellerSession:
             if msg.tag != TAG_TYPE_REPORT:
                 _fail("report", f"unexpected tag {msg.tag:#x}")
             values.extend(_parse_report(msg.payload, "report", self.spec.bound, i, per_msg))
-            self._log.add(msg)
+            self.log.add(msg)
         self._steps = _selected_rule(self.spec, values)
         return self._advance(None)
 
@@ -617,7 +621,7 @@ class SellerSession:
         if msg.tag != TAG_COIN_MASK:
             _fail("mask", f"unexpected tag {msg.tag:#x}")
         mask = _parse_mask(msg.payload, "mask", len(self._pairs))
-        self._log.add(msg)
+        self.log.add(msg)
         self._coin = (coin_select(self._pairs, mask), coin_openings(self._pair_ops, mask))
         return self._advance(mask)
 
@@ -643,7 +647,7 @@ class SellerSession:
         """The payload carrying `ev`, past its lead byte, and the fact it
         establishes.  A claim the hidden prices do not satisfy raises
         `RefuseToProve`."""
-        ref, rng, prefix = self.ref, self.rng, self._log.prefix
+        ref, rng, prefix = self.ref, self.rng, self.log.prefix
         com, ops = self._coms[ev.item], self._ops[ev.item]
         if ev.form == "reveal":
             s = self.spec.prices[ev.item]
@@ -724,7 +728,7 @@ def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
     if msg is None:
         _fail(phase, "transcript truncated")
     if msg.tag != tag:
-        _fail(phase, f"expected tag {tag:#x}, found {msg.tag:#x}", index=log.count)
+        _fail(phase, f"expected tag {tag:#x}, found {msg.tag:#x}", index=len(log.messages))
     prefix = log.prefix
     log.add(msg)
     return prefix
@@ -809,17 +813,17 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
     return verdict
 
 
-def verifier(ref: RefString, kind: str, bound: int):
+def verifier(ref: RefString, kind: str, bound: int, log: _Log):
     """Every check of one run, as a generator fed one message at a time.
 
     Prime it with `send(None)`, then send each message in order, and None
     once the log ends.  It raises `VerificationFailed` at the first bad
-    message and returns the outcome (as `StopIteration.value`).  It keeps
-    the log each proof's Fiat-Shamir prefix is taken from.
+    message and returns the outcome (as `StopIteration.value`).  It appends
+    each message it admits to `log`, which each proof's Fiat-Shamir prefix
+    is taken from.
     """
     width = width_of(bound)
     k = KINDS[kind]
-    log = _Log(ref.seed)
     msg = yield
     _admit(log, msg, TAG_COMMIT, "commit")
     coms = _parse_commit(ref, msg.payload, "commit", k.prices, width)
@@ -854,7 +858,7 @@ def verifier(ref: RefString, kind: str, bound: int):
         if (_WIRE[ev.form][0], _LEAD[ev.form, ev.item]) == claimed:
             break
     else:
-        _fail("evaluate", f"no case opens with tag {msg.tag:#x}", index=log.count)
+        _fail("evaluate", f"no case opens with tag {msg.tag:#x}", index=len(log.messages))
 
     coin = None  # the coin commitment the buyer's mask selects
     while True:
@@ -878,7 +882,7 @@ def verifier(ref: RefString, kind: str, bound: int):
     if msg.payload != encode_outcome(expected):  # the encoding is canonical
         _fail("outcome", f"the announced outcome is not {expected}, which the evidence implies")
     if (yield) is not None:
-        _fail("outcome", "trailing messages after outcome", index=log.count)
+        _fail("outcome", "trailing messages after outcome", index=len(log.messages))
     return expected
 
 
@@ -929,7 +933,8 @@ class BuyerSession:
         self.rng = rng
         self.mask_value = mask_value  # test hook: scripted mask draw
         self.failed = False
-        self._check = verifier(ref, kind, bound)
+        self.log = _Log(ref.seed)  # every message verified so far
+        self._check = verifier(ref, kind, bound, self.log)
         _feed(self._check, None)
 
     def _guard(self):
@@ -983,7 +988,7 @@ def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -
     a time, so a log read lazily stops being read at its first bad message."""
     if kind not in KINDS:
         _fail("params", f"unknown protocol kind {kind!r}")
-    check = verifier(ref, kind, bound)
+    check = verifier(ref, kind, bound, _Log(ref.seed))
     for msg in chain((None,), messages, (None,)):  # prime, the log, its end
         outcome = _feed(check, msg)
     return outcome
@@ -1008,27 +1013,14 @@ def run_local(
     coin_value: int | None = None,
     mask_value: int | None = None,
 ) -> tuple[Outcome, Transcript]:
-    """Run seller and buyer in one process and return the verified outcome."""
+    """Run seller and buyer in one process; returns the verified outcome
+    and the buyer's log."""
     seller = SellerSession(ref, spec, seller_rng, coin_value=coin_value)
     buyer = BuyerSession(ref, spec.kind, spec.bound, values, buyer_rng, mask_value=mask_value)
-    ordered: list[Message] = []
-    commit_msgs = seller.begin()
-    ordered.extend(commit_msgs)
-    reports = buyer.receive_commit(commit_msgs)
-    ordered.extend(reports)
-    evidence = seller.receive_reports(reports)
-    ordered.extend(evidence)
+    batch = seller.receive_reports(buyer.receive_commit(seller.begin()))
     if seller.awaiting_mask:
-        mask = buyer.receive_evidence(evidence)
-        ordered.append(mask)
-        closing = seller.receive_mask(mask)
-        ordered.extend(closing)
-        outcome = buyer.receive_final(closing)
-    else:
-        outcome = buyer.receive_final(evidence)
+        batch = seller.receive_mask(buyer.receive_evidence(batch))
+    outcome = buyer.receive_final(batch)
     if seller.outcome != outcome:
         raise VerificationFailed("outcome", "seller and buyer disagree on the outcome")
-    transcript = Transcript(
-        kind=spec.kind, bound=spec.bound, seed=ref.seed, messages=ordered
-    )
-    return outcome, transcript
+    return outcome, buyer.log.transcript(spec.kind, spec.bound)

@@ -14,6 +14,7 @@ import pytest
 from zkmech import cli
 from zkmech.codec import (
     TAG_COMMIT,
+    TAG_OUTCOME,
     TAG_TYPE_REPORT,
     Message,
     encode_uint,
@@ -23,6 +24,7 @@ from zkmech.codec import (
 from zkmech.errors import CodecError
 from zkmech.group import derive_generators, load_params_file, params_from_modulus
 from zkmech.protocols import (
+    BuyerSession,
     MechanismSpec,
     SellerSession,
     max_frame_bytes,
@@ -329,15 +331,40 @@ def largest_frames(ref, runs) -> dict:
 TOY_REF = derive_generators(params_from_modulus(23), cli.DEFAULT_CRS_SEED)
 
 
+def test_the_records_agree():
+    """The seller's log, the buyer's log fed one message at a time, as the
+    networked buyer feeds it, and `run_local`'s transcript are one record."""
+    for spec, values, coin, mask in criterion_one_runs():
+        seller = SellerSession(TOY_REF, spec, random.Random(1), coin_value=coin)
+        buyer = BuyerSession(
+            TOY_REF, spec.kind, spec.bound, values, random.Random(2), mask_value=mask
+        )
+        queue = seller.receive_reports(buyer.receive_commit(seller.begin()))
+        while queue:
+            msg = queue.pop(0)
+            if msg.tag == TAG_OUTCOME:
+                buyer.receive_final([msg])
+            elif (answer := buyer.receive_evidence([msg])) is not None:
+                queue += seller.receive_mask(answer)
+        _, tr = run_local(
+            TOY_REF, spec, values, random.Random(1), random.Random(2), coin_value=coin, mask_value=mask
+        )
+        assert seller.log.messages == buyer.log.messages == tr.messages, (spec, values)
+
+
+def _recv_bytes(sock, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            raise ConnectionError("the peer closed mid-frame")
+        data += chunk
+    return data
+
+
 def _recv_frame(sock) -> Message:
-    header = b""
-    while len(header) < 5:
-        header += sock.recv(5 - len(header))
-    length = int.from_bytes(header[1:], "big")
-    payload = b""
-    while len(payload) < length:
-        payload += sock.recv(length - len(payload))
-    return Message(header[0], payload)
+    header = _recv_bytes(sock, 5)
+    return Message(header[0], _recv_bytes(sock, int.from_bytes(header[1:], "big")))
 
 
 def _fake_peer(script):
@@ -386,12 +413,33 @@ def closes_mid_frame(conn, result):
     conn.sendall(bytes([TAG_COMMIT]) + (100).to_bytes(4, "big") + bytes(10))
 
 
+DEADLINE_S = 0.5  # PEER_TIMEOUT_S in the tests of the per-message deadline
+
+
+def _drip(sock, data: bytes) -> None:
+    """Send `data` a byte at a time, each byte well inside the deadline,
+    until the peer hangs up."""
+    try:
+        for byte in data:
+            sock.sendall(bytes([byte]))
+            time.sleep(DEADLINE_S / 5)
+    except OSError:
+        pass
+
+
+def dripping_commit(conn, result):
+    seller = SellerSession(TOY_REF, MechanismSpec("ex1", 8, (5,)), random.Random(1))
+    _drip(conn, seller.begin()[0].frame())
+
+
 class TestMisbehavingPeers:
     BUYER = ["buyer", "--example", "ex1", "--H", "8", "--value", "3", "--toy", "--seed", "05"]
 
     def run_buyer(self, script, capsys):
         port, thread, result = _fake_peer(script)
+        start = time.monotonic()
         rc = cli.run(self.BUYER + ["--connect", f"127.0.0.1:{port}"])
+        result["elapsed"] = time.monotonic() - start
         thread.join(timeout=20)
         assert not thread.is_alive()
         err = capsys.readouterr().err
@@ -412,17 +460,72 @@ class TestMisbehavingPeers:
         rc, err, _ = self.run_buyer(closes_mid_frame, capsys)
         assert rc == 1 and "closed mid-frame" in err
 
-    def test_seller_refuses_an_oversized_report(self, capsys):
+    def test_a_dripping_seller_fails_within_the_deadline(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PEER_TIMEOUT_S", DEADLINE_S)
+        rc, err, result = self.run_buyer(dripping_commit, capsys)
+        assert rc == 1 and result["elapsed"] < 2 * DEADLINE_S, (rc, err, result)
+
+    def test_a_dripping_buyer_fails_within_the_deadline(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PEER_TIMEOUT_S", DEADLINE_S)
+        thread, result, sock = self.connect_to_seller()
+        with sock:
+            commit = _recv_frame(sock)
+            buyer = BuyerSession(TOY_REF, "ex1", 8, [3], random.Random(2))
+            report = buyer.receive_commit([commit])[0].frame()
+            dripper = threading.Thread(target=_drip, args=(sock, report), daemon=True)
+            start = time.monotonic()
+            dripper.start()
+            thread.join(timeout=20)
+            elapsed = time.monotonic() - start
+            dripper.join(timeout=20)
+        err = capsys.readouterr().err
+        assert "\nverification failed: " in err and "Traceback" not in err
+        assert result["rc"] == 1 and elapsed < 2 * DEADLINE_S, (result, err, elapsed)
+
+    def test_an_honest_seller_writing_in_pieces(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PEER_TIMEOUT_S", DEADLINE_S)
+        prices, values = NETWORKED["ex4"]
+        common = ["--example", "ex4", "--H", "8", "--toy", "--seed", "ab12"]
+        demo_out = tmp_path / "demo.transcript"
+        assert cli.run(["demo", *common, *prices, *values, "--out", str(demo_out)]) == 0
+        seller = SellerSession(TOY_REF, MechanismSpec("ex4", 8, (2,)), cli._role_rng("ab12", "seller"))
+
+        def send(conn, msgs):  # 8 bytes at a time: each frame well inside the deadline
+            for frame in (m.frame() for m in msgs):
+                for i in range(0, len(frame), 8):
+                    conn.sendall(frame[i : i + 8])
+                    time.sleep(0.002)
+
+        def script(conn, result):
+            send(conn, seller.begin())
+            send(conn, seller.receive_reports([_recv_frame(conn)]))
+            send(conn, seller.receive_mask(_recv_frame(conn)))
+
+        port, thread, result = _fake_peer(script)
+        buyer_out = tmp_path / "buyer.transcript"
+        argv = ["buyer", *common, *values, "--connect", f"127.0.0.1:{port}", "--out", str(buyer_out)]
+        rc = cli.run(argv)
+        thread.join(timeout=20)
+        assert rc == 0 and "closed" not in result, capsys.readouterr().err
+        assert buyer_out.read_text() == demo_out.read_text()
+        capsys.readouterr()
+
+    @staticmethod
+    def connect_to_seller():
+        """An honest ex1 seller on a thread, and a connection to it."""
         port = _free_port()
         thread, result = _run_seller_in_thread(
             ["seller", "--example", "ex1", "--price", "5", "--listen", f"127.0.0.1:{port}", "--toy"]
         )
         for _ in range(200):
             try:
-                sock = socket.create_connection(("127.0.0.1", port), timeout=20)
-                break
+                return thread, result, socket.create_connection(("127.0.0.1", port), timeout=20)
             except OSError:
                 time.sleep(0.05)
+        raise AssertionError("the seller did not listen")
+
+    def test_seller_refuses_an_oversized_report(self, capsys):
+        thread, result, sock = self.connect_to_seller()
         with sock:
             _recv_frame(sock)
             sock.sendall(bytes([TAG_COMMIT]) + (2**32 - 1).to_bytes(4, "big"))
