@@ -666,7 +666,7 @@ class EquivocatorStrategy:
         if params.pow(ref.g, self.rho) != ref.h:
             raise ParameterError("planted trapdoor inconsistent with the reference string")
         self.exps = [params.exp_sample(self.rng) for _ in range(width)]
-        bits = tuple(BitCommitment(params.pow_unchecked(ref.h, r)) for r in self.exps)
+        bits = tuple(commit_bit(ref, 1, r) for r in self.exps)
         self.com = IntCommitment(width=width, bits=bits)
         return self.com
 

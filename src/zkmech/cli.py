@@ -126,7 +126,9 @@ PEER_TIMEOUT_S = 600.0
 FRAME_HEADER = 5  # a frame's tag byte and four length bytes
 
 
-def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float, closed: str) -> bytes:
+    """n bytes by the deadline; `closed` says where a peer that hangs up
+    before sending any of them stopped."""
     buf = bytearray()
     while len(buf) < n:
         try:
@@ -138,7 +140,7 @@ def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
         except OSError as exc:  # the deadline passed, or a reset
             raise VerificationFailed("peer", f"receive failed: {exc}") from exc
         if not chunk:
-            raise VerificationFailed("peer", "connection closed mid-frame")
+            raise VerificationFailed("peer", f"connection closed {'mid-frame' if buf else closed}")
         buf += chunk
     return bytes(buf)
 
@@ -147,11 +149,11 @@ def _recv_message(sock: socket.socket, cap: int) -> Message:
     """One frame, read whole within `PEER_TIMEOUT_S`; a length header above
     `cap` fails before any payload is read."""
     deadline = time.monotonic() + PEER_TIMEOUT_S
-    header = _recv_exact(sock, FRAME_HEADER, deadline)
+    header = _recv_exact(sock, FRAME_HEADER, deadline, "before the next frame")
     length = int.from_bytes(header[1:], "big")
     if length > cap:
         raise VerificationFailed("peer", f"frame of {length} bytes exceeds the {cap}-byte cap")
-    return Message(header[0], _recv_exact(sock, length, deadline))
+    return Message(header[0], _recv_exact(sock, length, deadline, "mid-frame"))
 
 
 def _send_messages(sock: socket.socket, msgs: list[Message]) -> None:

@@ -44,6 +44,7 @@ def commit_bit(ref: RefString, bit: int, r: int) -> BitCommitment:
         raise ParameterError(f"bit must be 0 or 1, got {bit}")
     if not 1 <= r <= ref.params.p - 1:
         raise ParameterError(f"exponent out of range: {r}")
+    ref.build_tables()  # whoever commits is a prover
     base = ref.g if bit == 0 else ref.h
     return BitCommitment(ref.params.pow_unchecked(base, r))
 
@@ -51,7 +52,8 @@ def commit_bit(ref: RefString, bit: int, r: int) -> BitCommitment:
 def verify_opening(ref: RefString, com: BitCommitment, op: BitOpening) -> bool:
     if op.bit not in (0, 1) or not 1 <= op.r <= ref.params.p - 1:
         return False
-    return commit_bit(ref, op.bit, op.r).value == com.value
+    base = ref.g if op.bit == 0 else ref.h
+    return ref.params.pow_unchecked(base, op.r) == com.value
 
 
 def int_bits(value: int, width: int) -> list[int]:

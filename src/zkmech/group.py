@@ -13,13 +13,14 @@ or more:
   Jacobi, Cohen, GTM 138, Alg. 1.4.10, each step read off the low byte).
   Each value is tested once, where it enters: a wire parser, or g and h
   when a `RefString` is built.
-- Fixed bases.  `pow_unchecked` raises the g or h of any `RefString` to a
+- Fixed bases.  `pow_unchecked` raises the g or h of a `RefString` to a
   power through a windowed table (Brickell-Gordon-McCurley-Wilson,
-  EUROCRYPT 1992).  A table is built on the base's tenth power, at 384
-  and at 2048 bits (`_build_after`), once the plain powers before it have
-  cost about one build, and cached by value, (q, base), in a small LRU, so
-  a reference string derived again from the same seed reuses it and one
-  from another seed never does.
+  EUROCRYPT 1992) when one exists, and by plain `pow` otherwise.  Only a
+  prover builds tables: its first commitment calls `RefString.build_tables`,
+  since it raises g and h about once per cell from then on.  A verifier
+  raises them once or twice per log and only reads.  Tables are cached by
+  value, (q, base), in a small LRU, so a reference string derived again
+  from the same seed reuses them and one from another seed never does.
 - Products of powers.  `multi_pow` computes a product of powers with one
   shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
   multiplying in an odd-power table entry per sliding window of its
@@ -95,8 +96,7 @@ FAST_BITS = 32
 # (about 6 MB).  5 bits saves 40% of the build and costs 12-18% per power;
 # 8 bits saves 20-25% per power and triples the build and the memory.
 TABLE_WINDOW = 6
-# Tables kept (two per reference string in use).  Each verifier of a log
-# whose seed was changed derives new generators, so the cache must evict.
+# Tables kept (two per reference string a prover has committed under).
 TABLE_SLOTS = 8
 
 
@@ -216,11 +216,12 @@ class GroupParams:
         """
         return rng.randrange(1, self.p)
 
-    # Internal fast path: skips the membership re-check.  Callers must have
-    # validated the base at an object boundary first.
+    # Internal fast path: skips the membership re-check, and reads a base's
+    # fixed-base table if a prover built one.  Callers must have validated
+    # the base at an object boundary first.
     def pow_unchecked(self, base: int, e: int) -> int:
         if self.bit_length >= FAST_BITS:
-            rows = _fixed_table(self.q, base)
+            rows = _TABLES.get((self.q, base))
             if rows is not None:
                 return _table_pow(rows, e % self.p, self.q)
         return pow(base, e % self.p, self.q)
@@ -288,70 +289,42 @@ class RefString:
             raise ParameterError("generators must be distinct and != 1")
         for base in (self.g, self.h):
             self.params.require_member(base)
-            if self.params.bit_length >= FAST_BITS:
-                _note_fixed_base(self.params.q, base)
+
+    def build_tables(self) -> None:
+        """Build g's and h's fixed-base tables if they are missing; a prover
+        calls this before it raises them once per cell."""
+        if self.params.bit_length >= FAST_BITS:
+            for base in (self.g, self.h):
+                _ensure_table(self.params.q, base)
 
 
 # -- fixed-base tables ------------------------------------------------------------
 #
 # (q, base) -> rows, where row i holds base^(d * 2^(TABLE_WINDOW * i)) for
-# every digit d; until the table is built, the number of powers of base
-# made without it.
+# every digit d.  Reads take no lock; writes, and a prover's refresh of a
+# table's place in the LRU, take the lock.
 
-_TABLES: OrderedDict[tuple[int, int], list[list[int]] | int] = OrderedDict()
+_TABLES: OrderedDict[tuple[int, int], list[list[int]]] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 
 
-def _note_fixed_base(q: int, base: int) -> None:
+def _ensure_table(q: int, base: int) -> None:
     key = (q, base)
     with _TABLES_LOCK:
         if key in _TABLES:
             _TABLES.move_to_end(key)
             return
-        _TABLES[key] = 0
-        if len(_TABLES) > TABLE_SLOTS:
-            _TABLES.popitem(last=False)
-
-
-def _table_rows(q: int) -> int:
-    return -(-((q - 1) // 2).bit_length() // TABLE_WINDOW)
-
-
-def _build_after(q: int) -> int:
-    """The power of a noted base that builds its table.  A build makes one
-    product per entry and a plain `pow` about one per bit of q, so the plain
-    powers before it cost about one build (10 at 384 and at 2048 bits),
-    and a base raised only a few times, as in a one-shot verify, never
-    pays for a table."""
-    return (_table_rows(q) << TABLE_WINDOW) // q.bit_length()
-
-
-def _fixed_table(q: int, base: int) -> list[list[int]] | None:
-    """The table of a noted fixed base, built now if this is its
-    `_build_after(q)`-th power; None for its earlier powers and for any
-    other base."""
-    key = (q, base)
-    with _TABLES_LOCK:
-        rows = _TABLES.get(key)
-        if rows is None:
-            return None
-        _TABLES.move_to_end(key)
-        if not isinstance(rows, int):
-            return rows
-        if rows + 1 < _build_after(q):
-            _TABLES[key] = rows + 1
-            return None
     rows = _build_table(q, base)
     with _TABLES_LOCK:
-        if key in _TABLES:
-            _TABLES[key] = rows
-    return rows
+        _TABLES[key] = rows
+        if len(_TABLES) > TABLE_SLOTS:
+            _TABLES.popitem(last=False)
 
 
 def _build_table(q: int, base: int) -> list[list[int]]:
     size = 1 << TABLE_WINDOW
     rows = []
-    for _ in range(_table_rows(q)):
+    for _ in range(-(-((q - 1) // 2).bit_length() // TABLE_WINDOW)):
         row = [1] * size
         acc = 1
         for d in range(1, size):

@@ -16,12 +16,12 @@ equation base^gamma = alpha * target^beta_i on its own, two powers per
 cell.  `ni_verify_all`, which every proof bundle goes through, checks a
 list of proofs.  Once p has BATCH_BITS bits or more it tests all their
 cells as one small-exponent batch (Bellare-Garay-Rabin): one hashed
-128-bit weight per cell, table powers of the bases on one side, and one
-`GroupParams.multi_pow` over the alphas and the distinct targets on the
-other, after a Jacobi-symbol membership test of every alpha.  A weight only
-matters mod p, so in a toy group a false cell would pass the batch about
-one time in p (one in 11 at q = 23); there every cell is checked on its
-own, as `cds_verify` does.
+128-bit weight per cell, one power of each distinct base on one side,
+and one `GroupParams.multi_pow` over the alphas and the distinct targets
+on the other, after a Jacobi-symbol membership test of every alpha.  A
+weight only matters mod p, so in a toy group a false cell would pass the
+batch about one time in p (one in 11 at q = 23); there every cell is
+checked on its own, as `cds_verify` does.
 
 Proving.  Every row but the real one is simulated: it draws a beta_i and
 its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
@@ -514,24 +514,6 @@ def _batch_holds(params: GroupParams, items, proof_bytes: bytes) -> bool:
     return lhs == params.multi_pow(pairs)
 
 
-# -- convenience statement builders ------------------------------------------
-
-
-def schnorr_statement(params: GroupParams, base: int, target: int) -> CdsStatement:
-    """Knowledge of log_base(target): the 1x1 instance."""
-    return CdsStatement(params=params, rows=(((base, target),),))
-
-
-def or_statement(params: GroupParams, base: int, targets: list[int]) -> CdsStatement:
-    """Knowledge of log_base of at least one target: the kx1 instance."""
-    return CdsStatement(params=params, rows=tuple(((base, t),) for t in targets))
-
-
-def and_statement(params: GroupParams, pairs: list[tuple[int, int]]) -> CdsStatement:
-    """Knowledge of every log in one list of (base, target) pairs: 1xm."""
-    return CdsStatement(params=params, rows=(tuple(pairs),))
-
-
 # -- wire encodings ------------------------------------------------------------
 
 
@@ -626,11 +608,4 @@ def read_sized_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> 
     span = r.span()
     proof = read_proof(span, params, shape)
     span.finish()
-    return proof
-
-
-def decode_proof(buf: bytes, params: GroupParams, shape: tuple[int, ...]) -> NiProof:
-    r = Reader(buf)
-    proof = read_proof(r, params, shape)
-    r.finish()
     return proof

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from zkmech.codec import Reader
 from zkmech.errors import ParameterError, ShapeMismatch
-from zkmech.group import derive_generators, params_from_modulus
-from zkmech.sigma import cds_verify, encode_first, fiat_shamir_challenge
+from zkmech.group import GroupParams, derive_generators, params_from_modulus
+from zkmech.sigma import CdsStatement, NiProof, cds_verify, encode_first, fiat_shamir_challenge, read_proof
 
 # A 384-bit safe prime (the benchmark's BENCH_Q384): large enough for the
 # Jacobi membership test and the fixed-base tables, small enough to be quick.
@@ -70,3 +71,28 @@ def per_cell_verdict():
     """The reference for `sigma.ni_verify_all`: each proof's context digest
     and challenge, then `cds_verify` one cell at a time."""
     return _per_cell_verdict
+
+
+# -- statement builders and a whole-buffer proof decoder for the tests -----------
+
+
+def schnorr_statement(params: GroupParams, base: int, target: int) -> CdsStatement:
+    """Knowledge of log_base(target): the 1x1 instance."""
+    return CdsStatement(params=params, rows=(((base, target),),))
+
+
+def or_statement(params: GroupParams, base: int, targets: list[int]) -> CdsStatement:
+    """Knowledge of log_base of at least one target: the kx1 instance."""
+    return CdsStatement(params=params, rows=tuple(((base, t),) for t in targets))
+
+
+def and_statement(params: GroupParams, pairs: list[tuple[int, int]]) -> CdsStatement:
+    """Knowledge of every log in one list of (base, target) pairs: 1xm."""
+    return CdsStatement(params=params, rows=(tuple(pairs),))
+
+
+def decode_proof(buf: bytes, params: GroupParams, shape: tuple[int, ...]) -> NiProof:
+    r = Reader(buf)
+    proof = read_proof(r, params, shape)
+    r.finish()
+    return proof

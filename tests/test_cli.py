@@ -413,6 +413,14 @@ def closes_mid_frame(conn, result):
     conn.sendall(bytes([TAG_COMMIT]) + (100).to_bytes(4, "big") + bytes(10))
 
 
+def closes_after_commit(conn, result):
+    seller = SellerSession(TOY_REF, MechanismSpec("ex1", 8, (5,)), random.Random(1))
+    conn.sendall(seller.begin()[0].frame())
+    conn.shutdown(socket.SHUT_WR)  # a clean close, between two frames
+    while conn.recv(1 << 16):  # the buyer's report, until it hangs up
+        pass
+
+
 DEADLINE_S = 0.5  # PEER_TIMEOUT_S in the tests of the per-message deadline
 
 
@@ -459,6 +467,10 @@ class TestMisbehavingPeers:
     def test_peer_closes_mid_frame(self, capsys):
         rc, err, _ = self.run_buyer(closes_mid_frame, capsys)
         assert rc == 1 and "closed mid-frame" in err
+
+    def test_peer_closes_after_the_commitment(self, capsys):
+        rc, err, _ = self.run_buyer(closes_after_commit, capsys)
+        assert rc == 1 and "closed before the next frame" in err
 
     def test_a_dripping_seller_fails_within_the_deadline(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PEER_TIMEOUT_S", DEADLINE_S)
@@ -507,6 +519,40 @@ class TestMisbehavingPeers:
         rc = cli.run(argv)
         thread.join(timeout=20)
         assert rc == 0 and "closed" not in result, capsys.readouterr().err
+        assert buyer_out.read_text() == demo_out.read_text()
+        capsys.readouterr()
+
+    def test_a_stray_frame_after_the_outcome_is_never_read(self, tmp_path, capsys, monkeypatch):
+        prices, values = NETWORKED["ex4"]
+        common = ["--example", "ex4", "--H", "8", "--toy", "--seed", "ab12"]
+        demo_out = tmp_path / "demo.transcript"
+        assert cli.run(["demo", *common, *prices, *values, "--out", str(demo_out)]) == 0
+        seller = SellerSession(TOY_REF, MechanismSpec("ex4", 8, (2,)), cli._role_rng("ab12", "seller"))
+        sent, received = [], []
+        real_recv = cli._recv_message
+
+        def recv(sock, cap):
+            received.append(real_recv(sock, cap))
+            return received[-1]
+
+        def send(conn, msgs):  # one batch, one write
+            sent.extend(msgs)
+            conn.sendall(b"".join(m.frame() for m in msgs))
+
+        def script(conn, result):
+            send(conn, seller.begin())
+            send(conn, seller.receive_reports([_recv_frame(conn)]))
+            send(conn, seller.receive_mask(_recv_frame(conn)))
+            conn.sendall(sent[-1].frame())  # the outcome again, after the outcome
+
+        monkeypatch.setattr(cli, "_recv_message", recv)
+        port, thread, result = _fake_peer(script)
+        buyer_out = tmp_path / "buyer.transcript"
+        argv = ["buyer", *common, *values, "--connect", f"127.0.0.1:{port}", "--out", str(buyer_out)]
+        rc = cli.run(argv)
+        thread.join(timeout=20)
+        assert rc == 0, capsys.readouterr().err
+        assert received == sent and received[-1].tag == TAG_OUTCOME
         assert buyer_out.read_text() == demo_out.read_text()
         capsys.readouterr()
 

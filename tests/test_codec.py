@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import decode_proof, or_statement
 from zkmech.codec import (
     Message,
     Reader,
@@ -26,11 +27,9 @@ from zkmech.sigma import (
     NiProof,
     SigmaFirst,
     SigmaResponse,
-    decode_proof,
     encode_proof,
     encode_sized_proof,
     ni_prove,
-    or_statement,
     read_sized_proof,
 )
 

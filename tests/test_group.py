@@ -7,7 +7,8 @@ from collections import OrderedDict
 import pytest
 
 from zkmech import group
-from zkmech.errors import NonMemberError, ParameterError, PrimeSearchError
+from zkmech.commitments import commit_bit
+from zkmech.errors import NonMemberError, ParameterError, PrimeSearchError, VerificationFailed
 from zkmech.group import (
     GroupParams,
     RFC3526_MODP_2048,
@@ -18,6 +19,7 @@ from zkmech.group import (
     params_from_modulus,
     save_params_file,
 )
+from zkmech.protocols import MechanismSpec, run_local, verify_transcript
 
 
 def subgroup(params):
@@ -388,6 +390,16 @@ class TestMultiPowRecoding:
             assert params.multi_pow(pairs) == product_of_pows(params, pairs), pairs
 
 
+# One run of each replayable kind, two of them with drawn coins.
+REPLAY_RUNS = [
+    (MechanismSpec("ex1", 8, (5,)), [6], None, None),
+    (MechanismSpec("ex1multi", 8, (5,), n_buyers=3), [7, 3, 1], None, None),
+    (MechanismSpec("ex2", 8, (3, 6)), [5, 5], None, None),
+    (MechanismSpec("ex3", 8, (2, 5)), [7], 1, 0),
+    (MechanismSpec("ex4", 4, (2,)), [3], 1, 2),
+]
+
+
 class TestFixedBaseTables:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
@@ -399,33 +411,37 @@ class TestFixedBaseTables:
 
     def check(self, ref, es):
         params = ref.params
+        ref.build_tables()
         for base in (ref.g, ref.h):
             for e in es:
                 assert params.pow_unchecked(base, e) == pow(base, e % params.p, params.q), e
             assert isinstance(group._TABLES[params.q, base], list)  # the table did the work
 
+    def snapshot(self):
+        return [(key, id(rows)) for key, rows in group._TABLES.items()]
+
     def test_384_bits(self, q384):
-        ref = derive_generators(q384, b"tables 384")
-        assert all(group._TABLES[q384.q, b] == 0 for b in (ref.g, ref.h))  # lazy: no power made yet
-        self.check(ref, self.exponents(q384, 200, random.Random(1)))
+        self.check(derive_generators(q384, b"tables 384"), self.exponents(q384, 200, random.Random(1)))
 
     def test_2048_bits(self):
         ref = derive_generators(params_from_modulus(RFC3526_MODP_2048), b"tables 2048")
         self.check(ref, self.exponents(ref.params, 8, random.Random(2)))
 
-    @pytest.mark.parametrize("size", ["384", "2048"])
-    def test_the_table_comes_with_the_kth_power(self, q384, size):
-        params = q384 if size == "384" else params_from_modulus(RFC3526_MODP_2048)
-        k = group._build_after(params.q)
-        assert k == 10
-        ref = derive_generators(params, b"kth power")
-        rng = random.Random(4)
-        for i in range(1, k + 3):
-            e = rng.randrange(params.p)
-            assert params.pow_unchecked(ref.g, e) == pow(ref.g, e, params.q), i
-            built = group._TABLES[params.q, ref.g]
-            assert isinstance(built, list) if i >= k else built == i, i
-        assert group._TABLES[params.q, ref.h] == 0
+    def test_derivation_builds_no_table(self, q384):
+        derive_generators(q384, b"tables 384")
+        assert not group._TABLES
+        derive_generators(q384, b"seed a").build_tables()
+        before = self.snapshot()
+        for seed in (b"seed a", b"seed b"):
+            derive_generators(q384, seed)
+        derive_generators(params_from_modulus(RFC3526_MODP_2048), b"seed a")
+        assert self.snapshot() == before
+
+    def test_the_first_commitment_builds_both_tables(self, q384):
+        ref = derive_generators(q384, b"tables 384")
+        assert commit_bit(ref, 1, 12345).value == pow(ref.h, 12345, q384.q)
+        assert set(group._TABLES) == {(q384.q, ref.g), (q384.q, ref.h)}
+        assert all(isinstance(rows, list) for rows in group._TABLES.values())
 
     def test_a_one_shot_verify_builds_no_table(self, tmp_path):
         from zkmech import cli
@@ -435,13 +451,35 @@ class TestFixedBaseTables:
         assert cli.run(demo + ["--seed", "0a", "--out", path]) == 0
         group._TABLES.clear()  # as in a fresh process
         assert cli.run(["verify", path]) == 0  # verified
-        assert group._TABLES and all(isinstance(v, int) for v in group._TABLES.values())
+        assert not group._TABLES
+
+    def test_a_384_bit_replay_builds_no_table(self, q384):
+        ref = derive_generators(q384, b"replay 384")
+        for n, (spec, values, coin, mask) in enumerate(REPLAY_RUNS):
+            out, tr = run_local(
+                ref, spec, values, random.Random(f"{n}/s"), random.Random(f"{n}/b"), coin, mask
+            )
+            group._TABLES.clear()  # as in a fresh process
+            assert verify_transcript(derive_generators(q384, tr.seed), tr) == out, spec.kind
+            assert not group._TABLES, spec.kind
+
+    def test_a_seed_flipped_verify_leaves_the_cache_as_it_was(self, q384):
+        ref = derive_generators(q384, b"flip 384")
+        _, tr = run_local(ref, MechanismSpec("ex1", 8, (5,)), [6], random.Random(1), random.Random(2))
+        before = self.snapshot()
+        assert before  # the seller's tables
+        tr.seed = bytes([tr.seed[0] ^ 1]) + tr.seed[1:]
+        with pytest.raises(VerificationFailed):
+            verify_transcript(derive_generators(q384, tr.seed), tr)
+        assert self.snapshot() == before
 
     def test_other_bases_and_toy_groups_skip_tables(self, q23, q384):
         ref = derive_generators(q384, b"tables 384")
+        ref.build_tables()
         other = q384.pow(ref.g, 12345)
         assert q384.pow_unchecked(other, 77) == pow(other, 77, q384.q)
-        derive_generators(q23, b"toy")
+        toy = derive_generators(q23, b"toy")
+        assert commit_bit(toy, 1, 3).value == pow(toy.h, 3, q23.q)
         assert set(group._TABLES) == {(q384.q, ref.g), (q384.q, ref.h)}
 
     def test_two_seeds_in_one_group_through_evictions(self, q384, monkeypatch):
@@ -450,7 +488,9 @@ class TestFixedBaseTables:
         monkeypatch.setattr(group, "TABLE_SLOTS", 2)
         rng = random.Random(3)
         a = derive_generators(q384, b"seed a")
-        b = derive_generators(q384, b"seed b")  # evicts a's g and h
+        b = derive_generators(q384, b"seed b")
+        a.build_tables()
+        b.build_tables()  # evicts a's g and h
         assert set(group._TABLES) == {(q384.q, b.g), (q384.q, b.h)}
         es = self.exponents(q384, 5, rng)
         for ref in (b, a, b):
@@ -463,9 +503,10 @@ class TestFixedBaseTables:
                 assert len(group._TABLES) == 2
 
     def test_threads_sharing_the_cache(self, monkeypatch):
-        """More threads than cores derive reference strings and raise their
-        generators while the cache evicts under them; every power must still
-        equal `pow` and no thread may fail."""
+        """More threads than cores derive reference strings, commit under
+        them (building tables) and raise their generators (reading tables)
+        while the cache evicts under them; every power must still equal
+        `pow` and no thread may fail."""
         monkeypatch.setattr(group, "TABLE_SLOTS", 3)
         params = gen_params(64, start=64)
         errors, done = [], []
@@ -475,6 +516,8 @@ class TestFixedBaseTables:
                 rng = random.Random(k)
                 for i in range(400):
                     ref = derive_generators(params, bytes([k, i % 3]))
+                    r = rng.randrange(1, params.p)
+                    assert commit_bit(ref, i & 1, r).value == pow((ref.g, ref.h)[i & 1], r, params.q)
                     for base in (ref.g, ref.h):
                         e = rng.randrange(params.p)
                         assert params.pow_unchecked(base, e) == pow(base, e, params.q)
@@ -495,3 +538,4 @@ class TestFixedBaseTables:
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and sorted(done) == list(range(6))
         assert len(group._TABLES) <= 3
+        assert all(isinstance(rows, list) for rows in group._TABLES.values())

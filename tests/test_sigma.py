@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import and_statement, decode_proof, or_statement, schnorr_statement
 from zkmech.commitments import commit_int
 from zkmech.errors import ExtractionError, ParameterError, ShapeMismatch, StateConsumed
 from zkmech.gadgets import bound_plan, plan_statement, plan_witness
@@ -20,22 +21,18 @@ from zkmech.sigma import (
     _build_first,
     _build_response,
     _sim_alpha,
-    and_statement,
     cds_extract,
     cds_prove_first,
     cds_respond,
     cds_simulate,
     cds_verify,
     check_witness,
-    decode_proof,
     encode_first,
     encode_proof,
     fiat_shamir_challenge,
     ni_prove,
     ni_verify,
     ni_verify_all,
-    or_statement,
-    schnorr_statement,
 )
 
 
