@@ -260,7 +260,10 @@ def _cmd_buyer(args) -> int:
         # The value is requested only now, after the commitment is already
         # fixed on the wire.
         if buyer is None:
-            raw = input("value: " if KINDS[kind].per_report == 1 else "values (v1,v2): ")
+            try:
+                raw = input("value: " if KINDS[kind].per_report == 1 else "values (v1,v2): ")
+            except EOFError:
+                raise ZkmechError("stdin closed before a value was given") from None
             buyer = BuyerSession(ref, kind, bound, [int(x) for x in raw.split(",")], rng)
         _send_messages(sock, buyer.receive_commit(commit_msgs))
         # Each message is verified before the next is read, so the buyer
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-params", help="generate or emit group parameters")
-    sp.add_argument("--bits", type=int, required=True)
+    sp.add_argument("--bits", type=_int_in(3, 2048), required=True)
     sp.add_argument("--start-seed", help="hex start point for a deterministic search")
     sp.add_argument("--crs-seed", help="hex reference-string seed to embed")
     sp.add_argument("--search", action="store_true", help="search even at 2048 bits")

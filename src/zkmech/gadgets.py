@@ -2,9 +2,10 @@
 
 Each relation compiles to one or more matrix statements for the sigma
 engine: inequalities against public bounds, inequalities between two
-committed values, complement pairs for coin flips, and two chains of bit
-gates with explicit truth tables: the addition circuit with committed
-carries and the strict comparison circuit with committed borrows.
+committed values, complement pairs for coin flips, and one ripple chain of
+full-adder gates, each a truth table, that serves both the addition
+circuit with committed carries and the strict comparison circuit with
+committed borrows.
 
 Every gadget is written once, as a plan built from public data only: a
 tuple of (label, position, rows) entries, one per proof.  A row is a tuple
@@ -34,6 +35,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import product
 
 from .codec import Reader, encode_u8, encode_u16, encode_uint
 from .commitments import (
@@ -254,50 +256,21 @@ def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix) -> bool:
     return _verify_plan(ref, plan, (com_a.bits, com_b.bits), bundle, ctx_prefix)
 
 
-# -- truth-table gates ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """An n-ary relation given by its allowed bit assignments."""
-
-    arity: int
-    allowed: frozenset[tuple[int, ...]]
-
-    def __post_init__(self):
-        if not self.allowed:
-            raise ParameterError("gate needs at least one allowed assignment")
-        for row in self.allowed:
-            if len(row) != self.arity or any(b not in (0, 1) for b in row):
-                raise ParameterError(f"bad assignment {row}")
-
-
-def _gate_rows(spec: GateSpec, refs: list[tuple[int, int]]) -> Rows:
-    """One row per allowed assignment, in sorted order; argument n of the
-    gate is the bit at refs[n]."""
-    return tuple(tuple(zip(assignment, refs)) for assignment in sorted(spec.allowed))
-
-
 # -- gate chains: addition with committed carries, comparison with borrows ------
 #
-# Both circuits cover (x, y, chain), where chain holds the carries or
-# borrows: chain_i is the one out of position i, and the one into the least
-# significant position is fixed at zero.  Position 0 certifies the chain's
-# top bit with a one-cell statement; position i gates (x_i, y_i, chain_i,
-# chain_{i+1}), a ternary gate without chain_{i+1} at the LSB.
-
-
-def _chain_plan(top_bit: int, gates: list[GateSpec]) -> Plan:
-    plan = [(_LBL_GATE, 0, (((top_bit, (2, 1)),),))]
-    for i, gate in enumerate(gates, start=1):
-        refs = [(0, i), (1, i), (2, i), (2, i + 1)][: gate.arity]
-        plan.append((_LBL_GATE, i, _gate_rows(gate, refs)))
-    return tuple(plan)
-
-
-# The carry out of position i is the majority of (a_i, b_i, carry-in).  The
-# announced sum has width+1 bits; its top bit equals the outgoing carry of
-# position 1.
+# Both circuits are ripple chains of full adders over (x, y, chain), where
+# chain holds the carries or borrows: chain_i is the one out of position i,
+# and the one into the least significant position is fixed at zero.
+# Position 0 certifies the chain's top bit with a one-cell statement;
+# position i gates (x_i, y_i, chain_i, chain_{i+1}), without chain_{i+1} at
+# the LSB.
+#
+# The sum's gate is the adder over (a, b) with the announced sum bit; the
+# (width+1)-bit total's top bit is the carry out of position 1.  z < s is
+# decided by the borrow chain of z - s, whose borrows are the carries of
+# (NOT z) + s, so its gate is the adder over (NOT z, s) with no sum bit:
+# only the final borrow (the verdict) is announced, and difference bits are
+# never committed or revealed.
 
 
 def _carry_bits(a_bits: list[int], b_bits: list[int]) -> list[int]:
@@ -311,18 +284,24 @@ def _carry_bits(a_bits: list[int], b_bits: list[int]) -> list[int]:
 
 
 @cache
-def _adder_gate(sum_bit: int, lsb: bool) -> GateSpec:
-    """Quadruples (a, b, carry_out, carry_in) consistent with the announced
-    sum bit; at the LSB the carry-in is fixed to zero and the gate is ternary."""
+def _full_adder(invert: int, sum_bit: int | None, lsb: bool) -> tuple[tuple[int, ...], ...]:
+    """The truth table of a full adder over (x XOR invert, y, in): its
+    allowed (x, y, out, in) assignments in sorted order, those whose sum
+    bit is `sum_bit` when one is given.  At the LSB, `in` is 0 and left out."""
     rows = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for cin in ((0,) if lsb else (0, 1)):
-                if (a + b + cin) % 2 != sum_bit:
-                    continue
-                cout = 1 if a + b + cin >= 2 else 0
-                rows.append((a, b, cout) if lsb else (a, b, cout, cin))
-    return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
+    for x, y, cin in product((0, 1), (0, 1), (0,) if lsb else (0, 1)):
+        total = (x ^ invert) + y + cin
+        if sum_bit is None or total % 2 == sum_bit:
+            rows.append((x, y, total // 2) if lsb else (x, y, total // 2, cin))
+    return tuple(sorted(rows))
+
+
+def _chain_plan(top_bit: int, tables: list[tuple[tuple[int, ...], ...]]) -> Plan:
+    plan = [(_LBL_GATE, 0, (((top_bit, (2, 1)),),))]
+    for i, table in enumerate(tables, start=1):
+        refs = ((0, i), (1, i), (2, i), (2, i + 1))
+        plan.append((_LBL_GATE, i, tuple(tuple(zip(row, refs)) for row in table)))
+    return tuple(plan)
 
 
 @_plan_cache
@@ -330,8 +309,40 @@ def sum_plan(total: int, width: int) -> Plan:
     """Gate proofs of the announced (width+1)-bit total over (s1, s2, carries).
     Every total gives the same statement shapes."""
     total_bits = int_bits(total, width + 1)
-    gates = [_adder_gate(b, i == width) for i, b in enumerate(total_bits[1:], start=1)]
-    return _chain_plan(total_bits[0], gates)
+    tables = [_full_adder(0, b, i == width) for i, b in enumerate(total_bits[1:], start=1)]
+    return _chain_plan(total_bits[0], tables)
+
+
+@_plan_cache
+def lt_plan(verdict: int, width: int) -> Plan:
+    """Gate proofs of the verdict bit of z < s over (z, s, borrows).  Either
+    verdict gives the same statement shapes."""
+    return _chain_plan(verdict, [_full_adder(1, None, i == width) for i in range(1, width + 1)])
+
+
+def _prove_chain(ref, invert, com_x, ops_x, com_y, ops_y, ctx_prefix, rng):
+    """Commit the chain of (x XOR invert) + y and prove its plan over (x, y,
+    chain): `sum_plan` of the total, or with `invert` set, `lt_plan` of the
+    total's top bit.  Returns that announced value, the chain commitments
+    and the proofs; the chain openings never leave this function."""
+    if com_x.width != com_y.width:
+        raise ParameterError("widths must match")
+    width = com_x.width
+    x_bits = [op.bit ^ invert for op in ops_x]
+    y_bits = [op.bit for op in ops_y]
+    chain_com, chain_ops = commit_int(ref, bits_value(_carry_bits(x_bits, y_bits)), width, rng)
+    coms, ops = (com_x.bits, com_y.bits, chain_com.bits), (ops_x, ops_y, chain_ops)
+    total = bits_value(x_bits) + bits_value(y_bits)
+    announced, plan = (total >> width, lt_plan) if invert else (total, sum_plan)
+    bundle = _prove_plan(ref, plan(announced, width), coms, ops, ctx_prefix, rng)
+    return announced, chain_com, bundle
+
+
+def _verify_chain(ref, plan, com_x, com_y, chain_com, bundle, ctx_prefix) -> bool:
+    if com_x.width != com_y.width or chain_com.width != com_x.width:
+        return False
+    coms = (com_x.bits, com_y.bits, chain_com.bits)
+    return _verify_plan(ref, plan, coms, bundle, ctx_prefix)
 
 
 def prove_sum(
@@ -346,18 +357,9 @@ def prove_sum(
     """Announce s1+s2 publicly and prove it against the hidden summands.
 
     Returns the announced (width+1)-bit total, the carry commitments, and
-    the gate proofs.  Carry openings never leave this function.
+    the gate proofs.
     """
-    if com1.width != com2.width:
-        raise ParameterError("widths must match")
-    a_bits = [op.bit for op in ops1]
-    b_bits = [op.bit for op in ops2]
-    total = bits_value(a_bits) + bits_value(b_bits)
-    carries = _carry_bits(a_bits, b_bits)
-    carry_com, carry_ops = commit_int(ref, bits_value(carries), com1.width, rng)
-    coms, ops = (com1.bits, com2.bits, carry_com.bits), (ops1, ops2, carry_ops)
-    bundle = _prove_plan(ref, sum_plan(total, com1.width), coms, ops, ctx_prefix, rng)
-    return total, carry_com, bundle
+    return _prove_chain(ref, 0, com1, ops1, com2, ops2, ctx_prefix, rng)
 
 
 def verify_sum(
@@ -371,42 +373,10 @@ def verify_sum(
 ) -> bool:
     """Recompute the allowed gate tables from the announced total and check
     every per-position proof."""
-    if com1.width != com2.width or carry_com.width != com1.width:
-        return False
     if not 0 <= total < (1 << (com1.width + 1)):
         return False
-    coms = (com1.bits, com2.bits, carry_com.bits)
-    return _verify_plan(ref, sum_plan(total, com1.width), coms, bundle, ctx_prefix)
-
-
-# z < s is decided by the borrow chain of z - s: the borrow out of position i
-# is the majority of (NOT z_i, s_i, borrow-in).  Only the final borrow (the
-# verdict) is announced; difference bits are never committed or revealed.
-
-
-def _borrow_bits(z_bits: list[int], s_bits: list[int]) -> list[int]:
-    """The borrows of z - s are the carries of (NOT z) + s."""
-    return _carry_bits([1 - z for z in z_bits], s_bits)
-
-
-@cache
-def _subtractor_gate(lsb: bool) -> GateSpec:
-    """All (z, s, borrow_out, borrow_in) rows of the standard subtractor:
-    eight rows, or four ternary rows at the LSB where borrow-in is zero."""
-    rows = []
-    for z in (0, 1):
-        for s in (0, 1):
-            for bin_ in ((0,) if lsb else (0, 1)):
-                bout = 1 if (1 - z) + s + bin_ >= 2 else 0
-                rows.append((z, s, bout) if lsb else (z, s, bout, bin_))
-    return GateSpec(arity=3 if lsb else 4, allowed=frozenset(rows))
-
-
-@_plan_cache
-def lt_plan(verdict: int, width: int) -> Plan:
-    """Gate proofs of the verdict bit of z < s over (z, s, borrows).  Either
-    verdict gives the same statement shapes."""
-    return _chain_plan(verdict, [_subtractor_gate(i == width) for i in range(1, width + 1)])
+    plan = sum_plan(total, com1.width)
+    return _verify_chain(ref, plan, com1, com2, carry_com, bundle, ctx_prefix)
 
 
 def prove_lt_committed(
@@ -422,16 +392,7 @@ def prove_lt_committed(
 
     Returns (verdict, borrow commitments, proofs); verdict is 1 iff z < s.
     """
-    if com_z.width != com_s.width:
-        raise ParameterError("widths must match")
-    z_bits = [op.bit for op in ops_z]
-    s_bits = [op.bit for op in ops_s]
-    borrows = _borrow_bits(z_bits, s_bits)
-    verdict = borrows[0]
-    borrow_com, borrow_ops = commit_int(ref, bits_value(borrows), com_z.width, rng)
-    coms, ops = (com_z.bits, com_s.bits, borrow_com.bits), (ops_z, ops_s, borrow_ops)
-    bundle = _prove_plan(ref, lt_plan(verdict, com_z.width), coms, ops, ctx_prefix, rng)
-    return verdict, borrow_com, bundle
+    return _prove_chain(ref, 1, com_z, ops_z, com_s, ops_s, ctx_prefix, rng)
 
 
 def verify_lt_committed(
@@ -445,10 +406,8 @@ def verify_lt_committed(
 ) -> bool:
     if verdict not in (0, 1):
         return False
-    if com_z.width != com_s.width or borrow_com.width != com_z.width:
-        return False
-    coms = (com_z.bits, com_s.bits, borrow_com.bits)
-    return _verify_plan(ref, lt_plan(verdict, com_z.width), coms, bundle, ctx_prefix)
+    plan = lt_plan(verdict, com_z.width)
+    return _verify_chain(ref, plan, com_z, com_s, borrow_com, bundle, ctx_prefix)
 
 
 # -- complement pairs and coin selection -------------------------------------------

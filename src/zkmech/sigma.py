@@ -16,12 +16,12 @@ equation base^gamma = alpha * target^beta_i on its own, two powers per
 cell.  `ni_verify_all`, which every proof bundle goes through, checks a
 list of proofs.  Once p has BATCH_BITS bits or more it tests all their
 cells as one small-exponent batch (Bellare-Garay-Rabin): one hashed
-128-bit weight per cell, one power of each distinct base on one side,
-and one `GroupParams.multi_pow` over the alphas and the distinct targets
-on the other, after a Jacobi-symbol membership test of every alpha.  A
-weight only matters mod p, so in a toy group a false cell would pass the
-batch about one time in p (one in 11 at q = 23); there every cell is
-checked on its own, as `cds_verify` does.
+128-bit weight per cell and one `GroupParams.multi_pow` over the alphas
+and the distinct bases and targets, checked against 1, after a
+Jacobi-symbol membership test of every alpha.  A weight only matters mod
+p, so in a toy group a false cell would pass the batch about one time in
+p (one in 11 at q = 23); there every cell is checked on its own, as
+`cds_verify` does.
 
 Proving.  Every row but the real one is simulated: it draws a beta_i and
 its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
@@ -477,26 +477,27 @@ def _batch_weights(proof_bytes: bytes, count: int) -> list[int]:
 def _batch_holds(params: GroupParams, items, proof_bytes: bytes) -> bool:
     """Every cell equation base^gamma = alpha * target^beta_i of every
     proof, as one small-exponent test (Bellare-Garay-Rabin, EUROCRYPT 1998):
-    with a weight w per cell,
+    with a weight w per cell, one `multi_pow` over every alpha, base and
+    target checks
 
-        prod over bases of base^(sum w gamma)
-            == prod of alpha^w * prod over targets of target^(sum w beta_i).
+        prod of alpha^w * prod over elements x of x^(e_x mod p) == 1,
 
-    A false cell slips through with probability about 2^-WEIGHT_BITS, since
-    the weights come from a hash of the proofs, which carry each context
-    digest and so bind the statements.  The test is only sound in the
-    order-p group, so every alpha is checked for membership first: alpha
-    and q - alpha differ by the factor -1, which an even weight hides.
-    Bases and targets are members by the statement's contract, so their
-    exponents are reduced mod p.
+    where e_x sums w * beta_i over the cells whose target is x, less w * gamma
+    over the cells whose base is x (an element can be both).  A false cell
+    slips through with probability about 2^-WEIGHT_BITS, since the weights
+    come from a hash of the proofs, which carry each context digest and so
+    bind the statements.  The test is only sound in the order-p group, so
+    every alpha is checked for membership first: alpha and q - alpha differ
+    by the factor -1, which an even weight hides.  Bases and targets are
+    members by the statement's contract, so their exponents are reduced
+    mod p, the negative ones with them.
     """
-    q, p = params.q, params.p
+    p = params.p
     alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
     if not all(params.is_member(a) for a in alphas):
         return False
     weights = _batch_weights(proof_bytes, len(alphas))
-    left: dict[int, int] = {}  # base -> sum of w * gamma
-    right: dict[int, int] = {}  # target -> sum of w * beta_i
+    exps: dict[int, int] = {}  # element -> sum of w * beta_i - sum of w * gamma
     n = 0
     for stmt, proof, _ in items:
         resp = proof.response
@@ -504,14 +505,11 @@ def _batch_holds(params: GroupParams, items, proof_bytes: bytes) -> bool:
             for (base, target), gamma in zip(row, gamma_row):
                 w = weights[n]
                 n += 1
-                left[base] = left.get(base, 0) + w * gamma
-                right[target] = right.get(target, 0) + w * beta_i
-    lhs = 1
-    for base, e in left.items():
-        lhs = lhs * params.pow_unchecked(base, e) % q
+                exps[base] = exps.get(base, 0) - w * gamma
+                exps[target] = exps.get(target, 0) + w * beta_i
     pairs = list(zip(alphas, weights))
-    pairs += [(target, e % p) for target, e in right.items()]
-    return lhs == params.multi_pow(pairs)
+    pairs += [(x, e % p) for x, e in exps.items()]
+    return params.multi_pow(pairs) == 1
 
 
 # -- wire encodings ------------------------------------------------------------

@@ -164,24 +164,25 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["groves", "--n", "0"],
-            ["groves", "--outcomes", "0"],
-            ["groves", "--trials", "-3"],
-            ["ic-lemma", "--H", "0"],
-            ["ic-lemma", "--H", "-4"],
-            ["noise", "--samples", "-1"],
-            ["noise", "--window", str(1 << 40)],
+            ["analyze", "groves", "--n", "0"],
+            ["analyze", "groves", "--outcomes", "0"],
+            ["analyze", "groves", "--trials", "-3"],
+            ["analyze", "ic-lemma", "--H", "0"],
+            ["analyze", "ic-lemma", "--H", "-4"],
+            ["analyze", "noise", "--samples", "-1"],
+            ["analyze", "noise", "--window", str(1 << 40)],
+            ["gen-params", "--start-seed", "01", "--bits", "100000"],
         ],
     )
     def test_a_bad_flag_is_a_usage_error(self, argv):
         # a subprocess with a timeout, so that a call that hangs fails
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run(
-            [sys.executable, "-m", "zkmech.cli", "analyze", *argv],
+            [sys.executable, "-m", "zkmech.cli", *argv],
             capture_output=True, text=True, timeout=30, env=env,
         )
         assert done.returncode == 2, done.stdout
-        assert argv[1] in done.stderr and "Traceback" not in done.stderr
+        assert argv[-2] in done.stderr and "Traceback" not in done.stderr
 
 
 class TestUsageErrors:
@@ -277,6 +278,39 @@ class TestNetworked:
         assert rc == 0 and result["rc"] == 0
         out = capsys.readouterr().out
         assert "trade=false" in out
+
+    def test_interactive_buyer_with_stdin_closed_is_a_usage_error(self, capsys, monkeypatch):
+        port = _free_port()
+        thread, result = _run_seller_in_thread(
+            [
+                "seller", "--example", "ex1", "--price", "5", "--H", "8",
+                "--listen", f"127.0.0.1:{port}", "--toy", "--seed", "77",
+            ]
+        )
+        prompts = []
+
+        def closed_stdin(prompt=""):
+            prompts.append(prompt)
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", closed_stdin)
+        argv = [
+            "buyer", "--example", "ex1", "--H", "8", "--interactive",
+            "--connect", f"127.0.0.1:{port}", "--toy", "--seed", "77",
+        ]
+        # A usage error exits 2, as a refused connection does, so the buyer
+        # is retried only until it gets as far as the prompt.
+        for _ in range(80):
+            rc = cli.run(argv)
+            if prompts:
+                break
+            time.sleep(0.05)
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert prompts == ["value: "]
+        assert rc == 2 and result["rc"] == 1
+        err = capsys.readouterr().err
+        assert "error: stdin closed" in err and "Traceback" not in err
 
     def test_interactive_ex2_buyer_answers_two_values(self, tmp_path, capsys, monkeypatch):
         prices, _ = NETWORKED["ex2"]

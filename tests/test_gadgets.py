@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,18 +7,15 @@ from zkmech.commitments import BitOpening, commit_int
 from zkmech.errors import ParameterError, RefuseToProve
 from zkmech.gadgets import (
     _LBL_GATE,
-    GateSpec,
-    _adder_gate,
-    _borrow_bits,
     _carry_bits,
-    _gate_rows,
+    _full_adder,
     _prove_plan,
-    _subtractor_gate,
     _verify_plan,
     bound_plan,
     coin_openings,
     coin_select,
     complement_commit,
+    lt_plan,
     plan_statement,
     prove_complement,
     prove_ge_public,
@@ -25,6 +23,7 @@ from zkmech.gadgets import (
     prove_le_public,
     prove_lt_committed,
     prove_sum,
+    sum_plan,
     verify_complement,
     verify_ge_public,
     verify_le_committed,
@@ -172,15 +171,67 @@ class TestCommittedComparison:
         assert not verify_le_committed(ref23, com_b, com_a, bundle, CTX)
 
 
-def single_gate(spec):
-    """A one-entry plan: one gate proof over `spec.arity` single-bit
-    commitments, as the gate chains build each of theirs."""
-    return ((_LBL_GATE, 0, _gate_rows(spec, [(k, 1) for k in range(spec.arity)])),)
+def single_gate(table):
+    """A one-entry plan: one gate proof over one single-bit commitment per
+    column of the truth table `table`, as the gate chains build each of
+    theirs."""
+    refs = [(k, 1) for k in range(len(table[0]))]
+    return ((_LBL_GATE, 0, tuple(tuple(zip(row, refs)) for row in table)),)
+
+
+# Reference gate chains, written longhand: one gate per circuit, each a set
+# of allowed assignments turned into one row apiece in sorted order.  The
+# shared full-adder tables and the plans built on them must equal these
+# row for row.
+
+
+def ref_adder_gate(sum_bit, lsb):
+    rows = []
+    for a in (0, 1):
+        for b in (0, 1):
+            for cin in ((0,) if lsb else (0, 1)):
+                if (a + b + cin) % 2 != sum_bit:
+                    continue
+                cout = 1 if a + b + cin >= 2 else 0
+                rows.append((a, b, cout) if lsb else (a, b, cout, cin))
+    return frozenset(rows)
+
+
+def ref_subtractor_gate(lsb):
+    rows = []
+    for z in (0, 1):
+        for s in (0, 1):
+            for bin_ in ((0,) if lsb else (0, 1)):
+                bout = 1 if (1 - z) + s + bin_ >= 2 else 0
+                rows.append((z, s, bout) if lsb else (z, s, bout, bin_))
+    return frozenset(rows)
+
+
+def ref_gate_rows(allowed, refs):
+    return tuple(tuple(zip(assignment, refs)) for assignment in sorted(allowed))
+
+
+def ref_chain_plan(top_bit, gates):
+    plan = [(_LBL_GATE, 0, (((top_bit, (2, 1)),),))]
+    for i, allowed in enumerate(gates, start=1):
+        refs = [(0, i), (1, i), (2, i), (2, i + 1)][: len(next(iter(allowed)))]
+        plan.append((_LBL_GATE, i, ref_gate_rows(allowed, refs)))
+    return tuple(plan)
+
+
+def ref_sum_plan(total, width):
+    total_bits = bits(total, width + 1)
+    gates = [ref_adder_gate(b, i == width) for i, b in enumerate(total_bits[1:], start=1)]
+    return ref_chain_plan(total_bits[0], gates)
+
+
+def ref_lt_plan(verdict, width):
+    return ref_chain_plan(verdict, [ref_subtractor_gate(i == width) for i in range(1, width + 1)])
 
 
 class TestGates:
     def test_degenerate_bit_gate_is_a_zero_proof(self, ref23, rng):
-        plan = single_gate(GateSpec(arity=1, allowed=frozenset({(0,)})))
+        plan = single_gate(((0,),))
         com, ops = commit_int(ref23, 0, 1, rng)
         bundle = _prove_plan(ref23, plan, [com.bits], [ops], CTX, rng)
         assert _verify_plan(ref23, plan, [com.bits], bundle, CTX)
@@ -189,17 +240,14 @@ class TestGates:
             _prove_plan(ref23, plan, [com1.bits], [ops1], CTX, rng)
 
     def test_xor_gate_truth_table(self, ref23, rng):
-        xor = GateSpec(
-            arity=3,
-            allowed=frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}),
-        )
+        xor = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
         for assignment in product((0, 1), repeat=3):
             coms, ops = [], []
             for bit in assignment:
                 c, o = commit_int(ref23, bit, 1, rng)
                 coms.append(c.bits)
                 ops.append(o)
-            if assignment in xor.allowed:
+            if assignment in xor:
                 bundle = _prove_plan(ref23, single_gate(xor), coms, ops, CTX, rng)
                 assert _verify_plan(ref23, single_gate(xor), coms, bundle, CTX)
             else:
@@ -208,22 +256,36 @@ class TestGates:
 
     def test_adder_gate_has_four_quadruplets(self):
         for sum_bit in (0, 1):
-            gate = _adder_gate(sum_bit, lsb=False)
-            assert gate.arity == 4 and len(gate.allowed) == 4
-            for a, b, cout, cin in gate.allowed:
+            table = _full_adder(0, sum_bit, lsb=False)
+            assert len(table) == 4 and table == tuple(sorted(table))
+            for a, b, cout, cin in table:
                 assert (a + b + cin) % 2 == sum_bit
                 assert cout == (1 if a + b + cin >= 2 else 0)
 
     def test_subtractor_gate_has_eight_rows(self):
-        gate = _subtractor_gate(lsb=False)
-        assert gate.arity == 4 and len(gate.allowed) == 8
-        assert _subtractor_gate(lsb=True).arity == 3
+        table = _full_adder(1, None, lsb=False)
+        assert len(table) == 8 and {len(row) for row in table} == {4}
+        for z, s, bout, bin_ in table:
+            assert bout == (1 if (1 - z) + s + bin_ >= 2 else 0)
+        assert {len(row) for row in _full_adder(1, None, lsb=True)} == {3}
 
-    def test_gate_spec_validation(self):
-        with pytest.raises(ParameterError):
-            GateSpec(arity=2, allowed=frozenset())
-        with pytest.raises(ParameterError):
-            GateSpec(arity=2, allowed=frozenset({(0, 1, 1)}))
+    def test_tables_match_the_reference_gates(self):
+        for lsb in (False, True):
+            for sum_bit in (0, 1):
+                assert _full_adder(0, sum_bit, lsb) == tuple(sorted(ref_adder_gate(sum_bit, lsb)))
+            assert _full_adder(1, None, lsb) == tuple(sorted(ref_subtractor_gate(lsb)))
+
+    def test_chain_plans_match_the_reference_row_for_row(self):
+        for width in range(1, 7):
+            for total in range(1 << (width + 1)):
+                assert sum_plan(total, width) == ref_sum_plan(total, width), (total, width)
+            for verdict in (0, 1):
+                assert lt_plan(verdict, width) == ref_lt_plan(verdict, width), (verdict, width)
+        sample = random.Random(16)
+        for total in [0, (1 << 17) - 1] + [sample.randrange(1 << 17) for _ in range(20)]:
+            assert sum_plan(total, 16) == ref_sum_plan(total, 16), total
+        for verdict in (0, 1):
+            assert lt_plan(verdict, 16) == ref_lt_plan(verdict, 16)
 
 
 class TestSum:
@@ -390,9 +452,21 @@ class TestCoinFlip:
 
 class TestStrictComparison:
     def test_borrow_chain_examples(self):
+        # the borrows of z - s are the carries of (NOT z) + s
         # 010 - 101: the low and high positions borrow, the middle absorbs
-        assert _borrow_bits(bits(2, 3), bits(5, 3)) == [1, 0, 1]
-        assert _borrow_bits(bits(5, 3), bits(5, 3)) == [0, 0, 0]
+        assert _carry_bits([1 - b for b in bits(2, 3)], bits(5, 3)) == [1, 0, 1]
+        assert _carry_bits([1 - b for b in bits(5, 3)], bits(5, 3)) == [0, 0, 0]
+
+    def test_width_mismatch(self, ref23, rng):
+        # refused before any chain bit is computed, whichever side is wider
+        com_a, ops_a = commit_int(ref23, 1, 2, rng)
+        com_b, ops_b = commit_int(ref23, 1, 3, rng)
+        for args in ((com_a, ops_a, com_b, ops_b), (com_b, ops_b, com_a, ops_a)):
+            with pytest.raises(ParameterError):
+                prove_lt_committed(ref23, *args, CTX, rng)
+        verdict, borrow_com, bundle = prove_lt_committed(ref23, com_a, ops_a, com_a, ops_a, CTX, rng)
+        assert verify_lt_committed(ref23, com_a, com_a, verdict, borrow_com, bundle, CTX)
+        assert not verify_lt_committed(ref23, com_a, com_b, verdict, borrow_com, bundle, CTX)
 
     def test_exhaustive_width3(self, ref23, rng):
         for z in range(8):

@@ -8,9 +8,9 @@ from dataclasses import replace
 import pytest
 
 from conftest import and_statement, decode_proof, or_statement, schnorr_statement
-from zkmech.commitments import commit_int
+from zkmech.commitments import BitOpening, IntCommitment, commit_bit, commit_int
 from zkmech.errors import ExtractionError, ParameterError, ShapeMismatch, StateConsumed
-from zkmech.gadgets import bound_plan, plan_statement, plan_witness
+from zkmech.gadgets import bound_plan, le_committed_plan, plan_statement, plan_witness
 from zkmech.group import RFC3526_MODP_2048, GroupParams, derive_generators, params_from_modulus
 from zkmech.sigma import (
     BATCH_BITS,
@@ -516,6 +516,26 @@ class TestBatchVerification:
         moved = replace(proof, response=replace(proof.response, betas=tuple(b)))
         assert sum(b) % q384.p == proof.challenge % q384.p
         items[1] = (stmt, moved, ctx)
+        assert not per_cell_verdict(items)
+        assert not ni_verify_all(items)
+
+    def test_a_target_that_is_a_base(self, ref384, rng, per_cell_verdict):
+        # a bit commitment with r = 1 is g itself: in a <= b over a = 01 and
+        # b = 11, g is the target of cells whose base is g, and of the AND
+        # row's cell, so the batch sums one element's exponents from both sides
+        ops_a = [BitOpening(bit=0, r=1), BitOpening(bit=1, r=ref384.params.exp_sample(rng))]
+        com_a = IntCommitment(width=2, bits=tuple(commit_bit(ref384, op.bit, op.r) for op in ops_a))
+        com_b, ops_b = commit_int(ref384, 3, 2, rng)
+        coms, ops = (com_a.bits, com_b.bits), (ops_a, ops_b)
+        items = []
+        for _, pos, rows in le_committed_plan(2):
+            stmt = plan_statement(ref384, coms, rows)
+            items.append((stmt, ni_prove(stmt, plan_witness(rows, ops), b"ctx %d" % pos, rng), b"ctx %d" % pos))
+        stmt, proof, ctx = items[0]
+        assert stmt.rows[0] == ((ref384.g, ref384.g),)
+        assert ni_verify_all(items) and per_cell_verdict(items)
+        gammas = replace_at(proof.response.gammas, 0, 0, (proof.response.gammas[0][0] + 1) % ref384.params.p)
+        items[0] = (stmt, replace(proof, response=replace(proof.response, gammas=gammas)), ctx)
         assert not per_cell_verdict(items)
         assert not ni_verify_all(items)
 
