@@ -12,12 +12,16 @@ and trade/no-trade case again at 384 bits.  Last come the runs whose coin
 and mask the sessions draw from their own rngs, as a seeded `demo` does:
 every ex3 lottery input at H = 8 and every ex4 trade input at H = 2, 4
 and 8, at q=23 and, the first three of each case, at 384 bits.
+Each 384-bit run of the five kinds is then replayed, as `zkmech verify`
+replays a transcript file, and so is one mutant per frame of its text,
+with one seeded bit of that frame flipped; each verdict is a line too.
 The grid runs once with this checkout's `src/` on the path and once with
 OTHER_SRC (for example the `src/` of a `git archive` of another commit).
 For each kind and mechanism case it prints how many transcripts are
-identical and how many differ; cases are named from the mechanism
-definitions, not from the package.  It exits 1 when any transcript
-differs, so it can gate a change that must keep every byte.
+identical and how many differ, then how many verdicts; cases are named
+from the mechanism definitions, not from the package.  It exits 1 when
+any transcript or verdict differs, so it can gate a change that must keep
+every byte and every accept or reject, with its error text.
 """
 
 from __future__ import annotations
@@ -170,12 +174,62 @@ def emit_mpc_lines():
             yield f"{name}\tmpc/{case}\t{_digest(tr)}"
 
 
+def _verdict(params, text: str) -> str:
+    """What replaying a transcript's text gives: the outcome, or the text of
+    the `VerificationFailed` or `CodecError` that rejects it."""
+    from zkmech.codec import transcript_loads
+    from zkmech.errors import ZkmechError
+    from zkmech.group import derive_generators
+    from zkmech.protocols import verify_transcript
+
+    try:
+        transcript = transcript_loads(text)
+        ref = derive_generators(params, transcript.seed)
+        verdict = repr(verify_transcript(ref, transcript))
+    except ZkmechError as exc:
+        verdict = f"{type(exc).__name__}: {exc}"
+    return verdict.replace("\t", " ").replace("\n", " ")
+
+
+def emit_reject_lines():
+    """For each `q384/` run of `emit_lines`, the verdict of its text, then
+    the verdict of each mutant with one seeded bit of one frame flipped:
+    label, kind/case and the verdict, tab-separated."""
+    import random
+
+    from zkmech.codec import transcript_dumps
+    from zkmech.protocols import MechanismSpec, run_local
+
+    _, wide = _refs()
+    per_case = Counter()
+    for label, case, spec_args, values, coin, mask in grid():
+        spec = MechanismSpec(*spec_args[:3], n_buyers=spec_args[3] if len(spec_args) > 3 else 1)
+        per_case[spec.kind, case] += 1
+        if per_case[spec.kind, case] > WIDE_PER_CASE:
+            continue
+        name = f"q384/{label}"
+        rngs = random.Random(f"{name}/seller"), random.Random(f"{name}/buyer")
+        _, tr = run_local(wide, spec, values, *rngs, coin_value=coin, mask_value=mask)
+        text = transcript_dumps(tr)
+        yield f"verdict/{name}\t{spec.kind}/{case}\t{_verdict(wide.params, text)}"
+        lines = text.splitlines()
+        flips = random.Random(f"{name}/flips")
+        for i in range(1, len(lines)):  # the seed frame, then each message
+            blob = bytearray.fromhex(lines[i])
+            bit = flips.randrange(len(blob) * 8)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            mutant = "\n".join([*lines[:i], blob.hex(), *lines[i + 1 :]]) + "\n"
+            yield f"verdict/{name}/frame{i}\t{spec.kind}/{case}\t{_verdict(wide.params, mutant)}"
+
+
 def emit() -> None:
     for line in emit_lines():
         print(line)
     for line in emit_mpc_lines():
         print(line)
     for line in emit_draw_lines():
+        print(line)
+    for line in emit_reject_lines():
         print(line)
 
 
@@ -189,7 +243,7 @@ def run_tree(src: str) -> dict[str, tuple[str, str]]:
         text=True,
     ).stdout
     rows = (line.split("\t") for line in out.splitlines())
-    return {label: (case, digest) for label, case, digest in rows}
+    return {label: (case, value) for label, case, value in rows}
 
 
 def main(argv: list[str]) -> int:
@@ -204,12 +258,19 @@ def main(argv: list[str]) -> int:
         print("the two trees ran different grids", file=sys.stderr)
         return 1
     same, changed = Counter(), Counter()
-    for label, (case, digest) in ours.items():
-        (same if digest == theirs[label][1] else changed)[case] += 1
+    verdicts = Counter()
+    for label, (case, value) in ours.items():
+        if label.startswith("verdict/"):
+            verdicts[value == theirs[label][1]] += 1
+            if value != theirs[label][1]:
+                print(f"{label}: {value} | {theirs[label][1]}", file=sys.stderr)
+            continue
+        (same if value == theirs[label][1] else changed)[case] += 1
     for case in sorted(same.keys() | changed.keys()):
         print(f"{case:16} identical {same[case]:5}  changed {changed[case]:5}")
     print(f"{'total':16} identical {sum(same.values()):5}  changed {sum(changed.values()):5}")
-    return 1 if changed else 0
+    print(f"{'verdicts':16} identical {verdicts[True]:5}  changed {verdicts[False]:5}")
+    return 1 if changed or verdicts[False] else 0
 
 
 if __name__ == "__main__":

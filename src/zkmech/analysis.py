@@ -208,12 +208,13 @@ def geometric_noise(alpha: float, bounds: tuple[int, int], rng: random.Random) -
 
 @dataclass
 class NoiseReport:
-    """How close the truncated noise comes to the ideal privacy ratio.
+    """The bins of a truncated noise window, and how closely its sampler
+    tracks the pmf.
 
     A price shifted by `ell` changes each realized payment's probability
-    by the factor (1-epsilon)^ell wherever both shifted distributions put
-    geometric mass; bins where one distribution has no support are only
-    counted, never asserted.
+    by exactly the factor (1-epsilon)^ell in the interior bins, where both
+    shifted distributions put geometric mass; the gap and boundary bins,
+    where one of them has no geometric mass, are counted.
     """
 
     epsilon: float
@@ -221,8 +222,6 @@ class NoiseReport:
     lo: int
     hi: int
     n_samples: int
-    max_interior_dev: float
-    max_mirror_dev: float
     interior_bins: int
     gap_bins: int
     boundary_bins: int
@@ -238,8 +237,6 @@ class NoiseReport:
             f"interior_bins={self.interior_bins}",
             f"gap_bins={self.gap_bins}",
             f"boundary_bins={self.boundary_bins}",
-            f"max_interior_log_ratio_dev={self.max_interior_dev:.3e}",
-            f"max_mirror_log_ratio_dev={self.max_mirror_dev:.3e}",
             f"n_samples={self.n_samples}",
             f"empirical_max_abs_z={self.empirical_max_z:.3f}",
         ]
@@ -258,24 +255,12 @@ def noise_ratio_report(
     if ell < 1:
         raise ParameterError("shift ell must be positive")
     lo, hi = bounds
-    alpha = 1.0 - epsilon
-    dist = TruncatedGeometric(alpha, lo, hi)
-    log_alpha = math.log(alpha)
-    target = ell * log_alpha
-    max_dev = 0.0
-    max_mirror = 0.0
-    interior = 0
+    dist = TruncatedGeometric(1.0 - epsilon, lo, hi)
     # Payment y under base price 0 has mass pmf(y); under price ell it has
-    # mass pmf(y - ell).  Normalizers cancel, so each log ratio is a
-    # difference of log-masses, (|y| - |y - ell|) * log(alpha), finite even
-    # where alpha^|y| underflows to 0.0 in a wide window.
-    for y in range(max(lo, lo + ell), hi + 1):
-        ratio = (abs(y) - abs(y - ell)) * log_alpha
-        if y >= ell:
-            max_dev = max(max_dev, abs(ratio - target))
-            interior += 1
-        elif y <= 0:
-            max_mirror = max(max_mirror, abs(ratio + target))
+    # mass pmf(y - ell).  Normalizers cancel, so where both are geometric
+    # (y >= ell) the log ratio is exactly ell * log(1 - epsilon): those bins
+    # are counted, as are the gap bins 0 < y < ell between the two peaks.
+    interior = max(0, hi + 1 - max(lo + ell, ell))
     gap = sum(1 for y in range(max(lo + ell, 1), min(hi + 1, ell)))
     boundary = 2 * ell
     counts = [0] * len(dist.support)
@@ -293,8 +278,6 @@ def noise_ratio_report(
         lo=lo,
         hi=hi,
         n_samples=n_samples,
-        max_interior_dev=max_dev,
-        max_mirror_dev=max_mirror,
         interior_bins=interior,
         gap_bins=gap,
         boundary_bins=boundary,

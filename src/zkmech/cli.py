@@ -266,8 +266,10 @@ def _cmd_buyer(args) -> int:
                 raise ZkmechError("stdin closed before a value was given") from None
             buyer = BuyerSession(ref, kind, bound, [int(x) for x in raw.split(",")], rng)
         _send_messages(sock, buyer.receive_commit(commit_msgs))
-        # Each message is verified before the next is read, so the buyer
-        # reads no more evidence than the claimed case sends, then the outcome.
+        # Each message is checked before the next is read (its cell equations
+        # and openings before the buyer's next send, or at the end), so the
+        # buyer reads no more evidence than the claimed case sends, then the
+        # outcome.
         while True:
             msg = _recv_message(sock, cap)
             if msg.tag == TAG_OUTCOME:

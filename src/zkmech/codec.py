@@ -54,6 +54,19 @@ def encode_uint(n: int) -> bytes:
     return len(mag).to_bytes(4, "big") + mag
 
 
+def encode_uints(values: Iterable[int]) -> bytes:
+    """`encode_uint` of each value, joined, in one loop: the mirror of
+    `Reader.uints`."""
+    out = []
+    for n in values:
+        if n < 0:
+            raise CodecError("negative integer cannot be encoded")
+        size = (n.bit_length() + 7) // 8
+        out.append(size.to_bytes(4, "big"))
+        out.append(n.to_bytes(size, "big"))
+    return b"".join(out)
+
+
 def describe_uint(n: int) -> str:
     """A wire integer as an error message shows it: its digits, or its bit
     length when it is too long for `str` (Python refuses integers of more

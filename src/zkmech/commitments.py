@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codec import Reader, describe_uint, encode_u8, encode_uint
+from .codec import Reader, describe_uint, encode_u8, encode_uint, encode_uints
 from .errors import CodecError, ParameterError, VerificationFailed
 from .group import RefString
+from .sigma import Batch
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,39 @@ def commit_int(
     return IntCommitment(width=width, bits=coms), openings
 
 
-def reveal_int(ref: RefString, com: IntCommitment, ops: list[BitOpening]) -> int:
-    """Recover the committed value; error names the first failing index."""
+def opening_failure(index: int | None) -> VerificationFailed:
+    """The error of a reveal whose opening at `index` is false."""
+    return VerificationFailed("reveal", "opening does not match commitment", index=index)
+
+
+def reveal_int(
+    ref: RefString, com: IntCommitment, ops: list[BitOpening], batch: Batch | None = None
+) -> int:
+    """Recover the committed value.
+
+    Each opening's bit and exponent are checked here.  From BATCH_BITS up
+    its equation C = B^r joins `batch` under the group its caller began
+    (see `sigma.Batch`), and a false one fails with that group's failure of
+    its 1-based index.  Without a batch, one of its own is checked at once,
+    so the error names the first false index (`opening_failure`).  The
+    commitments must be subgroup members, as the wire parsers ensure.
+    """
     if len(ops) != com.width:
         raise VerificationFailed("reveal", f"expected {com.width} openings, got {len(ops)}")
+    own = batch is None
+    if own:
+        batch = Batch(ref.params)
+        batch.begin(opening_failure)
+    p = ref.params.p
     for i, (bit_com, op) in enumerate(zip(com.bits, ops), start=1):
-        if not verify_opening(ref, bit_com, op):
-            raise VerificationFailed("reveal", "opening does not match commitment", index=i)
+        if batch.deferred and op.bit in (0, 1) and 1 <= op.r <= p - 1:
+            base = ref.g if op.bit == 0 else ref.h
+            data = encode_uint(bit_com.value) + encode_opening(op)
+            batch.add_opening(bit_com.value, base, op.r, data, i)
+        elif not verify_opening(ref, bit_com, op):
+            batch.reject(i)
+    if own:
+        batch.check()
     return bits_value([op.bit for op in ops])
 
 
@@ -107,10 +134,6 @@ def binding_break_to_dlog(ref: RefString, r_zero: int, r_one: int) -> int:
 # -- wire encodings ----------------------------------------------------------
 
 
-def encode_bit_commitment(com: BitCommitment) -> bytes:
-    return encode_uint(com.value)
-
-
 def read_bit_commitment(r: Reader, q: int) -> BitCommitment:
     value = r.uint()
     if not 2 <= value <= q - 1:
@@ -119,7 +142,7 @@ def read_bit_commitment(r: Reader, q: int) -> BitCommitment:
 
 
 def encode_int_commitment(com: IntCommitment) -> bytes:
-    return encode_u8(com.width) + b"".join(encode_bit_commitment(b) for b in com.bits)
+    return encode_u8(com.width) + encode_uints(b.value for b in com.bits)
 
 
 def read_int_commitment(r: Reader, q: int) -> IntCommitment:

@@ -14,8 +14,10 @@ is 1, and its target is bit i of the k-th commitment the gadget covers.
 The prover knows every cell of some row, the one whose bit commitments all
 open to the cells' bits; its witness is the first such row.  One builder
 turns an entry into a statement, one prover proves a whole plan and one
-verifier checks one, all its proofs in one `ni_verify_all` batch, and the
-bundle reader takes its shapes from the same (cached) plan.  The statement
+verifier checks one, all its proofs in one `ni_verify_all` call whose cell
+equations join the run's `sigma.Batch` as one unit (or, without one, are
+checked at once), and the bundle reader takes its shapes from the same
+(cached) plan.  The statement
 bytes each proof's context carries are joined from the encodings of g, h
 and the covered commitments, each element encoded once per bundle.  The
 prover holds the opening of every covered bit, so it hands `ni_prove` the
@@ -50,6 +52,7 @@ from .commitments import (
 from .errors import CodecError, ParameterError, RefuseToProve
 from .group import RefString
 from .sigma import (
+    Batch,
     CdsStatement,
     CdsWitness,
     NiProof,
@@ -158,9 +161,11 @@ def _verify_plan(
     coms: Sequence[Sequence[BitCommitment]],
     bundle: ProofBundle,
     ctx_prefix: bytes,
+    batch: Batch | None = None,
 ) -> bool:
     """The bundle carries the plan's positions in order, and its proofs
-    verify against their entries' statements and contexts, as one batch."""
+    verify against their entries' statements and contexts, as one unit of
+    `batch` (see `ni_verify_all`)."""
     if [pos for pos, _ in bundle] != [pos for _, pos, _ in plan]:
         return False
     encoded = element_encodings(ref, coms)
@@ -168,7 +173,7 @@ def _verify_plan(
     for (label, position, rows), (_, proof) in zip(plan, bundle):
         stmt = plan_statement(ref, coms, rows)
         items.append((stmt, proof, _ctx(ctx_prefix, stmt, encoded, label, position)))
-    return ni_verify_all(items)
+    return ni_verify_all(items, batch)
 
 
 # -- inequalities against a public bound --------------------------------------
@@ -200,11 +205,11 @@ def prove_ge_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
 
 
-def verify_ge_public(ref, com, w, bundle, ctx_prefix) -> bool:
+def verify_ge_public(ref, com, w, bundle, ctx_prefix, batch=None) -> bool:
     if not 0 <= w < (1 << com.width):
         return False
     plan = bound_plan(w, com.width, greater=True)
-    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix)
+    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix, batch)
 
 
 def prove_le_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
@@ -213,11 +218,11 @@ def prove_le_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
 
 
-def verify_le_public(ref, com, w, bundle, ctx_prefix) -> bool:
+def verify_le_public(ref, com, w, bundle, ctx_prefix, batch=None) -> bool:
     if not 0 <= w < (1 << com.width):
         return False
     plan = bound_plan(w, com.width, greater=False)
-    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix)
+    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix, batch)
 
 
 # -- committed <= committed ----------------------------------------------------
@@ -249,11 +254,11 @@ def prove_le_committed(ref, com_a, ops_a, com_b, ops_b, ctx_prefix, rng) -> Proo
     return _prove_plan(ref, plan, (com_a.bits, com_b.bits), (ops_a, ops_b), ctx_prefix, rng)
 
 
-def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix) -> bool:
+def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix, batch=None) -> bool:
     if com_a.width != com_b.width:
         return False
     plan = le_committed_plan(com_a.width)
-    return _verify_plan(ref, plan, (com_a.bits, com_b.bits), bundle, ctx_prefix)
+    return _verify_plan(ref, plan, (com_a.bits, com_b.bits), bundle, ctx_prefix, batch)
 
 
 # -- gate chains: addition with committed carries, comparison with borrows ------
@@ -338,11 +343,11 @@ def _prove_chain(ref, invert, com_x, ops_x, com_y, ops_y, ctx_prefix, rng):
     return announced, chain_com, bundle
 
 
-def _verify_chain(ref, plan, com_x, com_y, chain_com, bundle, ctx_prefix) -> bool:
+def _verify_chain(ref, plan, com_x, com_y, chain_com, bundle, ctx_prefix, batch) -> bool:
     if com_x.width != com_y.width or chain_com.width != com_x.width:
         return False
     coms = (com_x.bits, com_y.bits, chain_com.bits)
-    return _verify_plan(ref, plan, coms, bundle, ctx_prefix)
+    return _verify_plan(ref, plan, coms, bundle, ctx_prefix, batch)
 
 
 def prove_sum(
@@ -370,13 +375,14 @@ def verify_sum(
     carry_com: IntCommitment,
     bundle: ProofBundle,
     ctx_prefix: bytes,
+    batch: Batch | None = None,
 ) -> bool:
     """Recompute the allowed gate tables from the announced total and check
     every per-position proof."""
     if not 0 <= total < (1 << (com1.width + 1)):
         return False
     plan = sum_plan(total, com1.width)
-    return _verify_chain(ref, plan, com1, com2, carry_com, bundle, ctx_prefix)
+    return _verify_chain(ref, plan, com1, com2, carry_com, bundle, ctx_prefix, batch)
 
 
 def prove_lt_committed(
@@ -403,11 +409,12 @@ def verify_lt_committed(
     borrow_com: IntCommitment,
     bundle: ProofBundle,
     ctx_prefix: bytes,
+    batch: Batch | None = None,
 ) -> bool:
     if verdict not in (0, 1):
         return False
     plan = lt_plan(verdict, com_z.width)
-    return _verify_chain(ref, plan, com_z, com_s, borrow_com, bundle, ctx_prefix)
+    return _verify_chain(ref, plan, com_z, com_s, borrow_com, bundle, ctx_prefix, batch)
 
 
 # -- complement pairs and coin selection -------------------------------------------
@@ -474,9 +481,10 @@ def verify_complement(
     proofs: Sequence[Sequence[NiProof]],
     ctx_prefix: bytes,
     position: int = 0,
+    batch: Batch | None = None,
 ) -> bool:
     """Pair n's two proofs, made at `position` + n, for every pair: one
-    plan, so one batch."""
+    plan, so one unit of `batch`."""
     if len(pairs) != len(proofs) or any(len(pr) != 2 for pr in proofs):
         return False
     if any(pair.r_com.value == pair.rp_com.value for pair in pairs):
@@ -484,7 +492,7 @@ def verify_complement(
     plan = complement_plan(position, len(pairs))
     bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, [p for pr in proofs for p in pr])]
     coms = [(c,) for pair in pairs for c in (pair.r_com, pair.rp_com)]
-    return _verify_plan(ref, plan, coms, bundle, ctx_prefix)
+    return _verify_plan(ref, plan, coms, bundle, ctx_prefix, batch)
 
 
 def coin_select(pairs: list[ComplementPair], mask: list[int]) -> IntCommitment:

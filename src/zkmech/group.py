@@ -18,16 +18,19 @@ or more:
   EUROCRYPT 1992) when one exists, and by plain `pow` otherwise.  Only a
   prover builds tables: its first commitment calls `RefString.build_tables`,
   since it raises g and h about once per cell from then on.  A verifier
-  raises them only to check an opening, and only reads.  Tables are cached by
+  raises them only to check an opening below `sigma.BATCH_BITS` (from
+  there on openings join its batch), and only reads.  Tables are cached by
   value, (q, base), in a small LRU, so a reference string derived again
   from the same seed reuses them and one from another seed never does.
 - Products of powers.  `multi_pow` computes a product of powers with one
   shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
   multiplying in an odd-power table entry per sliding window of its
-  exponent, the windows recoded from the right on the integer.  The
-  batched proof verifier (`sigma.ni_verify_all`) raises every alpha to a
-  128-bit weight and every distinct base and target to a full exponent in
-  one call.
+  exponent, the windows recoded from the right on the integer.  A
+  verification run's batch (`sigma.Batch`) makes one call for all its
+  terms: every alpha, and every opened commitment that no proof targets,
+  raised to a 128-bit weight, and every other distinct element (g, h, the
+  commitments) to one full exponent, so the whole log shares one chain of
+  squarings.
   On a 44-cell, 16-target bound proof bundle (2-core Xeon, Python 3.11.7)
   verification costs about 120 us per cell at 384 bits, of which the
   alpha's Jacobi symbol is 42 us, and 3.3 ms per cell at 2048 bits, where
@@ -395,17 +398,34 @@ def gen_params(
     raise PrimeSearchError(f"no {bit_length}-bit safe prime found in {max_iters} iterations")
 
 
+def _prime_if_half_is(q: int) -> bool:
+    """For odd q >= 7 whose p = (q-1)/2 is prime: True iff q is prime.
+
+    Trial division, then one base-2 Fermat test.  q - 1 = 2p with p >
+    sqrt(q) - 1, so once p is prime, 2^(q-1) = 1 (mod q) and gcd(2^2 - 1,
+    q) = 1, which trial division by 3 settles, prove q prime (Pocklington).
+    Without p prime it only screens: a composite q that passes it has a
+    composite p, which p's own test then rejects.
+    """
+    for sp in _SMALL_PRIMES:
+        if q % sp == 0:
+            return q == sp
+    return pow(2, q - 1, q) == 1
+
+
 def params_from_modulus(q: int) -> GroupParams:
     """Validate-only path: accept a known modulus without searching.
 
-    The RFC 3526 2048-bit constant is recognized and skips the primality
-    tests (its safe-prime structure is checked once in the test suite).
+    q is screened by `_prime_if_half_is`, then p by Miller-Rabin, whose
+    2^-128 error bound is the whole check's: with p prime, q's test is a
+    proof.  The RFC 3526 2048-bit constant is recognized and skips both
+    (its safe-prime structure is checked once in the test suite).
     """
     if q < 7 or q % 2 == 0:
         raise ParameterError("modulus must be an odd integer >= 7")
     p = (q - 1) // 2
     if q != RFC3526_MODP_2048:
-        if not is_probable_prime(q):
+        if not _prime_if_half_is(q):
             raise ParameterError("modulus is not prime")
         if not is_probable_prime(p):
             raise ParameterError("(q-1)/2 is not prime")

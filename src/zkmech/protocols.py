@@ -19,8 +19,11 @@ One verifier, a generator fed one message at a time, checks a run.  The
 buyer feeds it each message once, as it is sent or received, and aborts
 on the first bad one; `verify_transcript` feeds the same verifier a whole
 log, so any third party holding the group parameters and the transcript
-re-verifies a run and recomputes its outcome.  Each session's log, the
-Fiat-Shamir prefix its proofs bind, is also the transcript it writes.
+re-verifies a run and recomputes its outcome.  The cell equations and
+openings of a run wait in one batch (`sigma.Batch`): the buyer checks it
+before each of its sends and at the end, a third party once, at the end of
+the log.  Each session's log, the Fiat-Shamir prefix its proofs bind, is
+also the transcript it writes.
 
 Supported kinds:
 
@@ -69,11 +72,11 @@ from .commitments import (
     encode_int_commitment,
     encode_opening,
     int_bits,
+    opening_failure,
     read_bit_commitment,
     read_int_commitment,
     read_opening,
     reveal_int,
-    verify_opening,
 )
 from .errors import (
     CodecError,
@@ -111,7 +114,7 @@ from .gadgets import (
     verify_sum,
 )
 from .group import RefString
-from .sigma import encode_sized_proof, read_sized_proof, sized_proof_bytes
+from .sigma import Batch, encode_sized_proof, read_sized_proof, sized_proof_bytes
 
 
 def width_of(bound: int) -> int:
@@ -734,9 +737,23 @@ def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
     return prefix
 
 
-def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, coin):
-    """Check one evidence message against the claim `ev`; returns the fact
-    it establishes (for a coin, its pairs, which the mask then selects)."""
+def _failing(phase: str, detail: str):
+    """The failure of a group whose units all fail alike."""
+    return lambda _index: VerificationFailed(phase, detail)
+
+
+def _verified(batch: Batch, failure, verify, *args) -> None:
+    """`verify(*args, batch)`, its terms a new group of `batch` that fails
+    with `failure`; a failure of its other checks raises at once."""
+    batch.begin(failure)
+    if not verify(*args, batch):
+        raise failure(None)
+
+
+def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, coin, batch):
+    """Check one evidence message against the claim `ev`, its terms joining
+    `batch`; returns the fact it establishes (for a coin, its pairs, which
+    the mask then selects)."""
     params = ref.params
     width = coms[0].width
     com = coms[ev.item]
@@ -752,7 +769,8 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         ops = _decode(payload, phase, "reveal", read_openings, start)
         if len(ops) != width:
             _fail(phase, f"reveal carries {len(ops)} openings, expected {width}")
-        s = reveal_int(ref, com, ops)
+        batch.begin(opening_failure)
+        s = reveal_int(ref, com, ops, batch)
         if not ev.low <= s <= ev.high:
             _fail(phase, f"revealed price {s} outside [{ev.low}, {ev.high}]")
         return s
@@ -765,10 +783,9 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         bundle = _decode(
             payload, phase, "proof message", lambda r: read_bundle(r, params, shapes), start
         )
-        verify = verify_ge_public if ge else verify_le_public
-        if not verify(ref, com, w, bundle, prefix):
-            side = "lower" if ge else "upper"
-            _fail(phase, f"{side}-bound proof against {w} does not verify")
+        side, verify = ("lower", verify_ge_public) if ge else ("upper", verify_le_public)
+        failure = _failing(phase, f"{side}-bound proof against {w} does not verify")
+        _verified(batch, failure, verify, ref, com, w, bundle, prefix)
         return None
     if ev.form == "sum":
         def read_sum(r):
@@ -780,25 +797,27 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
 
         total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum, start)
         _require_members(ref, carry_com, phase, "carry commitment")
-        if not verify_sum(ref, coms[0], coms[1], total, carry_com, bundle, prefix):
-            _fail(phase, "sum proof does not verify")
+        failure = _failing(phase, "sum proof does not verify")
+        _verified(batch, failure, verify_sum, ref, coms[0], coms[1], total, carry_com, bundle, prefix)
         return total
     if ev.form == "coin":
         pairs, proofs = _parse_coin_pairs(ref, payload, phase, ev.bits)
-        if not verify_complement(ref, pairs, proofs, prefix):
-            # One batch for the message; pair by pair only to name the first failure.
+
+        def failure(_index):
+            # One unit for the message; pair by pair only to name the first failure.
             bad = (
                 idx
                 for idx, (pair, pr) in enumerate(zip(pairs, proofs))
                 if not verify_complement(ref, [pair], [pr], prefix, idx)
             )
-            _fail(phase, "complement proof does not verify", index=next(bad, None))
+            return VerificationFailed(phase, "complement proof does not verify", index=next(bad, None))
+
+        _verified(batch, failure, verify_complement, ref, pairs, proofs, prefix, 0)
         return pairs
     if ev.form == "open":
         opening = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))
-        if not verify_opening(ref, coin.bits[0], opening):
-            _fail(phase, "coin opening does not match the selected commitment")
-        return opening.bit
+        batch.begin(_failing(phase, "coin opening does not match the selected commitment"))
+        return reveal_int(ref, coin, [opening], batch)
     def read_lt(r):
         verdict = r.u8()
         if verdict not in (0, 1):
@@ -808,12 +827,12 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
 
     verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
     _require_members(ref, borrow_com, phase, "borrow commitment")
-    if not verify_lt_committed(ref, coin, com, verdict, borrow_com, bundle, prefix):
-        _fail(phase, "comparison proof does not verify")
+    failure = _failing(phase, "comparison proof does not verify")
+    _verified(batch, failure, verify_lt_committed, ref, coin, com, verdict, borrow_com, bundle, prefix)
     return verdict
 
 
-def verifier(ref: RefString, kind: str, bound: int, log: _Log):
+def verifier(ref: RefString, kind: str, bound: int, log: _Log, batch: Batch):
     """Every check of one run, as a generator fed one message at a time.
 
     Prime it with `send(None)`, then send each message in order, and None
@@ -821,6 +840,11 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log):
     message and returns the outcome (as `StopIteration.value`).  It appends
     each message it admits to `log`, which each proof's Fiat-Shamir prefix
     is taken from.
+
+    The cell equations and openings its messages carry join `batch`, one
+    group per message, and are checked once the log ends; the caller may
+    check them sooner.  Feed it through `_feed`, which lets a failure give
+    way to an earlier one still pending there.
     """
     width = width_of(bound)
     k = KINDS[kind]
@@ -834,8 +858,8 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log):
         bundle = _decode(
             msg.payload, "commit-proof", "certificate", lambda r: read_bundle(r, ref.params, shapes)
         )
-        if not verify_le_committed(ref, coms[0], coms[1], bundle, prefix):
-            _fail("commit-proof", "incentive certificate does not verify")
+        failure = _failing("commit-proof", "incentive certificate does not verify")
+        _verified(batch, failure, verify_le_committed, ref, coms[0], coms[1], bundle, prefix)
 
     msg = yield
     _admit(log, msg, TAG_TYPE_REPORT, "report")
@@ -863,7 +887,7 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log):
     coin = None  # the coin commitment the buyer's mask selects
     while True:
         prefix = _admit(log, msg, *_WIRE[ev.form])
-        fact = _check(ref, ev, msg.payload, prefix, coms, coin)
+        fact = _check(ref, ev, msg.payload, prefix, coms, coin, batch)
         if ev.form == "coin":
             msg = yield
             _admit(log, msg, TAG_COIN_MASK, "coin")
@@ -883,17 +907,25 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log):
         _fail("outcome", f"the announced outcome is not {expected}, which the evidence implies")
     if (yield) is not None:
         _fail("outcome", "trailing messages after outcome", index=len(log.messages))
+    batch.check()
     return expected
 
 
-def _feed(check, msg: Message | None) -> Outcome | None:
+def _feed(check, batch: Batch, msg: Message | None) -> Outcome | None:
     """Send a verifier its next message; returns the outcome once the run
-    is complete.  Errors of the layers below count as a failed check."""
+    is complete.  A failure first looks in the verifier's `batch` for an
+    earlier one (`Batch.raise_earlier`), so a run fails at the message, and
+    with the error, that checking each message in full as it comes would
+    give.  Errors of the layers below count as a failed check."""
     try:
         check.send(msg)
     except StopIteration as stop:
         return stop.value
+    except VerificationFailed:
+        batch.raise_earlier()
+        raise
     except (NonMemberError, ParameterError, CodecError) as exc:
+        batch.raise_earlier()
         raise VerificationFailed("replay", str(exc)) from exc
     return None
 
@@ -904,7 +936,9 @@ def _feed(check, msg: Message | None) -> Outcome | None:
 class BuyerSession:
     """The verifying party.  Produces reports and coin masks, and feeds each
     message it receives or sends, once, to the run's verifier, so the
-    session aborts on the first bad message."""
+    session aborts on the first bad message.  It checks the verifier's
+    batch before each of its own sends, so it never answers evidence whose
+    cell equations or openings are still unchecked."""
 
     def __init__(
         self,
@@ -934,27 +968,31 @@ class BuyerSession:
         self.mask_value = mask_value  # test hook: scripted mask draw
         self.failed = False
         self.log = _Log(ref.seed)  # every message verified so far
-        self._check = verifier(ref, kind, bound, self.log)
-        _feed(self._check, None)
+        self._batch = Batch(ref.params)
+        self._check = verifier(ref, kind, bound, self.log, self._batch)
+        _feed(self._check, self._batch, None)
 
     def _guard(self):
         if self.failed:
             raise VerificationFailed("session", "session already aborted")
 
-    def _absorb(self, msgs: list[Message | None]) -> Outcome | None:
-        """Feed messages to the verifier; None ends the log."""
+    def _absorb(self, msgs: list[Message | None], settle: bool = False) -> Outcome | None:
+        """Feed messages to the verifier; None ends the log.  `settle`: then
+        check every term they left pending."""
         self._guard()
         outcome = None
         try:
             for msg in msgs:
-                outcome = _feed(self._check, msg)
+                outcome = _feed(self._check, self._batch, msg)
+            if settle:
+                self._batch.check()
         except VerificationFailed:
             self.failed = True
             raise
         return outcome
 
     def receive_commit(self, msgs: list[Message]) -> list[Message]:
-        self._absorb(msgs)
+        self._absorb(msgs, settle=True)
         # One report per bidder, or one in all.
         groups = [self.values] if self._kind.per_report else [[v] for v in self.values]
         out = [Message(TAG_TYPE_REPORT, _report_payload(i, g)) for i, g in enumerate(groups)]
@@ -964,8 +1002,9 @@ class BuyerSession:
     def receive_evidence(self, msgs: list[Message]) -> Message | None:
         """Absorb an evidence batch; if it ends with a coin-pair message,
         answer with a fresh mask."""
-        self._absorb(msgs)
-        if not msgs or msgs[-1].tag != TAG_COIN_PAIR:
+        answers = bool(msgs) and msgs[-1].tag == TAG_COIN_PAIR
+        self._absorb(msgs, settle=answers)
+        if not answers:
             return None
         y = self.mask_value
         if y is None:
@@ -985,12 +1024,15 @@ class BuyerSession:
 
 def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -> Outcome:
     """Run the verifier over a complete message log, taking one message at
-    a time, so a log read lazily stops being read at its first bad message."""
+    a time, so a log read lazily stops being read at its first bad message
+    that fails a check other than a cell equation or an opening.  Those
+    are checked once, together, at the end of the log."""
     if kind not in KINDS:
         _fail("params", f"unknown protocol kind {kind!r}")
-    check = verifier(ref, kind, bound, _Log(ref.seed))
+    batch = Batch(ref.params)
+    check = verifier(ref, kind, bound, _Log(ref.seed), batch)
     for msg in chain((None,), messages, (None,)):  # prime, the log, its end
-        outcome = _feed(check, msg)
+        outcome = _feed(check, batch, msg)
     return outcome
 
 

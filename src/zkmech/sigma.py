@@ -14,14 +14,21 @@ arguments and do not care about the other rows' widths.
 Verification.  `cds_verify` is the reference: it checks each cell's
 equation base^gamma = alpha * target^beta_i on its own, two powers per
 cell.  `ni_verify_all`, which every proof bundle goes through, checks a
-list of proofs.  Once p has BATCH_BITS bits or more it tests all their
-cells as one small-exponent batch (Bellare-Garay-Rabin): one hashed
-128-bit weight per cell and one `GroupParams.multi_pow` over the alphas
-and the distinct bases and targets, checked against 1, after a
-Jacobi-symbol membership test of every alpha.  A weight only matters mod
-p, so in a toy group a false cell would pass the batch about one time in
-p (one in 11 at q = 23); there every cell is checked on its own, as
-`cds_verify` does.
+list of proofs: their contexts, challenges, shapes, ranges and challenge
+sums as they come.  Once p has BATCH_BITS bits or more it also tests
+every alpha's membership (a Jacobi symbol) and hands the cell equations
+to a `Batch`, the one pending small-exponent batch (Bellare-Garay-Rabin)
+of a whole verification run.  The batch takes every opening of a reveal
+too, and checks all its terms with one hashed 128-bit weight each and one
+`GroupParams.multi_pow` over the alphas and the distinct bases, targets
+and commitments, against 1: one chain of squarings for a whole log, and
+one full exponent per element however many terms share it.  A replay
+checks it at the end of the log, and a buyer before each of its sends;
+a failure is still named at the message, and with the error, that
+checking each message in full as it comes would give.  A weight only
+matters mod p, so in a toy group a false cell would pass the batch about
+one time in p (one in 11 at q = 23); there every cell is checked on its
+own, as `cds_verify` does, when its message is read.
 
 Proving.  Every row but the real one is simulated: it draws a beta_i and
 its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
@@ -45,11 +52,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .codec import Reader, encode_u16, encode_uint
+from .codec import Reader, encode_u16, encode_uints
 from .errors import (
     CodecError,
     ExtractionError,
@@ -426,22 +433,30 @@ def ni_verify(stmt: CdsStatement, proof: NiProof, context: bytes) -> bool:
     return ni_verify_all([(stmt, proof, context)])
 
 
-def ni_verify_all(items: Sequence[tuple[CdsStatement, NiProof, bytes]]) -> bool:
+def ni_verify_all(
+    items: Sequence[tuple[CdsStatement, NiProof, bytes]], batch: Batch | None = None
+) -> bool:
     """True iff every (statement, proof, context) verifies; the statements
-    must share one group.
+    must share one group, `batch`'s if one is given.
 
     Each proof's challenge is recomputed from its context, so a context
     mismatch is just a verification failure, never an oracle.  Then, in
     order, each proof's shape, ranges and challenge sum are checked.  In a
-    group whose p has BATCH_BITS bits or more, the cell equations of all
-    the proofs are checked at once (`_batch_holds`); below it, one cell at
-    a time through `cds_verify`.  The challenge and the batch weights hash
-    each proof's own bytes (`NiProof._wire`), not a fresh encoding.
+    group whose p has BATCH_BITS bits or more, every alpha's membership is
+    checked next, and the cell equations of all the proofs join `batch` as
+    one unit of its current group: True then means every other check
+    passed, and the batch's check settles the equations.  Without a batch
+    they are checked at once, in one of their own.  Below BATCH_BITS they
+    are checked one cell at a time through `cds_verify`.  The challenge
+    and the batch weights hash each proof's own bytes (`NiProof._wire`),
+    not a fresh encoding.
     """
     if not items:
         return True
-    params = items[0][0].params
-    batch = params.p.bit_length() >= BATCH_BITS
+    own = batch is None
+    if own:
+        batch = Batch(items[0][0].params)
+    params, deferred = batch.params, batch.deferred
     encoded = []  # each proof's bytes, which the batch weights are drawn from
     for stmt, proof, context in items:
         if stmt.params != params:
@@ -451,21 +466,138 @@ def ni_verify_all(items: Sequence[tuple[CdsStatement, NiProof, bytes]]) -> bool:
         first, rest = _wire_bytes(proof)
         if fiat_shamir_challenge(params, context + first) != proof.challenge:
             return False
-        check = _well_formed if batch else cds_verify
+        check = _well_formed if deferred else cds_verify
         try:
             if not check(stmt, proof.first, proof.challenge, proof.response):
                 return False
         except (ShapeMismatch, ParameterError):
             return False
-        if batch:
+        if deferred:
             encoded += (first, rest)
-    return not batch or _batch_holds(params, items, b"".join(encoded))
+    if not deferred:
+        return True
+    # The batch is only sound in the order-p group: alpha and q - alpha
+    # differ by the factor -1, which an even weight hides.
+    alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
+    if not all(params.is_member(a) for a in alphas):
+        return False
+    batch.add_proofs(items, len(alphas), b"".join(encoded))
+    return batch.holds() if own else True
 
 
-def _batch_weights(proof_bytes: bytes, count: int) -> list[int]:
-    """`count` WEIGHT_BITS-bit weights, SHA-256 in counter mode over a
-    digest of the domain tag and every proof's bytes."""
-    seed = hashlib.sha256(_BATCH_TAG + proof_bytes).digest()
+# A term owed to a batch, one unit of the search for a failure: (index its
+# failure names, its bytes behind their length, weights it takes, and a
+# list of the (statement, proof, context) items of a proof bundle or the
+# tuple (value, base, r) of an opening value = base^r).
+_Unit = tuple[int | None, bytes, int, object]
+
+
+class Batch:
+    """The cell equations and openings one verification run owes, checked
+    together: Bellare-Garay-Rabin small-exponent batching (EUROCRYPT 1998)
+    across every message, in one `multi_pow` (`_batch_holds`).
+
+    From BATCH_BITS bits of p up, `ni_verify_all` records a proof bundle's
+    cell equations here and `commitments.reveal_int` each opening, as a
+    unit; every other check runs where its value enters.  Units come in
+    groups, one per message, which `begin` starts with the failure its
+    units raise.  `check` tests every pending unit at once and raises the
+    first false one's failure.  `raise_earlier` comes before a failure found
+    later in the run and raises any pending unit's instead: the groups
+    before the newest are checked merged and the newest alone, and only a
+    part that fails unit by unit (an opening by itself, with one power).
+    So a run fails at the message, and with the error, that checking each
+    message in turn would give.  Below BATCH_BITS each term is checked as
+    it comes and nothing is recorded.
+    """
+
+    def __init__(self, params: GroupParams):
+        self.params = params
+        self.deferred = params.p.bit_length() >= BATCH_BITS
+        self._failure: Callable[[int | None], Exception] | None = None
+        self._groups: list[tuple[Callable, list[_Unit]]] = []
+        self._fresh = True  # the next unit starts a group
+
+    def begin(self, failure: Callable[[int | None], Exception]) -> None:
+        """The next terms start a group; a false unit of it fails with
+        `failure` of the index it was added with."""
+        self._failure = failure
+        self._fresh = True
+
+    def _add(self, unit: _Unit) -> None:
+        if self._fresh:
+            self._groups.append((self._failure, []))
+            self._fresh = False
+        self._groups[-1][1].append(unit)
+
+    def add_proofs(self, items, cells: int, data: bytes) -> None:
+        """The cell equations of proofs whose other checks passed, with
+        `cells` cells and wire bytes `data`."""
+        self._add((None, len(data).to_bytes(4, "big") + data, cells, list(items)))
+
+    def add_opening(self, value: int, base: int, r: int, data: bytes, index: int) -> None:
+        """value = base^r, as the term value^w * base^(-w * r); `data` are
+        the bytes of the commitment and its opening."""
+        self._add((index, len(data).to_bytes(4, "big") + data, 1, (value, base, r)))
+
+    def _take(self) -> list[tuple[Callable, list[_Unit]]]:
+        groups, self._groups, self._fresh = self._groups, [], True
+        return groups
+
+    def holds(self) -> bool:
+        """Whether every pending term holds, in one check; clears them."""
+        units = [unit for _, group in self._take() for unit in group]
+        return not units or _batch_holds(self.params, units)
+
+    def check(self) -> None:
+        """Check every pending term at once; raise the first false one's
+        failure.  Clears them."""
+        if self._groups:
+            groups = self._take()
+            if not _batch_holds(self.params, [u for _, group in groups for u in group]):
+                raise self._first_false(groups, failed=True)
+
+    def reject(self, index: int | None = None) -> None:
+        """Fail the current group at `index`, after any pending failure."""
+        self.raise_earlier()
+        raise self._failure(index)
+
+    def raise_earlier(self) -> None:
+        """Before a failure found now: raise the failure of the first false
+        pending unit, if there is one.  Clears them."""
+        if self._groups:
+            failure = self._first_false(self._take(), failed=False)
+            if failure is not None:
+                raise failure
+
+    def _first_false(self, groups, failed: bool) -> Exception | None:
+        """The failure of the first false unit of `groups`, or None.
+        `failed`: they were checked together and failed."""
+        *head, (failure, newest) = groups
+        if head and not _batch_holds(self.params, [u for _, group in head for u in group]):
+            return self._unit_by_unit(head)
+        if failed or not _batch_holds(self.params, newest):
+            return self._unit_by_unit([(failure, newest)])
+        return None
+
+    def _unit_by_unit(self, groups) -> Exception:
+        """The failure of the first false unit of `groups`, which hold one.
+        An opening is checked by itself exactly, with one power."""
+        units = [(failure, unit) for failure, group in groups for unit in group]
+        for failure, unit in units[:-1]:
+            if isinstance(unit[3], tuple):
+                value, base, r = unit[3]
+                holds = self.params.pow_unchecked(base, r) == value
+            else:
+                holds = _batch_holds(self.params, [unit])
+            if not holds:
+                return failure(unit[0])
+        failure, unit = units[-1]
+        return failure(unit[0])
+
+
+def _batch_weights(seed: bytes, count: int) -> list[int]:
+    """`count` WEIGHT_BITS-bit weights, SHA-256 in counter mode over `seed`."""
     size = WEIGHT_BITS // 8
     stream = b"".join(
         hashlib.sha256(seed + block.to_bytes(4, "big")).digest()
@@ -474,40 +606,47 @@ def _batch_weights(proof_bytes: bytes, count: int) -> list[int]:
     return [int.from_bytes(stream[k : k + size], "big") for k in range(0, count * size, size)]
 
 
-def _batch_holds(params: GroupParams, items, proof_bytes: bytes) -> bool:
-    """Every cell equation base^gamma = alpha * target^beta_i of every
-    proof, as one small-exponent test (Bellare-Garay-Rabin, EUROCRYPT 1998):
-    with a weight w per cell, one `multi_pow` over every alpha, base and
-    target checks
+def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
+    """Every term of `units` as one small-exponent test: with a weight w per
+    cell and per opening, one `multi_pow` checks
 
-        prod of alpha^w * prod over elements x of x^(e_x mod p) == 1,
+        prod of alpha^w * prod over elements x of x^(e_x mod p) == 1.
 
-    where e_x sums w * beta_i over the cells whose target is x, less w * gamma
-    over the cells whose base is x (an element can be both).  A false cell
-    slips through with probability about 2^-WEIGHT_BITS, since the weights
-    come from a hash of the proofs, which carry each context digest and so
-    bind the statements.  The test is only sound in the order-p group, so
-    every alpha is checked for membership first: alpha and q - alpha differ
-    by the factor -1, which an even weight hides.  Bases and targets are
-    members by the statement's contract, so their exponents are reduced
-    mod p, the negative ones with them.
+    A cell base^gamma = alpha * target^beta_i adds w * beta_i to its
+    target's exponent and takes w * gamma from its base's; an opening
+    value = B^r adds w to its value's and takes w * r from B's.  An element
+    can be all of these, and a full exponent on g, h or a commitment is
+    paid once however many terms share it.  A false term slips through with
+    probability about 2^-WEIGHT_BITS, since the weights come from a hash of
+    every unit's bytes: the proofs carry their context digests, which bind
+    the statements, and an opening carries its commitment and its bit,
+    which names B.  The test is only sound in the order-p group: every
+    alpha was checked for membership as its proof came in, and bases,
+    targets and committed values are members by contract, so their
+    exponents are reduced mod p, the negative ones with them.
     """
     p = params.p
-    alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
-    if not all(params.is_member(a) for a in alphas):
-        return False
-    weights = _batch_weights(proof_bytes, len(alphas))
-    exps: dict[int, int] = {}  # element -> sum of w * beta_i - sum of w * gamma
-    n = 0
-    for stmt, proof, _ in items:
-        resp = proof.response
-        for row, beta_i, gamma_row in zip(stmt.rows, resp.betas, resp.gammas):
-            for (base, target), gamma in zip(row, gamma_row):
-                w = weights[n]
-                n += 1
-                exps[base] = exps.get(base, 0) - w * gamma
-                exps[target] = exps.get(target, 0) + w * beta_i
-    pairs = list(zip(alphas, weights))
+    seed = hashlib.sha256(_BATCH_TAG + b"".join(data for _, data, _, _ in units)).digest()
+    weights = iter(_batch_weights(seed, sum(count for _, _, count, _ in units)))
+    pairs = []  # (alpha, w) per cell
+    exps: dict[int, int] = {}  # element -> its exponent, unreduced
+    for _, _, _, terms in units:
+        if isinstance(terms, tuple):  # an opening
+            value, base, r = terms
+            w = next(weights)
+            exps[value] = exps.get(value, 0) + w
+            exps[base] = exps.get(base, 0) - w * r
+            continue
+        for stmt, proof, _ in terms:
+            resp = proof.response
+            for row, alpha_row, beta_i, gamma_row in zip(
+                stmt.rows, proof.first.alphas, resp.betas, resp.gammas
+            ):
+                for (base, target), alpha, gamma in zip(row, alpha_row, gamma_row):
+                    w = next(weights)
+                    pairs.append((alpha, w))
+                    exps[base] = exps.get(base, 0) - w * gamma
+                    exps[target] = exps.get(target, 0) + w * beta_i
     pairs += [(x, e % p) for x, e in exps.items()]
     return params.multi_pow(pairs) == 1
 
@@ -530,9 +669,7 @@ def encode_statement(stmt: CdsStatement, encoded: Mapping[int, bytes]) -> bytes:
 
 def encode_first(first: SigmaFirst) -> bytes:
     shape = tuple(map(len, first.alphas))
-    return encode_shape(shape) + b"".join(
-        encode_uint(a) for row in first.alphas for a in row
-    )
+    return encode_shape(shape) + encode_uints(a for row in first.alphas for a in row)
 
 
 def _wire_bytes(proof: NiProof) -> tuple[bytes, bytes]:
@@ -561,11 +698,9 @@ def sized_proof_bytes(shape: tuple[int, ...], e: int) -> int:
 
 def _encode_response(proof: NiProof) -> bytes:
     """The bytes of `proof` after its first message."""
-    out = [encode_uint(proof.challenge)]
-    out.extend(encode_uint(b) for b in proof.response.betas)
-    out.extend(encode_uint(g) for row in proof.response.gammas for g in row)
-    out.append(proof.context_digest)
-    return b"".join(out)
+    resp = proof.response
+    ints = [proof.challenge, *resp.betas, *(g for row in resp.gammas for g in row)]
+    return encode_uints(ints) + proof.context_digest
 
 
 def _rows(flat: list[int], widths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

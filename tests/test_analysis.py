@@ -121,6 +121,21 @@ class TestIncentiveLemma:
             ex3_ic_lemma_check(bound)
 
 
+def pmf_log_devs(epsilon, ell, lo, hi):
+    """The largest deviations of log(pmf(y) / pmf(y - ell)) from ell * log
+    alpha where y >= ell, and from its negative where y <= 0."""
+    dist = TruncatedGeometric(1.0 - epsilon, lo, hi)
+    target = ell * math.log(1.0 - epsilon)
+    dev = mirror = 0.0
+    for y in range(max(lo, lo + ell), hi + 1):
+        ratio = math.log(dist.pmf(y)) - math.log(dist.pmf(y - ell))
+        if y >= ell:
+            dev = max(dev, abs(ratio - target))
+        elif y <= 0:
+            mirror = max(mirror, abs(ratio + target))
+    return dev, mirror
+
+
 class TestGeometricNoise:
     def test_center_mass_formula(self):
         alpha = 0.5
@@ -132,39 +147,26 @@ class TestGeometricNoise:
         assert abs(dist.pmf(0) - (1 - alpha) / (1 + alpha)) < 1e-12
 
     def test_interior_ratio_is_exact(self):
-        report = noise_ratio_report(0.1, 1, 0, (-50, 50), random.Random(0))
-        assert report.max_interior_dev < 1e-12
-        assert report.max_mirror_dev < 1e-12
+        for epsilon, ell, window in ((0.1, 1, 50), (0.2, 3, 40)):
+            dev, mirror = pmf_log_devs(epsilon, ell, -window, window)
+            assert dev < 1e-12 and mirror < 1e-12
         report3 = noise_ratio_report(0.2, 3, 0, (-40, 40), random.Random(0))
-        assert report3.max_interior_dev < 1e-12
         assert report3.boundary_bins == 6
 
     def test_log_masses_match_the_pmf_ratios(self):
-        """Every window up to 2,000 bins, where no mass underflows, against
-        the ratio of `pmf` logs that the report took before.  The deviations
-        are compared to 1e-9 of the log ratio ell * |log alpha| they are
+        """Every window up to 2,000 bins, where no mass underflows: the
+        ratio of `pmf` logs is the ideal one in the interior and mirror
+        bins, and the report counts the interior bins.  The deviations are
+        compared to 1e-9 of the log ratio ell * |log alpha| they are
         measured from, a tolerance set from float64 before the comparison
         was run."""
-
-        def pmf_log_devs(epsilon, ell, lo, hi):
-            dist = TruncatedGeometric(1.0 - epsilon, lo, hi)
-            target = ell * math.log(1.0 - epsilon)
-            dev = mirror = 0.0
-            for y in range(max(lo, lo + ell), hi + 1):
-                ratio = math.log(dist.pmf(y)) - math.log(dist.pmf(y - ell))
-                if y >= ell:
-                    dev = max(dev, abs(ratio - target))
-                elif y <= 0:
-                    mirror = max(mirror, abs(ratio + target))
-            return dev, mirror
-
         for epsilon, ell, step in ((0.1, 1, 1), (0.3, 7, 29)):
             tolerance = 1e-9 * ell * abs(math.log(1.0 - epsilon))
             for window in range(0, 2001, step):
                 report = noise_ratio_report(epsilon, ell, 0, (-window, window), random.Random(0))
                 dev, mirror = pmf_log_devs(epsilon, ell, -window, window)
-                assert report.max_interior_dev == pytest.approx(dev, rel=1e-9, abs=tolerance), window
-                assert report.max_mirror_dev == pytest.approx(mirror, rel=1e-9, abs=tolerance), window
+                assert dev == pytest.approx(0.0, abs=tolerance), window
+                assert mirror == pytest.approx(0.0, abs=tolerance), window
                 assert report.interior_bins == max(0, window - ell + 1)
 
     def test_sampler_tracks_pmf(self):
@@ -190,7 +192,7 @@ class TestGeometricNoise:
         report = noise_ratio_report(0.1, 1, 100, (-10, 10), random.Random(4))
         text = report.render()
         assert "epsilon=0.1" in text
-        assert any(line.startswith("max_interior_log_ratio_dev=") for line in text.splitlines())
+        assert any(line.startswith("interior_bins=") for line in text.splitlines())
 
 
 class TestGroves:

@@ -142,13 +142,13 @@ class TestAnalyze:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "epsilon=0.1" in out and "max_interior_log_ratio_dev=" in out
+        assert "epsilon=0.1" in out and "interior_bins=" in out
 
     @pytest.mark.parametrize("window", ["10000", "65536"])
     def test_a_window_past_the_pmf_underflow(self, capsys, window):
         assert cli.run(["analyze", "noise", "--window", window, "--samples", "10"]) == 0
         fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()[1:])
-        for name in ("max_interior_log_ratio_dev", "max_mirror_log_ratio_dev", "empirical_max_abs_z"):
+        for name in ("interior_bins", "gap_bins", "boundary_bins", "empirical_max_abs_z"):
             assert math.isfinite(float(fields[name])), name
 
     def test_inconsistent_noise_flags(self, capsys):

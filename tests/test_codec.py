@@ -17,6 +17,7 @@ from zkmech.codec import (
     decode_frame,
     decode_single_frame,
     encode_uint,
+    encode_uints,
     transcript_dumps,
     transcript_loads,
 )
@@ -39,6 +40,17 @@ class TestIntegers:
         assert encode_uint(5) == b"\x00\x00\x00\x01\x05"
         assert encode_uint(0) == b"\x00\x00\x00\x00"
         assert encode_uint(256) == b"\x00\x00\x00\x02\x01\x00"
+
+    def test_a_run_encodes_as_its_integers_one_at_a_time(self):
+        p = params_from_modulus(RFC3526_MODP_2048).p
+        values = [0, 1, 255, 256, p - 1]
+        assert encode_uints(values) == b"".join(encode_uint(x) for x in values)
+        assert encode_uints(iter(values)) == encode_uints(values) and encode_uints([]) == b""
+        r = Reader(encode_uints(values))
+        assert r.uints(len(values), 0, p - 1, "value") == values
+        r.finish()
+        with pytest.raises(CodecError):
+            encode_uints([1, -1])
 
     def test_non_minimal_rejected(self):
         r = Reader(b"\x00\x00\x00\x02\x00\x05")

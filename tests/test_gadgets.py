@@ -31,7 +31,7 @@ from zkmech.gadgets import (
     verify_lt_committed,
     verify_sum,
 )
-from zkmech.sigma import cds_simulate, cds_verify
+from zkmech.sigma import Batch, cds_simulate, cds_verify
 
 CTX = b"gadget tests"
 
@@ -343,6 +343,16 @@ class TestComplementPairs:
         assert not verify_complement(ref23, [other], [proofs], CTX)
 
 
+def checked(ref, ev, payload, prefix, coms, coin):
+    """`protocols._check` of one evidence message, its batch checked after."""
+    from zkmech.protocols import _check
+
+    batch = Batch(ref.params)
+    fact = _check(ref, ev, payload, prefix, coms, coin, batch)
+    batch.check()
+    return fact
+
+
 class TestCoinFlip:
     def test_selection_worked_example(self, ref23, rng):
         # x = 101, y = 011: z = 110 and the mask picks (R1, R'2, R'3)
@@ -405,7 +415,7 @@ class TestCoinFlip:
         # the verifier checks a coin message's complement proofs before the
         # mask selects from its pairs: proofs made for other pairs fail there
         from zkmech.errors import VerificationFailed
-        from zkmech.protocols import Evidence, _check, _coin_pair_payload
+        from zkmech.protocols import Evidence, _coin_pair_payload
 
         pair, ops = complement_commit(ref23, 1, rng)
         other, other_ops = complement_commit(ref23, 1, rng)
@@ -413,20 +423,21 @@ class TestCoinFlip:
         price, _ = commit_int(ref23, 0, 1, rng)
         coin = Evidence("coin", bits=1)
         with pytest.raises(VerificationFailed) as exc:
-            _check(ref23, coin, _coin_pair_payload([pair], proofs), CTX, [price], None)
+            checked(ref23, coin, _coin_pair_payload([pair], proofs), CTX, [price], None)
         assert exc.value.phase == "coin"
         payload = _coin_pair_payload([other], proofs)
-        assert _check(ref23, coin, payload, CTX, [price], None) == [other]
+        assert checked(ref23, coin, payload, CTX, [price], None) == [other]
 
     @pytest.mark.parametrize("group", ["ref23", "ref384"])
     @pytest.mark.parametrize("fault", ["proofs of another pair", "a gamma off by one"])
     def test_bad_pair_is_named_after_the_batch(self, group, fault, request, rng):
-        # all the pairs of a coin message are one batch; a failed batch is
-        # checked pair by pair, so the reject still names the first bad pair
+        # all the pairs of a coin message are one unit of the run's batch; a
+        # failed unit is checked pair by pair, so the reject still names the
+        # first bad pair
         from dataclasses import replace
 
         from zkmech.errors import VerificationFailed
-        from zkmech.protocols import Evidence, _check, _coin_pair_payload
+        from zkmech.protocols import Evidence, _coin_pair_payload
 
         ref = request.getfixturevalue(group)
         pairs, proofs = [], []
@@ -436,7 +447,7 @@ class TestCoinFlip:
             proofs.append(prove_complement(ref, pair, ops, CTX, rng, idx))
         price, _ = commit_int(ref, 0, 4, rng)
         coin = Evidence("coin", bits=4)
-        assert _check(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None) == pairs
+        assert checked(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None) == pairs
         if fault == "proofs of another pair":
             other, other_ops = complement_commit(ref, 0, rng)
             proofs[2] = prove_complement(ref, other, other_ops, CTX, rng, 2)
@@ -445,7 +456,7 @@ class TestCoinFlip:
             gammas = ((proof.response.gammas[0][0] + 1) % ref.params.p,), proof.response.gammas[1]
             proofs[2][1] = replace(proof, response=replace(proof.response, gammas=gammas))
         with pytest.raises(VerificationFailed) as exc:
-            _check(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None)
+            checked(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None)
         assert (exc.value.phase, exc.value.index) == ("coin", 2)
         assert exc.value.detail == "complement proof does not verify"
 

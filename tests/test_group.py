@@ -73,6 +73,24 @@ class TestGenParams:
             params_from_modulus(13)
         assert params_from_modulus(11).p == 5
 
+    def test_pocklington_accepts_what_two_miller_rabin_tests_accept(self):
+        """q passes a Fermat screen and p Miller-Rabin, which with p prime
+        proves q prime: every odd q from 7 to 40,001 is accepted exactly
+        when Miller-Rabin accepts q and p, and each failure names its half."""
+        accepted = 0
+        for q in range(7, 40_002, 2):
+            want = is_probable_prime(q) and is_probable_prime((q - 1) // 2)
+            try:
+                params_from_modulus(q)
+            except ParameterError as exc:
+                assert not want, q
+                half = "(q-1)/2" if is_probable_prime(q) else "modulus"
+                assert str(exc).startswith(half), q
+                continue
+            assert want, q
+            accepted += 1
+        assert accepted == 325
+
     def test_inconsistent_params_rejected(self):
         with pytest.raises(ParameterError):
             GroupParams(q=23, p=7, bit_length=5)

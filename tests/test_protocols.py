@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from zkmech import codec, gadgets, mpc, protocols, sigma
+from zkmech import codec, gadgets, group, mpc, protocols, sigma
 from zkmech.codec import (
     Message,
     Reader,
@@ -582,9 +582,9 @@ def test_buyer_and_replay_agree(ref23, monkeypatch):
     calls = [0]  # proofs checked
     real_ni_verify_all = gadgets.ni_verify_all
 
-    def counted(items):
+    def counted(items, batch=None):
         calls[0] += len(items)
-        return real_ni_verify_all(items)
+        return real_ni_verify_all(items, batch)
 
     monkeypatch.setattr(gadgets, "ni_verify_all", counted)
     rng = random.Random("buyer-replay differential")
@@ -630,16 +630,17 @@ def test_buyer_and_replay_agree(ref23, monkeypatch):
 
 @pytest.fixture
 def batch_vs_cells(monkeypatch, per_cell_verdict):
-    """Route every proof batch through `ni_verify_all` and the per-cell
-    reference, which must agree; returns the tally of verdicts."""
+    """Check every proof bundle on its own through `ni_verify_all` and the
+    per-cell reference, which must agree, before the run's verifier records
+    it in its batch; returns the tally of verdicts."""
     tally = Counter()
     real = sigma.ni_verify_all
 
-    def both(items):
+    def both(items, batch=None):
         verdict = real(items)
         assert verdict == per_cell_verdict(items)
         tally[verdict] += 1
-        return verdict
+        return verdict if batch is None else real(items, batch)
 
     monkeypatch.setattr(gadgets, "ni_verify_all", both)
     monkeypatch.setattr(sigma, "ni_verify_all", both)  # mpc, through ni_verify
@@ -708,26 +709,165 @@ def test_batch_agrees_with_cells_on_single_bit_mutants(ref384, batch_vs_cells):
     assert batch_vs_cells[False] >= 20
 
 
-def test_multi_pow_runs_once_per_bundle_above_the_batch_size(ref23, ref384, monkeypatch):
+def test_multi_pow_runs_once_per_replay_and_buyer_check_point(ref23, ref384, monkeypatch):
+    """Above the batch size a replay checks every cell equation and opening
+    of its log in one `multi_pow`, and a buyer makes one at each check
+    point (before its reports, before its mask, at the end) that has terms
+    pending; below it, none."""
     calls = Counter()
-    real_multi_pow, real_verify_all = GroupParams.multi_pow, gadgets.ni_verify_all
+    real_multi_pow, real_check = GroupParams.multi_pow, sigma.Batch.check
 
     def multi_pow(self, pairs):
         calls["multi_pow"] += 1
         return real_multi_pow(self, pairs)
 
-    def verify_all(items):
-        calls["bundles"] += bool(items)
-        return real_verify_all(items)
+    def check(self):
+        calls["pending"] += bool(self._groups)
+        return real_check(self)
 
     monkeypatch.setattr(GroupParams, "multi_pow", multi_pow)
-    monkeypatch.setattr(gadgets, "ni_verify_all", verify_all)
+    monkeypatch.setattr(sigma.Batch, "check", check)
     for ref in (ref23, ref384):
-        calls.clear()
+        buyer_checks = 0
         for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
-            run(ref, spec, values, seed=("count", n), coin_value=coin, mask_value=mask)
-        assert calls["bundles"] >= 15
-        assert calls["multi_pow"] == (0 if ref is ref23 else calls["bundles"])
+            calls.clear()
+            _, tr = run(ref, spec, values, seed=("count", n), coin_value=coin, mask_value=mask)
+            assert calls["multi_pow"] == (0 if ref is ref23 else calls["pending"]), spec
+            buyer_checks += calls["pending"]
+            calls.clear()
+            verify_transcript(ref, tr)
+            assert calls["multi_pow"] == (0 if ref is ref23 else 1), spec
+        # One at the end of each run, one before the reports of each ex3 run
+        # (its certificate) and one before each of the two masks.
+        assert buyer_checks == (0 if ref is ref23 else len(DIFFERENTIAL_RUNS) + 3 + 2)
+
+
+# `is_member` calls of a 384-bit replay of each of DIFFERENTIAL_RUNS (seeds
+# 0-12), as the per-bundle batches counted them: each value is still
+# checked once, where it enters.
+REPLAY_MEMBERS = [3, 4, 4, 3, 6, 12, 10, 8, 20, 25, 61, 3, 61]
+
+
+def test_a_384_bit_replay_makes_one_multi_pow_and_no_other_power(ref384, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(GroupParams, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(GroupParams, name, call)
+
+    for name in ("multi_pow", "pow_unchecked", "is_member"):
+        counted(name)
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        out, tr = run(ref384, spec, values, seed=n, coin_value=coin, mask_value=mask)
+        group._TABLES.clear()  # as in a fresh process
+        calls.clear()
+        assert verify_transcript(ref384, tr) == out
+        assert calls == {"multi_pow": 1, "is_member": REPLAY_MEMBERS[n]}, (spec, values)
+
+
+def eager_verdict(ref, tr):
+    """The replay's verdict with its batch checked after every message, as
+    a verifier checking each message in full would give it: the outcome,
+    or the failure's text."""
+    batch = sigma.Batch(ref.params)
+    check = protocols.verifier(ref, tr.kind, tr.bound, protocols._Log(ref.seed), batch)
+    try:
+        if tr.seed != ref.seed:
+            protocols._fail("params", "transcript seed differs from the reference string")
+        for msg in [None, *tr.messages, None]:
+            outcome = protocols._feed(check, batch, msg)
+            batch.check()
+    except VerificationFailed as exc:
+        return str(exc)
+    return outcome
+
+
+def end_of_log_verdict(ref, tr):
+    try:
+        return verify_transcript(ref, tr)
+    except VerificationFailed as exc:
+        return str(exc)
+
+
+def flipped(tr, idx, bit):
+    """`tr` with bit `bit` of frame `idx` flipped (0 is the seed frame), or
+    None when the frame no longer decodes as one frame of its place."""
+    blob = bytearray(([seed_frame(tr.seed)] + [m.frame() for m in tr.messages])[idx])
+    blob[bit // 8] ^= 1 << (bit % 8)
+    try:
+        msg = decode_single_frame(bytes(blob))
+    except CodecError:
+        return None
+    mutant = copy.deepcopy(tr)
+    if idx == 0:
+        if msg.tag != 0x00:
+            return None
+        mutant.seed = msg.payload
+    else:
+        mutant.messages[idx - 1] = msg
+    return mutant
+
+
+def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
+    """At 384 bits, over criterion 12's mutants of three victims and one
+    mutant per frame of every differential run (each replayable kind and
+    case), the replay that checks its batch once at the end of the log
+    gives the verdict, and the same error text, as one that checks it after
+    every message."""
+    victims = [
+        run(ref384, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1")[1],
+        run(ref384, MechanismSpec("ex3", 8, (2, 5)), [7], "c12/ex3a", coin_value=1, mask_value=0)[1],
+        run(ref384, MechanismSpec("ex3", 8, (1, 2)), [7], "c12/ex3b")[1],
+    ]
+    rng = random.Random("criterion-12")
+    mutants = []
+    for i in range(150):
+        tr = victims[i % len(victims)]
+        idx = rng.randrange(len(tr.messages) + 1)
+        frame = seed_frame(tr.seed) if idx == 0 else tr.messages[idx - 1].frame()
+        mutants.append(flipped(tr, idx, rng.randrange(len(frame) * 8)))
+    rng = random.Random("one mutant per frame")
+    kinds = Counter()
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        _, tr = run(ref384, spec, values, seed=("eager", n), coin_value=coin, mask_value=mask)
+        for idx, frame in enumerate([seed_frame(tr.seed)] + [m.frame() for m in tr.messages]):
+            mutants.append(flipped(tr, idx, rng.randrange(len(frame) * 8)))
+            kinds[spec.kind] += 1
+    assert set(kinds) == set(protocols.KINDS)
+    phases = Counter()
+    for mutant in filter(None, mutants):
+        seed = mutant.seed
+        ref = ref384 if seed == ref384.seed else derive_generators(ref384.params, seed)
+        verdict = end_of_log_verdict(ref, mutant)
+        assert verdict == eager_verdict(ref, mutant)
+        if isinstance(verdict, str):
+            phases[verdict.split("]")[0][1:]] += 1
+    assert sum(phases.values()) >= 150
+    assert {"commit-proof", "evaluate", "reveal", "coin", "verdict"} <= set(phases), phases
+
+
+def test_a_false_opening_is_named_at_its_index(ref384):
+    """An ex1 trade at 384 bits whose reveal carries shifted exponents:
+    its only terms are openings, and the error names the first false one."""
+    _, tr = run(ref384, MechanismSpec("ex1", 16, (9,)), [12], "reveal-only")
+    (i,) = [i for i, m in enumerate(tr.messages) if m.tag == TAG_REVEAL]
+    reveal = tr.messages[i]
+    r = Reader(reveal.payload, 1)
+    ops = [protocols.read_opening(r, ref384.params.p) for _ in range(r.u8())]
+    assert verify_transcript(ref384, tr).payment == 9
+    for shifted in ({1}, {3}, {4}, {2, 4}, {3, 4}):
+        bad = [replace(op, r=op.r % (ref384.params.p - 1) + 1) if k in shifted else op for k, op in enumerate(ops, 1)]
+        payload = reveal.payload[:1] + protocols._openings_body(bad)
+        mutant = replace(tr, messages=[*tr.messages[:i], Message(reveal.tag, payload), *tr.messages[i + 1 :]])
+        with pytest.raises(VerificationFailed) as err:
+            verify_transcript(ref384, mutant)
+        assert (err.value.phase, err.value.detail) == ("reveal", "opening does not match commitment")
+        assert err.value.index == min(shifted)
 
 
 def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
@@ -847,10 +987,10 @@ def replayed_proofs(ref, tr, monkeypatch):
         read[id(proof)] = proof, bytes(r.buf[start : r.off])  # the proof kept, so ids stay unique
         return proof
 
-    def verifying(items):
+    def verifying(items, batch=None):
         for item in items:
             verified[id(item[1])] = item
-        return real_verify(items)
+        return real_verify(items, batch)
 
     with monkeypatch.context() as m:
         for module in (gadgets, protocols):

@@ -8,11 +8,18 @@ from dataclasses import replace
 import pytest
 
 from conftest import and_statement, decode_proof, or_statement, schnorr_statement
-from zkmech.commitments import BitOpening, IntCommitment, commit_bit, commit_int
-from zkmech.errors import ExtractionError, ParameterError, ShapeMismatch, StateConsumed
+from zkmech.commitments import BitOpening, IntCommitment, commit_bit, commit_int, reveal_int
+from zkmech.errors import (
+    ExtractionError,
+    ParameterError,
+    ShapeMismatch,
+    StateConsumed,
+    VerificationFailed,
+)
 from zkmech.gadgets import bound_plan, le_committed_plan, plan_statement, plan_witness
 from zkmech.group import RFC3526_MODP_2048, GroupParams, derive_generators, params_from_modulus
 from zkmech.sigma import (
+    Batch,
     BATCH_BITS,
     CdsStatement,
     CdsWitness,
@@ -546,6 +553,49 @@ class TestBatchVerification:
         assert not ni_verify_all([(stmt, replace(proof, challenge=proof.challenge + 1), ctx)])
         short = replace(proof, first=SigmaFirst(alphas=proof.first.alphas[:-1]))
         assert not ni_verify_all([(stmt, short, ctx)])  # a shape mismatch
+
+    def test_a_run_batch_names_its_first_false_unit(self, bundle, ref384, rng):
+        """Three messages' terms, a proof bundle, a reveal and another
+        bundle: a false unit is named, at its index, ahead of any later one
+        and of a failure found after it; with every unit true, that failure
+        stands."""
+        p = ref384.params.p
+        com, ops = commit_int(ref384, 5, 3, rng)
+        shifted = [op if k != 1 else replace(op, r=op.r % (p - 1) + 1) for k, op in enumerate(ops)]
+        (stmt, proof, ctx), rest = self.items(bundle, rng)
+        gammas = replace_at(proof.response.gammas, 0, 0, (proof.response.gammas[0][0] + 1) % p)
+        false_bundle = [(stmt, replace(proof, response=replace(proof.response, gammas=gammas)), ctx), rest]
+
+        def batch_of(*messages):
+            batch = Batch(ref384.params)
+            for name, terms in messages:
+                batch.begin(lambda index, name=name: VerificationFailed(name, "false", index))
+                if name == "reveal":
+                    assert reveal_int(ref384, com, terms, batch) == 5
+                else:
+                    assert ni_verify_all(terms, batch)
+            return batch
+
+        def failure(raise_it):
+            with pytest.raises(VerificationFailed) as err:
+                raise_it()
+            return err.value.phase, err.value.index
+
+        def fail_late(batch):
+            batch.raise_earlier()
+            raise VerificationFailed("late", "found after")
+        good = ("proofs", self.items(bundle, rng))
+        for messages, first in [
+            ((good, ("reveal", shifted), ("last", false_bundle)), ("reveal", 2)),
+            ((good, ("reveal", ops), ("last", false_bundle)), ("last", None)),
+            ((("first", false_bundle), ("reveal", shifted)), ("first", None)),
+        ]:
+            assert failure(batch_of(*messages).check) == first
+            assert failure(lambda: fail_late(batch_of(*messages))) == first
+        batch = batch_of(good, ("reveal", ops))
+        assert failure(lambda: fail_late(batch)) == ("late", None)
+        batch.check()  # nothing is left pending
+        assert batch_of(good, ("reveal", ops)).holds() and not batch_of(good, ("reveal", shifted)).holds()
 
     def test_one_group_per_batch(self, bundle, rng, q23):
         (stmt, proof, ctx), _ = self.items(bundle, rng)
