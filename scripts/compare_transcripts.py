@@ -1,6 +1,7 @@
 """Compare the seeded transcripts of two source trees, byte for byte.
 
     python scripts/compare_transcripts.py OTHER_SRC
+    python scripts/compare_transcripts.py REVISION
 
 The runs are those of acceptance criterion 1: every price and report
 vector of the five kinds in the q=23 group, with the same seeds and coins.
@@ -16,24 +17,31 @@ Each 384-bit run of the five kinds is then replayed, as `zkmech verify`
 replays a transcript file, and so is one mutant per frame of its text,
 with one seeded bit of that frame flipped; each verdict is a line too.
 The grid runs once with this checkout's `src/` on the path and once with
-OTHER_SRC (for example the `src/` of a `git archive` of another commit).
+OTHER_SRC, a directory, or with the `src/` of a git REVISION of this
+repository (such as HEAD~1), which `git archive` extracts into a
+temporary directory that is removed afterwards.
 For each kind and mechanism case it prints how many transcripts are
 identical and how many differ, then how many verdicts; cases are named
 from the mechanism definitions, not from the package.  It exits 1 when
 any transcript or verdict differs, so it can gate a change that must keep
-every byte and every accept or reject, with its error text.
+every byte and every accept or reject, with its error text, and 2 when
+the argument is neither a directory nor a revision.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from collections import Counter
 from itertools import product
 
-HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+HERE_SRC = os.path.join(REPO, "src")
 # The benchmark's 384-bit safe prime (perfbench/sessions.py, BENCH_Q384).
 Q384 = int(
     "800000000000000000000000000000003de0f8454efdc61b6bdd877025aaf1a7"
@@ -246,6 +254,20 @@ def run_tree(src: str) -> dict[str, tuple[str, str]]:
     return {label: (case, value) for label, case, value in rows}
 
 
+def revision_src(revision: str, into: str) -> str | None:
+    """The `src/` of git `revision`, extracted under `into`; None if git
+    cannot archive it."""
+    archive = subprocess.run(
+        ["git", "-C", REPO, "archive", "--format=tar", revision, "src"], capture_output=True
+    )
+    if archive.returncode != 0:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return None
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return os.path.join(into, "src")
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--emit"]:
         emit()
@@ -253,7 +275,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    ours, theirs = run_tree(HERE_SRC), run_tree(argv[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        other = argv[0] if os.path.isdir(argv[0]) else revision_src(argv[0], tmp)
+        if other is None:
+            print(f"{argv[0]} is neither a directory nor a git revision", file=sys.stderr)
+            return 2
+        ours, theirs = run_tree(HERE_SRC), run_tree(other)
     if ours.keys() != theirs.keys():
         print("the two trees ran different grids", file=sys.stderr)
         return 1

@@ -104,21 +104,6 @@ def check_dsic_ir(m: FiniteMechanism) -> list[tuple]:
     return violations
 
 
-def posted_price_mechanism(price: int, bound: int) -> FiniteMechanism:
-    """Take-it-or-leave-it at a fixed price: IR and DSIC by construction."""
-    outcomes = ((0, 0), (1, price))
-    table = {
-        v: ({(1, price): Fraction(1)} if v >= price else {(0, 0): Fraction(1)})
-        for v in range(bound)
-    }
-    return FiniteMechanism(
-        types=tuple(range(bound)),
-        outcomes=outcomes,
-        table=table,
-        utility=lambda v, x: Fraction(x[0] * v - x[1]),
-    )
-
-
 def two_part_mechanism(s1: int, s2: int, bound: int) -> FiniteMechanism:
     """The two-part pricing family as a finite mechanism.
 
@@ -199,11 +184,6 @@ class TruncatedGeometric:
 
     def sample(self, rng: random.Random) -> int:
         return self.support[bisect_right(self._cum, rng.random())]
-
-
-def geometric_noise(alpha: float, bounds: tuple[int, int], rng: random.Random) -> int:
-    """One draw of truncated two-sided geometric noise."""
-    return TruncatedGeometric(alpha, bounds[0], bounds[1]).sample(rng)
 
 
 @dataclass

@@ -81,9 +81,8 @@ def commit_int(
     return IntCommitment(width=width, bits=coms), openings
 
 
-def opening_failure(index: int | None) -> VerificationFailed:
-    """The error of a reveal whose opening at `index` is false."""
-    return VerificationFailed("reveal", "opening does not match commitment", index=index)
+# The phase and detail of a reveal's false opening, named at its index.
+OPENING_FAILURE = ("reveal", "opening does not match commitment")
 
 
 def reveal_int(
@@ -95,7 +94,7 @@ def reveal_int(
     its equation C = B^r joins `batch` under the group its caller began
     (see `sigma.Batch`), and a false one fails with that group's failure of
     its 1-based index.  Without a batch, one of its own is checked at once,
-    so the error names the first false index (`opening_failure`).  The
+    so the error names the first false index (`OPENING_FAILURE`).  The
     commitments must be subgroup members, as the wire parsers ensure.
     """
     if len(ops) != com.width:
@@ -103,7 +102,7 @@ def reveal_int(
     own = batch is None
     if own:
         batch = Batch(ref.params)
-        batch.begin(opening_failure)
+        batch.begin(*OPENING_FAILURE)
     p = ref.params.p
     for i, (bit_com, op) in enumerate(zip(com.bits, ops), start=1):
         if batch.deferred and op.bit in (0, 1) and 1 <= op.r <= p - 1:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -66,13 +67,13 @@ from .codec import (
     seed_frame,
 )
 from .commitments import (
+    OPENING_FAILURE,
     BitOpening,
     IntCommitment,
     commit_int,
     encode_int_commitment,
     encode_opening,
     int_bits,
-    opening_failure,
     read_bit_commitment,
     read_int_commitment,
     read_opening,
@@ -737,17 +738,29 @@ def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
     return prefix
 
 
-def _failing(phase: str, detail: str):
-    """The failure of a group whose units all fail alike."""
-    return lambda _index: VerificationFailed(phase, detail)
-
-
-def _verified(batch: Batch, failure, verify, *args) -> None:
-    """`verify(*args, batch)`, its terms a new group of `batch` that fails
-    with `failure`; a failure of its other checks raises at once."""
-    batch.begin(failure)
+def _verified(batch: Batch, phase: str, detail: str, verify, *args, locate=None) -> None:
+    """`verify(*args, batch)`.  If it fails, VerificationFailed(phase,
+    detail) raises at once, at the index `locate(None)` names if `locate` is
+    given.  From BATCH_BITS up its terms are a new group of `batch` that
+    fails alike (see `Batch.begin`); below, nothing is deferred, so no
+    group is begun."""
+    if batch.deferred:
+        batch.begin(phase, detail, locate)
     if not verify(*args, batch):
-        raise failure(None)
+        raise VerificationFailed(phase, detail, None if locate is None else locate(None))
+
+
+def _unindexed(_index: int | None) -> None:
+    """A group's failure that names no index, whatever unit is false."""
+
+
+def _first_false_pair(ref: RefString, pairs, proofs, prefix: bytes, _index) -> int | None:
+    """The first coin pair whose proofs fail, checked pair by pair: a coin
+    message is one unit, and this only names its failure."""
+    for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
+        if not verify_complement(ref, [pair], [pr], prefix, idx):
+            return idx
+    return None
 
 
 def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, coin, batch):
@@ -769,7 +782,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         ops = _decode(payload, phase, "reveal", read_openings, start)
         if len(ops) != width:
             _fail(phase, f"reveal carries {len(ops)} openings, expected {width}")
-        batch.begin(opening_failure)
+        batch.begin(*OPENING_FAILURE)
         s = reveal_int(ref, com, ops, batch)
         if not ev.low <= s <= ev.high:
             _fail(phase, f"revealed price {s} outside [{ev.low}, {ev.high}]")
@@ -784,8 +797,8 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
             payload, phase, "proof message", lambda r: read_bundle(r, params, shapes), start
         )
         side, verify = ("lower", verify_ge_public) if ge else ("upper", verify_le_public)
-        failure = _failing(phase, f"{side}-bound proof against {w} does not verify")
-        _verified(batch, failure, verify, ref, com, w, bundle, prefix)
+        detail = f"{side}-bound proof against {w} does not verify"
+        _verified(batch, phase, detail, verify, ref, com, w, bundle, prefix)
         return None
     if ev.form == "sum":
         def read_sum(r):
@@ -797,26 +810,18 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
 
         total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum, start)
         _require_members(ref, carry_com, phase, "carry commitment")
-        failure = _failing(phase, "sum proof does not verify")
-        _verified(batch, failure, verify_sum, ref, coms[0], coms[1], total, carry_com, bundle, prefix)
+        args = (ref, coms[0], coms[1], total, carry_com, bundle, prefix)
+        _verified(batch, phase, "sum proof does not verify", verify_sum, *args)
         return total
     if ev.form == "coin":
         pairs, proofs = _parse_coin_pairs(ref, payload, phase, ev.bits)
-
-        def failure(_index):
-            # One unit for the message; pair by pair only to name the first failure.
-            bad = (
-                idx
-                for idx, (pair, pr) in enumerate(zip(pairs, proofs))
-                if not verify_complement(ref, [pair], [pr], prefix, idx)
-            )
-            return VerificationFailed(phase, "complement proof does not verify", index=next(bad, None))
-
-        _verified(batch, failure, verify_complement, ref, pairs, proofs, prefix, 0)
+        args, detail = (ref, pairs, proofs, prefix), "complement proof does not verify"
+        locate = partial(_first_false_pair, *args)
+        _verified(batch, phase, detail, verify_complement, *args, 0, locate=locate)
         return pairs
     if ev.form == "open":
         opening = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))
-        batch.begin(_failing(phase, "coin opening does not match the selected commitment"))
+        batch.begin(phase, "coin opening does not match the selected commitment", _unindexed)
         return reveal_int(ref, coin, [opening], batch)
     def read_lt(r):
         verdict = r.u8()
@@ -827,8 +832,8 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
 
     verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
     _require_members(ref, borrow_com, phase, "borrow commitment")
-    failure = _failing(phase, "comparison proof does not verify")
-    _verified(batch, failure, verify_lt_committed, ref, coin, com, verdict, borrow_com, bundle, prefix)
+    args = (ref, coin, com, verdict, borrow_com, bundle, prefix)
+    _verified(batch, phase, "comparison proof does not verify", verify_lt_committed, *args)
     return verdict
 
 
@@ -858,8 +863,9 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log, batch: Batch):
         bundle = _decode(
             msg.payload, "commit-proof", "certificate", lambda r: read_bundle(r, ref.params, shapes)
         )
-        failure = _failing("commit-proof", "incentive certificate does not verify")
-        _verified(batch, failure, verify_le_committed, ref, coms[0], coms[1], bundle, prefix)
+        detail = "incentive certificate does not verify"
+        args = (ref, coms[0], coms[1], bundle, prefix)
+        _verified(batch, "commit-proof", detail, verify_le_committed, *args)
 
     msg = yield
     _admit(log, msg, TAG_TYPE_REPORT, "report")

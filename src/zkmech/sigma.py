@@ -38,7 +38,11 @@ target = B^r and B a fixed base (g or h), covering every simulated cell's
 target.  Then alpha = base^(gamma - beta_i * r) when B is the cell's base,
 one table power, and base^gamma * B^(-beta_i * r) otherwise, two.  That is
 the same group element, so the proof's bytes, and the rng draws behind
-them, do not change; only how a simulated alpha is computed does.
+them, do not change; only how a simulated alpha is computed does.  The
+real row is checked against the hint too: a cell whose target it opens as
+(base, exponent) holds without a power, so a hinted prover raises only
+its nonces and its simulated cells.  Without a hint each real cell's base
+is raised to its exponent once, to refuse a witness that does not hold.
 
 Bytes.  A proof keeps the bytes `read_proof` read it from or `ni_prove`
 encoded it into: `ni_verify_all` hashes them for the challenge and the
@@ -63,6 +67,7 @@ from .errors import (
     ParameterError,
     ShapeMismatch,
     StateConsumed,
+    VerificationFailed,
 )
 from .group import GroupParams
 
@@ -151,21 +156,25 @@ class NiProof:
     _wire: tuple[bytes, bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def check_witness(stmt: CdsStatement, wit: CdsWitness) -> bool:
+# A target's opening (B, r), target = B^r; a prover's hint maps targets to them.
+Opening = tuple[int, int]
+Openings = Mapping[int, Opening]
+
+
+def check_witness(stmt: CdsStatement, wit: CdsWitness, openings: Openings | None = None) -> bool:
+    """Whether base^r = target for every cell of the witness's row.  A cell
+    whose target `openings` opens as (base, r) holds without a power; any
+    other is raised, as every cell is without openings."""
     if not 0 <= wit.row < len(stmt.rows):
         return False
     row = stmt.rows[wit.row]
     if len(wit.exps) != len(row):
         return False
+    opened = (openings or {}).get
     return all(
-        stmt.params.pow_unchecked(base, r) == target
+        opened(target) == (base, r) or stmt.params.pow_unchecked(base, r) == target
         for (base, target), r in zip(row, wit.exps)
     )
-
-
-# A target's opening (B, r), target = B^r; a prover's hint maps targets to them.
-Opening = tuple[int, int]
-Openings = Mapping[int, Opening]
 
 
 def _sim_alpha(
@@ -251,13 +260,16 @@ def cds_prove_first(
 
     `openings`, if given, maps the target of every simulated cell to its
     opening (see `_sim_alpha`), so those alphas need only powers of the
-    openings' bases.  The alphas, and the nonces, betas and gammas drawn
-    from `rng` in the same order, are those of a run without it.  A hint
-    lacking a simulated cell's target raises `ParameterError`; the openings
+    openings' bases.  The witness is checked against it too: a real cell
+    whose target it opens as (base, exponent) needs no power, and only a
+    cell it opens otherwise is raised.  The alphas, and the nonces, betas
+    and gammas drawn from `rng` in the same order, are those of a run
+    without it.  A witness that does not satisfy its row, or a hint lacking
+    a simulated cell's target, raises `ParameterError`; the openings
     themselves are trusted, and a wrong one makes a proof that does not
     verify.
     """
-    if not check_witness(stmt, wit):
+    if not check_witness(stmt, wit, openings):
         raise ParameterError("witness does not satisfy its statement row")
     p = stmt.params.p
     nonces = tuple(rng.randrange(1, p + 1) for _ in stmt.rows[wit.row])
@@ -490,6 +502,14 @@ def ni_verify_all(
 # list of the (statement, proof, context) items of a proof bundle or the
 # tuple (value, base, r) of an opening value = base^r).
 _Unit = tuple[int | None, bytes, int, object]
+# What a group's false unit raises: VerificationFailed(phase, detail) at the
+# unit's index, or at `locate` of it.
+_Failure = tuple[str, str, Callable[[int | None], int | None] | None]
+
+
+def _failed(failure: _Failure, index: int | None) -> VerificationFailed:
+    phase, detail, locate = failure
+    return VerificationFailed(phase, detail, index if locate is None else locate(index))
 
 
 class Batch:
@@ -500,10 +520,10 @@ class Batch:
     From BATCH_BITS bits of p up, `ni_verify_all` records a proof bundle's
     cell equations here and `commitments.reveal_int` each opening, as a
     unit; every other check runs where its value enters.  Units come in
-    groups, one per message, which `begin` starts with the failure its
-    units raise.  `check` tests every pending unit at once and raises the
-    first false one's failure.  `raise_earlier` comes before a failure found
-    later in the run and raises any pending unit's instead: the groups
+    groups, one per message, which `begin` starts with the phase and detail
+    its failure names.  `check` tests every pending unit at once and raises
+    the first false one's failure.  `raise_earlier` comes before a failure
+    found later in the run and raises any pending unit's instead: the groups
     before the newest are checked merged and the newest alone, and only a
     part that fails unit by unit (an opening by itself, with one power).
     So a run fails at the message, and with the error, that checking each
@@ -514,14 +534,17 @@ class Batch:
     def __init__(self, params: GroupParams):
         self.params = params
         self.deferred = params.p.bit_length() >= BATCH_BITS
-        self._failure: Callable[[int | None], Exception] | None = None
-        self._groups: list[tuple[Callable, list[_Unit]]] = []
+        self._failure: _Failure | None = None
+        self._groups: list[tuple[_Failure, list[_Unit]]] = []
         self._fresh = True  # the next unit starts a group
 
-    def begin(self, failure: Callable[[int | None], Exception]) -> None:
-        """The next terms start a group; a false unit of it fails with
-        `failure` of the index it was added with."""
-        self._failure = failure
+    def begin(
+        self, phase: str, detail: str, locate: Callable[[int | None], int | None] | None = None
+    ) -> None:
+        """The next terms start a group.  A false unit of it fails as
+        VerificationFailed(phase, detail) at the index it was added with
+        (an opening's; a proof bundle has none), or at `locate` of it."""
+        self._failure = (phase, detail, locate)
         self._fresh = True
 
     def _add(self, unit: _Unit) -> None:
@@ -540,7 +563,7 @@ class Batch:
         the bytes of the commitment and its opening."""
         self._add((index, len(data).to_bytes(4, "big") + data, 1, (value, base, r)))
 
-    def _take(self) -> list[tuple[Callable, list[_Unit]]]:
+    def _take(self) -> list[tuple[_Failure, list[_Unit]]]:
         groups, self._groups, self._fresh = self._groups, [], True
         return groups
 
@@ -560,7 +583,7 @@ class Batch:
     def reject(self, index: int | None = None) -> None:
         """Fail the current group at `index`, after any pending failure."""
         self.raise_earlier()
-        raise self._failure(index)
+        raise _failed(self._failure, index)
 
     def raise_earlier(self) -> None:
         """Before a failure found now: raise the failure of the first false
@@ -591,9 +614,9 @@ class Batch:
             else:
                 holds = _batch_holds(self.params, [unit])
             if not holds:
-                return failure(unit[0])
+                return _failed(failure, unit[0])
         failure, unit = units[-1]
-        return failure(unit[0])
+        return _failed(failure, unit[0])
 
 
 def _batch_weights(seed: bytes, count: int) -> list[int]:

@@ -16,11 +16,9 @@ from zkmech.analysis import (
     commitment_attack_driver,
     ex3_ic_lemma_check,
     expected_utility,
-    geometric_noise,
     groves_extract_weights,
     groves_outcome,
     noise_ratio_report,
-    posted_price_mechanism,
     random_groves_instance,
     transcript_distribution_equality,
     two_part_mechanism,
@@ -33,6 +31,26 @@ from zkmech.errors import (
 from zkmech.codec import TAG_EVAL_PROOF, Reader
 from zkmech.group import RefString, params_from_modulus
 from zkmech.protocols import _LEAD, MechanismSpec, owed_evidence, run_local
+
+
+def posted_price_mechanism(price: int, bound: int) -> FiniteMechanism:
+    """Take-it-or-leave-it at a fixed price: IR and DSIC by construction."""
+    outcomes = ((0, 0), (1, price))
+    table = {
+        v: ({(1, price): Fraction(1)} if v >= price else {(0, 0): Fraction(1)})
+        for v in range(bound)
+    }
+    return FiniteMechanism(
+        types=tuple(range(bound)),
+        outcomes=outcomes,
+        table=table,
+        utility=lambda v, x: Fraction(x[0] * v - x[1]),
+    )
+
+
+def geometric_noise(alpha: float, bounds: tuple[int, int], rng: random.Random) -> int:
+    """One draw of truncated two-sided geometric noise."""
+    return TruncatedGeometric(alpha, bounds[0], bounds[1]).sample(rng)
 
 
 def independent_incentive_scan(m: FiniteMechanism):

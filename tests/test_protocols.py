@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from zkmech import codec, gadgets, group, mpc, protocols, sigma
+from zkmech import codec, commitments, gadgets, group, mpc, protocols, sigma
 from zkmech.codec import (
     Message,
     Reader,
@@ -870,18 +870,44 @@ def test_a_false_opening_is_named_at_its_index(ref384):
         assert err.value.index == min(shifted)
 
 
+def plan_powers(plan, ops) -> int:
+    """The powers `gadgets._prove_plan` makes for `plan` over openings
+    `ops`, with its hint: per proof, one per real-row cell (its nonce), one
+    per simulated cell whose base is its target's opening base, and two per
+    other simulated cell."""
+    powers = 0
+    for _, _, rows in plan:
+        real = gadgets.plan_witness(rows, ops).row
+        for n, cells in enumerate(rows):
+            for bit, (k, i) in cells:
+                powers += 1 if n == real or ops[k][i - 1].bit == bit else 2
+    return powers
+
+
 def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
     """Every target a seller simulates a cell against is a commitment it
     opened itself, so at 384 bits its powers are all of g and h, bar mpc's
-    one k_s^r_s at the price slot."""
+    one k_s^r_s at the price slot.  Their number is exact: one per committed
+    bit, and per proof those of `plan_powers`; the witness check makes
+    none."""
     role, calls, other = [None], Counter(), Counter()
+    committed, expected = Counter(), Counter()
     real_pow = GroupParams.pow_unchecked
+    real_commit_bit, real_prove_plan = commitments.commit_bit, gadgets._prove_plan
 
     def pow_unchecked(self, base, e):
         if role[0]:
             calls[role[0]] += 1
             other[role[0]] += base not in (ref384.g, ref384.h)
         return real_pow(self, base, e)
+
+    def commit_bit(*args):
+        committed[role[0]] += 1
+        return real_commit_bit(*args)
+
+    def prove_plan(ref, plan, coms, ops, *rest):
+        expected[role[0]] += plan_powers(plan, ops)
+        return real_prove_plan(ref, plan, coms, ops, *rest)
 
     def as_role(name, fn):
         def step(*args, **kwargs):
@@ -894,6 +920,9 @@ def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
         return step
 
     monkeypatch.setattr(GroupParams, "pow_unchecked", pow_unchecked)
+    for module in (commitments, gadgets, mpc):
+        monkeypatch.setattr(module, "commit_bit", commit_bit)
+    monkeypatch.setattr(gadgets, "_prove_plan", prove_plan)
     for step in ("begin", "receive_reports", "receive_mask"):
         monkeypatch.setattr(SellerSession, step, as_role("seller", getattr(SellerSession, step)))
     monkeypatch.setattr(mpc, "mpc_seller_commit", as_role("commit", mpc.mpc_seller_commit))
@@ -905,11 +934,15 @@ def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
             ex3_cases.add(protocols.two_part_case(spec.prices, values[0]))
     assert {spec.kind for spec, *_ in DIFFERENTIAL_RUNS} == set(protocols.KINDS)
     assert ex3_cases == {"nothing", "lottery", "full"}
-    assert calls["seller"] >= 300 and other["seller"] == 0
+    assert calls["seller"] == committed["seller"] + expected["seller"] and other["seller"] == 0
+    bound = 8
     for price, value in ((3, 5), (6, 2)):  # a trade and a no-trade
-        calls.clear(), other.clear()
-        run_mpc_local(ref384, price, value, 8, random.Random("mpc/s"), random.Random("mpc/b"))
-        assert calls["commit"] > 0 and other["commit"] == 0
+        calls.clear(), other.clear(), committed.clear()
+        run_mpc_local(ref384, price, value, bound, random.Random("mpc/s"), random.Random("mpc/b"))
+        # H slots; the one-hot proof's real row, H nonces; each of its H - 1
+        # simulated rows, H - 2 same-base cells and 2 cross-base ones
+        assert committed["commit"] == bound
+        assert calls["commit"] == 2 * bound + (bound - 1) * (bound + 2) and other["commit"] == 0
         assert other["finalize"] == 1
 
 

@@ -569,7 +569,7 @@ class TestBatchVerification:
         def batch_of(*messages):
             batch = Batch(ref384.params)
             for name, terms in messages:
-                batch.begin(lambda index, name=name: VerificationFailed(name, "false", index))
+                batch.begin(name, "false")
                 if name == "reveal":
                     assert reveal_int(ref384, com, terms, batch) == 5
                 else:
@@ -688,3 +688,61 @@ class TestHintedSimulation:
                     cds_prove_first(stmt, wit, rng, partial)
                 with pytest.raises(ParameterError):
                     ni_prove(stmt, wit, b"ctx", rng, partial)
+
+    def test_a_witness_its_openings_contradict_raises(self, ref, rng):
+        """The hint opens every real target as (base, r); a witness with
+        another exponent at any cell does not hold, and is refused as it is
+        without the hint."""
+        p = ref.params.p
+        stmt, openings, wit = hinted_statement(ref, rng, (2, 1, 3), real=2)
+        for n, r in enumerate(wit.exps):
+            wrong = CdsWitness(wit.row, (*wit.exps[:n], r % (p - 1) + 1, *wit.exps[n + 1 :]))
+            assert not check_witness(stmt, wrong) and not check_witness(stmt, wrong, openings)
+            for hint in (None, openings):
+                with pytest.raises(ParameterError):
+                    cds_prove_first(stmt, wrong, rng, hint)
+
+    def test_a_real_target_opened_the_other_way_still_proves(self, ref23):
+        """In the q=23 group two cells can share a target that the hint opens
+        under the other base.  A real cell whose opening differs from its
+        (base, exponent) is raised, and the proof is the unhinted one, byte
+        for byte and draw for draw."""
+        params, p = ref23.params, ref23.params.p
+        rng = random.Random("opened the other way")
+        for real, shape in ((0, (1, 2)), (1, (2, 3)), (2, (1, 1, 2))):
+            stmt, openings, wit = hinted_statement(ref23, rng, shape, real)
+            for base, target in stmt.rows[real]:
+                other = ref23.h if base == ref23.g else ref23.g
+                r = next(r for r in range(1, p) if params.pow_unchecked(other, r) == target)
+                openings[target] = (other, r)
+            seed = rng.getrandbits(64)
+            plain, hinted = random.Random(seed), random.Random(seed)
+            proof = ni_prove(stmt, wit, b"ctx", plain)
+            assert ni_prove(stmt, wit, b"ctx", hinted, openings) == proof
+            assert hinted.getstate() == plain.getstate()
+            assert ni_verify(stmt, proof, b"ctx")
+
+    def test_a_hinted_prover_raises_no_real_cell(self, ref384, rng, monkeypatch):
+        """With the hint, the powers are the real row's nonces and the
+        simulated cells' alphas, one for a cell whose target its opening
+        raises the cell's own base, two for any other; without it each real
+        cell is raised once more and each simulated cell twice."""
+        calls = [0]
+        real_pow = GroupParams.pow_unchecked
+
+        def pow_unchecked(self, base, e):
+            calls[0] += 1
+            return real_pow(self, base, e)
+
+        monkeypatch.setattr(GroupParams, "pow_unchecked", pow_unchecked)
+        stmt, openings, wit = hinted_statement(ref384, rng, (2, 3, 1, 2), real=1)
+        real = len(stmt.rows[1])
+        simulated = [cell for n, row in enumerate(stmt.rows) if n != 1 for cell in row]
+        same_base = sum(openings[target][0] == base for base, target in simulated)
+        for hint, expected in (
+            (openings, real + same_base + 2 * (len(simulated) - same_base)),
+            (None, 2 * real + 2 * len(simulated)),
+        ):
+            calls[0] = 0
+            cds_prove_first(stmt, wit, rng, hint)
+            assert calls[0] == expected
