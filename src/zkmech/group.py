@@ -14,14 +14,17 @@ or more:
   Each value is tested once, where it enters: a wire parser, or g and h
   when a `RefString` is built.
 - Fixed bases.  `pow_unchecked` raises the g or h of a `RefString` to a
-  power through a windowed table (Brickell-Gordon-McCurley-Wilson,
-  EUROCRYPT 1992) when one exists, and by plain `pow` otherwise.  Only a
-  prover builds tables: its first commitment calls `RefString.build_tables`,
-  since it raises g and h about once per cell from then on.  A verifier
-  raises them only to check an opening below `sigma.BATCH_BITS` (from
-  there on openings join its batch), and only reads.  Tables are cached by
-  value, (q, base), in a small LRU, so a reference string derived again
-  from the same seed reuses them and one from another seed never does.
+  power through an 8-lane comb (Lim-Lee, CRYPTO 1994) when its table
+  exists, and by plain `pow` otherwise.  Bit k of the 8 bytes of each
+  64-bit word of the exponent picks one entry of that word's 256-entry
+  row, so a power costs 7 squarings and 8 products per word (48 at 384
+  bits, 256 at 2048).  Only a prover builds tables: its first commitment
+  calls `RefString.build_tables`, since it raises g and h about once per
+  cell from then on.  A verifier raises them only to check an opening below
+  `sigma.BATCH_BITS` (from there on openings join its batch), and only
+  reads.  Tables are cached by value, (q, base), in a small LRU, so a
+  reference string derived again from the same seed reuses them and one
+  from another seed never does.
 - Products of powers.  `multi_pow` computes a product of powers with one
   shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
   multiplying in an odd-power table entry per sliding window of its
@@ -43,6 +46,7 @@ it; `multi_pow` is exact in any group, and the verifier uses it from
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import threading
@@ -94,12 +98,13 @@ MILLER_RABIN_ROUNDS = 64  # error probability <= 4^-64 = 2^-128
 # 2.6 us for the Jacobi symbol; at 32 bits, where q no longer fits one
 # 30-bit digit, 6.2 us against 3.1 us.
 FAST_BITS = 32
-# Window width of the fixed-base tables.  Measured at 384 bits: 58 us per
-# power against 300 us for `pow`, a 3.3 ms build and 4,096 entries; at
-# 2048 bits: 5.5 ms against 26 ms, a 0.34 s build and 21,888 entries
-# (about 6 MB).  5 bits saves 40% of the build and costs 12-18% per power;
-# 8 bits saves 20-25% per power and triples the build and the memory.
-TABLE_WINDOW = 6
+# A fixed-base table has one 256-entry row per 64 bits of p.  Measured
+# with `scripts/kernel_times.py` at 384 bits: 1,536 entries, built in
+# 1.3 ms, and 46 us per power against 310 us for `pow`; at 2048 bits:
+# 8,192 entries (2.5 MB), built in 0.15 s, and 4.1 ms per power against
+# 32 ms.  The 6-bit windows this replaced (Brickell-Gordon-McCurley-
+# Wilson, EUROCRYPT 1992) took 4,096 and 21,888 entries and 63 and 342
+# products per power, and their powers took 1.2x and 1.3x as long.
 # Tables kept (two per reference string a prover has committed under).
 TABLE_SLOTS = 8
 
@@ -295,8 +300,9 @@ class RefString:
             self.params.require_member(base)
 
     def build_tables(self) -> None:
-        """Build g's and h's fixed-base tables if they are missing; a prover
-        calls this before it raises them once per cell."""
+        """Build g's and h's comb tables if they are missing, one row of
+        256 entries per 64 bits of p; a prover calls this before it raises
+        them once per cell, and a verifier never does."""
         if self.params.bit_length >= FAST_BITS:
             for base in (self.g, self.h):
                 _ensure_table(self.params.q, base)
@@ -304,9 +310,9 @@ class RefString:
 
 # -- fixed-base tables ------------------------------------------------------------
 #
-# (q, base) -> rows, where row i holds base^(d * 2^(TABLE_WINDOW * i)) for
-# every digit d.  Reads take no lock; writes, and a prover's refresh of a
-# table's place in the LRU, take the lock.
+# (q, base) -> rows, where row m holds, for every byte u, the product of
+# base^(2^(64m + 8i)) over the bits i set in u.  Reads take no lock; writes,
+# and a prover's refresh of a table's place in the LRU, take the lock.
 
 _TABLES: OrderedDict[tuple[int, int], list[list[int]]] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
@@ -326,16 +332,13 @@ def _ensure_table(q: int, base: int) -> None:
 
 
 def _build_table(q: int, base: int) -> list[list[int]]:
-    size = 1 << TABLE_WINDOW
     rows = []
-    for _ in range(-(-((q - 1) // 2).bit_length() // TABLE_WINDOW)):
-        row = [1] * size
-        acc = 1
-        for d in range(1, size):
-            acc = acc * base % q
-            row[d] = acc
-        rows.append(row)
-        base = acc * base % q  # base^(2^TABLE_WINDOW): the next row's unit
+    for _ in range(-(-((q - 1) // 2).bit_length() // 64)):
+        row = [1]
+        for _ in range(8):  # the entries with bit i: those below, times base^(2^(64m + 8i))
+            row += [entry * base % q for entry in row]
+            base = pow(base, 256, q)
+        rows.append(row)  # base is now the next row's base^(2^(64(m + 1)))
     return rows
 
 
@@ -349,17 +352,28 @@ def _window(bits: int) -> int:
     return w
 
 
+@functools.cache
+def _swaps(words: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the delta swaps of an 8x8 bit transpose, each mask
+    repeated in all `words` 64-bit words, so that no bit leaves its word."""
+    ones = ((1 << 64 * words) - 1) // 0xFFFFFFFFFFFFFFFF
+    return ((7, 0x00AA00AA00AA00AA * ones), (14, 0x0000CCCC0000CCCC * ones), (28, 0xF0F0F0F0 * ones))
+
+
 def _table_pow(rows: list[list[int]], e: int, q: int) -> int:
-    """base^e mod q for 0 <= e < p: one product per window digit of e."""
-    mask = (1 << TABLE_WINDOW) - 1
+    """base^e mod q for 0 <= e < p.  Transposing each 64-bit word of e as
+    an 8x8 bit matrix puts bit k of bytes 8m..8m+7 into byte 8m + k, the
+    index into row m that step k multiplies in; steps run from k = 7 down,
+    each after one squaring."""
+    for shift, mask in _swaps(len(rows)):
+        t = (e ^ e >> shift) & mask
+        e ^= t ^ t << shift
+    lanes = e.to_bytes(8 * len(rows), "little")
     acc = 1
-    for row in rows:
-        if not e:
-            break
-        d = e & mask
-        if d:
-            acc = acc * row[d] % q
-        e >>= TABLE_WINDOW
+    for k in range(7, -1, -1):
+        acc = acc * acc % q
+        for row, u in zip(rows, lanes[k::8]):
+            acc = acc * row[u] % q
     return acc
 
 

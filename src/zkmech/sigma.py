@@ -400,9 +400,13 @@ def fiat_shamir_challenge(params: GroupParams, context: bytes) -> int:
     in practice.  Block k of counter c is sha256(context || c || k), each a
     copy of one pass over the context.
     """
+    return _challenge(params, hashlib.sha256(context))
+
+
+def _challenge(params: GroupParams, absorbed) -> int:
+    """`fiat_shamir_challenge` of the context hashed into `absorbed`."""
     nbits = 2 * params.p.bit_length()
     nbytes = (nbits + 7) // 8
-    absorbed = hashlib.sha256(context)
     for counter in range(1000):
         out = bytearray()
         for block in range(-(-nbytes // 32)):
@@ -428,13 +432,15 @@ def ni_prove(
     `cds_prove_first`; the proof is the same with or without them."""
     first, state = cds_prove_first(stmt, wit, rng, openings)
     first_bytes = encode_first(first)
-    challenge = fiat_shamir_challenge(stmt.params, context + first_bytes)
-    response = cds_respond(state, challenge)
+    absorbed = hashlib.sha256(context)  # one pass: the digest, then the challenge
+    context_digest = absorbed.copy().digest()
+    absorbed.update(first_bytes)
+    challenge = _challenge(stmt.params, absorbed)
     proof = NiProof(
         first=first,
         challenge=challenge,
-        response=response,
-        context_digest=hashlib.sha256(context).digest(),
+        response=cds_respond(state, challenge),
+        context_digest=context_digest,
     )
     object.__setattr__(proof, "_wire", (first_bytes, _encode_response(proof)))
     return proof
@@ -473,10 +479,12 @@ def ni_verify_all(
     for stmt, proof, context in items:
         if stmt.params != params:
             raise ParameterError("a batch of proofs must share one group")
-        if hashlib.sha256(context).digest() != proof.context_digest:
+        absorbed = hashlib.sha256(context)
+        if absorbed.copy().digest() != proof.context_digest:
             return False
         first, rest = _wire_bytes(proof)
-        if fiat_shamir_challenge(params, context + first) != proof.challenge:
+        absorbed.update(first)
+        if _challenge(params, absorbed) != proof.challenge:
             return False
         check = _well_formed if deferred else cds_verify
         try:

@@ -445,6 +445,38 @@ class TestFixedBaseTables:
         ref = derive_generators(params_from_modulus(RFC3526_MODP_2048), b"tables 2048")
         self.check(ref, self.exponents(ref.params, 8, random.Random(2)))
 
+    @pytest.mark.parametrize("bits", [32, 33, 64, 65, 66, 384, 2048])
+    def test_the_comb_against_pow(self, q384, bits):
+        """q of 32 and 33 bits (FAST_BITS), p of 63, 64 and 65 bits (one
+        word against two), the benchmark's 384 bits and RFC 3526.  Row m
+        holds, at each byte u, base^(2^(64m + 8i)) multiplied over u's bits
+        i; every lane 0xFF * 2^(8i) and, up to 384 bits, every single bit
+        is raised.  At 2048 bits only the first and last words are
+        checked, to keep the references' `pow`s few."""
+        params = {384: q384, 2048: params_from_modulus(RFC3526_MODP_2048)}.get(bits)
+        params = params or gen_params(bits, start=bits)
+        q, p = params.q, params.p
+        ref = derive_generators(params, b"comb")
+        ref.build_tables()
+        words = -(-p.bit_length() // 64)
+        checked = range(words) if bits <= 384 else (0, words - 1)
+        es = self.exponents(params, 20 if bits <= 384 else 4, random.Random(bits))
+        if bits <= 384:
+            es += [1 << k for k in range(p.bit_length())]
+        for base in (ref.g, ref.h):
+            rows = group._TABLES[q, base]
+            assert isinstance(rows, list) and [len(row) for row in rows] == [256] * words
+            for m in checked:
+                row = rows[m]
+                assert all(row[u] == row[u & (u - 1)] * row[u & -u] % q for u in range(1, 256))
+                unit = pow(base, 2 ** (64 * m), q)
+                for i in range(8):  # unit = base^(2^(64m + 8i))
+                    assert row[1 << i] == unit, (m, i)
+                    assert params.pow_unchecked(base, 0xFF << 64 * m + 8 * i) == pow(unit, 255, q)
+                    unit = pow(unit, 256, q)
+            for e in es:
+                assert params.pow_unchecked(base, e) == pow(base, e % p, q), e
+
     def test_derivation_builds_no_table(self, q384):
         derive_generators(q384, b"tables 384")
         assert not group._TABLES

@@ -889,10 +889,11 @@ def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
     opened itself, so at 384 bits its powers are all of g and h, bar mpc's
     one k_s^r_s at the price slot.  Their number is exact: one per committed
     bit, and per proof those of `plan_powers`; the witness check makes
-    none."""
-    role, calls, other = [None], Counter(), Counter()
+    none.  Each of g and h goes through the comb, so a fall-back to plain
+    `pow` fails here."""
+    role, calls, other, tables = [None], Counter(), Counter(), Counter()
     committed, expected = Counter(), Counter()
-    real_pow = GroupParams.pow_unchecked
+    real_pow, real_table_pow = GroupParams.pow_unchecked, group._table_pow
     real_commit_bit, real_prove_plan = commitments.commit_bit, gadgets._prove_plan
 
     def pow_unchecked(self, base, e):
@@ -900,6 +901,10 @@ def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
             calls[role[0]] += 1
             other[role[0]] += base not in (ref384.g, ref384.h)
         return real_pow(self, base, e)
+
+    def table_pow(*args):
+        tables[role[0]] += 1
+        return real_table_pow(*args)
 
     def commit_bit(*args):
         committed[role[0]] += 1
@@ -920,6 +925,7 @@ def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
         return step
 
     monkeypatch.setattr(GroupParams, "pow_unchecked", pow_unchecked)
+    monkeypatch.setattr(group, "_table_pow", table_pow)
     for module in (commitments, gadgets, mpc):
         monkeypatch.setattr(module, "commit_bit", commit_bit)
     monkeypatch.setattr(gadgets, "_prove_plan", prove_plan)
@@ -935,14 +941,16 @@ def test_the_seller_raises_only_g_and_h(ref384, monkeypatch):
     assert {spec.kind for spec, *_ in DIFFERENTIAL_RUNS} == set(protocols.KINDS)
     assert ex3_cases == {"nothing", "lottery", "full"}
     assert calls["seller"] == committed["seller"] + expected["seller"] and other["seller"] == 0
+    assert tables["seller"] == calls["seller"]
     bound = 8
     for price, value in ((3, 5), (6, 2)):  # a trade and a no-trade
-        calls.clear(), other.clear(), committed.clear()
+        calls.clear(), other.clear(), committed.clear(), tables.clear()
         run_mpc_local(ref384, price, value, bound, random.Random("mpc/s"), random.Random("mpc/b"))
         # H slots; the one-hot proof's real row, H nonces; each of its H - 1
         # simulated rows, H - 2 same-base cells and 2 cross-base ones
         assert committed["commit"] == bound
         assert calls["commit"] == 2 * bound + (bound - 1) * (bound + 2) and other["commit"] == 0
+        assert tables["commit"] == calls["commit"]
         assert other["finalize"] == 1
 
 
