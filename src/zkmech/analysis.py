@@ -443,7 +443,7 @@ def _hiding_worlds(
         return counter
 
     real = world(spec.prices, [(g, h, 1) for g, h in ref_pairs_real])
-    sim = world(claimed, [(g, pow(g, rho, params.q), rho) for g, rho in ref_pairs_sim])
+    sim = world(claimed, [(g, params.pow_unchecked(g, rho), rho) for g, rho in ref_pairs_sim])
     return real, sim
 
 

@@ -224,7 +224,7 @@ def _cmd_seller(args) -> int:
     params, crs = _resolve_group(args)
     ref = derive_generators(params, crs)
     seller = SellerSession(ref, spec, _role_rng(args.seed, "seller"))
-    cap = max_frame_bytes(spec.kind, spec.bound, params.bit_length)
+    cap = max_frame_bytes(spec.kind, spec.bound, params)
     host, port = _parse_endpoint(args.listen)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -250,7 +250,7 @@ def _cmd_buyer(args) -> int:
     buyer = None
     if not args.interactive:
         buyer = BuyerSession(ref, kind, bound, _values_from_args(args), rng)
-    cap = max_frame_bytes(kind, bound, params.bit_length)
+    cap = max_frame_bytes(kind, bound, params)
     host, port = _parse_endpoint(args.connect)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.settimeout(PEER_TIMEOUT_S)
@@ -294,7 +294,7 @@ def _save_log(path: str | None, log, kind: str, bound: int) -> None:
 HEADER_CAP = 64
 
 
-def _read_transcript(fh, q_bits: int):
+def _read_transcript(fh, params: GroupParams):
     """(kind, bound, seed, messages) of the transcript file `fh`, opened in
     binary mode.  Lines are read one at a time, each capped at the kind's
     longest frame in hex.  Frame lines are capped at the header, the seed
@@ -309,7 +309,7 @@ def _read_transcript(fh, q_bits: int):
         raise CodecError(f"unknown protocol kind {kind!r}", line=1)
     if not 2 <= bound <= MAX_BOUND:
         raise CodecError(f"H={bound} outside 2..{MAX_BOUND}", line=1)
-    cap = 2 * (FRAME_HEADER + max_frame_bytes(kind, bound, q_bits)) + 2  # hex, CR LF
+    cap = 2 * (FRAME_HEADER + max_frame_bytes(kind, bound, params)) + 2  # hex, CR LF
     most = 2 + max_messages(kind)  # the header, the seed and the messages
 
     def lines():
@@ -341,7 +341,7 @@ def _cmd_verify(args) -> int:
     params, _ = _resolve_group(args)
     try:
         with open(args.transcript, "rb") as fh:
-            kind, bound, seed, messages = _read_transcript(fh, params.bit_length)
+            kind, bound, seed, messages = _read_transcript(fh, params)
             outcome = replay(derive_generators(params, seed), kind, bound, messages)
     except (CodecError, VerificationFailed, ZkmechError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -128,10 +128,11 @@ class Reader:
             raise CodecError("non-minimal integer encoding", offset=start)
         return int.from_bytes(self.buf[start:end], "big")
 
-    def uints(self, n: int, lo: int, hi: int, what: str) -> list[int]:
+    def uints(self, n: int, lo: int, hi: int, what: str, named: bool = False) -> list[int]:
         """`n` integers in a row, each in [lo, hi]: the checks and offsets of
         `uint` per integer, in one loop.  An integer out of range is a
-        "`what` out of range" named at its end."""
+        "`what` out of range" named at its end, or with `named` a "`what`
+        <its value> out of range", the value as `describe_uint` shows it."""
         buf, off, end = self.buf, self.off, self.end
         from_bytes = int.from_bytes
         out = []
@@ -146,7 +147,8 @@ class Reader:
                 raise CodecError("non-minimal integer encoding", offset=start)
             v = from_bytes(buf[start:off], "big")
             if not lo <= v <= hi:
-                raise CodecError(f"{what} out of range", offset=off)
+                shown = f"{what} {describe_uint(v)}" if named else what
+                raise CodecError(f"{shown} out of range", offset=off)
             out.append(v)
         self.off = off
         return out

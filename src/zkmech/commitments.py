@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codec import Reader, describe_uint, encode_u8, encode_uint, encode_uints
+from .codec import Reader, encode_u8, encode_uint, encode_uints
 from .errors import CodecError, ParameterError, VerificationFailed
-from .group import RefString
+from .group import RefString, element_range
 from .sigma import Batch
 
 
@@ -133,11 +133,12 @@ def binding_break_to_dlog(ref: RefString, r_zero: int, r_one: int) -> int:
 # -- wire encodings ----------------------------------------------------------
 
 
-def read_bit_commitment(r: Reader, q: int) -> BitCommitment:
-    value = r.uint()
-    if not 2 <= value <= q - 1:
-        raise CodecError(f"commitment {describe_uint(value)} out of range", offset=r.off)
-    return BitCommitment(value)
+def read_bit_commitments(r: Reader, count: int, span: tuple[int, int]) -> list[BitCommitment]:
+    """`count` bit commitments in a row, each in the group's element range
+    `span` but above its least element, the identity, which commits to no
+    bit."""
+    lo, hi = span
+    return [BitCommitment(v) for v in r.uints(count, lo + 1, hi, "commitment", named=True)]
 
 
 def encode_int_commitment(com: IntCommitment) -> bytes:
@@ -146,8 +147,7 @@ def encode_int_commitment(com: IntCommitment) -> bytes:
 
 def read_int_commitment(r: Reader, q: int) -> IntCommitment:
     width = r.u8()
-    bits = tuple(read_bit_commitment(r, q) for _ in range(width))
-    return IntCommitment(width=width, bits=bits)
+    return IntCommitment(width=width, bits=tuple(read_bit_commitments(r, width, element_range(q))))
 
 
 def encode_opening(op: BitOpening) -> bytes:

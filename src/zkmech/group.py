@@ -1,9 +1,14 @@
 """Arithmetic in the order-p subgroup of squares modulo a safe prime q = 2p+1.
 
-All protocol algebra lives here: safe-prime generation, membership tests,
-modular group operations, exponent sampling, and the deterministic
-derivation of the two public generators (g, h) from a reference-string
-seed.
+All protocol algebra lives here: safe-prime generation, the group's
+operations, exponent sampling, and the deterministic derivation of the two
+public generators (g, h) from a reference-string seed.  Outside this module
+an element is an opaque integer, and exponents live in Z_p.  `GroupParams`
+owns every fact of the representation: membership, powers, the product of
+two elements (`mul`), a uniform member (`sample_member`), the range of a
+wire element (`element_range`, also a function of q for a caller that holds
+only the modulus), and the longest encodings of an element and of an
+exponent (`element_bytes`, `exponent_bytes`).
 
 Three kernels make the common operations cheap once q has FAST_BITS bits
 or more:
@@ -52,7 +57,7 @@ import random
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DerivationError,
@@ -173,6 +178,12 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
+def element_range(q: int) -> tuple[int, int]:
+    """The least and the greatest integer a wire element mod q may be: 1,
+    the identity, and q - 1."""
+    return 1, q - 1
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """A safe prime q = 2p+1 and the order p of its subgroup of squares."""
@@ -180,12 +191,15 @@ class GroupParams:
     q: int
     p: int
     bit_length: int
+    # `element_range` of q: an attribute, not a property, as it is read once per proof.
+    element_range: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q != 2 * self.p + 1:
             raise ParameterError("q must equal 2p+1")
         if self.bit_length != self.q.bit_length():
             raise ParameterError("bit_length inconsistent with q")
+        object.__setattr__(self, "element_range", element_range(self.q))
 
     # -- membership ---------------------------------------------------
 
@@ -203,6 +217,10 @@ class GroupParams:
         return x
 
     # -- group operations ----------------------------------------------
+
+    def mul(self, a: int, b: int) -> int:
+        """The product of two elements."""
+        return a * b % self.q
 
     def pow(self, base: int, e: int) -> int:
         """base^e mod q, with the exponent reduced mod p."""
@@ -224,6 +242,21 @@ class GroupParams:
         commitment into the identity, which opens as both bits.
         """
         return rng.randrange(1, self.p)
+
+    def sample_member(self, rng: random.Random) -> int:
+        """A uniform member, from one `rng.randrange(p)`: a power of 4, a
+        square other than 1 and so a generator."""
+        return self.pow_unchecked(4, rng.randrange(self.p))
+
+    @property
+    def element_bytes(self) -> int:
+        """The longest `codec.encode_uint` of an element."""
+        return 4 + (self.bit_length + 7) // 8
+
+    @property
+    def exponent_bytes(self) -> int:
+        """The longest `codec.encode_uint` of an exponent, at most p."""
+        return 4 + (self.p.bit_length() + 7) // 8
 
     # Internal fast path: skips the membership re-check, and reads a base's
     # fixed-base table if a prover built one.  Callers must have validated

@@ -140,7 +140,7 @@ def mpc_buyer_respond(
         if willing:
             zs.append(params.pow_unchecked(com.value, rho))
         else:
-            zs.append(params.pow_unchecked(4, rng.randrange(params.p)))
+            zs.append(params.sample_member(rng))
     return BuyerResponse(ks=tuple(ks), zs=tuple(zs)), BuyerSecrets(value=value, rhos=rhos)
 
 

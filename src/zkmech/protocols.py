@@ -74,7 +74,7 @@ from .commitments import (
     encode_int_commitment,
     encode_opening,
     int_bits,
-    read_bit_commitment,
+    read_bit_commitments,
     read_int_commitment,
     read_opening,
     reveal_int,
@@ -114,7 +114,7 @@ from .gadgets import (
     verify_lt_committed,
     verify_sum,
 )
-from .group import RefString
+from .group import GroupParams, RefString
 from .sigma import Batch, encode_sized_proof, read_sized_proof, sized_proof_bytes
 
 
@@ -259,11 +259,8 @@ def _parse_coin_pairs(
         got = r.u8()
         if got != count:
             _fail(phase, f"coin message carries {got} pairs, expected {count}")
-        q = ref.params.q
-        pairs = [
-            ComplementPair(read_bit_commitment(r, q), read_bit_commitment(r, q))
-            for _ in range(count)
-        ]
+        coms = read_bit_commitments(r, 2 * count, ref.params.element_range)
+        pairs = [ComplementPair(a, b) for a, b in zip(coms[::2], coms[1::2])]
         return pairs, [
             [read_sized_proof(r, ref.params, (1, 1)) for _ in range(2)] for _ in range(count)
         ]
@@ -694,15 +691,16 @@ class SellerSession:
 # -- the verifier -------------------------------------------------------------------
 
 
-def max_frame_bytes(kind: str, bound: int, q_bits: int) -> int:
+def max_frame_bytes(kind: str, bound: int, params: GroupParams) -> int:
     """The longest payload of any message an honest `kind` run at this H in
-    a group of `q_bits` bits sends, with every integer at its longest.
+    the group `params` sends, with every integer at its longest.
     Commitments, reports, reveals, masks, openings and outcomes are all
     shorter than a bound proof with i rows at position i, which no bound
     proof exceeds.  Each case's rule, fed the lowest reports and zero
     facts, names every other form a kind sends, with its coin's width."""
     k, w = KINDS[kind], width_of(bound)
-    e = 4 + (max(q_bits, w + 1) + 7) // 8  # an element, an exponent, or s1 + s2
+    # One width for an element, an exponent, or s1 + s2 (w + 1 bits).
+    e = max(params.element_bytes, params.exponent_bytes, 4 + (w + 8) // 8)
     pair = 2 * e + 2 * sized_proof_bytes((1, 1), e)  # one coin bit's pair and proofs
     longest = {
         "sum": 2 + e + w * e + bundle_bytes(plan_shapes(sum_plan(0, w)), e),
@@ -919,19 +917,19 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log, batch: Batch):
 
 def _feed(check, batch: Batch, msg: Message | None) -> Outcome | None:
     """Send a verifier its next message; returns the outcome once the run
-    is complete.  A failure first looks in the verifier's `batch` for an
-    earlier one (`Batch.raise_earlier`), so a run fails at the message, and
-    with the error, that checking each message in full as it comes would
-    give.  Errors of the layers below count as a failed check."""
+    is complete.  A failure first checks the verifier's `batch`, which
+    raises an earlier failure still pending there, so a run fails at the
+    message, and with the error, that checking each message in full as it
+    comes would give.  Errors of the layers below count as a failed check."""
     try:
         check.send(msg)
     except StopIteration as stop:
         return stop.value
     except VerificationFailed:
-        batch.raise_earlier()
+        batch.check()
         raise
     except (NonMemberError, ParameterError, CodecError) as exc:
-        batch.raise_earlier()
+        batch.check()
         raise VerificationFailed("replay", str(exc)) from exc
     return None
 

@@ -196,7 +196,7 @@ def _sim_alpha(
     t_base, r = opening or (target, 1)
     if t_base == base:
         return params.pow_unchecked(base, gamma - beta_i * r)
-    return params.pow_unchecked(base, gamma) * params.pow_unchecked(t_base, -beta_i * r) % params.q
+    return params.mul(params.pow_unchecked(base, gamma), params.pow_unchecked(t_base, -beta_i * r))
 
 
 def _build_first(
@@ -305,14 +305,15 @@ def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaRe
         raise ShapeMismatch("proof components do not match statement shape")
     if not 1 <= beta <= params.p:
         raise ParameterError(f"challenge out of range: {beta}")
-    p, q = params.p, params.q
+    p = params.p
+    lo, hi = params.element_range
     # Rows are nonempty, as the statement's are, so min and max per row
     # scan them in C.
     if min(resp.betas) < 0 or max(resp.betas) >= p:
         return False
     if min(map(min, resp.gammas)) < 0 or max(map(max, resp.gammas)) >= p:
         return False
-    if min(map(min, first.alphas)) < 1 or max(map(max, first.alphas)) >= q:
+    if min(map(min, first.alphas)) < lo or max(map(max, first.alphas)) > hi:
         return False
     return sum(resp.betas) % p == beta % p
 
@@ -322,10 +323,10 @@ def cds_verify(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResp
     target^beta_i, one cell at a time."""
     if not _well_formed(stmt, first, beta, resp):
         return False
-    params, q = stmt.params, stmt.params.q
+    params = stmt.params
     for row, alpha_row, beta_i, gamma_row in zip(stmt.rows, first.alphas, resp.betas, resp.gammas):
         for (base, target), alpha, gamma in zip(row, alpha_row, gamma_row):
-            if params.pow_unchecked(base, gamma) != alpha * params.pow_unchecked(target, beta_i) % q:
+            if params.pow_unchecked(base, gamma) != params.mul(alpha, params.pow_unchecked(target, beta_i)):
                 return False
     return True
 
@@ -529,12 +530,12 @@ class Batch:
     cell equations here and `commitments.reveal_int` each opening, as a
     unit; every other check runs where its value enters.  Units come in
     groups, one per message, which `begin` starts with the phase and detail
-    its failure names.  `check` tests every pending unit at once and raises
-    the first false one's failure.  `raise_earlier` comes before a failure
-    found later in the run and raises any pending unit's instead: the groups
-    before the newest are checked merged and the newest alone, and only a
-    part that fails unit by unit (an opening by itself, with one power).
-    So a run fails at the message, and with the error, that checking each
+    its failure names.  `check` tests every pending unit in one merged
+    check and, only if that fails, searches for the first false unit: the
+    groups before the newest merged, then unit by unit the part that fails
+    (an opening by itself, with one power).  A failure found later in the
+    run calls `check` first, so a pending false unit is named before it,
+    and a run fails at the message, and with the error, that checking each
     message in turn would give.  Below BATCH_BITS each term is checked as
     it comes and nothing is recorded.
     """
@@ -586,30 +587,20 @@ class Batch:
         if self._groups:
             groups = self._take()
             if not _batch_holds(self.params, [u for _, group in groups for u in group]):
-                raise self._first_false(groups, failed=True)
+                raise self._first_false(groups)
 
     def reject(self, index: int | None = None) -> None:
         """Fail the current group at `index`, after any pending failure."""
-        self.raise_earlier()
+        self.check()
         raise _failed(self._failure, index)
 
-    def raise_earlier(self) -> None:
-        """Before a failure found now: raise the failure of the first false
-        pending unit, if there is one.  Clears them."""
-        if self._groups:
-            failure = self._first_false(self._take(), failed=False)
-            if failure is not None:
-                raise failure
-
-    def _first_false(self, groups, failed: bool) -> Exception | None:
-        """The failure of the first false unit of `groups`, or None.
-        `failed`: they were checked together and failed."""
+    def _first_false(self, groups) -> Exception:
+        """The failure of the first false unit of `groups`, which were
+        checked together and failed."""
         *head, (failure, newest) = groups
         if head and not _batch_holds(self.params, [u for _, group in head for u in group]):
             return self._unit_by_unit(head)
-        if failed or not _batch_holds(self.params, newest):
-            return self._unit_by_unit([(failure, newest)])
-        return None
+        return self._unit_by_unit([(failure, newest)])
 
     def _unit_by_unit(self, groups) -> Exception:
         """The failure of the first false unit of `groups`, which hold one.
@@ -749,9 +740,9 @@ def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProo
     begin = r.off
     if r.take(2 + 2 * len(shape)) != encode_shape(shape):
         raise CodecError("proof shape differs from statement", offset=begin)
-    q, p = params.q, params.p
+    p = params.p
     cells = sum(shape)
-    alphas = r.uints(cells, 1, q - 1, "alpha")
+    alphas = r.uints(cells, *params.element_range, "alpha")
     mid = r.off
     (challenge,) = r.uints(1, 1, p, "challenge")
     betas = tuple(r.uints(len(shape), 0, p - 1, "per-row challenge"))

@@ -22,7 +22,7 @@ from zkmech.codec import (
     transcript_loads,
 )
 from zkmech.errors import CodecError
-from zkmech.group import derive_generators, load_params_file, params_from_modulus
+from zkmech.group import RFC3526_MODP_2048, derive_generators, load_params_file, params_from_modulus
 from zkmech.protocols import (
     BuyerSession,
     MechanismSpec,
@@ -616,7 +616,7 @@ class TestMisbehavingPeers:
 
     def test_honest_frames_fit_the_cap(self, ref384):
         for (kind, bound), size in largest_frames(TOY_REF, criterion_one_runs()).items():
-            assert size <= max_frame_bytes(kind, bound, 5), (kind, bound, size)
+            assert size <= max_frame_bytes(kind, bound, TOY_REF.params), (kind, bound, size)
         wide = [
             (MechanismSpec("ex3", 16, (2, 3)), [9], 1, 0),
             (MechanismSpec("ex3", 16, (2, 9)), [9], 1, 0),
@@ -625,7 +625,7 @@ class TestMisbehavingPeers:
             (MechanismSpec("ex1", 16, (13,)), [2], None, None),
         ]
         for (kind, bound), size in largest_frames(ref384, wide).items():
-            assert size <= max_frame_bytes(kind, bound, 384), (kind, bound, size)
+            assert size <= max_frame_bytes(kind, bound, ref384.params), (kind, bound, size)
 
 
 # The caps as computed when they were pinned: kind -> group bits ->
@@ -655,10 +655,13 @@ PINNED_MESSAGE_CAPS = {"ex1": 4, "ex1multi": 65539, "ex2": 5, "ex3": 9, "ex4": 7
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_FRAME_CAPS))
-def test_the_caps_are_pinned(kind):
+def test_the_caps_are_pinned(kind, q23, q384):
     # the memory bounds on hostile peers and files: neither may move
+    groups = {5: q23, 384: q384, 2048: params_from_modulus(RFC3526_MODP_2048)}
     for q_bits, caps in PINNED_FRAME_CAPS[kind].items():
-        got = tuple(max_frame_bytes(kind, bound, q_bits) for bound in (2, 4, 16, 1 << 16))
+        params = groups[q_bits]
+        assert params.bit_length == q_bits
+        got = tuple(max_frame_bytes(kind, bound, params) for bound in (2, 4, 16, 1 << 16))
         assert got == caps, (kind, q_bits)
     assert max_messages(kind) == PINNED_MESSAGE_CAPS[kind]
 
@@ -815,7 +818,7 @@ class TestOneFrameReader:
         or the CodecError's message and line."""
         def cli_read():
             fh = io.BytesIO(text.encode())
-            kind, bound, seed, messages = cli._read_transcript(fh, TOY_REF.params.bit_length)
+            kind, bound, seed, messages = cli._read_transcript(fh, TOY_REF.params)
             return kind, bound, seed, list(messages)
 
         def loads():
@@ -880,7 +883,7 @@ class TestOneFrameReader:
         header, seed, *_ = text.splitlines(keepends=True)
         most = 2 + max_messages("ex1")  # the cap on frame lines, and on blank lines
         fh = io.BytesIO((header + seed + "\n" * (most + 1)).encode())
-        _, _, _, messages = cli._read_transcript(fh, TOY_REF.params.bit_length)
+        _, _, _, messages = cli._read_transcript(fh, TOY_REF.params)
         with pytest.raises(CodecError, match=f"more than {most} blank lines") as exc:
             list(messages)
         assert exc.value.line == 3 + most

@@ -16,6 +16,7 @@ from zkmech.codec import (
     Transcript,
     decode_frame,
     decode_single_frame,
+    describe_uint,
     encode_uint,
     encode_uints,
     transcript_dumps,
@@ -86,20 +87,23 @@ def outcome(read, *args):
         return "error", str(exc), exc.offset
 
 
-def uint_per_integer(r: Reader, n: int, lo: int, hi: int, what: str) -> list[int]:
+def uint_per_integer(
+    r: Reader, n: int, lo: int, hi: int, what: str, named: bool = False
+) -> list[int]:
     """The reference for `Reader.uints`: one `Reader.uint` at a time."""
     out = []
     for _ in range(n):
         v = r.uint()
         if not lo <= v <= hi:
-            raise CodecError(f"{what} out of range", offset=r.off)
+            shown = f"{what} {describe_uint(v)}" if named else what
+            raise CodecError(f"{shown} out of range", offset=r.off)
         out.append(v)
     return out
 
 
-def read_run(read, buf: bytes, start: int, n: int, lo: int, hi: int):
+def read_run(read, buf: bytes, start: int, n: int, lo: int, hi: int, named: bool):
     r = Reader(buf, start)
-    return read(r, n, lo, hi, "integer"), r.off
+    return read(r, n, lo, hi, "integer", named), r.off
 
 
 class TestIntegerRuns:
@@ -129,7 +133,7 @@ class TestIntegerRuns:
         lo = data.draw(st.integers(0, 8))
         hi = data.draw(st.sampled_from([1 << 301, 1 << 64, 255, 3]))
         start = data.draw(st.integers(0, 1))
-        args = (bytes(buf), min(start, len(buf)), n, lo, hi)
+        args = (bytes(buf), min(start, len(buf)), n, lo, hi, data.draw(st.booleans()))
         assert outcome(read_run, Reader.uints, *args) == outcome(read_run, uint_per_integer, *args)
 
 

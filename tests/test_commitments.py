@@ -4,18 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Q384
+from zkmech.codec import Reader, describe_uint, encode_u8, encode_uints
 from zkmech.commitments import (
     BitCommitment,
     BitOpening,
+    IntCommitment,
     binding_break_to_dlog,
     bits_value,
     commit_bit,
     commit_int,
     int_bits,
+    read_int_commitment,
     reveal_int,
     verify_opening,
 )
-from zkmech.errors import ParameterError, VerificationFailed
+from zkmech.errors import CodecError, ParameterError, VerificationFailed
 from zkmech.group import RefString, params_from_modulus
 
 
@@ -139,3 +143,41 @@ class TestBindingReduction:
         ell = binding_break_to_dlog(ref, r_zero=r_zero, r_one=r_one)
         assert ell == rho % params.p
         assert params.pow(g, ell) == h
+
+
+def read_int_commitment_per_bit(r: Reader, q: int) -> IntCommitment:
+    """The reference for `read_int_commitment`: one `Reader.uint` per bit
+    commitment, each in [2, q - 1]."""
+    width = r.u8()
+    bits = []
+    for _ in range(width):
+        value = r.uint()
+        if not 2 <= value <= q - 1:
+            raise CodecError(f"commitment {describe_uint(value)} out of range", offset=r.off)
+        bits.append(BitCommitment(value))
+    return IntCommitment(width=width, bits=tuple(bits))
+
+
+@pytest.mark.parametrize("q", [23, Q384])
+def test_a_commitment_run_reads_as_one_commitment_at_a_time(q):
+    """Read as one run, an integer commitment keeps the value, the error
+    text and the offset of reading its bit commitments one at a time."""
+
+    def read(reader, buf):
+        r = Reader(buf)
+        try:
+            return reader(r, q), r.off
+        except CodecError as exc:
+            return str(exc), exc.offset
+
+    for bad in (None, 0, 1, 2, q - 1, q, q + 5, 1 << 9000):
+        for at in range(3):
+            values = [3, q - 2, 5]
+            if bad is not None:
+                values[at] = bad
+            buf = encode_u8(3) + encode_uints(values)
+            for cut in (len(buf), len(buf) - 1):
+                want = read(read_int_commitment_per_bit, buf[:cut])
+                assert read(read_int_commitment, buf[:cut]) == want, (bad, at, cut)
+    text, _ = read(read_int_commitment, encode_u8(1) + encode_uints([q]))
+    assert text.startswith(f"commitment {q} out of range")

@@ -1,12 +1,16 @@
+import ast
 import math
 import random
 import sys
 import threading
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
+from conftest import Q384
 
 from zkmech import group
+from zkmech.codec import encode_uint
 from zkmech.commitments import commit_bit
 from zkmech.errors import NonMemberError, ParameterError, PrimeSearchError, VerificationFailed
 from zkmech.group import (
@@ -589,3 +593,85 @@ class TestFixedBaseTables:
         assert errors == [] and sorted(done) == list(range(6))
         assert len(group._TABLES) <= 3
         assert all(isinstance(rows, list) for rows in group._TABLES.values())
+
+
+# -- the group's boundary: elements are opaque outside group.py --------------------
+
+# A read of the group's representation is a `.q`, a `% q` or a `q_bits`.  The
+# reads allowed outside group.py, (module, function, read): the modulus
+# handed to a commitment reader, whose signature `perfbench` calls, is
+# allowed in any function.
+HANDED = "the modulus handed to read_int_commitment"
+ALLOWED_READS = {
+    ("analysis", "_subgroup_elements", ".q"),  # enumerates the toy groups' squares
+    ("cli", "_cmd_gen_params", ".q"),  # prints the q= line
+}
+
+
+def representation_reads(source: str) -> list[tuple[str, str]]:
+    """(function, read) of each read of the representation in `source`;
+    the function's name is dotted when nested, and a `.q` that is an
+    argument of a `read_int_commitment` call reads as HANDED."""
+    tree = ast.parse(source)
+    handed = {
+        id(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_int_commitment"
+        for arg in node.args
+    }
+    reads = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "q":
+            reads.append((where, HANDED if id(node) in handed else ".q"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            if isinstance(node.right, ast.Name) and node.right.id == "q":
+                reads.append((where, "% q"))
+        elif getattr(node, "id", getattr(node, "arg", None)) == "q_bits":
+            reads.append((where, "q_bits"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return reads
+
+
+class TestGroupBoundary:
+    def test_the_scan_finds_each_form_of_read(self):
+        source = (
+            "def f(params, q, q_bits):\n"
+            "    def g(r):\n"
+            "        return read_int_commitment(r, params.q)\n"
+            "    return params.q * 2 % q\n"
+        )
+        assert sorted(representation_reads(source)) == sorted(
+            [("f", "q_bits"), ("f.g", HANDED), ("f", ".q"), ("f", "% q")]
+        )
+
+    def test_no_module_but_group_py_reads_the_representation(self):
+        """Products, ranges, sizes and members of the group come from
+        `GroupParams` (or `group.element_range` for a caller that holds
+        only the modulus); each allowed read is still there."""
+        seen, leaks = set(), []
+        for path in sorted(Path(group.__file__).parent.glob("*.py")):
+            if path.name == "group.py":
+                continue
+            for where, read in representation_reads(path.read_text(encoding="utf-8")):
+                key = (path.stem, where, read)
+                if key in ALLOWED_READS:
+                    seen.add(key)
+                elif read != HANDED:
+                    leaks.append(key)
+        assert leaks == []
+        assert seen == ALLOWED_READS
+
+    @pytest.mark.parametrize("modulus", [23, Q384, RFC3526_MODP_2048])
+    def test_the_encoded_sizes_are_the_longest_encodings(self, modulus):
+        params = params_from_modulus(modulus)
+        lo, hi = params.element_range
+        assert (lo, hi) == group.element_range(modulus) == (1, modulus - 1)
+        assert params.element_bytes == len(encode_uint(hi))
+        assert params.exponent_bytes == len(encode_uint(params.p))

@@ -13,11 +13,14 @@ from zkmech.codec import (
     Message,
     Reader,
     TAG_COIN_MASK,
+    TAG_COIN_PAIR,
     TAG_COMMIT,
+    TAG_COMMIT_PROOF,
     TAG_EVAL_PROOF,
     TAG_OUTCOME,
     TAG_REVEAL,
     TAG_TYPE_REPORT,
+    TAG_VERDICT,
     Transcript,
     decode_single_frame,
     seed_frame,
@@ -813,12 +816,53 @@ def flipped(tr, idx, bit):
     return mutant
 
 
+# The messages whose checks leave terms pending in the batch (proofs, and the
+# openings of a reveal or of a coin), by the phase their failure names.
+BATCHED_PHASES = {
+    TAG_COMMIT_PROOF: "commit-proof",
+    TAG_EVAL_PROOF: "evaluate",
+    TAG_REVEAL: "reveal",
+    TAG_COIN_PAIR: "coin",
+    TAG_VERDICT: "verdict",
+}
+
+
+def resequenced(tr):
+    """Mutants of `tr` that change its frame sequence, as (mutant, index of
+    a flipped message or None): each message dropped, and each duplicated in
+    place.  Then, for each message with batched terms, one bit of it is
+    flipped and each later message dropped or duplicated.  The bit is the
+    low bit of the payload's 33rd byte from the end: in a proof, of its last
+    gamma, ahead of its 32-byte digest; in an opening, of a middle byte of
+    its exponent.  So the message still decodes, and its terms go pending
+    false."""
+    msgs = tr.messages
+    out = []
+    for idx in range(len(msgs)):
+        out.append((replace(tr, messages=msgs[:idx] + msgs[idx + 1 :]), None))
+        out.append((replace(tr, messages=msgs[: idx + 1] + msgs[idx:]), None))
+    for i, msg in enumerate(msgs):
+        if msg.tag not in BATCHED_PHASES or len(msg.payload) < 33:  # < 33: no term
+            continue
+        payload = bytearray(msg.payload)
+        payload[-33] ^= 1
+        bad = [*msgs[:i], Message(msg.tag, bytes(payload)), *msgs[i + 1 :]]
+        for idx in range(i + 1, len(msgs)):
+            out.append((replace(tr, messages=bad[:idx] + bad[idx + 1 :]), i))
+            out.append((replace(tr, messages=bad[: idx + 1] + bad[idx:]), i))
+    return out
+
+
 def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
-    """At 384 bits, over criterion 12's mutants of three victims and one
+    """At 384 bits, over criterion 12's mutants of three victims, one
     mutant per frame of every differential run (each replayable kind and
-    case), the replay that checks its batch once at the end of the log
-    gives the verdict, and the same error text, as one that checks it after
-    every message."""
+    case) and that run's `resequenced` mutants, the replay that checks its
+    batch once at the end of the log gives the verdict, and the same error
+    text, as one that checks it after every message.  A resequenced mutant
+    with a flipped message fails while that message's terms are pending,
+    and is named at it; of the others only one is accepted: an ex1multi
+    "between" run without its last bidder's report is an honest run of
+    fewer bidders."""
     victims = [
         run(ref384, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1")[1],
         run(ref384, MechanismSpec("ex3", 8, (2, 5)), [7], "c12/ex3a", coin_value=1, mask_value=0)[1],
@@ -833,12 +877,29 @@ def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
         mutants.append(flipped(tr, idx, rng.randrange(len(frame) * 8)))
     rng = random.Random("one mutant per frame")
     kinds = Counter()
+    accepted, flip_phases = [], Counter()
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
-        _, tr = run(ref384, spec, values, seed=("eager", n), coin_value=coin, mask_value=mask)
+        out, tr = run(ref384, spec, values, seed=("eager", n), coin_value=coin, mask_value=mask)
         for idx, frame in enumerate([seed_frame(tr.seed)] + [m.frame() for m in tr.messages]):
             mutants.append(flipped(tr, idx, rng.randrange(len(frame) * 8)))
             kinds[spec.kind] += 1
+        for mutant, i in resequenced(tr):
+            verdict = end_of_log_verdict(ref384, mutant)
+            assert verdict == eager_verdict(ref384, mutant), (spec, values, i)
+            if i is None:
+                if not isinstance(verdict, str):
+                    tags = [m.tag for m in mutant.messages]
+                    accepted.append((spec.kind, values, tags, verdict == out))
+                continue
+            phase = verdict.split("]")[0][1:]
+            assert phase == BATCHED_PHASES[tr.messages[i].tag], (spec, values, i, verdict)
+            flip_phases[phase] += 1
     assert set(kinds) == set(protocols.KINDS)
+    ex1multi_between = [TAG_COMMIT, TAG_TYPE_REPORT, TAG_TYPE_REPORT, TAG_REVEAL, TAG_OUTCOME]
+    assert accepted == [("ex1multi", [7, 3, 1], ex1multi_between, True)]
+    assert flip_phases == {
+        "commit-proof": 28, "evaluate": 34, "reveal": 22, "coin": 12, "verdict": 4
+    }
     phases = Counter()
     for mutant in filter(None, mutants):
         seed = mutant.seed

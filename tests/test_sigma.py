@@ -582,7 +582,7 @@ class TestBatchVerification:
             return err.value.phase, err.value.index
 
         def fail_late(batch):
-            batch.raise_earlier()
+            batch.check()
             raise VerificationFailed("late", "found after")
         good = ("proofs", self.items(bundle, rng))
         for messages, first in [
