@@ -6,9 +6,9 @@ At 384 bits (the benchmark's group) and 2048 bits (RFC 3526) it prints
 the median time of one table power of g over seeded exponents below p,
 of one `pow(g, e, q)` over the same exponents, and of one table build,
 with the entries per table.  It reads `group._build_table` and
-`group._table_pow` directly, so the cache and `pow_unchecked` add
-nothing, and checks 50 table powers against `pow`.  Run it in two
-checkouts to compare their kernels.
+`group._table_pow` directly, so the group's table lookup and
+`pow_unchecked` add nothing, and checks 50 table powers against `pow`.
+Run it in two checkouts to compare their kernels.
 """
 
 from __future__ import annotations

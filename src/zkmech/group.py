@@ -27,9 +27,10 @@ or more:
   calls `RefString.build_tables`, since it raises g and h about once per
   cell from then on.  A verifier raises them only to check an opening below
   `sigma.BATCH_BITS` (from there on openings join its batch), and only
-  reads.  Tables are cached by value, (q, base), in a small LRU, so a
-  reference string derived again from the same seed reuses them and one
-  from another seed never does.
+  reads.  The tables belong to the `GroupParams` the prover commits under,
+  keyed by base, and live as long as it does: a reference string derived
+  again on that object reads them, and another object with the same q
+  builds its own.
 - Products of powers.  `multi_pow` computes a product of powers with one
   shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
   multiplying in an odd-power table entry per sliding window of its
@@ -54,8 +55,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-import threading
-from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -110,8 +109,6 @@ FAST_BITS = 32
 # 32 ms.  The 6-bit windows this replaced (Brickell-Gordon-McCurley-
 # Wilson, EUROCRYPT 1992) took 4,096 and 21,888 entries and 63 and 342
 # products per power, and their powers took 1.2x and 1.3x as long.
-# Tables kept (two per reference string a prover has committed under).
-TABLE_SLOTS = 8
 
 
 # Trailing zero bits of each byte value; 8 for the zero byte.
@@ -193,6 +190,10 @@ class GroupParams:
     bit_length: int
     # `element_range` of q: an attribute, not a property, as it is read once per proof.
     element_range: tuple[int, int] = field(init=False, repr=False, compare=False)
+    # base -> rows of its comb table, filled by `RefString.build_tables`.
+    _tables: dict[int, list[list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.q != 2 * self.p + 1:
@@ -262,10 +263,9 @@ class GroupParams:
     # fixed-base table if a prover built one.  Callers must have validated
     # the base at an object boundary first.
     def pow_unchecked(self, base: int, e: int) -> int:
-        if self.bit_length >= FAST_BITS:
-            rows = _TABLES.get((self.q, base))
-            if rows is not None:
-                return _table_pow(rows, e % self.p, self.q)
+        rows = self._tables.get(base)
+        if rows is not None:
+            return _table_pow(rows, e % self.p, self.q)
         return pow(base, e % self.p, self.q)
 
     def multi_pow(self, pairs: Iterable[tuple[int, int]]) -> int:
@@ -333,35 +333,20 @@ class RefString:
             self.params.require_member(base)
 
     def build_tables(self) -> None:
-        """Build g's and h's comb tables if they are missing, one row of
-        256 entries per 64 bits of p; a prover calls this before it raises
-        them once per cell, and a verifier never does."""
+        """Build g's and h's comb tables in `params` if they are missing,
+        one row of 256 entries per 64 bits of p; a prover calls this before
+        it raises them once per cell, and a verifier never does.  Two
+        threads that race here store equal rows, so no lock is taken."""
         if self.params.bit_length >= FAST_BITS:
             for base in (self.g, self.h):
-                _ensure_table(self.params.q, base)
+                if base not in self.params._tables:
+                    self.params._tables[base] = _build_table(self.params.q, base)
 
 
 # -- fixed-base tables ------------------------------------------------------------
 #
-# (q, base) -> rows, where row m holds, for every byte u, the product of
-# base^(2^(64m + 8i)) over the bits i set in u.  Reads take no lock; writes,
-# and a prover's refresh of a table's place in the LRU, take the lock.
-
-_TABLES: OrderedDict[tuple[int, int], list[list[int]]] = OrderedDict()
-_TABLES_LOCK = threading.Lock()
-
-
-def _ensure_table(q: int, base: int) -> None:
-    key = (q, base)
-    with _TABLES_LOCK:
-        if key in _TABLES:
-            _TABLES.move_to_end(key)
-            return
-    rows = _build_table(q, base)
-    with _TABLES_LOCK:
-        _TABLES[key] = rows
-        if len(_TABLES) > TABLE_SLOTS:
-            _TABLES.popitem(last=False)
+# Row m of a base's table holds, for every byte u, the product of
+# base^(2^(64m + 8i)) over the bits i set in u.
 
 
 def _build_table(q: int, base: int) -> list[list[int]]:

@@ -13,6 +13,7 @@ import pytest
 
 from zkmech import cli
 from zkmech.codec import (
+    TAG_COIN_MASK,
     TAG_COMMIT,
     TAG_OUTCOME,
     TAG_TYPE_REPORT,
@@ -555,6 +556,56 @@ class TestMisbehavingPeers:
         assert rc == 0 and "closed" not in result, capsys.readouterr().err
         assert buyer_out.read_text() == demo_out.read_text()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", sorted(NETWORKED))
+    @pytest.mark.parametrize("delivery", ["byte by byte", "coalesced"])
+    def test_an_honest_seller_splitting_or_coalescing_frames(
+        self, kind, delivery, tmp_path, capsys, monkeypatch
+    ):
+        """A scripted honest seller that sends every frame one byte per
+        `sendall`, or one that sends in one `sendall`, before any report,
+        every frame of its run across batches: the commitment, a
+        certificate where the kind has one, all evidence precomputed from
+        the buyer's known answers, and the outcome.  Either way the buyer
+        exits 0 with `demo`'s transcript and outcome; every wait is bounded."""
+        monkeypatch.setattr(cli, "PEER_TIMEOUT_S", 5.0)
+        prices, values = NETWORKED[kind]
+        common = ["--example", kind, "--H", "8", "--toy", "--seed", "ab12"]
+        demo_out = tmp_path / "demo.transcript"
+        assert cli.run(["demo", *common, *prices, *values, "--out", str(demo_out)]) == 0
+        demo = transcript_loads(demo_out.read_text())
+        expected = io.StringIO()
+        cli._print_outcome(verify_transcript(TOY_REF, demo), expected)
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["demo", *common, *prices]))
+        seller = SellerSession(TOY_REF, spec, cli._role_rng("ab12", "seller"))
+
+        def byte_by_byte(conn, result):
+            def send(msgs):
+                for byte in b"".join(m.frame() for m in msgs):
+                    conn.sendall(bytes([byte]))
+
+            send(seller.begin())
+            send(seller.receive_reports([_recv_frame(conn)]))
+            if seller.awaiting_mask:
+                send(seller.receive_mask(_recv_frame(conn)))
+
+        def coalesced(conn, result):
+            buyers = (TAG_TYPE_REPORT, TAG_COIN_MASK)
+            conn.sendall(b"".join(m.frame() for m in demo.messages if m.tag not in buyers))
+            while conn.recv(1 << 16):  # the buyer's report and mask, until it hangs up
+                pass
+
+        script = byte_by_byte if delivery == "byte by byte" else coalesced
+        port, thread, result = _fake_peer(script)
+        buyer_out = tmp_path / "buyer.transcript"
+        argv = ["buyer", *common, *values, "--connect", f"127.0.0.1:{port}", "--out", str(buyer_out)]
+        rc = cli.run(argv)
+        thread.join(timeout=20)
+        captured = capsys.readouterr()
+        assert not thread.is_alive() and "closed" not in result
+        assert rc == 0, captured.err
+        assert buyer_out.read_text() == demo_out.read_text()
+        assert captured.out == expected.getvalue()
 
     def test_a_stray_frame_after_the_outcome_is_never_read(self, tmp_path, capsys, monkeypatch):
         prices, values = NETWORKED["ex4"]

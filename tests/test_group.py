@@ -1,9 +1,10 @@
 import ast
 import math
+import os
 import random
 import sys
 import threading
-from collections import OrderedDict
+import time
 from pathlib import Path
 
 import pytest
@@ -423,9 +424,22 @@ REPLAY_RUNS = [
 
 
 class TestFixedBaseTables:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(group, "_TABLES", OrderedDict())
+    @pytest.fixture
+    def fresh(self, q384):
+        """A 384-bit group object of the test's own, which holds no table yet."""
+        return GroupParams(q384.q, q384.p, q384.bit_length)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The bases `group._build_table` is called with, in order."""
+        built, real = [], group._build_table
+
+        def counted(q, base):
+            built.append(base)
+            return real(q, base)
+
+        monkeypatch.setattr(group, "_build_table", counted)
+        return built
 
     def exponents(self, params, n, rng):
         p = params.p
@@ -437,27 +451,27 @@ class TestFixedBaseTables:
         for base in (ref.g, ref.h):
             for e in es:
                 assert params.pow_unchecked(base, e) == pow(base, e % params.p, params.q), e
-            assert isinstance(group._TABLES[params.q, base], list)  # the table did the work
+            assert isinstance(params._tables[base], list)  # the table did the work
 
-    def snapshot(self):
-        return [(key, id(rows)) for key, rows in group._TABLES.items()]
+    def snapshot(self, params):
+        return [(base, id(rows)) for base, rows in params._tables.items()]
 
-    def test_384_bits(self, q384):
-        self.check(derive_generators(q384, b"tables 384"), self.exponents(q384, 200, random.Random(1)))
+    def test_384_bits(self, fresh):
+        self.check(derive_generators(fresh, b"tables 384"), self.exponents(fresh, 200, random.Random(1)))
 
     def test_2048_bits(self):
         ref = derive_generators(params_from_modulus(RFC3526_MODP_2048), b"tables 2048")
         self.check(ref, self.exponents(ref.params, 8, random.Random(2)))
 
     @pytest.mark.parametrize("bits", [32, 33, 64, 65, 66, 384, 2048])
-    def test_the_comb_against_pow(self, q384, bits):
+    def test_the_comb_against_pow(self, fresh, bits):
         """q of 32 and 33 bits (FAST_BITS), p of 63, 64 and 65 bits (one
         word against two), the benchmark's 384 bits and RFC 3526.  Row m
         holds, at each byte u, base^(2^(64m + 8i)) multiplied over u's bits
         i; every lane 0xFF * 2^(8i) and, up to 384 bits, every single bit
         is raised.  At 2048 bits only the first and last words are
         checked, to keep the references' `pow`s few."""
-        params = {384: q384, 2048: params_from_modulus(RFC3526_MODP_2048)}.get(bits)
+        params = {384: fresh, 2048: params_from_modulus(RFC3526_MODP_2048)}.get(bits)
         params = params or gen_params(bits, start=bits)
         q, p = params.q, params.p
         ref = derive_generators(params, b"comb")
@@ -468,7 +482,7 @@ class TestFixedBaseTables:
         if bits <= 384:
             es += [1 << k for k in range(p.bit_length())]
         for base in (ref.g, ref.h):
-            rows = group._TABLES[q, base]
+            rows = params._tables[base]
             assert isinstance(rows, list) and [len(row) for row in rows] == [256] * words
             for m in checked:
                 row = rows[m]
@@ -481,31 +495,60 @@ class TestFixedBaseTables:
             for e in es:
                 assert params.pow_unchecked(base, e) == pow(base, e % p, q), e
 
-    def test_derivation_builds_no_table(self, q384):
-        derive_generators(q384, b"tables 384")
-        assert not group._TABLES
-        derive_generators(q384, b"seed a").build_tables()
-        before = self.snapshot()
+    def test_derivation_builds_no_table(self, fresh):
+        derive_generators(fresh, b"tables 384")
+        assert not fresh._tables
+        derive_generators(fresh, b"seed a").build_tables()
+        before = self.snapshot(fresh)
         for seed in (b"seed a", b"seed b"):
-            derive_generators(q384, seed)
-        derive_generators(params_from_modulus(RFC3526_MODP_2048), b"seed a")
-        assert self.snapshot() == before
+            derive_generators(fresh, seed)
+        assert self.snapshot(fresh) == before
 
-    def test_the_first_commitment_builds_both_tables(self, q384):
-        ref = derive_generators(q384, b"tables 384")
-        assert commit_bit(ref, 1, 12345).value == pow(ref.h, 12345, q384.q)
-        assert set(group._TABLES) == {(q384.q, ref.g), (q384.q, ref.h)}
-        assert all(isinstance(rows, list) for rows in group._TABLES.values())
+    def test_tables_belong_to_their_group(self, fresh, builds):
+        """A reference string derived again on the same group object reads
+        the tables the first one built; a second seed in that group gets
+        tables of its own; another object with the same q, equal to the
+        first, builds its own.  The tables take no part in comparison,
+        hashing or repr."""
+        a = derive_generators(fresh, b"seed a")
+        commit_bit(a, 1, 5)
+        assert builds == [a.g, a.h]
+        again = derive_generators(fresh, b"seed a")
+        assert commit_bit(again, 0, 7).value == pow(a.g, 7, fresh.q)
+        again.build_tables()
+        assert builds == [a.g, a.h]  # no second build
+        b = derive_generators(fresh, b"seed b")
+        b.build_tables()
+        assert builds == [a.g, a.h, b.g, b.h] and set(fresh._tables) == {a.g, a.h, b.g, b.h}
+        es = self.exponents(fresh, 5, random.Random(3))
+        for ref in (b, a):
+            for base in (ref.g, ref.h):
+                for e in es:
+                    assert fresh.pow_unchecked(base, e) == pow(base, e % fresh.p, fresh.q)
+        other = GroupParams(fresh.q, fresh.p, fresh.bit_length)
+        assert (other, hash(other), repr(other)) == (fresh, hash(fresh), repr(fresh))
+        twin = derive_generators(other, b"seed a")
+        assert not other._tables
+        twin.build_tables()
+        assert builds[4:] == [a.g, a.h] and set(other._tables) == {a.g, a.h}
+        assert other._tables[a.g] is not fresh._tables[a.g]
+        assert other._tables[a.g] == fresh._tables[a.g]
 
-    def test_a_one_shot_verify_builds_no_table(self, tmp_path):
+    def test_the_first_commitment_builds_both_tables(self, fresh):
+        ref = derive_generators(fresh, b"tables 384")
+        assert commit_bit(ref, 1, 12345).value == pow(ref.h, 12345, fresh.q)
+        assert set(fresh._tables) == {ref.g, ref.h}
+        assert all(isinstance(rows, list) for rows in fresh._tables.values())
+
+    def test_a_one_shot_verify_builds_no_table(self, tmp_path, builds):
         from zkmech import cli
 
         path = str(tmp_path / "c13.transcript")
         demo = ["demo", "--example", "ex1", "--H", "65536", "--price", "40000", "--value", "1234"]
         assert cli.run(demo + ["--seed", "0a", "--out", path]) == 0
-        group._TABLES.clear()  # as in a fresh process
-        assert cli.run(["verify", path]) == 0  # verified
-        assert not group._TABLES
+        assert len(builds) == 2  # the seller's g and h
+        assert cli.run(["verify", path]) == 0  # verified, in a group of its own
+        assert len(builds) == 2
 
     def test_a_384_bit_replay_builds_no_table(self, q384):
         ref = derive_generators(q384, b"replay 384")
@@ -513,76 +556,64 @@ class TestFixedBaseTables:
             out, tr = run_local(
                 ref, spec, values, random.Random(f"{n}/s"), random.Random(f"{n}/b"), coin, mask
             )
-            group._TABLES.clear()  # as in a fresh process
-            assert verify_transcript(derive_generators(q384, tr.seed), tr) == out, spec.kind
-            assert not group._TABLES, spec.kind
+            fresh = GroupParams(q384.q, q384.p, q384.bit_length)  # as in a fresh process
+            assert verify_transcript(derive_generators(fresh, tr.seed), tr) == out, spec.kind
+            assert not fresh._tables, spec.kind
 
-    def test_a_seed_flipped_verify_leaves_the_cache_as_it_was(self, q384):
-        ref = derive_generators(q384, b"flip 384")
+    def test_a_seed_flipped_verify_leaves_the_cache_as_it_was(self, fresh):
+        ref = derive_generators(fresh, b"flip 384")
         _, tr = run_local(ref, MechanismSpec("ex1", 8, (5,)), [6], random.Random(1), random.Random(2))
-        before = self.snapshot()
+        before = self.snapshot(fresh)
         assert before  # the seller's tables
         tr.seed = bytes([tr.seed[0] ^ 1]) + tr.seed[1:]
         with pytest.raises(VerificationFailed):
-            verify_transcript(derive_generators(q384, tr.seed), tr)
-        assert self.snapshot() == before
+            verify_transcript(derive_generators(fresh, tr.seed), tr)
+        assert self.snapshot(fresh) == before
 
-    def test_other_bases_and_toy_groups_skip_tables(self, q23, q384):
-        ref = derive_generators(q384, b"tables 384")
+    def test_other_bases_and_toy_groups_skip_tables(self, q23, fresh):
+        ref = derive_generators(fresh, b"tables 384")
         ref.build_tables()
-        other = q384.pow(ref.g, 12345)
-        assert q384.pow_unchecked(other, 77) == pow(other, 77, q384.q)
+        other = fresh.pow(ref.g, 12345)
+        assert fresh.pow_unchecked(other, 77) == pow(other, 77, fresh.q)
         toy = derive_generators(q23, b"toy")
         assert commit_bit(toy, 1, 3).value == pow(toy.h, 3, q23.q)
-        assert set(group._TABLES) == {(q384.q, ref.g), (q384.q, ref.h)}
+        assert set(fresh._tables) == {ref.g, ref.h} and not q23._tables
 
-    def test_two_seeds_in_one_group_through_evictions(self, q384, monkeypatch):
-        """The seed-flip case: a second reference string in the same group
-        must never be served the first one's tables, whatever was evicted."""
-        monkeypatch.setattr(group, "TABLE_SLOTS", 2)
-        rng = random.Random(3)
-        a = derive_generators(q384, b"seed a")
-        b = derive_generators(q384, b"seed b")
-        a.build_tables()
-        b.build_tables()  # evicts a's g and h
-        assert set(group._TABLES) == {(q384.q, b.g), (q384.q, b.h)}
-        es = self.exponents(q384, 5, rng)
-        for ref in (b, a, b):
-            for base in (ref.g, ref.h):
-                for e in es:
-                    assert q384.pow_unchecked(base, e) == pow(base, e % q384.p, q384.q)
-        for _ in range(3):
-            for seed in (b"seed a", b"seed b"):
-                self.check(derive_generators(q384, seed), es)  # evicts the other seed's tables
-                assert len(group._TABLES) == 2
-
-    def test_threads_sharing_the_cache(self, monkeypatch):
-        """More threads than cores derive reference strings, commit under
-        them (building tables) and raise their generators (reading tables)
-        while the cache evicts under them; every power must still equal
-        `pow` and no thread may fail."""
-        monkeypatch.setattr(group, "TABLE_SLOTS", 3)
+    def test_threads_sharing_the_cache(self):
+        """More threads than cores, with a short switch interval, derive
+        reference strings in one shared group for a bounded time, commit
+        under them (racing to build their tables) and raise their
+        generators (reading tables).  Every power must equal `pow`, no
+        thread may fail, a commitment's tables must be stored once it
+        returns, and each stored table must be the one a single build
+        makes: racing builds store equal rows."""
         params = gen_params(64, start=64)
+        seeds = [bytes([i]) for i in range(256)]
+        workers = (os.cpu_count() or 1) + 2
         errors, done = [], []
 
-        def work(k):
+        def work(k, deadline):
             try:
                 rng = random.Random(k)
-                for i in range(400):
-                    ref = derive_generators(params, bytes([k, i % 3]))
+                i = 0
+                while time.monotonic() < deadline:
+                    ref = derive_generators(params, seeds[i % len(seeds)])
                     r = rng.randrange(1, params.p)
                     assert commit_bit(ref, i & 1, r).value == pow((ref.g, ref.h)[i & 1], r, params.q)
+                    assert {ref.g, ref.h} <= params._tables.keys()  # no store is lost
                     for base in (ref.g, ref.h):
                         e = rng.randrange(params.p)
                         assert params.pow_unchecked(base, e) == pow(base, e, params.q)
-                done.append(k)
+                    i += 1
+                done.append((k, i))
             except Exception as exc:  # reported below, with the thread's number
                 errors.append((k, exc))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            deadline = time.monotonic() + 1.5
+            threads = [threading.Thread(target=work, args=(k, deadline)) for k in range(workers)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -590,9 +621,12 @@ class TestFixedBaseTables:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert errors == [] and sorted(done) == list(range(6))
-        assert len(group._TABLES) <= 3
-        assert all(isinstance(rows, list) for rows in group._TABLES.values())
+        assert errors == [] and sorted(k for k, _ in done) == list(range(workers))
+        reached = seeds[: max(i for _, i in done)]
+        refs = [derive_generators(params, seed) for seed in reached]
+        assert set(params._tables) == {base for ref in refs for base in (ref.g, ref.h)}
+        for base, rows in params._tables.items():
+            assert rows == group._build_table(params.q, base)
 
 
 # -- the group's boundary: elements are opaque outside group.py --------------------

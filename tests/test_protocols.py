@@ -27,7 +27,14 @@ from zkmech.codec import (
     transcript_dumps,
     transcript_loads,
 )
-from zkmech.errors import CodecError, ICViolation, ParameterError, RefuseToProve, VerificationFailed
+from zkmech.errors import (
+    CodecError,
+    ICViolation,
+    ParameterError,
+    RefuseToProve,
+    VerificationFailed,
+    ZkmechError,
+)
 from zkmech.group import GroupParams, derive_generators
 from zkmech.mpc import run_mpc_local
 from zkmech.protocols import (
@@ -745,14 +752,65 @@ def test_multi_pow_runs_once_per_replay_and_buyer_check_point(ref23, ref384, mon
         assert buyer_checks == (0 if ref is ref23 else len(DIFFERENTIAL_RUNS) + 3 + 2)
 
 
-# `is_member` calls of a 384-bit replay of each of DIFFERENTIAL_RUNS (seeds
-# 0-12), as the per-bundle batches counted them: each value is still
-# checked once, where it enters.
-REPLAY_MEMBERS = [3, 4, 4, 3, 6, 12, 10, 8, 20, 25, 61, 3, 61]
+def plan_cells(plan) -> int:
+    return sum(sum(shape) for shape in gadgets.plan_shapes(plan))
+
+
+def replay_elements(spec, values, out) -> tuple[int, int]:
+    """(elements, cells) of a replay of an honest run of `spec` on these
+    reports with outcome `out`: every element other than an alpha that it
+    checks for membership (g and h, the commitment bits, the carry and
+    borrow bits, the coin pairs' elements), and the cells of every proof
+    the case owes (its plans' and, for ex3, the certificate's), one alpha
+    each.  The case's rule is walked with the facts the run established."""
+    width = protocols.width_of(spec.bound)
+    kind = protocols.KINDS[spec.kind]
+    elements = 2 + kind.prices * width
+    cells = plan_cells(gadgets.le_committed_plan(width)) if kind.certified else 0
+
+    def fact(ev):
+        if ev.form == "reveal":
+            return spec.prices[ev.item]
+        if ev.form == "sum":
+            return out.payment
+        if ev.form == "coin":
+            return list(out.lottery[: ev.bits])
+        return out.lottery[-1] if ev.form in ("open", "lt") else None
+
+    for ev in protocols._walk(protocols._selected_rule(spec, values), fact):
+        if ev.form in ("ge", "le"):
+            w = ev.low if ev.form == "ge" else ev.high
+            cells += plan_cells(gadgets.bound_plan(w, width, greater=ev.form == "ge"))
+        elif ev.form in ("sum", "lt"):  # the carries or borrows, and the gate proofs
+            plan = gadgets.sum_plan if ev.form == "sum" else gadgets.lt_plan
+            elements += width
+            cells += plan_cells(plan(fact(ev), width))
+        elif ev.form == "coin":
+            elements += 2 * ev.bits
+            cells += plan_cells(gadgets.complement_plan(0, ev.bits))
+    return elements, cells
+
+
+def raised_elements(units) -> set[int]:
+    """The distinct elements other than alphas that `sigma._batch_holds`
+    raises for `units`: every base and target of the proofs' cells, and
+    every opened value and its base."""
+    elements = set()
+    for _, _, _, terms in units:
+        if isinstance(terms, tuple):  # an opening: (value, base, r)
+            elements.update(terms[:2])
+        else:
+            for stmt, _, _ in terms:
+                elements.update(x for row in stmt.rows for cell in row for x in cell)
+    return elements
 
 
 def test_a_384_bit_replay_makes_one_multi_pow_and_no_other_power(ref384, monkeypatch):
-    calls = Counter()
+    """A replay in a fresh group object, derivation included, checks each
+    value once, where it enters (`replay_elements`), and makes one
+    `multi_pow`, with one base per cell and one per distinct element it
+    raises."""
+    calls, bases, raised = Counter(), [], []
 
     def counted(name):
         real = getattr(GroupParams, name)
@@ -763,14 +821,30 @@ def test_a_384_bit_replay_makes_one_multi_pow_and_no_other_power(ref384, monkeyp
 
         monkeypatch.setattr(GroupParams, name, call)
 
-    for name in ("multi_pow", "pow_unchecked", "is_member"):
+    for name in ("pow_unchecked", "is_member"):
         counted(name)
+    real_multi_pow, real_batch_holds = GroupParams.multi_pow, sigma._batch_holds
+
+    def multi_pow(self, pairs):
+        calls["multi_pow"] += 1
+        bases.append(len(pairs := list(pairs)))
+        return real_multi_pow(self, pairs)
+
+    def batch_holds(params, units):
+        raised.append(raised_elements(units))
+        return real_batch_holds(params, units)
+
+    monkeypatch.setattr(GroupParams, "multi_pow", multi_pow)
+    monkeypatch.setattr(sigma, "_batch_holds", batch_holds)
+    q384 = ref384.params
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
         out, tr = run(ref384, spec, values, seed=n, coin_value=coin, mask_value=mask)
-        group._TABLES.clear()  # as in a fresh process
-        calls.clear()
-        assert verify_transcript(ref384, tr) == out
-        assert calls == {"multi_pow": 1, "is_member": REPLAY_MEMBERS[n]}, (spec, values)
+        calls.clear(), bases.clear(), raised.clear()
+        fresh = GroupParams(q384.q, q384.p, q384.bit_length)  # as in a fresh process
+        assert verify_transcript(derive_generators(fresh, tr.seed), tr) == out
+        elements, cells = replay_elements(spec, values, out)
+        assert calls == {"multi_pow": 1, "is_member": elements + cells}, (spec, values)
+        assert bases == [cells + len(raised[0])], (spec, values)
 
 
 def eager_verdict(ref, tr):
@@ -827,20 +901,18 @@ BATCHED_PHASES = {
 }
 
 
-def resequenced(tr):
+def resequenced(tr, other):
     """Mutants of `tr` that change its frame sequence, as (mutant, index of
-    a flipped message or None): each message dropped, and each duplicated in
-    place.  Then, for each message with batched terms, one bit of it is
-    flipped and each later message dropped or duplicated.  The bit is the
-    low bit of the payload's 33rd byte from the end: in a proof, of its last
-    gamma, ahead of its 32-byte digest; in an opening, of a middle byte of
-    its exponent.  So the message still decodes, and its terms go pending
-    false."""
+    a flipped message or None): each message dropped, duplicated in place,
+    swapped with the next, or replaced by the message at its place in
+    `other`, a second session of the same kind, where the two differ.  Then,
+    for each message with batched terms, one bit of it is flipped and each
+    later message dropped or duplicated.  The bit is the low bit of the
+    payload's 33rd byte from the end: in a proof, of its last gamma, ahead
+    of its 32-byte digest; in an opening, of a middle byte of its exponent.
+    So the message still decodes, and its terms go pending false."""
     msgs = tr.messages
-    out = []
-    for idx in range(len(msgs)):
-        out.append((replace(tr, messages=msgs[:idx] + msgs[idx + 1 :]), None))
-        out.append((replace(tr, messages=msgs[: idx + 1] + msgs[idx:]), None))
+    out = [(replace(tr, messages=seq), None) for _, seq in tampered(msgs, other.messages)]
     for i, msg in enumerate(msgs):
         if msg.tag not in BATCHED_PHASES or len(msg.payload) < 33:  # < 33: no term
             continue
@@ -853,16 +925,57 @@ def resequenced(tr):
     return out
 
 
+def tampered(items, others):
+    """(class, sequence) for each sequence made from `items` by dropping
+    one, duplicating one in place, swapping one with the next, or replacing
+    one by the item at its place in `others` where the two differ."""
+    out = []
+    for i, item in enumerate(items):
+        out.append(("drop", items[:i] + items[i + 1 :]))
+        out.append(("duplicate", items[: i + 1] + items[i:]))
+        if i + 1 < len(items):
+            out.append(("swap", [*items[:i], items[i + 1], item, *items[i + 2 :]]))
+        if i < len(others) and others[i] != item:
+            out.append(("splice", [*items[:i], others[i], *items[i + 1 :]]))
+    return out
+
+
+def reports_of(tr) -> list[int]:
+    """The reported values, in order, as `tr`'s report frames carry them."""
+    values = []
+    for msg in tr.messages:
+        if msg.tag == TAG_TYPE_REPORT:
+            r = Reader(msg.payload)
+            r.u16()  # the first bidder's index
+            values.extend(r.uint() for _ in range(r.u8()))
+    return values
+
+
+def reproduces(ref, spec, mutant, seed, coin, mask) -> bool:
+    """Whether `run_local`, with `mutant`'s reports and the seeds of the run
+    it was made from, gives `mutant` byte for byte: then accepting it
+    accepts an honest run."""
+    reports = reports_of(mutant)
+    try:
+        if spec.n_buyers > 1:
+            spec = replace(spec, n_buyers=len(reports))
+        _, again = run(ref, spec, reports, seed=seed, coin_value=coin, mask_value=mask)
+    except ZkmechError:  # these reports admit no honest run
+        return False
+    return transcript_dumps(again) == transcript_dumps(mutant)
+
+
 def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
     """At 384 bits, over criterion 12's mutants of three victims, one
     mutant per frame of every differential run (each replayable kind and
-    case) and that run's `resequenced` mutants, the replay that checks its
-    batch once at the end of the log gives the verdict, and the same error
-    text, as one that checks it after every message.  A resequenced mutant
-    with a flipped message fails while that message's terms are pending,
-    and is named at it; of the others only one is accepted: an ex1multi
-    "between" run without its last bidder's report is an honest run of
-    fewer bidders."""
+    case) and that run's `resequenced` mutants (against a second session of
+    the same run), the replay that checks its batch once at the end of the
+    log gives the verdict, and the same error text, as one that checks it
+    after every message.  A resequenced mutant with a flipped message fails
+    while that message's terms are pending, and is named at it; of the
+    others only one is accepted: an ex1multi "between" run without its last
+    bidder's report, an honest run of fewer bidders, as `reproduces`
+    shows."""
     victims = [
         run(ref384, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1")[1],
         run(ref384, MechanismSpec("ex3", 8, (2, 5)), [7], "c12/ex3a", coin_value=1, mask_value=0)[1],
@@ -879,17 +992,20 @@ def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
     kinds = Counter()
     accepted, flip_phases = [], Counter()
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
-        out, tr = run(ref384, spec, values, seed=("eager", n), coin_value=coin, mask_value=mask)
+        seed = ("eager", n)
+        out, tr = run(ref384, spec, values, seed=seed, coin_value=coin, mask_value=mask)
+        _, other = run(ref384, spec, values, seed=("second", n), coin_value=coin, mask_value=mask)
         for idx, frame in enumerate([seed_frame(tr.seed)] + [m.frame() for m in tr.messages]):
             mutants.append(flipped(tr, idx, rng.randrange(len(frame) * 8)))
             kinds[spec.kind] += 1
-        for mutant, i in resequenced(tr):
+        for mutant, i in resequenced(tr, other):
             verdict = end_of_log_verdict(ref384, mutant)
             assert verdict == eager_verdict(ref384, mutant), (spec, values, i)
             if i is None:
                 if not isinstance(verdict, str):
                     tags = [m.tag for m in mutant.messages]
                     accepted.append((spec.kind, values, tags, verdict == out))
+                    assert reproduces(ref384, spec, mutant, seed, coin, mask), (spec, values, tags)
                 continue
             phase = verdict.split("]")[0][1:]
             assert phase == BATCHED_PHASES[tr.messages[i].tag], (spec, values, i, verdict)
@@ -910,6 +1026,32 @@ def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
             phases[verdict.split("]")[0][1:]] += 1
     assert sum(phases.values()) >= 150
     assert {"commit-proof", "evaluate", "reveal", "coin", "verdict"} <= set(phases), phases
+
+
+def test_tampered_frame_sequences_fail_cleanly(ref23):
+    """Over one seeded q=23 run of each case of every replayable kind, each
+    frame of its text, the seed frame's among them, dropped, duplicated,
+    swapped with the next, or replaced by the frame at its place in a second
+    seeded session of the same run: reading and replaying the mutant fails
+    with `VerificationFailed` or `CodecError` and nothing else, or accepts a
+    mutant that `reproduces` as an honest run."""
+    tally = Counter()
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        seed = ("tamper", n)
+        _, tr = run(ref23, spec, values, seed=seed, coin_value=coin, mask_value=mask)
+        _, other = run(ref23, spec, values, seed=("second", n), coin_value=coin, mask_value=mask)
+        head, *frames = transcript_dumps(tr).splitlines()
+        for cls, lines in tampered(frames, transcript_dumps(other).splitlines()[1:]):
+            try:
+                mutant = transcript_loads("\n".join([head, *lines]) + "\n")
+                verify_transcript(derive_generators(ref23.params, mutant.seed), mutant)
+            except (VerificationFailed, CodecError):
+                tally[cls] += 1
+                continue
+            assert reproduces(ref23, spec, mutant, seed, coin, mask), (spec, values, cls, lines)
+            tally[cls, "accepted"] += 1
+    assert tally[("drop", "accepted")] == 1  # the ex1multi "between" run's last report
+    assert all(tally[cls] > 0 for cls in ("drop", "duplicate", "swap", "splice")), tally
 
 
 def test_a_false_opening_is_named_at_its_index(ref384):
