@@ -18,19 +18,21 @@ or more:
   Jacobi, Cohen, GTM 138, Alg. 1.4.10, each step read off the low byte).
   Each value is tested once, where it enters: a wire parser, or g and h
   when a `RefString` is built.
-- Fixed bases.  `pow_unchecked` raises the g or h of a `RefString` to a
-  power through an 8-lane comb (Lim-Lee, CRYPTO 1994) when its table
-  exists, and by plain `pow` otherwise.  Bit k of the 8 bytes of each
-  64-bit word of the exponent picks one entry of that word's 256-entry
-  row, so a power costs 7 squarings and 8 products per word (48 at 384
-  bits, 256 at 2048).  Only a prover builds tables: its first commitment
-  calls `RefString.build_tables`, since it raises g and h about once per
-  cell from then on.  A verifier raises them only to check an opening below
-  `sigma.BATCH_BITS` (from there on openings join its batch), and only
-  reads.  The tables belong to the `GroupParams` the prover commits under,
-  keyed by base, and live as long as it does: a reference string derived
-  again on that object reads them, and another object with the same q
-  builds its own.
+- Fixed bases.  `pow_unchecked` raises a fixed base to a power through
+  an 8-lane comb (Lim-Lee, CRYPTO 1994) when its table exists, and by
+  plain `pow` otherwise.  Bit k of the 8 bytes of each 64-bit word of the
+  exponent picks one entry of that word's 256-entry row, so a power costs
+  7 squarings and 8 products per word (48 at 384 bits, 256 at 2048).  The
+  fixed bases are the g and h of a `RefString` and the sampling base 4 of
+  `sample_member`, and a table is built by the party that raises its base
+  once per cell, all through `_keep_tables`: a prover's first commitment
+  calls `RefString.build_tables`, and the first `sample_member` call (mpc's
+  buyer, once per unwilling slot) builds 4's.  A verifier raises g and h
+  only to check an opening below `sigma.BATCH_BITS` (from there on
+  openings join its batch), never samples, and only reads.  The tables
+  belong to the `GroupParams` they were built on, keyed by base, and live
+  as long as it does: a reference string derived again on that object
+  reads them, and another object with the same q builds its own.
 - Products of powers.  `multi_pow` computes a product of powers with one
   shared chain of squarings (Straus 1964; Moller, SAC 2001), each base
   multiplying in an odd-power table entry per sliding window of its
@@ -190,7 +192,7 @@ class GroupParams:
     bit_length: int
     # `element_range` of q: an attribute, not a property, as it is read once per proof.
     element_range: tuple[int, int] = field(init=False, repr=False, compare=False)
-    # base -> rows of its comb table, filled by `RefString.build_tables`.
+    # base -> rows of its comb table, filled by `_keep_tables`.
     _tables: dict[int, list[list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -246,7 +248,11 @@ class GroupParams:
 
     def sample_member(self, rng: random.Random) -> int:
         """A uniform member, from one `rng.randrange(p)`: a power of 4, a
-        square other than 1 and so a generator."""
+        square other than 1 and so a generator.  mpc's buyer samples once
+        per unwilling slot, so the first call builds 4's comb table on this
+        object (from FAST_BITS up) and every call raises 4 through it; the
+        member is the one `pow(4, u, q)` gives for the drawn u."""
+        self._keep_tables(4)
         return self.pow_unchecked(4, rng.randrange(self.p))
 
     @property
@@ -259,9 +265,18 @@ class GroupParams:
         """The longest `codec.encode_uint` of an exponent, at most p."""
         return 4 + (self.p.bit_length() + 7) // 8
 
+    def _keep_tables(self, *bases: int) -> None:
+        """Build each base's comb table on this object if it is missing, one
+        row of 256 entries per 64 bits of p, from FAST_BITS up.  Two threads
+        that race here store equal rows, so no lock is taken."""
+        if self.bit_length >= FAST_BITS:
+            for base in bases:
+                if base not in self._tables:
+                    self._tables[base] = _build_table(self.q, base)
+
     # Internal fast path: skips the membership re-check, and reads a base's
-    # fixed-base table if a prover built one.  Callers must have validated
-    # the base at an object boundary first.
+    # fixed-base table if one was built.  Callers must have validated the
+    # base at an object boundary first.
     def pow_unchecked(self, base: int, e: int) -> int:
         rows = self._tables.get(base)
         if rows is not None:
@@ -333,14 +348,10 @@ class RefString:
             self.params.require_member(base)
 
     def build_tables(self) -> None:
-        """Build g's and h's comb tables in `params` if they are missing,
-        one row of 256 entries per 64 bits of p; a prover calls this before
-        it raises them once per cell, and a verifier never does.  Two
-        threads that race here store equal rows, so no lock is taken."""
-        if self.params.bit_length >= FAST_BITS:
-            for base in (self.g, self.h):
-                if base not in self.params._tables:
-                    self.params._tables[base] = _build_table(self.params.q, base)
+        """Build g's and h's comb tables in `params` if they are missing; a
+        prover calls this before it raises them once per cell, and a
+        verifier never does."""
+        self.params._keep_tables(self.g, self.h)
 
 
 # -- fixed-base tables ------------------------------------------------------------

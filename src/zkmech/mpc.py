@@ -8,6 +8,14 @@ willingness values that the seller can test only at her own price slot.
 
 The buyer sends no consistency proofs: she is the only party hurt by a
 malformed response, so the honest strategy is self-enforcing.
+
+Each unwilling slot's junk entry is a `GroupParams.sample_member`, a power
+of the group's sampling base 4.  The first one builds that base's comb
+table on the group object, so each costs a table power, not a full `pow`
+(at 384 bits about 45 us against 300 us, after a 1.2 ms build).  The build
+pays for itself after about five junk entries: a single H=8 response draws
+3.5 on average, every later response on the same group object gains, and
+so does every response from H=16 up.
 """
 
 from __future__ import annotations
@@ -125,11 +133,11 @@ def mpc_buyer_respond(
 ) -> tuple[BuyerResponse, BuyerSecrets]:
     """Willing at price i iff i <= value; junk entries are uniform over the
     whole subgroup, so unwilling slots carry no structure at all."""
+    if not verify_indicator(ref, ic):
+        raise VerificationFailed("mpc-commit", "one-hot indicator proof does not verify")
     bound = len(ic.coms)
     if not 0 <= value < bound:
         raise ParameterError(f"value {value} outside {{0,...,{bound - 1}}}")
-    if not verify_indicator(ref, ic):
-        raise VerificationFailed("mpc-commit", "one-hot indicator proof does not verify")
     params = ref.params
     rhos = tuple(params.exp_sample(rng) for _ in range(bound))
     ks = []
@@ -195,6 +203,8 @@ def encode_indicator(ic: IndicatorCommitment) -> bytes:
 def decode_indicator(ref: RefString, payload: bytes) -> IndicatorCommitment:
     r = Reader(payload)
     count = r.u8()
+    if count > MAX_PRICE_SLOTS:  # before H commitments and an H x H proof are read
+        raise CodecError(f"{count} price slots exceed the bound {MAX_PRICE_SLOTS}", offset=0)
     coms = tuple(BitCommitment(r.uint()) for _ in range(count))
     proof = read_proof(r, ref.params, (count,) * count)
     r.finish()

@@ -15,6 +15,7 @@ from zkmech.codec import (
     TAG_COMMIT,
     TAG_EVAL_PROOF,
     TAG_OUTCOME,
+    TAG_REVEAL,
     TAG_TYPE_REPORT,
     TAG_VERDICT,
     Reader,
@@ -137,45 +138,23 @@ def test_mpc_response_rejects_a_non_member(request, group, field):
         mpc_seller_finalize(ref, secrets, seen)
 
 
-# A wire integer of more than 4,300 digits cannot go through `str`; every
-# message that names one must still end in `VerificationFailed`.
-HUGE = 1 << 20_000
-
-# boundary -> (which message, offset of the integer in its payload)
-LONG_INTEGER_SITES = {
-    "commitment": (lambda m: m.tag == TAG_COMMIT, 2),
-    "report": (lambda m: m.tag == TAG_TYPE_REPORT, 3),  # past the u16 index and u8 count
-    "announced total": (SITES["carry"][3], 1),  # past the claim byte
-    "outcome payment": (lambda m: m.tag == TAG_OUTCOME, 4),  # past the flags and u16 item
-}
-
-
-@pytest.mark.parametrize("group", GROUPS)
-@pytest.mark.parametrize("site", sorted(LONG_INTEGER_SITES))
-def test_an_integer_too_long_to_print_is_a_clean_reject(request, group, site):
-    ref = request.getfixturevalue(group)
-    pick, offset = LONG_INTEGER_SITES[site]
-    spec = MechanismSpec("ex3", 8, (1, 2))  # a full sale: its sum proof announces a total
-    _, transcript = run_local(ref, spec, [5], random.Random(1), random.Random(2))
-    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
-    msg = transcript.messages[i]
-    bad = replace(msg, payload=substitute_uint(msg.payload, offset, lambda x: HUGE))
-    messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
-    with pytest.raises(VerificationFailed):
-        verify_transcript(ref, replace(transcript, messages=messages))
-
-
 # An out-of-range integer inside a proof is named at an offset that counts
 # from the start of the message payload: at or past the bad integer and
 # inside the proof that carries it.
 
 
 def proof_fields(r: Reader) -> dict[str, int]:
-    """Where the first alpha and the first gamma of the proof `r` spans begin."""
+    """Where the first alpha, the challenge, the first per-row challenge and
+    the first gamma of the proof `r` spans begin."""
     k = r.u16()
     cells = sum(r.u16() for _ in range(k))
     at = {"alpha": r.off}
-    for _ in range(cells + 1 + k):  # the alphas, the challenge, the betas
+    for _ in range(cells):
+        r.uint()
+    at["challenge"] = r.off
+    r.uint()
+    at["per-row challenge"] = r.off
+    for _ in range(k):
         r.uint()
     at["gamma"] = r.off
     return at
@@ -244,3 +223,97 @@ def test_a_bad_indicator_alpha_is_named_at_its_payload_offset(request, group):
     with pytest.raises(CodecError, match="alpha out of range") as exc:
         decode_indicator(ref, substitute_uint(payload, at, all_ones))
     assert at <= exc.value.offset < len(payload)
+
+
+# A wire integer of more than 4,300 digits cannot go through `str`; every
+# message that names one must still end in `VerificationFailed`, never in
+# `ValueError`.  Each site's integer becomes 2^20000 and 10^4300, which has
+# 4,301 digits.
+LONG_INTEGERS = [1 << 20_000, 10**4300]
+
+# run -> (kind, prices, reports)
+LONG_INTEGER_RUNS = {
+    "full": ("ex3", (1, 2), [5]),  # a full sale: its sum proof announces a total
+    "lottery": ("ex3", (2, 5), [7]),  # a reveal, a coin and its opening
+    "comparison": ("ex4", (3,), [5]),  # a borrow commitment
+}
+
+
+def at(offset):
+    return lambda payload: (offset, ())
+
+
+def second_coin_element(payload: bytes):
+    r = Reader(payload, 1)  # past the pair count
+    r.uint()
+    return r.off, ()
+
+
+def in_first_proof(field: str):
+    """The field's first integer in a bundle's first proof, with the offset
+    of the length the proof is sized by."""
+
+    def locate(payload: bytes):
+        span = bundle_proofs(payload)[0]
+        return proof_fields(Reader(payload, span.off, span.end))[field], (span.off - 4,)
+
+    return locate
+
+
+def is_eval_proof(m):
+    return m.tag == TAG_EVAL_PROOF and m.payload[:1] != _LEAD["sum", 0]
+
+
+ELEMENT, EXPONENT = "commitment a .* out of range", "opening exponent out of range"
+
+# boundary -> (run, which message, where its integer is: (payload offset,
+# offsets of the lengths that enclose it), the rejection's text)
+LONG_INTEGER_SITES = {
+    "commitment": ("full", lambda m: m.tag == TAG_COMMIT, at(2), ELEMENT),
+    # past the u16 index and u8 count
+    "report": ("full", lambda m: m.tag == TAG_TYPE_REPORT, at(3), "reported value a .* outside"),
+    # past the claim byte
+    "announced total": ("full", SITES["carry"][3], at(1), "announced total a .* out of range"),
+    # past the flags and u16 item; the outcome frame must equal the one the evidence implies
+    "outcome payment": ("full", lambda m: m.tag == TAG_OUTCOME, at(4), "announced outcome is not"),
+    **{
+        f"proof {field}": ("full", is_eval_proof, in_first_proof(field), f": {field} out of range")
+        for field in ("alpha", "challenge", "per-row challenge", "gamma")
+    },
+    "carry commitment": ("full", SITES["carry"][3], lambda p: (sum_carry_offset(p), ()), ELEMENT),
+    "reveal exponent": ("lottery", lambda m: m.tag == TAG_REVEAL, at(3), EXPONENT),
+    "coin pair element": ("lottery", lambda m: m.tag == TAG_COIN_PAIR, at(1), ELEMENT),
+    "coin pair complement": ("lottery", lambda m: m.tag == TAG_COIN_PAIR, second_coin_element, ELEMENT),
+    "coin opening": ("lottery", lambda m: m.tag == TAG_VERDICT, at(1), EXPONENT),
+    "borrow commitment": ("comparison", lambda m: m.tag == TAG_VERDICT, at(2), ELEMENT),
+}
+
+
+def substitute_long(payload: bytes, offset: int, spans, new: int) -> bytes:
+    """The payload with the integer at `offset` replaced by `new`, and each
+    4-byte length at `spans`, which enclose it, grown to match."""
+    out = substitute_uint(payload, offset, lambda x: new)
+    grown = len(out) - len(payload)
+    for span in spans:
+        size = int.from_bytes(out[span : span + 4], "big") + grown
+        out = out[:span] + size.to_bytes(4, "big") + out[span + 4 :]
+    return out
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("site", sorted(LONG_INTEGER_SITES))
+def test_an_integer_too_long_to_print_is_a_clean_reject(request, group, site):
+    ref = request.getfixturevalue(group)
+    run, pick, locate, text = LONG_INTEGER_SITES[site]
+    kind, prices, reports = LONG_INTEGER_RUNS[run]
+    spec = MechanismSpec(kind, 8, prices)
+    _, transcript = run_local(ref, spec, reports, random.Random(1), random.Random(2))
+    assert verify_transcript(ref, transcript)
+    i = next(i for i, m in enumerate(transcript.messages) if pick(m))
+    msg = transcript.messages[i]
+    offset, spans = locate(msg.payload)
+    for huge in LONG_INTEGERS:
+        bad = replace(msg, payload=substitute_long(msg.payload, offset, spans, huge))
+        messages = transcript.messages[:i] + [bad] + transcript.messages[i + 1 :]
+        with pytest.raises(VerificationFailed, match=text):
+            verify_transcript(ref, replace(transcript, messages=messages))

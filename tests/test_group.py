@@ -508,8 +508,8 @@ class TestFixedBaseTables:
         """A reference string derived again on the same group object reads
         the tables the first one built; a second seed in that group gets
         tables of its own; another object with the same q, equal to the
-        first, builds its own.  The tables take no part in comparison,
-        hashing or repr."""
+        first, builds its own, for g and h and for the sampling base 4.
+        The tables take no part in comparison, hashing or repr."""
         a = derive_generators(fresh, b"seed a")
         commit_bit(a, 1, 5)
         assert builds == [a.g, a.h]
@@ -531,8 +531,13 @@ class TestFixedBaseTables:
         assert not other._tables
         twin.build_tables()
         assert builds[4:] == [a.g, a.h] and set(other._tables) == {a.g, a.h}
-        assert other._tables[a.g] is not fresh._tables[a.g]
-        assert other._tables[a.g] == fresh._tables[a.g]
+        rng = random.Random(4)
+        for params in (fresh, fresh, other):
+            params.sample_member(rng)
+        assert builds[6:] == [4, 4]
+        for base in (a.g, 4):
+            assert other._tables[base] is not fresh._tables[base]
+            assert other._tables[base] == fresh._tables[base]
 
     def test_the_first_commitment_builds_both_tables(self, fresh):
         ref = derive_generators(fresh, b"tables 384")
@@ -577,16 +582,42 @@ class TestFixedBaseTables:
         assert fresh.pow_unchecked(other, 77) == pow(other, 77, fresh.q)
         toy = derive_generators(q23, b"toy")
         assert commit_bit(toy, 1, 3).value == pow(toy.h, 3, q23.q)
+        rng, reference = random.Random(5), random.Random(5)
+        for _ in range(50):  # a toy group samples by plain `pow`
+            assert q23.sample_member(rng) == pow(4, reference.randrange(q23.p), q23.q)
         assert set(fresh._tables) == {ref.g, ref.h} and not q23._tables
+
+    @pytest.mark.parametrize("size", ["384", "2048"])
+    def test_sample_member_draws_what_pow_draws(self, fresh, builds, size):
+        """Draw for draw, `sample_member` returns `pow(4, rng.randrange(p),
+        q)` and leaves the generator where that draw leaves it: over 200
+        seeds, and at u = 0, 1 and p - 1.  The first draw builds 4's table,
+        and every draw after it reads the table."""
+        params = fresh if size == "384" else params_from_modulus(RFC3526_MODP_2048)
+        q, p = params.q, params.p
+
+        class Scripted:
+            def randrange(self, n):
+                assert n == p
+                return u
+
+        for u in (0, 1, p - 1):
+            assert params.sample_member(Scripted()) == pow(4, u, q), u
+        for seed in range(200):
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert params.sample_member(rng) == pow(4, reference.randrange(p), q), seed
+            assert rng.getstate() == reference.getstate()
+        assert builds == [4] and params._tables[4] == group._build_table(q, 4)
 
     def test_threads_sharing_the_cache(self):
         """More threads than cores, with a short switch interval, derive
         reference strings in one shared group for a bounded time, commit
-        under them (racing to build their tables) and raise their
-        generators (reading tables).  Every power must equal `pow`, no
-        thread may fail, a commitment's tables must be stored once it
-        returns, and each stored table must be the one a single build
-        makes: racing builds store equal rows."""
+        under them (racing to build their tables), raise their generators
+        (reading tables) and sample members (racing to build 4's table, then
+        reading it).  Every power must equal `pow`, no thread may fail, a
+        commitment's or a sample's table must be stored once it returns, and
+        each stored table must be the one a single build makes: racing
+        builds store equal rows."""
         params = gen_params(64, start=64)
         seeds = [bytes([i]) for i in range(256)]
         workers = (os.cpu_count() or 1) + 2
@@ -604,6 +635,11 @@ class TestFixedBaseTables:
                     for base in (ref.g, ref.h):
                         e = rng.randrange(params.p)
                         assert params.pow_unchecked(base, e) == pow(base, e, params.q)
+                    state = rng.getstate()
+                    x = params.sample_member(rng)
+                    assert 4 in params._tables  # no store is lost
+                    rng.setstate(state)
+                    assert x == pow(4, rng.randrange(params.p), params.q)
                     i += 1
                 done.append((k, i))
             except Exception as exc:  # reported below, with the thread's number
@@ -624,7 +660,7 @@ class TestFixedBaseTables:
         assert errors == [] and sorted(k for k, _ in done) == list(range(workers))
         reached = seeds[: max(i for _, i in done)]
         refs = [derive_generators(params, seed) for seed in reached]
-        assert set(params._tables) == {base for ref in refs for base in (ref.g, ref.h)}
+        assert set(params._tables) == {base for ref in refs for base in (ref.g, ref.h)} | {4}
         for base, rows in params._tables.items():
             assert rows == group._build_table(params.q, base)
 

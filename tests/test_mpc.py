@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 
-from zkmech import mpc
-from zkmech.codec import transcript_dumps
+from zkmech import group, mpc
+from zkmech.codec import Reader, encode_u8, encode_uints, transcript_dumps
 from zkmech.commitments import BitOpening, commit_bit, verify_opening
-from zkmech.errors import ParameterError, VerificationFailed
-from zkmech.group import derive_generators
+from zkmech.errors import CodecError, ParameterError, VerificationFailed
+from zkmech.group import GroupParams, derive_generators
 from zkmech.mpc import (
     MAX_PRICE_SLOTS,
     IndicatorCommitment,
@@ -27,7 +27,15 @@ from zkmech.mpc import (
     run_mpc_local,
     verify_indicator,
 )
-from zkmech.sigma import CdsWitness, check_witness
+from zkmech.sigma import (
+    CdsWitness,
+    NiProof,
+    SigmaFirst,
+    SigmaResponse,
+    check_witness,
+    encode_proof,
+    read_proof,
+)
 
 
 def subgroup(params):
@@ -63,13 +71,22 @@ class TestIndicatorCommitment:
     def test_buyer_refuses_more_slots_than_the_bound(self, ref23, rng, monkeypatch):
         # the statement has H^2 cells, so the buyer caps H before building it
         ic, _ = mpc_seller_commit(ref23, 3, MAX_PRICE_SLOTS, rng)
-        assert verify_indicator(ref23, ic)
+        assert decode_indicator(ref23, encode_indicator(ic)) == ic and verify_indicator(ref23, ic)
         with monkeypatch.context() as patch:  # a seller that ignores the bound
             patch.setattr(mpc, "MAX_PRICE_SLOTS", 65)
             wide, _ = mpc_seller_commit(ref23, 3, 65, rng)
         assert not verify_indicator(ref23, wide)
         with pytest.raises(VerificationFailed):
             mpc_buyer_respond(ref23, wide, 3, rng)
+
+    def test_a_hostile_indicator_fails_verification_before_the_value_is_read(self, ref23, rng):
+        # an empty indicator is not a bad value but a bad indicator
+        ic, _ = mpc_seller_commit(ref23, 1, 4, rng)
+        with pytest.raises(VerificationFailed) as exc:
+            mpc_buyer_respond(ref23, IndicatorCommitment(coms=(), proof=ic.proof), 0, rng)
+        assert exc.value.phase == "mpc-commit"
+        with pytest.raises(ParameterError, match="value 6 outside"):  # honest, but value >= H
+            mpc_buyer_respond(ref23, ic, 6, rng)
 
     def test_bad_proof_aborts_buyer(self, ref23, rng):
         ic, _ = mpc_seller_commit(ref23, 1, 4, rng)
@@ -80,6 +97,50 @@ class TestIndicatorCommitment:
 
 
 class TestBuyerResponse:
+    def test_the_buyer_raises_4_through_its_table(self, q384, monkeypatch):
+        """At 384 bits and H=8, for every (price, value), the buyer makes
+        exactly H powers of g or h (its commitments), H - value - 1 of the
+        sampling base 4, all through 4's table (its junk entries), and value
+        + 1 plain powers, one of each willing slot's commitment.  The group
+        object builds 4's table once, in the buyer: the seller never samples."""
+        bound = 8
+        fresh = GroupParams(q384.q, q384.p, q384.bit_length)
+        ref = derive_generators(fresh, b"buyer powers")
+        sellers = [mpc_seller_commit(ref, s, bound, random.Random(f"s{s}")) for s in range(bound)]
+        assert 4 not in fresh._tables
+        calls, table_powers, builds = [], Counter(), Counter()
+        real_pow, real_table_pow = GroupParams.pow_unchecked, group._table_pow
+        real_build = group._build_table
+
+        def pow_unchecked(self, base, e):
+            calls.append((base, base in self._tables))
+            return real_pow(self, base, e)
+
+        def table_pow(rows, e, q):
+            table_powers[next(b for b, r in fresh._tables.items() if r is rows)] += 1
+            return real_table_pow(rows, e, q)
+
+        def build_table(q, base):
+            builds[base] += 1
+            return real_build(q, base)
+
+        monkeypatch.setattr(group, "_table_pow", table_pow)
+        monkeypatch.setattr(group, "_build_table", build_table)
+        for s, (ic, _) in enumerate(sellers):
+            for v in range(bound):
+                calls.clear(), table_powers.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(GroupParams, "pow_unchecked", pow_unchecked)
+                    mpc_buyer_respond(ref, ic, v, random.Random(f"b{s}{v}"))
+                assert len(calls) == 2 * bound, (s, v)
+                commitments = [tabled for base, tabled in calls if base in (ref.g, ref.h)]
+                assert commitments == [True] * bound, (s, v)
+                junk = [tabled for base, tabled in calls if base == 4]
+                assert junk == [True] * (bound - v - 1) and table_powers[4] == len(junk), (s, v)
+                plain = sorted(base for base, tabled in calls if not tabled)
+                assert plain == sorted(com.value for com in ic.coms[: v + 1]), (s, v)
+        assert builds[4] == 1
+
     def test_willingness_structure(self, ref23, rng):
         ic, _ = mpc_seller_commit(ref23, 1, 4, rng)
         for v in (0, 3):
@@ -179,6 +240,28 @@ class TestWireFraming:
         ic, _ = mpc_seller_commit(ref23, 2, 4, rng)
         resp, _ = mpc_buyer_respond(ref23, ic, 1, rng)
         assert decode_response(encode_response(resp)) == resp
+
+    @pytest.mark.parametrize("count", [65, 255])
+    def test_too_many_slots_fail_at_the_count(self, ref23, count):
+        """A count above MAX_PRICE_SLOTS is refused where it is read, at
+        offset 0, before H commitments and an H x H proof are: whether the
+        payload stops after the count or carries all of them in full."""
+        g = ref23.g
+        proof = NiProof(
+            first=SigmaFirst(alphas=((g,) * count,) * count),
+            challenge=1,
+            response=SigmaResponse(betas=(0,) * count, gammas=((0,) * count,) * count),
+            context_digest=bytes(32),
+        )
+        full = encode_u8(count) + encode_uints([g] * count) + encode_proof(proof)
+        r = Reader(full, 1)
+        r.uints(count, 2, ref23.params.q - 1, "commitment")
+        read_proof(r, ref23.params, (count,) * count)
+        r.finish()  # the full payload is well formed but for its count
+        for payload in (full[:1], full[:50], full):
+            with pytest.raises(CodecError, match=f"{count} price slots exceed the bound 64") as exc:
+                decode_indicator(ref23, payload)
+            assert exc.value.offset == 0
 
     def test_final_round_trip(self, ref23):
         assert decode_final(encode_final(False, None, None), ref23.params.p) == (False, None, None)
