@@ -90,12 +90,12 @@ def reveal_int(
 ) -> int:
     """Recover the committed value.
 
-    Each opening's bit and exponent are checked here.  From BATCH_BITS up
-    its equation C = B^r joins `batch` under the group its caller began
-    (see `sigma.Batch`), and a false one fails with that group's failure of
-    its 1-based index.  Without a batch, one of its own is checked at once,
-    so the error names the first false index (`OPENING_FAILURE`).  The
-    commitments must be subgroup members, as the wire parsers ensure.
+    Each opening's bit and exponent are checked here, and its equation
+    C = B^r joins `batch` under the group its caller began, now or later
+    (see `sigma.Batch`); a false one fails with that group's failure of its
+    1-based index.  Without a batch, one of its own is settled before this
+    returns, so the error names the first false index (`OPENING_FAILURE`).
+    The commitments must be subgroup members, as the wire parsers ensure.
     """
     if len(ops) != com.width:
         raise VerificationFailed("reveal", f"expected {com.width} openings, got {len(ops)}")
@@ -105,12 +105,9 @@ def reveal_int(
         batch.begin(*OPENING_FAILURE)
     p = ref.params.p
     for i, (bit_com, op) in enumerate(zip(com.bits, ops), start=1):
-        if batch.deferred and op.bit in (0, 1) and 1 <= op.r <= p - 1:
-            base = ref.g if op.bit == 0 else ref.h
-            data = encode_uint(bit_com.value) + encode_opening(op)
-            batch.add_opening(bit_com.value, base, op.r, data, i)
-        elif not verify_opening(ref, bit_com, op):
+        if op.bit not in (0, 1) or not 1 <= op.r <= p - 1:
             batch.reject(i)
+        batch.add_opening(bit_com.value, ref.g if op.bit == 0 else ref.h, op.bit, op.r, i)
     if own:
         batch.check()
     return bits_value([op.bit for op in ops])

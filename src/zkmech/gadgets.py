@@ -15,11 +15,10 @@ The prover knows every cell of some row, the one whose bit commitments all
 open to the cells' bits; its witness is the first such row.  One builder
 turns an entry into a statement, one prover proves a whole plan and one
 verifier checks one, all its proofs in one `ni_verify_all` call whose cell
-equations join the run's `sigma.Batch` as one unit (or, without one, are
-checked at once), and the bundle reader takes its shapes from the same
-(cached) plan.  The statement
-bytes each proof's context carries are joined from the encodings of g, h
-and the covered commitments, each element encoded once per bundle.  The
+equations are one unit of the run's `sigma.Batch`, and the bundle reader
+takes its shapes from the same (cached) plan.  The statement bytes each
+proof's context carries are joined from the encodings of g, h and the
+covered commitments, each element encoded once per bundle.  The
 prover holds the opening of every covered bit, so it hands `ni_prove` the
 openings of the simulated rows' targets and raises only g and h.
 

@@ -27,9 +27,9 @@ or more:
   `sample_member`, and a table is built by the party that raises its base
   once per cell, all through `_keep_tables`: a prover's first commitment
   calls `RefString.build_tables`, and the first `sample_member` call (mpc's
-  buyer, once per unwilling slot) builds 4's.  A verifier raises g and h
-  only to check an opening below `sigma.BATCH_BITS` (from there on
-  openings join its batch), never samples, and only reads.  The tables
+  buyer, once per unwilling slot) builds 4's.  A verifier never samples
+  and raises g and h only where its batch (`sigma.Batch`) checks an
+  opening by itself, so it only reads.  The tables
   belong to the `GroupParams` they were built on, keyed by base, and live
   as long as it does: a reference string derived again on that object
   reads them, and another object with the same q builds its own.
@@ -48,8 +48,8 @@ or more:
   a Jacobi symbol is 0.3 ms.
 
 Below FAST_BITS a single `pow` beats the first two, and the toy groups keep
-it; `multi_pow` is exact in any group, and the verifier uses it from
-`sigma.BATCH_BITS` up.
+it; `multi_pow` is exact in any group, and `sigma.Batch` decides when a
+verifier uses it.
 """
 
 from __future__ import annotations

@@ -160,8 +160,8 @@ def mpc_seller_finalize(
     On trade the seller discloses the slot opening so the buyer learns the
     price; on no-trade nothing further is revealed.
     """
-    if len(resp.ks) != len(resp.zs) or len(resp.ks) <= secrets.price:
-        raise ParameterError("response length mismatch")
+    if not len(resp.ks) == len(resp.zs) == len(secrets.exps):
+        raise VerificationFailed("mpc-response", "response slot count differs from the indicator's")
     params = ref.params
     s = secrets.price
     for x in (resp.ks[s], resp.zs[s]):
@@ -200,11 +200,17 @@ def encode_indicator(ic: IndicatorCommitment) -> bytes:
     return b"".join(out)
 
 
+def _slot_count(r: Reader) -> int:
+    """The leading u8 slot count, refused above the bound before any slot is read."""
+    count = r.u8()
+    if count > MAX_PRICE_SLOTS:
+        raise CodecError(f"{count} price slots exceed the bound {MAX_PRICE_SLOTS}", offset=0)
+    return count
+
+
 def decode_indicator(ref: RefString, payload: bytes) -> IndicatorCommitment:
     r = Reader(payload)
-    count = r.u8()
-    if count > MAX_PRICE_SLOTS:  # before H commitments and an H x H proof are read
-        raise CodecError(f"{count} price slots exceed the bound {MAX_PRICE_SLOTS}", offset=0)
+    count = _slot_count(r)  # before H commitments and an H x H proof are read
     coms = tuple(BitCommitment(r.uint()) for _ in range(count))
     proof = read_proof(r, ref.params, (count,) * count)
     r.finish()
@@ -220,7 +226,7 @@ def encode_response(resp: BuyerResponse) -> bytes:
 
 def decode_response(payload: bytes) -> BuyerResponse:
     r = Reader(payload)
-    count = r.u8()
+    count = _slot_count(r)
     ks = tuple(r.uint() for _ in range(count))
     zs = tuple(r.uint() for _ in range(count))
     r.finish()

@@ -20,10 +20,10 @@ buyer feeds it each message once, as it is sent or received, and aborts
 on the first bad one; `verify_transcript` feeds the same verifier a whole
 log, so any third party holding the group parameters and the transcript
 re-verifies a run and recomputes its outcome.  The cell equations and
-openings of a run wait in one batch (`sigma.Batch`): the buyer checks it
-before each of its sends and at the end, a third party once, at the end of
-the log.  Each session's log, the Fiat-Shamir prefix its proofs bind, is
-also the transcript it writes.
+openings of a run go to one batch (`sigma.Batch`), checked as they come
+in a toy group, else by the buyer before each of its sends and at the
+end, by a third party at the end of the log.  Each session's log, the
+Fiat-Shamir prefix its proofs bind, is also the transcript it writes.
 
 Supported kinds:
 
@@ -737,15 +737,13 @@ def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
 
 
 def _verified(batch: Batch, phase: str, detail: str, verify, *args, locate=None) -> None:
-    """`verify(*args, batch)`.  If it fails, VerificationFailed(phase,
-    detail) raises at once, at the index `locate(None)` names if `locate` is
-    given.  From BATCH_BITS up its terms are a new group of `batch` that
-    fails alike (see `Batch.begin`); below, nothing is deferred, so no
-    group is begun."""
-    if batch.deferred:
-        batch.begin(phase, detail, locate)
+    """`verify(*args, batch)`, its terms a new group of `batch`: whether it
+    fails on its own checks or the batch finds its terms false, now or
+    later, it fails as VerificationFailed(phase, detail), at the index
+    `locate(None)` names if `locate` is given (see `Batch.begin`)."""
+    batch.begin(phase, detail, locate)
     if not verify(*args, batch):
-        raise VerificationFailed(phase, detail, None if locate is None else locate(None))
+        batch.reject()
 
 
 def _unindexed(_index: int | None) -> None:
@@ -845,8 +843,8 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log, batch: Batch):
     is taken from.
 
     The cell equations and openings its messages carry join `batch`, one
-    group per message, and are checked once the log ends; the caller may
-    check them sooner.  Feed it through `_feed`, which lets a failure give
+    group per message, and are settled by the time the log ends; the caller
+    may check them sooner.  Feed it through `_feed`, which lets a failure give
     way to an earlier one still pending there.
     """
     width = width_of(bound)
@@ -1029,8 +1027,8 @@ class BuyerSession:
 def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -> Outcome:
     """Run the verifier over a complete message log, taking one message at
     a time, so a log read lazily stops being read at its first bad message
-    that fails a check other than a cell equation or an opening.  Those
-    are checked once, together, at the end of the log."""
+    that fails a check other than a cell equation or an opening, which its
+    batch may hold until the end of the log."""
     if kind not in KINDS:
         _fail("params", f"unknown protocol kind {kind!r}")
     batch = Batch(ref.params)

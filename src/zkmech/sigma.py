@@ -13,22 +13,19 @@ arguments and do not care about the other rows' widths.
 
 Verification.  `cds_verify` is the reference: it checks each cell's
 equation base^gamma = alpha * target^beta_i on its own, two powers per
-cell.  `ni_verify_all`, which every proof bundle goes through, checks a
-list of proofs: their contexts, challenges, shapes, ranges and challenge
-sums as they come.  Once p has BATCH_BITS bits or more it also tests
-every alpha's membership (a Jacobi symbol) and hands the cell equations
-to a `Batch`, the one pending small-exponent batch (Bellare-Garay-Rabin)
-of a whole verification run.  The batch takes every opening of a reveal
-too, and checks all its terms with one hashed 128-bit weight each and one
-`GroupParams.multi_pow` over the alphas and the distinct bases, targets
-and commitments, against 1: one chain of squarings for a whole log, and
-one full exponent per element however many terms share it.  A replay
-checks it at the end of the log, and a buyer before each of its sends;
-a failure is still named at the message, and with the error, that
-checking each message in full as it comes would give.  A weight only
-matters mod p, so in a toy group a false cell would pass the batch about
-one time in p (one in 11 at q = 23); there every cell is checked on its
-own, as `cds_verify` does, when its message is read.
+cell.  `ni_verify_all`, which every proof bundle goes through, checks
+proofs' contexts, challenges, shapes, ranges and challenge sums as they
+come, then hands their cell equations to the run's `Batch`, which takes
+every opening of a reveal too and alone decides when a term is checked.
+A weight only matters mod p, so a false cell would pass a batched check
+about one time in p (one in 11 at q = 23): below BATCH_BITS bits of p each
+term is checked exactly as it comes.  From there up the batch tests each
+alpha's membership (a Jacobi symbol) and defers the terms to one
+small-exponent check (Bellare-Garay-Rabin): a hashed 128-bit weight per
+term and one `GroupParams.multi_pow` over the alphas and the distinct
+bases, targets and commitments, against 1, one chain of squarings for a
+whole log.  Either way a false term fails at the message, and with the
+error, that checking each message in full as it comes would give.
 
 Proving.  Every row but the real one is simulated: it draws a beta_i and
 its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
@@ -60,7 +57,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .codec import Reader, encode_u16, encode_uints
+from .codec import Reader, encode_u8, encode_u16, encode_uint, encode_uints
 from .errors import (
     CodecError,
     ExtractionError,
@@ -71,8 +68,8 @@ from .errors import (
 )
 from .group import GroupParams
 
-# From this many bits of p up, `ni_verify_all` checks the cell equations of
-# its proofs as one batch with WEIGHT_BITS-bit weights.
+# From this many bits of p up, a `Batch` defers its terms to one check with
+# WEIGHT_BITS-bit weights.
 BATCH_BITS = 256
 WEIGHT_BITS = 128
 _BATCH_TAG = b"zkmech/batch-weights"
@@ -321,8 +318,11 @@ def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaRe
 def cds_verify(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResponse) -> bool:
     """The reference verifier: every cell's equation base^gamma = alpha *
     target^beta_i, one cell at a time."""
-    if not _well_formed(stmt, first, beta, resp):
-        return False
+    return _well_formed(stmt, first, beta, resp) and _cells_hold(stmt, first, resp)
+
+
+def _cells_hold(stmt: CdsStatement, first: SigmaFirst, resp: SigmaResponse) -> bool:
+    """`cds_verify`'s cell loop, for a well-formed proof."""
     params = stmt.params
     for row, alpha_row, beta_i, gamma_row in zip(stmt.rows, first.alphas, resp.betas, resp.gammas):
         for (base, target), alpha, gamma in zip(row, alpha_row, gamma_row):
@@ -460,50 +460,32 @@ def ni_verify_all(
 
     Each proof's challenge is recomputed from its context, so a context
     mismatch is just a verification failure, never an oracle.  Then, in
-    order, each proof's shape, ranges and challenge sum are checked.  In a
-    group whose p has BATCH_BITS bits or more, every alpha's membership is
-    checked next, and the cell equations of all the proofs join `batch` as
-    one unit of its current group: True then means every other check
-    passed, and the batch's check settles the equations.  Without a batch
-    they are checked at once, in one of their own.  Below BATCH_BITS they
-    are checked one cell at a time through `cds_verify`.  The challenge
-    and the batch weights hash each proof's own bytes (`NiProof._wire`),
-    not a fresh encoding.
+    order, each proof's shape, ranges and challenge sum are checked; then
+    their cell equations join `batch` as one unit, checked now or later
+    (see `Batch`), or a batch of their own, settled before this returns.
+    The challenge hashes each proof's own bytes (`NiProof._wire`).
     """
     if not items:
         return True
     own = batch is None
     if own:
         batch = Batch(items[0][0].params)
-    params, deferred = batch.params, batch.deferred
-    encoded = []  # each proof's bytes, which the batch weights are drawn from
+    params = batch.params
     for stmt, proof, context in items:
         if stmt.params != params:
             raise ParameterError("a batch of proofs must share one group")
         absorbed = hashlib.sha256(context)
         if absorbed.copy().digest() != proof.context_digest:
             return False
-        first, rest = _wire_bytes(proof)
-        absorbed.update(first)
+        absorbed.update(_wire_bytes(proof)[0])
         if _challenge(params, absorbed) != proof.challenge:
             return False
-        check = _well_formed if deferred else cds_verify
         try:
-            if not check(stmt, proof.first, proof.challenge, proof.response):
+            if not _well_formed(stmt, proof.first, proof.challenge, proof.response):
                 return False
         except (ShapeMismatch, ParameterError):
             return False
-        if deferred:
-            encoded += (first, rest)
-    if not deferred:
-        return True
-    # The batch is only sound in the order-p group: alpha and q - alpha
-    # differ by the factor -1, which an even weight hides.
-    alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
-    if not all(params.is_member(a) for a in alphas):
-        return False
-    batch.add_proofs(items, len(alphas), b"".join(encoded))
-    return batch.holds() if own else True
+    return batch.add_proofs(items) and (not own or batch.holds())
 
 
 # A term owed to a batch, one unit of the search for a failure: (index its
@@ -522,22 +504,19 @@ def _failed(failure: _Failure, index: int | None) -> VerificationFailed:
 
 
 class Batch:
-    """The cell equations and openings one verification run owes, checked
-    together: Bellare-Garay-Rabin small-exponent batching (EUROCRYPT 1998)
-    across every message, in one `multi_pow` (`_batch_holds`).
+    """The cell equations and openings one verification run owes; it alone
+    decides when each is checked (see the module docstring).
 
-    From BATCH_BITS bits of p up, `ni_verify_all` records a proof bundle's
-    cell equations here and `commitments.reveal_int` each opening, as a
-    unit; every other check runs where its value enters.  Units come in
-    groups, one per message, which `begin` starts with the phase and detail
-    its failure names.  `check` tests every pending unit in one merged
-    check and, only if that fails, searches for the first false unit: the
-    groups before the newest merged, then unit by unit the part that fails
-    (an opening by itself, with one power).  A failure found later in the
-    run calls `check` first, so a pending false unit is named before it,
-    and a run fails at the message, and with the error, that checking each
-    message in turn would give.  Below BATCH_BITS each term is checked as
-    it comes and nothing is recorded.
+    `ni_verify_all` adds a proof bundle's cell equations as one unit and
+    `commitments.reveal_int` each opening, in groups, one per message, that
+    `begin` starts with the phase and detail its failure names.  Below
+    BATCH_BITS a unit is checked as it is added and a false one fails at
+    once, as the proofs' other checks do.  From BATCH_BITS up it is
+    pending: `check` tests every pending unit at once (`_batch_holds`) and,
+    only if that fails, searches for the first false unit: the groups
+    before the newest merged, then unit by unit the part that fails (an
+    opening by itself, with one power).  A failure found later in the run
+    calls `check` first, so a pending false unit is named before it.
     """
 
     def __init__(self, params: GroupParams):
@@ -556,21 +535,38 @@ class Batch:
         self._failure = (phase, detail, locate)
         self._fresh = True
 
-    def _add(self, unit: _Unit) -> None:
+    def add_proofs(self, items) -> bool:
+        """The cell equations of proofs whose other checks passed, as one
+        unit: below BATCH_BITS checked now, cell by cell, from BATCH_BITS up
+        pending once its alphas are members.  False if a check made now
+        fails, which the caller fails like the proofs' other checks."""
+        if not self.deferred:
+            return all(_cells_hold(stmt, proof.first, proof.response) for stmt, proof, _ in items)
+        # The batch is only sound in the order-p group: alpha and q - alpha
+        # differ by the factor -1, which an even weight hides.
+        alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
+        if not all(self.params.is_member(a) for a in alphas):
+            return False
+        data = b"".join(part for _, proof, _ in items for part in _wire_bytes(proof))
+        self._defer(None, data, len(alphas), list(items))
+        return True
+
+    def add_opening(self, value: int, base: int, bit: int, r: int, index: int) -> None:
+        """value = base^r, where `bit` names base: below BATCH_BITS checked
+        now, a false one failing the group at `index`; from BATCH_BITS up
+        pending, as the term value^w * base^(-w * r), weighted by the
+        commitment's and the opening's encodings."""
+        if self.deferred:
+            data = encode_uint(value) + encode_u8(bit) + encode_uint(r)
+            self._defer(index, data, 1, (value, base, r))
+        elif self.params.pow_unchecked(base, r) != value:
+            self.reject(index)
+
+    def _defer(self, index: int | None, data: bytes, count: int, terms) -> None:
         if self._fresh:
             self._groups.append((self._failure, []))
             self._fresh = False
-        self._groups[-1][1].append(unit)
-
-    def add_proofs(self, items, cells: int, data: bytes) -> None:
-        """The cell equations of proofs whose other checks passed, with
-        `cells` cells and wire bytes `data`."""
-        self._add((None, len(data).to_bytes(4, "big") + data, cells, list(items)))
-
-    def add_opening(self, value: int, base: int, r: int, data: bytes, index: int) -> None:
-        """value = base^r, as the term value^w * base^(-w * r); `data` are
-        the bytes of the commitment and its opening."""
-        self._add((index, len(data).to_bytes(4, "big") + data, 1, (value, base, r)))
+        self._groups[-1][1].append((index, len(data).to_bytes(4, "big") + data, count, terms))
 
     def _take(self) -> list[tuple[_Failure, list[_Unit]]]:
         groups, self._groups, self._fresh = self._groups, [], True
@@ -603,8 +599,7 @@ class Batch:
         return self._unit_by_unit([(failure, newest)])
 
     def _unit_by_unit(self, groups) -> Exception:
-        """The failure of the first false unit of `groups`, which hold one.
-        An opening is checked by itself exactly, with one power."""
+        """The failure of the first false unit of `groups`, which hold one."""
         units = [(failure, unit) for failure, group in groups for unit in group]
         for failure, unit in units[:-1]:
             if isinstance(unit[3], tuple):

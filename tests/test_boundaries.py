@@ -23,6 +23,8 @@ from zkmech.codec import (
 )
 from zkmech.errors import CodecError, VerificationFailed
 from zkmech.mpc import (
+    MAX_PRICE_SLOTS,
+    BuyerResponse,
     decode_indicator,
     decode_response,
     encode_indicator,
@@ -124,18 +126,46 @@ def test_mpc_indicator_rejects_a_bad_element(request, group, substitute):
 
 
 @pytest.mark.parametrize("group", GROUPS)
-@pytest.mark.parametrize("field", ["ks", "zs"])
-def test_mpc_response_rejects_a_non_member(request, group, field):
+@pytest.mark.parametrize(
+    "case", ["ks", "zs", "empty", "short", "long", "uneven", "count65", "count255"]
+)
+def test_mpc_response_rejects_a_non_member(request, group, case):
+    """A hostile response to a price-2, H=4 commitment: an element at the
+    seller's slot outside the subgroup (in ks or zs), and a slot count that
+    is not the indicator's (none, 3, 5, or 4 commitments with 3 masked
+    values, which no payload can carry), end in `VerificationFailed`; a
+    count above MAX_PRICE_SLOTS is a `CodecError` at offset 0, whether the
+    slots follow or not, and a MAX_PRICE_SLOTS response still decodes."""
     ref = request.getfixturevalue(group)
     q = ref.params.q
     price = 2
     ic, secrets = mpc_seller_commit(ref, price, 4, random.Random(1))
     resp, _ = mpc_buyer_respond(ref, ic, 3, random.Random(2))
-    values = list(getattr(resp, field))
-    values[price] = q - values[price]
-    seen = decode_response(encode_response(replace(resp, **{field: tuple(values)})))
-    with pytest.raises(VerificationFailed, match="outside the subgroup"):
+    if case.startswith("count"):
+        count = int(case[len("count") :])
+        for payload in (bytes([count]), bytes([count]) + encode_response(resp)[1:]):
+            with pytest.raises(CodecError, match=f"^{count} price slots") as err:
+                decode_response(payload)
+            assert err.value.offset == 0
+        widest = BuyerResponse(resp.ks[:1] * MAX_PRICE_SLOTS, resp.zs[:1] * MAX_PRICE_SLOTS)
+        assert decode_response(encode_response(widest)) == widest
+        return
+    if case in ("ks", "zs"):
+        values = list(getattr(resp, case))
+        values[price] = q - values[price]
+        resp = replace(resp, **{case: tuple(values)})
+    ks, zs = resp.ks, resp.zs
+    hostile = {
+        "empty": BuyerResponse((), ()),
+        "short": BuyerResponse(ks[:3], zs[:3]),
+        "long": BuyerResponse(ks + ks[:1], zs + zs[:1]),
+        "uneven": BuyerResponse(ks, zs[:3]),
+    }.get(case, BuyerResponse(ks, zs))
+    seen = hostile if case == "uneven" else decode_response(encode_response(hostile))
+    match = "outside the subgroup" if case in ("ks", "zs") else "slot count differs"
+    with pytest.raises(VerificationFailed, match=match) as err:
         mpc_seller_finalize(ref, secrets, seen)
+    assert err.value.phase == "mpc-response"
 
 
 # An out-of-range integer inside a proof is named at an offset that counts

@@ -965,21 +965,32 @@ def reproduces(ref, spec, mutant, seed, coin, mask) -> bool:
     return transcript_dumps(again) == transcript_dumps(mutant)
 
 
-def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
-    """At 384 bits, over criterion 12's mutants of three victims, one
-    mutant per frame of every differential run (each replayable kind and
-    case) and that run's `resequenced` mutants (against a second session of
-    the same run), the replay that checks its batch once at the end of the
-    log gives the verdict, and the same error text, as one that checks it
-    after every message.  A resequenced mutant with a flipped message fails
-    while that message's terms are pending, and is named at it; of the
+# The resequenced mutants with a flipped message, by the phase they fail in.
+# At q=23 no reveal and no coin opening is 33 bytes long.
+FLIP_PHASES = {
+    "ref23": {"commit-proof": 28, "evaluate": 34, "coin": 12, "verdict": 2},
+    "ref384": {"commit-proof": 28, "evaluate": 34, "reveal": 22, "coin": 12, "verdict": 4},
+}
+
+
+@pytest.mark.parametrize("group", ["ref23", "ref384"])
+def test_the_end_of_log_check_names_what_checking_each_message_names(request, group):
+    """In the q=23 group, whose batch checks each term as it is added, and
+    at 384 bits, where it defers them to the end of the log: over criterion
+    12's mutants of three victims, one mutant per frame of every
+    differential run (each replayable kind and case) and that run's
+    `resequenced` mutants (against a second session of the same run), the
+    replay gives the verdict, and the same error text, as one that checks
+    its batch after every message.  A resequenced mutant with a flipped
+    message fails at that message's terms, and is named at it; of the
     others only one is accepted: an ex1multi "between" run without its last
     bidder's report, an honest run of fewer bidders, as `reproduces`
     shows."""
+    ref = request.getfixturevalue(group)
     victims = [
-        run(ref384, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1")[1],
-        run(ref384, MechanismSpec("ex3", 8, (2, 5)), [7], "c12/ex3a", coin_value=1, mask_value=0)[1],
-        run(ref384, MechanismSpec("ex3", 8, (1, 2)), [7], "c12/ex3b")[1],
+        run(ref, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1")[1],
+        run(ref, MechanismSpec("ex3", 8, (2, 5)), [7], "c12/ex3a", coin_value=1, mask_value=0)[1],
+        run(ref, MechanismSpec("ex3", 8, (1, 2)), [7], "c12/ex3b")[1],
     ]
     rng = random.Random("criterion-12")
     mutants = []
@@ -993,19 +1004,19 @@ def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
     accepted, flip_phases = [], Counter()
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
         seed = ("eager", n)
-        out, tr = run(ref384, spec, values, seed=seed, coin_value=coin, mask_value=mask)
-        _, other = run(ref384, spec, values, seed=("second", n), coin_value=coin, mask_value=mask)
+        out, tr = run(ref, spec, values, seed=seed, coin_value=coin, mask_value=mask)
+        _, other = run(ref, spec, values, seed=("second", n), coin_value=coin, mask_value=mask)
         for idx, frame in enumerate([seed_frame(tr.seed)] + [m.frame() for m in tr.messages]):
             mutants.append(flipped(tr, idx, rng.randrange(len(frame) * 8)))
             kinds[spec.kind] += 1
         for mutant, i in resequenced(tr, other):
-            verdict = end_of_log_verdict(ref384, mutant)
-            assert verdict == eager_verdict(ref384, mutant), (spec, values, i)
+            verdict = end_of_log_verdict(ref, mutant)
+            assert verdict == eager_verdict(ref, mutant), (spec, values, i)
             if i is None:
                 if not isinstance(verdict, str):
                     tags = [m.tag for m in mutant.messages]
                     accepted.append((spec.kind, values, tags, verdict == out))
-                    assert reproduces(ref384, spec, mutant, seed, coin, mask), (spec, values, tags)
+                    assert reproduces(ref, spec, mutant, seed, coin, mask), (spec, values, tags)
                 continue
             phase = verdict.split("]")[0][1:]
             assert phase == BATCHED_PHASES[tr.messages[i].tag], (spec, values, i, verdict)
@@ -1013,15 +1024,13 @@ def test_the_end_of_log_check_names_what_checking_each_message_names(ref384):
     assert set(kinds) == set(protocols.KINDS)
     ex1multi_between = [TAG_COMMIT, TAG_TYPE_REPORT, TAG_TYPE_REPORT, TAG_REVEAL, TAG_OUTCOME]
     assert accepted == [("ex1multi", [7, 3, 1], ex1multi_between, True)]
-    assert flip_phases == {
-        "commit-proof": 28, "evaluate": 34, "reveal": 22, "coin": 12, "verdict": 4
-    }
+    assert flip_phases == FLIP_PHASES[group]
     phases = Counter()
     for mutant in filter(None, mutants):
         seed = mutant.seed
-        ref = ref384 if seed == ref384.seed else derive_generators(ref384.params, seed)
-        verdict = end_of_log_verdict(ref, mutant)
-        assert verdict == eager_verdict(ref, mutant)
+        mutant_ref = ref if seed == ref.seed else derive_generators(ref.params, seed)
+        verdict = end_of_log_verdict(mutant_ref, mutant)
+        assert verdict == eager_verdict(mutant_ref, mutant)
         if isinstance(verdict, str):
             phases[verdict.split("]")[0][1:]] += 1
     assert sum(phases.values()) >= 150

@@ -1,13 +1,16 @@
+import ast
 import hashlib
 import random
 from collections import Counter
 from itertools import product
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import and_statement, decode_proof, or_statement, schnorr_statement
+from zkmech import sigma
 from zkmech.commitments import BitOpening, IntCommitment, commit_bit, commit_int, reveal_int
 from zkmech.errors import (
     ExtractionError,
@@ -603,6 +606,58 @@ class TestBatchVerification:
         toy_proof = ni_prove(toy, CdsWitness(0, (2,)), b"toy", rng)
         with pytest.raises(ParameterError):
             ni_verify_all([(stmt, proof, ctx), (toy, toy_proof, b"toy")])
+
+
+# -- one reader of the size rule: the batch decides when a term is checked -------
+
+SIZE_RULE = {"deferred", "BATCH_BITS"}
+
+
+def size_rule_reads(source: str) -> list[tuple[str, str]]:
+    """(function, name) of each read of the batch's size rule in `source`:
+    `.deferred`, or BATCH_BITS as a name, an attribute or an imported name;
+    the function's name is dotted when nested."""
+    reads = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in SIZE_RULE:
+            reads.append((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return reads
+
+
+class TestOneReaderOfTheSizeRule:
+    def test_the_scan_finds_each_form_of_read(self):
+        source = (
+            "from .sigma import BATCH_BITS\n"
+            "def f(batch):\n"
+            "    def g(p):\n"
+            "        return p.bit_length() >= sigma.BATCH_BITS\n"
+            "    return batch.deferred or BATCH_BITS\n"
+        )
+        assert sorted(size_rule_reads(source)) == sorted(
+            [("", "BATCH_BITS"), ("f.g", "BATCH_BITS"), ("f", "deferred"), ("f", "BATCH_BITS")]
+        )
+
+    def test_no_module_but_sigma_py_reads_the_size_rule(self):
+        """Whether a term is checked as it comes or deferred is `sigma.Batch`'s
+        choice alone: its callers begin groups and add terms the same way at
+        every group size."""
+        package = Path(sigma.__file__).parent
+        reads = {
+            path.name: size_rule_reads(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))
+        }
+        assert reads.pop("sigma.py")  # the scan sees sigma's own reads
+        assert {name: found for name, found in reads.items() if found} == {}
 
 
 # -- the prover's hint: simulated cells from the targets' openings ---------------
