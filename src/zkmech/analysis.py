@@ -470,7 +470,7 @@ def transcript_distribution_equality(
     if kind != spec.kind or kind not in _HIDING_KINDS:
         raise ParameterError(f"distribution comparison not implemented for {kind!r}")
     members = _subgroup_elements(params)
-    nonid = [x for x in members if x != 1]
+    nonid = [x for x in members if x != params.identity]
     ref_pairs_real = [(g, h) for g in nonid for h in nonid if g != h]
     ref_pairs_sim = [(g, rho) for g in nonid for rho in range(2, params.p)]
     real, sim = _hiding_worlds(ref_pairs_real, ref_pairs_sim, params, spec, reports, budget)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codec import Reader, encode_u8, encode_uint, encode_uints
+from .codec import Reader, encode_u8, encode_uint
 from .errors import CodecError, ParameterError, VerificationFailed
-from .group import RefString, element_range
+from .group import GroupParams, RefString
 from .sigma import Batch
 
 
@@ -130,21 +130,24 @@ def binding_break_to_dlog(ref: RefString, r_zero: int, r_one: int) -> int:
 # -- wire encodings ----------------------------------------------------------
 
 
-def read_bit_commitments(r: Reader, count: int, span: tuple[int, int]) -> list[BitCommitment]:
-    """`count` bit commitments in a row, each in the group's element range
-    `span` but above its least element, the identity, which commits to no
-    bit."""
-    lo, hi = span
-    return [BitCommitment(v) for v in r.uints(count, lo + 1, hi, "commitment", named=True)]
+def encode_int_commitment(params: GroupParams, com: IntCommitment) -> bytes:
+    return encode_u8(com.width) + params.encode_elements(b.value for b in com.bits)
 
 
-def encode_int_commitment(com: IntCommitment) -> bytes:
-    return encode_u8(com.width) + encode_uints(b.value for b in com.bits)
+def read_commitment(r: Reader, params: GroupParams) -> IntCommitment:
+    """An `encode_int_commitment`: its width, then its bit commitments,
+    elements other than the identity, which commits to no bit."""
+    width = r.u8()
+    values = params.read_elements(r, width, "commitment", identity=False, named=True)
+    return IntCommitment(width=width, bits=tuple(BitCommitment(v) for v in values))
 
 
 def read_int_commitment(r: Reader, q: int) -> IntCommitment:
+    """`read_commitment` in the group mod q, for a caller that holds only
+    the modulus: each bit commitment an integer from 2 to q - 1."""
     width = r.u8()
-    return IntCommitment(width=width, bits=tuple(read_bit_commitments(r, width, element_range(q))))
+    values = r.uints(width, 2, q - 1, "commitment", named=True)
+    return IntCommitment(width=width, bits=tuple(BitCommitment(v) for v in values))
 
 
 def encode_opening(op: BitOpening) -> bytes:

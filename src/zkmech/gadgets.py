@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
 
-from .codec import Reader, encode_u8, encode_u16, encode_uint
+from .codec import Reader, encode_u8, encode_u16
 from .commitments import (
     BitCommitment,
     BitOpening,
@@ -91,12 +91,13 @@ def _ctx(
 def element_encodings(
     ref: RefString, coms: Sequence[Sequence[BitCommitment]]
 ) -> dict[int, bytes]:
-    """`encode_uint` of g, h and every covered commitment, each distinct
+    """The encoding of g, h and every covered commitment, each distinct
     element once: what `encode_statement` needs for any statement of a plan
     over `coms`."""
     values = {ref.g, ref.h}
     values.update([com.value for com_bits in coms for com in com_bits])
-    return {v: encode_uint(v) for v in values}
+    encode = ref.params.encode_elements
+    return {v: encode((v,)) for v in values}
 
 
 # -- one statement builder, one prover, one verifier ---------------------------

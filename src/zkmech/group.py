@@ -3,12 +3,15 @@
 All protocol algebra lives here: safe-prime generation, the group's
 operations, exponent sampling, and the deterministic derivation of the two
 public generators (g, h) from a reference-string seed.  Outside this module
-an element is an opaque integer, and exponents live in Z_p.  `GroupParams`
-owns every fact of the representation: membership, powers, the product of
-two elements (`mul`), a uniform member (`sample_member`), the range of a
-wire element (`element_range`, also a function of q for a caller that holds
-only the modulus), and the longest encodings of an element and of an
-exponent (`element_bytes`, `exponent_bytes`).
+an element is an opaque value, compared only for equality and used as a
+key, and exponents are ints in Z_p.  `GroupParams` owns every fact of the
+representation: membership, powers, the product of two elements (`mul`),
+the identity, a uniform member (`sample_member`), g and h of a seed
+(`generators`), and the element format: how elements are written
+(`encode_elements`), read (`read_elements`) and range-checked (`in_range`),
+and the longest encodings of an element and of an exponent
+(`element_bytes`, `exponent_bytes`).  So another group is a subclass that
+changes these methods and no other module.
 
 Three kernels make the common operations cheap once q has FAST_BITS bits
 or more:
@@ -57,9 +60,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from .codec import Reader, encode_uints
 from .errors import (
     DerivationError,
     NonMemberError,
@@ -177,32 +181,27 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
-def element_range(q: int) -> tuple[int, int]:
-    """The least and the greatest integer a wire element mod q may be: 1,
-    the identity, and q - 1."""
-    return 1, q - 1
-
-
 @dataclass(frozen=True)
 class GroupParams:
-    """A safe prime q = 2p+1 and the order p of its subgroup of squares."""
+    """A safe prime q = 2p+1 and the order p of its subgroup of squares.
+
+    An element is an int from 1 to q - 1, written as `codec.encode_uint`
+    writes it."""
 
     q: int
     p: int
     bit_length: int
-    # `element_range` of q: an attribute, not a property, as it is read once per proof.
-    element_range: tuple[int, int] = field(init=False, repr=False, compare=False)
     # base -> rows of its comb table, filled by `_keep_tables`.
     _tables: dict[int, list[list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    identity = 1  # unannotated: a class attribute, which a subclass may override
 
     def __post_init__(self):
         if self.q != 2 * self.p + 1:
             raise ParameterError("q must equal 2p+1")
         if self.bit_length != self.q.bit_length():
             raise ParameterError("bit_length inconsistent with q")
-        object.__setattr__(self, "element_range", element_range(self.q))
 
     # -- membership ---------------------------------------------------
 
@@ -255,9 +254,37 @@ class GroupParams:
         self._keep_tables(4)
         return self.pow_unchecked(4, rng.randrange(self.p))
 
+    # -- the reference string's generators and the element format -------
+
+    def generators(self, seed: bytes) -> tuple[int, int]:
+        """g and h of a reference-string seed: hash-derived squares, never
+        the identity, never equal.  Byte-exact across platforms (pure
+        SHA-256 arithmetic)."""
+        g = _hash_to_square(self, seed + b"\x00", set())
+        return g, _hash_to_square(self, seed + b"\x01", {g})
+
+    def encode_elements(self, xs: Iterable[int]) -> bytes:
+        """The elements, each as `codec.encode_uint` writes it, joined."""
+        return encode_uints(xs)
+
+    def read_elements(
+        self, r: Reader, count: int, what: str, *, identity: bool = True, named: bool = False
+    ) -> list[int]:
+        """`count` elements in a row, as `encode_elements` writes them; the
+        identity refused unless `identity`.  A value out of range is a
+        `CodecError` "`what` out of range", with `named` one that names the
+        value (see `Reader.uints`)."""
+        return r.uints(count, 1 if identity else 2, self.q - 1, what, named)
+
+    def in_range(self, rows: Sequence[Sequence[int]]) -> bool:
+        """Whether every element of `rows`, each row nonempty, is one that
+        `read_elements` accepts: an element made in memory may be any int."""
+        # min and max per row scan them in C.
+        return min(map(min, rows)) >= 1 and max(map(max, rows)) <= self.q - 1
+
     @property
     def element_bytes(self) -> int:
-        """The longest `codec.encode_uint` of an element."""
+        """The longest `encode_elements` of one element."""
         return 4 + (self.bit_length + 7) // 8
 
     @property
@@ -342,7 +369,8 @@ class RefString:
     h: int
 
     def __post_init__(self):
-        if self.g == 1 or self.h == 1 or self.g == self.h:
+        identity = self.params.identity
+        if self.g == identity or self.h == identity or self.g == self.h:
             raise ParameterError("generators must be distinct and != 1")
         for base in (self.g, self.h):
             self.params.require_member(base)
@@ -508,15 +536,11 @@ def _hash_to_square(params: GroupParams, material: bytes, excluded: set[int]) ->
 
 
 def derive_generators(params: GroupParams, seed: bytes) -> RefString:
-    """Derive (g, h) deterministically from the public seed.
-
-    g and h are hash-derived squares, never the identity, never equal.
-    Byte-exact across platforms (pure SHA-256 arithmetic).
-    """
+    """The reference string of the public seed, its g and h the group's
+    `generators`."""
     if not seed:
         raise ParameterError("seed must be nonempty")
-    g = _hash_to_square(params, seed + b"\x00", set())
-    h = _hash_to_square(params, seed + b"\x01", {g})
+    g, h = params.generators(seed)
     return RefString(params=params, seed=seed, g=g, h=h)
 
 

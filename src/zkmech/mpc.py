@@ -121,8 +121,9 @@ def mpc_seller_commit(
 def verify_indicator(ref: RefString, ic: IndicatorCommitment) -> bool:
     if not 1 <= len(ic.coms) <= MAX_PRICE_SLOTS:  # the statement has H^2 cells
         return False
+    identity = ref.params.identity  # which commits to no bit
     for com in ic.coms:
-        if com.value == 1 or not ref.params.is_member(com.value):  # no bit commits to 1
+        if com.value == identity or not ref.params.is_member(com.value):
             return False
     stmt = one_hot_statement(ref, list(ic.coms))
     return ni_verify(stmt, ic.proof, _context(ref, ic.coms, stmt))

@@ -43,7 +43,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -68,14 +67,14 @@ from .codec import (
 )
 from .commitments import (
     OPENING_FAILURE,
+    BitCommitment,
     BitOpening,
     IntCommitment,
     commit_int,
     encode_int_commitment,
     encode_opening,
     int_bits,
-    read_bit_commitments,
-    read_int_commitment,
+    read_commitment,
     read_opening,
     reveal_int,
 )
@@ -195,8 +194,8 @@ def _require_members(ref: RefString, com: IntCommitment, phase: str, what: str) 
             _fail(phase, f"{what} outside the subgroup", index=i)
 
 
-def _commit_payload(coms: list[IntCommitment]) -> bytes:
-    return encode_u8(len(coms)) + b"".join(encode_int_commitment(c) for c in coms)
+def _commit_payload(params: GroupParams, coms: list[IntCommitment]) -> bytes:
+    return encode_u8(len(coms)) + b"".join(encode_int_commitment(params, c) for c in coms)
 
 
 def _parse_commit(
@@ -205,7 +204,7 @@ def _parse_commit(
     def read(r):
         if r.u8() != count:
             _fail(phase, "unexpected commitment count")
-        return [read_int_commitment(r, ref.params.q) for _ in range(count)]
+        return [read_commitment(r, ref.params) for _ in range(count)]
 
     coms = _decode(payload, phase, "commitment message", read)
     for com in coms:
@@ -241,13 +240,15 @@ def _openings_body(ops: list[BitOpening]) -> bytes:
     return encode_u8(len(ops)) + b"".join(encode_opening(o) for o in ops)
 
 
-def _sum_body(total: int, carry: IntCommitment, bundle: ProofBundle) -> bytes:
-    return encode_uint(total) + encode_int_commitment(carry) + encode_bundle(bundle)
+def _sum_body(params: GroupParams, total: int, carry: IntCommitment, bundle: ProofBundle) -> bytes:
+    return encode_uint(total) + encode_int_commitment(params, carry) + encode_bundle(bundle)
 
 
-def _coin_pair_payload(pairs: list[ComplementPair], proofs: list[list]) -> bytes:
+def _coin_pair_payload(
+    params: GroupParams, pairs: list[ComplementPair], proofs: list[list]
+) -> bytes:
     out = [encode_u8(len(pairs))]
-    out += [encode_uint(c.value) for pair in pairs for c in (pair.r_com, pair.rp_com)]
+    out.append(params.encode_elements(c.value for pair in pairs for c in (pair.r_com, pair.rp_com)))
     out += [encode_sized_proof(proof) for pr in proofs for proof in pr]
     return b"".join(out)
 
@@ -259,7 +260,8 @@ def _parse_coin_pairs(
         got = r.u8()
         if got != count:
             _fail(phase, f"coin message carries {got} pairs, expected {count}")
-        coms = read_bit_commitments(r, 2 * count, ref.params.element_range)
+        values = ref.params.read_elements(r, 2 * count, "commitment", identity=False, named=True)
+        coms = [BitCommitment(v) for v in values]
         pairs = [ComplementPair(a, b) for a, b in zip(coms[::2], coms[1::2])]
         return pairs, [
             [read_sized_proof(r, ref.params, (1, 1)) for _ in range(2)] for _ in range(count)
@@ -590,7 +592,7 @@ class SellerSession:
             com, ops = commit_int(self.ref, price, width_of(self.spec.bound), self.rng)
             self._coms.append(com)
             self._ops.append(ops)
-        out = [self._emit(TAG_COMMIT, _commit_payload(self._coms))]
+        out = [self._emit(TAG_COMMIT, _commit_payload(self.ref.params, self._coms))]
         if KINDS[self.spec.kind].certified:
             coms, ops = self._coms, self._ops
             bundle = prove_le_committed(
@@ -665,14 +667,15 @@ class SellerSession:
             total, carry_com, bundle = prove_sum(
                 ref, self._coms[0], self._ops[0], self._coms[1], self._ops[1], prefix, rng
             )
-            return _sum_body(total, carry_com, bundle), total
+            return _sum_body(ref.params, total, carry_com, bundle), total
         if ev.form == "coin":
             return self._commit_coin(ev.bits, prefix), None
         z_com, z_ops = self._coin
         if ev.form == "open":
             return encode_opening(z_ops[0]), z_ops[0].bit
         verdict, borrow_com, bundle = prove_lt_committed(ref, z_com, z_ops, com, ops, prefix, rng)
-        payload = encode_u8(verdict) + encode_int_commitment(borrow_com) + encode_bundle(bundle)
+        payload = encode_u8(verdict) + encode_int_commitment(ref.params, borrow_com)
+        payload += encode_bundle(bundle)
         return payload, verdict
 
     def _commit_coin(self, bits: int, prefix: bytes) -> bytes:
@@ -685,7 +688,7 @@ class SellerSession:
             self._pairs.append(pair)
             self._pair_ops.append(ops)
             proofs.append(prove_complement(self.ref, pair, ops, prefix, self.rng, idx))
-        return _coin_pair_payload(self._pairs, proofs)
+        return _coin_pair_payload(self.ref.params, self._pairs, proofs)
 
 
 # -- the verifier -------------------------------------------------------------------
@@ -736,29 +739,6 @@ def _admit(log: _Log, msg: Message | None, tag: int, phase: str) -> bytes:
     return prefix
 
 
-def _verified(batch: Batch, phase: str, detail: str, verify, *args, locate=None) -> None:
-    """`verify(*args, batch)`, its terms a new group of `batch`: whether it
-    fails on its own checks or the batch finds its terms false, now or
-    later, it fails as VerificationFailed(phase, detail), at the index
-    `locate(None)` names if `locate` is given (see `Batch.begin`)."""
-    batch.begin(phase, detail, locate)
-    if not verify(*args, batch):
-        batch.reject()
-
-
-def _unindexed(_index: int | None) -> None:
-    """A group's failure that names no index, whatever unit is false."""
-
-
-def _first_false_pair(ref: RefString, pairs, proofs, prefix: bytes, _index) -> int | None:
-    """The first coin pair whose proofs fail, checked pair by pair: a coin
-    message is one unit, and this only names its failure."""
-    for idx, (pair, pr) in enumerate(zip(pairs, proofs)):
-        if not verify_complement(ref, [pair], [pr], prefix, idx):
-            return idx
-    return None
-
-
 def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, coin, batch):
     """Check one evidence message against the claim `ev`, its terms joining
     `batch`; returns the fact it establishes (for a coin, its pairs, which
@@ -793,8 +773,9 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
             payload, phase, "proof message", lambda r: read_bundle(r, params, shapes), start
         )
         side, verify = ("lower", verify_ge_public) if ge else ("upper", verify_le_public)
-        detail = f"{side}-bound proof against {w} does not verify"
-        _verified(batch, phase, detail, verify, ref, com, w, bundle, prefix)
+        batch.begin(phase, f"{side}-bound proof against {w} does not verify")
+        if not verify(ref, com, w, bundle, prefix, batch):
+            batch.reject()
         return None
     if ev.form == "sum":
         def read_sum(r):
@@ -802,34 +783,39 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
             if not 0 <= total < 1 << (width + 1):
                 _fail(phase, f"announced total {describe_uint(total)} out of range")
             shapes = plan_shapes(sum_plan(total, width))
-            return total, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
+            return total, read_commitment(r, params), read_bundle(r, params, shapes)
 
         total, carry_com, bundle = _decode(payload, phase, "sum proof", read_sum, start)
         _require_members(ref, carry_com, phase, "carry commitment")
-        args = (ref, coms[0], coms[1], total, carry_com, bundle, prefix)
-        _verified(batch, phase, "sum proof does not verify", verify_sum, *args)
+        batch.begin(phase, "sum proof does not verify")
+        if not verify_sum(ref, coms[0], coms[1], total, carry_com, bundle, prefix, batch):
+            batch.reject()
         return total
     if ev.form == "coin":
         pairs, proofs = _parse_coin_pairs(ref, payload, phase, ev.bits)
-        args, detail = (ref, pairs, proofs, prefix), "complement proof does not verify"
-        locate = partial(_first_false_pair, *args)
-        _verified(batch, phase, detail, verify_complement, *args, 0, locate=locate)
+        for idx, (pair, pair_proofs) in enumerate(zip(pairs, proofs)):
+            batch.begin(phase, "complement proof does not verify", idx)
+            if not verify_complement(ref, [pair], [pair_proofs], prefix, idx, batch):
+                batch.reject()
         return pairs
     if ev.form == "open":
-        opening = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))
-        batch.begin(phase, "coin opening does not match the selected commitment", _unindexed)
-        return reveal_int(ref, coin, [opening], batch)
+        # read_opening has checked the bit and the exponent.
+        op = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))
+        batch.begin(phase, "coin opening does not match the selected commitment")
+        batch.add_opening(coin.bits[0].value, ref.g if op.bit == 0 else ref.h, op.bit, op.r, None)
+        return op.bit
     def read_lt(r):
         verdict = r.u8()
         if verdict not in (0, 1):
             _fail(phase, f"bad verdict byte {verdict}")
         shapes = plan_shapes(lt_plan(verdict, width))
-        return verdict, read_int_commitment(r, params.q), read_bundle(r, params, shapes)
+        return verdict, read_commitment(r, params), read_bundle(r, params, shapes)
 
     verdict, borrow_com, bundle = _decode(payload, phase, "comparison proof", read_lt)
     _require_members(ref, borrow_com, phase, "borrow commitment")
-    args = (ref, coin, com, verdict, borrow_com, bundle, prefix)
-    _verified(batch, phase, "comparison proof does not verify", verify_lt_committed, *args)
+    batch.begin(phase, "comparison proof does not verify")
+    if not verify_lt_committed(ref, coin, com, verdict, borrow_com, bundle, prefix, batch):
+        batch.reject()
     return verdict
 
 
@@ -859,9 +845,9 @@ def verifier(ref: RefString, kind: str, bound: int, log: _Log, batch: Batch):
         bundle = _decode(
             msg.payload, "commit-proof", "certificate", lambda r: read_bundle(r, ref.params, shapes)
         )
-        detail = "incentive certificate does not verify"
-        args = (ref, coms[0], coms[1], bundle, prefix)
-        _verified(batch, "commit-proof", detail, verify_le_committed, *args)
+        batch.begin("commit-proof", "incentive certificate does not verify")
+        if not verify_le_committed(ref, coms[0], coms[1], bundle, prefix, batch):
+            batch.reject()
 
     msg = yield
     _admit(log, msg, TAG_TYPE_REPORT, "report")
@@ -940,7 +926,8 @@ class BuyerSession:
     message it receives or sends, once, to the run's verifier, so the
     session aborts on the first bad message.  It checks the verifier's
     batch before each of its own sends, so it never answers evidence whose
-    cell equations or openings are still unchecked."""
+    cell equations, alphas' membership or openings are still unchecked:
+    the batch holds an alpha's membership as it holds a cell equation."""
 
     def __init__(
         self,
@@ -1027,8 +1014,8 @@ class BuyerSession:
 def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -> Outcome:
     """Run the verifier over a complete message log, taking one message at
     a time, so a log read lazily stops being read at its first bad message
-    that fails a check other than a cell equation or an opening, which its
-    batch may hold until the end of the log."""
+    that fails a check other than a cell equation, an alpha's membership or
+    an opening, which its batch may hold until the end of the log."""
     if kind not in KINDS:
         _fail("params", f"unknown protocol kind {kind!r}")
     batch = Batch(ref.params)

@@ -19,13 +19,15 @@ come, then hands their cell equations to the run's `Batch`, which takes
 every opening of a reveal too and alone decides when a term is checked.
 A weight only matters mod p, so a false cell would pass a batched check
 about one time in p (one in 11 at q = 23): below BATCH_BITS bits of p each
-term is checked exactly as it comes.  From there up the batch tests each
-alpha's membership (a Jacobi symbol) and defers the terms to one
-small-exponent check (Bellare-Garay-Rabin): a hashed 128-bit weight per
-term and one `GroupParams.multi_pow` over the alphas and the distinct
-bases, targets and commitments, against 1, one chain of squarings for a
-whole log.  Either way a false term fails at the message, and with the
-error, that checking each message in full as it comes would give.
+term is checked exactly as it comes.  From there up the batch defers the
+terms to one small-exponent check (Bellare-Garay-Rabin): a hashed 128-bit
+weight per term and one `GroupParams.multi_pow` over the alphas and the
+distinct bases, targets and commitments, against the identity, one chain
+of squarings for a whole log.  An alpha's membership (a Jacobi symbol) is
+a term of that check like a cell equation: tested once the product reads
+the identity, so a log whose product does not pays for no symbol.  Either
+way a false term fails at the message, and with the error, that checking
+each message in full as it comes would give.
 
 Proving.  Every row but the real one is simulated: it draws a beta_i and
 its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
@@ -44,16 +46,19 @@ is raised to its exponent once, to refuse a witness that does not hold.
 Bytes.  A proof keeps the bytes `read_proof` read it from or `ni_prove`
 encoded it into: `ni_verify_all` hashes them for the challenge and the
 batch weights, and `encode_sized_proof` sends them, so no proof is encoded
-twice or re-encoded after decoding.  `read_proof` reads each field's
-integers as one `Reader.uints` run.  `encode_statement` joins element
-encodings its caller made once, however many cells share an element.
+twice or re-encoded after decoding.  `read_proof` reads each field as one
+run: the alphas through the group's `read_elements`, the exponents as one
+`Reader.uints` run each.  `encode_statement` joins element encodings its
+caller made once, however many cells share an element.  Elements are
+written, read and compared with the identity only through the group
+(`GroupParams`); exponents are ints mod p.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -92,11 +97,12 @@ class CdsStatement:
     def __post_init__(self):
         if not self.rows:
             raise ParameterError("statement needs at least one row")
+        identity = self.params.identity
         for row in self.rows:
             if not row:
                 raise ParameterError("statement rows must be nonempty")
             for base, target in row:
-                if base == 1 or target == 1:
+                if base == identity or target == identity:
                     raise ParameterError("bases and targets must differ from the identity")
 
     @property
@@ -143,13 +149,15 @@ class NiProof:
     `_wire` holds the proof's bytes, its first message and the rest, as
     `read_proof` read them or `ni_prove` encoded them, so a proof is never
     encoded twice.  It is not an init field: `dataclasses.replace` makes a
-    proof without it, which is encoded from its fields when needed.
+    proof without it, which is encoded from its fields, its alphas by
+    `params`, when needed.
     """
 
     first: SigmaFirst
     challenge: int
     response: SigmaResponse
     context_digest: bytes
+    params: GroupParams = field(repr=False, compare=False)  # the group of its alphas
     _wire: tuple[bytes, bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -303,14 +311,13 @@ def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaRe
     if not 1 <= beta <= params.p:
         raise ParameterError(f"challenge out of range: {beta}")
     p = params.p
-    lo, hi = params.element_range
     # Rows are nonempty, as the statement's are, so min and max per row
     # scan them in C.
     if min(resp.betas) < 0 or max(resp.betas) >= p:
         return False
     if min(map(min, resp.gammas)) < 0 or max(map(max, resp.gammas)) >= p:
         return False
-    if min(map(min, first.alphas)) < lo or max(map(max, first.alphas)) > hi:
+    if not params.in_range(first.alphas):
         return False
     return sum(resp.betas) % p == beta % p
 
@@ -432,7 +439,7 @@ def ni_prove(
     """`openings`: the simulated cells' targets opened, as for
     `cds_prove_first`; the proof is the same with or without them."""
     first, state = cds_prove_first(stmt, wit, rng, openings)
-    first_bytes = encode_first(first)
+    first_bytes = encode_first(stmt.params, first)
     absorbed = hashlib.sha256(context)  # one pass: the digest, then the challenge
     context_digest = absorbed.copy().digest()
     absorbed.update(first_bytes)
@@ -442,6 +449,7 @@ def ni_prove(
         challenge=challenge,
         response=cds_respond(state, challenge),
         context_digest=context_digest,
+        params=stmt.params,
     )
     object.__setattr__(proof, "_wire", (first_bytes, _encode_response(proof)))
     return proof
@@ -493,71 +501,62 @@ def ni_verify_all(
 # list of the (statement, proof, context) items of a proof bundle or the
 # tuple (value, base, r) of an opening value = base^r).
 _Unit = tuple[int | None, bytes, int, object]
-# What a group's false unit raises: VerificationFailed(phase, detail) at the
-# unit's index, or at `locate` of it.
-_Failure = tuple[str, str, Callable[[int | None], int | None] | None]
-
-
-def _failed(failure: _Failure, index: int | None) -> VerificationFailed:
-    phase, detail, locate = failure
-    return VerificationFailed(phase, detail, index if locate is None else locate(index))
 
 
 class Batch:
-    """The cell equations and openings one verification run owes; it alone
-    decides when each is checked (see the module docstring).
+    """The cell equations and openings one verification run owes, and the
+    membership of every alpha; it alone decides when each is checked (see
+    the module docstring).
 
     `ni_verify_all` adds a proof bundle's cell equations as one unit and
-    `commitments.reveal_int` each opening, in groups, one per message, that
-    `begin` starts with the phase and detail its failure names.  Below
-    BATCH_BITS a unit is checked as it is added and a false one fails at
-    once, as the proofs' other checks do.  From BATCH_BITS up it is
-    pending: `check` tests every pending unit at once (`_batch_holds`) and,
-    only if that fails, searches for the first false unit: the groups
-    before the newest merged, then unit by unit the part that fails (an
-    opening by itself, with one power).  A failure found later in the run
-    calls `check` first, so a pending false unit is named before it.
+    `commitments.reveal_int` each opening, in groups, one per message (one
+    per pair of a coin message), that `begin` starts with the failure its
+    false units name.  Below BATCH_BITS a unit is checked as it is added
+    and a false one fails at once, as the proofs' other checks do: a cell
+    equation with a non-member alpha is false there.  From BATCH_BITS up it
+    is pending: `check` tests every pending unit at once (`_batch_holds`,
+    which tests the alphas' membership once their product holds) and, only
+    if that fails, searches for the first false unit: the groups before the
+    newest merged, then unit by unit the part that fails (an opening by
+    itself, with one power).  A failure found later in the run calls
+    `check` first, so a pending false unit is named before it.
     """
 
     def __init__(self, params: GroupParams):
         self.params = params
         self.deferred = params.p.bit_length() >= BATCH_BITS
-        self._failure: _Failure | None = None
-        self._groups: list[tuple[_Failure, list[_Unit]]] = []
+        self._failure: tuple[str, str] | None = None  # (phase, detail) of the current group
+        self._index: int | None = None  # the index it names
+        self._groups: list[tuple[tuple[str, str], list[_Unit]]] = []
         self._fresh = True  # the next unit starts a group
 
-    def begin(
-        self, phase: str, detail: str, locate: Callable[[int | None], int | None] | None = None
-    ) -> None:
+    def begin(self, phase: str, detail: str, index: int | None = None) -> None:
         """The next terms start a group.  A false unit of it fails as
-        VerificationFailed(phase, detail) at the index it was added with
-        (an opening's; a proof bundle has none), or at `locate` of it."""
-        self._failure = (phase, detail, locate)
+        VerificationFailed(phase, detail) at `index`, or, for an opening,
+        at the index it was added with."""
+        self._failure = (phase, detail)
+        self._index = index
         self._fresh = True
 
     def add_proofs(self, items) -> bool:
         """The cell equations of proofs whose other checks passed, as one
         unit: below BATCH_BITS checked now, cell by cell, from BATCH_BITS up
-        pending once its alphas are members.  False if a check made now
+        pending, with their alphas' membership.  False if a check made now
         fails, which the caller fails like the proofs' other checks."""
         if not self.deferred:
             return all(_cells_hold(stmt, proof.first, proof.response) for stmt, proof, _ in items)
-        # The batch is only sound in the order-p group: alpha and q - alpha
-        # differ by the factor -1, which an even weight hides.
-        alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
-        if not all(self.params.is_member(a) for a in alphas):
-            return False
+        cells = sum(len(row) for _, proof, _ in items for row in proof.first.alphas)
         data = b"".join(part for _, proof, _ in items for part in _wire_bytes(proof))
-        self._defer(None, data, len(alphas), list(items))
+        self._defer(self._index, data, cells, list(items))
         return True
 
-    def add_opening(self, value: int, base: int, bit: int, r: int, index: int) -> None:
+    def add_opening(self, value: int, base: int, bit: int, r: int, index: int | None) -> None:
         """value = base^r, where `bit` names base: below BATCH_BITS checked
         now, a false one failing the group at `index`; from BATCH_BITS up
         pending, as the term value^w * base^(-w * r), weighted by the
         commitment's and the opening's encodings."""
         if self.deferred:
-            data = encode_uint(value) + encode_u8(bit) + encode_uint(r)
+            data = self.params.encode_elements((value,)) + encode_u8(bit) + encode_uint(r)
             self._defer(index, data, 1, (value, base, r))
         elif self.params.pow_unchecked(base, r) != value:
             self.reject(index)
@@ -568,7 +567,7 @@ class Batch:
             self._fresh = False
         self._groups[-1][1].append((index, len(data).to_bytes(4, "big") + data, count, terms))
 
-    def _take(self) -> list[tuple[_Failure, list[_Unit]]]:
+    def _take(self) -> list[tuple[tuple[str, str], list[_Unit]]]:
         groups, self._groups, self._fresh = self._groups, [], True
         return groups
 
@@ -586,9 +585,10 @@ class Batch:
                 raise self._first_false(groups)
 
     def reject(self, index: int | None = None) -> None:
-        """Fail the current group at `index`, after any pending failure."""
+        """Fail the current group at `index`, or at the index `begin` gave
+        it, after any pending failure."""
         self.check()
-        raise _failed(self._failure, index)
+        raise VerificationFailed(*self._failure, self._index if index is None else index)
 
     def _first_false(self, groups) -> Exception:
         """The failure of the first false unit of `groups`, which were
@@ -608,9 +608,9 @@ class Batch:
             else:
                 holds = _batch_holds(self.params, [unit])
             if not holds:
-                return _failed(failure, unit[0])
+                return VerificationFailed(*failure, unit[0])
         failure, unit = units[-1]
-        return _failed(failure, unit[0])
+        return VerificationFailed(*failure, unit[0])
 
 
 def _batch_weights(seed: bytes, count: int) -> list[int]:
@@ -627,7 +627,9 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
     """Every term of `units` as one small-exponent test: with a weight w per
     cell and per opening, one `multi_pow` checks
 
-        prod of alpha^w * prod over elements x of x^(e_x mod p) == 1.
+        prod of alpha^w * prod over elements x of x^(e_x mod p) = identity,
+
+    and then that every alpha is a member.
 
     A cell base^gamma = alpha * target^beta_i adds w * beta_i to its
     target's exponent and takes w * gamma from its base's; an opening
@@ -637,10 +639,12 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
     probability about 2^-WEIGHT_BITS, since the weights come from a hash of
     every unit's bytes: the proofs carry their context digests, which bind
     the statements, and an opening carries its commitment and its bit,
-    which names B.  The test is only sound in the order-p group: every
-    alpha was checked for membership as its proof came in, and bases,
-    targets and committed values are members by contract, so their
-    exponents are reduced mod p, the negative ones with them.
+    which names B.  The test is only sound in the order-p group: alpha and
+    q - alpha differ by the factor -1, which an even weight hides.  So
+    every alpha is tested for membership, once the product holds: a log
+    whose product fails pays for no Jacobi symbol.  Bases, targets and
+    committed values are members by contract, so their exponents are
+    reduced mod p, the negative ones with them.
     """
     p = params.p
     seed = hashlib.sha256(_BATCH_TAG + b"".join(data for _, data, _, _ in units)).digest()
@@ -664,8 +668,9 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
                     pairs.append((alpha, w))
                     exps[base] = exps.get(base, 0) - w * gamma
                     exps[target] = exps.get(target, 0) + w * beta_i
+    alphas = [alpha for alpha, _ in pairs]
     pairs += [(x, e % p) for x, e in exps.items()]
-    return params.multi_pow(pairs) == 1
+    return params.multi_pow(pairs) == params.identity and all(map(params.is_member, alphas))
 
 
 # -- wire encodings ------------------------------------------------------------
@@ -684,15 +689,15 @@ def encode_statement(stmt: CdsStatement, encoded: Mapping[int, bytes]) -> bytes:
     return encode_shape(stmt.shape) + b"".join(cells)
 
 
-def encode_first(first: SigmaFirst) -> bytes:
+def encode_first(params: GroupParams, first: SigmaFirst) -> bytes:
     shape = tuple(map(len, first.alphas))
-    return encode_shape(shape) + encode_uints(a for row in first.alphas for a in row)
+    return encode_shape(shape) + params.encode_elements(a for row in first.alphas for a in row)
 
 
 def _wire_bytes(proof: NiProof) -> tuple[bytes, bytes]:
     """The proof's first message and the rest of its body: the bytes it was
     read from or made with, else encoded from its fields."""
-    return proof._wire or (encode_first(proof.first), _encode_response(proof))
+    return proof._wire or (encode_first(proof.params, proof.first), _encode_response(proof))
 
 
 def encode_proof(proof: NiProof) -> bytes:
@@ -729,15 +734,16 @@ def _rows(flat: list[int], widths: tuple[int, ...]) -> tuple[tuple[int, ...], ..
 
 
 def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProof:
-    """Strict decode against an expected statement shape.  Each field's
-    integers are one `Reader.uints` run, so an integer out of range is named
-    at its own end; the proof keeps the bytes it was read from."""
+    """Strict decode against an expected statement shape.  Each field is
+    one run, the alphas `params.read_elements` and each other field's
+    integers one `Reader.uints`, so a value out of range is named at its
+    own end; the proof keeps the bytes it was read from."""
     begin = r.off
     if r.take(2 + 2 * len(shape)) != encode_shape(shape):
         raise CodecError("proof shape differs from statement", offset=begin)
     p = params.p
     cells = sum(shape)
-    alphas = r.uints(cells, *params.element_range, "alpha")
+    alphas = params.read_elements(r, cells, "alpha")
     mid = r.off
     (challenge,) = r.uints(1, 1, p, "challenge")
     betas = tuple(r.uints(len(shape), 0, p - 1, "per-row challenge"))
@@ -748,6 +754,7 @@ def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProo
         challenge=challenge,
         response=SigmaResponse(betas=betas, gammas=_rows(gammas, shape)),
         context_digest=digest,
+        params=params,
     )
     object.__setattr__(proof, "_wire", (r.buf[begin:mid], r.buf[mid : r.off]))
     return proof

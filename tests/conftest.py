@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -56,7 +58,7 @@ def _per_cell_verdict(items):
     for stmt, proof, context in items:
         if hashlib.sha256(context).digest() != proof.context_digest:
             return False
-        if fiat_shamir_challenge(stmt.params, context + encode_first(proof.first)) != proof.challenge:
+        if fiat_shamir_challenge(stmt.params, context + encode_first(stmt.params, proof.first)) != proof.challenge:
             return False
         try:
             if not cds_verify(stmt, proof.first, proof.challenge, proof.response):
@@ -96,3 +98,12 @@ def decode_proof(buf: bytes, params: GroupParams, shape: tuple[int, ...]) -> NiP
     proof = read_proof(r, params, shape)
     r.finish()
     return proof
+
+
+def compare_script():
+    """scripts/compare_transcripts.py, loaded as a module."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_transcripts.py"
+    spec = importlib.util.spec_from_file_location("compare_transcripts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import pathlib
 import random
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_proof, or_statement
+from conftest import compare_script, decode_proof, or_statement
 from zkmech.codec import (
     Message,
     Reader,
@@ -156,7 +155,7 @@ def reference_read_proof(r: Reader, params, shape) -> NiProof:
     betas = tuple(uint_per_integer(r, len(shape), 0, p - 1, "per-row challenge"))
     gammas = rows(0, p - 1, "gamma")
     digest = r.take(32)
-    return NiProof(SigmaFirst(alphas), challenge, SigmaResponse(betas, gammas), digest)
+    return NiProof(SigmaFirst(alphas), challenge, SigmaResponse(betas, gammas), digest, params)
 
 
 def reference_read_sized_proof(r: Reader, params, shape) -> NiProof:
@@ -374,15 +373,6 @@ class TestTranscriptFiles:
         lines = transcript_dumps(t).splitlines()
         msg = decode_single_frame(bytes.fromhex(lines[1]))
         assert msg.tag == TAG_SEED and msg.payload == b"\x01"
-
-
-def compare_script():
-    """scripts/compare_transcripts.py, loaded as a module."""
-    path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_transcripts.py"
-    spec = importlib.util.spec_from_file_location("compare_transcripts", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 class TestDeterminism:

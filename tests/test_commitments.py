@@ -15,6 +15,7 @@ from zkmech.commitments import (
     commit_bit,
     commit_int,
     int_bits,
+    read_commitment,
     read_int_commitment,
     reveal_int,
     verify_opening,
@@ -160,8 +161,10 @@ def read_int_commitment_per_bit(r: Reader, q: int) -> IntCommitment:
 
 @pytest.mark.parametrize("q", [23, Q384])
 def test_a_commitment_run_reads_as_one_commitment_at_a_time(q):
-    """Read as one run, an integer commitment keeps the value, the error
-    text and the offset of reading its bit commitments one at a time."""
+    """Read as one run, through the group or from the modulus, an integer
+    commitment keeps the value, the error text and the offset of reading
+    its bit commitments one at a time."""
+    params = params_from_modulus(q)
 
     def read(reader, buf):
         r = Reader(buf)
@@ -169,6 +172,9 @@ def test_a_commitment_run_reads_as_one_commitment_at_a_time(q):
             return reader(r, q), r.off
         except CodecError as exc:
             return str(exc), exc.offset
+
+    def read_in_group(r, _q):
+        return read_commitment(r, params)
 
     for bad in (None, 0, 1, 2, q - 1, q, q + 5, 1 << 9000):
         for at in range(3):
@@ -179,5 +185,7 @@ def test_a_commitment_run_reads_as_one_commitment_at_a_time(q):
             for cut in (len(buf), len(buf) - 1):
                 want = read(read_int_commitment_per_bit, buf[:cut])
                 assert read(read_int_commitment, buf[:cut]) == want, (bad, at, cut)
-    text, _ = read(read_int_commitment, encode_u8(1) + encode_uints([q]))
-    assert text.startswith(f"commitment {q} out of range")
+                assert read(read_in_group, buf[:cut]) == want, (bad, at, cut)
+    for reader in (read_int_commitment, read_in_group):
+        text, _ = read(reader, encode_u8(1) + encode_uints([q]))
+        assert text.startswith(f"commitment {q} out of range")

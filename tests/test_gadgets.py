@@ -423,9 +423,9 @@ class TestCoinFlip:
         price, _ = commit_int(ref23, 0, 1, rng)
         coin = Evidence("coin", bits=1)
         with pytest.raises(VerificationFailed) as exc:
-            checked(ref23, coin, _coin_pair_payload([pair], proofs), CTX, [price], None)
+            checked(ref23, coin, _coin_pair_payload(ref23.params, [pair], proofs), CTX, [price], None)
         assert exc.value.phase == "coin"
-        payload = _coin_pair_payload([other], proofs)
+        payload = _coin_pair_payload(ref23.params, [other], proofs)
         assert checked(ref23, coin, payload, CTX, [price], None) == [other]
 
     @pytest.mark.parametrize("group", ["ref23", "ref384"])
@@ -447,7 +447,7 @@ class TestCoinFlip:
             proofs.append(prove_complement(ref, pair, ops, CTX, rng, idx))
         price, _ = commit_int(ref, 0, 4, rng)
         coin = Evidence("coin", bits=4)
-        assert checked(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None) == pairs
+        assert checked(ref, coin, _coin_pair_payload(ref.params, pairs, proofs), CTX, [price], None) == pairs
         if fault == "proofs of another pair":
             other, other_ops = complement_commit(ref, 0, rng)
             proofs[2] = prove_complement(ref, other, other_ops, CTX, rng, 2)
@@ -456,7 +456,7 @@ class TestCoinFlip:
             gammas = ((proof.response.gammas[0][0] + 1) % ref.params.p,), proof.response.gammas[1]
             proofs[2][1] = replace(proof, response=replace(proof.response, gammas=gammas))
         with pytest.raises(VerificationFailed) as exc:
-            checked(ref, coin, _coin_pair_payload(pairs, proofs), CTX, [price], None)
+            checked(ref, coin, _coin_pair_payload(ref.params, pairs, proofs), CTX, [price], None)
         assert (exc.value.phase, exc.value.index) == ("coin", 2)
         assert exc.value.detail == "complement proof does not verify"
 

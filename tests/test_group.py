@@ -11,7 +11,7 @@ import pytest
 from conftest import Q384
 
 from zkmech import group
-from zkmech.codec import encode_uint
+from zkmech.codec import Reader, encode_uint
 from zkmech.commitments import commit_bit
 from zkmech.errors import NonMemberError, ParameterError, PrimeSearchError, VerificationFailed
 from zkmech.group import (
@@ -668,80 +668,137 @@ class TestFixedBaseTables:
 # -- the group's boundary: elements are opaque outside group.py --------------------
 
 # A read of the group's representation is a `.q`, a `% q` or a `q_bits`.  The
-# reads allowed outside group.py, (module, function, read): the modulus
-# handed to a commitment reader, whose signature `perfbench` calls, is
-# allowed in any function.
-HANDED = "the modulus handed to read_int_commitment"
+# reads allowed outside group.py, (module, function, read).
 ALLOWED_READS = {
     ("analysis", "_subgroup_elements", ".q"),  # enumerates the toy groups' squares
     ("cli", "_cmd_gen_params", ".q"),  # prints the q= line
 }
 
+# Handling an element as an int is writing it with `encode_uint(s)`, reading
+# it with `Reader.uint(s)`, or comparing it with 1, the identity; the group's
+# `encode_elements`, `read_elements` and `identity` do these.  The sites
+# allowed outside group.py, (module, function, form): first those of ints
+# that are no elements, then mpc's codec and `read_int_commitment`, which
+# write and read elements as ints for callers that hold no group.
+ALLOWED_INT_HANDLING = {
+    ("analysis", "FiniteMechanism.__post_init__", "== 1"),  # a probability sum
+    ("analysis", "GrovesInstance.__post_init__", "== 1"),  # a weight sum
+    ("analysis", "EquivocatorStrategy._opening", "== 1"),  # a bit
+    ("cli", "_values_from_args", "== 1"),  # values per report
+    ("cli", "_cmd_buyer", "== 1"),  # values per report
+    ("commitments", "encode_opening", "encode_uint(s)"),  # an exponent
+    ("commitments", "read_opening", "Reader.uint(s)"),  # an exponent
+    ("mpc", "mpc_buyer_conclude", "== 1"),  # a bit
+    ("protocols", "MechanismSpec.__post_init__", "== 1"),  # a buyer count
+    ("protocols", "_report_payload", "encode_uint(s)"),  # reported values
+    ("protocols", "_parse_report.read", "Reader.uint(s)"),  # reported values
+    ("protocols", "_sum_body", "encode_uint(s)"),  # the announced total
+    ("protocols", "_check.read_sum", "Reader.uint(s)"),  # the announced total
+    ("protocols", "encode_outcome", "encode_uint(s)"),  # the payment
+    ("protocols", "_ex3_rule", "== 1"),  # the coin's result
+    ("sigma", "Batch.add_opening", "encode_uint(s)"),  # the opening's exponent
+    ("sigma", "_encode_response", "encode_uint(s)"),  # the challenge, betas and gammas
+    ("sigma", "read_proof", "Reader.uint(s)"),  # the challenge, betas and gammas
+    ("mpc", "encode_indicator", "encode_uint(s)"),
+    ("mpc", "decode_indicator", "Reader.uint(s)"),
+    ("mpc", "encode_response", "encode_uint(s)"),
+    ("mpc", "decode_response", "Reader.uint(s)"),
+    ("commitments", "read_int_commitment", "Reader.uint(s)"),
+}
 
-def representation_reads(source: str) -> list[tuple[str, str]]:
-    """(function, read) of each read of the representation in `source`;
-    the function's name is dotted when nested, and a `.q` that is an
-    argument of a `read_int_commitment` call reads as HANDED."""
-    tree = ast.parse(source)
-    handed = {
-        id(arg)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_int_commitment"
-        for arg in node.args
-    }
+
+def scan(source: str, found) -> list[tuple[str, str]]:
+    """(function, form) of each node of `source` that `found(node)` names
+    a form of, None for none; the function's name is dotted when nested."""
     reads = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where else node.name
-        if isinstance(node, ast.Attribute) and node.attr == "q":
-            reads.append((where, HANDED if id(node) in handed else ".q"))
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-            if isinstance(node.right, ast.Name) and node.right.id == "q":
-                reads.append((where, "% q"))
-        elif getattr(node, "id", getattr(node, "arg", None)) == "q_bits":
-            reads.append((where, "q_bits"))
+        form = found(node)
+        if form is not None:
+            reads.append((where, form))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(tree, "")
+    visit(ast.parse(source), "")
     return reads
+
+
+def representation_read(node) -> str | None:
+    if isinstance(node, ast.Attribute) and node.attr == "q":
+        return ".q"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        if isinstance(node.right, ast.Name) and node.right.id == "q":
+            return "% q"
+    if getattr(node, "id", getattr(node, "arg", None)) == "q_bits":
+        return "q_bits"
+    return None
+
+
+def int_handling(node) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) in ("encode_uint", "encode_uints"):
+            return "encode_uint(s)"
+        if isinstance(func, ast.Attribute) and func.attr in ("uint", "uints"):
+            return "Reader.uint(s)"
+    if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        if any(type(x) is ast.Constant and type(x.value) is int and x.value == 1 for x in (node.left, *node.comparators)):
+            return "== 1"
+    return None
+
+
+def assert_only_allowed(found, allowed) -> None:
+    """The forms `found` names in every module but group.py are exactly the
+    `allowed` (module, function, form) sites."""
+    seen, leaks = set(), []
+    for path in sorted(Path(group.__file__).parent.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for where, form in scan(path.read_text(encoding="utf-8"), found):
+            key = (path.stem, where, form)
+            if key in allowed:
+                seen.add(key)
+            else:
+                leaks.append(key)
+    assert leaks == []
+    assert seen == allowed
 
 
 class TestGroupBoundary:
     def test_the_scan_finds_each_form_of_read(self):
         source = (
-            "def f(params, q, q_bits):\n"
+            "def f(params, q, q_bits, r):\n"
             "    def g(r):\n"
             "        return read_int_commitment(r, params.q)\n"
-            "    return params.q * 2 % q\n"
+            "    if x == 1 or 1 != y:\n"
+            "        return encode_uint(x) + codec.encode_uints([x]) + bytes(r.uint())\n"
+            "    return params.q * 2 % q + sum(r.uints(2, 1, 3, 'x'))\n"
         )
-        assert sorted(representation_reads(source)) == sorted(
-            [("f", "q_bits"), ("f.g", HANDED), ("f", ".q"), ("f", "% q")]
+        assert sorted(scan(source, representation_read)) == sorted(
+            [("f", "q_bits"), ("f.g", ".q"), ("f", ".q"), ("f", "% q")]
+        )
+        assert sorted(scan(source, int_handling)) == sorted(
+            [("f", "== 1"), ("f", "encode_uint(s)"), ("f", "Reader.uint(s)")] * 2
         )
 
     def test_no_module_but_group_py_reads_the_representation(self):
         """Products, ranges, sizes and members of the group come from
-        `GroupParams` (or `group.element_range` for a caller that holds
-        only the modulus); each allowed read is still there."""
-        seen, leaks = set(), []
-        for path in sorted(Path(group.__file__).parent.glob("*.py")):
-            if path.name == "group.py":
-                continue
-            for where, read in representation_reads(path.read_text(encoding="utf-8")):
-                key = (path.stem, where, read)
-                if key in ALLOWED_READS:
-                    seen.add(key)
-                elif read != HANDED:
-                    leaks.append(key)
-        assert leaks == []
-        assert seen == ALLOWED_READS
+        `GroupParams`; each allowed read is still there."""
+        assert_only_allowed(representation_read, ALLOWED_READS)
+
+    def test_no_module_but_group_py_handles_elements_as_ints(self):
+        """The identity and the element format come from `GroupParams`:
+        no module but group.py writes, reads or compares with 1 an element
+        as an int, outside mpc's codec and `read_int_commitment`, and each
+        allowed site is still there."""
+        assert_only_allowed(int_handling, ALLOWED_INT_HANDLING)
 
     @pytest.mark.parametrize("modulus", [23, Q384, RFC3526_MODP_2048])
     def test_the_encoded_sizes_are_the_longest_encodings(self, modulus):
         params = params_from_modulus(modulus)
-        lo, hi = params.element_range
-        assert (lo, hi) == group.element_range(modulus) == (1, modulus - 1)
-        assert params.element_bytes == len(encode_uint(hi))
+        top = params.encode_elements([modulus - 1])
+        assert params.element_bytes == len(top) == len(encode_uint(modulus - 1))
+        assert params.read_elements(Reader(top), 1, "x") == [modulus - 1]
         assert params.exponent_bytes == len(encode_uint(params.p))

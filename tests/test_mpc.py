@@ -252,6 +252,7 @@ class TestWireFraming:
             challenge=1,
             response=SigmaResponse(betas=(0,) * count, gammas=((0,) * count,) * count),
             context_digest=bytes(32),
+            params=ref23.params,
         )
         full = encode_u8(count) + encode_uints([g] * count) + encode_proof(proof)
         r = Reader(full, 1)

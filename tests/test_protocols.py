@@ -1,6 +1,5 @@
 import copy
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from zkmech import codec, commitments, gadgets, group, mpc, protocols, sigma
+from zkmech import commitments, gadgets, group, mpc, protocols, sigma
 from zkmech.codec import (
     Message,
     Reader,
@@ -365,7 +364,7 @@ class TestTranscriptVerification:
 
         com, _ = commit_int(ref23, 7, 3, random.Random(5))
         messages = [
-            Message(TAG_COMMIT, _commit_payload([com])),
+            Message(TAG_COMMIT, _commit_payload(ref23.params, [com])),
             Message(TAG_TYPE_REPORT, _report_payload(0, [7])),
             Message(TAG_EVAL_PROOF, _LEAD["ge", 0] + encode_bundle([])),
             Message(TAG_OUTCOME, encode_outcome(Outcome(trade=False, payment=0))),
@@ -436,7 +435,7 @@ class TestCaseRuleRegressions:
         total, carry, bundle = gadgets.prove_sum(
             ref23, coms[0], ops[0], coms[1], ops[1], prefix, rng
         )
-        body = protocols._sum_body(total, carry, bundle)
+        body = protocols._sum_body(ref23.params, total, carry, bundle)
         messages.append(Message(TAG_EVAL_PROOF, protocols._LEAD["sum", 0] + body))
         messages.append(
             Message(TAG_OUTCOME, protocols.encode_outcome(Outcome(trade=True, item=0, payment=13)))
@@ -1297,16 +1296,17 @@ def test_a_replay_encodes_no_proof_and_each_element_once(ref23, monkeypatch):
     bundles: list[list[int]] = []
     current: list[list[int]] = []
     first_calls = [0]
-    real_uint, real_first = codec.encode_uint, sigma.encode_first
+    real_elements, real_first = GroupParams.encode_elements, sigma.encode_first
 
-    def encode_uint(n):
+    def encode_elements(params, xs):
+        xs = list(xs)
         if current:
-            current[-1].append(n)
-        return real_uint(n)
+            current[-1].extend(xs)
+        return real_elements(params, xs)
 
-    def encode_first(first):
+    def encode_first(params, first):
         first_calls[0] += 1
-        return real_first(first)
+        return real_first(params, first)
 
     def bundle(real):
         def wrapped(*args):
@@ -1318,9 +1318,7 @@ def test_a_replay_encodes_no_proof_and_each_element_once(ref23, monkeypatch):
 
         return wrapped
 
-    for name, module in sorted(sys.modules.items()):
-        if name.startswith("zkmech.") and getattr(module, "encode_uint", None) is real_uint:
-            monkeypatch.setattr(module, "encode_uint", encode_uint)
+    monkeypatch.setattr(GroupParams, "encode_elements", encode_elements)
     monkeypatch.setattr(sigma, "encode_first", encode_first)
     monkeypatch.setattr(gadgets, "_verify_plan", bundle(gadgets._verify_plan))
     cases = Counter()  # verified bundles per case

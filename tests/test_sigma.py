@@ -441,8 +441,9 @@ def prove_with_first(stmt, wit, context, rng, edit_alphas):
     challenge is drawn, so the challenge and digest checks still pass."""
     first, state = cds_prove_first(stmt, wit, rng)
     first = SigmaFirst(alphas=edit_alphas(first.alphas))
-    challenge = fiat_shamir_challenge(stmt.params, context + encode_first(first))
-    return NiProof(first, challenge, cds_respond(state, challenge), hashlib.sha256(context).digest())
+    challenge = fiat_shamir_challenge(stmt.params, context + encode_first(stmt.params, first))
+    digest = hashlib.sha256(context).digest()
+    return NiProof(first, challenge, cds_respond(state, challenge), digest, stmt.params)
 
 
 def replace_at(rows, r, c, value):
