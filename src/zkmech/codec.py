@@ -271,6 +271,8 @@ def transcript_frames(lines: Iterable[tuple[int, str]]) -> tuple[bytes, Iterator
     lineno, seed = next(frames, (2, None))
     if seed is None or seed.tag != TAG_SEED:
         raise CodecError("the first frame must carry the seed", line=lineno)
+    if not seed.payload:  # no reference string derives from it
+        raise CodecError("the seed is empty", line=lineno)
     return seed.payload, (msg for _, msg in frames)
 
 

@@ -96,8 +96,7 @@ def element_encodings(
     over `coms`."""
     values = {ref.g, ref.h}
     values.update([com.value for com_bits in coms for com in com_bits])
-    encode = ref.params.encode_elements
-    return {v: encode((v,)) for v in values}
+    return {v: ref.params.encode_elements((v,)) for v in values}
 
 
 # -- one statement builder, one prover, one verifier ---------------------------

@@ -3,15 +3,13 @@
 All protocol algebra lives here: safe-prime generation, the group's
 operations, exponent sampling, and the deterministic derivation of the two
 public generators (g, h) from a reference-string seed.  Outside this module
-an element is an opaque value, compared only for equality and used as a
-key, and exponents are ints in Z_p.  `GroupParams` owns every fact of the
-representation: membership, powers, the product of two elements (`mul`),
-the identity, a uniform member (`sample_member`), g and h of a seed
-(`generators`), and the element format: how elements are written
-(`encode_elements`), read (`read_elements`) and range-checked (`in_range`),
-and the longest encodings of an element and of an exponent
-(`element_bytes`, `exponent_bytes`).  So another group is a subclass that
-changes these methods and no other module.
+an element is an opaque value, only compared and hashed, and exponents are
+ints in Z_p.  `GroupParams` owns every fact of the representation:
+membership, powers, the product of two elements (`mul`), the identity, a
+uniform member (`sample_member`), g and h of a seed (`generators`), the
+element format (`encode_elements`, `read_elements`, `in_range`), and the
+longest encodings of an element and of an exponent (`element_bytes`,
+`exponent_bytes`).  Another group is a subclass that no other module sees.
 
 Three kernels make the common operations cheap once q has FAST_BITS bits
 or more:
@@ -183,10 +181,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """A safe prime q = 2p+1 and the order p of its subgroup of squares.
-
-    An element is an int from 1 to q - 1, written as `codec.encode_uint`
-    writes it."""
+    """A safe prime q = 2p+1 and the order p of its subgroup of squares."""
 
     q: int
     p: int
@@ -257,29 +252,35 @@ class GroupParams:
     # -- the reference string's generators and the element format -------
 
     def generators(self, seed: bytes) -> tuple[int, int]:
-        """g and h of a reference-string seed: hash-derived squares, never
-        the identity, never equal.  Byte-exact across platforms (pure
-        SHA-256 arithmetic)."""
-        g = _hash_to_square(self, seed + b"\x00", set())
-        return g, _hash_to_square(self, seed + b"\x01", {g})
+        """g and h of a reference-string seed, by hash-then-square with
+        counter rejection, uniform over the squares: (seed, label, counter)
+        maps to t in [2, q-1], squared, until it is neither the identity
+        nor g.  Byte-exact across platforms (pure SHA-256 arithmetic)."""
+        nbytes = (self.bit_length + 128 + 7) // 8
+        found: list[int] = []
+        for label in (b"\x00", b"\x01"):  # g's, then h's
+            for counter in range(_H2G_CAP):
+                t = 2 + _hash_expand(seed + label, counter, nbytes) % (self.q - 2)
+                if (square := t * t % self.q) != 1 and square not in found:
+                    found.append(square)
+                    break
+            else:
+                raise DerivationError("hash-to-subgroup retry cap exceeded")
+        return found[0], found[1]
 
     def encode_elements(self, xs: Iterable[int]) -> bytes:
         """The elements, each as `codec.encode_uint` writes it, joined."""
         return encode_uints(xs)
 
-    def read_elements(
-        self, r: Reader, count: int, what: str, *, identity: bool = True, named: bool = False
-    ) -> list[int]:
-        """`count` elements in a row, as `encode_elements` writes them; the
-        identity refused unless `identity`.  A value out of range is a
-        `CodecError` "`what` out of range", with `named` one that names the
-        value (see `Reader.uints`)."""
+    def read_elements(self, r: Reader, count: int, what: str, identity=True, named=False) -> list[int]:
+        """`count` elements, as `encode_elements` writes them, the identity
+        among them only if `identity`; one out of range is a "`what` out of
+        range" `CodecError`, which with `named` shows it (`Reader.uints`)."""
         return r.uints(count, 1 if identity else 2, self.q - 1, what, named)
 
     def in_range(self, rows: Sequence[Sequence[int]]) -> bool:
-        """Whether every element of `rows`, each row nonempty, is one that
-        `read_elements` accepts: an element made in memory may be any int."""
-        # min and max per row scan them in C.
+        """Whether each element of `rows`, nonempty rows, is one that
+        `read_elements` accepts; min and max per row scan them in C."""
         return min(map(min, rows)) >= 1 and max(map(max, rows)) <= self.q - 1
 
     @property
@@ -369,8 +370,7 @@ class RefString:
     h: int
 
     def __post_init__(self):
-        identity = self.params.identity
-        if self.g == identity or self.h == identity or self.g == self.h:
+        if self.params.identity in (self.g, self.h) or self.g == self.h:
             raise ParameterError("generators must be distinct and != 1")
         for base in (self.g, self.h):
             self.params.require_member(base)
@@ -518,21 +518,6 @@ def _hash_expand(material: bytes, counter: int, nbytes: int) -> int:
         ).digest()
         block += 1
     return int.from_bytes(out[:nbytes], "big")
-
-
-def _hash_to_square(params: GroupParams, material: bytes, excluded: set[int]) -> int:
-    """Hash-then-square with counter rejection, uniform over the squares.
-
-    Maps (material, counter) to t in [2, q-1], squares it, and retries
-    while the candidate is the identity or collides with `excluded`.
-    """
-    nbytes = (params.q.bit_length() + 128 + 7) // 8
-    for counter in range(_H2G_CAP):
-        t = 2 + _hash_expand(material, counter, nbytes) % (params.q - 2)
-        candidate = t * t % params.q
-        if candidate != 1 and candidate not in excluded:
-            return candidate
-    raise DerivationError("hash-to-subgroup retry cap exceeded")
 
 
 def derive_generators(params: GroupParams, seed: bytes) -> RefString:

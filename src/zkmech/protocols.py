@@ -244,9 +244,7 @@ def _sum_body(params: GroupParams, total: int, carry: IntCommitment, bundle: Pro
     return encode_uint(total) + encode_int_commitment(params, carry) + encode_bundle(bundle)
 
 
-def _coin_pair_payload(
-    params: GroupParams, pairs: list[ComplementPair], proofs: list[list]
-) -> bytes:
+def _coin_pair_payload(params: GroupParams, pairs: list[ComplementPair], proofs: list[list]) -> bytes:
     out = [encode_u8(len(pairs))]
     out.append(params.encode_elements(c.value for pair in pairs for c in (pair.r_com, pair.rp_com)))
     out += [encode_sized_proof(proof) for pr in proofs for proof in pr]

@@ -23,9 +23,8 @@ term is checked exactly as it comes.  From there up the batch defers the
 terms to one small-exponent check (Bellare-Garay-Rabin): a hashed 128-bit
 weight per term and one `GroupParams.multi_pow` over the alphas and the
 distinct bases, targets and commitments, against the identity, one chain
-of squarings for a whole log.  An alpha's membership (a Jacobi symbol) is
-a term of that check like a cell equation: tested once the product reads
-the identity, so a log whose product does not pays for no symbol.  Either
+of squarings for a whole log, then each alpha's membership (a Jacobi
+symbol), a term like a cell equation that a failed product skips.  Either
 way a false term fails at the message, and with the error, that checking
 each message in full as it comes would give.
 
@@ -47,11 +46,9 @@ Bytes.  A proof keeps the bytes `read_proof` read it from or `ni_prove`
 encoded it into: `ni_verify_all` hashes them for the challenge and the
 batch weights, and `encode_sized_proof` sends them, so no proof is encoded
 twice or re-encoded after decoding.  `read_proof` reads each field as one
-run: the alphas through the group's `read_elements`, the exponents as one
-`Reader.uints` run each.  `encode_statement` joins element encodings its
-caller made once, however many cells share an element.  Elements are
-written, read and compared with the identity only through the group
-(`GroupParams`); exponents are ints mod p.
+run, the alphas by `GroupParams.read_elements`, which alone reads and
+writes elements.  `encode_statement` joins element encodings its caller
+made once, however many cells share an element.
 """
 
 from __future__ import annotations
@@ -149,8 +146,7 @@ class NiProof:
     `_wire` holds the proof's bytes, its first message and the rest, as
     `read_proof` read them or `ni_prove` encoded them, so a proof is never
     encoded twice.  It is not an init field: `dataclasses.replace` makes a
-    proof without it, which is encoded from its fields, its alphas by
-    `params`, when needed.
+    proof without it, encoded from its fields (by `params`) when needed.
     """
 
     first: SigmaFirst
@@ -504,22 +500,20 @@ _Unit = tuple[int | None, bytes, int, object]
 
 
 class Batch:
-    """The cell equations and openings one verification run owes, and the
-    membership of every alpha; it alone decides when each is checked (see
-    the module docstring).
+    """The cell equations (with their alphas' membership) and openings one
+    verification run owes; it alone decides when each is checked (see the
+    module docstring).
 
     `ni_verify_all` adds a proof bundle's cell equations as one unit and
-    `commitments.reveal_int` each opening, in groups, one per message (one
-    per pair of a coin message), that `begin` starts with the failure its
-    false units name.  Below BATCH_BITS a unit is checked as it is added
-    and a false one fails at once, as the proofs' other checks do: a cell
-    equation with a non-member alpha is false there.  From BATCH_BITS up it
-    is pending: `check` tests every pending unit at once (`_batch_holds`,
-    which tests the alphas' membership once their product holds) and, only
-    if that fails, searches for the first false unit: the groups before the
-    newest merged, then unit by unit the part that fails (an opening by
-    itself, with one power).  A failure found later in the run calls
-    `check` first, so a pending false unit is named before it.
+    `commitments.reveal_int` each opening, in groups, one per message or
+    coin pair, that `begin` starts with the failure it names.  Below
+    BATCH_BITS a unit is checked as it is added and a false one fails at
+    once, as the proofs' other checks do.  From BATCH_BITS up it is
+    pending: `check` tests every pending unit at once (`_batch_holds`) and,
+    only if that fails, searches for the first false unit: the groups
+    before the newest merged, then unit by unit the part that fails (an
+    opening by itself, with one power).  A failure found later in the run
+    calls `check` first, so a pending false unit is named before it.
     """
 
     def __init__(self, params: GroupParams):
@@ -629,7 +623,7 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
 
         prod of alpha^w * prod over elements x of x^(e_x mod p) = identity,
 
-    and then that every alpha is a member.
+    then that every alpha is a member.
 
     A cell base^gamma = alpha * target^beta_i adds w * beta_i to its
     target's exponent and takes w * gamma from its base's; an opening
@@ -640,11 +634,10 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
     every unit's bytes: the proofs carry their context digests, which bind
     the statements, and an opening carries its commitment and its bit,
     which names B.  The test is only sound in the order-p group: alpha and
-    q - alpha differ by the factor -1, which an even weight hides.  So
-    every alpha is tested for membership, once the product holds: a log
-    whose product fails pays for no Jacobi symbol.  Bases, targets and
-    committed values are members by contract, so their exponents are
-    reduced mod p, the negative ones with them.
+    q - alpha differ by the factor -1, which an even weight hides, so each
+    alpha is tested, once the product holds.  Bases, targets and committed
+    values are members by contract, so their exponents are reduced mod p,
+    the negative ones with them.
     """
     p = params.p
     seed = hashlib.sha256(_BATCH_TAG + b"".join(data for _, data, _, _ in units)).digest()

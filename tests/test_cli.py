@@ -16,6 +16,7 @@ from zkmech.codec import (
     TAG_COIN_MASK,
     TAG_COMMIT,
     TAG_OUTCOME,
+    TAG_SEED,
     TAG_TYPE_REPORT,
     Message,
     encode_uint,
@@ -904,6 +905,7 @@ class TestOneFrameReader:
             "a non-seed first frame": [header, *frames],
             "no frames": [header],
             "only blank lines": [header, "\n", "\n"],
+            "an empty seed": [header, Message(TAG_SEED, b"").frame().hex() + "\n", *frames],
         }
         for name, lines in cases.items():
             loaded, read = self.both("".join(lines))
@@ -915,6 +917,7 @@ class TestOneFrameReader:
         )
         assert self.both("".join(cases["a non-seed first frame"]))[0][1] == 2
         assert self.both("".join(cases["no frames"]))[0][1] == 2
+        assert self.both("".join(cases["an empty seed"]))[0] == ("the seed is empty (line 2)", 2)
 
     def test_blank_lines_do_not_count_against_the_frame_cap(self, tmp_path, capsys):
         """A full run of each kind with blank lines before the seed and

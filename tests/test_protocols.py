@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zkmech import commitments, gadgets, group, mpc, protocols, sigma
 from zkmech.codec import (
@@ -718,6 +720,64 @@ def test_batch_agrees_with_cells_on_single_bit_mutants(ref384, batch_vs_cells):
     assert batch_vs_cells[False] >= 20
 
 
+# A dishonest prover's n-th proof, its first message carrying q - alpha in
+# one cell and its challenge and response made over that value: (spec,
+# reports, coin, mask, n, the rejection's text).  q - alpha is never a
+# member, and from BATCH_BITS up an even weight hides its factor -1 from
+# the batch's product, so only the alphas' membership test catches it there.
+NEGATED_ALPHAS = {
+    "ex3 certificate": (
+        MechanismSpec("ex3", 8, (1, 2)), [7], None, None, 0,
+        "[commit-proof] incentive certificate does not verify",
+    ),
+    "ex4 upper bound": (
+        MechanismSpec("ex4", 8, (3,)), [5], 5, 2, 0,
+        "[evaluate] upper-bound proof against 5 does not verify",
+    ),
+    "ex4 second coin pair": (
+        MechanismSpec("ex4", 8, (3,)), [5], 5, 2, 3,
+        "[coin] at index 1 complement proof does not verify",
+    ),
+    "ex4 comparison": (
+        MechanismSpec("ex4", 8, (3,)), [5], 5, 2, 8,
+        "[verdict] comparison proof does not verify",
+    ),
+}
+
+
+@pytest.mark.parametrize("group", ["ref23", "ref384"])
+@pytest.mark.parametrize("site", sorted(NEGATED_ALPHAS))
+def test_a_negated_alpha_fails_at_its_message(request, group, site, monkeypatch):
+    """The live buyer and a replay of the seller's log both reject the
+    message that carries the negated alpha, with that message's failure."""
+    ref = request.getfixturevalue(group)
+    spec, values, coin, mask, n, text = NEGATED_ALPHAS[site]
+    real = sigma.cds_prove_first
+    proofs = [0]
+
+    def prove_first(stmt, wit, rng, openings=None):
+        first, state = real(stmt, wit, rng, openings)
+        if proofs[0] == n:
+            (alpha, *cells), *rows = first.alphas
+            first = sigma.SigmaFirst(((ref.params.q - alpha, *cells), *rows))
+        proofs[0] += 1
+        return first, state
+
+    monkeypatch.setattr(sigma, "cds_prove_first", prove_first)
+    with pytest.raises(VerificationFailed) as live:
+        run(ref, spec, values, seed=site, coin_value=coin, mask_value=mask)
+    proofs[0] = 0
+    seller = SellerSession(ref, spec, random.Random(f"{site}/s"), coin_value=coin)
+    seller.begin()
+    seller.receive_reports([Message(TAG_TYPE_REPORT, protocols._report_payload(0, values))])
+    if seller.awaiting_mask:
+        bits = protocols.int_bits(mask, protocols.width_of(spec.bound))
+        seller.receive_mask(Message(TAG_COIN_MASK, protocols._mask_payload(bits)))
+    with pytest.raises(VerificationFailed) as replayed:
+        verify_transcript(ref, seller.log.transcript(spec.kind, spec.bound))
+    assert str(live.value) == str(replayed.value) == text
+
+
 def test_multi_pow_runs_once_per_replay_and_buyer_check_point(ref23, ref384, monkeypatch):
     """Above the batch size a replay checks every cell equation and opening
     of its log in one `multi_pow`, and a buyer makes one at each check
@@ -1050,16 +1110,80 @@ def test_tampered_frame_sequences_fail_cleanly(ref23):
         _, other = run(ref23, spec, values, seed=("second", n), coin_value=coin, mask_value=mask)
         head, *frames = transcript_dumps(tr).splitlines()
         for cls, lines in tampered(frames, transcript_dumps(other).splitlines()[1:]):
-            try:
-                mutant = transcript_loads("\n".join([head, *lines]) + "\n")
-                verify_transcript(derive_generators(ref23.params, mutant.seed), mutant)
-            except (VerificationFailed, CodecError):
-                tally[cls] += 1
-                continue
-            assert reproduces(ref23, spec, mutant, seed, coin, mask), (spec, values, cls, lines)
-            tally[cls, "accepted"] += 1
+            text = "\n".join([head, *lines]) + "\n"
+            tally[cls, replay_of_edit(ref23, text, spec, seed, coin, mask)] += 1
     assert tally[("drop", "accepted")] == 1  # the ex1multi "between" run's last report
-    assert all(tally[cls] > 0 for cls in ("drop", "duplicate", "swap", "splice")), tally
+    assert all(tally[cls, "rejected"] > 0 for cls in ("drop", "duplicate", "swap", "splice")), tally
+
+
+def replay_of_edit(ref, text, spec, seed, coin, mask) -> str:
+    """Read and replay `text`, an edit of the seeded run of `spec`, in the
+    group of `ref` with the generators of its own seed: "rejected" when that
+    fails with `VerificationFailed` or `CodecError`, "accepted" when it
+    passes and `reproduces` the edit as an honest run.  Anything else fails
+    the caller."""
+    try:
+        mutant = transcript_loads(text)
+        mutant_ref = derive_generators(ref.params, mutant.seed)
+        verify_transcript(mutant_ref, mutant)
+    except (VerificationFailed, CodecError):
+        return "rejected"
+    assert reproduces(mutant_ref, spec, mutant, seed, coin, mask), text
+    return "accepted"
+
+
+# An edit of a transcript's frames, the seed frame's first: bytes written
+# over at a place, bits flipped at up to four places, or a frame's payload
+# cut short behind a length that matches it.  Places are drawn as integers
+# and taken modulo the frame count and the frame's length.
+PLACE = st.integers(min_value=0, max_value=1 << 16)
+EDITS = st.one_of(
+    st.tuples(st.just("replace"), PLACE, PLACE, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(PLACE, PLACE), min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), PLACE, PLACE),
+)
+
+
+def edited(text: str, edit) -> str:
+    head, *lines = text.splitlines()
+    frames = [bytearray.fromhex(line) for line in lines]
+    if edit[0] == "replace":
+        _, at, offset, new = edit
+        frame = frames[at % len(frames)]
+        start = offset % len(frame)
+        frame[start : start + len(new)] = new[: len(frame) - start]
+    elif edit[0] == "flip":
+        for at, bit in edit[1]:
+            frame = frames[at % len(frames)]
+            bit %= 8 * len(frame)
+            frame[bit // 8] ^= 1 << (bit % 8)
+    else:
+        _, at, keep = edit
+        msg = decode_single_frame(bytes(frames[at % len(frames)]))
+        cut = Message(msg.tag, msg.payload[: keep % (len(msg.payload) + 1)])
+        frames[at % len(frames)] = bytearray(cut.frame())
+    return "\n".join([head, *(frame.hex() for frame in frames)]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def corpus_runs(ref23):
+    """The text of one seeded q=23 run per case of every replayable kind."""
+    runs = []
+    for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
+        _, tr = run(ref23, spec, values, seed=("corpus", n), coin_value=coin, mask_value=mask)
+        runs.append((transcript_dumps(tr), spec, ("corpus", n), coin, mask))
+    return runs
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_generated_tamper_corpus_fails_cleanly(ref23, corpus_runs, data):
+    """Bytes replaced, bits flipped and frames cut short in one run of each
+    case of every replayable kind: reading and replaying the edit fails
+    with `VerificationFailed` or `CodecError` and nothing else, or accepts
+    an edit that `reproduces` as an honest run."""
+    text, spec, seed, coin, mask = data.draw(st.sampled_from(corpus_runs))
+    replay_of_edit(ref23, edited(text, data.draw(EDITS)), spec, seed, coin, mask)
 
 
 def test_a_false_opening_is_named_at_its_index(ref384):
