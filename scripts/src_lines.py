@@ -94,7 +94,8 @@ def main(argv: list[str]) -> int:
         after = counts(new[module]) if module in new else (0, 0)
         rows.append((module, *before, *after))
     rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
-    print(f"{'module':14} {revision[:12]:>12} {'code':>6}  {'tree':>6} {'code':>6}  {'diff':>6} {'code':>6}")
+    head = ("module", revision[:12], "code", "tree", "code", "diff", "code")
+    print("{:14} {:>12} {:>6}  {:>6} {:>6}  {:>6} {:>6}".format(*head))
     for module, total0, code0, total1, code1 in rows:
         print(
             f"{module:14} {total0:12} {code0:6}  {total1:6} {code1:6}"

@@ -119,7 +119,8 @@ def same_run(refs, verdict, spec, values, seed, coin=None, mask=None) -> str:
 def test_a_box_is_no_int():
     box = Box(4)
     assert box == Box(4) and box != Box(2) and {box: 1}[Box(4)] == 1
-    for misuse in (lambda: box == 4, lambda: 1 != box, lambda: box < Box(5), lambda: encode_uints([box])):
+    misuses = (lambda: box == 4, lambda: 1 != box, lambda: box < Box(5), lambda: encode_uints([box]))
+    for misuse in misuses:
         with pytest.raises(TypeError):
             misuse()
 

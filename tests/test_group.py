@@ -744,7 +744,8 @@ def int_handling(node) -> str | None:
         if isinstance(func, ast.Attribute) and func.attr in ("uint", "uints"):
             return "Reader.uint(s)"
     if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-        if any(type(x) is ast.Constant and type(x.value) is int and x.value == 1 for x in (node.left, *node.comparators)):
+        operands = (node.left, *node.comparators)
+        if any(type(x) is ast.Constant and type(x.value) is int and x.value == 1 for x in operands):
             return "== 1"
     return None
 
