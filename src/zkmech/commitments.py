@@ -144,10 +144,8 @@ def read_commitment(r: Reader, params: GroupParams) -> IntCommitment:
 
 def read_int_commitment(r: Reader, q: int) -> IntCommitment:
     """`read_commitment` in the group mod q, for a caller that holds only
-    the modulus: each bit commitment an integer from 2 to q - 1."""
-    width = r.u8()
-    values = r.uints(width, 2, q - 1, "commitment", named=True)
-    return IntCommitment(width=width, bits=tuple(BitCommitment(v) for v in values))
+    the modulus."""
+    return read_commitment(r, GroupParams(q, (q - 1) // 2, q.bit_length()))
 
 
 def encode_opening(op: BitOpening) -> bytes:

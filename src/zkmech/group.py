@@ -17,8 +17,8 @@ or more:
 - Membership.  The order-p subgroup is exactly the quadratic residues, so
   x is a member iff 1 <= x <= q-1 and the Jacobi symbol (x/q) is 1 (binary
   Jacobi, Cohen, GTM 138, Alg. 1.4.10, each step read off the low byte).
-  Each value is tested once: where it enters (a wire parser, or g and h
-  when a `RefString` is built), or an alpha in the verifier's batch.
+  Each value is tested once, where it enters: a wire parser, or g and h
+  when a `RefString` is built.
 - Fixed bases.  `pow_unchecked` raises a fixed base to a power through
   an 8-lane comb (Lim-Lee, CRYPTO 1994) when its table exists, and by
   plain `pow` otherwise.  Bit k of the 8 bytes of each 64-bit word of the

@@ -924,8 +924,7 @@ class BuyerSession:
     message it receives or sends, once, to the run's verifier, so the
     session aborts on the first bad message.  It checks the verifier's
     batch before each of its own sends, so it never answers evidence whose
-    cell equations, alphas' membership or openings are still unchecked:
-    the batch holds an alpha's membership as it holds a cell equation."""
+    cell equations or openings are still unchecked."""
 
     def __init__(
         self,
@@ -1012,8 +1011,8 @@ class BuyerSession:
 def replay(ref: RefString, kind: str, bound: int, messages: Iterable[Message]) -> Outcome:
     """Run the verifier over a complete message log, taking one message at
     a time, so a log read lazily stops being read at its first bad message
-    that fails a check other than a cell equation, an alpha's membership or
-    an opening, which its batch may hold until the end of the log."""
+    that fails a check other than a cell equation or an opening, which its
+    batch may hold until the end of the log."""
     if kind not in KINDS:
         _fail("params", f"unknown protocol kind {kind!r}")
     batch = Batch(ref.params)

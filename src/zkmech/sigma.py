@@ -19,14 +19,14 @@ come, then hands their cell equations to the run's `Batch`, which takes
 every opening of a reveal too and alone decides when a term is checked.
 A weight only matters mod p, so a false cell would pass a batched check
 about one time in p (one in 11 at q = 23): below BATCH_BITS bits of p each
-term is checked exactly as it comes.  From there up the batch defers the
+term is checked exactly as it comes.  From there up the batch tests each
+alpha's membership (a Jacobi symbol) as its proof comes, and defers the
 terms to one small-exponent check (Bellare-Garay-Rabin): a hashed 128-bit
 weight per term and one `GroupParams.multi_pow` over the alphas and the
 distinct bases, targets and commitments, against the identity, one chain
-of squarings for a whole log, then each alpha's membership (a Jacobi
-symbol), a term like a cell equation that a failed product skips.  Either
-way a false term fails at the message, and with the error, that checking
-each message in full as it comes would give.
+of squarings for a whole log.  Either way a false term fails at the
+message, and with the error, that checking each message in full as it
+comes would give.
 
 Proving.  Every row but the real one is simulated: it draws a beta_i and
 its gammas and sets alpha = base^gamma * target^(-beta_i) (Cramer-Damgard-
@@ -146,14 +146,13 @@ class NiProof:
     `_wire` holds the proof's bytes, its first message and the rest, as
     `read_proof` read them or `ni_prove` encoded them, so a proof is never
     encoded twice.  It is not an init field: `dataclasses.replace` makes a
-    proof without it, encoded from its fields (by `params`) when needed.
+    proof without it, which can be neither encoded nor verified.
     """
 
     first: SigmaFirst
     challenge: int
     response: SigmaResponse
     context_digest: bytes
-    params: GroupParams = field(repr=False, compare=False)  # the group of its alphas
     _wire: tuple[bytes, bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -445,7 +444,6 @@ def ni_prove(
         challenge=challenge,
         response=cds_respond(state, challenge),
         context_digest=context_digest,
-        params=stmt.params,
     )
     object.__setattr__(proof, "_wire", (first_bytes, _encode_response(proof)))
     return proof
@@ -481,7 +479,7 @@ def ni_verify_all(
         absorbed = hashlib.sha256(context)
         if absorbed.copy().digest() != proof.context_digest:
             return False
-        absorbed.update(_wire_bytes(proof)[0])
+        absorbed.update(proof._wire[0])
         if _challenge(params, absorbed) != proof.challenge:
             return False
         try:
@@ -500,9 +498,8 @@ _Unit = tuple[int | None, bytes, int, object]
 
 
 class Batch:
-    """The cell equations (with their alphas' membership) and openings one
-    verification run owes; it alone decides when each is checked (see the
-    module docstring).
+    """The cell equations and openings one verification run owes; it alone
+    decides when each is checked (see the module docstring).
 
     `ni_verify_all` adds a proof bundle's cell equations as one unit and
     `commitments.reveal_int` each opening, in groups, one per message or
@@ -535,13 +532,17 @@ class Batch:
     def add_proofs(self, items) -> bool:
         """The cell equations of proofs whose other checks passed, as one
         unit: below BATCH_BITS checked now, cell by cell, from BATCH_BITS up
-        pending, with their alphas' membership.  False if a check made now
+        pending once its alphas are members.  False if a check made now
         fails, which the caller fails like the proofs' other checks."""
         if not self.deferred:
             return all(_cells_hold(stmt, proof.first, proof.response) for stmt, proof, _ in items)
-        cells = sum(len(row) for _, proof, _ in items for row in proof.first.alphas)
-        data = b"".join(part for _, proof, _ in items for part in _wire_bytes(proof))
-        self._defer(self._index, data, cells, list(items))
+        # The batch is only sound in the order-p group: alpha and q - alpha
+        # differ by the factor -1, which an even weight hides.
+        alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
+        if not all(self.params.is_member(a) for a in alphas):
+            return False
+        data = b"".join(part for _, proof, _ in items for part in proof._wire)
+        self._defer(self._index, data, len(alphas), list(items))
         return True
 
     def add_opening(self, value: int, base: int, bit: int, r: int, index: int | None) -> None:
@@ -621,9 +622,7 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
     """Every term of `units` as one small-exponent test: with a weight w per
     cell and per opening, one `multi_pow` checks
 
-        prod of alpha^w * prod over elements x of x^(e_x mod p) = identity,
-
-    then that every alpha is a member.
+        prod of alpha^w * prod over elements x of x^(e_x mod p) = identity.
 
     A cell base^gamma = alpha * target^beta_i adds w * beta_i to its
     target's exponent and takes w * gamma from its base's; an opening
@@ -633,11 +632,10 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
     probability about 2^-WEIGHT_BITS, since the weights come from a hash of
     every unit's bytes: the proofs carry their context digests, which bind
     the statements, and an opening carries its commitment and its bit,
-    which names B.  The test is only sound in the order-p group: alpha and
-    q - alpha differ by the factor -1, which an even weight hides, so each
-    alpha is tested, once the product holds.  Bases, targets and committed
-    values are members by contract, so their exponents are reduced mod p,
-    the negative ones with them.
+    which names B.  The test is only sound in the order-p group: every
+    alpha was checked for membership as its proof came in, and bases,
+    targets and committed values are members by contract, so their
+    exponents are reduced mod p, the negative ones with them.
     """
     p = params.p
     seed = hashlib.sha256(_BATCH_TAG + b"".join(data for _, data, _, _ in units)).digest()
@@ -661,9 +659,8 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
                     pairs.append((alpha, w))
                     exps[base] = exps.get(base, 0) - w * gamma
                     exps[target] = exps.get(target, 0) + w * beta_i
-    alphas = [alpha for alpha, _ in pairs]
     pairs += [(x, e % p) for x, e in exps.items()]
-    return params.multi_pow(pairs) == params.identity and all(map(params.is_member, alphas))
+    return params.multi_pow(pairs) == params.identity
 
 
 # -- wire encodings ------------------------------------------------------------
@@ -687,19 +684,13 @@ def encode_first(params: GroupParams, first: SigmaFirst) -> bytes:
     return encode_shape(shape) + params.encode_elements(a for row in first.alphas for a in row)
 
 
-def _wire_bytes(proof: NiProof) -> tuple[bytes, bytes]:
-    """The proof's first message and the rest of its body: the bytes it was
-    read from or made with, else encoded from its fields."""
-    return proof._wire or (encode_first(proof.params, proof.first), _encode_response(proof))
-
-
 def encode_proof(proof: NiProof) -> bytes:
-    return b"".join(_wire_bytes(proof))
+    return b"".join(proof._wire)
 
 
 def encode_sized_proof(proof: NiProof) -> bytes:
     """A proof behind its 4-byte length, as bundles and coin messages carry it."""
-    first, rest = _wire_bytes(proof)
+    first, rest = proof._wire
     return (len(first) + len(rest)).to_bytes(4, "big") + first + rest
 
 
@@ -747,7 +738,6 @@ def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProo
         challenge=challenge,
         response=SigmaResponse(betas=betas, gammas=_rows(gammas, shape)),
         context_digest=digest,
-        params=params,
     )
     object.__setattr__(proof, "_wire", (r.buf[begin:mid], r.buf[mid : r.off]))
     return proof

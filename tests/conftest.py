@@ -8,7 +8,15 @@ import pytest
 from zkmech.codec import Reader
 from zkmech.errors import ParameterError, ShapeMismatch
 from zkmech.group import GroupParams, derive_generators, params_from_modulus
-from zkmech.sigma import CdsStatement, NiProof, cds_verify, encode_first, fiat_shamir_challenge, read_proof
+from zkmech.sigma import (
+    CdsStatement,
+    NiProof,
+    _encode_response,
+    cds_verify,
+    encode_first,
+    fiat_shamir_challenge,
+    read_proof,
+)
 
 # A 384-bit safe prime (the benchmark's BENCH_Q384): large enough for the
 # Jacobi membership test and the fixed-base tables, small enough to be quick.
@@ -100,10 +108,17 @@ def decode_proof(buf: bytes, params: GroupParams, shape: tuple[int, ...]) -> NiP
     return proof
 
 
-def compare_script():
-    """scripts/compare_transcripts.py, loaded as a module."""
-    path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_transcripts.py"
-    spec = importlib.util.spec_from_file_location("compare_transcripts", path)
+def rewired(params: GroupParams, proof: NiProof) -> NiProof:
+    """`proof`, made by hand or by `dataclasses.replace`, with the bytes its
+    fields encode to, as `ni_prove` gives a proof its bytes."""
+    object.__setattr__(proof, "_wire", (encode_first(params, proof.first), _encode_response(proof)))
+    return proof
+
+
+def load_script(name: str):
+    """scripts/`name`.py, loaded as a module."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from conftest import Q384, compare_script
+from conftest import Q384, load_script
 from test_protocols import DIFFERENTIAL_RUNS
 from zkmech import sigma
 from zkmech.codec import encode_uints, transcript_dumps
@@ -136,7 +136,7 @@ def test_a_leak_past_the_group_raises_type_error(monkeypatch):
 
 
 def test_criterion_1_runs_give_the_int_groups_transcripts_and_verdicts():
-    script = compare_script()
+    script = load_script("compare_transcripts")
     refs = both_groups(23, TOY_SEED)
     runs = 0
     for label, _, spec_args, values, coin, mask in script.grid():
@@ -147,7 +147,7 @@ def test_criterion_1_runs_give_the_int_groups_transcripts_and_verdicts():
 
 
 def test_384_bit_differential_runs_give_the_int_groups_transcripts_and_verdicts():
-    script = compare_script()
+    script = load_script("compare_transcripts")
     refs = both_groups(Q384, b"test reference string")
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
         same_run(refs, script._verdict, spec, values, f"boxed/{n}", coin, mask)
@@ -157,7 +157,7 @@ def test_criterion_12_mutants_give_the_int_groups_verdicts():
     """Criterion 12's 500 single-bit mutants, drawn as it draws them: each
     is rejected, with one error text in both groups.  A flipped seed frame
     that still carries a seed derives g and h again, in each group."""
-    script = compare_script()
+    script = load_script("compare_transcripts")
     refs = both_groups(23, TOY_SEED)
     victims = [
         same_run(refs, script._verdict, MechanismSpec("ex1", 8, (5,)), [3], "c12/ex1"),

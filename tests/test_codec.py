@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import compare_script, decode_proof, or_statement
+from conftest import decode_proof, load_script, or_statement
 from zkmech.codec import (
     Message,
     Reader,
@@ -155,7 +155,7 @@ def reference_read_proof(r: Reader, params, shape) -> NiProof:
     betas = tuple(uint_per_integer(r, len(shape), 0, p - 1, "per-row challenge"))
     gammas = rows(0, p - 1, "gamma")
     digest = r.take(32)
-    return NiProof(SigmaFirst(alphas), challenge, SigmaResponse(betas, gammas), digest, params)
+    return NiProof(SigmaFirst(alphas), challenge, SigmaResponse(betas, gammas), digest)
 
 
 def reference_read_sized_proof(r: Reader, params, shape) -> NiProof:
@@ -403,7 +403,7 @@ class TestDeterminism:
         # every seeded run of scripts/compare_transcripts.py (criterion 1's
         # grid at q=23, plus three runs per kind and case at 384 bits),
         # hashed as `--emit` prints it; a refactor must not move one byte
-        text = "".join(line + "\n" for line in compare_script().emit_lines())
+        text = "".join(line + "\n" for line in load_script("compare_transcripts").emit_lines())
         assert len(text.splitlines()) == 4717
         assert (
             hashlib.sha256(text.encode()).hexdigest()
@@ -415,7 +415,7 @@ class TestDeterminism:
         # sessions draw from their seeded rngs (every ex3 lottery input at
         # H=8, every ex4 trade input at H=2, 4 and 8, and three per case at
         # 384 bits): a refactor must not move a draw
-        text = "".join(line + "\n" for line in compare_script().emit_draw_lines())
+        text = "".join(line + "\n" for line in load_script("compare_transcripts").emit_draw_lines())
         assert len(text.splitlines()) == 161
         assert (
             hashlib.sha256(text.encode()).hexdigest()

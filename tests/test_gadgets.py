@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import rewired
 from zkmech.commitments import BitOpening, commit_int
 from zkmech.errors import ParameterError, RefuseToProve
 from zkmech.gadgets import (
@@ -454,7 +455,7 @@ class TestCoinFlip:
         else:  # passes the challenge and range checks, fails a cell equation
             proof = proofs[2][1]
             gammas = ((proof.response.gammas[0][0] + 1) % ref.params.p,), proof.response.gammas[1]
-            proofs[2][1] = replace(proof, response=replace(proof.response, gammas=gammas))
+            proofs[2][1] = rewired(ref.params, replace(proof, response=replace(proof.response, gammas=gammas)))
         with pytest.raises(VerificationFailed) as exc:
             checked(ref, coin, _coin_pair_payload(ref.params, pairs, proofs), CTX, [price], None)
         assert (exc.value.phase, exc.value.index) == ("coin", 2)

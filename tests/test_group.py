@@ -678,8 +678,8 @@ ALLOWED_READS = {
 # it with `Reader.uint(s)`, or comparing it with 1, the identity; the group's
 # `encode_elements`, `read_elements` and `identity` do these.  The sites
 # allowed outside group.py, (module, function, form): first those of ints
-# that are no elements, then mpc's codec and `read_int_commitment`, which
-# write and read elements as ints for callers that hold no group.
+# that are no elements, then mpc's codec, which writes and reads elements as
+# ints: its encoders and `decode_response` are called with no group.
 ALLOWED_INT_HANDLING = {
     ("analysis", "FiniteMechanism.__post_init__", "== 1"),  # a probability sum
     ("analysis", "GrovesInstance.__post_init__", "== 1"),  # a weight sum
@@ -703,7 +703,6 @@ ALLOWED_INT_HANDLING = {
     ("mpc", "decode_indicator", "Reader.uint(s)"),
     ("mpc", "encode_response", "encode_uint(s)"),
     ("mpc", "decode_response", "Reader.uint(s)"),
-    ("commitments", "read_int_commitment", "Reader.uint(s)"),
 }
 
 
@@ -792,8 +791,7 @@ class TestGroupBoundary:
     def test_no_module_but_group_py_handles_elements_as_ints(self):
         """The identity and the element format come from `GroupParams`:
         no module but group.py writes, reads or compares with 1 an element
-        as an int, outside mpc's codec and `read_int_commitment`, and each
-        allowed site is still there."""
+        as an int, outside mpc's codec, and each allowed site is still there."""
         assert_only_allowed(int_handling, ALLOWED_INT_HANDLING)
 
     @pytest.mark.parametrize("modulus", [23, Q384, RFC3526_MODP_2048])

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import rewired
 from zkmech import group, mpc
 from zkmech.codec import Reader, encode_u8, encode_uints, transcript_dumps
 from zkmech.commitments import BitOpening, commit_bit, verify_opening
@@ -252,8 +253,8 @@ class TestWireFraming:
             challenge=1,
             response=SigmaResponse(betas=(0,) * count, gammas=((0,) * count,) * count),
             context_digest=bytes(32),
-            params=ref23.params,
         )
+        rewired(ref23.params, proof)
         full = encode_u8(count) + encode_uints([g] * count) + encode_proof(proof)
         r = Reader(full, 1)
         r.uints(count, 2, ref23.params.q - 1, "commitment")

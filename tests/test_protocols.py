@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rewired
 from zkmech import commitments, gadgets, group, mpc, protocols, sigma
 from zkmech.codec import (
     Message,
@@ -1381,8 +1382,8 @@ def replayed_proofs(ref, tr, monkeypatch):
 def test_proofs_keep_their_wire_bytes(request, group, monkeypatch):
     """Every proof of the differential runs encodes to the bytes it was read
     from.  A proof changed with `dataclasses.replace` (an alpha, a gamma or
-    the challenge) carries none of them: it encodes to its new fields and
-    `ni_verify_all` rejects it."""
+    the challenge) carries none of them: given the bytes its new fields
+    encode to, it reads back as itself and `ni_verify_all` rejects it."""
     ref = request.getfixturevalue(group)
     p, q = ref.params.p, ref.params.q
     checked = 0
@@ -1391,7 +1392,8 @@ def test_proofs_keep_their_wire_bytes(request, group, monkeypatch):
         for blob, stmt, proof, ctx in replayed_proofs(ref, tr, monkeypatch):
             again = sigma.read_sized_proof(Reader(blob), ref.params, stmt.shape)
             assert again == proof and sigma.encode_sized_proof(again) == blob
-            assert sigma.encode_sized_proof(replace(proof)) == blob
+            assert replace(proof)._wire is None
+            assert sigma.encode_sized_proof(rewired(ref.params, replace(proof))) == blob
             assert sigma.ni_verify_all([(stmt, proof, ctx)])
             (alpha, *others), *rows = proof.first.alphas
             (gamma, *rest), *grows = proof.response.gammas
@@ -1404,7 +1406,8 @@ def test_proofs_keep_their_wire_bytes(request, group, monkeypatch):
                 replace(proof, challenge=proof.challenge % p + 1),
             ]
             for bad in changed:
-                wire = sigma.encode_sized_proof(bad)
+                assert bad._wire is None
+                wire = sigma.encode_sized_proof(rewired(ref.params, bad))
                 assert wire != blob
                 assert sigma.read_sized_proof(Reader(wire), ref.params, stmt.shape) == bad
                 assert not sigma.ni_verify_all([(stmt, bad, ctx)])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import and_statement, decode_proof, or_statement, schnorr_statement
+from conftest import and_statement, decode_proof, or_statement, rewired, schnorr_statement
 from zkmech import sigma
 from zkmech.commitments import BitOpening, IntCommitment, commit_bit, commit_int, reveal_int
 from zkmech.errors import (
@@ -408,14 +408,17 @@ class TestNonInteractive:
         """A proof made by `ni_prove` or read from bytes keeps those bytes,
         and `dataclasses.replace` drops them: one proof's fields moved onto
         another, made for the same statement and context, are that other
-        proof, and verify and encode as it does."""
+        proof but for its bytes, and with the bytes its fields encode to
+        verify and encode as it does."""
         params = request.getfixturevalue(group)
         for stmt, wit in toy_statements(params):
             made, other = (ni_prove(stmt, wit, b"ctx", rng) for _ in range(2))
             read = decode_proof(encode_proof(made), params, stmt.shape)
             for proof in (made, read):
                 moved = replace(proof, first=other.first, challenge=other.challenge, response=other.response)
-                assert moved == other and encode_proof(moved) == encode_proof(other)
+                assert moved == other and moved._wire is None
+                rewired(params, moved)
+                assert encode_proof(moved) == encode_proof(other)
                 assert ni_verify_all([(stmt, moved, b"ctx")])
 
 
@@ -443,7 +446,7 @@ def prove_with_first(stmt, wit, context, rng, edit_alphas):
     first = SigmaFirst(alphas=edit_alphas(first.alphas))
     challenge = fiat_shamir_challenge(stmt.params, context + encode_first(stmt.params, first))
     digest = hashlib.sha256(context).digest()
-    return NiProof(first, challenge, cds_respond(state, challenge), digest, stmt.params)
+    return rewired(stmt.params, NiProof(first, challenge, cds_respond(state, challenge), digest))
 
 
 def replace_at(rows, r, c, value):
@@ -513,7 +516,7 @@ class TestBatchVerification:
 
         def shifted(proof, delta):
             gammas = replace_at(proof.response.gammas, 0, 0, (proof.response.gammas[0][0] + delta) % p)
-            return replace(proof, response=replace(proof.response, gammas=gammas))
+            return rewired(q384, replace(proof, response=replace(proof.response, gammas=gammas)))
 
         items = [(stmt0, shifted(proof0, 1), ctx0), (stmt1, shifted(proof1, -1), ctx1)]
         assert not per_cell_verdict(items)
@@ -524,7 +527,7 @@ class TestBatchVerification:
         stmt, proof, ctx = items[1]
         b = list(proof.response.betas)
         b[0], b[2] = (b[0] + 1) % q384.p, (b[2] - 1) % q384.p
-        moved = replace(proof, response=replace(proof.response, betas=tuple(b)))
+        moved = rewired(q384, replace(proof, response=replace(proof.response, betas=tuple(b))))
         assert sum(b) % q384.p == proof.challenge % q384.p
         items[1] = (stmt, moved, ctx)
         assert not per_cell_verdict(items)
@@ -546,7 +549,7 @@ class TestBatchVerification:
         assert stmt.rows[0] == ((ref384.g, ref384.g),)
         assert ni_verify_all(items) and per_cell_verdict(items)
         gammas = replace_at(proof.response.gammas, 0, 0, (proof.response.gammas[0][0] + 1) % ref384.params.p)
-        items[0] = (stmt, replace(proof, response=replace(proof.response, gammas=gammas)), ctx)
+        items[0] = (stmt, rewired(stmt.params, replace(proof, response=replace(proof.response, gammas=gammas))), ctx)
         assert not per_cell_verdict(items)
         assert not ni_verify_all(items)
 
@@ -554,8 +557,8 @@ class TestBatchVerification:
         items = self.items(bundle, rng)
         stmt, proof, ctx = items[0]
         assert not ni_verify_all([items[1], (stmt, proof, ctx + b"!")])
-        assert not ni_verify_all([(stmt, replace(proof, challenge=proof.challenge + 1), ctx)])
-        short = replace(proof, first=SigmaFirst(alphas=proof.first.alphas[:-1]))
+        assert not ni_verify_all([(stmt, rewired(stmt.params, replace(proof, challenge=proof.challenge + 1)), ctx)])
+        short = rewired(stmt.params, replace(proof, first=SigmaFirst(alphas=proof.first.alphas[:-1])))
         assert not ni_verify_all([(stmt, short, ctx)])  # a shape mismatch
 
     def test_a_run_batch_names_its_first_false_unit(self, bundle, ref384, rng):
@@ -568,7 +571,7 @@ class TestBatchVerification:
         shifted = [op if k != 1 else replace(op, r=op.r % (p - 1) + 1) for k, op in enumerate(ops)]
         (stmt, proof, ctx), rest = self.items(bundle, rng)
         gammas = replace_at(proof.response.gammas, 0, 0, (proof.response.gammas[0][0] + 1) % p)
-        false_bundle = [(stmt, replace(proof, response=replace(proof.response, gammas=gammas)), ctx), rest]
+        false_bundle = [(stmt, rewired(stmt.params, replace(proof, response=replace(proof.response, gammas=gammas))), ctx), rest]
 
         def batch_of(*messages):
             batch = Batch(ref384.params)

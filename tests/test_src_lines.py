@@ -1,14 +1,4 @@
-import importlib.util
-import pathlib
-
-
-def src_lines():
-    """scripts/src_lines.py, loaded as a module."""
-    path = pathlib.Path(__file__).parent.parent / "scripts" / "src_lines.py"
-    spec = importlib.util.spec_from_file_location("src_lines", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+from conftest import load_script
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
@@ -24,4 +14,4 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
         "    return (x,\n"
         "            s)\n"
     )
-    assert src_lines().counts(source) == (10, 5)
+    assert load_script("src_lines").counts(source) == (10, 5)
