@@ -750,33 +750,41 @@ NEGATED_ALPHAS = {
 @pytest.mark.parametrize("site", sorted(NEGATED_ALPHAS))
 def test_a_negated_alpha_fails_at_its_message(request, group, site, monkeypatch):
     """The live buyer and a replay of the seller's log both reject the
-    message that carries the negated alpha, with that message's failure."""
+    message that carries the negated alpha, with that message's failure,
+    and the replay reads no message after it."""
     ref = request.getfixturevalue(group)
     spec, values, coin, mask, n, text = NEGATED_ALPHAS[site]
     real = sigma.cds_prove_first
-    proofs = [0]
+    proofs = [0, n]  # proofs made, the one to negate
 
     def prove_first(stmt, wit, rng, openings=None):
         first, state = real(stmt, wit, rng, openings)
-        if proofs[0] == n:
+        if proofs[0] == proofs[1]:
             (alpha, *cells), *rows = first.alphas
             first = sigma.SigmaFirst(((ref.params.q - alpha, *cells), *rows))
         proofs[0] += 1
         return first, state
 
+    def seller_log(negated):
+        proofs[:] = [0, negated]
+        seller = SellerSession(ref, spec, random.Random(f"{site}/s"), coin_value=coin)
+        seller.begin()
+        seller.receive_reports([Message(TAG_TYPE_REPORT, protocols._report_payload(0, values))])
+        if seller.awaiting_mask:
+            bits = protocols.int_bits(mask, protocols.width_of(spec.bound))
+            seller.receive_mask(Message(TAG_COIN_MASK, protocols._mask_payload(bits)))
+        return seller.log.transcript(spec.kind, spec.bound)
+
     monkeypatch.setattr(sigma, "cds_prove_first", prove_first)
     with pytest.raises(VerificationFailed) as live:
         run(ref, spec, values, seed=site, coin_value=coin, mask_value=mask)
-    proofs[0] = 0
-    seller = SellerSession(ref, spec, random.Random(f"{site}/s"), coin_value=coin)
-    seller.begin()
-    seller.receive_reports([Message(TAG_TYPE_REPORT, protocols._report_payload(0, values))])
-    if seller.awaiting_mask:
-        bits = protocols.int_bits(mask, protocols.width_of(spec.bound))
-        seller.receive_mask(Message(TAG_COIN_MASK, protocols._mask_payload(bits)))
+    honest, log = seller_log(None), seller_log(n)
+    bad = next(k for k, (a, b) in enumerate(zip(honest.messages, log.messages)) if a != b)
+    read = []
     with pytest.raises(VerificationFailed) as replayed:
-        verify_transcript(ref, seller.log.transcript(spec.kind, spec.bound))
+        verify_transcript(ref, replace(log, messages=(read.append(m) or m for m in log.messages)))
     assert str(live.value) == str(replayed.value) == text
+    assert len(read) == bad + 1
 
 
 def test_multi_pow_runs_once_per_replay_and_buyer_check_point(ref23, ref384, monkeypatch):
