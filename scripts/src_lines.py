@@ -1,14 +1,17 @@
-"""Count the lines of each module of `src/zkmech`, in the working tree and
-at a git revision.
+"""Count the lines and the settable values of each module of `src/zkmech`,
+in the working tree and at a git revision.
 
     python scripts/src_lines.py [REVISION]
 
 REVISION defaults to HEAD.  For each module it prints the total lines, as
-`wc -l` counts them, and the code lines: those that hold a token other
-than a comment, with docstrings (a string that is the first statement of a
-module, class or function, found from the syntax tree) left out.  Blank
-lines hold no token.  The last row sums the modules.  It exits 2 when git
-cannot read the revision.
+`wc -l` counts them, the code lines: those that hold a token other than a
+comment, with docstrings (a string that is the first statement of a
+module, class or function, found from the syntax tree) left out, and the
+settable values: the parameters with a default of each public function
+and of each public method of a public class, and the init fields of each
+public dataclass, read from the syntax tree.  Blank lines hold no token.
+A name is public unless it starts with one underscore.  The last row sums
+the modules.  It exits 2 when git cannot read the revision.
 """
 
 from __future__ import annotations
@@ -44,14 +47,67 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def counts(source: str) -> tuple[int, int]:
-    """(total lines, code lines) of one module's source."""
-    skipped = docstring_lines(ast.parse(source))
+def counts(source: str) -> tuple[int, int, int]:
+    """(total lines, code lines, settable values) of one module's source."""
+    tree = ast.parse(source)
+    skipped = docstring_lines(tree)
     code = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE and tok.start[0] not in skipped:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return source.count("\n"), len(code)
+    return source.count("\n"), len(code), len(settable_values(tree))
+
+
+def public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """The parameters of `fn` that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    with_default = positional[len(positional) - len(args.defaults) :]
+    keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a in with_default + keyword]
+
+
+def init_false(call: ast.expr | None) -> bool:
+    """Whether `call` is a call, such as `dataclass(...)` or `field(...)`,
+    given `init=False`."""
+    return isinstance(call, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in call.keywords
+    )
+
+
+def is_dataclass(decorator: ast.expr) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "dataclass" and not init_false(decorator)
+
+
+def settable_values(tree: ast.Module) -> list[str]:
+    """Each settable value of a module, as `function(parameter)`,
+    `Class.method(parameter)` or `Class.field`."""
+    values = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and public(node.name):
+            values += [f"{node.name}({arg})" for arg in defaulted(node)]
+        if not (isinstance(node, ast.ClassDef) and public(node.name)):
+            continue
+        for item in node.body:
+            if isinstance(item, functions) and public(item.name):
+                values += [f"{node.name}.{item.name}({arg})" for arg in defaulted(item)]
+        if any(map(is_dataclass, node.decorator_list)):
+            values += [
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and not init_false(item.value)
+            ]
+    return values
 
 
 def tree_sources() -> dict[str, str]:
@@ -90,16 +146,16 @@ def main(argv: list[str]) -> int:
     new = tree_sources()
     rows = []
     for module in sorted(old.keys() | new.keys()):
-        before = counts(old[module]) if module in old else (0, 0)
-        after = counts(new[module]) if module in new else (0, 0)
+        before = counts(old[module]) if module in old else (0, 0, 0)
+        after = counts(new[module]) if module in new else (0, 0, 0)
         rows.append((module, *before, *after))
     rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
-    head = ("module", revision[:12], "code", "tree", "code", "diff", "code")
-    print("{:14} {:>12} {:>6}  {:>6} {:>6}  {:>6} {:>6}".format(*head))
-    for module, total0, code0, total1, code1 in rows:
+    head = ("module", revision[:12], "code", "set", "tree", "code", "set", "diff", "code", "set")
+    print("{:14} {:>12} {:>6} {:>4}  {:>6} {:>6} {:>4}  {:>6} {:>6} {:>4}".format(*head))
+    for module, total0, code0, set0, total1, code1, set1 in rows:
         print(
-            f"{module:14} {total0:12} {code0:6}  {total1:6} {code1:6}"
-            f"  {total1 - total0:+6} {code1 - code0:+6}"
+            f"{module:14} {total0:12} {code0:6} {set0:4}  {total1:6} {code1:6} {set1:4}"
+            f"  {total1 - total0:+6} {code1 - code0:+6} {set1 - set0:+4}"
         )
     return 0
 

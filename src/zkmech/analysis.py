@@ -8,9 +8,10 @@ comparison for the hiding claim, and a rewinding extraction driver that
 turns inconsistent seller strategies into discrete logarithms.
 
 The hiding check covers ex1, ex1multi and ex2, whose runs are
-commitments, reveals and bound proofs.  It takes the evidence of each run
-from the case rules (`owed_evidence`) and builds the real and the
-simulated world with one loop.
+commitments, reveals and bound proofs.  It reads the kind off the
+mechanism, takes the evidence of each run from the case rules
+(`owed_evidence`) and builds the real and the simulated world with one
+loop, refusing a world of more than HIDING_BUDGET transcripts.
 """
 
 from __future__ import annotations
@@ -386,9 +387,7 @@ def _plan_proofs(
     }
 
 
-def _hiding_worlds(
-    ref_pairs_real, ref_pairs_sim, params, spec, reports, budget
-) -> tuple[Counter, Counter]:
+def _hiding_worlds(ref_pairs_real, ref_pairs_sim, params, spec, reports) -> tuple[Counter, Counter]:
     """The real and the simulated transcript multisets of one run.
 
     Both are read off the evidence the case rule owes: each reveal opens a
@@ -417,8 +416,8 @@ def _hiding_worlds(
         # row's simulated challenge and responses: p^(rows + cells)
         for shape in plan_shapes(plan or []):
             size *= p ** (len(shape) + sum(shape))
-    if size > budget:
-        raise EnumerationBudget(f"enumeration of {size} transcripts exceeds budget {budget}")
+    if size > HIDING_BUDGET:
+        raise EnumerationBudget(f"enumeration of {size} transcripts exceeds budget {HIDING_BUDGET}")
 
     def world(prices, refs) -> Counter:
         counter = Counter()
@@ -450,16 +449,14 @@ def _hiding_worlds(
 # The kinds whose whole run is commitments, reveals and bound proofs: ex3
 # also certifies s1 <= s2 at commit time, and ex3 and ex4 flip coins.
 _HIDING_KINDS = ("ex1", "ex1multi", "ex2")
+# The most transcripts one world of `transcript_distribution_equality` may
+# enumerate.
+HIDING_BUDGET = 2_000_000
 
 
-def transcript_distribution_equality(
-    kind: str,
-    params: GroupParams,
-    spec: MechanismSpec,
-    reports: list[int],
-    budget: int = 2_000_000,
-) -> bool:
-    """Exact multiset comparison of real and trapdoor-simulated runs.
+def transcript_distribution_equality(params: GroupParams, spec: MechanismSpec, reports: list[int]) -> bool:
+    """Exact multiset comparison of real and trapdoor-simulated runs of
+    `spec`, at most HIDING_BUDGET transcripts each.
 
     The real world enumerates all generator pairs, commitment randomness,
     prover nonces, and challenges; the simulated world plants h = g^rho,
@@ -467,23 +464,23 @@ def transcript_distribution_equality(
     outcome is known.  Equality is exact or the claim fails.  Covers the
     kinds whose whole run is commitments, reveals and bound proofs.
     """
-    if kind != spec.kind or kind not in _HIDING_KINDS:
-        raise ParameterError(f"distribution comparison not implemented for {kind!r}")
+    if spec.kind not in _HIDING_KINDS:
+        raise ParameterError(f"distribution comparison not implemented for {spec.kind!r}")
     members = _subgroup_elements(params)
     nonid = [x for x in members if x != params.identity]
     ref_pairs_real = [(g, h) for g in nonid for h in nonid if g != h]
     ref_pairs_sim = [(g, rho) for g in nonid for rho in range(2, params.p)]
-    real, sim = _hiding_worlds(ref_pairs_real, ref_pairs_sim, params, spec, reports, budget)
+    real, sim = _hiding_worlds(ref_pairs_real, ref_pairs_sim, params, spec, reports)
     return real == sim
 
 
 # Configurations exercised by the acceptance suite: one revealing run, two
 # hidden-price runs, and a mixed two-item run.
 SHIPPED_HIDING_CONFIGS = (
-    ("ex1", 7, MechanismSpec("ex1", 2, (1,)), [0]),
-    ("ex1", 7, MechanismSpec("ex1", 2, (1,)), [1]),
-    ("ex2", 7, MechanismSpec("ex2", 2, (1, 1)), [0, 0]),
-    ("ex2", 7, MechanismSpec("ex2", 2, (0, 1)), [1, 0]),
+    (7, MechanismSpec("ex1", 2, (1,)), [0]),
+    (7, MechanismSpec("ex1", 2, (1,)), [1]),
+    (7, MechanismSpec("ex2", 2, (1, 1)), [0, 0]),
+    (7, MechanismSpec("ex2", 2, (0, 1)), [1, 0]),
 )
 
 
@@ -630,7 +627,7 @@ class EquivocatorStrategy:
             raise ParameterError("planted trapdoor inconsistent with the reference string")
         self.exps = [params.exp_sample(self.rng) for _ in range(width)]
         bits = tuple(commit_bit(ref, 1, r) for r in self.exps)
-        self.com = IntCommitment(width=width, bits=bits)
+        self.com = IntCommitment(bits)
         return self.com
 
     def _opening(self, index: int, bit: int, params) -> BitOpening:

@@ -174,9 +174,10 @@ class Message:
         return bytes([self.tag]) + len(self.payload).to_bytes(4, "big") + self.payload
 
 
-def decode_frame(buf: bytes, offset: int = 0) -> tuple[Message, int]:
-    """Decode one frame starting at `offset`; returns (message, next offset)."""
-    r = Reader(buf, offset)
+def decode_frame(buf: bytes) -> tuple[Message, int]:
+    """Decode the frame at the start of `buf`; returns (message, the offset
+    after it)."""
+    r = Reader(buf)
     tag = r.u8()
     start, end = r._sized()
     return Message(tag, buf[start:end]), end

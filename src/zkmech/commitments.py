@@ -1,9 +1,11 @@
 """Bit commitments in the subgroup: commit to 0 as g^r, to 1 as h^r.
 
 Integers are committed bitwise, most significant bit first (index 1 is the
-high bit throughout the package).  A double opening of any single
-commitment yields the discrete log of h base g, which is the binding
-reduction.
+high bit throughout the package); an `IntCommitment` is its bit
+commitments, and its width is their count.  A reveal checks its openings
+in the verification run's `sigma.Batch`, which the caller holds.  A double
+opening of any single commitment yields the discrete log of h base g,
+which is the binding reduction.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ class BitOpening:
 
 @dataclass(frozen=True)
 class IntCommitment:
-    """Per-bit commitments to a width-bit integer, MSB first."""
+    """Per-bit commitments to an integer, MSB first, one per bit of its width."""
 
-    width: int
     bits: tuple[BitCommitment, ...]
 
-    def __post_init__(self):
-        if len(self.bits) != self.width:
-            raise ParameterError("bit count must equal width")
+    @property
+    def width(self) -> int:
+        return len(self.bits)
 
 
 def commit_bit(ref: RefString, bit: int, r: int) -> BitCommitment:
@@ -78,38 +79,30 @@ def commit_int(
     bits = int_bits(value, width)
     openings = [BitOpening(bit=b, r=ref.params.exp_sample(rng)) for b in bits]
     coms = tuple(commit_bit(ref, op.bit, op.r) for op in openings)
-    return IntCommitment(width=width, bits=coms), openings
+    return IntCommitment(coms), openings
 
 
 # The phase and detail of a reveal's false opening, named at its index.
 OPENING_FAILURE = ("reveal", "opening does not match commitment")
 
 
-def reveal_int(
-    ref: RefString, com: IntCommitment, ops: list[BitOpening], batch: Batch | None = None
-) -> int:
+def reveal_int(ref: RefString, com: IntCommitment, ops: list[BitOpening], batch: Batch) -> int:
     """Recover the committed value.
 
     Each opening's bit and exponent are checked here, and its equation
     C = B^r joins `batch` under the group its caller began, now or later
     (see `sigma.Batch`); a false one fails with that group's failure of its
-    1-based index.  Without a batch, one of its own is settled before this
-    returns, so the error names the first false index (`OPENING_FAILURE`).
-    The commitments must be subgroup members, as the wire parsers ensure.
+    1-based index (`protocols` begins a reveal's group with
+    `OPENING_FAILURE`).  The commitments must be subgroup members, as the
+    wire parsers ensure.
     """
     if len(ops) != com.width:
         raise VerificationFailed("reveal", f"expected {com.width} openings, got {len(ops)}")
-    own = batch is None
-    if own:
-        batch = Batch(ref.params)
-        batch.begin(*OPENING_FAILURE)
     p = ref.params.p
     for i, (bit_com, op) in enumerate(zip(com.bits, ops), start=1):
         if op.bit not in (0, 1) or not 1 <= op.r <= p - 1:
             batch.reject(i)
         batch.add_opening(bit_com.value, ref.g if op.bit == 0 else ref.h, op.bit, op.r, i)
-    if own:
-        batch.check()
     return bits_value([op.bit for op in ops])
 
 
@@ -139,13 +132,13 @@ def read_commitment(r: Reader, params: GroupParams) -> IntCommitment:
     elements other than the identity, which commits to no bit."""
     width = r.u8()
     values = params.read_elements(r, width, "commitment", identity=False, named=True)
-    return IntCommitment(width=width, bits=tuple(BitCommitment(v) for v in values))
+    return IntCommitment(tuple(BitCommitment(v) for v in values))
 
 
 def read_int_commitment(r: Reader, q: int) -> IntCommitment:
     """`read_commitment` in the group mod q, for a caller that holds only
     the modulus."""
-    return read_commitment(r, GroupParams(q, (q - 1) // 2, q.bit_length()))
+    return read_commitment(r, GroupParams(q))
 
 
 def encode_opening(op: BitOpening) -> bytes:

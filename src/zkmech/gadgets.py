@@ -2,10 +2,11 @@
 
 Each relation compiles to one or more matrix statements for the sigma
 engine: inequalities against public bounds, inequalities between two
-committed values, complement pairs for coin flips, and one ripple chain of
-full-adder gates, each a truth table, that serves both the addition
-circuit with committed carries and the strict comparison circuit with
-committed borrows.
+committed values, complement pairs for coin flips, one pair per plan at
+its position in the coin message, and one ripple chain of full-adder
+gates, each a truth table, that serves both the addition circuit with
+committed carries and the strict comparison circuit with committed
+borrows.  The prover reads the chain off the integer sum of its inputs.
 
 Every gadget is written once, as a plan built from public data only: a
 tuple of (label, position, rows) entries, one per proof.  A row is a tuple
@@ -18,9 +19,10 @@ verifier checks one, all its proofs in one `ni_verify_all` call whose cell
 equations are one unit of the run's `sigma.Batch`, and the bundle reader
 takes its shapes from the same (cached) plan.  The statement bytes each
 proof's context carries are joined from the encodings of g, h and the
-covered commitments, each element encoded once per bundle.  The
-prover holds the opening of every covered bit, so it hands `ni_prove` the
-openings of the simulated rows' targets and raises only g and h.
+covered commitments, each element encoded once per bundle by the group's
+`encode_element`.  The prover holds the opening of every covered bit, so
+it hands `ni_prove` the openings of the simulated rows' targets and raises
+only g and h.
 
 Bit positions are 1-based with position 1 the most significant bit,
 matching the package-wide integer convention.  The plan is the only
@@ -96,7 +98,7 @@ def element_encodings(
     over `coms`."""
     values = {ref.g, ref.h}
     values.update([com.value for com_bits in coms for com in com_bits])
-    return {v: ref.params.encode_elements((v,)) for v in values}
+    return {v: ref.params.encode_element(v) for v in values}
 
 
 # -- one statement builder, one prover, one verifier ---------------------------
@@ -277,16 +279,6 @@ def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix, batch=None) -> bo
 # never committed or revealed.
 
 
-def _carry_bits(a_bits: list[int], b_bits: list[int]) -> list[int]:
-    width = len(a_bits)
-    # carries[i-1] = carry out of position i; the sentinel at index `width`
-    # is the zero carry into the least significant position.
-    carries = [0] * (width + 1)
-    for i in range(width, 0, -1):
-        carries[i - 1] = 1 if a_bits[i - 1] + b_bits[i - 1] + carries[i] >= 2 else 0
-    return carries[:width]
-
-
 @cache
 def _full_adder(invert: int, sum_bit: int | None, lsb: bool) -> tuple[tuple[int, ...], ...]:
     """The truth table of a full adder over (x XOR invert, y, in): its
@@ -332,11 +324,13 @@ def _prove_chain(ref, invert, com_x, ops_x, com_y, ops_y, ctx_prefix, rng):
     if com_x.width != com_y.width:
         raise ParameterError("widths must match")
     width = com_x.width
-    x_bits = [op.bit ^ invert for op in ops_x]
-    y_bits = [op.bit for op in ops_y]
-    chain_com, chain_ops = commit_int(ref, bits_value(_carry_bits(x_bits, y_bits)), width, rng)
+    x = bits_value([op.bit ^ invert for op in ops_x])
+    y = bits_value([op.bit for op in ops_y])
+    total = x + y
+    # Bit k of x ^ y ^ total is the carry into bit k (from the LSB), so the
+    # shifted value holds the carry out of every position.
+    chain_com, chain_ops = commit_int(ref, (total ^ x ^ y) >> 1, width, rng)
     coms, ops = (com_x.bits, com_y.bits, chain_com.bits), (ops_x, ops_y, chain_ops)
-    total = bits_value(x_bits) + bits_value(y_bits)
     announced, plan = (total >> width, lt_plan) if invert else (total, sum_plan)
     bundle = _prove_plan(ref, plan(announced, width), coms, ops, ctx_prefix, rng)
     return announced, chain_com, bundle
@@ -443,17 +437,12 @@ def complement_commit(
 
 
 @_plan_cache
-def complement_plan(position: int, count: int = 1) -> Plan:
+def complement_plan(position: int) -> Plan:
     """Over (R, R'): log base g of one element is known, and log base h of
-    one element is known.  With `count` pairs, over (R_0, R'_0, R_1, ...),
-    pair n proved at `position` + n."""
+    one element is known.  The pair at `position` of a coin message proves
+    these at 2 * `position` and 2 * `position` + 1."""
     return tuple(
-        (
-            _LBL_COMPLEMENT,
-            2 * (position + n) + bit,
-            (((bit, (2 * n, 1)),), ((bit, (2 * n + 1, 1)),)),
-        )
-        for n in range(count)
+        (_LBL_COMPLEMENT, 2 * position + bit, (((bit, (0, 1)),), ((bit, (1, 1)),)))
         for bit in (0, 1)
     )
 
@@ -464,11 +453,11 @@ def prove_complement(
     openings: tuple[BitOpening, BitOpening],
     ctx_prefix: bytes,
     rng: random.Random,
-    position: int = 0,
+    position: int,
 ) -> list[NiProof]:
-    """Two disjunction proofs, base g and base h.  Under dlog hardness this
-    certifies a complement pair without revealing which element commits
-    which bit."""
+    """Two disjunction proofs, base g and base h, for the pair at `position`.
+    Under dlog hardness this certifies a complement pair without revealing
+    which element commits which bit."""
     coms, ops = ((pair.r_com,), (pair.rp_com,)), tuple((op,) for op in openings)
     bundle = _prove_plan(ref, complement_plan(position), coms, ops, ctx_prefix, rng)
     return [proof for _, proof in bundle]
@@ -476,21 +465,18 @@ def prove_complement(
 
 def verify_complement(
     ref: RefString,
-    pairs: Sequence[ComplementPair],
-    proofs: Sequence[Sequence[NiProof]],
+    pair: ComplementPair,
+    proofs: Sequence[NiProof],
     ctx_prefix: bytes,
-    position: int = 0,
+    position: int,
     batch: Batch | None = None,
 ) -> bool:
-    """Pair n's two proofs, made at `position` + n, for every pair: one
-    plan, so one unit of `batch`."""
-    if len(pairs) != len(proofs) or any(len(pr) != 2 for pr in proofs):
+    """The pair's two proofs, made at `position`: one unit of `batch`."""
+    if len(proofs) != 2 or pair.r_com.value == pair.rp_com.value:
         return False
-    if any(pair.r_com.value == pair.rp_com.value for pair in pairs):
-        return False
-    plan = complement_plan(position, len(pairs))
-    bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, [p for pr in proofs for p in pr])]
-    coms = [(c,) for pair in pairs for c in (pair.r_com, pair.rp_com)]
+    plan = complement_plan(position)
+    bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, proofs)]
+    coms = ((pair.r_com,), (pair.rp_com,))
     return _verify_plan(ref, plan, coms, bundle, ctx_prefix, batch)
 
 
@@ -500,7 +486,7 @@ def coin_select(pairs: list[ComplementPair], mask: list[int]) -> IntCommitment:
     if len(pairs) != len(mask) or any(b not in (0, 1) for b in mask):
         raise ParameterError("mask must supply one bit per pair")
     bits = tuple(p.r_com if y == 0 else p.rp_com for p, y in zip(pairs, mask))
-    return IntCommitment(width=len(pairs), bits=bits)
+    return IntCommitment(bits)
 
 
 def coin_openings(

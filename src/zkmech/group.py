@@ -4,12 +4,14 @@ All protocol algebra lives here: safe-prime generation, the group's
 operations, exponent sampling, and the deterministic derivation of the two
 public generators (g, h) from a reference-string seed.  Outside this module
 an element is an opaque value, only compared and hashed, and exponents are
-ints in Z_p.  `GroupParams` owns every fact of the representation:
+ints in Z_p.  `GroupParams` is built from q alone, and works out p and the
+bit length from it.  It owns every fact of the representation:
 membership, powers, the product of two elements (`mul`), the identity, a
 uniform member (`sample_member`), g and h of a seed (`generators`), the
-element format (`encode_elements`, `read_elements`, `in_range`), and the
-longest encodings of an element and of an exponent (`element_bytes`,
-`exponent_bytes`).  Another group is a subclass that no other module sees.
+element format (`encode_element`, `encode_elements`, `read_elements`,
+`in_range`), and the longest encodings of an element and of an exponent
+(`element_bytes`, `exponent_bytes`).  Another group is a subclass that no
+other module sees.
 
 Three kernels make the common operations cheap once q has FAST_BITS bits
 or more:
@@ -61,7 +63,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .codec import Reader, encode_uints
+from .codec import Reader, encode_uint, encode_uints
 from .errors import (
     DerivationError,
     NonMemberError,
@@ -150,8 +152,9 @@ def jacobi(a: int, n: int) -> int:
     return -1 if flips & 2 else 1
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Trial division by small primes, then Miller-Rabin with `rounds` bases."""
+def is_probable_prime(n: int) -> bool:
+    """Trial division by small primes, then Miller-Rabin with
+    MILLER_RABIN_ROUNDS bases."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -165,7 +168,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     # Bases drawn from a generator seeded by n itself: deterministic results
     # across runs without sacrificing the randomized error bound.
     base_rng = random.Random(n)
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = base_rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -181,11 +184,16 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """A safe prime q = 2p+1 and the order p of its subgroup of squares."""
+    """A safe prime q = 2p+1 and the order p of its subgroup of squares.
+
+    Only q is given: p and q's bit length are worked out from it, and are
+    plain attributes because every power reads p.  Whether q is a safe
+    prime is for the caller to know (`params_from_modulus`, `gen_params`).
+    """
 
     q: int
-    p: int
-    bit_length: int
+    p: int = field(init=False)
+    bit_length: int = field(init=False)
     # base -> rows of its comb table, filled by `_keep_tables`.
     _tables: dict[int, list[list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -193,10 +201,8 @@ class GroupParams:
     identity = 1  # unannotated: a class attribute, which a subclass may override
 
     def __post_init__(self):
-        if self.q != 2 * self.p + 1:
-            raise ParameterError("q must equal 2p+1")
-        if self.bit_length != self.q.bit_length():
-            raise ParameterError("bit_length inconsistent with q")
+        object.__setattr__(self, "p", (self.q - 1) // 2)
+        object.__setattr__(self, "bit_length", self.q.bit_length())
 
     # -- membership ---------------------------------------------------
 
@@ -268,8 +274,12 @@ class GroupParams:
                 raise DerivationError("hash-to-subgroup retry cap exceeded")
         return found[0], found[1]
 
+    def encode_element(self, x: int) -> bytes:
+        """One element, as `codec.encode_uint` writes it."""
+        return encode_uint(x)
+
     def encode_elements(self, xs: Iterable[int]) -> bytes:
-        """The elements, each as `codec.encode_uint` writes it, joined."""
+        """The elements, each as `encode_element` writes it, joined."""
         return encode_uints(xs)
 
     def read_elements(self, r: Reader, count: int, what: str, identity=True, named=False) -> list[int]:
@@ -434,37 +444,29 @@ def _table_pow(rows: list[list[int]], e: int, q: int) -> int:
     return acc
 
 
-def gen_params(
-    bit_length: int,
-    rng: random.Random | None = None,
-    start: int | None = None,
-    max_iters: int | None = None,
-) -> GroupParams:
+def gen_params(bit_length: int, start: int | None = None) -> GroupParams:
     """Search for a safe prime q with exactly `bit_length` bits.
 
-    Deterministic when `start` is given; otherwise the scan begins at a
-    random point.  Subgroups of order p = 2 are skipped (the subgroup
-    would have a single non-identity element, so g != h is impossible).
+    The scan begins at `start` (reduced into the range), so it is
+    deterministic when one is given, and at a random point otherwise.
+    Subgroups of order p = 2 are skipped (the subgroup would have a single
+    non-identity element, so g != h is impossible).
     """
     if bit_length < 3:
         raise ParameterError("bit_length must be at least 3")
     lo = 1 << (bit_length - 1)
     hi = 1 << bit_length
     span = hi - lo
-    if start is not None:
-        q = lo + (start % span)
-    else:
-        src = rng if rng is not None else random.SystemRandom()
-        q = lo + src.randrange(span)
-    q |= 1
-    if max_iters is None:
-        max_iters = max(4, 64 * bit_length * bit_length)
+    if start is None:
+        start = random.SystemRandom().randrange(span)
+    q = (lo + start % span) | 1
+    max_iters = max(4, 64 * bit_length * bit_length)
     for _ in range(max_iters):
         if q >= hi:
             q = lo | 1
         p = (q - 1) // 2
         if p >= 3 and is_probable_prime(q) and is_probable_prime(p):
-            return GroupParams(q=q, p=p, bit_length=bit_length)
+            return GroupParams(q)
         q += 2
     raise PrimeSearchError(f"no {bit_length}-bit safe prime found in {max_iters} iterations")
 
@@ -500,7 +502,7 @@ def params_from_modulus(q: int) -> GroupParams:
             raise ParameterError("modulus is not prime")
         if not is_probable_prime(p):
             raise ParameterError("(q-1)/2 is not prime")
-    return GroupParams(q=q, p=p, bit_length=q.bit_length())
+    return GroupParams(q)
 
 
 # -- generator derivation ------------------------------------------------

@@ -793,7 +793,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         pairs, proofs = _parse_coin_pairs(ref, payload, phase, ev.bits)
         for idx, (pair, pair_proofs) in enumerate(zip(pairs, proofs)):
             batch.begin(phase, "complement proof does not verify", idx)
-            if not verify_complement(ref, [pair], [pair_proofs], prefix, idx, batch):
+            if not verify_complement(ref, pair, pair_proofs, prefix, idx, batch):
                 batch.reject()
         return pairs
     if ev.form == "open":

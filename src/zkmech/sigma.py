@@ -135,8 +135,8 @@ class ProverState:
     stmt: CdsStatement
     wit: CdsWitness
     nonces: tuple[int, ...]
-    sims: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
-    used: bool = False
+    sims: dict[int, tuple[int, tuple[int, ...]]]
+    used: bool = field(default=False, init=False)
 
 
 @dataclass(frozen=True)
@@ -551,7 +551,7 @@ class Batch:
         pending, as the term value^w * base^(-w * r), weighted by the
         commitment's and the opening's encodings."""
         if self.deferred:
-            data = self.params.encode_elements((value,)) + encode_u8(bit) + encode_uint(r)
+            data = self.params.encode_element(value) + encode_u8(bit) + encode_uint(r)
             self._defer(index, data, 1, (value, base, r))
         elif self.params.pow_unchecked(base, r) != value:
             self.reject(index)

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from zkmech.codec import Reader
+from zkmech.commitments import OPENING_FAILURE, reveal_int
 from zkmech.errors import ParameterError, ShapeMismatch
 from zkmech.group import GroupParams, derive_generators, params_from_modulus
 from zkmech.sigma import (
+    Batch,
     CdsStatement,
     NiProof,
     _encode_response,
@@ -113,6 +115,16 @@ def rewired(params: GroupParams, proof: NiProof) -> NiProof:
     fields encode to, as `ni_prove` gives a proof its bytes."""
     object.__setattr__(proof, "_wire", (encode_first(params, proof.first), _encode_response(proof)))
     return proof
+
+
+def revealed(ref, com, ops) -> int:
+    """`reveal_int` in a batch of its own, begun as a reveal's group and
+    settled before this returns, as a replay begins and settles it."""
+    batch = Batch(ref.params)
+    batch.begin(*OPENING_FAILURE)
+    value = reveal_int(ref, com, ops, batch)
+    batch.check()
+    return value
 
 
 def load_script(name: str):

@@ -4,7 +4,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import revealed
 
+from zkmech import analysis
 from zkmech.analysis import (
     EquivocatorStrategy,
     FiniteMechanism,
@@ -282,17 +284,17 @@ def hiding_refs(params):
 
 
 class TestHidingEquality:
-    @pytest.mark.parametrize("config", SHIPPED_HIDING_CONFIGS, ids=lambda c: f"{c[0]}-{c[2].prices}-{c[3]}")
+    @pytest.mark.parametrize("config", SHIPPED_HIDING_CONFIGS, ids=lambda c: f"{c[1].kind}-{c[1].prices}-{c[2]}")
     def test_shipped_configurations_are_exactly_hiding(self, config):
-        kind, q, spec, reports = config
-        assert transcript_distribution_equality(kind, params_from_modulus(q), spec, reports)
+        q, spec, reports = config
+        assert transcript_distribution_equality(params_from_modulus(q), spec, reports)
 
     def test_ex2_item_one_sale_with_a_tie_bound_is_hiding(self):
         # Reports (0, 0) on prices (1, 0) sell item 1; the tie rule makes
         # the seller prove s0 >= 1, which the planned worlds must include.
         spec = MechanismSpec("ex2", 2, (1, 0))
         assert lower_bounds(spec, [0, 0]) == [(0, 1)]
-        assert transcript_distribution_equality("ex2", params_from_modulus(7), spec, [0, 0])
+        assert transcript_distribution_equality(params_from_modulus(7), spec, [0, 0])
 
     @pytest.mark.parametrize("bound", [2, 4])
     def test_ex2_planned_proofs_are_the_ones_the_seller_sends(self, ref23, bound):
@@ -309,12 +311,11 @@ class TestHidingEquality:
                     sent.append((item, sum(1 << (width - i) for i in positions)))
             assert lower_bounds(spec, [v0, v1]) == sent, (s0, s1, v0, v1)
 
-    def test_budget_guard(self):
-        kind, q, spec, reports = SHIPPED_HIDING_CONFIGS[0]
+    def test_budget_guard(self, monkeypatch):
+        q, spec, reports = SHIPPED_HIDING_CONFIGS[0]
+        monkeypatch.setattr(analysis, "HIDING_BUDGET", 1)
         with pytest.raises(EnumerationBudget):
-            transcript_distribution_equality(
-                kind, params_from_modulus(q), spec, reports, budget=1
-            )
+            transcript_distribution_equality(params_from_modulus(q), spec, reports)
 
     def test_comparison_is_not_vacuous(self):
         # negative control: the transcript tuples are sensitive -- the
@@ -325,12 +326,12 @@ class TestHidingEquality:
         params = params_from_modulus(7)
         pairs, sims = hiding_refs(params)
         spec = MechanismSpec("ex1", 2, (1,))
-        real_hidden, _ = _hiding_worlds(pairs, sims, params, spec, [0], 10**6)
-        real_reveal, _ = _hiding_worlds(pairs, sims, params, spec, [1], 10**6)
+        real_hidden, _ = _hiding_worlds(pairs, sims, params, spec, [0])
+        real_reveal, _ = _hiding_worlds(pairs, sims, params, spec, [1])
         assert real_hidden
         assert not set(real_hidden) & set(real_reveal)
 
-    def test_real_world_enumerates_the_whole_budgeted_space(self):
+    def test_real_world_enumerates_the_whole_budgeted_space(self, monkeypatch):
         # ex1 price 2, report 0 at H=4: one ge proof with two one-cell rows,
         # so every real-row nonce must be paired with every simulated row
         from zkmech.analysis import _hiding_worlds
@@ -338,10 +339,12 @@ class TestHidingEquality:
         params = params_from_modulus(7)
         pairs, sims = hiding_refs(params)
         spec = MechanismSpec("ex1", 4, (2,))
-        real, sim = _hiding_worlds(pairs, sims, params, spec, [0], 648)
+        monkeypatch.setattr(analysis, "HIDING_BUDGET", 648)
+        real, sim = _hiding_worlds(pairs, sims, params, spec, [0])
         assert sum(real.values()) == sum(sim.values()) == 648
+        monkeypatch.setattr(analysis, "HIDING_BUDGET", 647)
         with pytest.raises(EnumerationBudget):
-            _hiding_worlds(pairs, sims, params, spec, [0], 647)
+            _hiding_worlds(pairs, sims, params, spec, [0])
 
     @pytest.mark.parametrize("kind,bound,n_buyers", [("ex1", 4, 1), ("ex1multi", 4, 2), ("ex2", 2, 1)])
     def test_every_small_configuration_is_hiding(self, kind, bound, n_buyers):
@@ -351,7 +354,7 @@ class TestHidingEquality:
         for prices in product(range(bound), repeat=n_prices):
             spec = MechanismSpec(kind, bound, prices, n_buyers=n_buyers)
             for reports in product(range(bound), repeat=n_reports):
-                assert transcript_distribution_equality(kind, params, spec, list(reports)), (
+                assert transcript_distribution_equality(params, spec, list(reports)), (
                     prices,
                     reports,
                 )
@@ -361,15 +364,13 @@ class TestHidingEquality:
         # the ge proofs here have two-row statements whose real and
         # simulated witness rows differ
         spec = MechanismSpec("ex2", 4, prices)
-        assert transcript_distribution_equality("ex2", params_from_modulus(7), spec, reports)
+        assert transcript_distribution_equality(params_from_modulus(7), spec, reports)
 
     def test_unsupported_kinds_are_refused(self):
         params = params_from_modulus(7)
-        with pytest.raises(ParameterError):
-            transcript_distribution_equality("ex2", params, MechanismSpec("ex1", 2, (1,)), [0])
         for spec in (MechanismSpec("ex3", 2, (0, 1)), MechanismSpec("ex4", 2, (1,))):
             with pytest.raises(ParameterError):
-                transcript_distribution_equality(spec.kind, params, spec, [0])
+                transcript_distribution_equality(params, spec, [0])
 
 
 class TestAttackDriver:
@@ -408,7 +409,7 @@ class TestAttackDriver:
         # the harness over all reports; either the per-report verified
         # outcomes match a single fixed price, or the driver finds log_g(h)
         from zkmech.analysis import ClaimAction, RevealAction
-        from zkmech.commitments import reveal_int, verify_opening
+        from zkmech.commitments import verify_opening
 
         bound = 8
         rho = 5
@@ -444,7 +445,7 @@ class TestAttackDriver:
                         verify_opening(planted, c, op)
                         for c, op in zip(com.bits, action.openings)
                     ):
-                        price = reveal_int(planted, com, action.openings)
+                        price = revealed(planted, com, action.openings)
                         outcomes[v] = ("trade", price)
                 elif isinstance(action, ClaimAction):
                     outcomes[v] = ("no-trade", action.bound)

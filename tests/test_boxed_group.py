@@ -54,7 +54,7 @@ class BoxedGroup(GroupParams):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "ints", GroupParams(self.q, self.p, self.bit_length))
+        object.__setattr__(self, "ints", GroupParams(self.q))
 
     def is_member(self, x):
         return self.ints.is_member(unbox(x))
@@ -74,6 +74,9 @@ class BoxedGroup(GroupParams):
 
     def generators(self, seed):
         return tuple(map(Box, self.ints.generators(seed)))
+
+    def encode_element(self, x):
+        return self.ints.encode_element(unbox(x))
 
     def encode_elements(self, xs):
         return self.ints.encode_elements([unbox(x) for x in xs])
@@ -97,7 +100,7 @@ class BoxedGroup(GroupParams):
 def both_groups(q: int, seed: bytes):
     """The reference strings of `seed` in the int group mod q and its boxed twin."""
     params = params_from_modulus(q)
-    boxed = BoxedGroup(params.q, params.p, params.bit_length)
+    boxed = BoxedGroup(params.q)
     return derive_generators(params, seed), derive_generators(boxed, seed)
 
 

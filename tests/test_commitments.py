@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Q384
+from conftest import Q384, revealed
 from zkmech.codec import Reader, describe_uint, encode_u8, encode_uints
 from zkmech.commitments import (
     BitCommitment,
@@ -17,7 +17,6 @@ from zkmech.commitments import (
     int_bits,
     read_commitment,
     read_int_commitment,
-    reveal_int,
     verify_opening,
 )
 from zkmech.errors import CodecError, ParameterError, VerificationFailed
@@ -86,6 +85,7 @@ class TestIntCommitments:
     def test_bit_order_msb_first(self, toy23, rng):
         com, ops = commit_int(toy23, 5, 3, rng)
         assert [op.bit for op in ops] == [1, 0, 1]
+        assert com.width == len(com.bits) == 3
         com0, ops0 = commit_int(toy23, 0, 3, rng)
         assert [op.bit for op in ops0] == [0, 0, 0]
 
@@ -93,7 +93,7 @@ class TestIntCommitments:
         for width in range(5):
             for value in range(1 << width):
                 com, ops = commit_int(toy23, value, width, rng)
-                assert reveal_int(toy23, com, ops) == value
+                assert revealed(toy23, com, ops) == value
 
     def test_out_of_range_value(self, toy23, rng):
         with pytest.raises(ParameterError):
@@ -106,12 +106,12 @@ class TestIntCommitments:
         if verify_opening(toy23, com.bits[1], bad[1]):  # pragma: no cover
             pytest.skip("accidental collision")
         with pytest.raises(VerificationFailed) as err:
-            reveal_int(toy23, com, bad)
+            revealed(toy23, com, bad)
         assert err.value.index == 2  # 1-based bit positions
 
     def test_zero_width(self, toy23, rng):
         com, ops = commit_int(toy23, 0, 0, rng)
-        assert reveal_int(toy23, com, ops) == 0
+        assert revealed(toy23, com, ops) == 0
 
     def test_bits_helpers(self):
         assert int_bits(5, 3) == [1, 0, 1]
@@ -156,7 +156,7 @@ def read_int_commitment_per_bit(r: Reader, q: int) -> IntCommitment:
         if not 2 <= value <= q - 1:
             raise CodecError(f"commitment {describe_uint(value)} out of range", offset=r.off)
         bits.append(BitCommitment(value))
-    return IntCommitment(width=width, bits=tuple(bits))
+    return IntCommitment(tuple(bits))
 
 
 @pytest.mark.parametrize("q", [23, Q384])

@@ -3,12 +3,12 @@ from itertools import product
 
 import pytest
 
-from conftest import rewired
-from zkmech.commitments import BitOpening, commit_int
+from conftest import revealed, rewired
+from zkmech import gadgets
+from zkmech.commitments import BitCommitment, BitOpening, IntCommitment, bits_value, commit_int, int_bits
 from zkmech.errors import ParameterError, RefuseToProve
 from zkmech.gadgets import (
     _LBL_GATE,
-    _carry_bits,
     _full_adder,
     _prove_plan,
     _verify_plan,
@@ -289,11 +289,64 @@ class TestGates:
             assert lt_plan(verdict, 16) == ref_lt_plan(verdict, 16)
 
 
+def ripple_chain(x_bits: list[int], y_bits: list[int]) -> list[int]:
+    """The reference chain of x + y: the carry out of each position, MSB
+    first, rippled up from a zero carry into the least significant one."""
+    carries, carry = [], 0
+    for x, y in zip(reversed(x_bits), reversed(y_bits)):
+        carry = 1 if x + y + carry >= 2 else 0
+        carries.append(carry)
+    return carries[::-1]
+
+
+@pytest.fixture
+def chain_of(ref23, monkeypatch):
+    """chain_of(prove, x, y, width): the chain value that `prove`
+    (`prove_sum` or `prove_lt_committed`) commits for x and y, caught where
+    it commits it; no proof is made."""
+    committed = []
+
+    def commit(ref, value, width, rng):
+        committed.append(value)
+        return IntCommitment(()), []
+
+    monkeypatch.setattr(gadgets, "commit_int", commit)
+    monkeypatch.setattr(gadgets, "_prove_plan", lambda *args: [])
+
+    def chain_of(prove, x, y, width):
+        com = IntCommitment((BitCommitment(ref23.g),) * width)
+        ops_x, ops_y = ([BitOpening(b, 1) for b in int_bits(v, width)] for v in (x, y))
+        prove(ref23, com, ops_x, com, ops_y, CTX, None)
+        return committed.pop()
+
+    return chain_of
+
+
+def test_the_committed_chain_is_the_ripple_carry_chain(chain_of):
+    """The carries of x + y and the borrows of x - y, committed from the
+    sum of the integers, are the reference ripple chain's: for every pair of
+    inputs at widths 1-6, and for every x with 32 seeded y at widths 7-8."""
+    sample = random.Random(8)
+    for width in range(1, 9):
+        values = range(1 << width)
+        bits_of = [int_bits(v, width) for v in values]
+        if width <= 6:
+            pairs = product(values, repeat=2)
+        else:
+            pairs = [(x, y) for x in values for y in sample.sample(values, 32)]
+        for x, y in pairs:
+            carries = ripple_chain(bits_of[x], bits_of[y])
+            assert chain_of(prove_sum, x, y, width) == bits_value(carries), (x, y)
+            borrows = ripple_chain(bits_of[(1 << width) - 1 - x], bits_of[y])
+            assert chain_of(prove_lt_committed, x, y, width) == bits_value(borrows), (x, y)
+
+
 class TestSum:
-    def test_carry_chain_worked_example(self):
+    def test_carry_chain_worked_example(self, chain_of):
         # 3 (11) + 1 (01): both carries set, announced total 100
-        assert _carry_bits([1, 1], [0, 1]) == [1, 1]
-        assert _carry_bits([0, 0], [0, 0]) == [0, 0]
+        assert ripple_chain([1, 1], [0, 1]) == [1, 1]
+        assert chain_of(prove_sum, 3, 1, 2) == 0b11
+        assert chain_of(prove_sum, 0, 0, 2) == 0
 
     def test_exhaustive_width3(self, ref23, rng):
         for a in range(8):
@@ -320,8 +373,8 @@ class TestComplementPairs:
     def test_both_orientations_prove(self, ref23, rng):
         for bit in (0, 1):
             pair, ops = complement_commit(ref23, bit, rng)
-            proofs = prove_complement(ref23, pair, ops, CTX, rng)
-            assert verify_complement(ref23, [pair], [proofs], CTX)
+            proofs = prove_complement(ref23, pair, ops, CTX, rng, 0)
+            assert verify_complement(ref23, pair, proofs, CTX, 0)
 
     def test_equal_bits_refuse(self, ref23, rng):
         # openings claiming (0, 0) and (1, 1)
@@ -329,7 +382,7 @@ class TestComplementPairs:
             pair, ops = complement_commit(ref23, bit, rng)
             bad = (ops[0], BitOpening(bit=ops[0].bit, r=ops[1].r))
             with pytest.raises(RefuseToProve):
-                prove_complement(ref23, pair, bad, CTX, rng)
+                prove_complement(ref23, pair, bad, CTX, rng, 0)
 
     def test_pair_elements_always_distinct(self, ref7, rng):
         # resampling guarantees distinct elements even in the tiny group
@@ -339,9 +392,11 @@ class TestComplementPairs:
 
     def test_proofs_do_not_transfer(self, ref23, rng):
         pair, ops = complement_commit(ref23, 0, rng)
-        proofs = prove_complement(ref23, pair, ops, CTX, rng)
+        proofs = prove_complement(ref23, pair, ops, CTX, rng, 0)
         other, _ = complement_commit(ref23, 0, rng)
-        assert not verify_complement(ref23, [other], [proofs], CTX)
+        assert not verify_complement(ref23, other, proofs, CTX, 0)
+        assert not verify_complement(ref23, pair, proofs, CTX, 1)  # nor to another position
+        assert not verify_complement(ref23, pair, proofs[:1], CTX, 0)  # nor does one proof pass
 
 
 def checked(ref, ev, payload, prefix, coms, coin):
@@ -379,8 +434,6 @@ class TestCoinFlip:
         assert [b for b in z_com.bits] == [p.r_com for p in pairs]
 
     def test_exhaustive_width2_commits_to_xor(self, ref23, rng):
-        from zkmech.commitments import reveal_int
-
         for x in range(4):
             for y in range(4):
                 x_bits = bits(x, 2)
@@ -391,12 +444,13 @@ class TestCoinFlip:
                     pairs.append(pair)
                     pair_ops.append(ops)
                     proofs.append(prove_complement(ref23, pair, ops, CTX, rng, idx))
-                # the verifier's path: check every pair in one batch, then
-                # select by the mask
-                assert verify_complement(ref23, pairs, proofs, CTX)
+                # the verifier's path: check each pair at its position,
+                # then select by the mask
+                for idx, (pair, pair_proofs) in enumerate(zip(pairs, proofs)):
+                    assert verify_complement(ref23, pair, pair_proofs, CTX, idx)
                 z_com = coin_select(pairs, y_bits)
                 z_ops = coin_openings(pair_ops, y_bits)
-                assert reveal_int(ref23, z_com, z_ops) == x ^ y
+                assert revealed(ref23, z_com, z_ops) == x ^ y
 
     def test_mask_makes_the_coin_uniform(self):
         # for any fixed adversarial x and uniform mask (and vice versa),
@@ -432,8 +486,8 @@ class TestCoinFlip:
     @pytest.mark.parametrize("group", ["ref23", "ref384"])
     @pytest.mark.parametrize("fault", ["proofs of another pair", "a gamma off by one"])
     def test_bad_pair_is_named_after_the_batch(self, group, fault, request, rng):
-        # all the pairs of a coin message are one unit of the run's batch; a
-        # failed unit is checked pair by pair, so the reject still names the
+        # each pair of a coin message is its own unit of the run's batch, so
+        # at 384 bits, where the batch defers, the reject still names the
         # first bad pair
         from dataclasses import replace
 
@@ -463,11 +517,12 @@ class TestCoinFlip:
 
 
 class TestStrictComparison:
-    def test_borrow_chain_examples(self):
+    def test_borrow_chain_examples(self, chain_of):
         # the borrows of z - s are the carries of (NOT z) + s
         # 010 - 101: the low and high positions borrow, the middle absorbs
-        assert _carry_bits([1 - b for b in bits(2, 3)], bits(5, 3)) == [1, 0, 1]
-        assert _carry_bits([1 - b for b in bits(5, 3)], bits(5, 3)) == [0, 0, 0]
+        assert ripple_chain([1 - b for b in bits(2, 3)], bits(5, 3)) == [1, 0, 1]
+        assert chain_of(prove_lt_committed, 2, 5, 3) == 0b101
+        assert chain_of(prove_lt_committed, 5, 5, 3) == 0
 
     def test_width_mismatch(self, ref23, rng):
         # refused before any chain bit is computed, whichever side is wider

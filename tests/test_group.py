@@ -47,18 +47,20 @@ class TestGenParams:
         assert all(11 % d for d in range(2, 11))
 
     def test_bit_length_matches(self):
+        # from a seeded start and from a random one
         for bits in (3, 5, 8, 12):
-            params = gen_params(bits, rng=random.Random(7))
-            assert params.q.bit_length() == bits
-            assert is_probable_prime(params.q) and is_probable_prime(params.p)
+            for params in (gen_params(bits, start=random.Random(7).getrandbits(bits)), gen_params(bits)):
+                assert params.q.bit_length() == params.bit_length == bits
+                assert is_probable_prime(params.q) and is_probable_prime(params.p)
 
     def test_too_small(self):
         with pytest.raises(ParameterError):
             gen_params(2)
 
-    def test_search_budget_exhausted(self):
-        with pytest.raises(PrimeSearchError):
-            gen_params(4, start=1, max_iters=1)  # q=9 is composite
+    def test_search_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(group, "is_probable_prime", lambda n: False)
+        with pytest.raises(PrimeSearchError, match="no 4-bit safe prime found in 1024 iterations"):
+            gen_params(4, start=1)
 
     def test_rfc3526_validate_only_path(self):
         params = params_from_modulus(RFC3526_MODP_2048)
@@ -66,9 +68,8 @@ class TestGenParams:
         assert params.q == 2 * params.p + 1
 
     def test_rfc3526_is_really_a_safe_prime(self):
-        # independent probabilistic primality oracle on the constant
-        assert is_probable_prime(RFC3526_MODP_2048, rounds=16)
-        assert is_probable_prime((RFC3526_MODP_2048 - 1) // 2, rounds=16)
+        # an independent probabilistic primality oracle on the constant
+        assert miller_rabin(RFC3526_MODP_2048) and miller_rabin((RFC3526_MODP_2048 - 1) // 2)
 
     def test_validate_rejects_composites(self):
         with pytest.raises(ParameterError):
@@ -97,8 +98,44 @@ class TestGenParams:
         assert accepted == 325
 
     def test_inconsistent_params_rejected(self):
-        with pytest.raises(ParameterError):
+        # p and the bit length are worked out from q, so neither can be given
+        with pytest.raises(TypeError):
             GroupParams(q=23, p=7, bit_length=5)
+        with pytest.raises(TypeError):
+            GroupParams(23, 11)
+        assert (GroupParams(23).p, GroupParams(23).bit_length) == (11, 5)
+
+    @pytest.mark.parametrize("modulus", [7, 23, Q384, RFC3526_MODP_2048], ids=["7", "23", "Q384", "RFC3526"])
+    def test_a_group_built_from_q_is_the_validated_group(self, modulus):
+        built, validated = GroupParams(modulus), params_from_modulus(modulus)
+        assert built == validated and hash(built) == hash(validated)  # p and bit_length compared too
+        assert (built.p, built.bit_length) == ((modulus - 1) // 2, modulus.bit_length())
+
+    def test_a_searched_group_is_the_group_of_its_q(self):
+        for bits in range(3, 13):
+            for start in (0, 1, 77, 1000):
+                params = gen_params(bits, start=start)
+                assert params == GroupParams(params.q) == params_from_modulus(params.q)
+                assert hash(params) == hash(GroupParams(params.q))
+
+
+def miller_rabin(n: int) -> bool:
+    """Miller-Rabin to the first 16 prime bases, written apart from
+    `group.is_probable_prime`."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestMembership:
@@ -427,7 +464,7 @@ class TestFixedBaseTables:
     @pytest.fixture
     def fresh(self, q384):
         """A 384-bit group object of the test's own, which holds no table yet."""
-        return GroupParams(q384.q, q384.p, q384.bit_length)
+        return GroupParams(q384.q)
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -525,7 +562,7 @@ class TestFixedBaseTables:
             for base in (ref.g, ref.h):
                 for e in es:
                     assert fresh.pow_unchecked(base, e) == pow(base, e % fresh.p, fresh.q)
-        other = GroupParams(fresh.q, fresh.p, fresh.bit_length)
+        other = GroupParams(fresh.q)
         assert (other, hash(other), repr(other)) == (fresh, hash(fresh), repr(fresh))
         twin = derive_generators(other, b"seed a")
         assert not other._tables
@@ -561,7 +598,7 @@ class TestFixedBaseTables:
             out, tr = run_local(
                 ref, spec, values, random.Random(f"{n}/s"), random.Random(f"{n}/b"), coin, mask
             )
-            fresh = GroupParams(q384.q, q384.p, q384.bit_length)  # as in a fresh process
+            fresh = GroupParams(q384.q)  # as in a fresh process
             assert verify_transcript(derive_generators(fresh, tr.seed), tr) == out, spec.kind
             assert not fresh._tables, spec.kind
 
@@ -798,6 +835,7 @@ class TestGroupBoundary:
     def test_the_encoded_sizes_are_the_longest_encodings(self, modulus):
         params = params_from_modulus(modulus)
         top = params.encode_elements([modulus - 1])
+        assert params.encode_element(modulus - 1) == top
         assert params.element_bytes == len(top) == len(encode_uint(modulus - 1))
         assert params.read_elements(Reader(top), 1, "x") == [modulus - 1]
         assert params.exponent_bytes == len(encode_uint(params.p))

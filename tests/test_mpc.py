@@ -105,7 +105,7 @@ class TestBuyerResponse:
         + 1 plain powers, one of each willing slot's commitment.  The group
         object builds 4's table once, in the buyer: the seller never samples."""
         bound = 8
-        fresh = GroupParams(q384.q, q384.p, q384.bit_length)
+        fresh = GroupParams(q384.q)
         ref = derive_generators(fresh, b"buyer powers")
         sellers = [mpc_seller_commit(ref, s, bound, random.Random(f"s{s}")) for s in range(bound)]
         assert 4 not in fresh._tables

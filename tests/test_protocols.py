@@ -855,7 +855,7 @@ def replay_elements(spec, values, out) -> tuple[int, int]:
             cells += plan_cells(plan(fact(ev), width))
         elif ev.form == "coin":
             elements += 2 * ev.bits
-            cells += plan_cells(gadgets.complement_plan(0, ev.bits))
+            cells += sum(plan_cells(gadgets.complement_plan(idx)) for idx in range(ev.bits))
     return elements, cells
 
 
@@ -908,7 +908,7 @@ def test_a_384_bit_replay_makes_one_multi_pow_and_no_other_power(ref384, monkeyp
     for n, (spec, values, coin, mask) in enumerate(DIFFERENTIAL_RUNS):
         out, tr = run(ref384, spec, values, seed=n, coin_value=coin, mask_value=mask)
         calls.clear(), bases.clear(), raised.clear()
-        fresh = GroupParams(q384.q, q384.p, q384.bit_length)  # as in a fresh process
+        fresh = GroupParams(q384.q)  # as in a fresh process
         assert verify_transcript(derive_generators(fresh, tr.seed), tr) == out
         elements, cells = replay_elements(spec, values, out)
         assert calls == {"multi_pow": 1, "is_member": elements + cells}, (spec, values)
@@ -1431,7 +1431,13 @@ def test_a_replay_encodes_no_proof_and_each_element_once(ref23, monkeypatch):
     bundles: list[list[int]] = []
     current: list[list[int]] = []
     first_calls = [0]
-    real_elements, real_first = GroupParams.encode_elements, sigma.encode_first
+    real_element, real_elements = GroupParams.encode_element, GroupParams.encode_elements
+    real_first = sigma.encode_first
+
+    def encode_element(params, x):
+        if current:
+            current[-1].append(x)
+        return real_element(params, x)
 
     def encode_elements(params, xs):
         xs = list(xs)
@@ -1453,6 +1459,7 @@ def test_a_replay_encodes_no_proof_and_each_element_once(ref23, monkeypatch):
 
         return wrapped
 
+    monkeypatch.setattr(GroupParams, "encode_element", encode_element)
     monkeypatch.setattr(GroupParams, "encode_elements", encode_elements)
     monkeypatch.setattr(sigma, "encode_first", encode_first)
     monkeypatch.setattr(gadgets, "_verify_plan", bundle(gadgets._verify_plan))

@@ -538,7 +538,7 @@ class TestBatchVerification:
         # b = 11, g is the target of cells whose base is g, and of the AND
         # row's cell, so the batch sums one element's exponents from both sides
         ops_a = [BitOpening(bit=0, r=1), BitOpening(bit=1, r=ref384.params.exp_sample(rng))]
-        com_a = IntCommitment(width=2, bits=tuple(commit_bit(ref384, op.bit, op.r) for op in ops_a))
+        com_a = IntCommitment(tuple(commit_bit(ref384, op.bit, op.r) for op in ops_a))
         com_b, ops_b = commit_int(ref384, 3, 2, rng)
         coms, ops = (com_a.bits, com_b.bits), (ops_a, ops_b)
         items = []
