@@ -27,7 +27,6 @@ from itertools import product
 from typing import Callable
 
 from .commitments import (
-    BitCommitment,
     BitOpening,
     IntCommitment,
     binding_break_to_dlog,
@@ -164,7 +163,7 @@ class TruncatedGeometric:
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
-            raise ParameterError("alpha must lie strictly between 0 and 1")
+            raise ParameterError("alpha = 1 - epsilon must lie strictly between 0 and 1")
         if self.lo > self.hi:
             raise ParameterError("degenerate window")
         self.support = list(range(self.lo, self.hi + 1))
@@ -203,10 +202,23 @@ class NoiseReport:
     lo: int
     hi: int
     n_samples: int
-    interior_bins: int
-    gap_bins: int
-    boundary_bins: int
     empirical_max_z: float
+
+    # Payment y under base price 0 has mass pmf(y); under price ell it has
+    # mass pmf(y - ell).  Normalizers cancel, so where both are geometric
+    # (y >= ell) the log ratio is exactly ell * log(1 - epsilon): those bins
+    # are counted, as are the gap bins 0 < y < ell between the two peaks.
+    @property
+    def interior_bins(self) -> int:
+        return max(0, self.hi + 1 - max(self.lo + self.ell, self.ell))
+
+    @property
+    def gap_bins(self) -> int:
+        return max(0, min(self.hi + 1, self.ell) - max(self.lo + self.ell, 1))
+
+    @property
+    def boundary_bins(self) -> int:
+        return 2 * self.ell
 
     def lines(self) -> list[str]:
         return [
@@ -237,13 +249,6 @@ def noise_ratio_report(
         raise ParameterError("shift ell must be positive")
     lo, hi = bounds
     dist = TruncatedGeometric(1.0 - epsilon, lo, hi)
-    # Payment y under base price 0 has mass pmf(y); under price ell it has
-    # mass pmf(y - ell).  Normalizers cancel, so where both are geometric
-    # (y >= ell) the log ratio is exactly ell * log(1 - epsilon): those bins
-    # are counted, as are the gap bins 0 < y < ell between the two peaks.
-    interior = max(0, hi + 1 - max(lo + ell, ell))
-    gap = sum(1 for y in range(max(lo + ell, 1), min(hi + 1, ell)))
-    boundary = 2 * ell
     counts = [0] * len(dist.support)
     for _ in range(n_samples):
         counts[dist.sample(rng) - lo] += 1
@@ -259,9 +264,6 @@ def noise_ratio_report(
         lo=lo,
         hi=hi,
         n_samples=n_samples,
-        interior_bins=interior,
-        gap_bins=gap,
-        boundary_bins=boundary,
         empirical_max_z=max_z,
     )
 
@@ -369,7 +371,7 @@ def _proof_tuples(stmt: CdsStatement, wit: CdsWitness):
             for beta in range(1, p + 1):
                 resp = _build_response(stmt, wit, nonces, sims, beta)
                 yield (
-                    tuple(a for row in first.alphas for a in row),
+                    tuple(a for row in first for a in row),
                     beta,
                     resp.betas,
                     tuple(g for row in resp.gammas for g in row),
@@ -377,12 +379,12 @@ def _proof_tuples(stmt: CdsStatement, wit: CdsWitness):
 
 
 def _plan_proofs(
-    ref: RefString, plan: Plan, coms: Sequence[BitCommitment], ops: Sequence[BitOpening]
+    ref: RefString, plan: Plan, com: IntCommitment, ops: Sequence[BitOpening]
 ) -> dict[int, tuple[CdsStatement, CdsWitness]]:
     """(statement, witness) of each proof of `plan` over one committed value,
     as the live prover makes them, keyed by position."""
     return {
-        i: (plan_statement(ref, (coms,), rows), plan_witness(rows, (ops,)))
+        i: (plan_statement(ref, (com,), rows), plan_witness(rows, (ops,)))
         for _, i, rows in plan
     }
 
@@ -437,7 +439,7 @@ def _hiding_worlds(ref_pairs_real, ref_pairs_sim, params, spec, reports) -> tupl
                     else:
                         proofs = _plan_proofs(ref, plan, coms[ev.item], ops[ev.item])
                         parts += [list(_proof_tuples(*proof)) for proof in proofs.values()]
-                head = (g, h, *(c.value for item in coms for c in item), *reports)
+                head = (g, h, *(c for item in coms for c in item), *reports)
                 counter.update(head + sum(combo, ()) for combo in product(*parts))
         return counter
 
@@ -531,13 +533,13 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
     width = width_of(bound)
     params = ref.params
     com = adversary.commit(ref)
-    for bit in com.bits:
-        params.require_member(bit.value)
+    for bit in com:
+        params.require_member(bit)
     zero_open: dict[int, int] = {}
     one_open: dict[int, int] = {}
 
     def note(index: int, op: BitOpening):
-        if not verify_opening(ref, com.bits[index - 1], op):
+        if not verify_opening(ref, com[index - 1], op):
             return
         (zero_open if op.bit == 0 else one_open)[index] = op.r
 
@@ -548,7 +550,7 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
                 note(index, op)
         elif isinstance(action, ClaimAction):
             for _, i, rows in bound_plan(action.bound, width, greater=True):
-                stmt = plan_statement(ref, (com.bits,), rows)
+                stmt = plan_statement(ref, (com,), rows)
                 prover = action.prover_for(i)
                 first = prover.first()
                 accepting = []
@@ -579,7 +581,7 @@ def commitment_attack_driver(adversary, ref: RefString, bound: int) -> int | Non
 
 def _ge_claim(ref: RefString, com, w: int, openings: list[BitOpening], rng) -> ClaimAction:
     """Claim price >= w with the live prover's statements and witness rows."""
-    proofs = _plan_proofs(ref, bound_plan(w, com.width, greater=True), com.bits, openings)
+    proofs = _plan_proofs(ref, bound_plan(w, len(com), greater=True), com, openings)
     return ClaimAction(bound=w, prover_for=lambda i: ReplayableProver(*proofs[i], rng))
 
 
@@ -626,8 +628,7 @@ class EquivocatorStrategy:
         if params.pow(ref.g, self.rho) != ref.h:
             raise ParameterError("planted trapdoor inconsistent with the reference string")
         self.exps = [params.exp_sample(self.rng) for _ in range(width)]
-        bits = tuple(commit_bit(ref, 1, r) for r in self.exps)
-        self.com = IntCommitment(bits)
+        self.com = tuple(commit_bit(ref, 1, r) for r in self.exps)
         return self.com
 
     def _opening(self, index: int, bit: int, params) -> BitOpening:

@@ -166,7 +166,10 @@ def _send_messages(sock: socket.socket, msgs: list[Message]) -> None:
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ZkmechError(f"port {number} outside 0..65535")
+    return host or "127.0.0.1", number
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -358,16 +361,8 @@ def _cmd_analyze(args) -> int:
         print(f"lemma_holds={str(holds).lower()}")
         return 0 if holds else 1
     if args.what == "noise":
-        if args.eps is not None:
-            eps = args.eps
-        elif args.alpha is not None:
-            eps = 1.0 - args.alpha
-        else:
-            eps = 0.1
-        if args.alpha is not None and abs(args.alpha - (1.0 - eps)) > 1e-12:
-            raise ZkmechError("--alpha and --eps are inconsistent (alpha = 1 - eps)")
         report = analysis.noise_ratio_report(
-            eps,
+            args.eps,
             args.ell,
             args.samples,
             (-args.window, args.window),
@@ -391,10 +386,13 @@ def _cmd_analyze(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_group_flags(sp) -> None:
+def _add_group_flags(sp, seeded: bool = True) -> None:
+    """--group and --toy; and --seed, which a replay, having no private
+    randomness, does not take."""
     sp.add_argument("--group", help="parameter file (q=/p=/seed= lines)")
     sp.add_argument("--toy", action="store_true", help="use the q=23 desk-scale group")
-    sp.add_argument("--seed", help="hex seed for deterministic private randomness")
+    if seeded:
+        sp.add_argument("--seed", help="hex seed for deterministic private randomness")
 
 
 def _add_spec_flags(sp, kinds) -> None:
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="re-verify a transcript file")
     sp.add_argument("transcript")
-    _add_group_flags(sp)
+    _add_group_flags(sp, seeded=False)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("analyze", help="run an analysis report")
@@ -458,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("ic-lemma")
     a.add_argument("--H", dest="bound", type=_int_in(1, 32), default=8)
     a = asub.add_parser("noise")
-    a.add_argument("--alpha", type=float, default=None)
-    a.add_argument("--eps", type=float, default=None)
+    a.add_argument("--eps", type=float, default=0.1, help="noise epsilon (alpha = 1 - eps)")
     a.add_argument("--ell", type=_int_in(1), default=1)
     a.add_argument("--window", type=_int_in(0, MAX_WINDOW), default=50)
     a.add_argument("--samples", type=_int_in(0), default=100_000)

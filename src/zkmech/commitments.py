@@ -1,11 +1,12 @@
 """Bit commitments in the subgroup: commit to 0 as g^r, to 1 as h^r.
 
-Integers are committed bitwise, most significant bit first (index 1 is the
-high bit throughout the package); an `IntCommitment` is its bit
-commitments, and its width is their count.  A reveal checks its openings
-in the verification run's `sigma.Batch`, which the caller holds.  A double
-opening of any single commitment yields the discrete log of h base g,
-which is the binding reduction.
+A bit commitment is its group element, which only the group reads or
+writes.  Integers are committed bitwise, most significant bit first (index
+1 is the high bit throughout the package): an integer commitment is the
+tuple of its bits' elements, and its width is `len` of it.  A reveal
+checks its openings in the verification run's `sigma.Batch`, which the
+caller holds.  A double opening of any single commitment yields the
+discrete log of h base g, which is the binding reduction.
 """
 
 from __future__ import annotations
@@ -20,42 +21,31 @@ from .sigma import Batch
 
 
 @dataclass(frozen=True)
-class BitCommitment:
-    value: int  # the group element C
-
-
-@dataclass(frozen=True)
 class BitOpening:
     bit: int
     r: int  # exponent in {1, ..., p-1}
 
 
-@dataclass(frozen=True)
-class IntCommitment:
-    """Per-bit commitments to an integer, MSB first, one per bit of its width."""
-
-    bits: tuple[BitCommitment, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
+# An integer's bit commitments, MSB first, one element per bit of its width.
+IntCommitment = tuple[int, ...]
 
 
-def commit_bit(ref: RefString, bit: int, r: int) -> BitCommitment:
+def commit_bit(ref: RefString, bit: int, r: int) -> int:
+    """The element g^r for bit 0, h^r for bit 1."""
     if bit not in (0, 1):
         raise ParameterError(f"bit must be 0 or 1, got {bit}")
     if not 1 <= r <= ref.params.p - 1:
         raise ParameterError(f"exponent out of range: {r}")
     ref.build_tables()  # whoever commits is a prover
     base = ref.g if bit == 0 else ref.h
-    return BitCommitment(ref.params.pow_unchecked(base, r))
+    return ref.params.pow_unchecked(base, r)
 
 
-def verify_opening(ref: RefString, com: BitCommitment, op: BitOpening) -> bool:
+def verify_opening(ref: RefString, com: int, op: BitOpening) -> bool:
     if op.bit not in (0, 1) or not 1 <= op.r <= ref.params.p - 1:
         return False
     base = ref.g if op.bit == 0 else ref.h
-    return ref.params.pow_unchecked(base, op.r) == com.value
+    return ref.params.pow_unchecked(base, op.r) == com
 
 
 def int_bits(value: int, width: int) -> list[int]:
@@ -79,7 +69,7 @@ def commit_int(
     bits = int_bits(value, width)
     openings = [BitOpening(bit=b, r=ref.params.exp_sample(rng)) for b in bits]
     coms = tuple(commit_bit(ref, op.bit, op.r) for op in openings)
-    return IntCommitment(coms), openings
+    return coms, openings
 
 
 # The phase and detail of a reveal's false opening, named at its index.
@@ -96,13 +86,13 @@ def reveal_int(ref: RefString, com: IntCommitment, ops: list[BitOpening], batch:
     `OPENING_FAILURE`).  The commitments must be subgroup members, as the
     wire parsers ensure.
     """
-    if len(ops) != com.width:
-        raise VerificationFailed("reveal", f"expected {com.width} openings, got {len(ops)}")
+    if len(ops) != len(com):
+        raise VerificationFailed("reveal", f"expected {len(com)} openings, got {len(ops)}")
     p = ref.params.p
-    for i, (bit_com, op) in enumerate(zip(com.bits, ops), start=1):
+    for i, (bit_com, op) in enumerate(zip(com, ops), start=1):
         if op.bit not in (0, 1) or not 1 <= op.r <= p - 1:
             batch.reject(i)
-        batch.add_opening(bit_com.value, ref.g if op.bit == 0 else ref.h, op.bit, op.r, i)
+        batch.add_opening(bit_com, ref.g if op.bit == 0 else ref.h, op.bit, op.r, i)
     return bits_value([op.bit for op in ops])
 
 
@@ -124,15 +114,14 @@ def binding_break_to_dlog(ref: RefString, r_zero: int, r_one: int) -> int:
 
 
 def encode_int_commitment(params: GroupParams, com: IntCommitment) -> bytes:
-    return encode_u8(com.width) + params.encode_elements(b.value for b in com.bits)
+    return encode_u8(len(com)) + params.encode_elements(com)
 
 
 def read_commitment(r: Reader, params: GroupParams) -> IntCommitment:
     """An `encode_int_commitment`: its width, then its bit commitments,
     elements other than the identity, which commits to no bit."""
     width = r.u8()
-    values = params.read_elements(r, width, "commitment", identity=False, named=True)
-    return IntCommitment(tuple(BitCommitment(v) for v in values))
+    return tuple(params.read_elements(r, width, "commitment", identity=False, named=True))
 
 
 def read_int_commitment(r: Reader, q: int) -> IntCommitment:

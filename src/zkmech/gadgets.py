@@ -11,7 +11,11 @@ borrows.  The prover reads the chain off the integer sum of its inputs.
 Every gadget is written once, as a plan built from public data only: a
 tuple of (label, position, rows) entries, one per proof.  A row is a tuple
 of cells (bit, (k, i)): the cell's base is g when `bit` is 0 and h when it
-is 1, and its target is bit i of the k-th commitment the gadget covers.
+is 1, and its target is bit i of the k-th commitment the gadget covers,
+the element `coms[k][i - 1]`, since a commitment is the tuple of its bits'
+elements (`commitments`).  A complement pair is the tuple (C, C'), which
+`coin_select` indexes by the mask bit, as `coin_openings` indexes its
+openings.
 The prover knows every cell of some row, the one whose bit commitments all
 open to the cells' bits; its witness is the first such row.  One builder
 turns an entry into a statement, one prover proves a whole plan and one
@@ -36,13 +40,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
 
 from .codec import Reader, encode_u8, encode_u16
 from .commitments import (
-    BitCommitment,
     BitOpening,
     IntCommitment,
     bits_value,
@@ -90,27 +92,23 @@ def _ctx(
     return prefix + encode_statement(stmt, encoded) + encode_u8(label) + encode_u16(position)
 
 
-def element_encodings(
-    ref: RefString, coms: Sequence[Sequence[BitCommitment]]
-) -> dict[int, bytes]:
+def element_encodings(ref: RefString, coms: Sequence[IntCommitment]) -> dict[int, bytes]:
     """The encoding of g, h and every covered commitment, each distinct
     element once: what `encode_statement` needs for any statement of a plan
     over `coms`."""
     values = {ref.g, ref.h}
-    values.update([com.value for com_bits in coms for com in com_bits])
+    values.update([com for com_bits in coms for com in com_bits])
     return {v: ref.params.encode_element(v) for v in values}
 
 
 # -- one statement builder, one prover, one verifier ---------------------------
 
 
-def plan_statement(
-    ref: RefString, coms: Sequence[Sequence[BitCommitment]], rows: Rows
-) -> CdsStatement:
+def plan_statement(ref: RefString, coms: Sequence[IntCommitment], rows: Rows) -> CdsStatement:
     """The statement of one plan entry over the covered commitments' bits."""
     bases = (ref.g, ref.h)
     # List comprehensions: generators here cost a few percent of a q=23 run.
-    cells = [tuple([(bases[bit], coms[k][i - 1].value) for bit, (k, i) in row]) for row in rows]
+    cells = [tuple([(bases[bit], coms[k][i - 1]) for bit, (k, i) in row]) for row in rows]
     return CdsStatement(params=ref.params, rows=tuple(cells))
 
 
@@ -132,7 +130,7 @@ def plan_witness(rows: Rows, ops: Sequence[Sequence[BitOpening]]) -> CdsWitness 
 def _prove_plan(
     ref: RefString,
     plan: Plan,
-    coms: Sequence[Sequence[BitCommitment]],
+    coms: Sequence[IntCommitment],
     ops: Sequence[Sequence[BitOpening]],
     ctx_prefix: bytes,
     rng: random.Random,
@@ -140,7 +138,7 @@ def _prove_plan(
     """Prove every entry of `plan`; refuses at the first one without a witness."""
     bases = (ref.g, ref.h)
     hint = {  # every covered bit's commitment, opened as (g or h, r)
-        com.value: (bases[op.bit], op.r)
+        com: (bases[op.bit], op.r)
         for com_bits, com_ops in zip(coms, ops)
         for com, op in zip(com_bits, com_ops)
     }
@@ -159,7 +157,7 @@ def _prove_plan(
 def _verify_plan(
     ref: RefString,
     plan: Plan,
-    coms: Sequence[Sequence[BitCommitment]],
+    coms: Sequence[IntCommitment],
     bundle: ProofBundle,
     ctx_prefix: bytes,
     batch: Batch | None = None,
@@ -202,28 +200,28 @@ def bound_plan(w: int, width: int, *, greater: bool) -> Plan:
 
 def prove_ge_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     """Prove the committed value is >= the public bound w."""
-    plan = bound_plan(w, com.width, greater=True)
-    return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
+    plan = bound_plan(w, len(com), greater=True)
+    return _prove_plan(ref, plan, (com,), (openings,), ctx_prefix, rng)
 
 
 def verify_ge_public(ref, com, w, bundle, ctx_prefix, batch=None) -> bool:
-    if not 0 <= w < (1 << com.width):
+    if not 0 <= w < (1 << len(com)):
         return False
-    plan = bound_plan(w, com.width, greater=True)
-    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix, batch)
+    plan = bound_plan(w, len(com), greater=True)
+    return _verify_plan(ref, plan, (com,), bundle, ctx_prefix, batch)
 
 
 def prove_le_public(ref, com, openings, w, ctx_prefix, rng) -> ProofBundle:
     """Prove the committed value is <= the public bound w."""
-    plan = bound_plan(w, com.width, greater=False)
-    return _prove_plan(ref, plan, (com.bits,), (openings,), ctx_prefix, rng)
+    plan = bound_plan(w, len(com), greater=False)
+    return _prove_plan(ref, plan, (com,), (openings,), ctx_prefix, rng)
 
 
 def verify_le_public(ref, com, w, bundle, ctx_prefix, batch=None) -> bool:
-    if not 0 <= w < (1 << com.width):
+    if not 0 <= w < (1 << len(com)):
         return False
-    plan = bound_plan(w, com.width, greater=False)
-    return _verify_plan(ref, plan, (com.bits,), bundle, ctx_prefix, batch)
+    plan = bound_plan(w, len(com), greater=False)
+    return _verify_plan(ref, plan, (com,), bundle, ctx_prefix, batch)
 
 
 # -- committed <= committed ----------------------------------------------------
@@ -249,17 +247,17 @@ def le_committed_plan(width: int) -> Plan:
 
 def prove_le_committed(ref, com_a, ops_a, com_b, ops_b, ctx_prefix, rng) -> ProofBundle:
     """Prove committed a <= committed b, one matrix proof per bit position."""
-    if com_a.width != com_b.width:
+    if len(com_a) != len(com_b):
         raise ParameterError("widths must match")
-    plan = le_committed_plan(com_a.width)
-    return _prove_plan(ref, plan, (com_a.bits, com_b.bits), (ops_a, ops_b), ctx_prefix, rng)
+    plan = le_committed_plan(len(com_a))
+    return _prove_plan(ref, plan, (com_a, com_b), (ops_a, ops_b), ctx_prefix, rng)
 
 
 def verify_le_committed(ref, com_a, com_b, bundle, ctx_prefix, batch=None) -> bool:
-    if com_a.width != com_b.width:
+    if len(com_a) != len(com_b):
         return False
-    plan = le_committed_plan(com_a.width)
-    return _verify_plan(ref, plan, (com_a.bits, com_b.bits), bundle, ctx_prefix, batch)
+    plan = le_committed_plan(len(com_a))
+    return _verify_plan(ref, plan, (com_a, com_b), bundle, ctx_prefix, batch)
 
 
 # -- gate chains: addition with committed carries, comparison with borrows ------
@@ -321,26 +319,25 @@ def _prove_chain(ref, invert, com_x, ops_x, com_y, ops_y, ctx_prefix, rng):
     chain): `sum_plan` of the total, or with `invert` set, `lt_plan` of the
     total's top bit.  Returns that announced value, the chain commitments
     and the proofs; the chain openings never leave this function."""
-    if com_x.width != com_y.width:
+    if len(com_x) != len(com_y):
         raise ParameterError("widths must match")
-    width = com_x.width
+    width = len(com_x)
     x = bits_value([op.bit ^ invert for op in ops_x])
     y = bits_value([op.bit for op in ops_y])
     total = x + y
     # Bit k of x ^ y ^ total is the carry into bit k (from the LSB), so the
     # shifted value holds the carry out of every position.
     chain_com, chain_ops = commit_int(ref, (total ^ x ^ y) >> 1, width, rng)
-    coms, ops = (com_x.bits, com_y.bits, chain_com.bits), (ops_x, ops_y, chain_ops)
+    coms, ops = (com_x, com_y, chain_com), (ops_x, ops_y, chain_ops)
     announced, plan = (total >> width, lt_plan) if invert else (total, sum_plan)
     bundle = _prove_plan(ref, plan(announced, width), coms, ops, ctx_prefix, rng)
     return announced, chain_com, bundle
 
 
 def _verify_chain(ref, plan, com_x, com_y, chain_com, bundle, ctx_prefix, batch) -> bool:
-    if com_x.width != com_y.width or chain_com.width != com_x.width:
+    if not len(com_x) == len(com_y) == len(chain_com):
         return False
-    coms = (com_x.bits, com_y.bits, chain_com.bits)
-    return _verify_plan(ref, plan, coms, bundle, ctx_prefix, batch)
+    return _verify_plan(ref, plan, (com_x, com_y, chain_com), bundle, ctx_prefix, batch)
 
 
 def prove_sum(
@@ -372,9 +369,9 @@ def verify_sum(
 ) -> bool:
     """Recompute the allowed gate tables from the announced total and check
     every per-position proof."""
-    if not 0 <= total < (1 << (com1.width + 1)):
+    if not 0 <= total < (1 << (len(com1) + 1)):
         return False
-    plan = sum_plan(total, com1.width)
+    plan = sum_plan(total, len(com1))
     return _verify_chain(ref, plan, com1, com2, carry_com, bundle, ctx_prefix, batch)
 
 
@@ -406,34 +403,30 @@ def verify_lt_committed(
 ) -> bool:
     if verdict not in (0, 1):
         return False
-    plan = lt_plan(verdict, com_z.width)
+    plan = lt_plan(verdict, len(com_z))
     return _verify_chain(ref, plan, com_z, com_s, borrow_com, bundle, ctx_prefix, batch)
 
 
 # -- complement pairs and coin selection -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplementPair:
-    """Commitments to a hidden bit and to its complement."""
-
-    r_com: BitCommitment
-    rp_com: BitCommitment
+# Commitments (C, C') to a hidden bit and to its complement.
+ComplementPair = tuple[int, int]
 
 
 def complement_commit(
     ref: RefString, bit: int, rng: random.Random
 ) -> tuple[ComplementPair, tuple[BitOpening, BitOpening]]:
     op = BitOpening(bit=bit, r=ref.params.exp_sample(rng))
-    r_com = commit_bit(ref, op.bit, op.r)
+    com = commit_bit(ref, op.bit, op.r)
     # Resample until the two elements differ: equal elements would be a
     # commitment opening to both bits, defeating the complement certificate.
     while True:
         opp = BitOpening(bit=1 - bit, r=ref.params.exp_sample(rng))
-        rp_com = commit_bit(ref, opp.bit, opp.r)
-        if rp_com.value != r_com.value:
+        com_p = commit_bit(ref, opp.bit, opp.r)
+        if com_p != com:
             break
-    return ComplementPair(r_com=r_com, rp_com=rp_com), (op, opp)
+    return (com, com_p), (op, opp)
 
 
 @_plan_cache
@@ -458,7 +451,7 @@ def prove_complement(
     """Two disjunction proofs, base g and base h, for the pair at `position`.
     Under dlog hardness this certifies a complement pair without revealing
     which element commits which bit."""
-    coms, ops = ((pair.r_com,), (pair.rp_com,)), tuple((op,) for op in openings)
+    coms, ops = tuple((com,) for com in pair), tuple((op,) for op in openings)
     bundle = _prove_plan(ref, complement_plan(position), coms, ops, ctx_prefix, rng)
     return [proof for _, proof in bundle]
 
@@ -472,11 +465,11 @@ def verify_complement(
     batch: Batch | None = None,
 ) -> bool:
     """The pair's two proofs, made at `position`: one unit of `batch`."""
-    if len(proofs) != 2 or pair.r_com.value == pair.rp_com.value:
+    if len(proofs) != 2 or pair[0] == pair[1]:
         return False
     plan = complement_plan(position)
     bundle = [(pos, proof) for (_, pos, _), proof in zip(plan, proofs)]
-    coms = ((pair.r_com,), (pair.rp_com,))
+    coms = tuple((com,) for com in pair)
     return _verify_plan(ref, plan, coms, bundle, ctx_prefix, batch)
 
 
@@ -485,8 +478,7 @@ def coin_select(pairs: list[ComplementPair], mask: list[int]) -> IntCommitment:
     y_i = 0 and the complement when y_i = 1, so the result commits x XOR y."""
     if len(pairs) != len(mask) or any(b not in (0, 1) for b in mask):
         raise ParameterError("mask must supply one bit per pair")
-    bits = tuple(p.r_com if y == 0 else p.rp_com for p, y in zip(pairs, mask))
-    return IntCommitment(bits)
+    return tuple(pair[y] for pair, y in zip(pairs, mask))
 
 
 def coin_openings(

@@ -34,7 +34,7 @@ from .codec import (
     encode_uint,
     seed_frame,
 )
-from .commitments import BitCommitment, BitOpening, commit_bit, encode_opening, read_opening, verify_opening
+from .commitments import BitOpening, commit_bit, encode_opening, read_opening, verify_opening
 from .errors import CodecError, ParameterError, VerificationFailed
 from .gadgets import element_encodings, plan_statement
 from .group import RefString
@@ -59,7 +59,7 @@ _CTX_LABEL = b"\x1a"
 class IndicatorCommitment:
     """Commitments to the one-hot price indicator plus its validity proof."""
 
-    coms: tuple[BitCommitment, ...]
+    coms: tuple[int, ...]  # one element per price slot
     proof: NiProof
 
 
@@ -81,7 +81,7 @@ class BuyerSecrets:
     rhos: tuple[int, ...]
 
 
-def one_hot_statement(ref: RefString, coms: list[BitCommitment]) -> CdsStatement:
+def one_hot_statement(ref: RefString, coms: list[int]) -> CdsStatement:
     """Row t: every slot except t opens under g and slot t opens under h.
 
     The base-h clause pins exactly one set slot, so a price that never
@@ -92,7 +92,7 @@ def one_hot_statement(ref: RefString, coms: list[BitCommitment]) -> CdsStatement
     return plan_statement(ref, [(c,) for c in coms], rows)
 
 
-def _context(ref: RefString, coms: tuple[BitCommitment, ...], stmt: CdsStatement) -> bytes:
+def _context(ref: RefString, coms: tuple[int, ...], stmt: CdsStatement) -> bytes:
     """The statement's H^2 cells are joined from H + 2 encoded elements."""
     encoded = element_encodings(ref, [(c,) for c in coms])
     return seed_frame(ref.seed) + encode_statement(stmt, encoded) + _CTX_LABEL
@@ -113,7 +113,7 @@ def mpc_seller_commit(
     wit = CdsWitness(row=price, exps=exps)
     # Every target is a slot the seller opened: h^r at the price, g^r elsewhere.
     bases = (ref.g, ref.h)
-    hint = {com.value: (bases[i == price], r) for i, (com, r) in enumerate(zip(coms, exps))}
+    hint = {com: (bases[i == price], r) for i, (com, r) in enumerate(zip(coms, exps))}
     proof = ni_prove(stmt, wit, _context(ref, coms, stmt), rng, hint)
     return IndicatorCommitment(coms=coms, proof=proof), SellerSecrets(price=price, exps=exps)
 
@@ -123,7 +123,7 @@ def verify_indicator(ref: RefString, ic: IndicatorCommitment) -> bool:
         return False
     identity = ref.params.identity  # which commits to no bit
     for com in ic.coms:
-        if com.value == identity or not ref.params.is_member(com.value):
+        if com == identity or not ref.params.is_member(com):
             return False
     stmt = one_hot_statement(ref, list(ic.coms))
     return ni_verify(stmt, ic.proof, _context(ref, ic.coms, stmt))
@@ -145,9 +145,9 @@ def mpc_buyer_respond(
     zs = []
     for i, (com, rho) in enumerate(zip(ic.coms, rhos)):
         willing = 1 if i <= value else 0
-        ks.append(commit_bit(ref, willing, rho).value)
+        ks.append(commit_bit(ref, willing, rho))
         if willing:
-            zs.append(params.pow_unchecked(com.value, rho))
+            zs.append(params.pow_unchecked(com, rho))
         else:
             zs.append(params.sample_member(rng))
     return BuyerResponse(ks=tuple(ks), zs=tuple(zs)), BuyerSecrets(value=value, rhos=rhos)
@@ -196,7 +196,7 @@ def mpc_buyer_conclude(
 
 def encode_indicator(ic: IndicatorCommitment) -> bytes:
     out = [encode_u8(len(ic.coms))]
-    out.extend(encode_uint(c.value) for c in ic.coms)
+    out.extend(encode_uint(c) for c in ic.coms)
     out.append(encode_proof(ic.proof))
     return b"".join(out)
 
@@ -212,7 +212,7 @@ def _slot_count(r: Reader) -> int:
 def decode_indicator(ref: RefString, payload: bytes) -> IndicatorCommitment:
     r = Reader(payload)
     count = _slot_count(r)  # before H commitments and an H x H proof are read
-    coms = tuple(BitCommitment(r.uint()) for _ in range(count))
+    coms = tuple(r.uint() for _ in range(count))
     proof = read_proof(r, ref.params, (count,) * count)
     r.finish()
     return IndicatorCommitment(coms=coms, proof=proof)

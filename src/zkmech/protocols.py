@@ -67,7 +67,6 @@ from .codec import (
 )
 from .commitments import (
     OPENING_FAILURE,
-    BitCommitment,
     BitOpening,
     IntCommitment,
     commit_int,
@@ -189,8 +188,8 @@ def _decode(payload: bytes, phase: str, what: str, read, start: int = 0):
 
 
 def _require_members(ref: RefString, com: IntCommitment, phase: str, what: str) -> None:
-    for i, bit in enumerate(com.bits, start=1):
-        if not ref.params.is_member(bit.value):
+    for i, element in enumerate(com, start=1):
+        if not ref.params.is_member(element):
             _fail(phase, f"{what} outside the subgroup", index=i)
 
 
@@ -208,8 +207,8 @@ def _parse_commit(
 
     coms = _decode(payload, phase, "commitment message", read)
     for com in coms:
-        if com.width != width:
-            _fail(phase, f"commitment width {com.width} != {width}")
+        if len(com) != width:
+            _fail(phase, f"commitment width {len(com)} != {width}")
         _require_members(ref, com, phase, "commitment")
     return coms
 
@@ -246,7 +245,7 @@ def _sum_body(params: GroupParams, total: int, carry: IntCommitment, bundle: Pro
 
 def _coin_pair_payload(params: GroupParams, pairs: list[ComplementPair], proofs: list[list]) -> bytes:
     out = [encode_u8(len(pairs))]
-    out.append(params.encode_elements(c.value for pair in pairs for c in (pair.r_com, pair.rp_com)))
+    out.append(params.encode_elements(c for pair in pairs for c in pair))
     out += [encode_sized_proof(proof) for pr in proofs for proof in pr]
     return b"".join(out)
 
@@ -258,16 +257,14 @@ def _parse_coin_pairs(
         got = r.u8()
         if got != count:
             _fail(phase, f"coin message carries {got} pairs, expected {count}")
-        values = ref.params.read_elements(r, 2 * count, "commitment", identity=False, named=True)
-        coms = [BitCommitment(v) for v in values]
-        pairs = [ComplementPair(a, b) for a, b in zip(coms[::2], coms[1::2])]
-        return pairs, [
+        coms = ref.params.read_elements(r, 2 * count, "commitment", identity=False, named=True)
+        return list(zip(coms[::2], coms[1::2])), [
             [read_sized_proof(r, ref.params, (1, 1)) for _ in range(2)] for _ in range(count)
         ]
 
     pairs, proofs = _decode(payload, phase, "coin message", read)
     for i, pair in enumerate(pairs):
-        if not all(ref.params.is_member(c.value) for c in (pair.r_com, pair.rp_com)):
+        if not all(ref.params.is_member(c) for c in pair):
             _fail(phase, "coin commitment outside the subgroup", index=i)
     return pairs, proofs
 
@@ -742,7 +739,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
     `batch`; returns the fact it establishes (for a coin, its pairs, which
     the mask then selects)."""
     params = ref.params
-    width = coms[0].width
+    width = len(coms[0])
     com = coms[ev.item]
     phase = _WIRE[ev.form][1]
     lead = _LEAD.get((ev.form, ev.item), b"")
@@ -800,7 +797,7 @@ def _check(ref: RefString, ev: Evidence, payload: bytes, prefix: bytes, coms, co
         # read_opening has checked the bit and the exponent.
         op = _decode(payload, phase, "coin opening", lambda r: read_opening(r, params.p))
         batch.begin(phase, "coin opening does not match the selected commitment")
-        batch.add_opening(coin.bits[0].value, ref.g if op.bit == 0 else ref.h, op.bit, op.r, None)
+        batch.add_opening(coin[0], ref.g if op.bit == 0 else ref.h, op.bit, op.r, None)
         return op.bit
     def read_lt(r):
         verdict = r.u8()

@@ -42,12 +42,13 @@ real row is checked against the hint too: a cell whose target it opens as
 its nonces and its simulated cells.  Without a hint each real cell's base
 is raised to its exponent once, to refuse a witness that does not hold.
 
-Bytes.  A proof keeps the bytes `read_proof` read it from or `ni_prove`
-encoded it into: `ni_verify_all` hashes them for the challenge and the
-batch weights, and `encode_sized_proof` sends them, so no proof is encoded
-twice or re-encoded after decoding.  `read_proof` reads each field as one
-run, the alphas by `GroupParams.read_elements`, which alone reads and
-writes elements.  `encode_statement` joins element encodings its caller
+Bytes.  A first message is the tuple of its rows of alphas, one per
+statement row.  A proof keeps the bytes `read_proof` read it from or
+`ni_prove` encoded it into: `ni_verify_all` hashes them for the challenge
+and the batch weights, and `encode_sized_proof` sends them, so no proof is
+encoded twice or re-encoded after decoding.  `read_proof` reads each field
+as one run, the alphas by `GroupParams.read_elements`, which alone reads
+and writes elements.  `encode_statement` joins element encodings its caller
 made once, however many cells share an element.
 """
 
@@ -113,9 +114,8 @@ class CdsWitness:
     exps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SigmaFirst:
-    alphas: tuple[tuple[int, ...], ...]
+# A first message: its alphas, one row per statement row.
+SigmaFirst = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def _build_first(
                 )
             except KeyError:
                 raise ParameterError(f"the openings lack a target of row {i}") from None
-    return SigmaFirst(alphas=tuple(alphas))
+    return tuple(alphas)
 
 
 def _build_response(
@@ -298,7 +298,7 @@ def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaRe
     params = stmt.params
     shape = stmt.shape
     if (
-        tuple(map(len, first.alphas)) != shape
+        tuple(map(len, first)) != shape
         or tuple(map(len, resp.gammas)) != shape
         or len(resp.betas) != len(shape)
     ):
@@ -312,7 +312,7 @@ def _well_formed(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaRe
         return False
     if min(map(min, resp.gammas)) < 0 or max(map(max, resp.gammas)) >= p:
         return False
-    if not params.in_range(first.alphas):
+    if not params.in_range(first):
         return False
     return sum(resp.betas) % p == beta % p
 
@@ -326,7 +326,7 @@ def cds_verify(stmt: CdsStatement, first: SigmaFirst, beta: int, resp: SigmaResp
 def _cells_hold(stmt: CdsStatement, first: SigmaFirst, resp: SigmaResponse) -> bool:
     """`cds_verify`'s cell loop, for a well-formed proof."""
     params = stmt.params
-    for row, alpha_row, beta_i, gamma_row in zip(stmt.rows, first.alphas, resp.betas, resp.gammas):
+    for row, alpha_row, beta_i, gamma_row in zip(stmt.rows, first, resp.betas, resp.gammas):
         for (base, target), alpha, gamma in zip(row, alpha_row, gamma_row):
             if params.pow_unchecked(base, gamma) != params.mul(alpha, params.pow_unchecked(target, beta_i)):
                 return False
@@ -388,7 +388,7 @@ def cds_simulate(
         )
         for row, beta_i, gamma_row in zip(stmt.rows, betas, gammas)
     )
-    return SigmaFirst(alphas=alphas), SigmaResponse(betas=tuple(betas), gammas=gammas)
+    return alphas, SigmaResponse(betas=tuple(betas), gammas=gammas)
 
 
 # -- Fiat-Shamir --------------------------------------------------------------
@@ -538,7 +538,7 @@ class Batch:
             return all(_cells_hold(stmt, proof.first, proof.response) for stmt, proof, _ in items)
         # The batch is only sound in the order-p group: alpha and q - alpha
         # differ by the factor -1, which an even weight hides.
-        alphas = [a for _, proof, _ in items for row in proof.first.alphas for a in row]
+        alphas = [a for _, proof, _ in items for row in proof.first for a in row]
         if not all(self.params.is_member(a) for a in alphas):
             return False
         data = b"".join(part for _, proof, _ in items for part in proof._wire)
@@ -652,7 +652,7 @@ def _batch_holds(params: GroupParams, units: Sequence[_Unit]) -> bool:
         for stmt, proof, _ in terms:
             resp = proof.response
             for row, alpha_row, beta_i, gamma_row in zip(
-                stmt.rows, proof.first.alphas, resp.betas, resp.gammas
+                stmt.rows, proof.first, resp.betas, resp.gammas
             ):
                 for (base, target), alpha, gamma in zip(row, alpha_row, gamma_row):
                     w = next(weights)
@@ -680,8 +680,8 @@ def encode_statement(stmt: CdsStatement, encoded: Mapping[int, bytes]) -> bytes:
 
 
 def encode_first(params: GroupParams, first: SigmaFirst) -> bytes:
-    shape = tuple(map(len, first.alphas))
-    return encode_shape(shape) + params.encode_elements(a for row in first.alphas for a in row)
+    shape = tuple(map(len, first))
+    return encode_shape(shape) + params.encode_elements(a for row in first for a in row)
 
 
 def encode_proof(proof: NiProof) -> bytes:
@@ -734,7 +734,7 @@ def read_proof(r: Reader, params: GroupParams, shape: tuple[int, ...]) -> NiProo
     gammas = r.uints(cells, 0, p - 1, "gamma")
     digest = r.take(32)
     proof = NiProof(
-        first=SigmaFirst(alphas=_rows(alphas, shape)),
+        first=_rows(alphas, shape),
         challenge=challenge,
         response=SigmaResponse(betas=betas, gammas=_rows(gammas, shape)),
         context_digest=digest,

@@ -24,7 +24,6 @@ from zkmech.protocols import MechanismSpec, Outcome, run_local, verify_transcrip
 from zkmech.sigma import (
     CdsStatement,
     CdsWitness,
-    SigmaFirst,
     SigmaResponse,
     _build_first,
     _build_response,
@@ -217,7 +216,7 @@ def test_criterion_02_special_soundness_exhaustive(q7):
             for w in shape:
                 alphas.append(tuple(alpha_flat[pos : pos + w]))
                 pos += w
-            first = SigmaFirst(alphas=tuple(alphas))
+            first = tuple(alphas)
 
             def accepting(beta):
                 for split in product(range(p), repeat=k - 1):
@@ -250,7 +249,7 @@ def test_criterion_02_special_soundness_exhaustive(q7):
 
 def _tt(first, beta, resp):
     return (
-        tuple(a for row in first.alphas for a in row),
+        tuple(a for row in first for a in row),
         beta,
         resp.betas,
         tuple(g for row in resp.gammas for g in row),
@@ -280,7 +279,7 @@ def test_criterion_03_perfect_hvzk(q7):
             alpha = _sim_alpha(q7, 2, 4, beta % p, gamma)
             simulated[
                 _tt(
-                    SigmaFirst(alphas=((alpha,),)),
+                    ((alpha,),),
                     beta,
                     SigmaResponse(betas=(beta % p,), gammas=((gamma,),)),
                 )
@@ -304,9 +303,7 @@ def test_criterion_03_perfect_hvzk(q7):
         for b0, g0, g1 in product(range(p), repeat=3):
             for beta in range(1, p + 1):
                 b1 = (beta - b0) % p
-                first = SigmaFirst(
-                    alphas=((_sim_alpha(q7, 2, 4, b0, g0),), (_sim_alpha(q7, 2, 2, b1, g1),))
-                )
+                first = ((_sim_alpha(q7, 2, 4, b0, g0),), (_sim_alpha(q7, 2, 2, b1, g1),))
                 sim2[
                     _tt(first, beta, SigmaResponse(betas=(b0, b1), gammas=((g0,), (g1,))))
                 ] += 1
@@ -322,8 +319,8 @@ def test_criterion_04_perfect_hiding_of_commitments(q7, q23):
         nonid = sorted({pow(x, 2, params.q) for x in range(1, params.q)} - {1})
         for g, h in ((2, 4), (4, 2)):
             ref = RefString(params=params, seed=b"c4", g=g, h=h)
-            zero = Counter(commit_bit(ref, 0, r).value for r in range(1, params.p))
-            one = Counter(commit_bit(ref, 1, r).value for r in range(1, params.p))
+            zero = Counter(commit_bit(ref, 0, r) for r in range(1, params.p))
+            one = Counter(commit_bit(ref, 1, r) for r in range(1, params.p))
             ok &= zero == one == Counter(nonid)
     elapsed = time.time() - t0
     report(4, ok and elapsed <= 1, f"bit-0 and bit-1 commitment multisets both sweep G without identity, {elapsed:.2f}s")

@@ -443,7 +443,7 @@ class TestAttackDriver:
                 if isinstance(action, RevealAction):
                     if all(
                         verify_opening(planted, c, op)
-                        for c, op in zip(com.bits, action.openings)
+                        for c, op in zip(com, action.openings)
                     ):
                         price = revealed(planted, com, action.openings)
                         outcomes[v] = ("trade", price)

@@ -118,8 +118,7 @@ def test_mpc_indicator_rejects_a_bad_element(request, group, substitute):
     ref = request.getfixturevalue(group)
     q = ref.params.q
     ic, _ = mpc_seller_commit(ref, 2, 4, random.Random(1))
-    value = q - ic.coms[0].value if substitute == "non-member" else 1
-    coms = (replace(ic.coms[0], value=value),) + ic.coms[1:]
+    coms = (q - ic.coms[0] if substitute == "non-member" else 1,) + ic.coms[1:]
     seen = decode_indicator(ref, encode_indicator(replace(ic, coms=coms)))
     with pytest.raises(VerificationFailed):
         mpc_buyer_respond(ref, seen, 3, random.Random(2))

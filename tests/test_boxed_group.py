@@ -15,10 +15,10 @@ import pytest
 
 from conftest import Q384, load_script
 from test_protocols import DIFFERENTIAL_RUNS
-from zkmech import sigma
+from zkmech import protocols, sigma
 from zkmech.codec import encode_uints, transcript_dumps
 from zkmech.group import GroupParams, derive_generators, params_from_modulus
-from zkmech.protocols import MechanismSpec, run_local
+from zkmech.protocols import MechanismSpec, run_local, verify_transcript
 
 TOY_SEED = b"acceptance reference string"  # criteria 1 and 12
 
@@ -131,7 +131,7 @@ def test_a_box_is_no_int():
 def test_a_leak_past_the_group_raises_type_error(monkeypatch):
     """A first message written as ints, not through the group, is caught."""
     monkeypatch.setattr(
-        sigma, "encode_first", lambda params, first: encode_uints(a for row in first.alphas for a in row)
+        sigma, "encode_first", lambda params, first: encode_uints(a for row in first for a in row)
     )
     _, boxed = both_groups(23, TOY_SEED)
     with pytest.raises(TypeError):
@@ -181,3 +181,55 @@ def test_criterion_12_mutants_give_the_int_groups_verdicts():
         assert not verdict.startswith("Outcome("), (i, verdict)
         reseeded += idx == 1 and bit >= 8 * 5  # past the tag and the length: a new seed
     assert reseeded >= 5
+
+
+# One run of each replayable kind; ex3's lottery case and ex4 flip coins.
+KIND_RUNS = [
+    (MechanismSpec("ex1", 8, (5,)), [3], None, None),
+    (MechanismSpec("ex1multi", 8, (7,), n_buyers=2), [3, 2], None, None),
+    (MechanismSpec("ex2", 8, (3, 6)), [5, 5], None, None),
+    (MechanismSpec("ex3", 8, (2, 5)), [7], 1, 0),
+    (MechanismSpec("ex4", 4, (2,)), [3], 1, 2),
+]
+
+
+@pytest.mark.parametrize("spec, values, coin, mask", KIND_RUNS, ids=lambda x: getattr(x, "kind", None))
+def test_a_replay_reads_plain_tuples_of_the_groups_elements(monkeypatch, spec, values, coin, mask):
+    """What a replay reads, the commitments, the coin pairs and the proofs'
+    first messages, are plain tuples of the boxes `read_elements` returned
+    themselves, not values wrapped again."""
+    _, boxed = both_groups(23, TOY_SEED)
+    _, tr = run_local(boxed, spec, values, random.Random(1), random.Random(2), coin_value=coin, mask_value=mask)
+    read, seen = [], {"commitment": [], "pair": [], "first": []}
+
+    def record(module, name, what, pick):
+        """Wrap `module.name` so each call's `pick(result)` joins seen[what]."""
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen[what].extend(pick(out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    read_elements = BoxedGroup.read_elements
+
+    def read_and_keep(*args, **kwargs):
+        elements = read_elements(*args, **kwargs)
+        read.extend(elements)
+        return elements
+
+    monkeypatch.setattr(BoxedGroup, "read_elements", read_and_keep)
+    record(protocols, "read_commitment", "commitment", lambda com: [com])
+    record(protocols, "_parse_coin_pairs", "pair", lambda out: out[0])
+    record(sigma, "read_proof", "first", lambda proof: [proof.first])
+    verify_transcript(boxed, tr)
+
+    ours = {id(x) for x in read}
+    assert seen["commitment"] and seen["first"] and bool(seen["pair"]) == (coin is not None)
+    assert all(type(first) is tuple for first in seen["first"])
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in seen["pair"])
+    for value in seen["commitment"] + seen["pair"] + [row for first in seen["first"] for row in first]:
+        assert type(value) is tuple and value, value
+        assert all(type(x) is Box and id(x) in ours for x in value), value

@@ -140,11 +140,11 @@ class TestAnalyze:
 
     def test_noise_report(self, capsys):
         rc = cli.run(
-            ["analyze", "noise", "--alpha", "0.9", "--eps", "0.1", "--samples", "1000", "--window", "20"]
+            ["analyze", "noise", "--eps", "0.1", "--samples", "1000", "--window", "20"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "epsilon=0.1" in out and "interior_bins=" in out
+        assert "alpha=0.9" in out and "epsilon=0.1" in out and "interior_bins=" in out
 
     @pytest.mark.parametrize("window", ["10000", "65536"])
     def test_a_window_past_the_pmf_underflow(self, capsys, window):
@@ -152,11 +152,6 @@ class TestAnalyze:
         fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()[1:])
         for name in ("interior_bins", "gap_bins", "boundary_bins", "empirical_max_abs_z"):
             assert math.isfinite(float(fields[name])), name
-
-    def test_inconsistent_noise_flags(self, capsys):
-        rc = cli.run(["analyze", "noise", "--alpha", "0.5", "--eps", "0.1"])
-        assert rc == 2
-        capsys.readouterr()
 
     def test_groves(self, capsys):
         rc = cli.run(["analyze", "groves", "--n", "3", "--trials", "20"])
@@ -199,6 +194,15 @@ class TestUsageErrors:
         assert cli.run(["seller", "--example", "ex2", "--listen", ":0", "--toy"]) == 2
         assert cli.run(["buyer", "--example", "ex2", "--connect", "127.0.0.1:9", "--toy"]) == 2
         assert cli.run(["buyer", "--example", "ex1", "--value", "9", "--connect", ":9", "--toy"]) == 2
+        # ports outside 0..65535
+        assert cli.run(["seller", "--example", "ex1", "--price", "3", "--listen", ":70000", "--toy"]) == 2
+        assert "port 70000 outside 0..65535" in capsys.readouterr().err
+        assert cli.run(["buyer", "--example", "ex1", "--value", "3", "--connect", "127.0.0.1:65536", "--toy"]) == 2
+        assert "port 65536 outside 0..65535" in capsys.readouterr().err
+        # flags that set nothing: a replay has no private randomness, and
+        # the noise report takes epsilon alone
+        assert cli.run(["verify", "x.transcript", "--toy", "--seed", "aa"]) == 2
+        assert cli.run(["analyze", "noise", "--alpha", "0.9"]) == 2
         capsys.readouterr()
 
     def test_multi_buyer_not_networked(self, capsys):

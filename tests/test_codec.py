@@ -26,7 +26,6 @@ from zkmech.group import RFC3526_MODP_2048, params_from_modulus
 from zkmech.sigma import (
     CdsWitness,
     NiProof,
-    SigmaFirst,
     SigmaResponse,
     encode_proof,
     encode_sized_proof,
@@ -155,7 +154,7 @@ def reference_read_proof(r: Reader, params, shape) -> NiProof:
     betas = tuple(uint_per_integer(r, len(shape), 0, p - 1, "per-row challenge"))
     gammas = rows(0, p - 1, "gamma")
     digest = r.take(32)
-    return NiProof(SigmaFirst(alphas), challenge, SigmaResponse(betas, gammas), digest)
+    return NiProof(alphas, challenge, SigmaResponse(betas, gammas), digest)
 
 
 def reference_read_sized_proof(r: Reader, params, shape) -> NiProof:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import revealed, rewired
 from zkmech import gadgets
-from zkmech.commitments import BitCommitment, BitOpening, IntCommitment, bits_value, commit_int, int_bits
+from zkmech.commitments import BitOpening, bits_value, commit_int, int_bits
 from zkmech.errors import ParameterError, RefuseToProve
 from zkmech.gadgets import (
     _LBL_GATE,
@@ -133,7 +133,7 @@ class TestPublicBounds:
         # one verifies, i.e. per-challenge success is exactly 1/p
         com, ops = commit_int(ref23, 2, 3, rng)  # 2 < 4: no witness for >= 4
         ((_, _, rows),) = bound_plan(4, 3, greater=True)  # one proof, at position 1
-        stmt = plan_statement(ref23, (com.bits,), rows)
+        stmt = plan_statement(ref23, (com,), rows)
         planted = 7
         first, resp = cds_simulate(stmt, planted, rng)
         hits = [
@@ -234,11 +234,11 @@ class TestGates:
     def test_degenerate_bit_gate_is_a_zero_proof(self, ref23, rng):
         plan = single_gate(((0,),))
         com, ops = commit_int(ref23, 0, 1, rng)
-        bundle = _prove_plan(ref23, plan, [com.bits], [ops], CTX, rng)
-        assert _verify_plan(ref23, plan, [com.bits], bundle, CTX)
+        bundle = _prove_plan(ref23, plan, [com], [ops], CTX, rng)
+        assert _verify_plan(ref23, plan, [com], bundle, CTX)
         com1, ops1 = commit_int(ref23, 1, 1, rng)
         with pytest.raises(RefuseToProve):
-            _prove_plan(ref23, plan, [com1.bits], [ops1], CTX, rng)
+            _prove_plan(ref23, plan, [com1], [ops1], CTX, rng)
 
     def test_xor_gate_truth_table(self, ref23, rng):
         xor = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -246,7 +246,7 @@ class TestGates:
             coms, ops = [], []
             for bit in assignment:
                 c, o = commit_int(ref23, bit, 1, rng)
-                coms.append(c.bits)
+                coms.append(c)
                 ops.append(o)
             if assignment in xor:
                 bundle = _prove_plan(ref23, single_gate(xor), coms, ops, CTX, rng)
@@ -308,13 +308,13 @@ def chain_of(ref23, monkeypatch):
 
     def commit(ref, value, width, rng):
         committed.append(value)
-        return IntCommitment(()), []
+        return (), []
 
     monkeypatch.setattr(gadgets, "commit_int", commit)
     monkeypatch.setattr(gadgets, "_prove_plan", lambda *args: [])
 
     def chain_of(prove, x, y, width):
-        com = IntCommitment((BitCommitment(ref23.g),) * width)
+        com = (ref23.g,) * width
         ops_x, ops_y = ([BitOpening(b, 1) for b in int_bits(v, width)] for v in (x, y))
         prove(ref23, com, ops_x, com, ops_y, CTX, None)
         return committed.pop()
@@ -388,7 +388,7 @@ class TestComplementPairs:
         # resampling guarantees distinct elements even in the tiny group
         for _ in range(200):
             pair, _ = complement_commit(ref7, rng.getrandbits(1), rng)
-            assert pair.r_com.value != pair.rp_com.value
+            assert pair[0] != pair[1]
 
     def test_proofs_do_not_transfer(self, ref23, rng):
         pair, ops = complement_commit(ref23, 0, rng)
@@ -418,9 +418,7 @@ class TestCoinFlip:
             pairs.append(pair)
             pair_ops.append(ops)
         z_com = coin_select(pairs, [0, 1, 1])
-        assert z_com.bits[0] == pairs[0].r_com
-        assert z_com.bits[1] == pairs[1].rp_com
-        assert z_com.bits[2] == pairs[2].rp_com
+        assert z_com == (pairs[0][0], pairs[1][1], pairs[2][1])
         z_ops = coin_openings(pair_ops, [0, 1, 1])
         assert [op.bit for op in z_ops] == [1, 1, 0]  # 5 xor 3 = 6
 
@@ -431,7 +429,7 @@ class TestCoinFlip:
             pairs.append(pair)
             pair_ops.append(ops)
         z_com = coin_select(pairs, [0, 0])
-        assert [b for b in z_com.bits] == [p.r_com for p in pairs]
+        assert z_com == tuple(pair[0] for pair in pairs)
 
     def test_exhaustive_width2_commits_to_xor(self, ref23, rng):
         for x in range(4):
@@ -561,4 +559,4 @@ class TestStrictComparison:
             ref23, com_z, ops_z, com_s, ops_s, CTX, rng
         )
         assert [pos for pos, _ in bundle] == [0, 1, 2, 3]
-        assert borrow_com.width == 3
+        assert len(borrow_com) == 3

@@ -31,7 +31,6 @@ from zkmech.mpc import (
 from zkmech.sigma import (
     CdsWitness,
     NiProof,
-    SigmaFirst,
     SigmaResponse,
     check_witness,
     encode_proof,
@@ -139,7 +138,7 @@ class TestBuyerResponse:
                 junk = [tabled for base, tabled in calls if base == 4]
                 assert junk == [True] * (bound - v - 1) and table_powers[4] == len(junk), (s, v)
                 plain = sorted(base for base, tabled in calls if not tabled)
-                assert plain == sorted(com.value for com in ic.coms[: v + 1]), (s, v)
+                assert plain == sorted(ic.coms[: v + 1]), (s, v)
         assert builds[4] == 1
 
     def test_willingness_structure(self, ref23, rng):
@@ -147,7 +146,7 @@ class TestBuyerResponse:
         for v in (0, 3):
             resp, secrets = mpc_buyer_respond(ref23, ic, v, rng)
             for i in range(4):
-                structured = resp.zs[i] == ref23.params.pow(ic.coms[i].value, secrets.rhos[i])
+                structured = resp.zs[i] == ref23.params.pow(ic.coms[i], secrets.rhos[i])
                 assert structured == (i <= v)
 
     def test_junk_entries_are_uniform_over_the_subgroup(self, ref23):
@@ -210,7 +209,7 @@ class TestFinalize:
         params = ref7.params
         s, bound = 2, 4
         r_s = 1
-        c_s = commit_bit(ref7, 1, r_s).value
+        c_s = commit_bit(ref7, 1, r_s)
 
         def view_distribution(v):
             dist = Counter()
@@ -249,7 +248,7 @@ class TestWireFraming:
         payload stops after the count or carries all of them in full."""
         g = ref23.g
         proof = NiProof(
-            first=SigmaFirst(alphas=((g,) * count,) * count),
+            first=((g,) * count,) * count,
             challenge=1,
             response=SigmaResponse(betas=(0,) * count, gammas=((0,) * count,) * count),
             context_digest=bytes(32),

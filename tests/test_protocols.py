@@ -298,7 +298,7 @@ class TestTranscriptVerification:
         r = Reader(bytes(payload))
         r.u8()
         com = read_int_commitment(r, ref23.params.q)
-        old = com.bits[0].value
+        old = com[0]
         new = next(
             x for x in (2, 3, 4) if ref23.params.is_member(x) and x != old
         )
@@ -760,8 +760,8 @@ def test_a_negated_alpha_fails_at_its_message(request, group, site, monkeypatch)
     def prove_first(stmt, wit, rng, openings=None):
         first, state = real(stmt, wit, rng, openings)
         if proofs[0] == proofs[1]:
-            (alpha, *cells), *rows = first.alphas
-            first = sigma.SigmaFirst(((ref.params.q - alpha, *cells), *rows))
+            (alpha, *cells), *rows = first
+            first = ((ref.params.q - alpha, *cells), *rows)
         proofs[0] += 1
         return first, state
 
@@ -1403,10 +1403,10 @@ def test_proofs_keep_their_wire_bytes(request, group, monkeypatch):
             assert replace(proof)._wire is None
             assert sigma.encode_sized_proof(rewired(ref.params, replace(proof))) == blob
             assert sigma.ni_verify_all([(stmt, proof, ctx)])
-            (alpha, *others), *rows = proof.first.alphas
+            (alpha, *others), *rows = proof.first
             (gamma, *rest), *grows = proof.response.gammas
             changed = [
-                replace(proof, first=sigma.SigmaFirst(((alpha % (q - 1) + 1, *others), *rows))),
+                replace(proof, first=((alpha % (q - 1) + 1, *others), *rows)),
                 replace(
                     proof,
                     response=replace(proof.response, gammas=(((gamma + 1) % p, *rest), *grows)),

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import and_statement, decode_proof, or_statement, rewired, schnorr_statement
 from zkmech import sigma
-from zkmech.commitments import BitOpening, IntCommitment, commit_bit, commit_int, reveal_int
+from zkmech.commitments import BitOpening, commit_bit, commit_int, reveal_int
 from zkmech.errors import (
     ExtractionError,
     ParameterError,
@@ -27,7 +27,6 @@ from zkmech.sigma import (
     CdsStatement,
     CdsWitness,
     NiProof,
-    SigmaFirst,
     _build_first,
     _build_response,
     _sim_alpha,
@@ -48,7 +47,7 @@ from zkmech.sigma import (
 
 def transcript_tuple(first, beta, resp):
     return (
-        tuple(a for row in first.alphas for a in row),
+        tuple(a for row in first for a in row),
         beta,
         resp.betas,
         tuple(g for row in resp.gammas for g in row),
@@ -61,7 +60,7 @@ class TestKnowledgeOfDlog:
         stmt = schnorr_statement(q7, 2, 4)
         wit = CdsWitness(row=0, exps=(2,))
         first = _build_first(stmt, wit, (1,), {})
-        assert first.alphas == ((2,),)
+        assert first == ((2,),)
 
     def test_response_worked_examples(self, q7):
         stmt = schnorr_statement(q7, 2, 4)
@@ -166,10 +165,10 @@ class TestCompleteness:
 
 class TestSpecialSoundness:
     def test_worked_example(self, q7):
-        from zkmech.sigma import SigmaFirst, SigmaResponse
+        from zkmech.sigma import SigmaResponse
 
         stmt = schnorr_statement(q7, 2, 4)
-        first = SigmaFirst(alphas=((2,),))
+        first = ((2,),)
         t1 = (1, SigmaResponse(betas=(1,), gammas=((0,),)))
         t2 = (2, SigmaResponse(betas=(2,), gammas=((2,),)))
         wit = cds_extract(stmt, first, t1, t2)
@@ -184,9 +183,9 @@ class TestSpecialSoundness:
         accepting = {}
         for alphas in product((1, 2, 4), repeat=2):
             first_key = alphas
-            from zkmech.sigma import SigmaFirst, SigmaResponse
+            from zkmech.sigma import SigmaResponse
 
-            first = SigmaFirst(alphas=((alphas[0],), (alphas[1],)))
+            first = ((alphas[0],), (alphas[1],))
             for beta in range(1, p + 1):
                 for b0 in range(p):
                     b1 = (beta - b0) % p
@@ -210,9 +209,7 @@ class TestSpecialSoundness:
                         accepting.setdefault(first_key, []).append((beta, resp))
         checked = 0
         for first_key, transcripts in accepting.items():
-            from zkmech.sigma import SigmaFirst
-
-            first = SigmaFirst(alphas=((first_key[0],), (first_key[1],)))
+            first = ((first_key[0],), (first_key[1],))
             for t1, t2 in product(transcripts, repeat=2):
                 if t1[0] % p == t2[0] % p:
                     continue
@@ -238,7 +235,7 @@ class TestHonestVerifierSimulation:
             first, resp = cds_simulate(stmt, 2, rng)
             if resp.gammas == ((1,),):
                 break
-        assert first.alphas == ((1,),)  # 2^1 / 4^2 = 2 * 2^-1... = 1 in Z7
+        assert first == ((1,),)  # 2^1 / 4^2 = 2 * 2^-1... = 1 in Z7
         assert cds_verify(stmt, first, 2, resp)
 
     def test_simulated_transcripts_always_verify(self, q7, rng):
@@ -260,13 +257,13 @@ class TestHonestVerifierSimulation:
             for beta in range(1, p + 1):
                 resp = _build_response(stmt, wit, (nonce,), {}, beta)
                 honest[transcript_tuple(first, beta, resp)] += 1
-        from zkmech.sigma import SigmaFirst, SigmaResponse, _sim_alpha
+        from zkmech.sigma import SigmaResponse, _sim_alpha
 
         simulated = Counter()
         for gamma in range(p):
             for beta in range(1, p + 1):
                 alpha = _sim_alpha(q7, 2, 4, beta % p, gamma)
-                first = SigmaFirst(alphas=((alpha,),))
+                first = ((alpha,),)
                 resp = SigmaResponse(betas=(beta % p,), gammas=((gamma,),))
                 simulated[transcript_tuple(first, beta, resp)] += 1
         assert honest == simulated
@@ -287,17 +284,16 @@ class TestHonestVerifierSimulation:
                         counter[transcript_tuple(first, beta, resp)] += 1
             worlds.append(counter)
         sim_counter = Counter()
-        from zkmech.sigma import SigmaFirst, SigmaResponse, _sim_alpha
+        from zkmech.sigma import SigmaResponse, _sim_alpha
 
         for b0 in range(p):
             for g0, g1 in product(range(p), repeat=2):
                 for beta in range(1, p + 1):
                     b1 = (beta - b0) % p
-                    alphas = (
+                    first = (
                         (_sim_alpha(q7, 2, 4, b0, g0),),
                         (_sim_alpha(q7, 2, 2, b1, g1),),
                     )
-                    first = SigmaFirst(alphas=alphas)
                     resp = SigmaResponse(betas=(b0, b1), gammas=((g0,), (g1,)))
                     sim_counter[transcript_tuple(first, beta, resp)] += 1
         assert worlds[0] == worlds[1] == sim_counter
@@ -443,7 +439,7 @@ def prove_with_first(stmt, wit, context, rng, edit_alphas):
     """An honest proof whose first message `edit_alphas` rewrites before the
     challenge is drawn, so the challenge and digest checks still pass."""
     first, state = cds_prove_first(stmt, wit, rng)
-    first = SigmaFirst(alphas=edit_alphas(first.alphas))
+    first = edit_alphas(first)
     challenge = fiat_shamir_challenge(stmt.params, context + encode_first(stmt.params, first))
     digest = hashlib.sha256(context).digest()
     return rewired(stmt.params, NiProof(first, challenge, cds_respond(state, challenge), digest))
@@ -466,7 +462,7 @@ class TestBatchVerification:
         com, ops = commit_int(ref384, 15, 4, rng)
         plan = bound_plan(3, 4, greater=True)
         return [
-            (plan_statement(ref384, (com.bits,), rows), plan_witness(rows, (ops,)), b"ctx %d" % pos)
+            (plan_statement(ref384, (com,), rows), plan_witness(rows, (ops,)), b"ctx %d" % pos)
             for _, pos, rows in plan
         ]
 
@@ -538,9 +534,9 @@ class TestBatchVerification:
         # b = 11, g is the target of cells whose base is g, and of the AND
         # row's cell, so the batch sums one element's exponents from both sides
         ops_a = [BitOpening(bit=0, r=1), BitOpening(bit=1, r=ref384.params.exp_sample(rng))]
-        com_a = IntCommitment(tuple(commit_bit(ref384, op.bit, op.r) for op in ops_a))
+        com_a = tuple(commit_bit(ref384, op.bit, op.r) for op in ops_a)
         com_b, ops_b = commit_int(ref384, 3, 2, rng)
-        coms, ops = (com_a.bits, com_b.bits), (ops_a, ops_b)
+        coms, ops = (com_a, com_b), (ops_a, ops_b)
         items = []
         for _, pos, rows in le_committed_plan(2):
             stmt = plan_statement(ref384, coms, rows)
@@ -558,7 +554,7 @@ class TestBatchVerification:
         stmt, proof, ctx = items[0]
         assert not ni_verify_all([items[1], (stmt, proof, ctx + b"!")])
         assert not ni_verify_all([(stmt, rewired(stmt.params, replace(proof, challenge=proof.challenge + 1)), ctx)])
-        short = rewired(stmt.params, replace(proof, first=SigmaFirst(alphas=proof.first.alphas[:-1])))
+        short = rewired(stmt.params, replace(proof, first=proof.first[:-1]))
         assert not ni_verify_all([(stmt, short, ctx)])  # a shape mismatch
 
     def test_a_run_batch_names_its_first_false_unit(self, bundle, ref384, rng):
